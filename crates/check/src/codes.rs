@@ -10,7 +10,8 @@
 //! op-graph plans (cycle / shape mismatch / illegal fusion), `AC10xx`
 //! serving engine and wire-precision configuration. Codes are
 //! append-only — once published in a diagnostic they keep their meaning
-//! so scripts can match on them.
+//! so scripts can match on them, and a retired code's number is never
+//! handed out again (the registry tests hold the retired list).
 
 /// Hidden width not divisible by the head count.
 pub const HIDDEN_NOT_DIVISIBLE_BY_HEADS: &str = "AC0001";
@@ -73,9 +74,9 @@ pub const ENV_THREADS_INVALID: &str = "AC0402";
 pub const CHUNK_ROWS_INVALID: &str = "AC0501";
 /// `runtime.pipeline_depth` is not a positive chunk count.
 pub const PIPELINE_DEPTH_INVALID: &str = "AC0502";
-/// The `ACTCOMP_CHUNK_ROWS` environment variable does not parse as a
-/// positive row count.
-pub const ENV_CHUNK_ROWS_INVALID: &str = "AC0503";
+// Index 03 of this family is retired: it diagnosed an environment
+// spelling of the chunk size that no longer exists. The next
+// ring-collective code is 04.
 
 /// A message is sent but no rank ever receives it.
 pub const COMM_ORPHAN_SEND: &str = "AC0601";
@@ -290,11 +291,6 @@ pub fn registry() -> Vec<CodeInfo> {
             false,
         ),
         row(
-            ENV_CHUNK_ROWS_INVALID,
-            "ACTCOMP_CHUNK_ROWS does not parse as a positive row count",
-            false,
-        ),
-        row(
             COMM_ORPHAN_SEND,
             "comm graph has a send no rank ever receives",
             false,
@@ -422,12 +418,20 @@ mod tests {
         assert!(codes.iter().all(|c| c.starts_with("AC") && c.len() == 6));
     }
 
+    /// Retired codes as `(family, index)`: they keep their slot so the
+    /// number is never reused. Spelled apart so the emitted-code scan
+    /// below still rejects any use of the full literal.
+    const RETIRED: &[(&str, u32)] = &[("05", 3)];
+
     #[test]
     fn registry_families_are_contiguous() {
-        // Within a family `ACffnn`, the two-digit indices must run
-        // 1..=max with no holes.
+        // Within a family `ACffnn`, the two-digit indices (registered
+        // plus retired) must run 1..=max with no holes.
         use std::collections::BTreeMap;
         let mut families: BTreeMap<String, Vec<u32>> = BTreeMap::new();
+        for (family, idx) in RETIRED {
+            families.entry(family.to_string()).or_default().push(*idx);
+        }
         for info in registry() {
             let family = info.code[2..4].to_string();
             let idx: u32 = info.code[4..6].parse().expect("numeric code suffix");

@@ -1,34 +1,35 @@
-//! Ring-collective chunking checks (`AC0501`–`AC0503`).
+//! Ring-collective schedule and chunking checks (`AC0501`–`AC0502`).
 //!
-//! The threaded runtime's ring collectives split tensors into row
-//! chunks and pipeline them (`actcomp-runtime`'s `RingTuning`). Both
-//! knobs are "at least one" quantities: zero rows per chunk or a
-//! zero-deep pipeline would make the schedule degenerate, and the
-//! engine panics on either. This pass rejects the config spellings
-//! (`runtime.chunk_rows` = 0 → `AC0501`, `runtime.pipeline_depth` = 0
-//! → `AC0502`) and the environment spelling (`ACTCOMP_CHUNK_ROWS`,
-//! `AC0503`) — the latter via the exact predicate the runtime uses,
-//! [`actcomp_tensor::pool::parse_count_spec`], so the checker and the
-//! engine can never disagree on what parses.
+//! This module owns the *one* description of a tensor-parallel ring
+//! collective: how a tensor is split into row chunks
+//! ([`ring_chunk_plan`], [`codec_chunk_plan`]), and the order in which
+//! every rank sends, receives and works on those chunks
+//! ([`chunk_ring_steps`], [`gather_ring_steps`]). The runtime's
+//! `TpGroup` *interprets* the step lists; the comm-protocol analyzer
+//! ([`crate::comm_graph`]) maps the same lists to events and proves
+//! matching, delivery order and deadlock-freedom on them — so the two
+//! cannot drift apart.
+//!
+//! Both tuning knobs are "at least one" quantities: zero rows per chunk
+//! or a zero-deep pipeline would make the schedule degenerate. The
+//! check pass rejects `runtime.chunk_rows` = 0 (`AC0501`) and
+//! `runtime.pipeline_depth` = 0 (`AC0502`).
 
 use crate::codes;
+use crate::comm_graph::Dir;
 use crate::config::ExperimentConfig;
 use crate::diagnostics::{Diagnostic, Diagnostics};
-use actcomp_tensor::pool::parse_count_spec;
 
-/// Chunk count used when no explicit row count is configured — mirrors
-/// the runtime's `DEFAULT_CHUNKS`.
+/// Chunk count used when no explicit row count is configured.
 pub const DEFAULT_CHUNKS: usize = 4;
 
-/// Default reduce chunks in flight — mirrors the runtime's
-/// `DEFAULT_PIPELINE_DEPTH`.
+/// Default reduce chunks rank 0 keeps in flight.
 pub const DEFAULT_PIPELINE_DEPTH: usize = 4;
 
-/// The exact chunk plan the runtime's ring collectives use for a tensor
-/// with `rows` rows: greedy row tiling at the configured chunk size, or
-/// an even four-way split when unset. Mirrors `RingTuning::plan` in
-/// `actcomp-runtime`; a cross-crate test over a tuning grid pins the
-/// two implementations together.
+/// The chunk plan of a `rows`-row ring collective: greedy row tiling at
+/// the configured chunk size, or an even four-way split when unset.
+/// Depends only on its arguments, so every rank of a ring (and the
+/// static analyzer) derives the same plan independently.
 pub fn ring_chunk_plan(chunk_rows: Option<usize>, rows: usize) -> Vec<usize> {
     if rows == 0 {
         return vec![0];
@@ -44,34 +45,160 @@ pub fn ring_chunk_plan(chunk_rows: Option<usize>, rows: usize) -> Vec<usize> {
     plan
 }
 
-/// Resolves `(chunk_rows, pipeline_depth)` for a config the way the
-/// engine does: explicit `runtime` fields first, then the
-/// `ACTCOMP_CHUNK_ROWS` environment variable (chunk rows only), then
-/// automatic chunking and the default depth. An unparsable environment
-/// value is ignored here — `check_collectives` reports it as `AC0503`.
+/// The chunk plan of a *compressed* all-reduce over a tensor of shape
+/// `dims`: a real row plan only when the codec is chunkable, the tensor
+/// is rank 2 with at least one row, and the group has peers; a single
+/// whole-tensor chunk otherwise (global Top-K selection, per-tensor
+/// quantization ranges and error-feedback residuals need the whole
+/// tensor).
+pub fn codec_chunk_plan(
+    chunk_rows: Option<usize>,
+    chunkable: bool,
+    world: usize,
+    dims: &[usize],
+) -> Vec<usize> {
+    match *dims {
+        [rows, _] if chunkable && world > 1 && rows > 0 => ring_chunk_plan(chunk_rows, rows),
+        _ => vec![dims.first().copied().unwrap_or(1)],
+    }
+}
+
+/// One visit of chunk `idx` to a rank of a chain-reduce → ring-broadcast
+/// collective: what the rank receives, the local work it does, and what
+/// it sends on. "Reduce" messages travel the chain `0 → 1 → … → p−1`
+/// accumulating the rank-order left fold; "broadcast" messages carry
+/// the finished total `p−1 → 0 → … → p−2`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RingStep {
+    /// Rank 0: make the own chunk and send it down the reduce chain.
+    Originate {
+        /// Chunk index.
+        idx: usize,
+    },
+    /// Interior rank: make the own chunk, receive the partial sum, fold
+    /// the own chunk into it, send it down the reduce chain.
+    Relay {
+        /// Chunk index.
+        idx: usize,
+    },
+    /// Last rank: make the own chunk, receive the partial sum, fold —
+    /// the result is the total — then consume it and send it as the
+    /// first broadcast hop.
+    Turn {
+        /// Chunk index.
+        idx: usize,
+    },
+    /// Receive the finished chunk on the broadcast leg and consume it;
+    /// pass it on unless the next rank is where the broadcast ends.
+    Deliver {
+        /// Chunk index.
+        idx: usize,
+        /// Whether the chunk is forwarded to the next rank.
+        forward: bool,
+    },
+}
+
+impl RingStep {
+    /// The step's wire events in program order — at most one receive,
+    /// then at most one send — as `(direction, bcast, idx)`.
+    pub fn wire(self) -> impl Iterator<Item = (Dir, bool, usize)> {
+        let (idx, recv, send) = match self {
+            RingStep::Originate { idx } => (idx, None, Some(false)),
+            RingStep::Relay { idx } => (idx, Some(false), Some(false)),
+            RingStep::Turn { idx } => (idx, Some(false), Some(true)),
+            RingStep::Deliver { idx, forward } => (idx, Some(true), forward.then_some(true)),
+        };
+        let recv = recv.map(|bcast| (Dir::Recv, bcast, idx));
+        let send = send.map(|bcast| (Dir::Send, bcast, idx));
+        recv.into_iter().chain(send)
+    }
+}
+
+/// Rank `rank`'s program for one chain-reduce → ring-broadcast
+/// collective over `chunks` chunks in a ring of `world > 1` ranks.
+///
+/// Rank 0 paces the pipeline: it starts `min(depth, chunks)` reduce
+/// chunks and then starts one more per broadcast it has consumed, so at
+/// most `depth` chunks are in flight and memory stays bounded without
+/// blocking sends. Every rank handles its reduce chunks, and then its
+/// broadcast chunks, in index order, so each link's FIFO matches the
+/// receiver's order up to the reduce/broadcast interleave (which the
+/// receiver's `(bcast, idx)` stash absorbs).
+pub fn chunk_ring_steps(rank: usize, world: usize, chunks: usize, depth: usize) -> Vec<RingStep> {
+    debug_assert!(world > 1 && rank < world, "rank {rank} of {world}");
+    // The broadcast ends at rank p−2, the last rank's predecessor.
+    let deliver = |idx| RingStep::Deliver {
+        idx,
+        forward: rank + 2 != world,
+    };
+    if rank == 0 {
+        let lookahead = depth.max(1).min(chunks);
+        let mut steps: Vec<RingStep> = (0..lookahead)
+            .map(|idx| RingStep::Originate { idx })
+            .collect();
+        for idx in 0..chunks {
+            steps.push(deliver(idx));
+            if idx + lookahead < chunks {
+                steps.push(RingStep::Originate {
+                    idx: idx + lookahead,
+                });
+            }
+        }
+        steps
+    } else if rank + 1 < world {
+        (0..chunks)
+            .map(|idx| RingStep::Relay { idx })
+            .chain((0..chunks).map(deliver))
+            .collect()
+    } else {
+        (0..chunks).map(|idx| RingStep::Turn { idx }).collect()
+    }
+}
+
+/// One event of a whole-message ring all-gather: a send to the next
+/// rank or a receive from the previous one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GatherHop {
+    /// Send or receive.
+    pub dir: Dir,
+    /// Rank whose payload this hop carries.
+    pub origin: usize,
+}
+
+/// Rank `rank`'s program for one ring all-gather in a ring of `world`
+/// ranks: `world − 1` times, send a payload on (the own one first, then
+/// each payload just received) and receive the previous rank's — after
+/// which the rank has seen every rank's payload. Empty for a solo ring.
+pub fn gather_ring_steps(rank: usize, world: usize) -> Vec<GatherHop> {
+    (0..world - 1)
+        .flat_map(|hop| {
+            let sent = (rank + world - hop) % world;
+            let received = (rank + world - 1 - hop) % world;
+            [(Dir::Send, sent), (Dir::Recv, received)]
+        })
+        .map(|(dir, origin)| GatherHop { dir, origin })
+        .collect()
+}
+
+/// Resolves `(chunk_rows, pipeline_depth)` for a config: explicit
+/// `runtime` fields, else automatic chunking and the default depth. The
+/// CLI hands the engine exactly this pair (as `RuntimeConfig.tuning`),
+/// so the static graph and the run agree by construction.
 pub fn resolved_ring_tuning(cfg: &ExperimentConfig) -> (Option<usize>, usize) {
     let rt = cfg.runtime.as_ref();
-    let chunk = rt.and_then(|r| r.chunk_rows).or_else(|| {
-        std::env::var("ACTCOMP_CHUNK_ROWS")
-            .ok()
-            .and_then(|v| parse_count_spec(&v, "chunk row count").ok())
-    });
+    let chunk = rt.and_then(|r| r.chunk_rows);
     let depth = rt
         .and_then(|r| r.pipeline_depth)
         .unwrap_or(DEFAULT_PIPELINE_DEPTH);
     (chunk, depth)
 }
 
-/// The ring-collective pass: validates `runtime.chunk_rows`,
-/// `runtime.pipeline_depth`, and the `ACTCOMP_CHUNK_ROWS` environment
-/// variable.
+/// The ring-collective pass: validates `runtime.chunk_rows` and
+/// `runtime.pipeline_depth`.
 pub fn check_collectives(cfg: &ExperimentConfig, diags: &mut Diagnostics) {
     if let Some(rt) = &cfg.runtime {
         check_chunk_rows_field(rt.chunk_rows, diags);
         check_pipeline_depth_field(rt.pipeline_depth, diags);
-    }
-    if let Ok(v) = std::env::var("ACTCOMP_CHUNK_ROWS") {
-        check_env_spec(&v, diags);
     }
 }
 
@@ -85,10 +212,7 @@ fn check_chunk_rows_field(chunk_rows: Option<usize>, diags: &mut Diagnostics) {
                 "runtime.chunk_rows = 0: a ring collective chunk needs at least one row"
                     .to_string(),
             )
-            .with_help(
-                "use a positive row count, or omit the field to resolve it from \
-                 ACTCOMP_CHUNK_ROWS / automatic chunking",
-            ),
+            .with_help("use a positive row count, or omit the field for automatic chunking"),
         );
     }
 }
@@ -105,25 +229,6 @@ fn check_pipeline_depth_field(pipeline_depth: Option<usize>, diags: &mut Diagnos
                     .to_string(),
             )
             .with_help("use a positive depth, or omit the field for the default of 4"),
-        );
-    }
-}
-
-/// Validates an `ACTCOMP_CHUNK_ROWS` value (`AC0503`). Split from the
-/// environment read so tests can exercise it without mutating the
-/// process environment.
-fn check_env_spec(value: &str, diags: &mut Diagnostics) {
-    if let Err(e) = parse_count_spec(value, "chunk row count") {
-        diags.push(
-            Diagnostic::error(
-                codes::ENV_CHUNK_ROWS_INVALID,
-                "env.ACTCOMP_CHUNK_ROWS",
-                format!("ACTCOMP_CHUNK_ROWS={value:?} is invalid: {e}"),
-            )
-            .with_help(
-                "set a positive integer row count, or unset the variable to use \
-                 automatic chunking",
-            ),
         );
     }
 }
@@ -197,10 +302,7 @@ mod tests {
     #[test]
     fn tuning_resolves_fields_before_defaults() {
         let mut cfg = ExperimentConfig::paper_default();
-        // No runtime section: automatic chunking, default depth. The
-        // chunk side may still pick up ACTCOMP_CHUNK_ROWS from the test
-        // environment, so only the depth is pinned here.
-        assert_eq!(resolved_ring_tuning(&cfg).1, DEFAULT_PIPELINE_DEPTH);
+        assert_eq!(resolved_ring_tuning(&cfg), (None, DEFAULT_PIPELINE_DEPTH));
         let mut rt = RuntimeSection::threads_default();
         rt.chunk_rows = Some(16);
         rt.pipeline_depth = Some(2);
@@ -209,20 +311,54 @@ mod tests {
     }
 
     #[test]
-    fn env_specs_share_the_runtime_predicate() {
-        for bad in ["0", "", "  ", "four", "-8", "2.5"] {
-            let mut diags = Diagnostics::new();
-            check_env_spec(bad, &mut diags);
-            assert_eq!(
-                codes_of(diags),
-                vec![codes::ENV_CHUNK_ROWS_INVALID],
-                "expected {bad:?} to be rejected"
-            );
-        }
-        for good in ["1", "64", " 16 "] {
-            let mut diags = Diagnostics::new();
-            check_env_spec(good, &mut diags);
-            assert!(diags.into_vec().is_empty(), "expected {good:?} to pass");
+    fn codecs_chunk_only_rank_two_tensors_on_real_rings() {
+        assert_eq!(codec_chunk_plan(Some(2), true, 2, &[5, 8]), vec![2, 2, 1]);
+        // Not chunkable, solo ring, not rank 2, no rows: one chunk.
+        assert_eq!(codec_chunk_plan(Some(2), false, 2, &[5, 8]), vec![5]);
+        assert_eq!(codec_chunk_plan(Some(2), true, 1, &[5, 8]), vec![5]);
+        assert_eq!(codec_chunk_plan(Some(2), true, 2, &[5, 8, 2]), vec![5]);
+        assert_eq!(codec_chunk_plan(Some(2), true, 2, &[0, 8]).len(), 1);
+    }
+
+    #[test]
+    fn rank_zero_lookahead_is_min_of_depth_and_chunks() {
+        use RingStep::{Deliver, Originate};
+        let d = |idx| Deliver {
+            idx,
+            forward: false,
+        };
+        assert_eq!(
+            chunk_ring_steps(0, 2, 3, 2),
+            vec![
+                Originate { idx: 0 },
+                Originate { idx: 1 },
+                d(0),
+                Originate { idx: 2 },
+                d(1),
+                d(2),
+            ]
+        );
+        // A pipeline deeper than the collective starts every chunk up front.
+        let steps = chunk_ring_steps(0, 2, 2, 5);
+        assert_eq!(steps[..2], [Originate { idx: 0 }, Originate { idx: 1 }]);
+        assert_eq!(steps.len(), 4);
+    }
+
+    #[test]
+    fn gather_hops_carry_every_origin_once() {
+        for world in 1..=5usize {
+            for rank in 0..world {
+                let steps = gather_ring_steps(rank, world);
+                assert_eq!(steps.len(), 2 * (world - 1));
+                let mut seen: Vec<usize> = steps
+                    .iter()
+                    .filter(|hop| hop.dir == Dir::Recv)
+                    .map(|hop| hop.origin)
+                    .collect();
+                seen.push(rank);
+                seen.sort_unstable();
+                assert_eq!(seen, (0..world).collect::<Vec<_>>());
+            }
         }
     }
 }

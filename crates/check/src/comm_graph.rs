@@ -9,12 +9,13 @@
 //! fully determined by the configuration — so the protocol can be
 //! analyzed *before* a single thread spawns.
 //!
-//! [`build_comm_graph`] mirrors the engine's schedule generators
-//! (`summable_ring`, `gathered_reduce`, `dense_ring`, `all_gather`,
-//! the stage broadcast, and the pipeline boundary sends) and emits the
-//! complete static message-flow graph: per rank, the ordered sequence
-//! of [`CommEvent`]s for one training step. [`analyze`] then proves,
-//! or refutes with an `AC06xx` diagnostic:
+//! [`build_comm_graph`] emits the complete static message-flow graph:
+//! per rank, the ordered sequence of [`CommEvent`]s for one training
+//! step. Ring collectives come from the very step lists the engine
+//! interprets ([`crate::collectives::chunk_ring_steps`] /
+//! [`crate::collectives::gather_ring_steps`]); the stage broadcast and
+//! the pipeline boundary sends mirror the rank worker. [`analyze`]
+//! then proves, or refutes with an `AC06xx` diagnostic:
 //!
 //! * **send/recv matching** — every send has exactly one receive and
 //!   vice versa (`AC0601` orphan send, `AC0602` starved recv,
@@ -54,7 +55,9 @@ use actcomp_mp::stage_offsets;
 use actcomp_tensor::Tensor;
 
 use crate::codes;
-use crate::collectives::{resolved_ring_tuning, ring_chunk_plan};
+use crate::collectives::{
+    chunk_ring_steps, codec_chunk_plan, gather_ring_steps, resolved_ring_tuning, ring_chunk_plan,
+};
 use crate::config::ExperimentConfig;
 use crate::diagnostics::Diagnostic;
 use crate::runtime::uses_threads_backend;
@@ -386,8 +389,10 @@ struct LayerComm {
     msg_bytes: usize,
 }
 
-/// Per-rank event generator: a faithful mirror of the engine's
-/// schedule generators, emitting events instead of messages.
+/// Per-rank event generator. Ring collectives are the wire events of
+/// the shared step lists ([`crate::collectives`]) the engine interprets;
+/// the per-stage order of collectives, broadcasts and boundary messages
+/// still mirrors the engine's rank worker by hand.
 struct Gen {
     tp: usize,
     stage: usize,
@@ -417,128 +422,53 @@ impl Gen {
         });
     }
 
-    fn ring_send(&self) -> ChannelId {
-        ChannelId::Ring {
-            stage: self.stage,
-            link: self.tpi,
-        }
-    }
-
-    fn ring_recv(&self) -> ChannelId {
-        ChannelId::Ring {
-            stage: self.stage,
-            link: (self.tpi + self.tp - 1) % self.tp,
-        }
-    }
-
-    fn send_chunk(&mut self, coll: usize, bcast: bool, idx: usize, bytes: usize) {
-        self.push(
-            Dir::Send,
-            self.ring_send(),
-            MsgId::Chunk { coll, bcast, idx },
-            Some(bytes),
-        );
-    }
-
-    fn recv_chunk(&mut self, coll: usize, bcast: bool, idx: usize) {
-        self.push(
-            Dir::Recv,
-            self.ring_recv(),
-            MsgId::Chunk { coll, bcast, idx },
-            None,
-        );
-    }
-
-    /// The chain-reduce → ring-broadcast schedule (`summable_ring` /
-    /// `dense_ring`), including the rank-0 `pipeline_depth` pacing.
-    fn chunk_ring(&mut self, chunk_bytes: &[usize]) {
-        let p = self.tp;
-        debug_assert!(p > 1, "chunk_ring on a solo ring");
-        let coll = self.coll;
-        self.coll += 1;
-        let total = chunk_bytes.len();
-        let r = self.tpi;
-        if r == 0 {
-            let mut sent = 0;
-            while sent < self.depth.min(total) {
-                self.send_chunk(coll, false, sent, chunk_bytes[sent]);
-                sent += 1;
-            }
-            for idx in 0..total {
-                self.recv_chunk(coll, true, idx);
-                if p > 2 {
-                    self.send_chunk(coll, true, idx, chunk_bytes[idx]);
-                }
-                if sent < total {
-                    self.send_chunk(coll, false, sent, chunk_bytes[sent]);
-                    sent += 1;
-                }
-            }
-        } else if r < p - 1 {
-            for (idx, &bytes) in chunk_bytes.iter().enumerate() {
-                self.recv_chunk(coll, false, idx);
-                self.send_chunk(coll, false, idx, bytes);
-            }
-            for (idx, &bytes) in chunk_bytes.iter().enumerate() {
-                self.recv_chunk(coll, true, idx);
-                if r != p - 2 {
-                    self.send_chunk(coll, true, idx, bytes);
-                }
-            }
-        } else {
-            for (idx, &bytes) in chunk_bytes.iter().enumerate() {
-                self.recv_chunk(coll, false, idx);
-                self.send_chunk(coll, true, idx, bytes);
-            }
-        }
-        // Closed-form wire bytes for this rank's sends; `AC0604`
-        // cross-checks it against the event-sum above.
-        let own: usize = chunk_bytes.iter().sum();
-        self.exp.ring_wire += if r == 0 {
-            if p > 2 {
-                2 * own
-            } else {
-                own
-            }
-        } else if r == p - 1 || r == p - 2 {
-            own
-        } else {
-            2 * own
+    /// Pushes one ring event: sends leave on this rank's link carrying
+    /// `bytes`; receives arrive on the previous rank's link, unmetered.
+    fn ring_event(&mut self, dir: Dir, msg: MsgId, bytes: Option<usize>) {
+        let (link, bytes) = match dir {
+            Dir::Send => (self.tpi, bytes),
+            Dir::Recv => ((self.tpi + self.tp - 1) % self.tp, None),
         };
+        let channel = ChannelId::Ring {
+            stage: self.stage,
+            link,
+        };
+        self.push(dir, channel, msg, bytes);
     }
 
-    /// The gather ring (`gathered_reduce` / `all_gather`): both emit
-    /// the identical send/recv interleave, differing only in whether
-    /// the sends are metered.
-    fn gather_ring(&mut self, bytes: Option<usize>) {
-        let p = self.tp;
-        if p == 1 {
-            return;
-        }
-        let coll = self.coll;
+    /// Opens the next collective on this stage's ring.
+    fn next_coll(&mut self) -> usize {
         self.coll += 1;
-        let r = self.tpi;
-        for j in 0..p - 1 {
-            let send_origin = (r + p - j) % p;
-            let recv_origin = (r + p - 1 - j) % p;
-            self.push(
-                Dir::Send,
-                self.ring_send(),
-                MsgId::Gather {
-                    coll,
-                    origin: send_origin,
-                },
-                bytes,
-            );
-            self.push(
-                Dir::Recv,
-                self.ring_recv(),
-                MsgId::Gather {
-                    coll,
-                    origin: recv_origin,
-                },
-                None,
-            );
+        self.coll - 1
+    }
+
+    /// A chain-reduce → ring-broadcast collective: the wire events of
+    /// the step list the engine interprets.
+    fn chunk_ring(&mut self, chunk_bytes: &[usize]) {
+        let (r, p) = (self.tpi, self.tp);
+        let coll = self.next_coll();
+        for step in chunk_ring_steps(r, p, chunk_bytes.len(), self.depth) {
+            for (dir, bcast, idx) in step.wire() {
+                let msg = MsgId::Chunk { coll, bcast, idx };
+                self.ring_event(dir, msg, Some(chunk_bytes[idx]));
+            }
+        }
+        // Closed-form wire bytes for this rank's sends (`AC0604`
+        // cross-checks it against the event-sum above): every rank
+        // sends each chunk once; all but the last two ranks also pass
+        // its broadcast on.
+        let own: usize = chunk_bytes.iter().sum();
+        self.exp.ring_wire += if r + 2 < p { 2 * own } else { own };
+    }
+
+    /// A whole-message ring all-gather (gathered reduce, grad sync):
+    /// the engine's gather walk, metered (`Some(bytes)` per send) or
+    /// not.
+    fn gather_ring(&mut self, bytes: Option<usize>) {
+        let coll = self.next_coll();
+        for hop in gather_ring_steps(self.tpi, self.tp) {
+            let origin = hop.origin;
+            self.ring_event(hop.dir, MsgId::Gather { coll, origin }, bytes);
         }
     }
 
@@ -668,11 +598,7 @@ pub fn build_comm_graph(cfg: &ExperimentConfig) -> Option<CommGraph> {
     let mut wire_cache: BTreeMap<(bool, usize), usize> = BTreeMap::new();
     let mut layer_profile = |covered: bool| -> LayerComm {
         let mut comp = build_layer_codec(covered);
-        let chunks = if comp.chunkable() {
-            ring_chunk_plan(chunk_rows, mb_tokens)
-        } else {
-            vec![mb_tokens]
-        };
+        let chunks = codec_chunk_plan(chunk_rows, comp.chunkable(), tp, &[mb_tokens, h]);
         let summable = comp.summable();
         let mut sized = |rows: usize| -> usize {
             *wire_cache
@@ -1372,6 +1298,58 @@ mod tests {
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_schedules_are_proved_for_every_rank_count() {
+        // The schedule-level proof, with no model and no threads. For
+        // every ring size, chunk count and pipeline depth, the step
+        // lists the engine interprets — a chunk ring, an (unmetered)
+        // gather, and a second chunk ring reusing every `(bcast, idx)`
+        // stash key — match every send to exactly one receive, agree
+        // on per-link delivery order up to the stash key, never have
+        // two chunks with one key in flight, block acyclically, and
+        // carry the bytes the closed form claims.
+        for world in 2..=6usize {
+            for chunks in 1..=9usize {
+                for depth in 1..=5usize {
+                    let (events, expected): (Vec<_>, Vec<_>) = (0..world)
+                        .map(|tpi| {
+                            let mut g = Gen {
+                                tp: world,
+                                stage: 0,
+                                tpi,
+                                hidden: 1,
+                                chunk_rows: None,
+                                depth,
+                                coll: 0,
+                                bseq: 0,
+                                phase: Phase::Forward { mb: 0 },
+                                events: Vec::new(),
+                                exp: ExpectedCounters::default(),
+                            };
+                            g.chunk_ring(&vec![2; chunks]);
+                            g.gather_ring(None);
+                            g.chunk_ring(&(1..=chunks).collect::<Vec<_>>());
+                            (g.events, g.exp)
+                        })
+                        .unzip();
+                    let graph = CommGraph {
+                        tp: world,
+                        pp: 1,
+                        micro_batches: 1,
+                        events,
+                        expected,
+                    };
+                    let diags = analyze(&graph);
+                    assert!(
+                        diags.is_empty(),
+                        "world={world} chunks={chunks} depth={depth}: {diags:#?}"
+                    );
+                    assert_eq!(graph.message_count() * 2, graph.event_count());
                 }
             }
         }

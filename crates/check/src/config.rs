@@ -129,9 +129,8 @@ pub struct RuntimeSection {
     /// `ACTCOMP_THREADS` environment variable, then available
     /// parallelism. Must be at least 1 when given.
     pub kernel_threads: Option<usize>,
-    /// Rows per chunk in ring collectives. Omitted: the engine resolves
-    /// it from `ACTCOMP_CHUNK_ROWS`, then splits each collective into
-    /// four chunks. Must be at least 1 when given.
+    /// Rows per chunk in ring collectives. Omitted: each collective is
+    /// split into four chunks. Must be at least 1 when given.
     pub chunk_rows: Option<usize>,
     /// Maximum reduce chunks the ring pipeline keeps in flight ahead of
     /// the broadcasts it has consumed. Omitted: 4. Must be at least 1

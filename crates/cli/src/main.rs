@@ -207,7 +207,8 @@ fn comm_check(cfg: &ExperimentConfig) {
 fn run(args: &Args) {
     use rand::{Rng, SeedableRng};
 
-    let backend = args.get("backend", "threads").to_string();
+    let section = run_runtime_section(args);
+    let backend = section.backend.clone();
     let tp = args.get_usize("tp", 2);
     let pp = args.get_usize("pp", 2);
     let layers = args.get_usize("layers", 4);
@@ -217,88 +218,27 @@ fn run(args: &Args) {
     let vocab = args.get_usize("vocab", 64);
     let batch = args.get_usize("batch", 4);
     let seq = args.get_usize("seq", 8);
-    let m = args.get_usize("micro-batches", 1);
+    let m = section.micro_batches();
     let steps = args.get_usize("steps", 2);
     let seed = args.get_usize("seed", 0) as u64;
-    let kernel_threads = args.raw("kernel-threads").map(|v| {
-        actcomp_tensor::pool::parse_thread_spec(v).unwrap_or_else(|e| {
-            eprintln!("error: --kernel-threads: {e}");
-            std::process::exit(2);
-        })
-    });
-    let chunk_rows = args.raw("chunk-rows").map(|v| {
-        actcomp_tensor::pool::parse_count_spec(v, "chunk row count").unwrap_or_else(|e| {
-            eprintln!("error: --chunk-rows: {e}");
-            std::process::exit(2);
-        })
-    });
-    let pipeline_depth = args.raw("pipeline-depth").map(|v| {
-        actcomp_tensor::pool::parse_count_spec(v, "pipeline depth").unwrap_or_else(|e| {
-            eprintln!("error: --pipeline-depth: {e}");
-            std::process::exit(2);
-        })
-    });
     let out = args.get("out", "BENCH_runtime.json");
     let spec = parse_spec(args.get("spec", "w/o"));
-    let audit = args.flag("audit");
+    let audit = section.trace == Some(true);
     let grad_hash = args.flag("grad-hash");
     let lr = 1e-2;
     if audit && backend != "threads" {
         eprintln!("error: --audit requires --backend threads (it replays the rank engine's trace)");
         std::process::exit(2);
     }
-    // Transport options only mean something for the multi-process
-    // launcher; the checker (AC0702/AC0703) rejects stray uses.
-    let transport = match args.raw("transport") {
-        Some(t) => Some(t.to_string()),
-        None if backend == "procs" => Some("uds".to_string()),
-        None => None,
-    };
-    let link_mbps = args.raw("link-mbps").map(|v| {
-        v.parse::<f64>().unwrap_or_else(|_| {
-            eprintln!("error: --link-mbps expects a number, got '{v}'");
-            std::process::exit(2);
-        })
-    });
     // Test hook: make one worker exit right after rendezvous so the
     // typed-failure path (`WorkerLost`, not a hang) can be exercised
     // end-to-end. Deliberately undocumented.
-    let fail_rank = args.raw("fail-rank").map(|v| {
-        v.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("error: --fail-rank expects a rank index, got '{v}'");
-            std::process::exit(2);
-        })
-    });
-    // Fault-injection and recovery options (procs backend; the checker's
-    // AC08xx pass rejects them elsewhere and validates the values).
-    let fault = args.raw("fault").map(str::to_string);
-    let checkpoint_every = args.raw("checkpoint-every").map(|v| {
-        v.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("error: --checkpoint-every expects a step count, got '{v}'");
-            std::process::exit(2);
-        })
-    });
+    let fail_rank = flag_value(args, "fail-rank", "a rank index");
     let checkpoint_dir = args.get("checkpoint-dir", "CKPT_actcomp").to_string();
     // Restarts default on (2) as soon as the run opts into the
     // fault-tolerance machinery; plain runs keep fail-fast semantics.
-    let max_restarts = match args.raw("max-restarts") {
-        Some(v) => v.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("error: --max-restarts expects a count, got '{v}'");
-            std::process::exit(2);
-        }),
-        None if fault.is_some() || checkpoint_every.is_some() => 2,
-        None => 0,
-    };
-    let parse_secs = |key: &str| {
-        args.raw(key).map(|v| {
-            v.parse::<f64>().unwrap_or_else(|_| {
-                eprintln!("error: --{key} expects seconds, got '{v}'");
-                std::process::exit(2);
-            })
-        })
-    };
-    let step_timeout_s = parse_secs("step-timeout");
-    let rendezvous_timeout_s = parse_secs("rendezvous-timeout");
+    let chaos = section.fault.is_some() || section.checkpoint_every.is_some();
+    let max_restarts = section.max_restarts.unwrap_or(if chaos { 2 } else { 0 });
 
     // Static validation first — the same checker path as `actcomp check`,
     // including the AC03xx runtime pass — so a bad flag combination dies
@@ -322,40 +262,10 @@ fn run(args: &Args) {
     cfg.batch.num_micro_batches = m;
     cfg.plan.spec = spec.label().to_string();
     cfg.plan.error_feedback = args.flag("error-feedback");
-    cfg.runtime = Some(RuntimeSection {
-        backend: backend.clone(),
-        threads: None,
-        micro_batches: Some(m),
-        rank_map: None,
-        kernel_threads,
-        chunk_rows,
-        pipeline_depth,
-        transport: transport.clone(),
-        link_mbps,
-        world_size: None,
-        listen: None,
-        trace: Some(audit),
-        step_timeout_s,
-        rendezvous_timeout_s,
-        fault: fault.clone(),
-        checkpoint_every,
-        // Only the explicit flag goes through validation; the CLI's
-        // default directory is not a config statement.
-        checkpoint_dir: args.raw("checkpoint-dir").map(str::to_string),
-        max_restarts: args.raw("max-restarts").and(Some(max_restarts)),
-        max_batch: None,
-        batch_window_us: None,
-        wire_dtype: None,
-    });
+    cfg.runtime = Some(section.clone());
     validate_or_exit(&cfg);
-    if let Some(n) = kernel_threads {
+    if let Some(n) = section.kernel_threads {
         actcomp_tensor::pool::set_threads(n);
-    }
-    if let Some(n) = chunk_rows {
-        actcomp_runtime::set_chunk_rows(n);
-    }
-    if let Some(n) = pipeline_depth {
-        actcomp_runtime::set_pipeline_depth(n);
     }
 
     let plan = cfg.resolve_plan().expect("validated spec resolves");
@@ -389,20 +299,15 @@ fn run(args: &Args) {
     match backend.as_str() {
         "threads" => {
             // With --audit the static graph is the reference the recorded
-            // trace must replay exactly; build it from the same validated
-            // config so tuning resolution matches the engine's.
+            // trace must replay exactly; it and the engine resolve the
+            // ring tuning from the same validated config.
             let graph = audit.then(|| {
                 actcomp_check::build_comm_graph(&cfg).unwrap_or_else(|| {
                     eprintln!("error: --audit: no static comm graph for this plan");
                     std::process::exit(1);
                 })
             });
-            let rt_cfg = actcomp_runtime::RuntimeConfig {
-                mp: mp_cfg,
-                micro_batches: m,
-                tuning: None,
-                trace: audit,
-            };
+            let rt_cfg = run_runtime_config(&cfg, mp_cfg);
             let mut rt =
                 actcomp_runtime::ThreadedRuntime::new(&mut rng, rt_cfg).unwrap_or_else(|e| {
                     eprintln!("error: {e}");
@@ -457,28 +362,23 @@ fn run(args: &Args) {
             }
         }
         "procs" => {
-            let kind = actcomp_net::TransportKind::parse(transport.as_deref().unwrap_or("uds"))
-                .unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                });
-            let rt_cfg = actcomp_runtime::RuntimeConfig {
-                mp: mp_cfg,
-                micro_batches: m,
-                tuning: None,
-                trace: false,
-            };
+            let kind =
+                actcomp_net::TransportKind::parse(section.transport.as_deref().unwrap_or("uds"))
+                    .unwrap_or_else(|e| {
+                        eprintln!("error: {e}");
+                        std::process::exit(2);
+                    });
+            let rt_cfg = run_runtime_config(&cfg, mp_cfg);
             let mut procs = actcomp_runtime::ProcsOptions::new(rt_cfg, seed, kind);
-            procs.link_mbps = link_mbps;
+            procs.link_mbps = section.link_mbps;
             procs.fail_rank = fail_rank;
-            procs.fault = fault.clone();
-            if let Some(secs) = step_timeout_s {
+            procs.fault = section.fault.clone();
+            if let Some(secs) = section.step_timeout_s {
                 procs.step_timeout = std::time::Duration::from_secs_f64(secs);
             }
-            if let Some(secs) = rendezvous_timeout_s {
+            if let Some(secs) = section.rendezvous_timeout_s {
                 procs.rendezvous_timeout = std::time::Duration::from_secs_f64(secs);
             }
-            let chaos = fault.is_some() || checkpoint_every.is_some();
             let sup = actcomp_runtime::SuperviseOptions {
                 procs,
                 steps,
@@ -486,7 +386,7 @@ fn run(args: &Args) {
                 ids: ids.clone(),
                 batch,
                 seq,
-                checkpoint_every,
+                checkpoint_every: section.checkpoint_every,
                 checkpoint_dir: std::path::PathBuf::from(&checkpoint_dir),
                 max_restarts,
             };
@@ -580,6 +480,90 @@ fn run(args: &Args) {
         }
         // Unknown backends were already rejected by the AC0301 check.
         other => unreachable!("backend `{other}` passed validation"),
+    }
+}
+
+/// The value of `--key`, when given; exits with a message when it does
+/// not parse.
+fn flag_value<T: std::str::FromStr>(args: &Args, key: &str, what: &str) -> Option<T> {
+    args.raw(key).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("error: --{key} expects {what}, got '{v}'");
+            std::process::exit(2);
+        })
+    })
+}
+
+/// The `runtime` section an `actcomp run` command line describes: what
+/// the checker validates and what the engine (or the `procs` launcher)
+/// is then configured from, so no flag reaches a rank by a side
+/// channel.
+fn run_runtime_section(args: &Args) -> RuntimeSection {
+    let backend = args.get("backend", "threads").to_string();
+    let count = |key: &str, what: &str| {
+        args.raw(key).map(|v| {
+            actcomp_tensor::pool::parse_count_spec(v, what).unwrap_or_else(|e| {
+                eprintln!("error: --{key}: {e}");
+                std::process::exit(2);
+            })
+        })
+    };
+    RuntimeSection {
+        micro_batches: Some(args.get_usize("micro-batches", 1)),
+        kernel_threads: args.raw("kernel-threads").map(|v| {
+            actcomp_tensor::pool::parse_thread_spec(v).unwrap_or_else(|e| {
+                eprintln!("error: --kernel-threads: {e}");
+                std::process::exit(2);
+            })
+        }),
+        chunk_rows: count("chunk-rows", "chunk row count"),
+        pipeline_depth: count("pipeline-depth", "pipeline depth"),
+        // Transport options only mean something for the multi-process
+        // launcher; the checker (AC0702/AC0703) rejects stray uses.
+        transport: match args.raw("transport") {
+            Some(t) => Some(t.to_string()),
+            None if backend == "procs" => Some("uds".to_string()),
+            None => None,
+        },
+        link_mbps: flag_value(args, "link-mbps", "a number"),
+        trace: Some(args.flag("audit")),
+        // Fault-injection and recovery options (procs backend; the
+        // checker's AC08xx pass rejects them elsewhere and validates
+        // the values). Only explicit flags go through validation: the
+        // CLI's default checkpoint directory and restart budget are not
+        // config statements.
+        step_timeout_s: flag_value(args, "step-timeout", "seconds"),
+        rendezvous_timeout_s: flag_value(args, "rendezvous-timeout", "seconds"),
+        fault: args.raw("fault").map(str::to_string),
+        checkpoint_every: flag_value(args, "checkpoint-every", "a step count"),
+        checkpoint_dir: args.raw("checkpoint-dir").map(str::to_string),
+        max_restarts: flag_value(args, "max-restarts", "a count"),
+        backend,
+        ..RuntimeSection::threads_default()
+    }
+}
+
+/// The engine configuration of an `actcomp run`, for the `threads`
+/// engine and — serialized into `ACTCOMP_WORKER_CFG` — for every
+/// `procs` worker alike: micro-batching, tracing and the ring tuning
+/// all come from the validated `runtime` section, so `--chunk-rows` /
+/// `--pipeline-depth` reach the ranks that run the collectives (and
+/// `--audit` checks the engine against a graph built from the same
+/// values).
+fn run_runtime_config(
+    cfg: &ExperimentConfig,
+    mp: actcomp_mp::MpConfig,
+) -> actcomp_runtime::RuntimeConfig {
+    let rt = cfg.runtime.as_ref().expect("`run` sets a runtime section");
+    let (chunk_rows, pipeline_depth) = actcomp_check::collectives::resolved_ring_tuning(cfg);
+    actcomp_runtime::RuntimeConfig {
+        mp,
+        micro_batches: rt.micro_batches(),
+        tuning: Some(actcomp_runtime::RingTuning {
+            chunk_rows,
+            pipeline_depth,
+        }),
+        trace: rt.trace == Some(true),
     }
 }
 
@@ -697,12 +681,7 @@ fn serve(args: &Args) {
     cfg.plan.error_feedback = args.flag("error-feedback");
     cfg.runtime = Some(RuntimeSection {
         backend: backend.clone(),
-        threads: None,
         micro_batches: Some(1),
-        rank_map: None,
-        kernel_threads: None,
-        chunk_rows: None,
-        pipeline_depth: None,
         // For the threads backend `--transport` picks in-process wiring
         // (typed/mpsc/uds/tcp), which is not launcher configuration —
         // the AC07xx pass only validates the procs launcher's wire.
@@ -711,19 +690,11 @@ fn serve(args: &Args) {
         } else {
             None
         },
-        link_mbps: None,
-        world_size: None,
-        listen: None,
-        trace: None,
-        step_timeout_s: None,
-        rendezvous_timeout_s: None,
         fault: fault.clone(),
-        checkpoint_every: None,
-        checkpoint_dir: None,
-        max_restarts: None,
         max_batch: Some(max_batch),
         batch_window_us: Some(window_us),
         wire_dtype: Some(wire.clone()),
+        ..RuntimeSection::threads_default()
     });
     validate_or_exit(&cfg);
 
@@ -1241,5 +1212,61 @@ fn specs() {
             format!("{:?}", s.family()),
             meaning
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use actcomp_runtime::{RingTuning, RuntimeConfig};
+
+    /// The engine configuration `actcomp <command line>` builds.
+    fn runtime_config_of(command_line: &str) -> RuntimeConfig {
+        let args = Args::parse(command_line.split_whitespace().map(String::from));
+        let mut cfg = ExperimentConfig::paper_default();
+        cfg.runtime = Some(run_runtime_section(&args));
+        let mp = actcomp_mp::MpConfig {
+            bert: actcomp_nn::BertConfig {
+                vocab: 64,
+                hidden: 32,
+                layers: 4,
+                heads: 4,
+                ff_hidden: 64,
+                max_seq: 8,
+            },
+            tp: 2,
+            pp: 2,
+            plan: cfg.resolve_plan().expect("paper default resolves"),
+            tokens: 32,
+            error_feedback: false,
+        };
+        run_runtime_config(&cfg, mp)
+    }
+
+    #[test]
+    fn ring_tuning_flags_reach_the_worker_config() {
+        let tuned = RingTuning {
+            chunk_rows: Some(1),
+            pipeline_depth: 1,
+        };
+        for backend in ["threads", "procs"] {
+            let cfg = runtime_config_of(&format!(
+                "run --backend {backend} --chunk-rows 1 --pipeline-depth 1"
+            ));
+            assert_eq!(cfg.tuning, Some(tuned), "{backend}");
+            // What the procs launcher puts into ACTCOMP_WORKER_CFG, and
+            // what a worker reads back out of it.
+            let json = serde_json::to_string(&cfg).expect("config serializes");
+            assert!(
+                json.contains(r#""tuning":{"chunk_rows":1,"pipeline_depth":1}"#),
+                "{backend}: {json}"
+            );
+            let worker: RuntimeConfig = serde_json::from_str(&json).expect("worker parses");
+            assert_eq!(worker.tuning, Some(tuned), "{backend}");
+        }
+        // Without the flags every rank still gets an explicit tuning:
+        // the defaults, never its own environment.
+        let plain = runtime_config_of("run --backend procs");
+        assert_eq!(plain.tuning, Some(RingTuning::default()));
     }
 }

@@ -77,6 +77,27 @@ fn procs_uds_and_tcp_match_threads_bitwise() {
 }
 
 #[test]
+fn ring_tuning_flags_run_the_chunked_path_across_processes() {
+    // One-row chunks, one in flight: every collective takes the
+    // multi-chunk paced path in each worker process (the flags travel in
+    // the worker config). Grad hashes are chunk-plan-independent by
+    // design, so the tuned procs run must equal the threads backend.
+    let tuned = ["--chunk-rows", "1", "--pipeline-depth", "1"];
+    let threads = grad_hash(&run(
+        &[&["--backend", "threads"], &tuned[..]].concat(),
+        "threads-tuned",
+    ));
+    let procs = grad_hash(&run(
+        &[&["--backend", "procs", "--transport", "uds"], &tuned[..]].concat(),
+        "procs-tuned",
+    ));
+    assert_eq!(
+        threads, procs,
+        "tuned workers must match the threads backend"
+    );
+}
+
+#[test]
 fn throttled_tcp_is_still_bit_identical() {
     let threads = grad_hash(&run(&["--backend", "threads"], "threads-thr"));
     let throttled = grad_hash(&run(

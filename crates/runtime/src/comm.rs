@@ -30,6 +30,16 @@
 //! `2(p−1)N` in aggregate across links, which is bandwidth-optimal for
 //! an all-reduce.
 //!
+//! # One schedule, two readers
+//!
+//! The order in which every rank sends, receives and works on chunks is
+//! not written here: it is the step list [`chunk_ring_steps`] (and
+//! [`gather_ring_steps`] for whole-message gathers), defined in
+//! `actcomp_check::collectives`. This module *interprets* those steps
+//! — one interpreter, generic over what a chunk carries (dense rows or
+//! a per-chunk code) — and `actcomp check --comm` proves matching,
+//! delivery order and deadlock-freedom on the very same lists.
+//!
 //! # Chunking and overlap
 //!
 //! Tensors are split into row chunks ([`RingTuning`]); chunk `i+1` is
@@ -57,100 +67,24 @@ use crate::link::{typed_pair, MsgRx, MsgTx, CHAN_RING};
 use crate::report::{timed, PhaseTimers};
 use crate::trace::TraceHandle;
 use crate::wire::{put_f32_slice, put_u8, put_usize, Reader, WireError, WireMsg};
+use actcomp_check::collectives::{
+    chunk_ring_steps, codec_chunk_plan, gather_ring_steps, ring_chunk_plan, GatherHop, RingStep,
+    DEFAULT_PIPELINE_DEPTH,
+};
 use actcomp_check::{ChannelId, Dir, MsgId};
 use actcomp_compress::{Compressed, Compressor};
 use actcomp_mp::CommBytes;
 use actcomp_net::{Transport, TransportError};
-use actcomp_tensor::{pool, Tensor, Workspace};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use actcomp_tensor::{Tensor, Workspace};
 use std::time::Instant;
-
-/// Rows-per-chunk target when no explicit chunk size is configured:
-/// split into this many chunks.
-const DEFAULT_CHUNKS: usize = 4;
-
-/// Default sender lookahead, in chunks, for the pipeline head (rank 0).
-const DEFAULT_PIPELINE_DEPTH: usize = 4;
-
-/// Process-wide `--chunk-rows` override (0 = unset).
-static CHUNK_ROWS: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide `--pipeline-depth` override (0 = unset).
-static PIPELINE_DEPTH: AtomicUsize = AtomicUsize::new(0);
-
-/// Lazily-parsed `ACTCOMP_CHUNK_ROWS` environment value.
-static ENV_CHUNK_ROWS: OnceLock<Option<usize>> = OnceLock::new();
-
-/// Overrides the ring-collective chunk size (rows per chunk) for the
-/// rest of the process — the CLI's `--chunk-rows` flag lands here after
-/// validation. Takes precedence over `ACTCOMP_CHUNK_ROWS`.
-///
-/// # Panics
-///
-/// Panics if `rows` is zero (`actcomp check` rejects this statically as
-/// `AC0501`); [`try_set_chunk_rows`] reports the same condition as a
-/// typed error instead.
-pub fn set_chunk_rows(rows: usize) {
-    try_set_chunk_rows(rows).expect("chunk row count must be at least 1");
-}
-
-/// Fallible form of [`set_chunk_rows`]: rejects a zero row count as
-/// [`RuntimeError::ZeroChunkRows`](crate::config::RuntimeError::ZeroChunkRows)
-/// instead of panicking.
-pub fn try_set_chunk_rows(rows: usize) -> Result<(), crate::config::RuntimeError> {
-    if rows == 0 {
-        return Err(crate::config::RuntimeError::ZeroChunkRows);
-    }
-    CHUNK_ROWS.store(rows, Ordering::Relaxed);
-    Ok(())
-}
-
-/// Overrides the ring pipeline depth (maximum reduce chunks in flight
-/// ahead of the broadcast) for the rest of the process — the CLI's
-/// `--pipeline-depth` flag lands here after validation.
-///
-/// # Panics
-///
-/// Panics if `depth` is zero (`AC0502`); [`try_set_pipeline_depth`]
-/// reports the same condition as a typed error instead.
-pub fn set_pipeline_depth(depth: usize) {
-    try_set_pipeline_depth(depth).expect("pipeline depth must be at least 1");
-}
-
-/// Fallible form of [`set_pipeline_depth`]: rejects a zero depth as
-/// [`RuntimeError::ZeroPipelineDepth`](crate::config::RuntimeError::ZeroPipelineDepth)
-/// instead of panicking.
-pub fn try_set_pipeline_depth(depth: usize) -> Result<(), crate::config::RuntimeError> {
-    if depth == 0 {
-        return Err(crate::config::RuntimeError::ZeroPipelineDepth);
-    }
-    PIPELINE_DEPTH.store(depth, Ordering::Relaxed);
-    Ok(())
-}
-
-fn env_chunk_rows() -> Option<usize> {
-    *ENV_CHUNK_ROWS.get_or_init(|| match std::env::var("ACTCOMP_CHUNK_ROWS") {
-        Ok(v) => match pool::parse_count_spec(&v, "chunk row count") {
-            Ok(n) => Some(n),
-            Err(e) => {
-                eprintln!(
-                    "warning: ignoring invalid ACTCOMP_CHUNK_ROWS ({e}); \
-                     using automatic chunking"
-                );
-                None
-            }
-        },
-        Err(_) => None,
-    })
-}
 
 /// Chunking/pipelining knobs for ring collectives.
 ///
-/// Every endpoint of a ring captures the process-wide configuration at
-/// [`TpGroup::ring`] time; tests may override the copy on each endpoint,
-/// as long as all endpoints of one ring agree (the chunk plan must be
-/// identical on every rank).
+/// They reach an engine through exactly one channel,
+/// [`RuntimeConfig::tuning`](crate::RuntimeConfig) (`None` means
+/// [`RingTuning::default`]); a bare [`TpGroup`] starts at the default
+/// and callers may set its `tuning` field, as long as all endpoints of
+/// one ring agree (the chunk plan must be identical on every rank).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RingTuning {
     /// Rows per chunk; `None` picks `ceil(rows / 4)` per collective.
@@ -161,46 +95,12 @@ pub struct RingTuning {
 }
 
 impl RingTuning {
-    /// Resolves the process-wide configuration: [`set_chunk_rows`] /
-    /// [`set_pipeline_depth`] first, then `ACTCOMP_CHUNK_ROWS`, then
-    /// automatic chunking at the default pipeline depth (4).
-    pub fn configured() -> RingTuning {
-        let chunk_rows = match CHUNK_ROWS.load(Ordering::Relaxed) {
-            0 => env_chunk_rows(),
-            n => Some(n),
-        };
-        let pipeline_depth = match PIPELINE_DEPTH.load(Ordering::Relaxed) {
-            0 => DEFAULT_PIPELINE_DEPTH,
-            n => n,
-        };
-        RingTuning {
-            chunk_rows,
-            pipeline_depth,
-        }
-    }
-
-    /// The per-chunk row counts for a `rows`-row collective. Depends
-    /// only on `(self, rows)` — never on runtime state — so every rank
-    /// of a ring derives the same plan independently. Public so the
-    /// static comm-protocol analyzer can pin its mirror
-    /// (`actcomp_check::collectives::ring_chunk_plan`) against the
-    /// engine's plan in cross-crate tests.
+    /// The per-chunk row counts for a `rows`-row collective
+    /// ([`ring_chunk_plan`]). Depends only on `(self, rows)` — never on
+    /// runtime state — so every rank of a ring derives the same plan
+    /// independently.
     pub fn plan(&self, rows: usize) -> Vec<usize> {
-        if rows == 0 {
-            return vec![0];
-        }
-        let per = self
-            .chunk_rows
-            .unwrap_or_else(|| rows.div_ceil(DEFAULT_CHUNKS))
-            .max(1);
-        let mut plan = Vec::with_capacity(rows.div_ceil(per));
-        let mut left = rows;
-        while left > 0 {
-            let c = per.min(left);
-            plan.push(c);
-            left -= c;
-        }
-        plan
+        ring_chunk_plan(self.chunk_rows, rows)
     }
 }
 
@@ -243,19 +143,18 @@ impl ChunkData {
     }
 }
 
-/// A chunk message: reduce-phase (`bcast = false`) or broadcast-phase.
-#[derive(Debug)]
-pub(crate) struct ChunkMsg {
-    bcast: bool,
-    idx: usize,
-    data: ChunkData,
-}
-
 /// Everything a ring link can carry.
 #[derive(Debug)]
 pub(crate) enum RingMsg {
+    /// One hop of a whole-message gather: origin rank and payload.
     Gather(usize, GatherPayload),
-    Chunk(ChunkMsg),
+    /// A chunk message: reduce-phase (`bcast = false`) or
+    /// broadcast-phase.
+    Chunk {
+        bcast: bool,
+        idx: usize,
+        data: ChunkData,
+    },
 }
 
 impl WireMsg for RingMsg {
@@ -279,11 +178,11 @@ impl WireMsg for RingMsg {
                     }
                 }
             }
-            RingMsg::Chunk(m) => {
+            RingMsg::Chunk { bcast, idx, data } => {
                 put_u8(out, 1);
-                put_u8(out, m.bcast as u8);
-                put_usize(out, m.idx);
-                match &m.data {
+                put_u8(out, *bcast as u8);
+                put_usize(out, *idx);
+                match data {
                     ChunkData::Dense(rows) => {
                         put_u8(out, 0);
                         put_f32_slice(out, rows);
@@ -332,13 +231,155 @@ impl WireMsg for RingMsg {
                         })
                     }
                 };
-                Ok(RingMsg::Chunk(ChunkMsg { bcast, idx, data }))
+                Ok(RingMsg::Chunk { bcast, idx, data })
             }
             _ => Err(WireError {
                 what: "ring message tag",
             }),
         }
     }
+}
+
+impl RingMsg {
+    /// The identity the schedule knows this message by within
+    /// collective `coll`. The wire carries no collective ordinal: a
+    /// chunk is keyed on `(bcast, idx)` and a gather hop on its origin
+    /// (the static analysis proves the shorter keys unambiguous).
+    fn id(&self, coll: usize) -> MsgId {
+        match *self {
+            RingMsg::Chunk { bcast, idx, .. } => MsgId::Chunk { coll, bcast, idx },
+            RingMsg::Gather(origin, _) => MsgId::Gather { coll, origin },
+        }
+    }
+
+    /// The kind of payload carried, for protocol-violation reports.
+    fn kind(&self) -> &'static str {
+        match self {
+            RingMsg::Chunk {
+                data: ChunkData::Dense(_),
+                ..
+            } => "dense rows",
+            RingMsg::Chunk { .. } | RingMsg::Gather(_, GatherPayload::Code(_)) => "a code",
+            RingMsg::Gather(_, GatherPayload::Dense(_)) => "a dense tensor",
+            RingMsg::Gather(_, GatherPayload::Grads(_)) => "parameter gradients",
+        }
+    }
+}
+
+/// A payload type a ring message can be opened as. The receive site
+/// has already matched the message's identity; this checks that it
+/// carries the kind of payload the running collective moves.
+trait FromRing: Sized {
+    /// The payload, or the message back when it carries something else.
+    fn from_ring(msg: RingMsg) -> Result<Self, RingMsg>;
+}
+
+impl FromRing for Vec<f32> {
+    fn from_ring(msg: RingMsg) -> Result<Self, RingMsg> {
+        match msg {
+            RingMsg::Chunk {
+                data: ChunkData::Dense(rows),
+                ..
+            } => Ok(rows),
+            other => Err(other),
+        }
+    }
+}
+
+impl FromRing for Compressed {
+    fn from_ring(msg: RingMsg) -> Result<Self, RingMsg> {
+        match msg {
+            RingMsg::Chunk {
+                data: ChunkData::Code(code),
+                ..
+            }
+            | RingMsg::Gather(_, GatherPayload::Code(code)) => Ok(code),
+            other => Err(other),
+        }
+    }
+}
+
+impl FromRing for Tensor {
+    fn from_ring(msg: RingMsg) -> Result<Self, RingMsg> {
+        match msg {
+            RingMsg::Gather(_, GatherPayload::Dense(t)) => Ok(t),
+            other => Err(other),
+        }
+    }
+}
+
+impl FromRing for Vec<Tensor> {
+    fn from_ring(msg: RingMsg) -> Result<Self, RingMsg> {
+        match msg {
+            RingMsg::Gather(_, GatherPayload::Grads(grads)) => Ok(grads),
+            other => Err(other),
+        }
+    }
+}
+
+/// A value that can ride a whole-message gather.
+trait GatherItem: FromRing + Clone {
+    /// The value as a gather payload.
+    fn wrap(self) -> GatherPayload;
+    /// fp16-equivalent bytes one hop of this value is metered at;
+    /// `None` for traffic the serial executor's accounting leaves out
+    /// (compressor-parameter gradient sync).
+    fn metered(&self) -> Option<usize>;
+}
+
+impl GatherItem for Compressed {
+    fn wrap(self) -> GatherPayload {
+        GatherPayload::Code(self)
+    }
+    fn metered(&self) -> Option<usize> {
+        Some(self.wire_bytes(2))
+    }
+}
+
+impl GatherItem for Tensor {
+    fn wrap(self) -> GatherPayload {
+        GatherPayload::Dense(self)
+    }
+    fn metered(&self) -> Option<usize> {
+        Some(self.len() * 2)
+    }
+}
+
+impl GatherItem for Vec<Tensor> {
+    fn wrap(self) -> GatherPayload {
+        GatherPayload::Grads(self)
+    }
+    fn metered(&self) -> Option<usize> {
+        None
+    }
+}
+
+/// What a chunk ring moves — dense rows or per-chunk codes — as the
+/// local operations the [`RingStep`]s of a collective call for: make
+/// the own chunk, fold a received partial sum into it, consume a total.
+trait RingPayload {
+    /// A chunk as it travels the ring.
+    type Chunk: FromRing + Clone;
+    /// This rank's own contribution to one chunk.
+    type Own;
+    /// Whether the last rank ships a finished chunk *before* consuming
+    /// it (at the price of a copy), so the peers' work on it overlaps
+    /// its own.
+    const SHIP_TOTAL_FIRST: bool;
+    /// The chunk as wire data.
+    fn wrap(chunk: Self::Chunk) -> ChunkData;
+    /// Makes this rank's contribution to chunk `idx`. Called before the
+    /// blocking receive of the same step, so an encode overlaps the
+    /// upstream chain's work.
+    fn make(&mut self, idx: usize, timers: &mut PhaseTimers) -> Self::Own;
+    /// Rank 0: the own contribution as the chunk that starts the chain.
+    fn ship(&mut self, own: Self::Own, ws: &mut Workspace) -> Self::Chunk;
+    /// `acc + own`: one step of the rank-order left fold.
+    fn fold(&mut self, acc: Self::Chunk, own: Self::Own, timers: &mut PhaseTimers) -> Self::Chunk;
+    /// Writes the finished chunk `idx` into this rank's output.
+    fn consume(&mut self, idx: usize, total: &Self::Chunk, timers: &mut PhaseTimers);
+    /// Disposes of a chunk that travels no further.
+    fn retire(&mut self, _chunk: Self::Chunk, _ws: &mut Workspace) {}
 }
 
 /// Treats any tensor as `[rows, width]` for chunking purposes (rank-1
@@ -352,17 +393,6 @@ fn rows_width(t: &Tensor) -> (usize, usize) {
     (rows, len / rows)
 }
 
-/// Cumulative `(start, end)` element ranges for a row-chunk plan.
-fn elem_bounds(plan: &[usize], width: usize) -> Vec<(usize, usize)> {
-    let mut bounds = Vec::with_capacity(plan.len());
-    let mut at = 0;
-    for &rows in plan {
-        bounds.push((at * width, (at + rows) * width));
-        at += rows;
-    }
-    bounds
-}
-
 /// Cumulative `(start, end)` row ranges for a row-chunk plan.
 fn row_bounds(plan: &[usize]) -> Vec<(usize, usize)> {
     let mut bounds = Vec::with_capacity(plan.len());
@@ -374,46 +404,128 @@ fn row_bounds(plan: &[usize]) -> Vec<(usize, usize)> {
     bounds
 }
 
-/// Encodes chunk `idx` of `partial` (the whole tensor when the plan is a
-/// single chunk), charging the compressor to `encode_s` and adding the
-/// code's wire size to `own_wire`.
-fn encode_chunk(
-    comp: &mut dyn Compressor,
-    partial: &Tensor,
-    bounds: &[(usize, usize)],
-    idx: usize,
-    timers: &mut PhaseTimers,
-    own_wire: &mut usize,
-) -> Compressed {
-    let code = if bounds.len() == 1 {
-        timed(&mut timers.encode_s, || comp.compress(partial))
-    } else {
-        let (r0, r1) = bounds[idx];
-        let chunk = partial.slice_rows(r0, r1);
-        timed(&mut timers.encode_s, || comp.compress(&chunk))
-    };
-    *own_wire += code.wire_bytes(2);
-    code
+/// The row-chunk geometry of one collective over a `[rows, width]`
+/// tensor.
+struct RowChunks {
+    rows: Vec<(usize, usize)>,
+    width: usize,
 }
 
-/// Decodes a summed chunk code into rows `ebounds[idx]` of `out` (or
-/// into `single` when the collective is unchunked, avoiding the copy).
-fn consume_total(
-    comp: &dyn Compressor,
-    code: &Compressed,
-    idx: usize,
-    ebounds: &[(usize, usize)],
-    out: &mut Option<Tensor>,
-    single: &mut Option<Tensor>,
-    timers: &mut PhaseTimers,
-) {
-    let dec = timed(&mut timers.decode_s, || comp.decompress(code));
-    match out {
-        Some(o) => {
-            let (s, e) = ebounds[idx];
-            o.as_mut_slice()[s..e].copy_from_slice(dec.as_slice());
+impl RowChunks {
+    fn new(plan: &[usize], width: usize) -> RowChunks {
+        RowChunks {
+            rows: row_bounds(plan),
+            width,
         }
-        None => *single = Some(dec),
+    }
+
+    /// The element range of chunk `idx`.
+    fn elems(&self, idx: usize) -> std::ops::Range<usize> {
+        let (r0, r1) = self.rows[idx];
+        r0 * self.width..r1 * self.width
+    }
+}
+
+/// Dense rows riding a chunk ring: received buffers are accumulated in
+/// place and forwarded without a copy, then recycled into the
+/// workspace where they stop.
+struct DenseRows<'a> {
+    data: &'a [f32],
+    chunks: RowChunks,
+    out: Tensor,
+}
+
+impl<'a> RingPayload for DenseRows<'a> {
+    type Chunk = Vec<f32>;
+    type Own = &'a [f32];
+    // The total lives in the buffer that is forwarded: copy it out,
+    // then let the buffer go.
+    const SHIP_TOTAL_FIRST: bool = false;
+
+    fn wrap(chunk: Vec<f32>) -> ChunkData {
+        ChunkData::Dense(chunk)
+    }
+
+    fn make(&mut self, idx: usize, _timers: &mut PhaseTimers) -> &'a [f32] {
+        &self.data[self.chunks.elems(idx)]
+    }
+
+    fn ship(&mut self, own: &'a [f32], ws: &mut Workspace) -> Vec<f32> {
+        let mut buf = ws.lease(own.len());
+        buf.copy_from_slice(own);
+        buf
+    }
+
+    fn fold(&mut self, mut acc: Vec<f32>, own: &'a [f32], timers: &mut PhaseTimers) -> Vec<f32> {
+        timed(&mut timers.decode_s, || {
+            for (b, &v) in acc.iter_mut().zip(own) {
+                *b += v;
+            }
+        });
+        acc
+    }
+
+    fn consume(&mut self, idx: usize, total: &Vec<f32>, timers: &mut PhaseTimers) {
+        let range = self.chunks.elems(idx);
+        timed(&mut timers.decode_s, || {
+            self.out.as_mut_slice()[range].copy_from_slice(total);
+        });
+    }
+
+    fn retire(&mut self, chunk: Vec<f32>, ws: &mut Workspace) {
+        ws.recycle(chunk);
+    }
+}
+
+/// Per-chunk codes of a summable compressor riding a chunk ring.
+struct CodeChunks<'a> {
+    comp: &'a mut dyn Compressor,
+    partial: &'a Tensor,
+    chunks: RowChunks,
+    /// The decoded result: a leased tensor the chunks' rows land in, or
+    /// — for an unchunked collective — the one decoded tensor itself.
+    out: Option<Tensor>,
+    /// Wire bytes of the codes this rank made.
+    own_wire: usize,
+}
+
+impl RingPayload for CodeChunks<'_> {
+    type Chunk = Compressed;
+    type Own = Compressed;
+    // A code is cheap to copy and slow to decode: ship it first.
+    const SHIP_TOTAL_FIRST: bool = true;
+
+    fn wrap(chunk: Compressed) -> ChunkData {
+        ChunkData::Code(chunk)
+    }
+
+    fn make(&mut self, idx: usize, timers: &mut PhaseTimers) -> Compressed {
+        let code = if self.chunks.rows.len() == 1 {
+            timed(&mut timers.encode_s, || self.comp.compress(self.partial))
+        } else {
+            let (r0, r1) = self.chunks.rows[idx];
+            let chunk = self.partial.slice_rows(r0, r1);
+            timed(&mut timers.encode_s, || self.comp.compress(&chunk))
+        };
+        self.own_wire += code.wire_bytes(2);
+        code
+    }
+
+    fn ship(&mut self, own: Compressed, _ws: &mut Workspace) -> Compressed {
+        own
+    }
+
+    fn fold(&mut self, acc: Compressed, own: Compressed, timers: &mut PhaseTimers) -> Compressed {
+        timed(&mut timers.decode_s, || acc.sum(&own))
+    }
+
+    fn consume(&mut self, idx: usize, total: &Compressed, timers: &mut PhaseTimers) {
+        let dec = timed(&mut timers.decode_s, || self.comp.decompress(total));
+        match &mut self.out {
+            Some(out) => out.as_mut_slice()[self.chunks.elems(idx)].copy_from_slice(dec.as_slice()),
+            // Unchunked: the decoded tensor is the output, no copy.
+            None => self.out = Some(dec),
+        }
     }
 }
 
@@ -440,8 +552,8 @@ pub struct TpGroup {
     /// sent per rank. For the gather reference path the two are equal;
     /// for ring collectives `wire ≤ dense`, strictly less for `p ≥ 3`.
     pub ring_bytes: CommBytes,
-    /// Chunking/pipelining knobs, captured from the process-wide
-    /// configuration at ring construction. Tests may override, but all
+    /// Chunking/pipelining knobs ([`RingTuning::default`] unless the
+    /// engine's `RuntimeConfig::tuning` or a caller set them). All
     /// endpoints of one ring must agree.
     pub tuning: RingTuning,
     /// Audit-trace handle; `None` (the default) records nothing.
@@ -451,6 +563,10 @@ pub struct TpGroup {
     coll: usize,
     /// Ordinal of the collective currently in flight.
     active_coll: usize,
+    /// Chunks that arrived ahead of the one being received (the
+    /// reduce/broadcast interleave on a link can run at most
+    /// `pipeline_depth` messages ahead); empty between collectives.
+    stash: Vec<RingMsg>,
 }
 
 impl std::fmt::Debug for TpGroup {
@@ -505,10 +621,11 @@ impl TpGroup {
             prev_rx: rx,
             bytes: CommBytes::default(),
             ring_bytes: CommBytes::default(),
-            tuning: RingTuning::configured(),
+            tuning: RingTuning::default(),
             trace: None,
             coll: 0,
             active_coll: 0,
+            stash: Vec::new(),
         }
     }
 
@@ -535,18 +652,7 @@ impl TpGroup {
     /// A single-rank group: collectives degenerate to local arithmetic
     /// (matching the serial executor at `tp = 1`).
     pub fn solo() -> TpGroup {
-        TpGroup {
-            rank: 0,
-            world: 1,
-            next_tx: None,
-            prev_rx: None,
-            bytes: CommBytes::default(),
-            ring_bytes: CommBytes::default(),
-            tuning: RingTuning::configured(),
-            trace: None,
-            coll: 0,
-            active_coll: 0,
-        }
+        TpGroup::from_links(0, 1, None, None)
     }
 
     /// Attaches an audit-trace handle: every subsequent ring send/recv
@@ -568,177 +674,201 @@ impl TpGroup {
         self.coll += 1;
     }
 
-    /// The traced channel for this rank's outgoing ring link.
-    fn trace_send_channel(&self, trace: &TraceHandle) -> ChannelId {
-        ChannelId::Ring {
-            stage: trace.stage(),
-            link: self.rank,
-        }
-    }
-
-    /// The traced channel for this rank's incoming ring link.
-    fn trace_recv_channel(&self, trace: &TraceHandle) -> ChannelId {
-        ChannelId::Ring {
-            stage: trace.stage(),
-            link: (self.rank + self.world - 1) % self.world,
-        }
-    }
-
-    /// Sends one chunk message to the next rank, counting its actual
-    /// wire bytes.
-    fn send_chunk(&mut self, bcast: bool, idx: usize, data: ChunkData, timers: &mut PhaseTimers) {
-        self.ring_bytes.wire += data.wire_bytes();
+    /// Records one ring event when tracing is on: sends leave on this
+    /// rank's link, receives arrive on the previous rank's.
+    fn record(&self, dir: Dir, msg: MsgId, bytes: Option<usize>) {
         if let Some(trace) = &self.trace {
-            trace.record(
-                Dir::Send,
-                self.trace_send_channel(trace),
-                MsgId::Chunk {
-                    coll: self.active_coll,
-                    bcast,
-                    idx,
-                },
-                Some(data.wire_bytes()),
-            );
+            let link = match dir {
+                Dir::Send => self.rank,
+                Dir::Recv => (self.rank + self.world - 1) % self.world,
+            };
+            let channel = ChannelId::Ring {
+                stage: trace.stage(),
+                link,
+            };
+            trace.record(dir, channel, msg, bytes);
         }
-        let msg = RingMsg::Chunk(ChunkMsg { bcast, idx, data });
+    }
+
+    /// The one place a ring endpoint gives up on a peer that broke the
+    /// protocol, naming this rank, the collective and message the
+    /// schedule called for, and what arrived instead. Unreachable for
+    /// any plan `actcomp check --comm` accepts.
+    fn violation<T>(&self, want: MsgId, got: &RingMsg) -> ! {
+        panic!(
+            "ring protocol violation at tp rank {}/{}: expected {want} (payload type {}), \
+             received {} carrying {}",
+            self.rank,
+            self.world,
+            std::any::type_name::<T>(),
+            got.id(self.active_coll),
+            got.kind(),
+        )
+    }
+
+    /// The one send site: meters, traces and ships `msg` to the next
+    /// rank. The traced identity is read off the message itself, so the
+    /// audit sees what is on the wire. Blocking time is charged to the
+    /// `wire` phase.
+    fn send(&mut self, msg: RingMsg, bytes: Option<usize>, timers: &mut PhaseTimers) {
+        self.ring_bytes.wire += bytes.unwrap_or(0);
+        self.record(Dir::Send, msg.id(self.active_coll), bytes);
         let tx = self.next_tx.as_ref().expect("ring sender");
         timed(&mut timers.wire_s, || {
             tx.send(msg).expect("ring peer hung up");
         });
     }
 
-    /// Receives the chunk message `(bcast, idx)`, stashing any other
-    /// chunk that arrives first (the reduce/broadcast interleave on a
-    /// link can run at most `pipeline_depth` messages ahead).
-    fn recv_chunk(
-        &self,
-        bcast: bool,
-        idx: usize,
-        stash: &mut Vec<ChunkMsg>,
-        timers: &mut PhaseTimers,
-    ) -> ChunkData {
+    /// The one receive site: consumes the message the schedule names
+    /// `want` from the previous rank, opened as the payload type the
+    /// running collective moves. Chunk receives are selective: a chunk
+    /// that arrives ahead of the wanted one is stashed. Anything else
+    /// unexpected is a [protocol violation](TpGroup::violation).
+    fn recv<T: FromRing>(&mut self, want: MsgId, timers: &mut PhaseTimers) -> T {
         // Consumption — not channel arrival — is the traced event, so
         // a stash hit records exactly like a direct receive.
-        if let Some(trace) = &self.trace {
-            trace.record(
-                Dir::Recv,
-                self.trace_recv_channel(trace),
-                MsgId::Chunk {
-                    coll: self.active_coll,
-                    bcast,
-                    idx,
-                },
-                None,
-            );
-        }
-        if let Some(pos) = stash.iter().position(|m| m.bcast == bcast && m.idx == idx) {
-            return stash.swap_remove(pos).data;
-        }
-        let rx = self.prev_rx.as_ref().expect("ring receiver");
-        timed(&mut timers.wire_s, || loop {
-            match rx.recv().expect("ring peer hung up") {
-                RingMsg::Chunk(m) if m.bcast == bcast && m.idx == idx => return m.data,
-                RingMsg::Chunk(m) => stash.push(m),
-                RingMsg::Gather(..) => {
-                    panic!("ring delivered a gather message to a chunked collective")
+        self.record(Dir::Recv, want, None);
+        let coll = self.active_coll;
+        let msg = match self.stash.iter().position(|m| m.id(coll) == want) {
+            Some(pos) => self.stash.swap_remove(pos),
+            None => loop {
+                let rx = self.prev_rx.as_ref().expect("ring receiver");
+                let msg = timed(&mut timers.wire_s, || rx.recv().expect("ring peer hung up"));
+                if msg.id(coll) == want {
+                    break msg;
                 }
-            }
-        })
+                match (want, msg) {
+                    (MsgId::Chunk { .. }, early @ RingMsg::Chunk { .. }) => self.stash.push(early),
+                    (_, other) => self.violation::<T>(want, &other),
+                }
+            },
+        };
+        T::from_ring(msg).unwrap_or_else(|other| self.violation::<T>(want, &other))
     }
 
-    /// Receives a chunk that must be dense rows.
-    fn recv_dense_chunk(
-        &self,
-        bcast: bool,
-        idx: usize,
-        stash: &mut Vec<ChunkMsg>,
+    /// Sends one chunk of the collective in flight, metered at its
+    /// actual wire bytes.
+    fn send_chunk(&mut self, bcast: bool, idx: usize, data: ChunkData, timers: &mut PhaseTimers) {
+        let bytes = data.wire_bytes();
+        self.send(RingMsg::Chunk { bcast, idx, data }, Some(bytes), timers);
+    }
+
+    /// Receives chunk `(bcast, idx)` of the collective in flight.
+    fn recv_chunk<C: FromRing>(&mut self, bcast: bool, idx: usize, timers: &mut PhaseTimers) -> C {
+        let want = MsgId::Chunk {
+            coll: self.active_coll,
+            bcast,
+            idx,
+        };
+        self.recv(want, timers)
+    }
+
+    /// The one chunk-ring interpreter: runs this rank's
+    /// [`chunk_ring_steps`] for a chain-reduce → ring-broadcast
+    /// collective over `chunks` chunks of `payload`.
+    fn chunk_ring<P: RingPayload>(
+        &mut self,
+        payload: &mut P,
+        chunks: usize,
         timers: &mut PhaseTimers,
-    ) -> Vec<f32> {
-        match self.recv_chunk(bcast, idx, stash, timers) {
-            ChunkData::Dense(b) => b,
-            ChunkData::Code(_) => panic!("dense reduce received a code chunk"),
-        }
-    }
-
-    /// Receives a chunk that must be a code.
-    fn recv_code_chunk(
-        &self,
-        bcast: bool,
-        idx: usize,
-        stash: &mut Vec<ChunkMsg>,
-        timers: &mut PhaseTimers,
-    ) -> Compressed {
-        match self.recv_chunk(bcast, idx, stash, timers) {
-            ChunkData::Code(c) => c,
-            ChunkData::Dense(_) => panic!("code reduce received a dense chunk"),
-        }
-    }
-
-    /// All-gathers one payload per rank around the ring, returning the
-    /// payloads indexed by origin rank. Blocking time is charged to the
-    /// `wire` phase.
-    fn all_gather(&mut self, own: GatherPayload, timers: &mut PhaseTimers) -> Vec<GatherPayload> {
-        let mut out: Vec<Option<GatherPayload>> = (0..self.world).map(|_| None).collect();
-        out[self.rank] = Some(own.clone());
-        if self.world == 1 {
-            return out.into_iter().map(|o| o.expect("own payload")).collect();
-        }
+        ws: &mut Workspace,
+    ) {
         self.begin_collective();
-        timed(&mut timers.wire_s, || {
-            let tx = self.next_tx.as_ref().expect("ring sender");
-            let rx = self.prev_rx.as_ref().expect("ring receiver");
-            let mut carry = (self.rank, own);
-            for _ in 0..self.world - 1 {
-                if let Some(trace) = &self.trace {
-                    trace.record(
-                        Dir::Send,
-                        self.trace_send_channel(trace),
-                        MsgId::Gather {
-                            coll: self.active_coll,
-                            origin: carry.0,
-                        },
-                        None,
-                    );
+        let depth = self.tuning.pipeline_depth;
+        for step in chunk_ring_steps(self.rank, self.world, chunks, depth) {
+            match step {
+                RingStep::Originate { idx } => {
+                    let own = payload.make(idx, timers);
+                    let chunk = payload.ship(own, ws);
+                    self.send_chunk(false, idx, P::wrap(chunk), timers);
                 }
-                tx.send(RingMsg::Gather(carry.0, carry.1))
-                    .expect("ring peer hung up");
-                let (origin, payload) = match rx.recv().expect("ring peer hung up") {
-                    RingMsg::Gather(origin, payload) => (origin, payload),
-                    RingMsg::Chunk(_) => {
-                        panic!("ring delivered a chunk message to an all-gather")
+                RingStep::Relay { idx } => {
+                    let own = payload.make(idx, timers);
+                    let acc = self.recv_chunk(false, idx, timers);
+                    let sum = payload.fold(acc, own, timers);
+                    self.send_chunk(false, idx, P::wrap(sum), timers);
+                }
+                RingStep::Turn { idx } => {
+                    let own = payload.make(idx, timers);
+                    let acc = self.recv_chunk(false, idx, timers);
+                    let total = payload.fold(acc, own, timers);
+                    if P::SHIP_TOTAL_FIRST {
+                        self.send_chunk(true, idx, P::wrap(total.clone()), timers);
+                        payload.consume(idx, &total, timers);
+                        payload.retire(total, ws);
+                    } else {
+                        payload.consume(idx, &total, timers);
+                        self.send_chunk(true, idx, P::wrap(total), timers);
                     }
-                };
-                if let Some(trace) = &self.trace {
-                    trace.record(
-                        Dir::Recv,
-                        self.trace_recv_channel(trace),
-                        MsgId::Gather {
-                            coll: self.active_coll,
-                            origin,
-                        },
-                        None,
-                    );
                 }
-                out[origin] = Some(payload.clone());
-                carry = (origin, payload);
+                RingStep::Deliver { idx, forward } => {
+                    let total = self.recv_chunk(true, idx, timers);
+                    payload.consume(idx, &total, timers);
+                    if forward {
+                        self.send_chunk(true, idx, P::wrap(total), timers);
+                    } else {
+                        payload.retire(total, ws);
+                    }
+                }
             }
-        });
-        out.into_iter()
-            .map(|o| o.expect("all-gather visited every rank"))
+        }
+        debug_assert!(self.stash.is_empty(), "collective left chunks in the stash");
+    }
+
+    /// The one gather walk: passes one `own` payload per rank around
+    /// the ring ([`gather_ring_steps`]) and hands every rank's payload
+    /// — this rank's included — to `on_arrival(origin, payload, ..)`
+    /// as soon as it needs no further forwarding, so the callback's
+    /// work (a decode, say) overlaps the remaining wire hops. A gather
+    /// is its own baseline: what it sends counts equally into both
+    /// sides of [`TpGroup::ring_bytes`].
+    fn gather_walk<T: GatherItem>(
+        &mut self,
+        own: T,
+        timers: &mut PhaseTimers,
+        mut on_arrival: impl FnMut(usize, T, &mut PhaseTimers),
+    ) {
+        self.begin_collective();
+        let coll = self.active_coll;
+        let sent_before = self.ring_bytes.wire;
+        let mut held = (self.rank, own);
+        for GatherHop { dir, origin } in gather_ring_steps(self.rank, self.world) {
+            match dir {
+                Dir::Send => {
+                    let msg = RingMsg::Gather(origin, held.1.clone().wrap());
+                    self.send(msg, held.1.metered(), timers);
+                }
+                Dir::Recv => {
+                    on_arrival(held.0, held.1, timers);
+                    held = (origin, self.recv(MsgId::Gather { coll, origin }, timers));
+                }
+            }
+        }
+        on_arrival(held.0, held.1, timers);
+        self.ring_bytes.dense += self.ring_bytes.wire - sent_before;
+    }
+
+    /// All-gathers one payload per rank, returned indexed by origin.
+    fn all_gather<T: GatherItem>(&mut self, own: T, timers: &mut PhaseTimers) -> Vec<T> {
+        let mut slots: Vec<Option<T>> = (0..self.world).map(|_| None).collect();
+        self.gather_walk(own, timers, |origin, item, _| slots[origin] = Some(item));
+        slots
+            .into_iter()
+            .map(|s| s.expect("the gather walk visits every rank"))
             .collect()
     }
 
-    /// The row-chunk plan `compressed_all_reduce` uses for `t`: a real
-    /// plan only when the codec is chunkable, the input is rank 2, and
-    /// the group has peers; a single whole-tensor chunk otherwise.
-    /// [`TpGroup::compressed_backward`] derives the same plan from the
-    /// gradient's (identical) shape to pop the per-chunk caches.
+    /// The row-chunk plan `compressed_all_reduce` uses for `t`
+    /// ([`codec_chunk_plan`]). [`TpGroup::compressed_backward`] derives
+    /// the same plan from the gradient's (identical) shape to pop the
+    /// per-chunk caches.
     fn codec_plan(&self, comp: &dyn Compressor, t: &Tensor) -> Vec<usize> {
-        if self.world > 1 && comp.chunkable() && t.rank() == 2 && t.dims()[0] > 0 {
-            self.tuning.plan(t.dims()[0])
-        } else {
-            vec![rows_width(t).0]
-        }
+        codec_chunk_plan(
+            self.tuning.chunk_rows,
+            comp.chunkable(),
+            self.world,
+            t.dims(),
+        )
     }
 
     /// Compressed all-reduce of this rank's `partial` with the partials
@@ -766,7 +896,7 @@ impl TpGroup {
             let msg = timed(&mut timers.encode_s, || comp.compress(partial));
             timed(&mut timers.decode_s, || comp.decompress(&msg))
         } else if comp.summable() {
-            self.summable_ring(comp, partial, timers, ws)
+            self.summable_reduce(comp, partial, timers, ws)
         } else {
             self.gathered_reduce(comp, partial, timers)
         };
@@ -775,87 +905,28 @@ impl TpGroup {
     }
 
     /// Chain-reduce + broadcast over per-chunk codes of a summable
-    /// compressor (see the module docs for the schedule).
-    fn summable_ring(
+    /// compressor.
+    fn summable_reduce(
         &mut self,
         comp: &mut dyn Compressor,
         partial: &Tensor,
         timers: &mut PhaseTimers,
         ws: &mut Workspace,
     ) -> Tensor {
-        self.begin_collective();
         let plan = self.codec_plan(comp, partial);
-        let total = plan.len();
-        let bounds = row_bounds(&plan);
-        let (_, width) = rows_width(partial);
-        let ebounds = elem_bounds(&plan, width);
-        let (r, p) = (self.rank, self.world);
-        let depth = self.tuning.pipeline_depth.max(1);
-        let mut stash: Vec<ChunkMsg> = Vec::new();
-        let mut own_wire = 0usize;
-        // Unchunked collectives return the decoded tensor directly
-        // (`single`); chunked ones assemble rows into a leased `out`.
-        let mut out = (total > 1).then(|| ws.lease_tensor(partial.shape().clone()));
-        let mut single: Option<Tensor> = None;
-
-        if r == 0 {
-            let mut sent = 0;
-            while sent < depth.min(total) {
-                let code = encode_chunk(comp, partial, &bounds, sent, timers, &mut own_wire);
-                self.send_chunk(false, sent, ChunkData::Code(code), timers);
-                sent += 1;
-            }
-            for idx in 0..total {
-                let code = self.recv_code_chunk(true, idx, &mut stash, timers);
-                consume_total(&*comp, &code, idx, &ebounds, &mut out, &mut single, timers);
-                if p > 2 {
-                    self.send_chunk(true, idx, ChunkData::Code(code), timers);
-                }
-                if sent < total {
-                    let code = encode_chunk(comp, partial, &bounds, sent, timers, &mut own_wire);
-                    self.send_chunk(false, sent, ChunkData::Code(code), timers);
-                    sent += 1;
-                }
-            }
-        } else if r < p - 1 {
-            for idx in 0..total {
-                // Encoding before the blocking receive overlaps this
-                // rank's encode with the upstream chain work.
-                let own = encode_chunk(comp, partial, &bounds, idx, timers, &mut own_wire);
-                let prev = self.recv_code_chunk(false, idx, &mut stash, timers);
-                let summed = timed(&mut timers.decode_s, || prev.sum(&own));
-                self.send_chunk(false, idx, ChunkData::Code(summed), timers);
-            }
-            for idx in 0..total {
-                let code = self.recv_code_chunk(true, idx, &mut stash, timers);
-                consume_total(&*comp, &code, idx, &ebounds, &mut out, &mut single, timers);
-                if r != p - 2 {
-                    self.send_chunk(true, idx, ChunkData::Code(code), timers);
-                }
-            }
-        } else {
-            for idx in 0..total {
-                let own = encode_chunk(comp, partial, &bounds, idx, timers, &mut own_wire);
-                let prev = self.recv_code_chunk(false, idx, &mut stash, timers);
-                let summed = timed(&mut timers.decode_s, || prev.sum(&own));
-                // Ship the total downstream before decoding locally so
-                // peers' decodes overlap ours.
-                self.send_chunk(true, idx, ChunkData::Code(summed.clone()), timers);
-                consume_total(
-                    &*comp,
-                    &summed,
-                    idx,
-                    &ebounds,
-                    &mut out,
-                    &mut single,
-                    timers,
-                );
-            }
-        }
-        debug_assert!(stash.is_empty(), "collective left chunks in the stash");
+        let mut codes = CodeChunks {
+            comp,
+            partial,
+            chunks: RowChunks::new(&plan, rows_width(partial).1),
+            out: (plan.len() > 1).then(|| ws.lease_tensor(partial.shape().clone())),
+            own_wire: 0,
+        };
+        self.chunk_ring(&mut codes, plan.len(), timers, ws);
+        let CodeChunks { out, own_wire, .. } = codes;
 
         // Serial-matching accounting: an all-reduce of `b` own bytes
         // costs `2 (p−1) b / p` per rank.
+        let p = self.world;
         let per_rank_ar = |bytes: usize| 2 * (p - 1) * bytes / p;
         self.bytes.add(CommBytes {
             wire: per_rank_ar(own_wire),
@@ -863,104 +934,35 @@ impl TpGroup {
         });
         // Gather-equivalent baseline for the ring-vs-gather comparison.
         self.ring_bytes.dense += (p - 1) * own_wire;
-        match out {
-            Some(o) => o,
-            None => single.expect("unchunked collective decoded once"),
-        }
+        out.expect("every chunk was consumed")
     }
 
     /// All-gather reduce for non-summable codecs, decoding each message
-    /// as it arrives so decode overlaps the remaining wire hops.
+    /// as it arrives so decode overlaps the remaining wire hops (the
+    /// own decode runs while peers encode and ship).
     fn gathered_reduce(
         &mut self,
         comp: &mut dyn Compressor,
         partial: &Tensor,
         timers: &mut PhaseTimers,
     ) -> Tensor {
-        self.begin_collective();
         let p = self.world;
         let msg = timed(&mut timers.encode_s, || comp.compress(partial));
-        let mut gathered_bytes = msg.wire_bytes(2);
-        let mut sent_bytes = msg.wire_bytes(2);
+        let mut gathered_bytes = 0;
         let mut decs: Vec<Option<Tensor>> = (0..p).map(|_| None).collect();
-        {
-            let tx = self.next_tx.as_ref().expect("ring sender");
-            let rx = self.prev_rx.as_ref().expect("ring receiver");
-            if let Some(trace) = &self.trace {
-                trace.record(
-                    Dir::Send,
-                    self.trace_send_channel(trace),
-                    MsgId::Gather {
-                        coll: self.active_coll,
-                        origin: self.rank,
-                    },
-                    Some(msg.wire_bytes(2)),
-                );
-            }
-            timed(&mut timers.wire_s, || {
-                tx.send(RingMsg::Gather(self.rank, GatherPayload::Code(msg.clone())))
-                    .expect("ring peer hung up");
-            });
-            // Own decode runs while peers encode and ship.
-            decs[self.rank] = Some(timed(&mut timers.decode_s, || comp.decompress(&msg)));
-            for hop in 0..p - 1 {
-                let (origin, code) = timed(&mut timers.wire_s, || {
-                    match rx.recv().expect("ring peer hung up") {
-                        RingMsg::Gather(origin, GatherPayload::Code(code)) => (origin, code),
-                        _ => panic!("gathered reduce received a non-code message"),
-                    }
-                });
-                if let Some(trace) = &self.trace {
-                    trace.record(
-                        Dir::Recv,
-                        self.trace_recv_channel(trace),
-                        MsgId::Gather {
-                            coll: self.active_coll,
-                            origin,
-                        },
-                        None,
-                    );
-                }
-                gathered_bytes += code.wire_bytes(2);
-                if hop + 1 < p - 1 {
-                    sent_bytes += code.wire_bytes(2);
-                    if let Some(trace) = &self.trace {
-                        trace.record(
-                            Dir::Send,
-                            self.trace_send_channel(trace),
-                            MsgId::Gather {
-                                coll: self.active_coll,
-                                origin,
-                            },
-                            Some(code.wire_bytes(2)),
-                        );
-                    }
-                    timed(&mut timers.wire_s, || {
-                        tx.send(RingMsg::Gather(origin, GatherPayload::Code(code.clone())))
-                            .expect("ring peer hung up");
-                    });
-                }
-                decs[origin] = Some(timed(&mut timers.decode_s, || comp.decompress(&code)));
-            }
-        }
+        self.gather_walk(msg, timers, |origin, code: Compressed, timers| {
+            gathered_bytes += code.wire_bytes(2);
+            decs[origin] = Some(timed(&mut timers.decode_s, || comp.decompress(&code)));
+        });
         let out = timed(&mut timers.decode_s, || {
-            let mut it = decs
-                .into_iter()
-                .map(|d| d.expect("gather visited every rank"));
-            let mut acc = it.next().expect("at least one rank");
-            for t in it {
-                acc.add_assign(&t);
-            }
-            acc
+            rank_order_sum(
+                decs.into_iter()
+                    .map(|d| d.expect("gather visited every rank")),
+            )
         });
         self.bytes.add(CommBytes {
             wire: gathered_bytes * (p - 1) / p,
             dense: 2 * (p - 1) * (partial.len() * 2) / p,
-        });
-        // This path *is* a gather: actual equals the gather baseline.
-        self.ring_bytes.add(CommBytes {
-            wire: sent_bytes,
-            dense: sent_bytes,
         });
         out
     }
@@ -982,92 +984,17 @@ impl TpGroup {
             return partial.clone();
         }
         let t0 = Instant::now();
-        let out = self.dense_ring(partial, timers, ws);
-        timers.collective_s += t0.elapsed().as_secs_f64();
-        self.ring_bytes.dense += (self.world - 1) * partial.len() * 2;
-        out
-    }
-
-    /// The chunked chain-reduce + broadcast schedule for dense rows.
-    fn dense_ring(
-        &mut self,
-        partial: &Tensor,
-        timers: &mut PhaseTimers,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        self.begin_collective();
         let (rows, width) = rows_width(partial);
         let plan = self.tuning.plan(rows);
-        let total = plan.len();
-        let bounds = elem_bounds(&plan, width);
-        let data = partial.as_slice();
-        let mut out = ws.lease_tensor(partial.shape().clone());
-        let (r, p) = (self.rank, self.world);
-        let depth = self.tuning.pipeline_depth.max(1);
-        let mut stash: Vec<ChunkMsg> = Vec::new();
-
-        if r == 0 {
-            let mut sent = 0;
-            let ship = |g: &mut Self, ws: &mut Workspace, idx: usize, timers: &mut PhaseTimers| {
-                let (s, e) = bounds[idx];
-                let mut buf = ws.lease(e - s);
-                buf.copy_from_slice(&data[s..e]);
-                g.send_chunk(false, idx, ChunkData::Dense(buf), timers);
-            };
-            while sent < depth.min(total) {
-                ship(self, ws, sent, timers);
-                sent += 1;
-            }
-            for (idx, &(s, e)) in bounds.iter().enumerate() {
-                let buf = self.recv_dense_chunk(true, idx, &mut stash, timers);
-                timed(&mut timers.decode_s, || {
-                    out.as_mut_slice()[s..e].copy_from_slice(&buf);
-                });
-                if p > 2 {
-                    self.send_chunk(true, idx, ChunkData::Dense(buf), timers);
-                } else {
-                    ws.recycle(buf);
-                }
-                if sent < total {
-                    ship(self, ws, sent, timers);
-                    sent += 1;
-                }
-            }
-        } else if r < p - 1 {
-            for (idx, &(s, e)) in bounds.iter().enumerate() {
-                let mut buf = self.recv_dense_chunk(false, idx, &mut stash, timers);
-                timed(&mut timers.decode_s, || {
-                    for (b, &v) in buf.iter_mut().zip(&data[s..e]) {
-                        *b += v;
-                    }
-                });
-                self.send_chunk(false, idx, ChunkData::Dense(buf), timers);
-            }
-            for (idx, &(s, e)) in bounds.iter().enumerate() {
-                let buf = self.recv_dense_chunk(true, idx, &mut stash, timers);
-                timed(&mut timers.decode_s, || {
-                    out.as_mut_slice()[s..e].copy_from_slice(&buf);
-                });
-                if r != p - 2 {
-                    self.send_chunk(true, idx, ChunkData::Dense(buf), timers);
-                } else {
-                    ws.recycle(buf);
-                }
-            }
-        } else {
-            for (idx, &(s, e)) in bounds.iter().enumerate() {
-                let mut buf = self.recv_dense_chunk(false, idx, &mut stash, timers);
-                timed(&mut timers.decode_s, || {
-                    for (b, &v) in buf.iter_mut().zip(&data[s..e]) {
-                        *b += v;
-                    }
-                    out.as_mut_slice()[s..e].copy_from_slice(&buf);
-                });
-                self.send_chunk(true, idx, ChunkData::Dense(buf), timers);
-            }
-        }
-        debug_assert!(stash.is_empty(), "collective left chunks in the stash");
-        out
+        let mut dense = DenseRows {
+            data: partial.as_slice(),
+            chunks: RowChunks::new(&plan, width),
+            out: ws.lease_tensor(partial.shape().clone()),
+        };
+        self.chunk_ring(&mut dense, plan.len(), timers, ws);
+        timers.collective_s += t0.elapsed().as_secs_f64();
+        self.ring_bytes.dense += (self.world - 1) * partial.len() * 2;
+        dense.out
     }
 
     /// Reference gather-based dense all-reduce — the pre-ring
@@ -1080,29 +1007,11 @@ impl TpGroup {
         timers: &mut PhaseTimers,
     ) -> Tensor {
         let t0 = Instant::now();
-        let gathered = self.all_gather(GatherPayload::Dense(partial.clone()), timers);
+        let gathered = self.all_gather(partial.clone(), timers);
         let out = timed(&mut timers.decode_s, || {
-            let mut total: Option<Tensor> = None;
-            for g in &gathered {
-                let t = match g {
-                    GatherPayload::Dense(t) => t,
-                    _ => panic!("ring delivered a non-dense payload to a dense reduce"),
-                };
-                match &mut total {
-                    Some(acc) => acc.add_assign(t),
-                    None => total = Some(t.clone()),
-                }
-            }
-            total.expect("at least one rank")
+            rank_order_sum(gathered.into_iter())
         });
         timers.collective_s += t0.elapsed().as_secs_f64();
-        if self.world > 1 {
-            let moved = (self.world - 1) * partial.len() * 2;
-            self.ring_bytes.add(CommBytes {
-                wire: moved,
-                dense: moved,
-            });
-        }
         out
     }
 
@@ -1122,18 +1031,13 @@ impl TpGroup {
             return timed(&mut timers.encode_s, || comp.backward(dy));
         }
         timed(&mut timers.encode_s, || {
-            let bounds = row_bounds(&plan);
-            let mut parts: Vec<Option<Tensor>> = (0..plan.len()).map(|_| None).collect();
-            for idx in (0..plan.len()).rev() {
-                let (r0, r1) = bounds[idx];
-                parts[idx] = Some(comp.backward(&dy.slice_rows(r0, r1)));
-            }
-            let owned: Vec<Tensor> = parts
+            let mut parts: Vec<Tensor> = row_bounds(&plan)
                 .into_iter()
-                .map(|p| p.expect("every chunk ran backward"))
+                .rev()
+                .map(|(r0, r1)| comp.backward(&dy.slice_rows(r0, r1)))
                 .collect();
-            let refs: Vec<&Tensor> = owned.iter().collect();
-            Tensor::concat_rows(&refs)
+            parts.reverse();
+            Tensor::concat_rows(&parts.iter().collect::<Vec<_>>())
         })
     }
 
@@ -1145,20 +1049,13 @@ impl TpGroup {
     pub fn sync_param_grads(&mut self, comp: &mut dyn Compressor, timers: &mut PhaseTimers) {
         let mut own: Vec<Tensor> = Vec::new();
         comp.visit_params(&mut |p| own.push(p.grad.clone()));
-        let gathered = self.all_gather(GatherPayload::Grads(own), timers);
+        let gathered = self.all_gather(own, timers);
         let sums = timed(&mut timers.decode_s, || {
-            let mut sums: Vec<Tensor> = Vec::new();
-            for g in &gathered {
-                let grads = match g {
-                    GatherPayload::Grads(v) => v,
-                    _ => panic!("ring delivered a non-grad payload to a grad sync"),
-                };
-                for (i, grad) in grads.iter().enumerate() {
-                    if i == sums.len() {
-                        sums.push(grad.clone());
-                    } else {
-                        sums[i].add_assign(grad);
-                    }
+            let mut ranks = gathered.into_iter();
+            let mut sums = ranks.next().expect("at least one rank");
+            for grads in ranks {
+                for (sum, grad) in sums.iter_mut().zip(&grads) {
+                    sum.add_assign(grad);
                 }
             }
             sums
@@ -1169,6 +1066,16 @@ impl TpGroup {
             i += 1;
         });
     }
+}
+
+/// Sums one tensor per rank, left to right — handed tensors in rank
+/// order, this is the serial executor's fold.
+fn rank_order_sum(mut parts: impl Iterator<Item = Tensor>) -> Tensor {
+    let mut acc = parts.next().expect("at least one rank");
+    for t in parts {
+        acc.add_assign(&t);
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -1225,6 +1132,36 @@ mod tests {
             assert_eq!(out.max_abs_diff(&expect), 0.0, "exact rank-order sum");
             assert_eq!(bytes.wire, bytes.dense, "identity moves dense bytes");
         }
+    }
+
+    #[test]
+    fn mismatched_collectives_report_one_protocol_violation() {
+        // Rank 0 gathers while rank 1 runs a chunked reduce: rank 1
+        // meets a gather hop where its schedule calls for a chunk.
+        let x = Tensor::zeros(vec![2, 4]);
+        let mut groups = TpGroup::ring(2);
+        let mut g1 = groups.pop().expect("rank 1");
+        let mut g0 = groups.pop().expect("rank 0");
+        let y = x.clone();
+        let peer = std::thread::spawn(move || {
+            // Ends with "ring peer hung up" once rank 1 is gone.
+            g0.dense_all_reduce_gather(&y, &mut PhaseTimers::default())
+        });
+        let victim = std::thread::spawn(move || {
+            g1.dense_all_reduce(&x, &mut PhaseTimers::default(), &mut Workspace::new())
+        });
+        let panic = victim
+            .join()
+            .expect_err("rank 1 must refuse the gather hop");
+        let text = panic.downcast_ref::<String>().expect("formatted panic");
+        for part in [
+            "ring protocol violation at tp rank 1/2",
+            "expected chunk(coll 0, reduce, idx 0)",
+            "received gather(coll 0, origin 0) carrying a dense tensor",
+        ] {
+            assert!(text.contains(part), "missing {part:?} in {text:?}");
+        }
+        assert!(peer.join().is_err(), "rank 0 loses its peer");
     }
 
     #[test]

@@ -13,11 +13,11 @@ pub struct RuntimeConfig {
     /// GPipe micro-batches per step. Must divide the batch size passed
     /// to `forward`. `1` reproduces the serial executor exactly.
     pub micro_batches: usize,
-    /// Explicit ring chunking/pipelining knobs for this engine instance.
-    /// `None` (the default) captures the process-wide configuration
-    /// ([`crate::set_chunk_rows`] / `ACTCOMP_CHUNK_ROWS` / defaults) at
-    /// construction; `Some` overrides it per engine, without touching
-    /// process-global state. Optional in serialized form.
+    /// Ring chunking/pipelining knobs for this engine instance — the
+    /// only channel they travel by (the CLI's `--chunk-rows` /
+    /// `--pipeline-depth` land here, and `procs` workers read them from
+    /// the serialized config). `None` means [`RingTuning::default`].
+    /// Optional in serialized form.
     pub tuning: Option<RingTuning>,
     /// Record every rank's comm events for conformance auditing against
     /// the static message-flow graph (`actcomp check --comm`). Off by

@@ -83,10 +83,7 @@ pub mod supervisor;
 mod trace;
 mod wire;
 
-pub use comm::{
-    set_chunk_rows, set_pipeline_depth, try_set_chunk_rows, try_set_pipeline_depth, RingTuning,
-    TpGroup,
-};
+pub use comm::{RingTuning, TpGroup};
 pub use config::{RuntimeConfig, RuntimeError};
 pub use procs::{run_worker, ProcsError, ProcsOptions, ProcsRuntime, WorkerArgs};
 pub use rank::RankGrads;

@@ -179,12 +179,9 @@ impl<'a> WorkerBuilder<'a> {
             )
         });
         let mut ring_ep = TpGroup::from_links(tpi, tp, links.ring_tx, links.ring_rx);
-        // An explicit per-run tuning overrides what the endpoint
-        // captured from process-global state; all ranks of a ring must
-        // agree so they derive identical chunk plans.
-        if let Some(tuning) = self.cfg.tuning {
-            ring_ep.tuning = tuning;
-        }
+        // Every rank is built from the same config, so all endpoints
+        // of a ring derive identical chunk plans.
+        ring_ep.tuning = self.cfg.tuning.unwrap_or_default();
         // One trace cell per rank, shared between its ring endpoint and
         // its worker so ring, broadcast, and boundary events interleave
         // in program order.

@@ -24,7 +24,7 @@ fn bitwise_eq(a: &Tensor, b: &Tensor) -> bool {
 
 /// Runs one collective per rank on its own thread and returns
 /// `(output, ring_bytes)` per rank in rank order. `tuning = None`
-/// keeps the process-default configuration.
+/// keeps the default tuning.
 fn run_ranks<F>(
     world: usize,
     tuning: Option<RingTuning>,

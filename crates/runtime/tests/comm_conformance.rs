@@ -11,11 +11,12 @@
 //!    full step to completion (no deadlock, no panic) with a finite
 //!    output — the deadlock-freedom proof is load-bearing, not
 //!    decorative.
-//! 4. The check crate's ring chunk plan is pinned to the engine's
-//!    (`RingTuning::plan`), so the two crates cannot drift apart on how
-//!    a reduce is chunked.
+//!
+//! The ring collectives themselves need no pin between the two crates:
+//! the engine interprets the step lists and chunk plans that
+//! `actcomp_check::collectives` defines.
 
-use actcomp_check::collectives::ring_chunk_plan;
+use actcomp_check::collectives::resolved_ring_tuning;
 use actcomp_check::{analyze, audit_trace, build_comm_graph, ExperimentConfig, RuntimeSection};
 use actcomp_mp::MpConfig;
 use actcomp_nn::BertConfig;
@@ -63,11 +64,11 @@ fn experiment(
 }
 
 /// The engine configuration equivalent to `experiment(..)`: same shape,
-/// same plan resolution, and the ring tuning pinned per engine (not via
-/// process globals) so the static graph and the run agree by
-/// construction.
+/// same plan resolution, and the ring tuning resolved by the function
+/// the static graph (and the CLI) resolves it with.
 fn engine_cfg(cfg: &ExperimentConfig, trace: bool) -> RuntimeConfig {
     let rt = cfg.runtime.as_ref().expect("threads runtime section");
+    let (chunk_rows, pipeline_depth) = resolved_ring_tuning(cfg);
     RuntimeConfig {
         mp: MpConfig {
             bert: BertConfig {
@@ -86,8 +87,8 @@ fn engine_cfg(cfg: &ExperimentConfig, trace: bool) -> RuntimeConfig {
         },
         micro_batches: rt.micro_batches.unwrap_or(1),
         tuning: Some(RingTuning {
-            chunk_rows: rt.chunk_rows,
-            pipeline_depth: rt.pipeline_depth.expect("depth set by experiment()"),
+            chunk_rows,
+            pipeline_depth,
         }),
         trace,
     }
@@ -202,26 +203,6 @@ fn untraced_runs_return_no_trace() {
     rt.zero_grad();
     rt.backward(&y).expect("valid grad");
     assert!(rt.take_trace().is_none());
-}
-
-#[test]
-fn ring_chunk_plan_is_pinned_to_the_engine() {
-    // The static analyzer sizes ring chunks with its own copy of the
-    // plan; any drift from the engine's would desynchronize the graph
-    // from reality. Pin them element-for-element.
-    for rows in [0usize, 1, 2, 3, 4, 5, 7, 8, 13, 16, 37, 100] {
-        for chunk in [None, Some(1), Some(2), Some(3), Some(7), Some(1000)] {
-            let tuning = RingTuning {
-                chunk_rows: chunk,
-                pipeline_depth: 4,
-            };
-            assert_eq!(
-                tuning.plan(rows),
-                ring_chunk_plan(chunk, rows),
-                "rows={rows} chunk={chunk:?}"
-            );
-        }
-    }
 }
 
 proptest::proptest! {

@@ -48,8 +48,8 @@ pub fn parse_thread_spec(s: &str) -> Result<usize, String> {
 
 /// Parses a positive-decimal-integer spec, describing violations in
 /// terms of `what` (e.g. `"thread count"`, `"chunk row count"`). The
-/// shared predicate behind [`parse_thread_spec`] and the
-/// `ACTCOMP_CHUNK_ROWS` collective-chunking knob (`AC0503`).
+/// shared predicate behind [`parse_thread_spec`] and the CLI's
+/// `--chunk-rows` / `--pipeline-depth` flags.
 ///
 /// # Errors
 ///
