@@ -14,7 +14,6 @@ use crate::error::TransportError;
 use crate::frame::{read_frame, write_frame, FrameError, CTRL_CHAN};
 use crate::socket::ctrl_stream::{CtrlListenerInner, CtrlStream};
 use crate::TransportKind;
-use std::io::Write;
 use std::time::{Duration, Instant};
 
 /// The listening side of the control plane (held by the launcher).
@@ -64,7 +63,7 @@ impl CtrlConn {
     /// Ships one control frame.
     pub fn send(&mut self, payload: &[u8]) -> Result<(), TransportError> {
         self.stream
-            .with_write(|w| write_frame(w, CTRL_CHAN, payload).and_then(|()| w.flush()))
+            .with_write(|w| write_frame(w, CTRL_CHAN, payload))
             .map_err(|e| map_conn_err(e, "sending a control frame"))
     }
 

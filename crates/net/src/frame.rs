@@ -8,7 +8,7 @@
 //! frame on the reserved channel 0 is rejected without trusting it.
 
 use crate::error::TransportError;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// The reserved handshake channel; application channels must be below
 /// this.
@@ -29,22 +29,72 @@ const MAGIC: u32 = 0x4143_4E54;
 /// as stream corruption rather than an allocation request.
 const MAX_FRAME: usize = 1 << 30;
 
+/// The most payload capacity [`read_frame`] reserves on the word of a
+/// frame header alone (1 MiB — above every frame the ring collectives
+/// emit, so honest frames are allocated once, exactly).
+const PAYLOAD_PREALLOC_CAP: usize = 1 << 20;
+
 /// Bytes a frame adds around its payload: 6-byte header + 4-byte CRC
 /// trailer.
 pub const FRAME_OVERHEAD: usize = 10;
 
+/// Reflected IEEE polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 lookup tables, built at compile time. `CRC_TABLES[0]`
+/// is the classic byte-at-a-time table; `CRC_TABLES[k][b]` is the CRC
+/// state after byte `b` followed by `k` zero bytes, which is what lets
+/// eight input bytes fold into the state with eight independent loads.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
 /// IEEE CRC32 (reflected, polynomial `0xEDB88320`) over `bytes`,
 /// continuing from `seed` (start with `0` for a fresh checksum).
 ///
-/// Public so checkpoint shards can reuse the exact wire checksum.
+/// Table-driven slicing-by-8: every payload byte is checksummed on
+/// send and again on receive, so this loop is on the per-frame hot
+/// path. Public so checkpoint shards can reuse the exact wire checksum.
 pub fn crc32(seed: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !seed;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -87,6 +137,11 @@ pub(crate) fn write_frame(w: &mut impl Write, chan: u16, payload: &[u8]) -> std:
 /// Like [`write_frame`] but XORs `crc_flip` into the trailer — the
 /// fault-injection hook that makes a receiver's CRC check fail
 /// deterministically (pass `0` for an honest frame).
+///
+/// Header, payload and trailer leave in one vectored write (resumed on
+/// a short count), so on a socket a frame costs one syscall — and one
+/// segment under `TCP_NODELAY` — and the payload is never copied into
+/// a staging buffer. Pass the raw stream, not a `BufWriter`.
 pub(crate) fn write_frame_with(
     w: &mut impl Write,
     chan: u16,
@@ -99,10 +154,28 @@ pub(crate) fn write_frame_with(
     let mut hdr = [0u8; 6];
     hdr[..2].copy_from_slice(&chan.to_le_bytes());
     hdr[2..].copy_from_slice(&len.to_le_bytes());
-    let crc = crc32(crc32(0, &hdr), payload) ^ crc_flip;
-    w.write_all(&hdr)?;
-    w.write_all(payload)?;
-    w.write_all(&crc.to_le_bytes())?;
+    let trailer = (crc32(crc32(0, &hdr), payload) ^ crc_flip).to_le_bytes();
+    let mut parts = [
+        IoSlice::new(&hdr),
+        IoSlice::new(payload),
+        IoSlice::new(&trailer),
+    ];
+    let mut rest = &mut parts[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write a whole frame",
+                ))
+            }
+            // Drops the slices `n` covered (empty ones included) and
+            // trims the first survivor.
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     Ok(())
 }
 
@@ -113,7 +186,19 @@ pub(crate) fn write_frame_with(
 /// (no honest sender emits either) is [`FrameError::Corrupt`]. A CRC
 /// trailer mismatch is equally `Corrupt` — the payload bytes are
 /// discarded, never handed to a decoder.
+///
+/// Reads header, payload and trailer separately: hand it a buffered
+/// reader on a socket, so the 6- and 4-byte reads ride along with the
+/// payload's instead of costing a syscall each.
 pub(crate) fn read_frame(r: &mut impl Read) -> Result<(u16, Vec<u8>), FrameError> {
+    let mut payload = Vec::new();
+    let chan = read_frame_into(r, &mut payload)?;
+    Ok((chan, payload))
+}
+
+/// [`read_frame`] into a caller-owned (empty) buffer, so a test can
+/// see what a failed read left allocated.
+fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<u16, FrameError> {
     let mut hdr = [0u8; 6];
     r.read_exact(&mut hdr)?;
     let chan = u16::from_le_bytes([hdr[0], hdr[1]]);
@@ -128,18 +213,27 @@ pub(crate) fn read_frame(r: &mut impl Read) -> Result<(u16, Vec<u8>), FrameError
             "frame length {len} exceeds the 1 GiB cap"
         )));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // The header is unauthenticated until the trailer checks out, so
+    // its length buys at most `PAYLOAD_PREALLOC_CAP` bytes up front;
+    // past that the buffer grows only as payload bytes actually arrive.
+    payload.reserve_exact(len.min(PAYLOAD_PREALLOC_CAP));
+    let got = r.by_ref().take(len as u64).read_to_end(payload)?;
+    if got < len {
+        return Err(FrameError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("stream ended {got} bytes into a {len}-byte frame payload"),
+        )));
+    }
     let mut trailer = [0u8; 4];
     r.read_exact(&mut trailer)?;
     let want = u32::from_le_bytes(trailer);
-    let got = crc32(crc32(0, &hdr), &payload);
+    let got = crc32(crc32(0, &hdr), payload);
     if want != got {
         return Err(FrameError::Corrupt(format!(
             "CRC mismatch on channel {chan} ({len} bytes): computed {got:#010x}, trailer {want:#010x}"
         )));
     }
-    Ok((chan, payload))
+    Ok(chan)
 }
 
 /// The first frame on every data connection: proves both ends belong
@@ -217,6 +311,22 @@ impl Handshake {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::io::BufReader;
+
+    /// The bit-at-a-time definition of the checksum: the oracle the
+    /// table-driven [`crc32`] must equal on every input.
+    fn crc32_bitwise(seed: u32, bytes: &[u8]) -> u32 {
+        let mut crc = !seed;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -225,6 +335,39 @@ mod tests {
         assert_eq!(crc32(0, b""), 0);
         // Incremental == one-shot.
         assert_eq!(crc32(crc32(0, b"1234"), b"56789"), 0xCBF4_3926);
+    }
+
+    proptest! {
+        /// Table-driven == bitwise for every length 0..=4096 drawn, at
+        /// every alignment of the slice within its backing array (the
+        /// 8-byte words must not care where the slice starts), from
+        /// any seed.
+        #[test]
+        fn crc32_equals_the_bitwise_oracle(
+            backing in collection::vec(0u8..=255, 8..4096 + 8 + 1),
+            seed in 0u32..=u32::MAX,
+        ) {
+            let len = backing.len() - 8;
+            for offset in 0..8 {
+                let buf = &backing[offset..offset + len];
+                prop_assert_eq!(crc32(seed, buf), crc32_bitwise(seed, buf));
+            }
+        }
+
+        /// Chaining across any split equals one pass: the word loop and
+        /// the byte tail hand the state over at every boundary.
+        #[test]
+        fn crc32_chains_across_every_split_point(
+            buf in collection::vec(0u8..=255, 64usize),
+            seed in 0u32..=u32::MAX,
+        ) {
+            let whole = crc32(seed, &buf);
+            prop_assert_eq!(whole, crc32_bitwise(seed, &buf));
+            for split in 0..=buf.len() {
+                let (a, b) = buf.split_at(split);
+                prop_assert_eq!(crc32(crc32(seed, a), b), whole, "split at {}", split);
+            }
+        }
     }
 
     #[test]
@@ -355,6 +498,122 @@ mod tests {
             }
             let mut r = &buf[..];
             assert!(read_frame(&mut r).is_err(), "garbage decoded: {buf:?}");
+        }
+    }
+
+    #[test]
+    fn a_lying_length_prefix_allocates_only_for_bytes_that_arrive() {
+        // A header claiming the full 1 GiB, ten payload bytes, then
+        // EOF: a typed EOF, and the buffer never grew past what the
+        // header alone is allowed to reserve.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&1u16.to_le_bytes());
+        buf.extend_from_slice(&(MAX_FRAME as u32).to_le_bytes());
+        buf.extend_from_slice(&[0xAB; 10]);
+        let mut payload = Vec::new();
+        match read_frame_into(&mut &buf[..], &mut payload) {
+            Err(FrameError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("expected EOF, got {other:?}"),
+        }
+        assert_eq!(payload.len(), 10);
+        assert!(
+            payload.capacity() <= PAYLOAD_PREALLOC_CAP,
+            "capacity {} grew past the cap on a header's word",
+            payload.capacity()
+        );
+    }
+
+    /// A sink that takes 1–7 bytes per call (cycling), and reports
+    /// vectored writes just as partially — possibly ending mid-slice
+    /// or spanning a slice boundary.
+    struct TrickleWriter {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl TrickleWriter {
+        fn quota(&mut self) -> usize {
+            self.calls += 1;
+            1 + self.calls % 7
+        }
+    }
+
+    impl Write for TrickleWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = self.quota().min(buf.len());
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            let mut left = self.quota();
+            let mut wrote = 0;
+            for b in bufs {
+                let n = left.min(b.len());
+                self.out.extend_from_slice(&b[..n]);
+                wrote += n;
+                left -= n;
+            }
+            Ok(wrote)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A source that yields one byte per `read` call.
+    struct TrickleReader<'a>(&'a [u8]);
+
+    impl Read for TrickleReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((&b, rest)), Some(slot)) => {
+                    *slot = b;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn frames_survive_short_writes_and_one_byte_reads() {
+        let sizes = [0, 1, 8 * 1024 - 1, 8 * 1024, 8 * 1024 + 1, 1 << 20];
+        let payloads: Vec<Vec<u8>> = sizes
+            .iter()
+            .map(|&n| (0..n).map(|i| (i * 31 + n) as u8).collect())
+            .collect();
+        let mut w = TrickleWriter {
+            out: Vec::new(),
+            calls: 0,
+        };
+        for (i, p) in payloads.iter().enumerate() {
+            write_frame(&mut w, 1 + i as u16, p).expect("write");
+        }
+        // Last on the stream (it kills frame alignment): the fault
+        // trailer, written through the same resume loop.
+        write_frame_with(&mut w, 99, b"mangled", 0xA5A5_A5A5).expect("write");
+        // Every byte arrived exactly once, in order.
+        let mut honest = Vec::new();
+        for (i, p) in payloads.iter().enumerate() {
+            write_frame(&mut honest, 1 + i as u16, p).expect("write");
+        }
+        write_frame_with(&mut honest, 99, b"mangled", 0xA5A5_A5A5).expect("write");
+        assert!(w.out == honest, "short writes reordered or lost bytes");
+
+        // Read back one byte per call, through the same buffering
+        // `serve_conn` uses.
+        let mut r = BufReader::new(TrickleReader(&w.out));
+        for (i, p) in payloads.iter().enumerate() {
+            let (chan, got) = read_frame(&mut r).expect("read");
+            assert_eq!(chan, 1 + i as u16);
+            assert!(got == *p, "payload of {} bytes changed", p.len());
+        }
+        match read_frame(&mut r) {
+            Err(FrameError::Corrupt(what)) => assert!(what.contains("CRC"), "{what}"),
+            other => panic!("expected a CRC failure, got {other:?}"),
         }
     }
 }

@@ -18,7 +18,7 @@ use crate::frame::{
 use crate::throttle::TokenBucket;
 use crate::{FrameRx, FrameTx, Transport, TransportKind};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -110,6 +110,16 @@ impl Write for Stream {
         }
     }
 
+    /// Forwarded so a frame's three slices reach the kernel as one
+    /// `writev` (the default would write only the first).
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            #[cfg(unix)]
+            Stream::Uds(s) => s.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             Stream::Tcp(s) => s.flush(),
@@ -189,7 +199,7 @@ pub struct SocketTransport {
     addr: String,
     peers: Vec<Option<String>>,
     demux: Demux,
-    conns: HashMap<usize, Arc<Mutex<BufWriter<Stream>>>>,
+    conns: HashMap<usize, Arc<Mutex<Stream>>>,
     bucket: Option<Arc<Mutex<TokenBucket>>>,
     accept_handle: Option<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
@@ -301,7 +311,7 @@ impl SocketTransport {
 
     /// Opens (or reuses) the data connection to `to`, performing the
     /// handshake on first use.
-    fn ensure_conn(&mut self, to: usize) -> Result<Arc<Mutex<BufWriter<Stream>>>, TransportError> {
+    fn ensure_conn(&mut self, to: usize) -> Result<Arc<Mutex<Stream>>, TransportError> {
         if let Some(c) = self.conns.get(&to) {
             return Ok(Arc::clone(c));
         }
@@ -321,7 +331,6 @@ impl SocketTransport {
             epoch: self.opts.epoch,
         };
         write_frame(&mut stream, HS_CHAN, &hs.encode())
-            .and_then(|()| stream.flush())
             .map_err(|e| TransportError::io(format!("handshaking with rank {to}"), &e))?;
         stream
             .set_read_timeout(Some(self.opts.handshake_timeout))
@@ -349,7 +358,7 @@ impl SocketTransport {
         stream
             .set_read_timeout(None)
             .map_err(|e| TransportError::io("clearing the handshake timeout", &e))?;
-        let conn = Arc::new(Mutex::new(BufWriter::new(stream)));
+        let conn = Arc::new(Mutex::new(stream));
         self.conns.insert(to, Arc::clone(&conn));
         Ok(conn)
     }
@@ -568,36 +577,44 @@ fn spawn_acceptor(
 /// Handshakes one inbound connection and pumps its frames into the
 /// demux until EOF or a corrupt frame.
 fn serve_conn(
-    mut stream: Stream,
+    stream: Stream,
     demux: Demux,
     world: usize,
     config_hash: u64,
     epoch: u32,
     handshake_timeout: Duration,
 ) {
-    if stream.set_read_timeout(Some(handshake_timeout)).is_err() {
+    // Reads go through the buffer, so a frame's header and trailer —
+    // and whole runs of small frames — share a syscall; a payload
+    // larger than the buffer is read straight into its `Vec` once the
+    // buffer drains. The few writes (the handshake ack) go to the
+    // stream underneath.
+    let mut conn = BufReader::new(stream);
+    if conn
+        .get_ref()
+        .set_read_timeout(Some(handshake_timeout))
+        .is_err()
+    {
         return;
     }
-    let from = match accept_handshake(&mut stream, world, config_hash, epoch) {
+    let from = match accept_handshake(&mut conn, world, config_hash, epoch) {
         Ok(from) => from,
         Err(reason) => {
             // Best-effort rejection; the connector surfaces it as
             // HandshakeRejected.
             let mut ack = vec![1u8];
             ack.extend_from_slice(reason.to_string().as_bytes());
-            let _ = write_frame(&mut stream, HS_CHAN, &ack).and_then(|()| stream.flush());
+            let _ = write_frame(conn.get_mut(), HS_CHAN, &ack);
             return;
         }
     };
-    if write_frame(&mut stream, HS_CHAN, &[0u8])
-        .and_then(|()| stream.flush())
-        .is_err()
-        || stream.set_read_timeout(None).is_err()
+    if write_frame(conn.get_mut(), HS_CHAN, &[0u8]).is_err()
+        || conn.get_ref().set_read_timeout(None).is_err()
     {
         return;
     }
     loop {
-        match read_frame(&mut stream) {
+        match read_frame(&mut conn) {
             Ok((chan, payload)) => {
                 let mut st = lock(&demux);
                 match st.queues.get(&(from, chan)) {
@@ -619,7 +636,7 @@ fn serve_conn(
                 // Remember why, so receivers report FrameCorrupt
                 // instead of a bare PeerClosed.
                 lock(&demux).corrupt.insert(from, what);
-                let _ = stream.shutdown_both();
+                let _ = conn.get_ref().shutdown_both();
                 break;
             }
             Err(FrameError::Io(_)) => break,
@@ -634,7 +651,7 @@ fn serve_conn(
 
 /// Reads and validates the handshake frame, returning the peer rank.
 fn accept_handshake(
-    stream: &mut Stream,
+    stream: &mut impl Read,
     world: usize,
     config_hash: u64,
     epoch: u32,
@@ -683,7 +700,7 @@ fn accept_handshake(
 
 /// The sending end of one channel over a shared socket connection.
 struct SocketTx {
-    conn: Arc<Mutex<BufWriter<Stream>>>,
+    conn: Arc<Mutex<Stream>>,
     chan: u16,
     to: usize,
     bucket: Option<Arc<Mutex<TokenBucket>>>,
@@ -702,17 +719,15 @@ impl SocketTx {
             }
         }
         let mut w = lock(&self.conn);
-        write_frame_with(&mut *w, self.chan, payload, crc_flip)
-            .and_then(|()| w.flush())
-            .map_err(|e| match e.kind() {
-                std::io::ErrorKind::BrokenPipe
-                | std::io::ErrorKind::ConnectionReset
-                | std::io::ErrorKind::UnexpectedEof => TransportError::PeerClosed {
-                    rank: Some(self.to),
-                    what: "sending a frame".to_string(),
-                },
-                _ => TransportError::io(format!("sending a frame to rank {}", self.to), &e),
-            })
+        write_frame_with(&mut *w, self.chan, payload, crc_flip).map_err(|e| match e.kind() {
+            std::io::ErrorKind::BrokenPipe
+            | std::io::ErrorKind::ConnectionReset
+            | std::io::ErrorKind::UnexpectedEof => TransportError::PeerClosed {
+                rank: Some(self.to),
+                what: "sending a frame".to_string(),
+            },
+            _ => TransportError::io(format!("sending a frame to rank {}", self.to), &e),
+        })
     }
 }
 
@@ -726,8 +741,7 @@ impl FrameTx for SocketTx {
     }
 
     fn sever(&mut self) -> Result<(), TransportError> {
-        let w = lock(&self.conn);
-        w.get_ref()
+        lock(&self.conn)
             .shutdown_both()
             .map_err(|e| TransportError::io(format!("severing the link to rank {}", self.to), &e))
     }

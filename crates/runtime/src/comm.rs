@@ -216,14 +216,7 @@ impl WireMsg for RingMsg {
                 let bcast = r.read_u8("chunk bcast flag")? != 0;
                 let idx = r.read_usize("chunk index")?;
                 let data = match r.read_u8("chunk data tag")? {
-                    0 => {
-                        let n = r.read_usize("dense chunk length")?;
-                        let mut rows = Vec::with_capacity(n.min(1 << 24));
-                        for _ in 0..n {
-                            rows.push(r.read_f32("dense chunk row")?);
-                        }
-                        ChunkData::Dense(rows)
-                    }
+                    0 => ChunkData::Dense(r.f32_vec("dense chunk rows")?),
                     1 => ChunkData::Code(Compressed::decode(r)?),
                     _ => {
                         return Err(WireError {

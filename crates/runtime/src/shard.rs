@@ -249,4 +249,45 @@ mod tests {
         let dir = std::env::temp_dir().join("actcomp-shard-none");
         assert!(matches!(read_shard(&dir, 5, 0, 0), Err(ShardError::Io(_))));
     }
+
+    /// `write_shard(dir, 1, 7, 0xDEAD_BEEF, &tensors())` as the
+    /// bit-at-a-time CRC stamped it before the table-driven rewrite.
+    #[rustfmt::skip]
+    const PINNED_SHARD: [u8; 146] = [
+        0x50, 0x4b, 0x43, 0x41, 0x01, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xef, 0xbe,
+        0xad, 0xde, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x80, 0x3f, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x40, 0x40, 0x00, 0x00,
+        0x80, 0x40, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0xbf, 0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0x00, 0xbf, 0x00, 0x00,
+        0x00, 0xbf, 0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0x00, 0xbf, 0xa4, 0xea,
+        0x21, 0xb5,
+    ];
+    /// The trailer of [`PINNED_SHARD`].
+    const PINNED_CRC: u32 = 0xB521_EAA4;
+
+    #[test]
+    fn a_shard_written_before_the_crc_rewrite_still_loads() {
+        let dir = std::env::temp_dir().join(format!("actcomp-shard-pin-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("dir");
+        std::fs::write(shard_path(&dir, 1), PINNED_SHARD).expect("fixture");
+        assert_eq!(crc32(0, &PINNED_SHARD[..142]), PINNED_CRC);
+        let back = read_shard(&dir, 1, 7, 0xDEAD_BEEF).expect("old shard loads");
+        for (a, b) in back.iter().zip(&tensors()) {
+            assert_eq!(a.dims(), b.dims());
+            assert_eq!(a.as_slice(), b.as_slice());
+        }
+        // And today's writer stamps the same bytes.
+        write_shard(&dir, 1, 7, 0xDEAD_BEEF, &tensors()).expect("write");
+        assert_eq!(
+            std::fs::read(shard_path(&dir, 1)).expect("read"),
+            PINNED_SHARD
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -169,6 +169,12 @@ fn fail<T>(what: &'static str) -> Result<T, WireError> {
     Err(WireError { what })
 }
 
+/// Element count of `dims`, or `None` when the product overflows:
+/// dims come off the wire, and `Shape::len` multiplies unchecked.
+fn checked_len(dims: &[usize]) -> Option<usize> {
+    dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+}
+
 /// A cursor over a received payload.
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -187,11 +193,11 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        if self.at + n > self.buf.len() {
-            return fail(what);
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
+        // `n` comes off the wire: a prefix near `u64::MAX` must fail
+        // here, not overflow the add.
+        let end = self.at.checked_add(n).ok_or(WireError { what })?;
+        let s = self.buf.get(self.at..end).ok_or(WireError { what })?;
+        self.at = end;
         Ok(s)
     }
 
@@ -220,7 +226,7 @@ impl<'a> Reader<'a> {
         Ok(self.take(n, what)?.to_vec())
     }
 
-    fn f32_vec(&mut self, what: &'static str) -> Result<Vec<f32>, WireError> {
+    pub(crate) fn f32_vec(&mut self, what: &'static str) -> Result<Vec<f32>, WireError> {
         let n = self.usize(what)?;
         let raw = self.take(n.checked_mul(4).ok_or(WireError { what })?, what)?;
         Ok(raw
@@ -269,24 +275,29 @@ pub(crate) fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
     out.extend_from_slice(v);
 }
 
+// The two slice writers extend from an iterator of 4-byte words whose
+// length is known up front: one reservation and a block fill, not a
+// capacity check per element.
 pub(crate) fn put_f32_slice(out: &mut Vec<u8>, v: &[f32]) {
     put_usize(out, v.len());
-    out.reserve(v.len() * 4);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
+    out.extend(v.iter().flat_map(|x| x.to_le_bytes()));
 }
 
 pub(crate) fn put_u32_slice(out: &mut Vec<u8>, v: &[u32]) {
     put_usize(out, v.len());
-    out.reserve(v.len() * 4);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
+    out.extend(v.iter().flat_map(|x| x.to_le_bytes()));
 }
 
 pub(crate) fn put_string(out: &mut Vec<u8>, v: &str) {
     put_bytes(out, v.as_bytes());
+}
+
+/// A shape's wire form: its rank, then each dimension.
+fn put_dims(out: &mut Vec<u8>, dims: &[usize]) {
+    put_usize(out, dims.len());
+    for &d in dims {
+        put_usize(out, d);
+    }
 }
 
 /// The body of a tag-3 (f16 dense) compressed frame: tensor dims, then
@@ -294,11 +305,7 @@ pub(crate) fn put_string(out: &mut Vec<u8>, v: &str) {
 /// so tests can measure and decode the half frame without touching the
 /// process-global dtype.
 pub(crate) fn put_dense_f16(out: &mut Vec<u8>, t: &Tensor) {
-    let tdims = t.dims();
-    put_usize(out, tdims.len());
-    for &d in tdims {
-        put_usize(out, d);
-    }
+    put_dims(out, t.dims());
     let data = t.as_slice();
     put_usize(out, data.len());
     out.reserve(data.len() * 2);
@@ -339,11 +346,7 @@ pub fn decode_msg<T: WireMsg>(buf: &[u8]) -> Result<T, WireError> {
 
 impl WireMsg for Tensor {
     fn encode(&self, out: &mut Vec<u8>) {
-        let dims = self.dims();
-        put_usize(out, dims.len());
-        for &d in dims {
-            put_usize(out, d);
-        }
+        put_dims(out, self.dims());
         put_f32_slice(out, self.as_slice());
     }
 
@@ -360,11 +363,10 @@ impl WireMsg for Tensor {
             return fail("tensor dim");
         }
         let data = r.f32_vec("tensor data")?;
-        let shape = Shape::new(dims);
-        if data.len() != shape.len() {
+        if checked_len(&dims) != Some(data.len()) {
             return fail("tensor data length");
         }
-        Ok(Tensor::from_vec(data, shape))
+        Ok(Tensor::from_vec(data, Shape::new(dims)))
     }
 }
 
@@ -387,11 +389,7 @@ impl WireMsg for Vec<Tensor> {
 
 impl WireMsg for Compressed {
     fn encode(&self, out: &mut Vec<u8>) {
-        let dims = self.shape().dims();
-        put_usize(out, dims.len());
-        for &d in dims {
-            put_usize(out, d);
-        }
+        put_dims(out, self.shape().dims());
         match self.payload() {
             Payload::Dense(t) if wire_dtype() == WireDtype::F16 => {
                 put_u8(out, 3);
@@ -413,7 +411,7 @@ impl WireMsg for Compressed {
                 zero,
             } => {
                 put_u8(out, 2);
-                put_bytes(out, &codes.to_vec());
+                put_bytes(out, codes);
                 put_u8(out, *bits);
                 put_f32(out, *scale);
                 put_f32(out, *zero);
@@ -441,7 +439,7 @@ impl WireMsg for Compressed {
                 indices: r.u32_vec("sparse indices")?,
             },
             2 => Payload::Quantized {
-                codes: Bytes::copy_from_slice(&r.bytes("quantized codes")?),
+                codes: Bytes::from(r.bytes("quantized codes")?),
                 bits: r.u8("quantized bits")?,
                 scale: r.f32("quantized scale")?,
                 zero: r.f32("quantized zero")?,
@@ -474,11 +472,10 @@ impl WireMsg for Compressed {
                     .chunks_exact(2)
                     .map(|c| f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])))
                     .collect();
-                let tshape = Shape::new(tdims);
-                if data.len() != tshape.len() {
+                if checked_len(&tdims) != Some(data.len()) {
                     return fail("f16 tensor data length");
                 }
-                Payload::Dense(Tensor::from_vec(data, tshape))
+                Payload::Dense(Tensor::from_vec(data, Shape::new(tdims)))
             }
             _ => return fail("compressed payload tag"),
         };
@@ -767,5 +764,114 @@ mod tests {
         let mut extra = buf.clone();
         extra.push(0);
         assert!(decode_msg::<Tensor>(&extra).is_err());
+    }
+
+    #[test]
+    fn hostile_length_prefixes_are_typed_errors_never_panics() {
+        use crate::comm::RingMsg;
+        // Every place a decoder reads a count off the wire, fed counts
+        // whose `at + n` (or `n * 4`) overflows. A CRC-valid frame from
+        // a peer can carry any of these; the answer is always `Err`.
+        type Build = fn(&mut Vec<u8>, usize);
+        let tensor: Build = |out, n| {
+            put_dims(out, &[4]);
+            put_usize(out, n);
+            out.extend_from_slice(&[0u8; 16]);
+        };
+        let tensor_dims: Build = |out, n| {
+            put_dims(out, &[n, 4]);
+            put_f32_slice(out, &[0.0; 4]);
+        };
+        let tensor_list: Build = |out, n| put_usize(out, n);
+        let code_dense: Build = |out, n| {
+            put_dims(out, &[4]);
+            put_u8(out, 0);
+            put_dims(out, &[4]);
+            put_usize(out, n);
+            out.extend_from_slice(&[0u8; 16]);
+        };
+        let code_sparse_values: Build = |out, n| {
+            put_dims(out, &[4]);
+            put_u8(out, 1);
+            put_usize(out, n);
+            out.extend_from_slice(&[0u8; 32]);
+        };
+        let code_sparse_indices: Build = |out, n| {
+            put_dims(out, &[4]);
+            put_u8(out, 1);
+            put_f32_slice(out, &[1.0]);
+            put_usize(out, n);
+            out.extend_from_slice(&[0u8; 32]);
+        };
+        let code_quant: Build = |out, n| {
+            put_dims(out, &[4]);
+            put_u8(out, 2);
+            put_usize(out, n);
+            out.extend_from_slice(&[0u8; 32]);
+        };
+        let code_f16: Build = |out, n| {
+            put_dims(out, &[4]);
+            put_u8(out, 3);
+            put_dims(out, &[4]);
+            put_usize(out, n);
+            out.extend_from_slice(&[0u8; 8]);
+        };
+        let code_f16_dims: Build = |out, n| {
+            put_dims(out, &[4]);
+            put_u8(out, 3);
+            put_dims(out, &[n, 4]);
+            put_usize(out, 4);
+            out.extend_from_slice(&[0u8; 8]);
+        };
+        let codes = [
+            code_dense,
+            code_sparse_values,
+            code_sparse_indices,
+            code_quant,
+            code_f16,
+            code_f16_dims,
+        ];
+
+        // What precedes the payload in a gather hop / a ring chunk.
+        let gather = |tag: u8| {
+            let mut p = vec![0u8];
+            put_usize(&mut p, 1);
+            put_u8(&mut p, tag);
+            p
+        };
+        let chunk = |tag: u8| {
+            let mut p = vec![1u8, 0];
+            put_usize(&mut p, 0);
+            put_u8(&mut p, tag);
+            p
+        };
+
+        for n in [u64::MAX, u64::MAX / 4, 1 << 62] {
+            let n = n as usize;
+            let built = |build: Build, prefix: &[u8]| {
+                let mut buf = prefix.to_vec();
+                build(&mut buf, n);
+                buf
+            };
+            for build in [tensor, tensor_dims] {
+                assert!(decode_msg::<Tensor>(&built(build, &[])).is_err());
+                assert!(decode_msg::<RingMsg>(&built(build, &gather(1))).is_err());
+            }
+            for build in codes {
+                assert!(decode_msg::<Compressed>(&built(build, &[])).is_err());
+                assert!(decode_msg::<RingMsg>(&built(build, &gather(0))).is_err());
+                assert!(decode_msg::<RingMsg>(&built(build, &chunk(1))).is_err());
+            }
+            // Gather of gradients: the list length, then a tensor in it.
+            assert!(decode_msg::<Vec<Tensor>>(&built(tensor_list, &[])).is_err());
+            assert!(decode_msg::<RingMsg>(&built(tensor_list, &gather(2))).is_err());
+            let mut one_grad = gather(2);
+            put_usize(&mut one_grad, 1);
+            assert!(decode_msg::<RingMsg>(&built(tensor, &one_grad)).is_err());
+            // The dense-chunk length, and control-plane strings.
+            assert!(decode_msg::<RingMsg>(&built(tensor_list, &chunk(0))).is_err());
+            let hello = built(tensor_list, &[]);
+            assert!(Reader::new(&hello).read_string("hello").is_err());
+        }
     }
 }
