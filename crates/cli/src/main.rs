@@ -833,8 +833,8 @@ fn serve(args: &Args) {
         };
         let (_, stats, phase) = run_mode("load", batched_cfg, arrival);
         println!(
-            "batches: {} dispatched, size histogram {:?}",
-            stats.batches, stats.batch_hist
+            "batches: {} dispatched ({} with another in flight), size histogram {:?}",
+            stats.batches, stats.overlapped, stats.batch_hist
         );
         if let Some(phase) = &phase {
             print_phase_report(phase);
@@ -866,8 +866,8 @@ fn serve(args: &Args) {
     };
     println!(
         "speedup: {speedup:.2}x (continuous batching vs one-request-at-a-time), \
-         batch histogram {:?}",
-        batched_stats.batch_hist
+         {} of {} batches overlapped, batch histogram {:?}",
+        batched_stats.overlapped, batched_stats.batches, batched_stats.batch_hist
     );
     #[derive(serde::Serialize)]
     struct BenchConfig {
@@ -898,6 +898,7 @@ fn serve(args: &Args) {
         open: actcomp_runtime::LoadReport,
         speedup_batched_vs_serial: f64,
         batches: usize,
+        overlapped: usize,
         batch_hist: Vec<usize>,
         report: Option<actcomp_runtime::RuntimeReport>,
     }
@@ -927,6 +928,7 @@ fn serve(args: &Args) {
         open: open_lr,
         speedup_batched_vs_serial: speedup,
         batches: batched_stats.batches,
+        overlapped: batched_stats.overlapped,
         batch_hist: batched_stats.batch_hist.clone(),
         report: phase,
     };

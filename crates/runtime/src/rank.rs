@@ -16,7 +16,7 @@ use actcomp_distsim::schedule::gpipe_order;
 use actcomp_mp::CommBytes;
 use actcomp_nn::{Embedding, Layer, LayerNorm, LnCache, Parameter};
 use actcomp_tensor::{Tensor, Workspace};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 
 /// Commands the runtime broadcasts to every rank.
 #[derive(Debug, Clone)]
@@ -348,6 +348,74 @@ pub(crate) struct BoundaryReceiver {
     pub grad_tx: MsgTx<Tensor>,
 }
 
+/// What either boundary half does with the tensors of a fill or a
+/// drain, on its rank's own thread.
+pub(crate) trait BoundaryHalf {
+    /// Takes the next inbound tensor off the link, decoded.
+    fn pull(&mut self, timers: &mut PhaseTimers) -> Tensor;
+    /// Encodes and sends one outbound tensor; the wire bytes, where the
+    /// audit trace records them.
+    fn push(&mut self, x: Tensor, timers: &mut PhaseTimers) -> Option<usize>;
+}
+
+impl BoundaryHalf for BoundarySender {
+    /// Drain: a downstream gradient through the compressor backward.
+    fn pull(&mut self, timers: &mut PhaseTimers) -> Tensor {
+        let dy = timed(&mut timers.wire_s, || {
+            self.grad_rx.recv().expect("downstream stage hung up")
+        });
+        timed(&mut timers.encode_s, || self.comp.backward(&dy))
+    }
+
+    /// Fill: a compressed activation downstream.
+    fn push(&mut self, x: Tensor, timers: &mut PhaseTimers) -> Option<usize> {
+        let msg = timed(&mut timers.encode_s, || self.comp.compress(&x));
+        let wire = msg.wire_bytes(2);
+        self.bytes.add(CommBytes {
+            wire,
+            dense: x.len() * 2,
+        });
+        timed(&mut timers.wire_s, || {
+            self.tx
+                .send(FwdMsg::Activation(msg))
+                .expect("downstream stage hung up")
+        });
+        Some(wire)
+    }
+}
+
+impl BoundaryHalf for BoundaryReceiver {
+    /// Fill: an upstream activation, decompressed by the replica.
+    fn pull(&mut self, timers: &mut PhaseTimers) -> Tensor {
+        let msg = timed(&mut timers.wire_s, || {
+            self.rx.recv().expect("upstream stage hung up")
+        });
+        match msg {
+            FwdMsg::Activation(msg) => {
+                timed(&mut timers.decode_s, || self.replica.decompress(&msg))
+            }
+            FwdMsg::GradSync(_) => panic!("grad sync during forward"),
+        }
+    }
+
+    /// Drain: a dense gradient upstream.
+    fn push(&mut self, d: Tensor, timers: &mut PhaseTimers) -> Option<usize> {
+        timed(&mut timers.wire_s, || {
+            self.grad_tx.send(d).expect("upstream stage hung up")
+        });
+        None
+    }
+}
+
+/// The two passes of a step over the pipeline boundaries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// Forwards: activations flow downstream.
+    Fill,
+    /// Backwards: gradients flow upstream.
+    Drain,
+}
+
 /// Replicated first-stage embeddings with per-micro-batch caches.
 pub(crate) struct EmbeddingStage {
     pub tok: Embedding,
@@ -512,14 +580,6 @@ impl RankWorker {
         self.stage + 1 == self.pp
     }
 
-    /// Whether this step's boundary traffic runs on helper threads that
-    /// overlap ship/prefetch with the layer compute loop. Tracing forces
-    /// the inline path: the audit compares against program-order event
-    /// sequences, which overlap would reorder.
-    fn overlap_boundaries(&self) -> bool {
-        self.trace.is_none() && (self.send_b.is_some() || self.recv_b.is_some())
-    }
-
     /// The worker loop: block on commands until shutdown.
     pub fn run(mut self) {
         while let Ok(cmd) = self.cmd_rx.recv() {
@@ -665,38 +725,44 @@ impl RankWorker {
     /// micro-batch order.
     fn forward(&mut self, ids: &[usize], batch: usize, seq: usize) {
         let m = self.micro_batches;
-        self.run_forward(ids, batch, seq, m);
+        self.run_forward(ids, batch, seq, m, true);
         self.respond_forward_output();
     }
 
     /// Forward-only pass over a coalesced request batch: `micro`
     /// micro-batches (one per request) instead of the configured
-    /// training count, with every activation cache dropped afterwards —
-    /// no backward follows, and serving must not grow memory per
-    /// request.
+    /// training count, each releasing its activation caches as it ends —
+    /// no backward follows, so a batch works in one request's buffers
+    /// and serving does not grow memory per request.
     fn infer(&mut self, ids: &[usize], batch: usize, seq: usize, micro: usize) {
-        self.run_forward(ids, batch, seq, micro);
-        for layer in &mut self.layers {
-            layer.clear_caches(&mut self.ws);
-        }
-        if let Some(emb) = self.embedding.as_mut() {
-            emb.clear_caches(&mut self.ws);
-        }
+        self.run_forward(ids, batch, seq, micro, false);
         self.respond_forward_output();
     }
 
     /// Shared fill body for `forward` and `infer`: reset per-step
     /// ordinals, then run the schedule with `m` micro-batches.
-    fn run_forward(&mut self, ids: &[usize], batch: usize, seq: usize, m: usize) {
+    fn run_forward(&mut self, ids: &[usize], batch: usize, seq: usize, m: usize, keep: bool) {
         // A forward command starts a new step: collective and broadcast
         // ordinals restart so traces match the per-step static graph.
         self.tp.reset_step();
         self.bcast_seq = 0;
         self.fwd_out.clear();
-        if self.overlap_boundaries() {
-            self.forward_overlapped(ids, batch, seq, m);
-        } else {
-            self.forward_inline(ids, batch, seq, m);
+        let mb_batch = batch / m;
+        for mb in self.schedule(Pass::Fill, m) {
+            self.forward_mb(ids, mb, mb_batch, seq);
+            if !keep {
+                self.release_caches();
+            }
+        }
+    }
+
+    /// Recycles every cached forward activation into the arena.
+    fn release_caches(&mut self) {
+        for layer in &mut self.layers {
+            layer.clear_caches(&mut self.ws);
+        }
+        if let Some(emb) = self.embedding.as_mut() {
+            emb.clear_caches(&mut self.ws);
         }
     }
 
@@ -713,20 +779,10 @@ impl RankWorker {
         }
     }
 
-    /// The compute body of one forward micro-batch: embed or take the
-    /// boundary activation (`decoded`, already decompressed on stage
-    /// rank 0), broadcast it across the stage, run the owned layers, and
-    /// hand the result to `emit` (buffering on the last stage, shipping
-    /// across the boundary otherwise).
-    fn forward_mb_body(
-        &mut self,
-        ids: &[usize],
-        mb: usize,
-        mb_batch: usize,
-        seq: usize,
-        decoded: Option<Tensor>,
-        emit: &mut dyn FnMut(&mut Self, Tensor),
-    ) {
+    /// One forward micro-batch: embed or take the boundary activation,
+    /// broadcast it across the stage, run the owned layers, and buffer
+    /// the result on the last stage or push it across the boundary.
+    fn forward_mb(&mut self, ids: &[usize], mb: usize, mb_batch: usize, seq: usize) {
         let mut x = if let Some(emb) = self.embedding.as_mut() {
             let lo = mb * mb_batch * seq;
             let hi = lo + mb_batch * seq;
@@ -735,6 +791,7 @@ impl RankWorker {
             self.timers.compute_s += t0.elapsed().as_secs_f64();
             x
         } else {
+            let decoded = (self.tpi == 0).then(|| self.pull(Pass::Fill, mb));
             self.stage_broadcast(decoded)
         };
         for i in 0..self.layers.len() {
@@ -752,191 +809,90 @@ impl RankWorker {
         if self.is_last_stage() {
             self.fwd_out.push(x);
         } else if self.tpi == 0 {
-            emit(self, x);
+            self.push(Pass::Fill, mb, x);
         }
     }
 
-    /// Inline forward path: boundary receives/decodes and encode/sends
-    /// run on this thread, interleaved with compute (required under
-    /// tracing, and what every non-boundary rank runs).
-    fn forward_inline(&mut self, ids: &[usize], batch: usize, seq: usize, m: usize) {
-        let mb_batch = batch / m;
-        let order = gpipe_order(self.pp, m, self.stage);
-        for op in order.into_iter().filter(|o| !o.backward) {
-            let decoded = if self.embedding.is_none() && self.tpi == 0 {
-                self.trace_event(
-                    Dir::Recv,
-                    ChannelId::BoundaryFwd {
-                        boundary: self.stage - 1,
-                    },
-                    MsgId::Activation { mb: op.mb },
-                    None,
-                );
-                let b = self.recv_b.as_mut().expect("non-first stage receiver");
-                let msg = timed(&mut self.timers.wire_s, || {
-                    b.rx.recv().expect("upstream stage hung up")
-                });
-                let msg = match msg {
-                    FwdMsg::Activation(msg) => msg,
-                    FwdMsg::GradSync(_) => panic!("grad sync during forward"),
-                };
-                Some(timed(&mut self.timers.decode_s, || {
-                    b.replica.decompress(&msg)
-                }))
-            } else {
-                None
-            };
-            let stage = self.stage;
-            let trace = self.trace.clone();
-            self.forward_mb_body(ids, op.mb, mb_batch, seq, decoded, &mut |me, x| {
-                let b = me.send_b.as_mut().expect("non-final stage sender");
-                let msg = timed(&mut me.timers.encode_s, || b.comp.compress(&x));
-                b.bytes.add(CommBytes {
-                    wire: msg.wire_bytes(2),
-                    dense: x.len() * 2,
-                });
-                if let Some(trace) = &trace {
-                    trace.record(
-                        Dir::Send,
-                        ChannelId::BoundaryFwd { boundary: stage },
-                        MsgId::Activation { mb: op.mb },
-                        Some(msg.wire_bytes(2)),
-                    );
-                }
-                timed(&mut me.timers.wire_s, || {
-                    b.tx.send(FwdMsg::Activation(msg))
-                        .expect("downstream stage hung up")
-                });
-            });
-        }
+    /// Takes the next inbound boundary tensor of `pass` off the link,
+    /// decoded: through the receiving half in a fill, the sending one in
+    /// a drain.
+    fn pull(&mut self, pass: Pass, mb: usize) -> Tensor {
+        let sender = pass == Pass::Drain;
+        self.trace_boundary(Dir::Recv, pass, sender, mb, None);
+        let (half, timers) = self.half(sender);
+        half.pull(timers)
     }
 
-    /// Overlapped forward path (untraced boundary ranks): a prefetch
-    /// thread owns the receiving boundary half and decodes activations
-    /// ahead of the compute loop; a ship thread owns the sending half
-    /// and encodes/sends behind it. Compressor call order is unchanged
-    /// (both hand-offs are FIFO in micro-batch order), so results are
-    /// bitwise identical to the inline path.
-    fn forward_overlapped(&mut self, ids: &[usize], batch: usize, seq: usize, m: usize) {
-        let mb_batch = batch / m;
-        let order = gpipe_order(self.pp, m, self.stage);
-        let fwd_mbs: Vec<usize> = order
+    /// Encodes and sends one outbound boundary tensor of `pass`: through
+    /// the sending half in a fill, the receiving one in a drain.
+    fn push(&mut self, pass: Pass, mb: usize, x: Tensor) {
+        let sender = pass == Pass::Fill;
+        let (half, timers) = self.half(sender);
+        let bytes = half.push(x, timers);
+        self.trace_boundary(Dir::Send, pass, sender, mb, bytes);
+    }
+
+    /// This rank's sending or receiving boundary half, with the timers
+    /// its work is charged to.
+    fn half(&mut self, sender: bool) -> (&mut dyn BoundaryHalf, &mut PhaseTimers) {
+        let half: &mut dyn BoundaryHalf = if sender {
+            self.send_b.as_mut().expect("non-final stage sender")
+        } else {
+            self.recv_b.as_mut().expect("non-first stage receiver")
+        };
+        (half, &mut self.timers)
+    }
+
+    /// Records micro-batch `mb`'s boundary event of this pass on the
+    /// sending half's boundary (this stage's) or the receiving half's
+    /// (the previous stage's).
+    fn trace_boundary(&self, dir: Dir, pass: Pass, sender: bool, mb: usize, bytes: Option<usize>) {
+        let Some(trace) = &self.trace else { return };
+        let boundary = if sender { self.stage } else { self.stage - 1 };
+        let (channel, msg) = match pass {
+            Pass::Fill => (
+                ChannelId::BoundaryFwd { boundary },
+                MsgId::Activation { mb },
+            ),
+            Pass::Drain => (ChannelId::BoundaryGrad { boundary }, MsgId::Grad { mb }),
+        };
+        trace.record(dir, channel, msg, bytes);
+    }
+
+    /// This stage's micro-batches for one pass, in the shared schedule's
+    /// order.
+    fn schedule(&self, pass: Pass, m: usize) -> Vec<usize> {
+        gpipe_order(self.pp, m, self.stage)
             .into_iter()
-            .filter(|o| !o.backward)
+            .filter(|o| o.backward == (pass == Pass::Drain))
             .map(|o| o.mb)
-            .collect();
-        let n_fwd = fwd_mbs.len();
-        let send_b = self.send_b.take();
-        let recv_b = self.recv_b.take();
-        let (ship_tx, ship_rx) = channel::<Tensor>();
-        let (dec_tx, dec_rx) = channel::<Tensor>();
-
-        let (send_b, recv_b) = std::thread::scope(|s| {
-            let ship = send_b.map(|mut b| {
-                s.spawn(move || {
-                    let mut timers = PhaseTimers::default();
-                    for x in ship_rx {
-                        let msg = timed(&mut timers.encode_s, || b.comp.compress(&x));
-                        b.bytes.add(CommBytes {
-                            wire: msg.wire_bytes(2),
-                            dense: x.len() * 2,
-                        });
-                        timed(&mut timers.wire_s, || {
-                            b.tx.send(FwdMsg::Activation(msg))
-                                .expect("downstream stage hung up")
-                        });
-                    }
-                    (b, timers)
-                })
-            });
-            let prefetch = recv_b.map(|b| {
-                s.spawn(move || {
-                    let mut timers = PhaseTimers::default();
-                    for _ in 0..n_fwd {
-                        let msg = timed(&mut timers.wire_s, || {
-                            b.rx.recv().expect("upstream stage hung up")
-                        });
-                        let msg = match msg {
-                            FwdMsg::Activation(msg) => msg,
-                            FwdMsg::GradSync(_) => panic!("grad sync during forward"),
-                        };
-                        let dec = timed(&mut timers.decode_s, || b.replica.decompress(&msg));
-                        if dec_tx.send(dec).is_err() {
-                            break;
-                        }
-                    }
-                    (b, timers)
-                })
-            });
-
-            for &mb in &fwd_mbs {
-                let decoded = if self.embedding.is_none() && self.tpi == 0 {
-                    Some(timed(&mut self.timers.wire_s, || {
-                        dec_rx.recv().expect("upstream stage hung up")
-                    }))
-                } else {
-                    None
-                };
-                self.forward_mb_body(ids, mb, mb_batch, seq, decoded, &mut |_, x| {
-                    ship_tx.send(x).expect("boundary ship thread hung up");
-                });
-            }
-            drop(ship_tx);
-            let mut merge = |j: Option<std::thread::ScopedJoinHandle<'_, (_, PhaseTimers)>>| match j
-            {
-                Some(h) => {
-                    let (b, t) = h.join().expect("boundary helper thread");
-                    self.timers.add(&t);
-                    Some(b)
-                }
-                None => None,
-            };
-            let send_b = merge(ship);
-            let recv_b = match prefetch {
-                Some(h) => {
-                    let (b, t) = h.join().expect("boundary helper thread");
-                    self.timers.add(&t);
-                    Some(b)
-                }
-                None => None,
-            };
-            (send_b, recv_b)
-        });
-        self.send_b = send_b;
-        self.recv_b = recv_b;
+            .collect()
     }
 
     /// GPipe drain: run this stage's backwards in the shared schedule's
     /// (reversed) micro-batch order, then ring-sync compressor grads and
     /// forward the boundary grads to the decode replicas.
     fn backward(&mut self, dhidden: &Tensor) {
-        if self.overlap_boundaries() {
-            self.backward_overlapped(dhidden);
-        } else {
-            self.backward_inline(dhidden);
+        let m = self.micro_batches;
+        let mb_rows = dhidden.dims()[0] / m;
+        for mb in self.schedule(Pass::Drain, m) {
+            self.backward_mb(dhidden, mb, mb_rows);
         }
         self.post_drain_sync();
         self.done();
     }
 
-    /// The compute body of one backward micro-batch: seed the gradient
-    /// (output slice on the last stage, `incoming` elsewhere), broadcast
-    /// across the stage, run the owned layers in reverse, and hand the
-    /// upstream-bound gradient to `emit` (embedding backward on stage 0,
-    /// boundary ship otherwise).
-    fn backward_mb_body(
-        &mut self,
-        dhidden: &Tensor,
-        mb: usize,
-        mb_rows: usize,
-        incoming: Option<Tensor>,
-        emit: &mut dyn FnMut(&mut Self, Tensor),
-    ) {
+    /// One backward micro-batch: seed the gradient (output slice on the
+    /// last stage, the boundary gradient elsewhere), broadcast across
+    /// the stage, run the owned layers in reverse, and finish with the
+    /// embedding backward on stage 0 or the upstream boundary push.
+    fn backward_mb(&mut self, dhidden: &Tensor, mb: usize, mb_rows: usize) {
         let mut d = if self.is_last_stage() {
             timed(&mut self.timers.compute_s, || {
                 dhidden.slice_rows(mb * mb_rows, (mb + 1) * mb_rows)
             })
         } else {
+            let incoming = (self.tpi == 0).then(|| self.pull(Pass::Drain, mb));
             self.stage_broadcast(incoming)
         };
         for i in (0..self.layers.len()).rev() {
@@ -956,143 +912,12 @@ impl RankWorker {
             emb.backward_mb(d_ref, ws);
             self.timers.compute_s += t0.elapsed().as_secs_f64();
         } else if self.tpi == 0 {
-            emit(self, d);
+            self.push(Pass::Drain, mb, d);
         }
-    }
-
-    /// Inline drain path (required under tracing; what non-boundary
-    /// ranks always run).
-    fn backward_inline(&mut self, dhidden: &Tensor) {
-        let m = self.micro_batches;
-        let rows = dhidden.dims()[0];
-        let mb_rows = rows / m;
-        let order = gpipe_order(self.pp, m, self.stage);
-        for op in order.into_iter().filter(|o| o.backward) {
-            let incoming = if !self.is_last_stage() && self.tpi == 0 {
-                self.trace_event(
-                    Dir::Recv,
-                    ChannelId::BoundaryGrad {
-                        boundary: self.stage,
-                    },
-                    MsgId::Grad { mb: op.mb },
-                    None,
-                );
-                let b = self.send_b.as_mut().expect("non-final stage sender");
-                let dy = timed(&mut self.timers.wire_s, || {
-                    b.grad_rx.recv().expect("downstream stage hung up")
-                });
-                Some(timed(&mut self.timers.encode_s, || b.comp.backward(&dy)))
-            } else {
-                None
-            };
-            let stage = self.stage;
-            let trace = self.trace.clone();
-            self.backward_mb_body(dhidden, op.mb, mb_rows, incoming, &mut |me, d| {
-                if let Some(trace) = &trace {
-                    trace.record(
-                        Dir::Send,
-                        ChannelId::BoundaryGrad {
-                            boundary: stage - 1,
-                        },
-                        MsgId::Grad { mb: op.mb },
-                        None,
-                    );
-                }
-                let b = me.recv_b.as_mut().expect("non-first stage receiver");
-                timed(&mut me.timers.wire_s, || {
-                    b.grad_tx.send(d).expect("upstream stage hung up")
-                });
-            });
-        }
-    }
-
-    /// Overlapped drain path: a prefetch thread owns the sending
-    /// boundary half, receiving downstream gradients and running the
-    /// compressor backward ahead of the compute loop; a ship thread owns
-    /// the receiving half and sends upstream gradients behind it. FIFO
-    /// hand-offs keep the compressor call order identical to inline.
-    fn backward_overlapped(&mut self, dhidden: &Tensor) {
-        let m = self.micro_batches;
-        let rows = dhidden.dims()[0];
-        let mb_rows = rows / m;
-        let order = gpipe_order(self.pp, m, self.stage);
-        let bwd_mbs: Vec<usize> = order
-            .into_iter()
-            .filter(|o| o.backward)
-            .map(|o| o.mb)
-            .collect();
-        let n_bwd = bwd_mbs.len();
-        let send_b = self.send_b.take();
-        let recv_b = self.recv_b.take();
-        let (grad_out_tx, grad_out_rx) = channel::<Tensor>();
-        let (grad_in_tx, grad_in_rx) = channel::<Tensor>();
-
-        let (send_b, recv_b) = std::thread::scope(|s| {
-            let prefetch = send_b.map(|mut b| {
-                s.spawn(move || {
-                    let mut timers = PhaseTimers::default();
-                    for _ in 0..n_bwd {
-                        let dy = timed(&mut timers.wire_s, || {
-                            b.grad_rx.recv().expect("downstream stage hung up")
-                        });
-                        let d = timed(&mut timers.encode_s, || b.comp.backward(&dy));
-                        if grad_in_tx.send(d).is_err() {
-                            break;
-                        }
-                    }
-                    (b, timers)
-                })
-            });
-            let ship = recv_b.map(|b| {
-                s.spawn(move || {
-                    let mut timers = PhaseTimers::default();
-                    for d in grad_out_rx {
-                        timed(&mut timers.wire_s, || {
-                            b.grad_tx.send(d).expect("upstream stage hung up")
-                        });
-                    }
-                    (b, timers)
-                })
-            });
-
-            for &mb in &bwd_mbs {
-                let incoming = if !self.is_last_stage() && self.tpi == 0 {
-                    Some(timed(&mut self.timers.wire_s, || {
-                        grad_in_rx.recv().expect("downstream stage hung up")
-                    }))
-                } else {
-                    None
-                };
-                self.backward_mb_body(dhidden, mb, mb_rows, incoming, &mut |_, d| {
-                    grad_out_tx.send(d).expect("boundary ship thread hung up");
-                });
-            }
-            drop(grad_out_tx);
-            let send_b = match prefetch {
-                Some(h) => {
-                    let (b, t) = h.join().expect("boundary helper thread");
-                    self.timers.add(&t);
-                    Some(b)
-                }
-                None => None,
-            };
-            let recv_b = match ship {
-                Some(h) => {
-                    let (b, t) = h.join().expect("boundary helper thread");
-                    self.timers.add(&t);
-                    Some(b)
-                }
-                None => None,
-            };
-            (send_b, recv_b)
-        });
-        self.send_b = send_b;
-        self.recv_b = recv_b;
     }
 
     /// Post-drain synchronization, in the serial executor's order:
-    /// per-layer compressor grads first, then boundary replicas. Runs
-    /// with both boundary halves restored to this thread.
+    /// per-layer compressor grads first, then boundary replicas.
     fn post_drain_sync(&mut self) {
         for layer in &mut self.layers {
             layer.sync_compressor_grads(&mut self.tp, &mut self.timers);

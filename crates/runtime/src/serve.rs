@@ -7,15 +7,23 @@
 //! - clients submit fixed-length requests through a cloneable
 //!   [`ServeHandle`] and get back a [`Ticket`] they can wait on;
 //! - a dispatcher thread coalesces queued requests into engine batches
-//!   of up to [`ServeConfig::max_batch`] requests, waiting at most
-//!   [`ServeConfig::batch_window`] to fill a batch beyond the first
-//!   arrival;
+//!   of up to [`ServeConfig::max_batch`] requests under one admission
+//!   rule: every member of a batch is awaited until the
+//!   [`ServeConfig::batch_window`] deadline, which opens at the batch's
+//!   first arrival when nothing is in flight and the moment a slot frees
+//!   when something is — so the window bounds both the fill time of a
+//!   batch and the wait for the first member of the next one, and the
+//!   dispatcher blocks indefinitely only on an idle engine. A batch that
+//!   closes on its deadline has seen the queue empty, so the dispatcher
+//!   retires next instead of opening another window: a lone request
+//!   costs one window plus its service time, never two windows;
 //! - each request runs as its **own micro-batch** of the GPipe fill, so
 //!   the per-request arithmetic — every GEMM shape, every collective,
 //!   every compressor call — is identical to running the request alone.
 //!   Batching changes throughput, not bits (test-enforced);
 //! - with [`ServeConfig::depth`] ≥ 2 the dispatcher submits the next
-//!   batch while the current one computes (command channels buffer), so
+//!   batch while the current one computes (command channels buffer;
+//!   [`ServeStats::overlapped`] counts how often it managed to), so
 //!   stage 0 starts batch *N + 1* the moment its last micro-batch of
 //!   batch *N* retires instead of waiting for the whole pipeline to
 //!   drain — new arrivals enter at micro-batch boundaries, which is
@@ -30,8 +38,9 @@
 //! The module also ships the synthetic load generator behind
 //! `actcomp serve --bench`: closed-loop (a fixed set of clients, each
 //! submitting its next request when the previous completes) and
-//! open-loop (fixed-rate arrivals independent of completions) drivers
-//! that measure throughput and p50/p95/p99 latency.
+//! open-loop (fixed-rate arrivals independent of completions, each
+//! timed from the instant it was due) drivers that measure throughput
+//! and p50/p95/p99 latency.
 //!
 //! One sharp edge worth stating: with error feedback enabled the
 //! boundary compressors carry residual state across calls, so outputs
@@ -50,7 +59,7 @@ use actcomp_tensor::Tensor;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -176,8 +185,21 @@ impl From<ProcsError> for ServeError {
 pub struct ServeConfig {
     /// Most requests coalesced into one engine batch.
     pub max_batch: usize,
-    /// How long the dispatcher waits to fill a batch beyond the first
-    /// queued request. Zero dispatches whatever is queued immediately.
+    /// The admission deadline. With nothing in flight it opens at a
+    /// batch's first arrival and bounds how long the batch waits to
+    /// fill; with a batch in flight it opens the moment a slot frees and
+    /// also bounds the wait for the next batch's first member — and so
+    /// how long the retire of the oldest batch can be held back. A batch
+    /// that closes on the deadline (the queue ran dry) is followed by a
+    /// retire, not by a second window, so an isolated request waits one
+    /// window plus its service time.
+    ///
+    /// Zero never waits: it dispatches whatever is already queued, up to
+    /// `max_batch`. **Behaviour change:** before the one-rule dispatcher
+    /// a zero window closed every batch after its first request (one
+    /// request per batch however many were queued), which contradicted
+    /// this sentence; callers that want one request per batch set
+    /// `max_batch = 1`.
     pub batch_window: Duration,
     /// Engine batches in flight at once. `2` overlaps admission of the
     /// next batch with the current one (continuous batching); `1`
@@ -205,14 +227,18 @@ pub struct ServeStats {
     pub failed: usize,
     /// Engine batches dispatched.
     pub batches: usize,
+    /// Batches dispatched while at least one other was still in flight:
+    /// how often the engine actually ran more than one batch deep.
+    pub overlapped: usize,
     /// `batch_hist[i]` = batches that coalesced exactly `i + 1`
     /// requests.
     pub batch_hist: Vec<usize>,
 }
 
 impl ServeStats {
-    fn record_batch(&mut self, n: usize) {
+    fn record_batch(&mut self, n: usize, overlapped: bool) {
         self.batches += 1;
+        self.overlapped += usize::from(overlapped);
         if self.batch_hist.len() < n {
             self.batch_hist.resize(n, 0);
         }
@@ -397,53 +423,37 @@ fn dispatch(
     let mut closed = false;
 
     loop {
-        // Admit while there is capacity and demand. Block only when
-        // nothing is in flight — with work computing, a missing next
-        // batch costs nothing, so only take what is already queued.
-        while !closed && inflight.len() < cfg.depth {
+        // Admit while there is capacity. One rule for every member of a
+        // batch: wait for it until the batch-window deadline. With work
+        // in flight the window opens now, so a free slot never commits
+        // to a blocking retire while the client it just answered is
+        // still submitting, and a retire is never held back by more
+        // than one window; with nothing in flight there is nothing to
+        // retire, and the window opens at the first arrival.
+        let mut ran_dry = false;
+        while !closed && !ran_dry && inflight.len() < cfg.depth {
             let mut batch: Vec<Request> = Vec::new();
-            if inflight.is_empty() {
-                match rx.recv() {
-                    Ok(Msg::Req(r)) => batch.push(r),
-                    Ok(Msg::Stop) | Err(_) => {
-                        closed = true;
+            let mut deadline = (!inflight.is_empty()).then(|| Instant::now() + cfg.batch_window);
+            while batch.len() < cfg.max_batch && !closed {
+                let msg = match deadline {
+                    None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                    // A spent window still takes what is already queued.
+                    Some(d) => rx.recv_timeout(d.saturating_duration_since(Instant::now())),
+                };
+                match msg {
+                    Ok(Msg::Req(r)) => {
+                        batch.push(r);
+                        deadline.get_or_insert_with(|| Instant::now() + cfg.batch_window);
+                    }
+                    Ok(Msg::Stop) | Err(RecvTimeoutError::Disconnected) => closed = true,
+                    // The queue was empty at the deadline: whatever was
+                    // admitted goes out, and the next stop is the retire —
+                    // a second window on top of this one would only hold
+                    // back replies nobody is queueing behind.
+                    Err(RecvTimeoutError::Timeout) => {
+                        ran_dry = true;
                         break;
                     }
-                }
-            }
-            // Coalesce: wait up to the batch window for followers once
-            // a first request is in hand; with batches computing, just
-            // drain what is queued without waiting.
-            let deadline = Instant::now() + cfg.batch_window;
-            while batch.len() < cfg.max_batch && !closed {
-                let next = if batch.is_empty() {
-                    match rx.try_recv() {
-                        Ok(m) => Some(m),
-                        Err(TryRecvError::Empty) => None,
-                        Err(TryRecvError::Disconnected) => {
-                            closed = true;
-                            None
-                        }
-                    }
-                } else {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        None
-                    } else {
-                        match rx.recv_timeout(deadline - now) {
-                            Ok(m) => Some(m),
-                            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => None,
-                            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                                closed = true;
-                                None
-                            }
-                        }
-                    }
-                };
-                match next {
-                    Some(Msg::Req(r)) => batch.push(r),
-                    Some(Msg::Stop) => closed = true,
-                    None => break,
                 }
             }
             if batch.is_empty() {
@@ -452,7 +462,10 @@ fn dispatch(
             let ids: Vec<usize> = batch.iter().flat_map(|r| r.ids.iter().copied()).collect();
             match backend.infer_submit(&ids, batch.len(), seq) {
                 Ok(()) => {
-                    stats.lock().expect("stats lock").record_batch(batch.len());
+                    stats
+                        .lock()
+                        .expect("stats lock")
+                        .record_batch(batch.len(), !inflight.is_empty());
                     inflight.push_back(batch);
                 }
                 Err(e) => {
@@ -618,6 +631,31 @@ fn synth_request(rng: &mut ChaCha8Rng, seq: usize, vocab: usize) -> Vec<usize> {
     (0..seq).map(|_| rng.gen_range(0..vocab)).collect()
 }
 
+/// The open loop's pacing: request `i` is due `i` gaps after the start
+/// whether or not the submitter kept up, and goes to `sink` stamped
+/// with that due instant — so a latency timed from it includes the
+/// sleep's overshoot and any stall of `submit`, the wait a late request
+/// really saw. A missed due time is never waited for: a stall is
+/// followed by a burst. Stops early when `sink` returns `false`.
+fn pace_open<T>(
+    requests: usize,
+    gap: Duration,
+    mut submit: impl FnMut() -> T,
+    mut sink: impl FnMut(Instant, T) -> bool,
+) {
+    let mut due = Instant::now();
+    for _ in 0..requests {
+        let now = Instant::now();
+        if due > now {
+            std::thread::sleep(due - now);
+        }
+        if !sink(due, submit()) {
+            break;
+        }
+        due += gap;
+    }
+}
+
 /// Drives `engine` with synthetic traffic and measures throughput and
 /// latency. Closed-loop mode spawns the client threads; open-loop mode
 /// paces arrivals from a single submitter with a collector draining
@@ -673,32 +711,124 @@ pub fn run_load(engine: &ServeEngine, lcfg: &LoadConfig) -> LoadReport {
                 let (seed, vocab) = (lcfg.seed, lcfg.vocab);
                 s.spawn(move || {
                     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x09e1);
-                    let mut next = Instant::now();
-                    for _ in 0..requests {
-                        let now = Instant::now();
-                        if next > now {
-                            std::thread::sleep(next - now);
-                        }
-                        let ids = synth_request(&mut rng, seq, vocab);
-                        let start = Instant::now();
-                        let ticket = handle.submit(ids);
-                        if tk_tx.send((start, ticket)).is_err() {
-                            break;
-                        }
-                        next += gap;
-                    }
+                    pace_open(
+                        requests,
+                        gap,
+                        || handle.submit(synth_request(&mut rng, seq, vocab)),
+                        |due, ticket| tk_tx.send((due, ticket)).is_ok(),
+                    );
                 });
                 // Collector: completion instants come from the
                 // dispatcher, so FIFO draining does not distort
                 // latency.
-                for (start, ticket) in tk_rx {
+                for (due, ticket) in tk_rx {
                     match ticket.wait_at() {
-                        Ok((_, done)) => latencies.push((done - start).as_secs_f64()),
+                        Ok((_, done)) => latencies.push((done - due).as_secs_f64()),
                         Err(_) => failed += 1,
                     }
                 }
             });
             summarize(&mut latencies, failed, t0.elapsed())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use actcomp_compress::plan::CompressionPlan;
+    use actcomp_mp::MpConfig;
+    use actcomp_nn::BertConfig;
+
+    /// A submit step that stalls puts every request behind it late; a
+    /// latency timed from the due instant says by how much. Each fake
+    /// request completes the moment it is submitted, so its latency is
+    /// exactly how far behind schedule it went out.
+    #[test]
+    fn open_loop_latencies_include_how_late_a_request_went_out() {
+        let gap = Duration::from_millis(2);
+        let stall = Duration::from_millis(40);
+        let mut i = 0usize;
+        let mut late: Vec<Duration> = Vec::new();
+        pace_open(
+            30,
+            gap,
+            || {
+                if i == 3 {
+                    std::thread::sleep(stall);
+                }
+                i += 1;
+                Instant::now()
+            },
+            |due, done| {
+                late.push(done.saturating_duration_since(due));
+                true
+            },
+        );
+        assert_eq!(late.len(), 30);
+        // Requests 4.. were due during the stall and went out in a burst
+        // after it: request 3 + k is still `stall − k · gap` behind.
+        for k in 1..=4u32 {
+            let behind = late[3 + k as usize];
+            assert!(
+                behind >= stall - gap * k,
+                "request {} reports {behind:?} of a {stall:?} stall",
+                3 + k
+            );
+        }
+        // The schedule itself did not slip: the tail, due after the
+        // stall ended, is back on time.
+        assert!(late[29] < stall / 2, "schedule slipped: {:?}", late[29]);
+    }
+
+    /// `batch_window = 0` takes whatever is queued and never waits: a
+    /// queue filled before the dispatcher runs drains in full batches.
+    #[test]
+    fn zero_window_drains_a_filled_queue_in_full_batches() {
+        const SEQ: usize = 4;
+        let cfg = ServeConfig {
+            max_batch: 4,
+            batch_window: Duration::ZERO,
+            depth: 2,
+        };
+        let rc = RuntimeConfig {
+            mp: MpConfig {
+                bert: BertConfig {
+                    vocab: 16,
+                    hidden: 8,
+                    layers: 2,
+                    heads: 2,
+                    ff_hidden: 16,
+                    max_seq: SEQ,
+                },
+                tp: 1,
+                pp: 2,
+                plan: CompressionPlan::none(),
+                tokens: SEQ,
+                error_feedback: false,
+            },
+            micro_batches: 1,
+            tuning: None,
+            trace: false,
+        };
+        let rt = ThreadedRuntime::new(&mut ChaCha8Rng::seed_from_u64(5), rc).expect("engine");
+        let (tx, rx) = channel::<Msg>();
+        let handle = ServeHandle { tx, seq: SEQ };
+        let tickets: Vec<Ticket> = (0..3 * cfg.max_batch + 1)
+            .map(|i| handle.submit(vec![i % 16; SEQ]))
+            .collect();
+        handle.tx.send(Msg::Stop).expect("queue open");
+        let stats = Arc::new(Mutex::new(ServeStats::default()));
+        dispatch(ServeBackend::Threads(rt), cfg, SEQ, rx, Arc::clone(&stats));
+        for t in tickets {
+            t.wait().expect("request served");
+        }
+        let st = stats.lock().expect("stats lock");
+        assert_eq!(
+            st.batch_hist,
+            vec![1, 0, 0, 3],
+            "three full batches, one of 1"
+        );
+        assert_eq!((st.completed, st.failed), (13, 0));
     }
 }

@@ -15,7 +15,7 @@ use actcomp_mp::MpConfig;
 use actcomp_net::{mpsc_world, SocketOptions, SocketTransport, Transport, TransportKind};
 use actcomp_nn::{BertConfig, BertEncoder};
 use actcomp_runtime::{
-    RuntimeConfig, ServeBackend, ServeConfig, ServeEngine, ServeError, ThreadedRuntime,
+    RuntimeConfig, ServeBackend, ServeConfig, ServeEngine, ServeError, ServeStats, ThreadedRuntime,
 };
 use actcomp_tensor::Tensor;
 use rand::SeedableRng;
@@ -251,4 +251,96 @@ fn zero_batch_or_depth_is_rejected() {
         .expect("invalid config rejected");
         assert!(matches!(err, ServeError::BadRequest { .. }));
     }
+}
+
+/// One thread holding `tickets` requests outstanding until `batches`
+/// engine batches have gone out; the final counters.
+fn closed_loop(depth: usize, tickets: usize, batches: usize) -> ServeStats {
+    let serve = ServeEngine::start(
+        ServeBackend::Threads(engine(
+            cfg(1, 2, CompressionPlan::none(), false),
+            Wiring::Typed,
+        )),
+        ServeConfig {
+            max_batch: 4,
+            // Long enough that a loaded box cannot miss it; a closed
+            // loop fills the batch long before it runs out.
+            batch_window: Duration::from_millis(5),
+            depth,
+        },
+    )
+    .expect("engine starts");
+    let handle = serve.handle();
+    let mut outstanding = std::collections::VecDeque::new();
+    while serve.stats().batches < batches {
+        while outstanding.len() < tickets {
+            outstanding.push_back(handle.submit(vec![3; SEQ]));
+        }
+        let oldest = outstanding.pop_front().expect("window is full");
+        oldest.wait().expect("request completes");
+    }
+    for t in outstanding {
+        t.wait().expect("request completes");
+    }
+    serve.finish().0
+}
+
+#[test]
+fn a_closed_loop_two_batches_wide_keeps_the_pipeline_two_deep() {
+    let stats = closed_loop(2, 8, 100);
+    assert!(stats.batches >= 100);
+    assert!(
+        stats.overlapped * 10 >= (stats.batches - 1) * 8,
+        "{} of {} batches went out with another in flight",
+        stats.overlapped,
+        stats.batches
+    );
+    // The depth came from overlap, not from smaller batches.
+    let full = stats.batch_hist.get(3).copied().unwrap_or(0);
+    assert!(
+        full * 10 >= stats.batches * 8,
+        "batch sizes {:?}",
+        stats.batch_hist
+    );
+}
+
+#[test]
+fn depth_one_never_overlaps_batches() {
+    let stats = closed_loop(1, 8, 20);
+    assert!(stats.batches >= 20);
+    assert_eq!(stats.overlapped, 0);
+}
+
+/// An isolated request waits one batch window to fill and is then
+/// retired as soon as it is computed: the free second slot does not
+/// open another window on top of the first.
+#[test]
+fn a_lone_request_waits_one_window_not_two() {
+    // Far above the service time of the tiny model (well under 10 ms
+    // even on a loaded box), so two windows and one are 100 ms apart.
+    let window = Duration::from_millis(100);
+    let serve = ServeEngine::start(
+        ServeBackend::Threads(engine(
+            cfg(1, 2, CompressionPlan::none(), false),
+            Wiring::Typed,
+        )),
+        ServeConfig {
+            max_batch: 4,
+            batch_window: window,
+            depth: 2,
+        },
+    )
+    .expect("engine starts");
+    let t0 = std::time::Instant::now();
+    let (_, done) = serve
+        .handle()
+        .submit(vec![3; SEQ])
+        .wait_at()
+        .expect("request completes");
+    let latency = done - t0;
+    assert!(latency >= window, "the batch waited to fill: {latency:?}");
+    assert!(
+        latency < window + window / 2,
+        "a second window held the reply back: {latency:?}"
+    );
 }
