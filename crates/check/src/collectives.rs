@@ -243,6 +243,31 @@ mod tests {
     }
 
     #[test]
+    fn distsim_chain_cost_is_the_busiest_rank_of_the_executed_schedule() {
+        use actcomp_distsim::collective::chain_allreduce_egress;
+        let chunk_bytes = 96;
+        for p in [2usize, 3, 4, 8] {
+            for chunks in [1usize, 4, 5] {
+                let busiest = (0..p)
+                    .map(|r| {
+                        chunk_ring_steps(r, p, chunks, DEFAULT_PIPELINE_DEPTH)
+                            .into_iter()
+                            .flat_map(RingStep::wire)
+                            .filter(|&(dir, ..)| dir == Dir::Send)
+                            .count()
+                    })
+                    .max()
+                    .expect("p ranks");
+                assert_eq!(
+                    (busiest * chunk_bytes) as f64,
+                    chain_allreduce_egress(p, (chunks * chunk_bytes) as f64),
+                    "p={p} chunks={chunks}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn absent_fields_are_clean() {
         let mut diags = Diagnostics::new();
         check_chunk_rows_field(None, &mut diags);

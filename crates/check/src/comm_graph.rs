@@ -723,10 +723,10 @@ pub fn build_comm_graph(cfg: &ExperimentConfig) -> Option<CommGraph> {
                     g.bcast_point();
                 }
                 for _l in (lo..hi).rev() {
-                    // Feed-forward input-grad reduce, then the fused
-                    // dQ/dK/dV reduce.
+                    // Feed-forward input-grad reduce, then the QKV
+                    // input-grad reduce (dQ/dK/dV folded on the rank).
                     g.dense_ar(mb_tokens);
-                    g.dense_ar(3 * mb_tokens);
+                    g.dense_ar(mb_tokens);
                 }
                 if stage > 0 && tpi == 0 {
                     g.push(

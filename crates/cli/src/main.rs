@@ -188,6 +188,10 @@ fn comm_check(cfg: &ExperimentConfig) {
             graph.message_count(),
             graph.channel_count()
         );
+        // What each rank's collectives will send per step — the number a
+        // run's `ring_bytes.wire` must equal (CI holds the smoke run to it).
+        let ring_wire: Vec<usize> = graph.expected.iter().map(|e| e.ring_wire).collect();
+        println!("comm: predicted ring wire bytes per step, by rank: {ring_wire:?}");
     } else {
         println!("{}", render_report(&diags));
         if diags.iter().any(|d| d.severity == Severity::Error) {

@@ -20,6 +20,7 @@
 //! Optimizer rates come from dividing the measured optimizer column by the
 //! per-GPU parameter count.
 
+use crate::collective::chain_allreduce_egress;
 use crate::hardware::{GpuSpec, LinkSpec};
 
 /// Effective per-round link latency implied by a measured tiny-payload
@@ -58,10 +59,13 @@ pub fn calibrate_link_latency(link: &LinkSpec, measured_round_latency_s: f64) ->
 /// On loopback there is no wire: the whole per-byte cost is the socket
 /// stack (syscalls, kernel copies, framing) time-shared across the rank
 /// threads. Subtracting the α term leaves the byte-proportional part;
-/// dividing the ring model's moved bytes (`2(p−1)/p · payload`) by it
-/// gives a bandwidth the analytic model can treat like any other link
-/// rate. Returns `INFINITY` when the measurement is latency-dominated
-/// (nothing byte-proportional to calibrate) or `p <= 1`.
+/// dividing the bytes the busiest rank sent under the measured
+/// collective's schedule ([`chain_allreduce_egress`] — the runtime's
+/// chain-reduce → ring-broadcast) by it gives a bandwidth
+/// [`chain_allreduce_time`](crate::collective::chain_allreduce_time)
+/// can treat like any other link rate. Returns `INFINITY` when the
+/// measurement is latency-dominated (nothing byte-proportional to
+/// calibrate) or `p <= 1`.
 pub fn host_bandwidth_from_allreduce(
     p: usize,
     payload_bytes: f64,
@@ -75,7 +79,7 @@ pub fn host_bandwidth_from_allreduce(
     if byte_time <= 0.0 {
         return f64::INFINITY;
     }
-    2.0 * (p as f64 - 1.0) / p as f64 * payload_bytes / byte_time
+    chain_allreduce_egress(p, payload_bytes) / byte_time
 }
 
 /// Calibrated loopback link: measured per-round latency, and bandwidth
@@ -153,7 +157,7 @@ mod tests {
             compressed_collective_overhead: 0.0,
         };
         let (p, payload) = (4usize, 1e6);
-        let measured = crate::collective::allreduce_time(&base, p, payload as usize);
+        let measured = crate::collective::chain_allreduce_time(&base, p, payload as usize);
         let bw = host_bandwidth_from_allreduce(p, payload, measured, base.latency);
         assert!(
             (bw - base.pair_bandwidth).abs() / base.pair_bandwidth < 1e-9,

@@ -19,6 +19,35 @@ pub fn allreduce_time(link: &LinkSpec, p: usize, bytes: usize) -> f64 {
     2.0 * (p as f64 - 1.0) * link.latency + moved / link.effective_bandwidth(p)
 }
 
+/// Bytes the busiest rank sends in the runtime's chain-reduce →
+/// ring-broadcast all-reduce of a `bytes`-sized buffer.
+///
+/// That schedule keeps the rank-order fold a reduce-scatter cannot, at
+/// the price of an uneven load: every rank sends the buffer once (down
+/// the chain, or as the finished total), and ranks `0..p−2` send it a
+/// second time when they pass the broadcast on. So rank 0 sends `2·bytes`
+/// whenever `p ≥ 3` and `bytes` at `p = 2` — not the `2(p−1)/p · bytes`
+/// of [`allreduce_time`]'s balanced ring, which the paper's tables keep.
+pub fn chain_allreduce_egress(p: usize, bytes: f64) -> f64 {
+    match p {
+        0 | 1 => 0.0,
+        2 => bytes,
+        _ => 2.0 * bytes,
+    }
+}
+
+/// Time of the runtime's chain-reduce → ring-broadcast all-reduce: the
+/// same `2(p−1)` latency-bound hops as the ring, with the busiest
+/// rank's egress ([`chain_allreduce_egress`]) through its link as the
+/// bandwidth term.
+pub fn chain_allreduce_time(link: &LinkSpec, p: usize, bytes: usize) -> f64 {
+    if p <= 1 {
+        return 0.0;
+    }
+    2.0 * (p as f64 - 1.0) * link.latency
+        + chain_allreduce_egress(p, bytes as f64) / link.effective_bandwidth(p)
+}
+
 /// Time of a ring all-gather over `p` ranks where each rank contributes
 /// `bytes_per_rank`.
 ///
@@ -48,6 +77,19 @@ mod tests {
         let l = LinkSpec::nvlink();
         assert_eq!(allreduce_time(&l, 1, 100 * MB), 0.0);
         assert_eq!(allgather_time(&l, 1, 100 * MB), 0.0);
+    }
+
+    #[test]
+    fn chain_allreduce_matches_the_ring_at_two_ranks_and_costs_more_beyond() {
+        let l = LinkSpec::ethernet_10g();
+        assert_eq!(chain_allreduce_time(&l, 1, MB), 0.0);
+        assert_eq!(chain_allreduce_time(&l, 2, MB), allreduce_time(&l, 2, MB));
+        for p in [3usize, 4, 8] {
+            let mb = MB as f64;
+            let ratio = chain_allreduce_egress(p, mb) / (2.0 * (p as f64 - 1.0) / p as f64 * mb);
+            assert!((ratio - p as f64 / (p as f64 - 1.0)).abs() < 1e-12, "p={p}");
+            assert!(chain_allreduce_time(&l, p, MB) > allreduce_time(&l, p, MB));
+        }
     }
 
     #[test]

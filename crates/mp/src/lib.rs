@@ -58,6 +58,6 @@ pub mod tp;
 pub use error::{MpConfigError, ShardError};
 pub use model::{stage_offsets, MpBert, MpConfig};
 pub use pp::PipelineBoundary;
-pub use reduce::{CommBytes, CompressedAllReduce};
+pub use reduce::{rank_order_sum, CommBytes, CompressedAllReduce};
 pub use shard::{ColumnShard, RowShard};
 pub use tp::{TpAttention, TpEncoderLayer, TpFeedForward};

@@ -17,6 +17,22 @@ use actcomp_compress::Compressor;
 use actcomp_nn::Parameter;
 use actcomp_tensor::Tensor;
 
+/// Sums one tensor per worker, left to right. Handed tensors in rank
+/// order this is *the* fold of every cross-worker sum — the serial
+/// executor calls it directly and the runtime's chain reduce performs it
+/// hop by hop — which is what keeps the executors bit-identical.
+///
+/// # Panics
+///
+/// Panics if `parts` is empty or shapes disagree.
+pub fn rank_order_sum(mut parts: impl Iterator<Item = Tensor>) -> Tensor {
+    let mut acc = parts.next().expect("at least one worker");
+    for part in parts {
+        acc.add_assign(&part);
+    }
+    acc
+}
+
 /// Byte counters for the traffic a compressed reduce generates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CommBytes {
@@ -115,19 +131,14 @@ impl CompressedAllReduce {
             // All-gather messages; every worker decodes and sums locally.
             // (Simulated once — all workers produce the same sum.)
             let mut gathered = 0;
-            let mut out: Option<Tensor> = None;
-            for (w, p) in self.workers.iter_mut().zip(partials) {
+            let out = rank_order_sum(self.workers.iter_mut().zip(partials).map(|(w, p)| {
                 let msg = w.compress(p);
                 gathered += msg.wire_bytes(2);
-                let dec = w.decompress(&msg);
-                match &mut out {
-                    Some(acc) => acc.add_assign(&dec),
-                    None => out = Some(dec),
-                }
-            }
+                w.decompress(&msg)
+            }));
             // Each rank receives the other (p−1) ranks' messages.
             let wire = gathered * (p_world - 1) / p_world.max(1);
-            (out.expect("at least one worker"), CommBytes { wire, dense })
+            (out, CommBytes { wire, dense })
         }
     }
 

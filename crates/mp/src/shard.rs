@@ -80,14 +80,9 @@ impl ColumnShard {
 
     /// Accumulates weight/bias gradients from `dout` against the forward
     /// input `x`, returning this worker's *partial* input gradient (the
-    /// caller sums partials across workers).
-    pub fn backward(&mut self, x: &Tensor, dout: &Tensor) -> Tensor {
-        workspace::with_thread_default(|ws| self.backward_ws(x, dout, ws))
-    }
-
-    /// [`ColumnShard::backward`] with caller-provided scratch; one graph
-    /// segment whose weight/bias gradient outputs accumulate in place
-    /// (`grad += xᵀ dout`, no temporary).
+    /// caller sums partials across workers). One graph segment whose
+    /// weight/bias gradient outputs accumulate in place (`grad += xᵀ
+    /// dout`, no temporary).
     pub fn backward_ws(&mut self, x: &Tensor, dout: &Tensor, ws: &mut Workspace) -> Tensor {
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = dout.dims()[1];
@@ -119,6 +114,55 @@ impl ColumnShard {
         f(&mut self.weight);
         f(&mut self.bias);
     }
+}
+
+/// Backward of one worker's column-parallel Q/K/V projections —
+/// Megatron's `f` operator: accumulates the three shards' weight and
+/// bias gradients against the shared input `x` and returns the worker's
+/// whole local input gradient `(dq·Wqᵀ + dk·Wkᵀ) + dv·Wvᵀ`, folded inside
+/// the last GEMM's epilogue. The caller sums that one tensor across
+/// workers in rank order, so a layer reduces `n` here rather than `3n`.
+///
+/// Both executors call this, so they agree bit for bit by construction;
+/// the graph is node for node the serial `MultiHeadAttention`'s "qkv
+/// backward graph", so at `world = 1` the result is the serial layer's.
+pub fn qkv_backward_ws(
+    shards: [&mut ColumnShard; 3],
+    x: &Tensor,
+    douts: [&Tensor; 3],
+    ws: &mut Workspace,
+) -> Tensor {
+    let (m, kin) = (x.dims()[0], x.dims()[1]);
+    let n = douts[0].dims()[1];
+    let mut g = Graph::new();
+    let gx = g.input(m, kin);
+    let [gdq, gdk, gdv] = [(); 3].map(|()| g.input(m, n));
+    let [gwq, gwk, gwv] = [(); 3].map(|()| g.input(kin, n));
+    for gd in [gdq, gdk, gdv] {
+        let dw = g.matmul_tn(gx, gd);
+        let db = g.sum_axis0(gd);
+        g.mark_output(dw);
+        g.mark_output(db);
+    }
+    let dxk = g.matmul_nt(gdk, gwk);
+    let dxv = g.matmul_nt(gdv, gwv);
+    let dxq = g.matmul_nt(gdq, gwq);
+    let t1 = g.residual_add(dxq, dxk);
+    let dx = g.residual_add(t1, dxv);
+    g.mark_output(dx);
+    let plan = g.compile(FusePolicy::Auto).expect("qkv backward graph");
+
+    let mut inputs = vec![x.as_slice()];
+    inputs.extend(douts.map(Tensor::as_slice));
+    let mut outs = Vec::with_capacity(7);
+    for ColumnShard { weight, bias } in shards {
+        inputs.push(weight.value.as_slice());
+        outs.push(OutBind::Acc(weight.grad.as_mut_slice()));
+        outs.push(OutBind::Acc(bias.grad.as_mut_slice()));
+    }
+    outs.push(OutBind::Lease);
+    let mut res = plan.run(&inputs, outs, ws);
+    Tensor::from_vec(res[6].take().expect("leased dx"), [m, kin])
 }
 
 /// One worker's shard of a row-parallel linear: a `[in/world, out]`

@@ -9,49 +9,55 @@
 //! layer is numerically equivalent to the serial `actcomp_nn` layer
 //! (verified by tests), so any accuracy change is attributable to the
 //! compressor alone.
+//!
+//! Per layer that is Megatron's traffic, one activation (`n`) per reduce:
+//!
+//! | pass | reduce | size |
+//! |---|---|---|
+//! | forward | attention output (`g`, compressed) | `n` |
+//! | forward | MLP output (`g`, compressed) | `n` |
+//! | backward | MLP input gradient (`f`) | `n` |
+//! | backward | QKV input gradient (`f`) | `n` |
+//!
+//! The backward sums run over workers in rank order. For Q/K/V each
+//! worker first folds its three input gradients into one tensor
+//! ([`qkv_backward_ws`]) and only those are summed — the operands the
+//! threaded runtime's ranks hand their ring, produced by the same
+//! function, which is why the two executors agree bit for bit.
 
 use crate::error::ShardError;
-use crate::reduce::{CommBytes, CompressedAllReduce};
-use crate::shard::{attn_context_backward, attn_context_forward, ColumnShard, RowShard};
+use crate::reduce::{rank_order_sum, CommBytes, CompressedAllReduce};
+use crate::shard::{
+    attn_context_backward, attn_context_forward, qkv_backward_ws, ColumnShard, RowShard,
+};
 use actcomp_nn::{EncoderLayer, Layer, LayerNorm, Parameter};
-use actcomp_tensor::Tensor;
+use actcomp_tensor::{workspace, Tensor};
 
-/// Column-parallel linear: full input, per-worker output shards.
+/// Column-parallel linear: full input, per-worker output shards. The
+/// input is replicated, so the block that owns the projection caches it
+/// (once, however many projections share it).
 #[derive(Debug)]
 struct ColumnShards {
     /// One [`ColumnShard`] per worker.
     shards: Vec<ColumnShard>,
-    cache_x: Option<Tensor>,
 }
 
 impl ColumnShards {
     fn from_full(weight: &Tensor, bias: &Tensor, world: usize) -> Self {
         ColumnShards {
             shards: ColumnShard::split(weight, bias, world),
-            cache_x: None,
         }
     }
 
-    fn forward(&mut self, x: &Tensor) -> Vec<Tensor> {
-        self.cache_x = Some(x.clone());
+    fn forward(&self, x: &Tensor) -> Vec<Tensor> {
         self.shards.iter().map(|s| s.forward(x)).collect()
     }
 
-    /// Returns the summed input gradient.
-    fn backward(&mut self, douts: &[Tensor]) -> Tensor {
-        let x = self
-            .cache_x
-            .take()
-            .expect("ColumnShards::backward without forward");
-        let mut dx: Option<Tensor> = None;
-        for (shard, dout) in self.shards.iter_mut().zip(douts) {
-            let part = shard.backward(&x, dout);
-            match &mut dx {
-                Some(acc) => acc.add_assign(&part),
-                None => dx = Some(part),
-            }
-        }
-        dx.expect("at least one shard")
+    /// Returns the input gradient summed over workers in rank order.
+    fn backward(&mut self, x: &Tensor, douts: &[Tensor]) -> Tensor {
+        rank_order_sum(self.shards.iter_mut().zip(douts).map(|(shard, dout)| {
+            workspace::with_thread_default(|ws| shard.backward_ws(x, dout, ws))
+        }))
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
@@ -156,6 +162,8 @@ pub struct TpAttention {
 
 #[derive(Debug)]
 struct TpAttnCache {
+    /// The layer input, shared by the three projections.
+    x: Tensor,
     q: Vec<Tensor>,
     k: Vec<Tensor>,
     v: Vec<Tensor>,
@@ -239,6 +247,7 @@ impl TpAttention {
 
         let (y, bytes) = self.wo.forward(ctx);
         self.cache = Some(TpAttnCache {
+            x: x.clone(),
             q,
             k,
             v,
@@ -252,6 +261,7 @@ impl TpAttention {
     /// Backward; returns the input gradient.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
         let TpAttnCache {
+            x,
             q,
             k,
             v,
@@ -266,11 +276,10 @@ impl TpAttention {
         let lh = self.local_heads();
 
         let dctx = self.wo.backward(dy);
-        let mut dq = Vec::with_capacity(self.world);
-        let mut dk = Vec::with_capacity(self.world);
-        let mut dv = Vec::with_capacity(self.world);
-        for wkr in 0..self.world {
-            let (dqw, dkw, dvw) = attn_context_backward(
+        // Each worker folds its own dQ/dK/dV input gradients; the sum
+        // over workers is the one reduce the runtime performs here.
+        rank_order_sum((0..self.world).map(|wkr| {
+            let (dq, dk, dv) = attn_context_backward(
                 &q[wkr],
                 &k[wkr],
                 &v[wkr],
@@ -281,15 +290,13 @@ impl TpAttention {
                 lh,
                 d,
             );
-            dq.push(dqw);
-            dk.push(dkw);
-            dv.push(dvw);
-        }
-
-        let mut dx = self.wq.backward(&dq);
-        dx.add_assign(&self.wk.backward(&dk));
-        dx.add_assign(&self.wv.backward(&dv));
-        dx
+            let shards = [
+                &mut self.wq.shards[wkr],
+                &mut self.wk.shards[wkr],
+                &mut self.wv.shards[wkr],
+            ];
+            workspace::with_thread_default(|ws| qkv_backward_ws(shards, &x, [&dq, &dk, &dv], ws))
+        }))
     }
 
     /// Visits model parameters (not compressor parameters).
@@ -328,7 +335,8 @@ impl TpAttention {
 pub struct TpFeedForward {
     fc1: ColumnShards,
     fc2: RowShards,
-    cache_h: Option<Vec<Tensor>>,
+    /// The block input and the per-worker pre-activations.
+    cache: Option<(Tensor, Vec<Tensor>)>,
 }
 
 impl TpFeedForward {
@@ -363,7 +371,7 @@ impl TpFeedForward {
         Ok(TpFeedForward {
             fc1: ColumnShards::from_full(&ff.fc1.weight.value, &ff.fc1.bias.value, world),
             fc2: RowShards::from_full(&ff.fc2.weight.value, &ff.fc2.bias.value, reduce),
-            cache_h: None,
+            cache: None,
         })
     }
 
@@ -371,14 +379,14 @@ impl TpFeedForward {
     pub fn forward(&mut self, x: &Tensor) -> (Tensor, CommBytes) {
         let h = self.fc1.forward(x);
         let a: Vec<Tensor> = h.iter().map(|t| t.gelu()).collect();
-        self.cache_h = Some(h);
+        self.cache = Some((x.clone(), h));
         self.fc2.forward(a)
     }
 
     /// Backward; returns the input gradient.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let h = self
-            .cache_h
+        let (x, h) = self
+            .cache
             .take()
             .expect("TpFeedForward::backward without forward");
         let da = self.fc2.backward(dy);
@@ -387,7 +395,7 @@ impl TpFeedForward {
             .zip(&da)
             .map(|(hi, dai)| hi.map(actcomp_tensor::ops::gelu_grad).mul(dai))
             .collect();
-        self.fc1.backward(&dh)
+        self.fc1.backward(&x, &dh)
     }
 
     /// Visits model parameters.

@@ -73,7 +73,7 @@ use actcomp_check::collectives::{
 };
 use actcomp_check::{ChannelId, Dir, MsgId};
 use actcomp_compress::{Compressed, Compressor};
-use actcomp_mp::CommBytes;
+use actcomp_mp::{rank_order_sum, CommBytes};
 use actcomp_net::{Transport, TransportError};
 use actcomp_tensor::{Tensor, Workspace};
 use std::time::Instant;
@@ -974,7 +974,8 @@ impl TpGroup {
         ws: &mut Workspace,
     ) -> Tensor {
         if self.world == 1 || partial.is_empty() {
-            return partial.clone();
+            // Callers recycle the result into `ws`: hand out its buffer.
+            return ws.lease_copy(partial);
         }
         let t0 = Instant::now();
         let (rows, width) = rows_width(partial);
@@ -1059,16 +1060,6 @@ impl TpGroup {
             i += 1;
         });
     }
-}
-
-/// Sums one tensor per rank, left to right — handed tensors in rank
-/// order, this is the serial executor's fold.
-fn rank_order_sum(mut parts: impl Iterator<Item = Tensor>) -> Tensor {
-    let mut acc = parts.next().expect("at least one rank");
-    for t in parts {
-        acc.add_assign(&t);
-    }
-    acc
 }
 
 #[cfg(test)]

@@ -2,16 +2,29 @@
 //! where the serial executor sums partials in-process.
 //!
 //! The arithmetic replicates [`actcomp_mp`]'s tensor-parallel layer op
-//! for op: the two row-parallel projections (attention output, MLP
-//! contraction) go through the compressed all-reduce; the backward
-//! reductions that the serial `ColumnShards` performs as plain sums run
-//! as dense all-reduces in the same rank order, so with the identity
-//! compressor a threaded step is bit-identical to the serial one.
+//! for op, and a micro-batch moves Megatron's traffic — four all-reduces
+//! of one activation (`n` = tokens × hidden) per layer:
+//!
+//! | pass | reduce | size | collective |
+//! |---|---|---|---|
+//! | forward | attention output (row-parallel `wo`) | `n` | compressed |
+//! | forward | MLP output (row-parallel `fc2`) | `n` | compressed |
+//! | backward | MLP input gradient (column-parallel `fc1`) | `n` | dense |
+//! | backward | QKV input gradient (column-parallel `wq`/`wk`/`wv`) | `n` | dense |
+//!
+//! The backward reductions are the plain sums over workers the serial
+//! executor performs, run as dense all-reduces whose chain folds in the
+//! same rank order. The last one is `n`, not `3n`: the rank folds its own
+//! dQ/dK/dV input gradients first, in [`qkv_backward_ws`] — the very
+//! function the serial executor calls per worker before it sums — so the
+//! operands of the rank-order sum are identical on both sides and, with
+//! the identity compressor, a threaded step is bit-identical to the
+//! serial one by construction.
 
 use crate::comm::TpGroup;
 use crate::report::{timed, PhaseTimers};
 use actcomp_compress::Compressor;
-use actcomp_mp::shard::{attn_context_backward_ws, attn_context_forward_ws};
+use actcomp_mp::shard::{attn_context_backward_ws, attn_context_forward_ws, qkv_backward_ws};
 use actcomp_mp::{ColumnShard, RowShard};
 use actcomp_nn::{EncoderLayer, Layer, LayerNorm, LnCache, Parameter};
 use actcomp_tensor::graph::Graph;
@@ -332,7 +345,7 @@ impl RankLayer {
         });
         ws.recycle_tensor(s2);
         self.caches.push(LayerCache {
-            x: x.clone(),
+            x: ws.lease_copy(x),
             q,
             k,
             v,
@@ -399,62 +412,23 @@ impl RankLayer {
         ws.recycle_tensor(d2);
         ws.recycle_tensor(df);
         let dpa = tp.compressed_backward(self.attn_comp.as_mut(), &d1, timers);
-        let (pq, pk, pv) = timed(&mut timers.compute_s, || {
+        let part = timed(&mut timers.compute_s, || {
             let dctx = self.wo.backward_ws(&ctx, &dpa, ws);
             let (dq, dk, dv) =
                 attn_context_backward_ws(&q, &k, &v, &probs, &dctx, batch, seq, lh, d, ws);
-            ws.recycle_tensor(dctx);
-            let pq = self.wq.backward_ws(&x, &dq, ws);
-            let pk = self.wk.backward_ws(&x, &dk, ws);
-            let pv = self.wv.backward_ws(&x, &dv, ws);
-            for tmp in [dq, dk, dv, ctx, q, k, v] {
+            let shards = [&mut self.wq, &mut self.wk, &mut self.wv];
+            let part = qkv_backward_ws(shards, &x, [&dq, &dk, &dv], ws);
+            for tmp in [dctx, dq, dk, dv, ctx, q, k, v, x] {
                 ws.recycle_tensor(tmp);
             }
-            (pq, pk, pv)
+            part
         });
-        // One fused collective instead of three: the reduce is
-        // elementwise, so concat → reduce → split gives each block the
-        // same rank-order fold, and summing the blocks afterwards keeps
-        // the serial `(Σdq + Σdk) + Σdv` association bit for bit —
-        // while paying one ring latency instead of three.
-        let fused = timed(&mut timers.compute_s, || {
-            Tensor::concat_rows(&[&pq, &pk, &pv])
-        });
-        let n = pq.dims()[0];
-        for tmp in [pq, pk, pv] {
-            ws.recycle_tensor(tmp);
-        }
-        let red = tp.dense_all_reduce(&fused, timers, ws);
-        ws.recycle_tensor(fused);
-        // The three reduced blocks and the residual gradient fold in one
-        // elementwise plan (`((dq̂+dk̂)+dv̂)+d1`, same association as the
-        // serial executor's fold) with a single leased buffer.
-        let dx = timed(&mut timers.compute_s, || {
-            let cols = red.dims()[1];
-            let r = red.as_slice();
-            let mut g = Graph::new();
-            let gr0 = g.input(n, cols);
-            let gr1 = g.input(n, cols);
-            let gr2 = g.input(n, cols);
-            let gd1 = g.input(n, cols);
-            let t1 = g.residual_add(gr0, gr1);
-            let t2 = g.residual_add(t1, gr2);
-            let out = g.residual_add(t2, gd1);
-            g.mark_output(out);
-            let plan = g.compile(FusePolicy::Auto).expect("dx fold graph");
-            let mut res = plan.run(
-                &[
-                    &r[..n * cols],
-                    &r[n * cols..2 * n * cols],
-                    &r[2 * n * cols..],
-                    d1.as_slice(),
-                ],
-                vec![OutBind::Lease],
-                ws,
-            );
-            Tensor::from_vec(res[0].take().expect("leased dx"), [n, cols])
-        });
-        ws.recycle_tensor(red);
+        // The rank already folded its dQ/dK/dV input gradients, so this
+        // is one reduce of one activation; the residual branch's
+        // gradient lands on the reduced buffer in place.
+        let mut dx = tp.dense_all_reduce(&part, timers, ws);
+        ws.recycle_tensor(part);
+        timed(&mut timers.compute_s, || dx.add_assign(&d1));
         ws.recycle_tensor(d1);
         dx
     }

@@ -41,12 +41,10 @@ impl Workspace {
         Self::default()
     }
 
-    /// Leases a zeroed buffer of exactly `len` elements, reusing a cached
-    /// allocation when one is large enough.
-    #[must_use]
-    pub fn lease(&mut self, len: usize) -> Vec<f32> {
-        // Pick the smallest cached buffer whose capacity fits, so big
-        // buffers stay available for big requests.
+    /// Takes the smallest cached buffer with room for `len` elements off
+    /// the freelist, emptied — the smallest, so big buffers stay
+    /// available for big requests.
+    fn take(&mut self, len: usize) -> Option<Vec<f32>> {
         let mut best: Option<(usize, usize)> = None;
         for (i, b) in self.free.iter().enumerate() {
             let cap = b.capacity();
@@ -54,10 +52,18 @@ impl Workspace {
                 best = Some((i, cap));
             }
         }
-        match best {
-            Some((i, _)) => {
-                let mut buf = self.free.swap_remove(i);
-                buf.clear();
+        let (i, _) = best?;
+        let mut buf = self.free.swap_remove(i);
+        buf.clear();
+        Some(buf)
+    }
+
+    /// Leases a zeroed buffer of exactly `len` elements, reusing a cached
+    /// allocation when one is large enough.
+    #[must_use]
+    pub fn lease(&mut self, len: usize) -> Vec<f32> {
+        match self.take(len) {
+            Some(mut buf) => {
                 buf.resize(len, 0.0);
                 buf
             }
@@ -91,6 +97,15 @@ impl Workspace {
         let shape = shape.into();
         let buf = self.lease(shape.len());
         Tensor::from_vec(buf, shape)
+    }
+
+    /// Leases a copy of `t`: a `clone` whose buffer comes from, and can
+    /// go back to, the freelist.
+    #[must_use]
+    pub fn lease_copy(&mut self, t: &Tensor) -> Tensor {
+        let mut buf = self.take(t.len()).unwrap_or_default();
+        buf.extend_from_slice(t.as_slice());
+        Tensor::from_vec(buf, t.shape().clone())
     }
 
     /// Recycles a tensor's backing buffer into the freelist.
@@ -172,5 +187,18 @@ mod tests {
         assert_eq!(t.dims(), &[3, 4]);
         ws.recycle_tensor(t);
         assert_eq!(ws.cached(), 1);
+    }
+
+    #[test]
+    fn lease_copy_reuses_a_cached_buffer() {
+        let mut ws = Workspace::new();
+        let scratch = ws.lease(6);
+        let ptr = scratch.as_ptr();
+        ws.recycle(scratch);
+        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
+        let copy = ws.lease_copy(&t);
+        assert_eq!(copy, t);
+        assert_eq!(copy.as_slice().as_ptr(), ptr);
+        assert_eq!(ws.cached(), 0);
     }
 }
