@@ -1,10 +1,12 @@
 //! Micro-benchmark for the blocked matmul kernels in `actcomp-tensor`.
 //!
 //! Measures GFLOP/s for each kernel variant (`A@B`, `Aᵀ@B`, `A@Bᵀ`) at
-//! the shapes the BERT configs actually exercise, single- vs
-//! pooled-thread, and records the speedup over a faithful copy of the
-//! *seed* kernels (the pre-blocking `i-k-j` loops, skip-branch included)
-//! so the before/after is part of the artifact. A second section
+//! the shapes the BERT configs actually exercise and at the ledger's
+//! tensor-parallel shard shapes (the linear layers one rank of
+//! `train_*_dense` runs, at 512 and 2048 tokens, with the `tn/nn` ratio
+//! per shape), single- vs pooled-thread, and records the speedup over a
+//! faithful copy of the *seed* kernels (the pre-blocking `i-k-j` loops,
+//! skip-branch included) so the before/after is part of the artifact. A second section
 //! measures the graph executor's GEMM-epilogue fusion against both the
 //! unfused plan (same kernels, separate elementwise passes) and a frozen
 //! copy of the PR 4 path (separate bias/GELU passes with the libm tanh),
@@ -24,7 +26,7 @@ use actcomp_core::report::Table;
 use actcomp_tensor::graph::Graph;
 use actcomp_tensor::plan::{CompiledPlan, FusePolicy, OutBind};
 use actcomp_tensor::{kernels, pool, Workspace};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One row of `BENCH_kernels.json`.
 #[derive(serde::Serialize)]
@@ -83,15 +85,31 @@ struct PlannerResult {
     reuse_ratio: f64,
 }
 
+/// `tn` against `nn` at one ledger shard shape, both single-thread and
+/// measured in alternation (see `tn_over_nn`).
+#[derive(serde::Serialize)]
+struct TnOverNn {
+    label: String,
+    nn_gflops_1t: f64,
+    tn_gflops_1t: f64,
+    /// `tn_gflops_1t / nn_gflops_1t` — a ratio inside one run on one
+    /// machine, which is what CI gates.
+    tn_over_nn: f64,
+}
+
 /// Top-level `BENCH_kernels.json` document.
 #[derive(serde::Serialize)]
 struct BenchDoc {
     bench: String,
     quick: bool,
+    /// Best-of count: every timing is the minimum over at least this many
+    /// calls and at least this many × 20 ms of calls.
     iters_per_case: usize,
+    /// `std::thread::available_parallelism` of the machine that ran this.
     available_parallelism: usize,
     pool_threads: usize,
     cases: Vec<CaseResult>,
+    ledger_tn_over_nn: Vec<TnOverNn>,
     fusion: Vec<FusionResult>,
     planner: PlannerResult,
 }
@@ -213,7 +231,7 @@ mod pr4 {
 /// One benchmarked configuration.
 struct Case {
     /// Human-readable provenance of the shape.
-    label: &'static str,
+    label: String,
     /// `nn`, `tn`, or `nt`.
     variant: &'static str,
     m: usize,
@@ -225,82 +243,85 @@ struct Case {
 /// seq 128 rows, per-head attention score/context products, backward
 /// weight-gradient shapes — plus the 512³ headline shape the acceptance
 /// criterion is stated against.
-const CASES: &[Case] = &[
-    Case {
-        label: "headline 512^3",
-        variant: "nn",
-        m: 512,
-        k: 512,
-        n: 512,
-    },
-    Case {
-        label: "headline 512^3",
-        variant: "tn",
-        m: 512,
-        k: 512,
-        n: 512,
-    },
-    Case {
-        label: "headline 512^3",
-        variant: "nt",
-        m: 512,
-        k: 512,
-        n: 512,
-    },
-    Case {
-        label: "qkv/out proj fwd",
-        variant: "nn",
-        m: 1024,
-        k: 768,
-        n: 768,
-    },
-    Case {
-        label: "ffn up fwd",
-        variant: "nn",
-        m: 1024,
-        k: 768,
-        n: 3072,
-    },
-    Case {
-        label: "weight grad (xT dy)",
-        variant: "tn",
-        m: 768,
-        k: 1024,
-        n: 768,
-    },
-    Case {
-        label: "input grad (dy wT)",
-        variant: "nt",
-        m: 1024,
-        k: 768,
-        n: 768,
-    },
-    Case {
-        label: "attn scores (q kT)",
-        variant: "nt",
-        m: 128,
-        k: 64,
-        n: 128,
-    },
+const BERT_CASES: &[(&str, &str, usize, usize, usize)] = &[
+    ("headline 512^3", "nn", 512, 512, 512),
+    ("headline 512^3", "tn", 512, 512, 512),
+    ("headline 512^3", "nt", 512, 512, 512),
+    ("qkv/out proj fwd", "nn", 1024, 768, 768),
+    ("ffn up fwd", "nn", 1024, 768, 3072),
+    ("weight grad (xT dy)", "tn", 768, 1024, 768),
+    ("input grad (dy wT)", "nt", 1024, 768, 768),
+    ("attn scores (q kT)", "nt", 128, 64, 128),
 ];
 
-/// In `--quick` mode only the headline shapes run (CI smoke); the
-/// fusion and planner sections always run because CI asserts on them.
-fn active_cases(quick: bool) -> Vec<&'static Case> {
-    CASES
+/// The ledger's shard shapes: the four distinct `fan_in → fan_out`
+/// linears one tensor-parallel rank runs per layer (hidden 128, ff 512,
+/// tp 2: QKV 128→64, attention out 64→128, MLP up 128→256, MLP down
+/// 256→128), each as its forward (`nn`), weight-gradient (`tn`) and
+/// input-gradient (`nt`) GEMM.
+const LEDGER_LINEARS: [(usize, usize); 4] = [(128, 64), (64, 128), (128, 256), (256, 128)];
+/// Tokens per micro-batch the ledger shapes run at: `train_mpsc_dense`'s
+/// 512 and a longer `k` for the weight gradient's k-blocking.
+const LEDGER_TOKENS: [usize; 2] = [512, 2048];
+
+fn ledger_label(tokens: usize, fan_in: usize, fan_out: usize) -> String {
+    format!("ledger {tokens} tok {fan_in}->{fan_out}")
+}
+
+fn all_cases() -> Vec<Case> {
+    let mut cases: Vec<Case> = BERT_CASES
         .iter()
-        .filter(|c| !quick || c.label.starts_with("headline"))
+        .map(|&(label, variant, m, k, n)| Case {
+            label: label.to_string(),
+            variant,
+            m,
+            k,
+            n,
+        })
+        .collect();
+    for tokens in LEDGER_TOKENS {
+        for (fan_in, fan_out) in LEDGER_LINEARS {
+            let label = ledger_label(tokens, fan_in, fan_out);
+            for (variant, m, k, n) in [
+                ("nn", tokens, fan_in, fan_out),
+                ("tn", fan_in, tokens, fan_out),
+                ("nt", tokens, fan_out, fan_in),
+            ] {
+                cases.push(Case {
+                    label: label.clone(),
+                    variant,
+                    m,
+                    k,
+                    n,
+                });
+            }
+        }
+    }
+    cases
+}
+
+/// In `--quick` mode only the headline and ledger shapes run (CI smoke
+/// and its `tn/nn` gate); the fusion and planner sections always run
+/// because CI asserts on them.
+fn active_cases(quick: bool) -> Vec<Case> {
+    all_cases()
+        .into_iter()
+        .filter(|c| !quick || c.label.starts_with("headline") || c.label.starts_with("ledger"))
         .collect()
 }
 
-/// Best-of-`iters` wall time of `f`, after one warmup call.
+/// Best wall time of `f` over at least `iters` calls and at least
+/// `iters` × 20 ms of them, after one warmup call — a 100 µs shard GEMM
+/// timed five times reads whatever the box was doing that millisecond.
 fn time_best(iters: usize, mut f: impl FnMut()) -> f64 {
     f();
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
+    let budget = Duration::from_millis(20 * iters as u64);
+    let (start, mut calls, mut best) = (Instant::now(), 0, f64::INFINITY);
+    while calls < iters || start.elapsed() < budget {
         let t0 = Instant::now();
         f();
         best = best.min(t0.elapsed().as_secs_f64());
+        calls += 1;
     }
     best
 }
@@ -309,6 +330,49 @@ fn filled(len: usize, scale: f32) -> Vec<f32> {
     (0..len)
         .map(|i| (((i * 13 + 5) % 31) as f32 - 15.0) * scale)
         .collect()
+}
+
+/// A linear's weight-gradient GEMM (`tn`) against its forward (`nn`) at
+/// one ledger shape, single-thread: the two are called alternately, one
+/// call each, so both see the same machine from millisecond to
+/// millisecond, and each reports its best call.
+fn tn_over_nn(
+    tokens: usize,
+    fan_in: usize,
+    fan_out: usize,
+    iters: usize,
+    ws: &mut Workspace,
+) -> TnOverNn {
+    let x = filled(tokens * fan_in, 0.03125);
+    let w = filled(fan_in * fan_out, 0.0625);
+    let dy = filled(tokens * fan_out, 0.0625);
+    let (mut y, mut dw) = (
+        vec![0.0f32; tokens * fan_out],
+        vec![0.0f32; fan_in * fan_out],
+    );
+    let (mut nn_s, mut tn_s) = (f64::INFINITY, f64::INFINITY);
+    let budget = Duration::from_millis(20 * iters as u64);
+    let (start, mut calls) = (Instant::now(), 0);
+    while calls < iters || start.elapsed() < budget {
+        let t0 = Instant::now();
+        kernels::gemm_nn(&mut y, false, &x, &w, tokens, fan_in, fan_out, 1, ws);
+        nn_s = nn_s.min(t0.elapsed().as_secs_f64());
+        let t0 = Instant::now();
+        kernels::gemm_tn(&mut dw, false, &x, &dy, tokens, fan_in, fan_out, 1, ws);
+        tn_s = tn_s.min(t0.elapsed().as_secs_f64());
+        std::hint::black_box((&y, &dw));
+        calls += 1;
+    }
+    let gflops = |secs: f64| 2.0 * (tokens * fan_in * fan_out) as f64 / secs / 1e9;
+    let label = ledger_label(tokens, fan_in, fan_out);
+    let (nn, tn) = (gflops(nn_s), gflops(tn_s));
+    println!("[{label}] tn {tn:.1} / nn {nn:.1} GFLOP/s = {:.2}", tn / nn);
+    TnOverNn {
+        label,
+        nn_gflops_1t: nn,
+        tn_gflops_1t: tn,
+        tn_over_nn: tn / nn,
+    }
 }
 
 /// `act = gelu(x·W + b)` as a graph, compiled with the given policy.
@@ -426,7 +490,7 @@ fn fusion_case(
 
 fn main() {
     let opts = util::Options::from_args();
-    let iters = if opts.quick { 2 } else { 5 };
+    let iters = if opts.quick { 2 } else { 10 };
     let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
     // The pool width the library itself would pick: `ACTCOMP_THREADS`
     // if set, otherwise the machine's parallelism.
@@ -496,7 +560,7 @@ fn main() {
             format!("{:.2}x{}", pool_gain, if flagged { " [<5%]" } else { "" }),
         ]);
         entries.push(CaseResult {
-            label: case.label.to_string(),
+            label: case.label.clone(),
             variant: case.variant.to_string(),
             m,
             k,
@@ -511,6 +575,12 @@ fn main() {
         });
     }
     println!("{table}");
+
+    let ledger_tn_over_nn: Vec<TnOverNn> = LEDGER_TOKENS
+        .iter()
+        .flat_map(|&tokens| LEDGER_LINEARS.map(|(fan_in, fan_out)| (tokens, fan_in, fan_out)))
+        .map(|(tokens, fan_in, fan_out)| tn_over_nn(tokens, fan_in, fan_out, iters, &mut ws))
+        .collect();
 
     let mut fusion_table = Table::new(
         "GEMM-epilogue fusion vs unfused plan vs frozen PR 4 path (GFLOP/s)",
@@ -584,6 +654,7 @@ fn main() {
         available_parallelism: avail,
         pool_threads: multi,
         cases: entries,
+        ledger_tn_over_nn,
         fusion,
         planner,
     };

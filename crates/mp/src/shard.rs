@@ -10,7 +10,7 @@
 use actcomp_nn::Parameter;
 use actcomp_tensor::graph::Graph;
 use actcomp_tensor::plan::{CompiledPlan, FusePolicy, OutBind};
-use actcomp_tensor::{workspace, Tensor, Workspace};
+use actcomp_tensor::{ops, workspace, Tensor, Workspace};
 
 /// One worker's shard of a column-parallel linear: full input, a
 /// `[in, out/world]` weight slice and its `[out/world]` bias slice.
@@ -302,8 +302,9 @@ pub fn write_head_block(
 
 /// Scaled-dot-product attention over one worker's local heads: consumes
 /// the worker's `[batch·seq, local_heads·d]` query/key/value shards and
-/// returns the context plus per-`(batch, head)` softmax probabilities for
-/// the backward pass.
+/// returns the context plus the softmax probabilities for the backward
+/// pass: one `[seq, seq]` block per `(batch, head)`, stacked in one
+/// `[batch·local_heads·seq, seq]` tensor.
 pub fn attn_context_forward(
     q: &Tensor,
     k: &Tensor,
@@ -312,7 +313,7 @@ pub fn attn_context_forward(
     seq: usize,
     local_heads: usize,
     d: usize,
-) -> (Tensor, Vec<Tensor>) {
+) -> (Tensor, Tensor) {
     workspace::with_thread_default(|ws| {
         attn_context_forward_ws(q, k, v, batch, seq, local_heads, d, ws)
     })
@@ -332,9 +333,10 @@ fn scores_plan(seq: usize, d: usize, scale: f32) -> CompiledPlan {
         .expect("scores graph: scale always fuses")
 }
 
-/// [`attn_context_forward`] with caller-provided scratch: head blocks and
-/// score matrices are leased from `ws` and recycled per head; the softmax
-/// scale executes inside the scores GEMM's epilogue.
+/// [`attn_context_forward`] with caller-provided scratch: head blocks are
+/// leased from `ws` and recycled per head; the scores GEMM (the softmax
+/// scale in its epilogue) writes straight into the head's block of the
+/// leased probabilities tensor, and the softmax runs on it in place.
 #[allow(clippy::too_many_arguments)]
 pub fn attn_context_forward_ws(
     q: &Tensor,
@@ -345,7 +347,7 @@ pub fn attn_context_forward_ws(
     local_heads: usize,
     d: usize,
     ws: &mut Workspace,
-) -> (Tensor, Vec<Tensor>) {
+) -> (Tensor, Tensor) {
     let hw = local_heads * d;
     let scale = 1.0 / (d as f32).sqrt();
     let sc_plan = scores_plan(seq, d, scale);
@@ -358,22 +360,21 @@ pub fn attn_context_forward_ws(
         g.compile(FusePolicy::Auto).expect("context graph")
     };
     let mut ctx = ws.lease_tensor([batch * seq, hw]);
-    let mut probs = Vec::with_capacity(batch * local_heads);
+    let mut probs = ws.lease_tensor([batch * local_heads * seq, seq]);
     for t in 0..batch {
         for hd in 0..local_heads {
             let qb = head_block_ws(q, t, hd, seq, d, hw, ws);
             let kb = head_block_ws(k, t, hd, seq, d, hw, ws);
             let vb = head_block_ws(v, t, hd, seq, d, hw, ws);
-            let mut sres = sc_plan.run(&[qb.as_slice(), kb.as_slice()], vec![OutBind::Lease], ws);
-            let scores = Tensor::from_vec(sres[0].take().expect("leased scores"), [seq, seq]);
-            let p = scores.softmax_rows();
-            let mut cres = cx_plan.run(&[p.as_slice(), vb.as_slice()], vec![OutBind::Lease], ws);
+            let p = &mut probs.as_mut_slice()[(t * local_heads + hd) * seq * seq..][..seq * seq];
+            sc_plan.run(&[qb.as_slice(), kb.as_slice()], vec![OutBind::Write(p)], ws);
+            ops::softmax_rows_in_place(p, seq);
+            let mut cres = cx_plan.run(&[p, vb.as_slice()], vec![OutBind::Lease], ws);
             let c = Tensor::from_vec(cres[0].take().expect("leased context"), [seq, d]);
             write_head_block(&mut ctx, &c, t, hd, seq, d, hw);
-            for tmp in [qb, kb, vb, scores, c] {
+            for tmp in [qb, kb, vb, c] {
                 ws.recycle_tensor(tmp);
             }
-            probs.push(p);
         }
     }
     (ctx, probs)
@@ -387,7 +388,7 @@ pub fn attn_context_backward(
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,
-    probs: &[Tensor],
+    probs: &Tensor,
     dctx: &Tensor,
     batch: usize,
     seq: usize,
@@ -405,7 +406,7 @@ pub fn attn_context_backward_ws(
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,
-    probs: &[Tensor],
+    probs: &Tensor,
     dctx: &Tensor,
     batch: usize,
     seq: usize,
@@ -446,20 +447,21 @@ pub fn attn_context_backward_ws(
     };
     for t in 0..batch {
         for hd in 0..local_heads {
-            let p = &probs[t * local_heads + hd];
+            let p = &probs.as_slice()[(t * local_heads + hd) * seq * seq..][..seq * seq];
             let qb = head_block_ws(q, t, hd, seq, d, hw, ws);
             let kb = head_block_ws(k, t, hd, seq, d, hw, ws);
             let vb = head_block_ws(v, t, hd, seq, d, hw, ws);
             let dc = head_block_ws(dctx, t, hd, seq, d, hw, ws);
 
             let mut cres = ctx_bwd.run(
-                &[dc.as_slice(), vb.as_slice(), p.as_slice()],
+                &[dc.as_slice(), vb.as_slice(), p],
                 vec![OutBind::Lease, OutBind::Lease],
                 ws,
             );
-            let dp = Tensor::from_vec(cres[0].take().expect("leased dp"), [seq, seq]);
+            // dp becomes ds in its own leased buffer.
+            let mut ds = Tensor::from_vec(cres[0].take().expect("leased dp"), [seq, seq]);
             let dvb = Tensor::from_vec(cres[1].take().expect("leased dvb"), [seq, d]);
-            let ds = Tensor::softmax_rows_backward(p, &dp);
+            ops::softmax_rows_backward_in_place(p, ds.as_mut_slice(), seq);
             let mut sres = score_bwd.run(
                 &[ds.as_slice(), kb.as_slice(), qb.as_slice()],
                 vec![OutBind::Lease, OutBind::Lease],
@@ -471,7 +473,7 @@ pub fn attn_context_backward_ws(
             write_head_block(&mut dq, &dqb, t, hd, seq, d, hw);
             write_head_block(&mut dk, &dkb, t, hd, seq, d, hw);
             write_head_block(&mut dv, &dvb, t, hd, seq, d, hw);
-            for tmp in [qb, kb, vb, dc, dp, dvb, ds, dqb, dkb] {
+            for tmp in [qb, kb, vb, dc, dvb, ds, dqb, dkb] {
                 ws.recycle_tensor(tmp);
             }
         }
@@ -521,7 +523,7 @@ mod tests {
         let v = init::randn(&mut rng, [batch * seq, lh * d], 1.0);
         let (ctx, probs) = attn_context_forward(&q, &k, &v, batch, seq, lh, d);
         assert_eq!(ctx.dims(), &[batch * seq, lh * d]);
-        assert_eq!(probs.len(), batch * lh);
+        assert_eq!(probs.dims(), &[batch * lh * seq, seq]);
         let dctx = init::randn(&mut rng, [batch * seq, lh * d], 1.0);
         let (dq, dk, dv) = attn_context_backward(&q, &k, &v, &probs, &dctx, batch, seq, lh, d);
         assert_eq!(dq.dims(), q.dims());

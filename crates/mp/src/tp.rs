@@ -168,7 +168,7 @@ struct TpAttnCache {
     k: Vec<Tensor>,
     v: Vec<Tensor>,
     /// Softmax probabilities per (worker, batch·local_head).
-    probs: Vec<Vec<Tensor>>,
+    probs: Vec<Tensor>,
     batch: usize,
     seq: usize,
 }
@@ -238,7 +238,7 @@ impl TpAttention {
         let v = self.wv.forward(x);
 
         let mut ctx: Vec<Tensor> = Vec::with_capacity(self.world);
-        let mut probs: Vec<Vec<Tensor>> = Vec::with_capacity(self.world);
+        let mut probs: Vec<Tensor> = Vec::with_capacity(self.world);
         for wkr in 0..self.world {
             let (wctx, wprobs) = attn_context_forward(&q[wkr], &k[wkr], &v[wkr], batch, seq, lh, d);
             ctx.push(wctx);

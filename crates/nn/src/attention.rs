@@ -3,7 +3,7 @@
 use crate::{Layer, Linear, Parameter};
 use actcomp_tensor::graph::Graph;
 use actcomp_tensor::plan::{CompiledPlan, FusePolicy, OutBind};
-use actcomp_tensor::{workspace, Tensor, Workspace};
+use actcomp_tensor::{ops, workspace, Tensor, Workspace};
 use rand::Rng;
 
 /// Multi-head scaled-dot-product self-attention.
@@ -48,7 +48,8 @@ struct AttnCache {
     k: Tensor,
     v: Tensor,
     /// Softmax probabilities, one `[seq, seq]` matrix per (batch, head).
-    probs: Vec<Tensor>,
+    /// One `[seq, seq]` block per `(batch, head)`, stacked.
+    probs: Tensor,
     batch: usize,
     seq: usize,
 }
@@ -216,24 +217,23 @@ impl MultiHeadAttention {
         let sc_plan = scores_plan(seq, d, scale);
         let cx_plan = context_plan(seq, d);
         let mut ctx = ws.lease_tensor([m, h]);
-        let mut probs = Vec::with_capacity(batch * self.heads);
+        let mut probs = ws.lease_tensor([batch * self.heads * seq, seq]);
         for t in 0..batch {
             for hd in 0..self.heads {
                 let qb = head_block_ws(&q, t, hd, seq, d, h, ws);
                 let kb = head_block_ws(&k, t, hd, seq, d, h, ws);
                 let vb = head_block_ws(&v, t, hd, seq, d, h, ws);
-                let mut sres =
-                    sc_plan.run(&[qb.as_slice(), kb.as_slice()], vec![OutBind::Lease], ws);
-                let scores = Tensor::from_vec(sres[0].take().expect("leased scores"), [seq, seq]);
-                let p = scores.softmax_rows();
-                let mut cres =
-                    cx_plan.run(&[p.as_slice(), vb.as_slice()], vec![OutBind::Lease], ws);
+                // The scores GEMM writes the head's block of the leased
+                // probabilities; the softmax runs on it in place.
+                let p = &mut probs.as_mut_slice()[(t * self.heads + hd) * seq * seq..][..seq * seq];
+                sc_plan.run(&[qb.as_slice(), kb.as_slice()], vec![OutBind::Write(p)], ws);
+                ops::softmax_rows_in_place(p, seq);
+                let mut cres = cx_plan.run(&[p, vb.as_slice()], vec![OutBind::Lease], ws);
                 let c = Tensor::from_vec(cres[0].take().expect("leased ctx"), [seq, d]);
                 write_head_block(&mut ctx, &c, t, hd, seq, d, h);
-                for tmp in [qb, kb, vb, scores, c] {
+                for tmp in [qb, kb, vb, c] {
                     ws.recycle_tensor(tmp);
                 }
-                probs.push(p);
             }
         }
         let out = self.wo.forward_ws(&ctx, ws);
@@ -316,20 +316,21 @@ impl MultiHeadAttention {
 
         for t in 0..batch {
             for hd in 0..self.heads {
-                let p = &probs[t * self.heads + hd];
+                let p = &probs.as_slice()[(t * self.heads + hd) * seq * seq..][..seq * seq];
                 let qb = head_block_ws(&q, t, hd, seq, d, h, ws);
                 let kb = head_block_ws(&k, t, hd, seq, d, h, ws);
                 let vb = head_block_ws(&v, t, hd, seq, d, h, ws);
                 let dc = head_block_ws(&dctx, t, hd, seq, d, h, ws);
 
                 let mut cres = ctx_bwd.run(
-                    &[dc.as_slice(), vb.as_slice(), p.as_slice()],
+                    &[dc.as_slice(), vb.as_slice(), p],
                     vec![OutBind::Lease, OutBind::Lease],
                     ws,
                 );
-                let dp = Tensor::from_vec(cres[0].take().expect("leased dp"), [seq, seq]);
+                // dp becomes ds in its own leased buffer.
+                let mut ds = Tensor::from_vec(cres[0].take().expect("leased dp"), [seq, seq]);
                 let dvb = Tensor::from_vec(cres[1].take().expect("leased dvb"), [seq, d]);
-                let ds = Tensor::softmax_rows_backward(p, &dp);
+                ops::softmax_rows_backward_in_place(p, ds.as_mut_slice(), seq);
                 let mut sres = score_bwd.run(
                     &[ds.as_slice(), kb.as_slice(), qb.as_slice()],
                     vec![OutBind::Lease, OutBind::Lease],
@@ -341,12 +342,13 @@ impl MultiHeadAttention {
                 write_head_block(&mut dq, &dqb, t, hd, seq, d, h);
                 write_head_block(&mut dk, &dkb, t, hd, seq, d, h);
                 write_head_block(&mut dv, &dvb, t, hd, seq, d, h);
-                for tmp in [qb, kb, vb, dc, dp, dvb, ds, dqb, dkb] {
+                for tmp in [qb, kb, vb, dc, dvb, ds, dqb, dkb] {
                     ws.recycle_tensor(tmp);
                 }
             }
         }
         ws.recycle_tensor(dctx);
+        ws.recycle_tensor(probs);
 
         // One graph for all three projection backwards. The `dx` partial
         // sums fuse into the final `nt` GEMM's epilogue:

@@ -208,7 +208,7 @@ struct LayerCache {
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    probs: Vec<Tensor>,
+    probs: Tensor,
     ctx: Tensor,
     h1: Tensor,
     h: Tensor,
@@ -418,7 +418,7 @@ impl RankLayer {
                 attn_context_backward_ws(&q, &k, &v, &probs, &dctx, batch, seq, lh, d, ws);
             let shards = [&mut self.wq, &mut self.wk, &mut self.wv];
             let part = qkv_backward_ws(shards, &x, [&dq, &dk, &dv], ws);
-            for tmp in [dctx, dq, dk, dv, ctx, q, k, v, x] {
+            for tmp in [dctx, dq, dk, dv, probs, ctx, q, k, v, x] {
                 ws.recycle_tensor(tmp);
             }
             part
@@ -454,10 +454,7 @@ impl RankLayer {
                 ln2c,
                 ..
             } = c;
-            for t in [x, q, k, v, ctx, h1, h, act] {
-                ws.recycle_tensor(t);
-            }
-            for t in probs {
+            for t in [x, q, k, v, probs, ctx, h1, h, act] {
                 ws.recycle_tensor(t);
             }
             for cache in [ln1c, ln2c] {

@@ -118,7 +118,7 @@ struct Worker {
     k: Tensor,
     v: Tensor,
     ctx: Tensor,
-    probs: Vec<Tensor>,
+    probs: Tensor,
 }
 
 /// Shards `attn` over `world` workers and runs each worker's forward up

@@ -3,22 +3,32 @@
 //! All three matmul variants (`A@B`, `Aᵀ@B`, `A@Bᵀ`) funnel into one
 //! blocked core:
 //!
-//! - `B` is **packed** into column panels of [`NR`] columns, laid out
-//!   `[j_tile][p][NR]` and zero-padded on the ragged edge, so the inner
-//!   loop always reads one contiguous `NR`-wide row per `k` step. Panels
+//! - For `nn` and `nt`, `B` is **packed** into column panels of [`NR`]
+//!   columns, laid out `[j_tile][p][NR]` and zero-padded on the ragged
+//!   edge, so the inner loop always reads one contiguous `NR`-wide row
+//!   per `k` step. Panels
 //!   are 64-byte aligned inside their leased buffer — each panel row is
 //!   a whole number of cache lines, so full-width vector loads never
 //!   split a line (measured ≈10% on 512³).
 //! - `A` is **streamed row-major** from the caller's tensor: the
 //!   micro-kernel reads its [`MR`] multipliers from `MR` parallel row
-//!   streams (`A[m,k]`). The `tn` variant (`A[k,m]`, the weight-gradient
-//!   shape) first stages `Aᵀ` into a row-major scratch panel — one
-//!   `O(m·k)` blocked-transpose pass against an `O(m·k·n)` product —
-//!   because streaming column-major `A` cost a strided cache-line touch
-//!   per `k` step and left `tn` ~30% behind `nn` (55.5 vs 79.5 GFLOP/s
-//!   at 512³ in `BENCH_kernels.json`). Only the ragged last row-tile
-//!   (when `m % MR != 0`) is additionally staged into a small
-//!   zero-padded scratch tile.
+//!   streams (`A[m,k]`). Only the ragged last row-tile (when
+//!   `m % MR != 0`) is staged into a small zero-padded scratch tile.
+//! - The `tn` variant (`Aᵀ@B` with `A[k,m]`, `B[k,n]` — the
+//!   weight-gradient shape) **reads both k-major operands where they
+//!   lie**: a `k` step's `MR` multipliers are already adjacent in
+//!   `A[k,m]` and its `NR`-wide row already contiguous in `B[k,n]`, so a
+//!   second micro-kernel takes them in place and nothing is transposed
+//!   or packed. (Staging `Aᵀ` row-major first — what this replaced —
+//!   cost `m·k` scalar stores at stride `k`: two thirds of the call at the
+//!   128→64 shard shape, 34–68 GFLOP/s against `nn`'s 100.) What *is*
+//!   copied, into the same `[tile][p][width]` panels the `nn` path packs
+//!   `B` into: a ragged last tile, zero-padded; and every tile of an
+//!   operand whose rows are longer than [`IN_PLACE_LD`], where walking
+//!   `k` in place would put each step on its own page. The `k` loop is
+//!   **blocked** in steps of [`KC`] so a tile's operand windows stay
+//!   L1-sized and a sweep's L2-sized however many tokens `k` spans;
+//!   between blocks a tile's partial sums travel through the output.
 //! - The `j` dimension is **cache-blocked** in groups of [`NC_TILES`]
 //!   panels: each thread sweeps all of its row tiles against one
 //!   `k × NC` slab of packed `B` before moving to the next slab, so a
@@ -47,10 +57,14 @@
 //!
 //! # Determinism contract
 //!
-//! Every output element is produced by exactly one micro-kernel call that
-//! accumulates over `p = 0..k` in strictly increasing order, and the tile
-//! decomposition depends only on the matrix shape — never on the thread
-//! count or runtime load. Epilogue ops are pure per-element functions of
+//! Every output element is one fused-multiply-add chain over `p = 0..k`
+//! in strictly increasing order — within one micro-kernel call, or, when
+//! the `k` loop is blocked, carried through `out` from one k-block's call
+//! to the next, re-loaded as its starting accumulator (an accumulating
+//! call keeps its addend aside and adds it after the last block, exactly
+//! where the unblocked kernel does) — and the tile decomposition depends
+//! only on the matrix shape, never on the thread count or runtime load.
+//! Epilogue ops are pure per-element functions of
 //! the accumulated value and the element's `(i, j)` coordinates, applied
 //! in chain order after accumulation — exactly the value the unfused
 //! path computes by running the same ops as separate output passes.
@@ -59,11 +73,14 @@
 //! the same op chain. They are *not* bit-identical to the naive
 //! reference kernels in [`reference`](mod@reference) on FMA hardware, because fused
 //! multiply-adds round once instead of twice; tests compare against the
-//! reference with a tolerance and across pool sizes exactly.
+//! reference with a tolerance, across pool sizes exactly, and against an
+//! oracle that *is* the increasing-`p` `mul_add` chain bit for bit
+//! (`tests/kernel_props.rs`).
 
 use crate::ops;
 use crate::pool;
 use crate::workspace::Workspace;
+use std::ops::Range;
 
 /// Rows per register tile of `A` / the output.
 pub const MR: usize = 4;
@@ -73,6 +90,19 @@ pub const NR: usize = 32;
 /// its whole row range against one `k × NC_TILES·NR` slab before moving
 /// on, keeping the slab L2-resident (256 columns = 1&nbsp;KB per `k` step).
 pub const NC_TILES: usize = 8;
+/// `k` steps per block of the `tn` path. A tile's operand windows are
+/// then `KC` rows of `NR` floats (32&nbsp;KB) and the `KC` cache lines its
+/// `MR` multipliers lie in (16&nbsp;KB) — the 48&nbsp;KB L1 — and a row
+/// sweep's working set, `KC` rows of `A`, of `NC_TILES` panels of `B` and
+/// the output window, stays L2-resident however long `k` (tokens per
+/// micro-batch) is. Per block a tile pays one accumulator reload and
+/// store (≈ 55 cycles against `8·KC` of FMAs: 128 and below read slower).
+pub const KC: usize = 256;
+/// Longest row (in `f32`s) of a k-major operand that `tn` reads where it
+/// lies: a `KC`-row window of 1&nbsp;KB rows is 64 pages and four L1 sets.
+/// Longer rows (the BERT-base widths) put every `k` step on its own
+/// page, and are staged like a ragged edge instead.
+pub const IN_PLACE_LD: usize = 256;
 /// `f32`s per 64-byte cache line; packed `B` panels are aligned to this.
 const LINE_F32S: usize = 16;
 /// Spawn threads only when each chunk gets at least this many flops.
@@ -203,6 +233,34 @@ fn micro_rows(k: usize, a: &[f32], i0: usize, b_panel: &[f32], acc: &mut [[f32; 
     }
 }
 
+/// Continues one `MR × NR` output tile over a k-block whose operands are
+/// both k-major, read where they lie: `a` holds whole rows of `A[k, lda]`
+/// (the `tn` layout) with the step's `MR` multipliers at
+/// `row[i0..i0 + MR]`, `b` whole rows of `B[k, ldb]` with the step's
+/// `NR`-wide row at `row[j0..j0 + NR]`. A zero-padded ragged edge is the
+/// same call on its staged copy (`lda = MR` / `ldb = NR`, offset 0).
+///
+/// Same two codegen constraints as [`micro_rows`]: flat index-form inner
+/// loops, and a panic-free single-exit `k` loop — the `assert!` makes the
+/// slice checks loop-invariant, so LLVM deletes them (an `else { break }`
+/// on a short row instead spilled every accumulator after every FMA).
+#[inline(always)]
+fn micro_cols(
+    (a, lda, i0): (&[f32], usize, usize),
+    (b, ldb, j0): (&[f32], usize, usize),
+    acc: &mut [[f32; NR]; MR],
+) {
+    assert!(i0 + MR <= lda && j0 + NR <= ldb, "tile outside its operand");
+    for (arow, brow) in a.chunks_exact(lda).zip(b.chunks_exact(ldb)) {
+        let (av, bp) = (&arow[i0..i0 + MR], &brow[j0..j0 + NR]);
+        for r in 0..MR {
+            for c in 0..NR {
+                acc[r][c] = fmadd(av[r], bp[c], acc[r][c]);
+            }
+        }
+    }
+}
+
 /// Writes (or adds) one accumulator row into the output, trimming the
 /// ragged column edge — the fast path when the epilogue is empty.
 #[inline(always)]
@@ -316,59 +374,41 @@ fn lease_aligned(ws: &mut Workspace, len: usize) -> (Vec<f32>, usize) {
     (buf, off)
 }
 
-/// Packs `b[k, n]` into `[j_tile][p][NR]` panels (destination pre-zeroed).
-fn pack_b_nn(bp: &mut [f32], b: &[f32], k: usize, n: usize) {
-    let jtiles = n.div_ceil(NR);
-    for (p, brow) in b.chunks_exact(n).enumerate() {
-        for jt in 0..jtiles {
-            let cols = NR.min(n - jt * NR);
-            bp[jt * k * NR + p * NR..][..cols].copy_from_slice(&brow[jt * NR..][..cols]);
+/// Packs column tiles `from..` of a k-major `x[k, ld]` into
+/// `[tile][p][W]` panels (destination pre-zeroed, so a ragged last tile
+/// comes out zero-padded). `pack_tiles::<NR>(bp, b, n, 0)` is the packed
+/// `B` of the `nn` path.
+fn pack_tiles<const W: usize>(dst: &mut [f32], x: &[f32], ld: usize, from: usize) {
+    let k = x.len() / ld;
+    for (p, row) in x.chunks_exact(ld).enumerate() {
+        let (full, ragged) = row[from * W..].as_chunks::<W>();
+        for (t, cols) in full.iter().enumerate() {
+            dst[(t * k + p) * W..][..W].copy_from_slice(cols);
+        }
+        if !ragged.is_empty() {
+            dst[(full.len() * k + p) * W..][..ragged.len()].copy_from_slice(ragged);
         }
     }
 }
 
-/// Packs `b[n, k]` (logical `Bᵀ`) into `[j_tile][p][NR]` panels.
+/// Packs `b[n, k]` (logical `Bᵀ`) into `[j_tile][p][NR]` panels
+/// (destination pre-zeroed): every `[p][NR]` panel row is gathered from
+/// the panel's `NR` source rows and written contiguously — not scattered
+/// one `f32` per store at stride `NR`.
 fn pack_b_nt(bp: &mut [f32], b: &[f32], n: usize, k: usize) {
     debug_assert_eq!(b.len(), n * k);
-    for (j, brow) in b.chunks_exact(k).enumerate() {
-        let panel = &mut bp[(j / NR) * k * NR..][..k * NR];
-        let c = j % NR;
-        for (p, &v) in brow.iter().enumerate() {
-            panel[p * NR + c] = v;
-        }
-    }
-}
-
-/// Transpose block edge for [`pack_a_tn`]: 32×32 `f32` blocks keep both
-/// the source row window and the destination column window inside a few
-/// cache lines.
-const TB: usize = 32;
-
-/// Stages `a[k, m]` (logical `Aᵀ`) into row-major `at[m, k]` with a
-/// blocked transpose, so the micro-kernel streams it like any other
-/// row-major `A`. One `O(m·k)` pass against an `O(m·k·n)` product —
-/// the strided column-major streaming it replaces cost a separate cache
-/// line per `k` step and held `gemm_tn` ~30% behind `gemm_nn`.
-fn pack_a_tn(at: &mut [f32], a: &[f32], k: usize, m: usize) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(at.len(), m * k);
-    for p0 in (0..k).step_by(TB) {
-        let pb = TB.min(k - p0);
-        for i0 in (0..m).step_by(TB) {
-            let ib = TB.min(m - i0);
-            for p in p0..p0 + pb {
-                let arow = &a[p * m + i0..][..ib];
-                for (di, &v) in arow.iter().enumerate() {
-                    at[(i0 + di) * k + p] = v;
-                }
+    for (panel, rows) in bp.chunks_exact_mut(k * NR).zip(b.chunks(NR * k)) {
+        for (p, prow) in panel.chunks_exact_mut(NR).enumerate() {
+            for (dst, brow) in prow.iter_mut().zip(rows.chunks_exact(k)) {
+                *dst = brow[p];
             }
         }
     }
 }
 
-/// Stages the ragged last row-tile of `A` (when `m % MR != 0`) into a
-/// zero-padded `[MR][k]` row-major scratch tile the row-stream
-/// micro-kernel can use directly.
+/// Stages the ragged last row-tile of a row-major `A[m, k]` (when
+/// `m % MR != 0`) into a zero-padded `[MR][k]` row-major scratch tile the
+/// row-stream micro-kernel can use directly.
 fn pad_last_tile(ws: &mut Workspace, a: &[f32], m: usize, k: usize) -> Option<Vec<f32>> {
     let ragged = m % MR;
     if ragged == 0 {
@@ -380,25 +420,76 @@ fn pad_last_tile(ws: &mut Workspace, a: &[f32], m: usize, k: usize) -> Option<Ve
     Some(pad)
 }
 
-/// The blocked core: `out (+)= A @ packed_b` (with the epilogue applied
-/// per element), parallelized over i-tile chunks. `pad` is the
-/// zero-padded ragged tile from [`pad_last_tile`]; `stash` (when the
-/// epilogue requests one) has the same `[m, n]` layout as `out` and is
-/// chunked identically so every thread writes only its own rows.
+/// A k-major operand `x[k, ld]` as [`micro_cols`] reads it, in tiles of
+/// `W` columns: where it lies, except tiles `from..`, which are staged
+/// `[tile][p][W]` by [`pack_tiles`] — the ragged last tile (zero-padded),
+/// and every tile once rows are longer than [`IN_PLACE_LD`].
+struct KMajor<'a, const W: usize> {
+    x: &'a [f32],
+    ld: usize,
+    from: usize,
+    staged: Vec<f32>,
+    /// 64-byte-aligned start of the panels inside `staged`.
+    off: usize,
+}
+
+impl<'a, const W: usize> KMajor<'a, W> {
+    fn new(ws: &mut Workspace, x: &'a [f32], ld: usize) -> Self {
+        let from = if ld > IN_PLACE_LD { 0 } else { ld / W };
+        let len = (ld.div_ceil(W) - from) * (x.len() / ld) * W;
+        let (mut staged, off) = lease_aligned(ws, len);
+        pack_tiles::<W>(&mut staged[off..], x, ld, from);
+        KMajor {
+            x,
+            ld,
+            from,
+            staged,
+            off,
+        }
+    }
+
+    /// Rows `p` of tile `t`, as [`micro_cols`]'s `(rows, ld, offset)`.
+    #[inline(always)]
+    fn window(&self, t: usize, p: Range<usize>) -> (&[f32], usize, usize) {
+        let k = self.x.len() / self.ld;
+        match t.checked_sub(self.from) {
+            Some(s) => {
+                let panel = &self.staged[self.off + s * k * W..][..k * W];
+                (&panel[p.start * W..p.end * W], W, 0)
+            }
+            None => (&self.x[p.start * self.ld..p.end * self.ld], self.ld, t * W),
+        }
+    }
+}
+
+/// The blocked core: `out (+)= A @ B` (with the epilogue applied per
+/// element), parallelized over i-tile chunks and blocked over `k` in
+/// steps of `kc`. `micro` continues one accumulator tile over one
+/// k-block — it is handed the tile's row-tile and panel index and the
+/// block's `p` range. Between k-blocks a tile's partial sums travel
+/// through `out` and are re-loaded as the next block's accumulator, so
+/// every element stays one increasing-`p` FMA chain; an accumulating
+/// multi-block call therefore takes its addend from a copy of the
+/// original `out`, at the last block. `stash` (when the epilogue requests one) has the same
+/// `[m, n]` layout as `out` and is chunked identically so every thread
+/// writes only its own rows.
 #[allow(clippy::too_many_arguments)]
-fn gemm_core(
+fn gemm_core<M>(
     out: &mut [f32],
     accumulate: bool,
-    a: &[f32],
-    bp: &[f32],
-    pad: Option<&[f32]>,
+    micro: M,
     m: usize,
     k: usize,
+    kc: usize,
     n: usize,
     threads: usize,
+    ws: &mut Workspace,
     ep: &Epilogue<'_>,
     stash: Option<&mut [f32]>,
-) {
+) where
+    M: Fn(usize, usize, Range<usize>, &mut [[f32; NR]; MR]) + Sync,
+{
+    let addend = (accumulate && k > kc).then(|| ws.lease_from(out));
     let itiles = m.div_ceil(MR);
     let jtiles = n.div_ceil(NR);
     let last_rows = m - (itiles - 1) * MR;
@@ -410,54 +501,70 @@ fn gemm_core(
         let chunk_rows = chunk.len() / n;
         let ctiles = chunk_rows.div_ceil(MR);
         // j-blocked sweep: all row tiles of this chunk against one slab
-        // of NC_TILES packed panels at a time, so the slab stays cached
-        // across the whole row range instead of the full packed B being
+        // of NC_TILES panels at a time, so the slab stays cached
+        // across the whole row range instead of the full B being
         // re-read per row tile.
         for jb in (0..jtiles).step_by(NC_TILES) {
             let jb_end = (jb + NC_TILES).min(jtiles);
-            for t in 0..ctiles {
-                let i0 = row0 + t * MR;
-                let rows = MR.min(chunk_rows - t * MR);
-                for jt in jb..jb_end {
-                    let cols = NR.min(n - jt * NR);
-                    let panel = &bp[jt * k * NR..][..k * NR];
-                    let mut acc = [[0.0f32; NR]; MR];
-                    if rows == MR {
-                        micro_rows(k, a, i0, panel, &mut acc);
-                    } else {
-                        let pad = pad.expect("ragged tile requires a pad buffer");
-                        micro_rows(k, pad, 0, panel, &mut acc);
+            for p0 in (0..k.max(1)).step_by(kc) {
+                let p1 = (p0 + kc).min(k);
+                let (first, last) = (p0 == 0, p1 == k);
+                for t in 0..ctiles {
+                    let i0 = row0 + t * MR;
+                    let rows = MR.min(chunk_rows - t * MR);
+                    for jt in jb..jb_end {
+                        let cols = NR.min(n - jt * NR);
+                        let mut acc = [[0.0f32; NR]; MR];
+                        if !first {
+                            for (r, acc_row) in acc.iter_mut().take(rows).enumerate() {
+                                let orow = &chunk[(t * MR + r) * n + jt * NR..][..cols];
+                                acc_row[..cols].copy_from_slice(orow);
+                            }
+                        }
+                        micro(i0 / MR, jt, p0..p1, &mut acc);
+                        for (r, acc_row) in acc.iter().take(rows).enumerate() {
+                            let off = (t * MR + r) * n + jt * NR;
+                            let orow = &mut chunk[off..][..cols];
+                            match addend.as_deref() {
+                                Some(add) if last => {
+                                    let arow = &add[(i0 + r) * n + jt * NR..][..cols];
+                                    for ((o, &e), &v) in orow.iter_mut().zip(arow).zip(acc_row) {
+                                        *o = e + v;
+                                    }
+                                }
+                                _ => store_row(orow, acc_row, last && accumulate),
+                            }
+                        }
                     }
-                    for (r, acc_row) in acc.iter().take(rows).enumerate() {
-                        let off = (t * MR + r) * n + jt * NR;
-                        let orow = &mut chunk[off..][..cols];
-                        store_row(orow, acc_row, accumulate);
-                    }
-                }
-                if !plain {
-                    // Epilogue over the whole row-tile × j-block window
-                    // (≤ MR × NC_TILES·NR values, still L1-hot): the
-                    // long per-row segments amortize vector startup that
-                    // 32-wide per-tile application could not, while the
-                    // values never make a round trip to DRAM.
-                    let wj0 = jb * NR;
-                    let wcols = (jb_end * NR).min(n) - wj0;
-                    for r in 0..rows {
-                        let off = (t * MR + r) * n + wj0;
-                        let row = &mut chunk[off..][..wcols];
-                        let srow = stash_chunk.as_deref_mut().map(|s| &mut s[off..][..wcols]);
-                        apply_ep_window(row, (i0 + r) * n + wj0, wj0, ep, srow);
+                    if last && !plain {
+                        // Epilogue over the whole row-tile × j-block window
+                        // (≤ MR × NC_TILES·NR values, still L1-hot): the
+                        // long per-row segments amortize vector startup that
+                        // 32-wide per-tile application could not, while the
+                        // values never make a round trip to DRAM.
+                        let wj0 = jb * NR;
+                        let wcols = (jb_end * NR).min(n) - wj0;
+                        for r in 0..rows {
+                            let off = (t * MR + r) * n + wj0;
+                            let row = &mut chunk[off..][..wcols];
+                            let srow = stash_chunk.as_deref_mut().map(|s| &mut s[off..][..wcols]);
+                            apply_ep_window(row, (i0 + r) * n + wj0, wj0, ep, srow);
+                        }
                     }
                 }
             }
         }
     });
+    if let Some(addend) = addend {
+        ws.recycle(addend);
+    }
 }
 
-/// Packs `B`, stages the ragged `A` tile, runs the core, and returns the
-/// scratch to `ws`.
+/// The core for a row-major `A[m, k]` (`nn`, `nt`): `B` packed into
+/// panels, the ragged last row tile staged zero-padded, one k-block, the
+/// row-stream micro-kernel.
 #[allow(clippy::too_many_arguments)]
-fn gemm(
+fn gemm_rows(
     out: &mut [f32],
     accumulate: bool,
     a: &[f32],
@@ -474,16 +581,24 @@ fn gemm(
     let (mut bp, boff) = lease_aligned(ws, blen);
     pack(&mut bp[boff..boff + blen]);
     let pad = pad_last_tile(ws, a, m, k);
+    let bp_ref = &bp[boff..boff + blen];
+    let micro = |it: usize, jt: usize, _p: Range<usize>, acc: &mut _| {
+        let panel = &bp_ref[jt * k * NR..][..k * NR];
+        match pad.as_deref() {
+            Some(pad) if it == m / MR => micro_rows(k, pad, 0, panel, acc),
+            _ => micro_rows(k, a, it * MR, panel, acc),
+        }
+    };
     gemm_core(
         out,
         accumulate,
-        a,
-        &bp[boff..boff + blen],
-        pad.as_deref(),
+        micro,
         m,
         k,
+        k.max(1),
         n,
         threads,
+        ws,
         ep,
         stash,
     );
@@ -544,11 +659,11 @@ pub fn gemm_nn_ep(
     assert_eq!(b.len(), k * n, "gemm_nn rhs len");
     assert_eq!(out.len(), m * n, "gemm_nn out len");
     check_epilogue(ep, m, n, &stash, "gemm_nn");
-    gemm(
+    gemm_rows(
         out,
         accumulate,
         a,
-        |dst| pack_b_nn(dst, b, k, n),
+        |dst| pack_tiles::<NR>(dst, b, n, 0),
         m,
         k,
         n,
@@ -592,9 +707,10 @@ pub fn gemm_nn(
 }
 
 /// `out (+)= epilogue(aᵀ @ b)` for `a[k,m]`, `b[k,n]` — the
-/// weight-gradient shape. `Aᵀ` is staged row-major by `pack_a_tn`
-/// before the shared core runs; the per-element accumulation order is
-/// unchanged, so results are bit-identical to the un-staged variant.
+/// weight-gradient shape. Both operands are read where they lie (see
+/// `KMajor` for the two exceptions) by the shared core, k-blocked in
+/// steps of [`KC`]; each element is still one increasing-`p` chain, so
+/// results are bit-identical to `gemm_nn_ep` on the transposed input.
 ///
 /// # Panics
 ///
@@ -618,22 +734,14 @@ pub fn gemm_tn_ep(
     assert_eq!(b.len(), k * n, "gemm_tn rhs len");
     assert_eq!(out.len(), m * n, "gemm_tn out len");
     check_epilogue(ep, m, n, &stash, "gemm_tn");
-    let mut at = ws.lease(m * k);
-    pack_a_tn(&mut at, a, k, m);
-    gemm(
-        out,
-        accumulate,
-        &at,
-        |dst| pack_b_nn(dst, b, k, n),
-        m,
-        k,
-        n,
-        threads,
-        ws,
-        ep,
-        stash,
-    );
-    ws.recycle(at);
+    let lhs = KMajor::<MR>::new(ws, a, m);
+    let rhs = KMajor::<NR>::new(ws, b, n);
+    let micro = |it: usize, jt: usize, p: Range<usize>, acc: &mut _| {
+        micro_cols(lhs.window(it, p.clone()), rhs.window(jt, p), acc);
+    };
+    gemm_core(out, accumulate, micro, m, k, KC, n, threads, ws, ep, stash);
+    ws.recycle(lhs.staged);
+    ws.recycle(rhs.staged);
 }
 
 /// `out (+)= aᵀ @ b` — [`gemm_tn_ep`] with the empty epilogue.
@@ -693,7 +801,7 @@ pub fn gemm_nt_ep(
     assert_eq!(b.len(), n * k, "gemm_nt rhs len");
     assert_eq!(out.len(), m * n, "gemm_nt out len");
     check_epilogue(ep, m, n, &stash, "gemm_nt");
-    gemm(
+    gemm_rows(
         out,
         accumulate,
         a,
@@ -1003,22 +1111,52 @@ mod tests {
 
     #[test]
     fn tn_staging_is_bit_identical_to_nn_on_transposed_input() {
-        // gemm_tn(a) must equal gemm_nn(aᵀ) exactly: the staged transpose
-        // feeds the identical micro-kernel in the identical order.
-        let (m, k, n) = (23, 17, 45);
-        let a_t = seq(k * m, 0.25); // [k, m]
-        let b = seq(k * n, 0.5);
-        let mut a = vec![0.0f32; m * k];
-        for p in 0..k {
-            for i in 0..m {
-                a[i * k + p] = a_t[p * m + i];
+        // gemm_tn(a) must equal gemm_nn(aᵀ) exactly, whichever way tn gets
+        // at its operands — in place, a staged ragged edge, or fully
+        // staged past IN_PLACE_LD — and across every k-block seam: each
+        // element is the same increasing-p chain.
+        let wide = IN_PLACE_LD + 4;
+        let shapes = [(23, 45), (4, 32), (64, 16), (5, wide + 1), (wide, 33)];
+        let mut ws = Workspace::new();
+        for (m, n) in shapes {
+            for k in [1, 17, KC - 1, KC, KC + 1, 3 * KC + 5] {
+                let a_t = seq(k * m, 0.25); // [k, m]
+                let b = seq(k * n, 0.5);
+                let mut a = vec![0.0f32; m * k];
+                for p in 0..k {
+                    for i in 0..m {
+                        a[i * k + p] = a_t[p * m + i];
+                    }
+                }
+                for accumulate in [false, true] {
+                    let mut out_tn = seq(m * n, 1.0);
+                    gemm_tn(&mut out_tn, accumulate, &a_t, &b, k, m, n, 2, &mut ws);
+                    let mut out_nn = seq(m * n, 1.0);
+                    gemm_nn(&mut out_nn, accumulate, &a, &b, m, k, n, 2, &mut ws);
+                    assert_eq!(out_tn, out_nn, "{m}x{k}x{n} accumulate={accumulate}");
+                }
             }
         }
-        let mut ws = Workspace::new();
-        let mut out_tn = vec![0.0; m * n];
-        gemm_tn(&mut out_tn, false, &a_t, &b, k, m, n, 2, &mut ws);
-        let mut out_nn = vec![0.0; m * n];
-        gemm_nn(&mut out_nn, false, &a, &b, m, k, n, 2, &mut ws);
-        assert_eq!(out_tn, out_nn);
+    }
+
+    #[test]
+    fn pack_b_nt_writes_the_bytes_the_scatter_wrote() {
+        // The packing this replaced: one f32 per store at stride NR.
+        fn scatter(bp: &mut [f32], b: &[f32], k: usize) {
+            for (j, brow) in b.chunks_exact(k).enumerate() {
+                let panel = &mut bp[(j / NR) * k * NR..][..k * NR];
+                for (p, &v) in brow.iter().enumerate() {
+                    panel[p * NR + j % NR] = v;
+                }
+            }
+        }
+        for (n, k) in [(1, 1), (31, 7), (32, 16), (33, 17), (70, 37), (128, 64)] {
+            let b = seq(n * k, 0.5);
+            let blen = n.div_ceil(NR) * k * NR;
+            let (mut want, mut got) = (vec![0.0f32; blen], vec![0.0f32; blen]);
+            scatter(&mut want, &b, k);
+            pack_b_nt(&mut got, &b, n, k);
+            assert_eq!(got, want, "n={n} k={k}");
+        }
     }
 }

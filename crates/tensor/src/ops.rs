@@ -68,6 +68,41 @@ pub fn gelu_grad(x: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * sech2 * SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044715 * x * x)
 }
 
+/// Row-wise softmax, in place, of `x` read as rows of `n`: each row is
+/// numerically stabilized by subtracting its max. The arithmetic of
+/// [`Tensor::softmax_rows`], on a caller-owned (e.g. leased) buffer.
+pub fn softmax_rows_in_place(x: &mut [f32], n: usize) {
+    for row in x.chunks_exact_mut(n.max(1)) {
+        let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut z = 0.0;
+        for v in row.iter_mut() {
+            *v = (*v - mx).exp();
+            z += *v;
+        }
+        for v in row.iter_mut() {
+            *v /= z;
+        }
+    }
+}
+
+/// Backward of row-wise softmax, in place: given `p = softmax(x)` as rows
+/// of `n`, turns the upstream gradient `dp` into `dx = p ⊙ (dp − (p · dp))`
+/// per row. The arithmetic of [`Tensor::softmax_rows_backward`].
+///
+/// # Panics
+///
+/// Panics if the two slices differ in length.
+pub fn softmax_rows_backward_in_place(p: &[f32], dp: &mut [f32], n: usize) {
+    assert_eq!(p.len(), dp.len(), "softmax backward shape mismatch");
+    let n = n.max(1);
+    for (p, dp) in p.chunks_exact(n).zip(dp.chunks_exact_mut(n)) {
+        let dot: f32 = p.iter().zip(dp.iter()).map(|(&a, &b)| a * b).sum();
+        for (d, &pj) in dp.iter_mut().zip(p) {
+            *d = pj * (*d - dot);
+        }
+    }
+}
+
 impl Tensor {
     /// Applies [`gelu`] elementwise.
     pub fn gelu(&self) -> Tensor {
@@ -87,22 +122,9 @@ impl Tensor {
             "softmax_rows requires rank 2, got {}",
             self.shape()
         );
-        let (m, n) = (self.dims()[0], self.dims()[1]);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let row = &self.as_slice()[i * n..(i + 1) * n];
-            let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let orow = &mut out[i * n..(i + 1) * n];
-            let mut z = 0.0;
-            for (o, &x) in orow.iter_mut().zip(row) {
-                *o = (x - mx).exp();
-                z += *o;
-            }
-            for o in orow.iter_mut() {
-                *o /= z;
-            }
-        }
-        Tensor::from_vec(out, [m, n])
+        let mut out = self.clone();
+        softmax_rows_in_place(out.as_mut_slice(), self.dims()[1]);
+        out
     }
 
     /// Backward pass of row-wise softmax: given `p = softmax(x)` and the
@@ -120,17 +142,9 @@ impl Tensor {
             probs.shape().same_as(dprobs.shape()),
             "softmax backward shape mismatch"
         );
-        let (m, n) = (probs.dims()[0], probs.dims()[1]);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let p = &probs.as_slice()[i * n..(i + 1) * n];
-            let dp = &dprobs.as_slice()[i * n..(i + 1) * n];
-            let dot: f32 = p.iter().zip(dp).map(|(&a, &b)| a * b).sum();
-            for j in 0..n {
-                out[i * n + j] = p[j] * (dp[j] - dot);
-            }
-        }
-        Tensor::from_vec(out, [m, n])
+        let mut out = dprobs.clone();
+        softmax_rows_backward_in_place(probs.as_slice(), out.as_mut_slice(), probs.dims()[1]);
+        out
     }
 
     /// Per-row mean and variance of an `[m, n]` matrix (population variance,

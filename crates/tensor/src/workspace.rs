@@ -99,13 +99,19 @@ impl Workspace {
         Tensor::from_vec(buf, shape)
     }
 
+    /// Leases a buffer holding a copy of `src` (no zero-fill first).
+    #[must_use]
+    pub fn lease_from(&mut self, src: &[f32]) -> Vec<f32> {
+        let mut buf = self.take(src.len()).unwrap_or_default();
+        buf.extend_from_slice(src);
+        buf
+    }
+
     /// Leases a copy of `t`: a `clone` whose buffer comes from, and can
     /// go back to, the freelist.
     #[must_use]
     pub fn lease_copy(&mut self, t: &Tensor) -> Tensor {
-        let mut buf = self.take(t.len()).unwrap_or_default();
-        buf.extend_from_slice(t.as_slice());
-        Tensor::from_vec(buf, t.shape().clone())
+        Tensor::from_vec(self.lease_from(t.as_slice()), t.shape().clone())
     }
 
     /// Recycles a tensor's backing buffer into the freelist.
