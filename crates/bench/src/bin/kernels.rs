@@ -83,6 +83,21 @@ struct PlannerResult {
     unfused_ws_baseline_bytes: usize,
     /// `unfused_ws_baseline_bytes / peak_workspace_bytes`.
     reuse_ratio: f64,
+    /// What a call site pays for its plan, per graph: compiled afresh
+    /// every call, or looked up in its `Workspace`.
+    plan_costs: Vec<PlanCost>,
+}
+
+/// Cost of obtaining one graph's plan, best of many calls. Both timings
+/// include building the `Graph`, which a call site does either way.
+#[derive(serde::Serialize)]
+struct PlanCost {
+    graph: String,
+    nodes: usize,
+    /// Build + `Graph::compile` (validate, fuse, plan lifetimes).
+    compile_us: f64,
+    /// Build + `Workspace::plan` on a workspace that has seen the graph.
+    cached_lookup_us: f64,
 }
 
 /// `tn` against `nn` at one ledger shard shape, both single-thread and
@@ -388,8 +403,8 @@ fn linear_gelu_plan(m: usize, k: usize, n: usize, policy: FusePolicy) -> Compile
     g.compile(policy).expect("linear+bias+gelu graph")
 }
 
-/// `y = x·W + b` as a graph, compiled with the given policy.
-fn linear_bias_plan(m: usize, k: usize, n: usize, policy: FusePolicy) -> CompiledPlan {
+/// `y = x·W + b` as a graph.
+fn linear_bias_graph(m: usize, k: usize, n: usize) -> Graph {
     let mut g = Graph::new();
     let gx = g.input(m, k);
     let gw = g.input(k, n);
@@ -397,7 +412,7 @@ fn linear_bias_plan(m: usize, k: usize, n: usize, policy: FusePolicy) -> Compile
     let y = g.matmul(gx, gw);
     let h = g.bias_add(y, gb);
     g.mark_output(h);
-    g.compile(policy).expect("linear+bias graph")
+    g
 }
 
 /// Compiles the "8-layer bench config": eight chained FFN blocks with
@@ -405,7 +420,7 @@ fn linear_bias_plan(m: usize, k: usize, n: usize, policy: FusePolicy) -> Compile
 /// softmax lives outside the IR, so this is the planner's view of a
 /// layer). The unfused `_ws` baseline is one live buffer per non-input
 /// value — exactly what the hand-threaded code used to lease.
-fn planner_stack(layers: usize, tokens: usize, hidden: usize, ff: usize) -> CompiledPlan {
+fn planner_stack(layers: usize, tokens: usize, hidden: usize, ff: usize) -> Graph {
     let mut g = Graph::new();
     let mut x = g.input(tokens, hidden);
     let w1 = g.input(hidden, ff);
@@ -425,7 +440,33 @@ fn planner_stack(layers: usize, tokens: usize, hidden: usize, ff: usize) -> Comp
         x = y;
     }
     g.mark_output(x);
-    g.compile(FusePolicy::Auto).expect("8-layer planner stack")
+    g
+}
+
+/// Times `build` + compile against `build` + cached lookup, per call.
+fn plan_cost(label: &str, iters: usize, build: impl Fn() -> Graph) -> PlanCost {
+    const CALLS: usize = 200;
+    let per_call_us = |f: &mut dyn FnMut()| {
+        let batch = || (0..CALLS).for_each(|_| f());
+        time_best(iters, batch) / CALLS as f64 * 1e6
+    };
+    let compile_us = per_call_us(&mut || {
+        std::hint::black_box(build().compile(FusePolicy::Auto).expect("bench graph"));
+    });
+    let mut ws = Workspace::new();
+    let cached_lookup_us = per_call_us(&mut || {
+        std::hint::black_box(ws.plan(&build(), FusePolicy::Auto).expect("bench graph"));
+    });
+    assert_eq!(ws.plan_compiles(), 1, "every call after the first is a hit");
+    println!(
+        "[planner] {label}: compile {compile_us:.2} us, cached lookup {cached_lookup_us:.2} us"
+    );
+    PlanCost {
+        graph: label.to_string(),
+        nodes: build().len(),
+        compile_us,
+        cached_lookup_us,
+    }
 }
 
 /// Measures the fused / unfused / frozen-PR4 variants of one fusible
@@ -461,7 +502,9 @@ fn fusion_case(
         if with_gelu {
             linear_gelu_plan(m, k, n, policy)
         } else {
-            linear_bias_plan(m, k, n, policy)
+            linear_bias_graph(m, k, n)
+                .compile(policy)
+                .expect("linear+bias graph")
         }
     };
     let unfused = build(FusePolicy::None);
@@ -627,7 +670,19 @@ fn main() {
     println!("{fusion_table}");
 
     let (layers, tokens, hidden, ff) = (8, 1024, 768, 3072);
-    let stack = planner_stack(layers, tokens, hidden, ff);
+    let stack = planner_stack(layers, tokens, hidden, ff)
+        .compile(FusePolicy::Auto)
+        .expect("8-layer planner stack");
+    let plan_costs = vec![
+        plan_cost("8-layer FFN/LN stack", iters, || {
+            planner_stack(layers, tokens, hidden, ff)
+        }),
+        plan_cost(
+            &format!("shard linear {}", ledger_label(512, 128, 64)),
+            iters,
+            || linear_bias_graph(512, 128, 64),
+        ),
+    ];
     let planner = PlannerResult {
         config: format!("{layers}-layer FFN/LN stack, tokens={tokens} hidden={hidden} ff={ff}"),
         layers,
@@ -638,6 +693,7 @@ fn main() {
         unfused_ws_baseline_bytes: stack.unfused_value_bytes(),
         reuse_ratio: stack.unfused_value_bytes() as f64
             / stack.peak_workspace_bytes().max(1) as f64,
+        plan_costs,
     };
     println!(
         "[planner] {}: peak {} B vs hand-threaded {} B ({:.1}x reuse)",

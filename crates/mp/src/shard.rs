@@ -7,9 +7,8 @@
 //! therefore the floating-point result, which depends on operation
 //! order — is shared rather than duplicated.
 
-use actcomp_nn::Parameter;
-use actcomp_tensor::graph::Graph;
-use actcomp_tensor::plan::{CompiledPlan, FusePolicy, OutBind};
+use actcomp_nn::{graphs, Parameter};
+use actcomp_tensor::plan::OutBind;
 use actcomp_tensor::{ops, workspace, Tensor, Workspace};
 
 /// One worker's shard of a column-parallel linear: full input, a
@@ -51,21 +50,14 @@ impl ColumnShard {
         workspace::with_thread_default(|ws| self.forward_ws(x, ws))
     }
 
-    /// [`ColumnShard::forward`] with caller-provided scratch: the same
-    /// `matmul → bias` graph segment the serial [`actcomp_nn::Linear`]
-    /// emits, so a shard's columns are bit-identical to the serial
+    /// [`ColumnShard::forward`] with caller-provided scratch: the very
+    /// [`graphs::linear_forward`] plan the serial [`actcomp_nn::Linear`]
+    /// runs, so a shard's columns are bit-identical to the serial
     /// layer's column slice.
     pub fn forward_ws(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = self.bias.value.len();
-        let mut g = Graph::new();
-        let gx = g.input(m, kin);
-        let gw = g.input(kin, n);
-        let gb = g.input_vec(n);
-        let y = g.matmul(gx, gw);
-        let h = g.bias_add(y, gb);
-        g.mark_output(h);
-        let plan = g.compile(FusePolicy::Auto).expect("column shard graph");
+        let plan = graphs::linear_forward(ws, m, kin, n);
         let mut res = plan.run(
             &[
                 x.as_slice(),
@@ -80,23 +72,13 @@ impl ColumnShard {
 
     /// Accumulates weight/bias gradients from `dout` against the forward
     /// input `x`, returning this worker's *partial* input gradient (the
-    /// caller sums partials across workers). One graph segment whose
-    /// weight/bias gradient outputs accumulate in place (`grad += xᵀ
-    /// dout`, no temporary).
+    /// caller sums partials across workers). One plan
+    /// ([`graphs::linear_backward`]) whose weight/bias gradient outputs
+    /// accumulate in place (`grad += xᵀ dout`, no temporary).
     pub fn backward_ws(&mut self, x: &Tensor, dout: &Tensor, ws: &mut Workspace) -> Tensor {
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = dout.dims()[1];
-        let mut g = Graph::new();
-        let gx = g.input(m, kin);
-        let gdy = g.input(m, n);
-        let gw = g.input(kin, n);
-        let dw = g.matmul_tn(gx, gdy);
-        let db = g.sum_axis0(gdy);
-        let dx = g.matmul_nt(gdy, gw);
-        g.mark_output(dw);
-        g.mark_output(db);
-        g.mark_output(dx);
-        let plan = g.compile(FusePolicy::Auto).expect("column shard backward");
+        let plan = graphs::linear_backward(ws, m, kin, n);
         let mut res = plan.run(
             &[x.as_slice(), dout.as_slice(), self.weight.value.as_slice()],
             vec![
@@ -124,8 +106,8 @@ impl ColumnShard {
 /// workers in rank order, so a layer reduces `n` here rather than `3n`.
 ///
 /// Both executors call this, so they agree bit for bit by construction;
-/// the graph is node for node the serial `MultiHeadAttention`'s "qkv
-/// backward graph", so at `world = 1` the result is the serial layer's.
+/// the plan is [`graphs::qkv_backward`], the serial `MultiHeadAttention`'s
+/// own, so at `world = 1` the result is the serial layer's.
 pub fn qkv_backward_ws(
     shards: [&mut ColumnShard; 3],
     x: &Tensor,
@@ -134,24 +116,7 @@ pub fn qkv_backward_ws(
 ) -> Tensor {
     let (m, kin) = (x.dims()[0], x.dims()[1]);
     let n = douts[0].dims()[1];
-    let mut g = Graph::new();
-    let gx = g.input(m, kin);
-    let [gdq, gdk, gdv] = [(); 3].map(|()| g.input(m, n));
-    let [gwq, gwk, gwv] = [(); 3].map(|()| g.input(kin, n));
-    for gd in [gdq, gdk, gdv] {
-        let dw = g.matmul_tn(gx, gd);
-        let db = g.sum_axis0(gd);
-        g.mark_output(dw);
-        g.mark_output(db);
-    }
-    let dxk = g.matmul_nt(gdk, gwk);
-    let dxv = g.matmul_nt(gdv, gwv);
-    let dxq = g.matmul_nt(gdq, gwq);
-    let t1 = g.residual_add(dxq, dxk);
-    let dx = g.residual_add(t1, dxv);
-    g.mark_output(dx);
-    let plan = g.compile(FusePolicy::Auto).expect("qkv backward graph");
-
+    let plan = graphs::qkv_backward(ws, m, kin, n);
     let mut inputs = vec![x.as_slice()];
     inputs.extend(douts.map(Tensor::as_slice));
     let mut outs = Vec::with_capacity(7);
@@ -201,12 +166,7 @@ impl RowShard {
     pub fn partial_ws(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = self.weight.value.dims()[1];
-        let mut g = Graph::new();
-        let gx = g.input(m, kin);
-        let gw = g.input(kin, n);
-        let y = g.matmul(gx, gw);
-        g.mark_output(y);
-        let plan = g.compile(FusePolicy::Auto).expect("row shard graph");
+        let plan = graphs::matmul(ws, m, kin, n);
         let mut res = plan.run(
             &[x.as_slice(), self.weight.value.as_slice()],
             vec![OutBind::Lease],
@@ -222,20 +182,12 @@ impl RowShard {
         workspace::with_thread_default(|ws| self.backward_ws(x, dpartial, ws))
     }
 
-    /// [`RowShard::backward`] with caller-provided scratch; one graph
-    /// segment, weight gradient accumulating in place.
+    /// [`RowShard::backward`] with caller-provided scratch; one plan,
+    /// weight gradient accumulating in place.
     pub fn backward_ws(&mut self, x: &Tensor, dpartial: &Tensor, ws: &mut Workspace) -> Tensor {
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = dpartial.dims()[1];
-        let mut g = Graph::new();
-        let gx = g.input(m, kin);
-        let gdy = g.input(m, n);
-        let gw = g.input(kin, n);
-        let dw = g.matmul_tn(gx, gdy);
-        let dx = g.matmul_nt(gdy, gw);
-        g.mark_output(dw);
-        g.mark_output(dx);
-        let plan = g.compile(FusePolicy::Auto).expect("row shard backward");
+        let plan = graphs::matmul_backward(ws, m, kin, n);
         let mut res = plan.run(
             &[
                 x.as_slice(),
@@ -319,20 +271,6 @@ pub fn attn_context_forward(
     })
 }
 
-/// Per-head `q kᵀ → scaled scores` plan: the `1/√d` scale fuses into the
-/// `nt` GEMM's register-tile epilogue. Compiled once per call, run per
-/// (batch, head).
-fn scores_plan(seq: usize, d: usize, scale: f32) -> CompiledPlan {
-    let mut g = Graph::new();
-    let gq = g.input(seq, d);
-    let gk = g.input(seq, d);
-    let s = g.matmul_nt(gq, gk);
-    let ss = g.scale(s, scale);
-    g.mark_output(ss);
-    g.compile(FusePolicy::Forced(vec![s]))
-        .expect("scores graph: scale always fuses")
-}
-
 /// [`attn_context_forward`] with caller-provided scratch: head blocks are
 /// leased from `ws` and recycled per head; the scores GEMM (the softmax
 /// scale in its epilogue) writes straight into the head's block of the
@@ -350,15 +288,8 @@ pub fn attn_context_forward_ws(
 ) -> (Tensor, Tensor) {
     let hw = local_heads * d;
     let scale = 1.0 / (d as f32).sqrt();
-    let sc_plan = scores_plan(seq, d, scale);
-    let cx_plan = {
-        let mut g = Graph::new();
-        let gp = g.input(seq, seq);
-        let gv = g.input(seq, d);
-        let c = g.matmul(gp, gv);
-        g.mark_output(c);
-        g.compile(FusePolicy::Auto).expect("context graph")
-    };
+    let sc_plan = graphs::attn_scores(ws, seq, d, scale);
+    let cx_plan = graphs::attn_context(ws, seq, d);
     let mut ctx = ws.lease_tensor([batch * seq, hw]);
     let mut probs = ws.lease_tensor([batch * local_heads * seq, seq]);
     for t in 0..batch {
@@ -419,32 +350,9 @@ pub fn attn_context_backward_ws(
     let mut dq = ws.lease_tensor([batch * seq, hw]);
     let mut dk = ws.lease_tensor([batch * seq, hw]);
     let mut dv = ws.lease_tensor([batch * seq, hw]);
-    // c = p v → dp = dc vᵀ ; dv = pᵀ dc, then after the softmax backward
-    // s = α q kᵀ → dq = (α ds) k ; dk = (α ds)ᵀ q. Two plans, compiled
-    // once and run per (batch, head).
-    let ctx_bwd = {
-        let mut g = Graph::new();
-        let gdc = g.input(seq, d);
-        let gvb = g.input(seq, d);
-        let gp = g.input(seq, seq);
-        let dp = g.matmul_nt(gdc, gvb);
-        let dvb = g.matmul_tn(gp, gdc);
-        g.mark_output(dp);
-        g.mark_output(dvb);
-        g.compile(FusePolicy::Auto).expect("context backward graph")
-    };
-    let score_bwd = {
-        let mut g = Graph::new();
-        let gds = g.input(seq, seq);
-        let gkb = g.input(seq, d);
-        let gqb = g.input(seq, d);
-        let dss = g.scale(gds, scale);
-        let dqb = g.matmul(dss, gkb);
-        let dkb = g.matmul_tn(dss, gqb);
-        g.mark_output(dqb);
-        g.mark_output(dkb);
-        g.compile(FusePolicy::Auto).expect("scores backward graph")
-    };
+    // Two plans, looked up once and run per (batch, head).
+    let ctx_bwd = graphs::attn_context_backward(ws, seq, d);
+    let score_bwd = graphs::attn_scores_backward(ws, seq, d, scale);
     for t in 0..batch {
         for hd in 0..local_heads {
             let p = &probs.as_slice()[(t * local_heads + hd) * seq * seq..][..seq * seq];

@@ -1,8 +1,7 @@
 //! Multi-head self-attention with a full manual backward pass.
 
-use crate::{Layer, Linear, Parameter};
-use actcomp_tensor::graph::Graph;
-use actcomp_tensor::plan::{CompiledPlan, FusePolicy, OutBind};
+use crate::{graphs, Layer, Linear, Parameter};
+use actcomp_tensor::plan::OutBind;
 use actcomp_tensor::{ops, workspace, Tensor, Workspace};
 use rand::Rng;
 
@@ -52,30 +51,6 @@ struct AttnCache {
     probs: Tensor,
     batch: usize,
     seq: usize,
-}
-
-/// Builds the `[seq, d] × [seq, d] → scaled scores` per-head graph; the
-/// `1/√d` scale fuses into the `q kᵀ` GEMM's epilogue. Compiled once per
-/// call, run once per (batch, head).
-fn scores_plan(seq: usize, d: usize, scale: f32) -> CompiledPlan {
-    let mut g = Graph::new();
-    let gq = g.input(seq, d);
-    let gk = g.input(seq, d);
-    let s = g.matmul_nt(gq, gk);
-    let ss = g.scale(s, scale);
-    g.mark_output(ss);
-    g.compile(FusePolicy::Forced(vec![s]))
-        .expect("scores graph: scale always fuses")
-}
-
-/// Builds the `probs × v → context` per-head graph.
-fn context_plan(seq: usize, d: usize) -> CompiledPlan {
-    let mut g = Graph::new();
-    let gp = g.input(seq, seq);
-    let gv = g.input(seq, d);
-    let c = g.matmul(gp, gv);
-    g.mark_output(c);
-    g.compile(FusePolicy::Auto).expect("context graph")
 }
 
 impl MultiHeadAttention {
@@ -177,26 +152,9 @@ impl MultiHeadAttention {
         let scale = 1.0 / (d as f32).sqrt();
         let m = batch * seq;
 
-        // One graph segment for all three projections; each GEMM fuses
-        // its bias add into the epilogue.
-        let mut g = Graph::new();
-        let gx = g.input(m, h);
-        let gwq = g.input(h, h);
-        let gbq = g.input_vec(h);
-        let gwk = g.input(h, h);
-        let gbk = g.input_vec(h);
-        let gwv = g.input(h, h);
-        let gbv = g.input_vec(h);
-        let yq = g.matmul(gx, gwq);
-        let q = g.bias_add(yq, gbq);
-        let yk = g.matmul(gx, gwk);
-        let k = g.bias_add(yk, gbk);
-        let yv = g.matmul(gx, gwv);
-        let v = g.bias_add(yv, gbv);
-        g.mark_output(q);
-        g.mark_output(k);
-        g.mark_output(v);
-        let plan = g.compile(FusePolicy::Auto).expect("qkv graph");
+        // One plan for all three projections; each GEMM fuses its bias
+        // add into the epilogue.
+        let plan = graphs::qkv_forward(ws, m, h, h);
         let mut res = plan.run(
             &[
                 x.as_slice(),
@@ -214,8 +172,8 @@ impl MultiHeadAttention {
         let k = Tensor::from_vec(res[1].take().expect("leased k"), [m, h]);
         let v = Tensor::from_vec(res[2].take().expect("leased v"), [m, h]);
 
-        let sc_plan = scores_plan(seq, d, scale);
-        let cx_plan = context_plan(seq, d);
+        let sc_plan = graphs::attn_scores(ws, seq, d, scale);
+        let cx_plan = graphs::attn_context(ws, seq, d);
         let mut ctx = ws.lease_tensor([m, h]);
         let mut probs = ws.lease_tensor([batch * self.heads * seq, seq]);
         for t in 0..batch {
@@ -287,32 +245,9 @@ impl MultiHeadAttention {
         let mut dk = ws.lease_tensor([m, h]);
         let mut dv = ws.lease_tensor([m, h]);
 
-        // Per-head plans, compiled once and run per (batch, head):
-        // c = p v  →  dp = dc vᵀ ; dv = pᵀ dc, then after the softmax
-        // backward, s = α q kᵀ  →  dq = (α ds) k ; dk = (α ds)ᵀ q.
-        let ctx_bwd = {
-            let mut g = Graph::new();
-            let gdc = g.input(seq, d);
-            let gvb = g.input(seq, d);
-            let gp = g.input(seq, seq);
-            let dp = g.matmul_nt(gdc, gvb);
-            let dvb = g.matmul_tn(gp, gdc);
-            g.mark_output(dp);
-            g.mark_output(dvb);
-            g.compile(FusePolicy::Auto).expect("context backward graph")
-        };
-        let score_bwd = {
-            let mut g = Graph::new();
-            let gds = g.input(seq, seq);
-            let gkb = g.input(seq, d);
-            let gqb = g.input(seq, d);
-            let dss = g.scale(gds, scale);
-            let dqb = g.matmul(dss, gkb);
-            let dkb = g.matmul_tn(dss, gqb);
-            g.mark_output(dqb);
-            g.mark_output(dkb);
-            g.compile(FusePolicy::Auto).expect("scores backward graph")
-        };
+        // Per-head plans, looked up once and run per (batch, head).
+        let ctx_bwd = graphs::attn_context_backward(ws, seq, d);
+        let score_bwd = graphs::attn_scores_backward(ws, seq, d, scale);
 
         for t in 0..batch {
             for hd in 0..self.heads {
@@ -350,36 +285,9 @@ impl MultiHeadAttention {
         ws.recycle_tensor(dctx);
         ws.recycle_tensor(probs);
 
-        // One graph for all three projection backwards. The `dx` partial
-        // sums fuse into the final `nt` GEMM's epilogue:
-        // dx = dq Wqᵀ + dk Wkᵀ + dv Wvᵀ, accumulated per register tile.
-        let mut g = Graph::new();
-        let gx = g.input(m, h);
-        let gdq = g.input(m, h);
-        let gdk = g.input(m, h);
-        let gdv = g.input(m, h);
-        let gwq = g.input(h, h);
-        let gwk = g.input(h, h);
-        let gwv = g.input(h, h);
-        let dwq = g.matmul_tn(gx, gdq);
-        let dbq = g.sum_axis0(gdq);
-        let dwk = g.matmul_tn(gx, gdk);
-        let dbk = g.sum_axis0(gdk);
-        let dwv = g.matmul_tn(gx, gdv);
-        let dbv = g.sum_axis0(gdv);
-        let dxk = g.matmul_nt(gdk, gwk);
-        let dxv = g.matmul_nt(gdv, gwv);
-        let dxq = g.matmul_nt(gdq, gwq);
-        let t1 = g.residual_add(dxq, dxk);
-        let dx = g.residual_add(t1, dxv);
-        g.mark_output(dwq);
-        g.mark_output(dbq);
-        g.mark_output(dwk);
-        g.mark_output(dbk);
-        g.mark_output(dwv);
-        g.mark_output(dbv);
-        g.mark_output(dx);
-        let plan = g.compile(FusePolicy::Auto).expect("qkv backward graph");
+        // One plan for all three projection backwards; the `dx` partial
+        // sums fold into the final `nt` GEMM's epilogue.
+        let plan = graphs::qkv_backward(ws, m, h, h);
         let mut res = plan.run(
             &[
                 x.as_slice(),

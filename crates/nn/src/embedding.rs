@@ -100,9 +100,9 @@ impl Embedding {
         let d = self.dim();
         assert_eq!(dy.dims(), &[ids.len(), d], "embedding dy shape mismatch");
         let grad = self.table.grad.as_mut_slice();
-        for (row, &id) in ids.iter().enumerate() {
-            for j in 0..d {
-                grad[id * d + j] += dy.as_slice()[row * d + j];
+        for (&id, drow) in ids.iter().zip(dy.as_slice().chunks_exact(d)) {
+            for (g, &v) in grad[id * d..][..d].iter_mut().zip(drow) {
+                *g += v;
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Layer normalization.
 
+use crate::graphs::{self, LnInput};
 use crate::{Layer, Parameter};
-use actcomp_tensor::graph::Graph;
-use actcomp_tensor::plan::{FusePolicy, OutBind};
+use actcomp_tensor::plan::OutBind;
 use actcomp_tensor::{workspace, Tensor, Workspace};
 
 /// Layer normalization over the feature axis of `[tokens, features]`
@@ -42,12 +42,6 @@ pub struct LnCache {
 }
 
 impl LnCache {
-    /// Builds a cache from parts produced by an external graph plan
-    /// (e.g. a rank worker that emits its own `LnForward` node).
-    pub fn from_parts(xhat: Tensor, inv_std: Tensor) -> Self {
-        LnCache { xhat, inv_std }
-    }
-
     /// The cached normalized activation `x̂`.
     pub fn xhat(&self) -> &Tensor {
         &self.xhat
@@ -65,11 +59,6 @@ impl LnCache {
 }
 
 impl LayerNorm {
-    /// Numerical-stability epsilon added to the variance.
-    pub fn eps(&self) -> f32 {
-        self.eps
-    }
-
     /// Creates a layer norm over `features` with `γ = 1`, `β = 0`,
     /// `ε = 1e-5`.
     pub fn new(features: usize) -> Self {
@@ -96,55 +85,16 @@ impl LayerNorm {
         workspace::with_thread_default(|ws| self.forward_cached_ws(x, ws))
     }
 
-    /// [`LayerNorm::forward_cached`] with caller-provided scratch: emits
-    /// an `LnForward` graph node and runs the compiled plan, which writes
-    /// `y`, `x̂`, and the per-row inverse standard deviations in a single
-    /// fused pass (all leased from `ws`).
+    /// [`LayerNorm::forward_cached`] with caller-provided scratch: runs
+    /// the [`graphs::layernorm`] plan, which writes `y`, `x̂`, and the
+    /// per-row inverse standard deviations in a single fused pass (all
+    /// leased from `ws`).
     ///
     /// # Panics
     ///
     /// Panics if `x` is not `[tokens, features]`.
     pub fn forward_cached_ws(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, LnCache) {
-        assert_eq!(
-            x.rank(),
-            2,
-            "LayerNorm input must be rank 2, got {}",
-            x.shape()
-        );
-        let n = self.features();
-        assert_eq!(
-            x.dims()[1],
-            n,
-            "LayerNorm width {} != input width {}",
-            n,
-            x.dims()[1]
-        );
-        let m = x.dims()[0];
-        let mut g = Graph::new();
-        let gx = g.input(m, n);
-        let gg = g.input_vec(n);
-        let gb = g.input_vec(n);
-        let (y, xhat, inv_std) = g.layernorm(gx, gg, gb, self.eps);
-        g.mark_output(y);
-        g.mark_output(xhat);
-        g.mark_output(inv_std);
-        let plan = g.compile(FusePolicy::Auto).expect("layernorm graph");
-        let mut res = plan.run(
-            &[
-                x.as_slice(),
-                self.gamma.value.as_slice(),
-                self.beta.value.as_slice(),
-            ],
-            vec![OutBind::Lease, OutBind::Lease, OutBind::Lease],
-            ws,
-        );
-        (
-            Tensor::from_vec(res[0].take().expect("leased y"), [m, n]),
-            LnCache {
-                xhat: Tensor::from_vec(res[1].take().expect("leased xhat"), [m, n]),
-                inv_std: Tensor::from_vec(res[2].take().expect("leased inv_std"), [m]),
-            },
-        )
+        self.run_forward(LnInput::Plain, &[x], ws)
     }
 
     /// Fused residual + layer norm: computes `LN(x + r)` as one graph
@@ -167,28 +117,62 @@ impl LayerNorm {
             r.shape(),
             x.shape()
         );
+        self.run_forward(LnInput::Residual, &[x, r], ws)
+    }
+
+    /// `LN((s + bias) + x)` with `bias` broadcast over rows, as one graph
+    /// segment — what follows a row-parallel reduce whose shared bias is
+    /// added once, after the sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes disagree or are not `[tokens, features]`.
+    pub fn forward_bias_residual_cached_ws(
+        &self,
+        s: &Tensor,
+        bias: &Tensor,
+        x: &Tensor,
+        ws: &mut Workspace,
+    ) -> (Tensor, LnCache) {
+        assert!(
+            s.shape().same_as(x.shape()),
+            "residual shape {} != input shape {}",
+            x.shape(),
+            s.shape()
+        );
+        self.run_forward(LnInput::BiasResidual, &[s, bias, x], ws)
+    }
+
+    /// Runs the [`graphs::layernorm`] plan for `input` over `operands`
+    /// (in the variant's binding order) followed by `γ`, `β`.
+    fn run_forward(
+        &self,
+        input: LnInput,
+        operands: &[&Tensor],
+        ws: &mut Workspace,
+    ) -> (Tensor, LnCache) {
+        let x = operands[0];
         let n = self.features();
-        assert_eq!(x.rank(), 2, "LayerNorm input must be rank 2");
-        assert_eq!(x.dims()[1], n, "LayerNorm width mismatch");
+        assert_eq!(
+            x.rank(),
+            2,
+            "LayerNorm input must be rank 2, got {}",
+            x.shape()
+        );
+        assert_eq!(
+            x.dims()[1],
+            n,
+            "LayerNorm width {} != input width {}",
+            n,
+            x.dims()[1]
+        );
         let m = x.dims()[0];
-        let mut g = Graph::new();
-        let gx = g.input(m, n);
-        let gr = g.input(m, n);
-        let gg = g.input_vec(n);
-        let gb = g.input_vec(n);
-        let s = g.residual_add(gx, gr);
-        let (y, xhat, inv_std) = g.layernorm(s, gg, gb, self.eps);
-        g.mark_output(y);
-        g.mark_output(xhat);
-        g.mark_output(inv_std);
-        let plan = g.compile(FusePolicy::Auto).expect("residual+ln graph");
+        let plan = graphs::layernorm(ws, m, n, self.eps, input);
+        let mut inputs: Vec<&[f32]> = operands.iter().map(|t| t.as_slice()).collect();
+        inputs.push(self.gamma.value.as_slice());
+        inputs.push(self.beta.value.as_slice());
         let mut res = plan.run(
-            &[
-                x.as_slice(),
-                r.as_slice(),
-                self.gamma.value.as_slice(),
-                self.beta.value.as_slice(),
-            ],
+            &inputs,
             vec![OutBind::Lease, OutBind::Lease, OutBind::Lease],
             ws,
         );
@@ -232,41 +216,51 @@ impl LayerNorm {
         cache: LnCache,
         ws: &mut Workspace,
     ) -> Tensor {
+        self.backward_fused_ws(dy, None, cache, None, ws)
+    }
+
+    /// LayerNorm backward as one plan ([`graphs::layernorm_backward`]):
+    /// optionally folds a second upstream gradient `extra` into `dy` first
+    /// (the residual branch's contribution), accumulates `dγ`, `dβ` and —
+    /// given `row_bias`, a row-broadcast bias that was added ahead of the
+    /// normalization — its gradient `Σ_rows dx` straight into the
+    /// parameters, and returns the leased `dx`. The consumed cache's
+    /// buffers are recycled into `ws`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dy`'s shape disagrees with the cached activation's.
+    pub fn backward_fused_ws(
+        &mut self,
+        dy: &Tensor,
+        extra: Option<&Tensor>,
+        cache: LnCache,
+        row_bias: Option<&mut Parameter>,
+        ws: &mut Workspace,
+    ) -> Tensor {
         let LnCache { xhat, inv_std } = cache;
         let (m, n) = (xhat.dims()[0], xhat.dims()[1]);
         assert!(
             dy.shape().same_as(xhat.shape()),
             "LayerNorm dy shape mismatch"
         );
-        // One LnBackward graph node: dx leased, dγ/dβ accumulated
-        // straight into the parameter grads.
-        let mut g = Graph::new();
-        let gdy = g.input(m, n);
-        let gxh = g.input(m, n);
-        let gis = g.input(m, 1);
-        let gg = g.input_vec(n);
-        let (dx, dgamma, dbeta) = g.layernorm_backward(gdy, gxh, gis, gg);
-        g.mark_output(dx);
-        g.mark_output(dgamma);
-        g.mark_output(dbeta);
-        let plan = g
-            .compile(FusePolicy::Auto)
-            .expect("layernorm backward graph");
-        let mut res = plan.run(
-            &[
-                dy.as_slice(),
-                xhat.as_slice(),
-                inv_std.as_slice(),
-                self.gamma.value.as_slice(),
-            ],
-            vec![
-                OutBind::Lease,
-                OutBind::Acc(self.gamma.grad.as_mut_slice()),
-                OutBind::Acc(self.beta.grad.as_mut_slice()),
-            ],
-            ws,
-        );
+        let plan = graphs::layernorm_backward(ws, m, n, extra.is_some(), row_bias.is_some());
+        let mut inputs = vec![dy.as_slice()];
+        inputs.extend(extra.map(Tensor::as_slice));
+        inputs.extend([
+            xhat.as_slice(),
+            inv_std.as_slice(),
+            self.gamma.value.as_slice(),
+        ]);
+        let mut outs = vec![
+            OutBind::Lease,
+            OutBind::Acc(self.gamma.grad.as_mut_slice()),
+            OutBind::Acc(self.beta.grad.as_mut_slice()),
+        ];
+        outs.extend(row_bias.map(|b| OutBind::Acc(b.grad.as_mut_slice())));
+        let mut res = plan.run(&inputs, outs, ws);
         ws.recycle_tensor(xhat);
+        ws.recycle_tensor(inv_std);
         Tensor::from_vec(res[0].take().expect("leased dx"), [m, n])
     }
 }

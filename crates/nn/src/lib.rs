@@ -13,6 +13,8 @@
 //! - [`MultiHeadAttention`] with a complete manual backward pass,
 //! - the [`transformer`] module: encoder blocks, [`BertEncoder`], and
 //!   classification / regression / MLM heads,
+//! - [`graphs`]: the one catalogue of op-graph segments these layers, the
+//!   `actcomp-mp` shards and the runtime's ranks compile and run,
 //! - [`loss`] functions and [`optim`] (SGD, Adam/AdamW),
 //! - [`testutil`]: finite-difference gradient checking used by this crate
 //!   and by `actcomp-mp` to validate compression-in-the-graph layers.
@@ -41,6 +43,7 @@ mod attention;
 pub mod checkpoint;
 mod dropout;
 mod embedding;
+pub mod graphs;
 mod layernorm;
 mod linear;
 mod module;

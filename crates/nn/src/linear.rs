@@ -1,8 +1,7 @@
 //! Fully-connected layer.
 
-use crate::{Layer, Parameter};
-use actcomp_tensor::graph::Graph;
-use actcomp_tensor::plan::{FusePolicy, OutBind};
+use crate::{graphs, Layer, Parameter};
+use actcomp_tensor::plan::OutBind;
 use actcomp_tensor::{init, workspace, Tensor, Workspace};
 use rand::Rng;
 
@@ -87,21 +86,14 @@ impl Linear {
         workspace::with_thread_default(|ws| self.apply_ws(x, ws))
     }
 
-    /// [`Linear::apply`] with caller-provided scratch: emits the
-    /// `matmul → bias` graph segment and runs the compiled plan, so the
-    /// bias add executes in the GEMM's register-tile epilogue instead of
-    /// a second pass over the output.
+    /// [`Linear::apply`] with caller-provided scratch: runs the
+    /// [`graphs::linear_forward`] plan, so the bias add executes in the
+    /// GEMM's register-tile epilogue instead of a second pass over the
+    /// output.
     pub fn apply_ws(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = self.fan_out();
-        let mut g = Graph::new();
-        let gx = g.input(m, kin);
-        let gw = g.input(kin, n);
-        let gb = g.input_vec(n);
-        let y = g.matmul(gx, gw);
-        let h = g.bias_add(y, gb);
-        g.mark_output(h);
-        let plan = g.compile(FusePolicy::Auto).expect("linear forward graph");
+        let plan = graphs::linear_forward(ws, m, kin, n);
         let mut out = plan.run(
             &[
                 x.as_slice(),
@@ -123,8 +115,9 @@ impl Linear {
 
     /// [`Layer::backward`] with caller-provided scratch. The whole
     /// backward — `dW = xᵀ dy`, `db = Σ_rows dy`, `dx = dy Wᵀ` — is one
-    /// graph segment whose parameter-gradient outputs accumulate straight
-    /// into `grad` ([`OutBind::Acc`], no product temporary).
+    /// plan ([`graphs::linear_backward`]) whose parameter-gradient outputs
+    /// accumulate straight into `grad` ([`OutBind::Acc`], no product
+    /// temporary).
     pub fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let x = self
             .cache_x
@@ -132,17 +125,7 @@ impl Linear {
             .expect("Linear::backward called without forward");
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = self.fan_out();
-        let mut g = Graph::new();
-        let gx = g.input(m, kin);
-        let gdy = g.input(m, n);
-        let gw = g.input(kin, n);
-        let dw = g.matmul_tn(gx, gdy);
-        let db = g.sum_axis0(gdy);
-        let dx = g.matmul_nt(gdy, gw);
-        g.mark_output(dw);
-        g.mark_output(db);
-        g.mark_output(dx);
-        let plan = g.compile(FusePolicy::Auto).expect("linear backward graph");
+        let plan = graphs::linear_backward(ws, m, kin, n);
         let mut res = plan.run(
             &[x.as_slice(), dy.as_slice(), self.weight.value.as_slice()],
             vec![

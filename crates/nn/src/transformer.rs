@@ -1,8 +1,9 @@
 //! BERT-style Transformer encoder built from the primitive layers.
 
-use crate::{Dropout, Embedding, Layer, LayerNorm, Linear, MultiHeadAttention, Parameter, Tanh};
-use actcomp_tensor::graph::Graph;
-use actcomp_tensor::plan::{FusePolicy, OutBind};
+use crate::{
+    graphs, Dropout, Embedding, Layer, LayerNorm, Linear, MultiHeadAttention, Parameter, Tanh,
+};
+use actcomp_tensor::plan::OutBind;
 use actcomp_tensor::{workspace, Tensor, Workspace};
 use rand::Rng;
 
@@ -182,21 +183,7 @@ impl FeedForward {
     pub fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let (m, h) = (x.dims()[0], x.dims()[1]);
         let ff = self.fc1.fan_out();
-        let mut g = Graph::new();
-        let gx = g.input(m, h);
-        let gw1 = g.input(h, ff);
-        let gb1 = g.input_vec(ff);
-        let gw2 = g.input(ff, h);
-        let gb2 = g.input_vec(h);
-        let y1 = g.matmul(gx, gw1);
-        let h1 = g.bias_add(y1, gb1);
-        let a = g.gelu(h1);
-        let y2 = g.matmul(a, gw2);
-        let out = g.bias_add(y2, gb2);
-        g.mark_output(out);
-        g.mark_output(h1); // pre-activation, stashed by the fused up-GEMM
-        g.mark_output(a);
-        let plan = g.compile(FusePolicy::Auto).expect("ffn forward graph");
+        let plan = graphs::ffn_forward(ws, m, h, ff);
         let mut res = plan.run(
             &[
                 x.as_slice(),
@@ -225,26 +212,7 @@ impl FeedForward {
             .expect("FeedForward::backward called without forward");
         let (m, h) = (dy.dims()[0], dy.dims()[1]);
         let ff = self.fc1.fan_out();
-        let mut g = Graph::new();
-        let gdy = g.input(m, h);
-        let ga = g.input(m, ff);
-        let gh1 = g.input(m, ff);
-        let gx = g.input(m, x.dims()[1]);
-        let gw2 = g.input(ff, h);
-        let gw1 = g.input(x.dims()[1], ff);
-        let dw2 = g.matmul_tn(ga, gdy);
-        let db2 = g.sum_axis0(gdy);
-        let da = g.matmul_nt(gdy, gw2);
-        let dh = g.gelu_grad_mul(da, gh1);
-        let dw1 = g.matmul_tn(gx, dh);
-        let db1 = g.sum_axis0(dh);
-        let dx = g.matmul_nt(dh, gw1);
-        g.mark_output(dw2);
-        g.mark_output(db2);
-        g.mark_output(dw1);
-        g.mark_output(db1);
-        g.mark_output(dx);
-        let plan = g.compile(FusePolicy::Auto).expect("ffn backward graph");
+        let plan = graphs::ffn_backward(ws, m, h, ff);
         let mut res = plan.run(
             &[
                 dy.as_slice(),
@@ -263,7 +231,7 @@ impl FeedForward {
             ],
             ws,
         );
-        let dx = Tensor::from_vec(res[4].take().expect("leased dx"), [m, x.dims()[1]]);
+        let dx = Tensor::from_vec(res[4].take().expect("leased dx"), [m, h]);
         for tmp in [x, h1, a] {
             ws.recycle_tensor(tmp);
         }

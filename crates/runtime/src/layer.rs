@@ -2,8 +2,10 @@
 //! where the serial executor sums partials in-process.
 //!
 //! The arithmetic replicates [`actcomp_mp`]'s tensor-parallel layer op
-//! for op, and a micro-batch moves Megatron's traffic — four all-reduces
-//! of one activation (`n` = tokens × hidden) per layer:
+//! for op — every graph segment is the one definition in
+//! [`actcomp_nn::graphs`], compiled once per shape into this rank's
+//! workspace — and a micro-batch moves Megatron's traffic — four
+//! all-reduces of one activation (`n` = tokens × hidden) per layer:
 //!
 //! | pass | reduce | size | collective |
 //! |---|---|---|---|
@@ -26,55 +28,9 @@ use crate::report::{timed, PhaseTimers};
 use actcomp_compress::Compressor;
 use actcomp_mp::shard::{attn_context_backward_ws, attn_context_forward_ws, qkv_backward_ws};
 use actcomp_mp::{ColumnShard, RowShard};
-use actcomp_nn::{EncoderLayer, Layer, LayerNorm, LnCache, Parameter};
-use actcomp_tensor::graph::Graph;
-use actcomp_tensor::plan::{FusePolicy, OutBind};
+use actcomp_nn::{graphs, EncoderLayer, Layer, LayerNorm, LnCache, Parameter};
+use actcomp_tensor::plan::OutBind;
 use actcomp_tensor::{Tensor, Workspace};
-
-/// `LN((s + b) + x)` as one compiled graph segment: the row-broadcast
-/// bias add and the residual sum are plan-internal intermediates the
-/// planner recycles as soon as the normalization consumes them, instead
-/// of two caller-held full activations.
-fn ln_bias_residual_forward(
-    ln: &LayerNorm,
-    s: &Tensor,
-    bias: &Tensor,
-    x: &Tensor,
-    ws: &mut Workspace,
-) -> (Tensor, LnCache) {
-    let (m, n) = (s.dims()[0], s.dims()[1]);
-    let mut g = Graph::new();
-    let gs = g.input(m, n);
-    let gb = g.input_vec(n);
-    let gx = g.input(m, n);
-    let gg = g.input_vec(n);
-    let gbeta = g.input_vec(n);
-    let a = g.bias_add(gs, gb);
-    let sum = g.residual_add(a, gx);
-    let (y, xhat, inv_std) = g.layernorm(sum, gg, gbeta, ln.eps());
-    g.mark_output(y);
-    g.mark_output(xhat);
-    g.mark_output(inv_std);
-    let plan = g.compile(FusePolicy::Auto).expect("bias+residual+ln graph");
-    let mut res = plan.run(
-        &[
-            s.as_slice(),
-            bias.as_slice(),
-            x.as_slice(),
-            ln.gamma.value.as_slice(),
-            ln.beta.value.as_slice(),
-        ],
-        vec![OutBind::Lease, OutBind::Lease, OutBind::Lease],
-        ws,
-    );
-    (
-        Tensor::from_vec(res[0].take().expect("leased y"), [m, n]),
-        LnCache::from_parts(
-            Tensor::from_vec(res[1].take().expect("leased xhat"), [m, n]),
-            Tensor::from_vec(res[2].take().expect("leased inv_std"), [m]),
-        ),
-    )
-}
 
 /// Rank-local MLP expansion with the activation fused into the GEMM
 /// epilogue: returns `(gelu(x·W + b), x·W + b)` from one plan, with the
@@ -83,16 +39,7 @@ fn ln_bias_residual_forward(
 fn mlp_up_forward(fc1: &ColumnShard, x: &Tensor, ws: &mut Workspace) -> (Tensor, Tensor) {
     let (m, kin) = (x.dims()[0], x.dims()[1]);
     let n = fc1.weight.value.dims()[1];
-    let mut g = Graph::new();
-    let gx = g.input(m, kin);
-    let gw = g.input(kin, n);
-    let gb = g.input_vec(n);
-    let y = g.matmul(gx, gw);
-    let h = g.bias_add(y, gb);
-    let act = g.gelu(h);
-    g.mark_output(act);
-    g.mark_output(h);
-    let plan = g.compile(FusePolicy::Auto).expect("mlp up graph");
+    let plan = graphs::mlp_up(ws, m, kin, n);
     let mut res = plan.run(
         &[
             x.as_slice(),
@@ -121,19 +68,7 @@ fn mlp_down_backward(
 ) -> Tensor {
     let (m, kin) = (act.dims()[0], act.dims()[1]);
     let n = dp.dims()[1];
-    let mut g = Graph::new();
-    let gact = g.input(m, kin);
-    let gdp = g.input(m, n);
-    let gw = g.input(kin, n);
-    let gh = g.input(m, kin);
-    let dw = g.matmul_tn(gact, gdp);
-    let da = g.matmul_nt(gdp, gw);
-    let dh = g.gelu_grad_mul(da, gh);
-    g.mark_output(dw);
-    g.mark_output(dh);
-    let plan = g
-        .compile(FusePolicy::Auto)
-        .expect("mlp down backward graph");
+    let plan = graphs::mlp_down_backward(ws, m, kin, n);
     let mut res = plan.run(
         &[
             act.as_slice(),
@@ -145,60 +80,6 @@ fn mlp_down_backward(
         ws,
     );
     Tensor::from_vec(res[1].take().expect("leased dh"), [m, kin])
-}
-
-/// LayerNorm backward as one compiled plan: optionally folds a second
-/// upstream gradient into `dy` first (the residual branch's
-/// contribution), accumulates `dγ`, `dβ`, and the replicated row bias's
-/// gradient (`Σ_rows dx`) straight into their parameters, and returns
-/// the leased `dx`.
-fn ln_backward_fused(
-    ln: &mut LayerNorm,
-    dy: &Tensor,
-    extra: Option<&Tensor>,
-    cache: LnCache,
-    row_bias: &mut Parameter,
-    ws: &mut Workspace,
-) -> Tensor {
-    let (xhat, inv_std) = cache.into_parts();
-    let (m, n) = (xhat.dims()[0], xhat.dims()[1]);
-    let mut g = Graph::new();
-    let gdy = g.input(m, n);
-    let gex = extra.map(|_| g.input(m, n));
-    let gxh = g.input(m, n);
-    let gis = g.input(m, 1);
-    let gg = g.input_vec(n);
-    let s = match gex {
-        Some(ge) => g.residual_add(gdy, ge),
-        None => gdy,
-    };
-    let (dx, dgamma, dbeta) = g.layernorm_backward(s, gxh, gis, gg);
-    let dbo = g.sum_axis0(dx);
-    g.mark_output(dx);
-    g.mark_output(dgamma);
-    g.mark_output(dbeta);
-    g.mark_output(dbo);
-    let plan = g.compile(FusePolicy::Auto).expect("ln backward graph");
-    let mut inputs: Vec<&[f32]> = vec![dy.as_slice()];
-    if let Some(e) = extra {
-        inputs.push(e.as_slice());
-    }
-    inputs.push(xhat.as_slice());
-    inputs.push(inv_std.as_slice());
-    inputs.push(ln.gamma.value.as_slice());
-    let mut res = plan.run(
-        &inputs,
-        vec![
-            OutBind::Lease,
-            OutBind::Acc(ln.gamma.grad.as_mut_slice()),
-            OutBind::Acc(ln.beta.grad.as_mut_slice()),
-            OutBind::Acc(row_bias.grad.as_mut_slice()),
-        ],
-        ws,
-    );
-    ws.recycle_tensor(xhat);
-    ws.recycle_tensor(inv_std);
-    Tensor::from_vec(res[0].take().expect("leased dx"), [m, n])
 }
 
 /// Activations cached between a micro-batch's forward and backward.
@@ -332,7 +213,9 @@ impl RankLayer {
         let s = tp.compressed_all_reduce(self.attn_comp.as_mut(), &partial, timers, ws);
         ws.recycle_tensor(partial);
         let (h1, ln1c, h, act, partial2) = timed(&mut timers.compute_s, || {
-            let (h1, ln1c) = ln_bias_residual_forward(&self.ln1, &s, &self.wo_bias.value, x, ws);
+            let (h1, ln1c) =
+                self.ln1
+                    .forward_bias_residual_cached_ws(&s, &self.wo_bias.value, x, ws);
             let (act, h) = mlp_up_forward(&self.fc1, &h1, ws);
             let partial2 = self.fc2.partial_ws(&act, ws);
             (h1, ln1c, h, act, partial2)
@@ -341,7 +224,8 @@ impl RankLayer {
         let s2 = tp.compressed_all_reduce(self.ff_comp.as_mut(), &partial2, timers, ws);
         ws.recycle_tensor(partial2);
         let (y, ln2c) = timed(&mut timers.compute_s, || {
-            ln_bias_residual_forward(&self.ln2, &s2, &self.fc2_bias.value, &h1, ws)
+            self.ln2
+                .forward_bias_residual_cached_ws(&s2, &self.fc2_bias.value, &h1, ws)
         });
         ws.recycle_tensor(s2);
         self.caches.push(LayerCache {
@@ -393,7 +277,8 @@ impl RankLayer {
         let d = self.head_dim();
 
         let d2 = timed(&mut timers.compute_s, || {
-            ln_backward_fused(&mut self.ln2, dy, None, ln2c, &mut self.fc2_bias, ws)
+            self.ln2
+                .backward_fused_ws(dy, None, ln2c, Some(&mut self.fc2_bias), ws)
         });
         let dp = tp.compressed_backward(self.ff_comp.as_mut(), &d2, timers);
         let part = timed(&mut timers.compute_s, || {
@@ -407,7 +292,8 @@ impl RankLayer {
         let df = tp.dense_all_reduce(&part, timers, ws);
         ws.recycle_tensor(part);
         let d1 = timed(&mut timers.compute_s, || {
-            ln_backward_fused(&mut self.ln1, &d2, Some(&df), ln1c, &mut self.wo_bias, ws)
+            self.ln1
+                .backward_fused_ws(&d2, Some(&df), ln1c, Some(&mut self.wo_bias), ws)
         });
         ws.recycle_tensor(d2);
         ws.recycle_tensor(df);

@@ -604,6 +604,7 @@ impl RankWorker {
                         reduce_bytes: self.tp.bytes,
                         ring_bytes: self.tp.ring_bytes,
                         boundary_bytes: self.send_b.as_ref().map(|b| b.bytes).unwrap_or_default(),
+                        plan_compiles: Some(self.ws.plan_compiles()),
                     };
                     self.respond(Response::Report {
                         report: Box::new(report),

@@ -76,6 +76,14 @@ pub struct RankReport {
     /// the rank is a boundary owner, i.e. `tp_index == 0` on a
     /// non-final stage).
     pub boundary_bytes: CommBytes,
+    /// Graphs this rank's workspace has compiled
+    /// ([`actcomp_tensor::Workspace::plan_compiles`]): one per distinct
+    /// layer graph and shape, so it stops growing after the first step or
+    /// request of each shape. A count, the same on every machine.
+    /// `None` only for a report written before the field existed (the
+    /// vendored serde derive has no `#[serde(default)]`; a missing key
+    /// reads as `None`).
+    pub plan_compiles: Option<u64>,
 }
 
 /// Aggregated execution report for a threaded run, written to
@@ -163,6 +171,7 @@ mod tests {
                 dense: wire,
             },
             boundary_bytes: CommBytes::default(),
+            plan_compiles: None,
         }
     }
 
@@ -194,5 +203,16 @@ mod tests {
         assert_eq!(back.ranks.len(), 1);
         assert_eq!(back.reduce_bytes.wire, 10);
         assert_eq!(back.micro_batches, 2);
+    }
+
+    #[test]
+    fn a_rank_report_written_before_plan_compiles_still_loads() {
+        let mut old = rank(0, 0, 0, 10);
+        old.plan_compiles = Some(3);
+        let json = serde_json::to_string(&old).expect("serializes");
+        let json = json.replace(",\"plan_compiles\":3", "");
+        assert!(!json.contains("plan_compiles"), "{json}");
+        let back: RankReport = serde_json::from_str(&json).expect("parse");
+        assert_eq!(back.plan_compiles, None);
     }
 }

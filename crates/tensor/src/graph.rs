@@ -505,6 +505,52 @@ impl Graph {
         (self.nodes, self.outputs)
     }
 
+    /// Appends the graph's structure to `out` as a word string: one
+    /// seven-word record per node (kind tag, up to four operand ids or
+    /// constants by bit pattern, shape), then the input and the output
+    /// ids, each list behind its length. Two graphs write the same words
+    /// exactly when [`Graph::compile`] cannot tell them apart, which
+    /// makes the string the key of [`crate::Workspace::plan`]'s cache.
+    pub(crate) fn key_words(&self, out: &mut Vec<u64>) {
+        out.push(self.nodes.len() as u64);
+        for nd in &self.nodes {
+            let [tag, a, b, c, d] = match nd.kind {
+                NodeKind::Input => [0, 0, 0, 0, 0],
+                NodeKind::Aux { node, slot } => [1, node, slot, 0, 0],
+                NodeKind::Gemm { kind, a, b } => [2 + kind as usize, a, b, 0, 0],
+                NodeKind::Ew { x, op } => match op {
+                    EwOp::BiasAdd(v) => [5, x, v, 0, 0],
+                    EwOp::ResidualAdd(v) => [6, x, v, 0, 0],
+                    EwOp::MaskMul(v) => [7, x, v, 0, 0],
+                    EwOp::Scale(s) => [8, x, s.to_bits() as usize, 0, 0],
+                    EwOp::Gelu => [9, x, 0, 0, 0],
+                    EwOp::Tanh => [10, x, 0, 0, 0],
+                    EwOp::Relu => [11, x, 0, 0, 0],
+                    EwOp::GeluGradMul(v) => [12, x, v, 0, 0],
+                },
+                NodeKind::LnForward {
+                    x,
+                    gamma,
+                    beta,
+                    eps,
+                } => [13, x, gamma, beta, eps.to_bits() as usize],
+                NodeKind::LnBackward {
+                    dy,
+                    xhat,
+                    inv_std,
+                    gamma,
+                } => [14, dy, xhat, inv_std, gamma],
+                NodeKind::SumAxis0 { x } => [15, x, 0, 0, 0],
+            };
+            let (rows, cols) = nd.shape;
+            out.extend([tag, a, b, c, d, rows, cols].map(|w| w as u64));
+        }
+        for ids in [&self.inputs, &self.outputs] {
+            out.push(ids.len() as u64);
+            out.extend(ids.iter().map(|&v| v as u64));
+        }
+    }
+
     /// Every value id read by node `v` (operands, not aux parents).
     pub(crate) fn operands_of(&self, v: ValueId) -> Vec<ValueId> {
         match self.nodes[v].kind {

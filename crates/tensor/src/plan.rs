@@ -15,9 +15,18 @@
 //!    [`CompiledPlan::peak_workspace_bytes`] — instead of whatever a
 //!    hand-threaded `_ws` call sequence happened to hold.
 //!
-//! A plan borrows nothing: it can be compiled once and executed many
-//! times with different bindings ([`CompiledPlan::run`]), which is how
-//! the per-head attention loop amortizes graph construction.
+//! A plan borrows nothing: it is compiled once and executed many times
+//! with different bindings ([`CompiledPlan::run`]). [`Graph::compile`] is
+//! the uncached primitive — `actcomp check`, the benches and the tests
+//! compile against it and own what it returns. The layers instead ask
+//! their rank's arena, [`Workspace::plan`], which keeps the compiled
+//! plans in a `PlanCache` keyed by the graph's own structure plus the
+//! [`FusePolicy`] (`Graph::key_words`: node kinds, operand ids, shapes,
+//! `Scale`/`eps` constants by bit pattern, input and output order), so a
+//! hit is the plan this very graph would compile to and a layer's
+//! forward and backward compile once per distinct shape, not per call.
+//! The cache holds at most [`PLAN_CACHE_CAP`] plans and drops the least
+//! recently used beyond that, so variable-shape serving cannot grow it.
 //!
 //! # Bit-identity
 //!
@@ -33,6 +42,7 @@ use crate::kernels::{self, EpOp, Epilogue};
 use crate::ops;
 use crate::pool;
 use crate::workspace::Workspace;
+use std::sync::Arc;
 
 /// How much fusion [`Graph::compile`] performs.
 #[derive(Clone, Debug, Default)]
@@ -101,9 +111,10 @@ pub struct CompiledPlan {
     graph: Graph,
     fusion: Fusion,
     steps: Vec<Step>,
-    /// Per value: the step index producing it (None for inputs and
-    /// fused-away values).
-    def_step: Vec<Option<usize>>,
+    /// Per step: the values that die with it, in recycle order — its
+    /// plan-produced operands read here for the last time, then whatever
+    /// it produced that nothing reads. Outputs are the caller's.
+    release: Vec<Vec<ValueId>>,
     /// Per value: the last step index reading it (None if never read).
     last_use: Vec<Option<usize>>,
     /// Per value: marked as a graph output.
@@ -201,22 +212,25 @@ impl CompiledPlan {
         };
         let mut live = 0usize;
         let mut peak = 0usize;
+        let mut release = Vec::with_capacity(steps.len());
         for (idx, step) in steps.iter().enumerate() {
             let produced = produced_values(&graph, &fusion, *step);
-            for &v in &produced {
-                live += bytes(v);
-            }
+            live += produced.iter().map(|&v| bytes(v)).sum::<usize>();
             peak = peak.max(live);
+            let mut dying: Vec<ValueId> = Vec::new();
             for v in read_values(&graph, &fusion, *step) {
-                if last_use[v] == Some(idx) && def_step[v].is_some() && !is_output[v] {
-                    live -= bytes(v);
+                let dies = last_use[v] == Some(idx) && def_step[v].is_some() && !is_output[v];
+                if dies && !dying.contains(&v) {
+                    dying.push(v);
                 }
             }
-            for &v in &produced {
-                if last_use[v].is_none() && !is_output[v] {
-                    live -= bytes(v);
-                }
-            }
+            dying.extend(
+                produced
+                    .into_iter()
+                    .filter(|&v| last_use[v].is_none() && !is_output[v]),
+            );
+            live -= dying.iter().map(|&v| bytes(v)).sum::<usize>();
+            release.push(dying);
         }
         // The hand-threaded `_ws` baseline: PR 4-style layer code
         // materialized every intermediate of the *unfused* graph as its
@@ -229,7 +243,7 @@ impl CompiledPlan {
             graph,
             fusion,
             steps,
-            def_step,
+            release,
             last_use,
             is_output,
             is_stash,
@@ -318,22 +332,11 @@ impl CompiledPlan {
                 }
             }
         }
-        for (idx, &step) in self.steps.iter().enumerate() {
+        for (idx, (&step, dying)) in self.steps.iter().zip(&self.release).enumerate() {
             self.exec_step(step, idx, &mut slots, ws);
-            // Recycle everything that just died.
-            for v in read_values(g, &self.fusion, step) {
-                if self.last_use[v] == Some(idx) && self.def_step[v].is_some() && !self.is_output[v]
-                {
-                    if let Slot::Owned(buf) = std::mem::replace(&mut slots[v], Slot::Empty) {
-                        ws.recycle(buf);
-                    }
-                }
-            }
-            for v in produced_values(g, &self.fusion, step) {
-                if self.last_use[v].is_none() && !self.is_output[v] {
-                    if let Slot::Owned(buf) = std::mem::replace(&mut slots[v], Slot::Empty) {
-                        ws.recycle(buf);
-                    }
+            for &v in dying {
+                if let Slot::Owned(buf) = std::mem::replace(&mut slots[v], Slot::Empty) {
+                    ws.recycle(buf);
                 }
             }
         }
@@ -887,6 +890,87 @@ fn read_values(g: &Graph, fusion: &Fusion, step: Step) -> Vec<ValueId> {
         }
     }
     reads
+}
+
+/// Most plans a `PlanCache` keeps. A training rank runs 17 distinct
+/// graphs and a serving stage 7 per sequence length (a request is its own
+/// micro-batch), so steady state sits well inside it.
+pub const PLAN_CACHE_CAP: usize = 128;
+
+/// One cached plan: the words it was compiled from, their hash, and the
+/// lookup tick it last served.
+#[derive(Debug)]
+struct CacheEntry {
+    hash: u64,
+    key: Box<[u64]>,
+    plan: Arc<CompiledPlan>,
+    used: u64,
+}
+
+/// The compiled plans one [`Workspace`] owns — see the module doc. A
+/// lookup compares the whole key, so a hash collision costs a compare,
+/// never a wrong plan.
+#[derive(Debug, Default)]
+pub(crate) struct PlanCache {
+    entries: Vec<CacheEntry>,
+    /// Scratch the probe's key is written into, kept for its capacity.
+    probe: Vec<u64>,
+    tick: u64,
+    compiles: u64,
+}
+
+impl PlanCache {
+    pub(crate) fn get(
+        &mut self,
+        g: &Graph,
+        policy: FusePolicy,
+    ) -> Result<Arc<CompiledPlan>, GraphError> {
+        self.probe.clear();
+        g.key_words(&mut self.probe);
+        match &policy {
+            FusePolicy::Auto => self.probe.push(0),
+            FusePolicy::None => self.probe.push(1),
+            FusePolicy::Forced(gemms) => {
+                self.probe.push(2);
+                self.probe.extend(gemms.iter().map(|&v| v as u64));
+            }
+        }
+        let hash = self.probe.iter().fold(0u64, |h, &w| {
+            (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        self.tick += 1;
+        let hit = self
+            .entries
+            .iter_mut()
+            .find(|e| e.hash == hash && *e.key == *self.probe);
+        if let Some(e) = hit {
+            e.used = self.tick;
+            return Ok(Arc::clone(&e.plan));
+        }
+        let plan = Arc::new(g.compile(policy)?);
+        self.compiles += 1;
+        if self.entries.len() == PLAN_CACHE_CAP {
+            let oldest = (0..PLAN_CACHE_CAP)
+                .min_by_key(|&i| self.entries[i].used)
+                .expect("a full cache has entries");
+            self.entries.swap_remove(oldest);
+        }
+        self.entries.push(CacheEntry {
+            hash,
+            key: self.probe.as_slice().into(),
+            plan: Arc::clone(&plan),
+            used: self.tick,
+        });
+        Ok(plan)
+    }
+
+    pub(crate) fn compiles(&self) -> u64 {
+        self.compiles
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
 }
 
 #[cfg(test)]

@@ -18,20 +18,33 @@
 //!   [`Workspace::recycle_tensor`]) move the buffer in and out of tensor
 //!   form without copying.
 //!
+//! - The arena also owns its rank's compiled plans ([`Workspace::plan`],
+//!   see [`crate::plan`]): a layer's graphs are compiled the first time a
+//!   shape is seen and looked up afterwards. Plans are handed out as
+//!   `Arc`s because a rank's workspace is built by the launcher and moved
+//!   into the rank's thread; [`Workspace::plan_compiles`] counts the
+//!   misses.
+//!
 //! Plain `Tensor::matmul`-style methods that have no caller-provided
 //! workspace use a thread-local one via [`with_thread_default`], so even
-//! "workspace-oblivious" code stops allocating per call after warm-up.
+//! "workspace-oblivious" code stops allocating — and compiling — per call
+//! after warm-up.
 
+use crate::graph::{Graph, GraphError};
+use crate::plan::{CompiledPlan, FusePolicy, PlanCache};
 use crate::{Shape, Tensor};
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Retain at most this many free buffers; beyond that, drop the smallest.
 const MAX_CACHED: usize = 32;
 
-/// A freelist arena of reusable `f32` scratch buffers.
+/// A freelist arena of reusable `f32` scratch buffers, plus the compiled
+/// plans of the graphs its owner runs.
 #[derive(Debug, Default)]
 pub struct Workspace {
     free: Vec<Vec<f32>>,
+    plans: PlanCache,
 }
 
 impl Workspace {
@@ -123,6 +136,33 @@ impl Workspace {
     #[must_use]
     pub fn cached(&self) -> usize {
         self.free.len()
+    }
+
+    /// The compiled plan of `g` under `policy`: this workspace's cached
+    /// one when it has compiled a structurally identical graph under the
+    /// same policy before, else a fresh [`Graph::compile`] that it keeps
+    /// (up to [`crate::plan::PLAN_CACHE_CAP`], least recently used out
+    /// first).
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Graph::compile`] returns; a failed compile caches
+    /// nothing.
+    pub fn plan(&mut self, g: &Graph, policy: FusePolicy) -> Result<Arc<CompiledPlan>, GraphError> {
+        self.plans.get(g, policy)
+    }
+
+    /// How many times [`Workspace::plan`] had to compile: flat once every
+    /// shape its owner runs has been seen.
+    #[must_use]
+    pub fn plan_compiles(&self) -> u64 {
+        self.plans.compiles()
+    }
+
+    /// Number of plans currently cached (for tests and diagnostics).
+    #[must_use]
+    pub fn cached_plans(&self) -> usize {
+        self.plans.len()
     }
 }
 

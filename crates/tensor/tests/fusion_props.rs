@@ -17,6 +17,11 @@
 //!    non-input value materialized), and (c) stay bit-identical to the
 //!    unfused plan of the same graph.
 //!
+//! 3. **Cache transparency**: the plan [`Workspace::plan`] hands out for
+//!    a graph is the one compiled the first time its structure was seen,
+//!    and runs bit-identically to a fresh [`Graph::compile`] of it under
+//!    every policy, through `Lease`, `Write` and `Acc` bindings.
+//!
 //! The executor reads the pool size from the process-global
 //! `pool::set_threads`, so every case takes `POOL_ENV` to serialize
 //! pool reconfiguration within this test binary.
@@ -25,7 +30,7 @@ use actcomp_tensor::graph::Graph;
 use actcomp_tensor::plan::{CompiledPlan, FusePolicy, OutBind};
 use actcomp_tensor::{pool, Workspace};
 use proptest::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 static POOL_ENV: Mutex<()> = Mutex::new(());
 
@@ -272,5 +277,54 @@ proptest! {
         for v in &want {
             prop_assert!(v.iter().all(|x| x.is_finite()));
         }
+    }
+
+    /// A plan from the workspace's cache is the plan a fresh compile of
+    /// the same graph yields: one compile however often the structure
+    /// comes back, and the same bits out through every kind of binding.
+    #[test]
+    fn cached_plan_runs_like_a_fresh_compile(
+        m in dim(), k in dim(), n in dim(),
+        ops in chain(),
+        stash_sel in 0usize..8,
+        seed in 1u64..u64::MAX,
+        policy_sel in 0usize..3,
+        bind_sel in 0usize..3,
+    ) {
+        let _env = POOL_ENV.lock().unwrap_or_else(|e| e.into_inner());
+        pool::set_threads(1);
+        let stash_at = (stash_sel < ops.len()).then_some(stash_sel);
+        let (g, gemm, bufs) = build_chain_graph(m, k, n, &ops, stash_at, seed);
+        let policy = [FusePolicy::None, FusePolicy::Auto, FusePolicy::Forced(vec![gemm])]
+            [policy_sel].clone();
+        let fresh = g.compile(policy.clone()).unwrap();
+        let mut ws = Workspace::new();
+        let cached = ws.plan(&g, policy.clone()).unwrap();
+        // The same structure, built again from scratch, is a hit.
+        let (again, _, _) = build_chain_graph(m, k, n, &ops, stash_at, seed);
+        prop_assert!(Arc::ptr_eq(&cached, &ws.plan(&again, policy.clone()).unwrap()));
+        prop_assert_eq!(ws.plan_compiles(), 1);
+
+        // The chain's final value is the last output; an unfused
+        // elementwise producer cannot accumulate, so it falls back to
+        // `Write` there.
+        let n_outs = g.output_ids().len();
+        let can_acc = ops.is_empty() || !matches!(policy, FusePolicy::None);
+        let inputs: Vec<&[f32]> = bufs.iter().map(Vec::as_slice).collect();
+        let run = |plan: &CompiledPlan, ws: &mut Workspace| {
+            let mut ext = data(seed ^ 0xACC, m * n);
+            let mut outs: Vec<OutBind<'_>> = (1..n_outs).map(|_| OutBind::Lease).collect();
+            outs.push(match bind_sel {
+                0 => OutBind::Lease,
+                2 if can_acc => OutBind::Acc(&mut ext),
+                _ => OutBind::Write(&mut ext),
+            });
+            let mut got: Vec<Vec<f32>> = plan.run(&inputs, outs, ws).into_iter().flatten().collect();
+            got.push(ext);
+            got
+        };
+        let want = run(&fresh, &mut Workspace::new());
+        assert_bits_eq(&want, &run(&cached, &mut ws), "cached vs fresh");
+        assert_bits_eq(&want, &run(&cached, &mut ws), "cached, warm arena");
     }
 }
