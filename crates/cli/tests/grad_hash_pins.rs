@@ -1,4 +1,4 @@
-//! The seeded gradient hashes of six training configurations, pinned.
+//! The seeded gradient hashes of nine training configurations, pinned.
 //!
 //! Every case trains the same small model for two steps from seed 7 and
 //! prints `--grad-hash` (an FNV-1a over every gradient's bytes in serial
@@ -34,7 +34,7 @@ const SHAPE: &[&str] = &[
 ];
 
 /// `(flags, digest)`.
-const PINS: [(&str, &str); 6] = [
+const PINS: [(&str, &str); 9] = [
     (
         "--backend threads --tp 2 --pp 2 --micro-batches 2",
         "20b1482fb1ebb228",
@@ -55,6 +55,14 @@ const PINS: [(&str, &str); 6] = [
     (
         "--backend procs --transport tcp --spec Q2 --link-mbps 200 --micro-batches 2",
         "a5c5f383e27d5d00",
+    ),
+    // The serial executor's compressed path, which every accuracy table
+    // trains on.
+    ("--backend serial --spec A2 --tp 4 --pp 1", "527f53652313ac8e"),
+    ("--backend serial --spec T2 --tp 2 --pp 2", "0135ae5cfaabd6dc"),
+    (
+        "--backend serial --spec Q2 --error-feedback --tp 4 --pp 2",
+        "59acb7fe54b61401",
     ),
 ];
 
