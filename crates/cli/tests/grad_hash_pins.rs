@@ -58,8 +58,14 @@ const PINS: [(&str, &str); 9] = [
     ),
     // The serial executor's compressed path, which every accuracy table
     // trains on.
-    ("--backend serial --spec A2 --tp 4 --pp 1", "527f53652313ac8e"),
-    ("--backend serial --spec T2 --tp 2 --pp 2", "0135ae5cfaabd6dc"),
+    (
+        "--backend serial --spec A2 --tp 4 --pp 1",
+        "527f53652313ac8e",
+    ),
+    (
+        "--backend serial --spec T2 --tp 2 --pp 2",
+        "0135ae5cfaabd6dc",
+    ),
     (
         "--backend serial --spec Q2 --error-feedback --tp 4 --pp 2",
         "59acb7fe54b61401",

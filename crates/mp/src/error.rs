@@ -67,11 +67,13 @@ impl From<BertConfigError> for MpConfigError {
 /// Why a serial layer cannot be sharded across the requested workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardError {
-    /// The supplied all-reduce serves a different number of workers.
-    ReduceWorldMismatch {
-        /// Workers the reduce was built for.
-        reduce_world: usize,
-        /// Workers requested for the shard.
+    /// The requested shards are empty or reach past the last worker.
+    ShardsOutOfRange {
+        /// First requested shard.
+        start: usize,
+        /// One past the last requested shard.
+        end: usize,
+        /// Worker count.
         world: usize,
     },
     /// Attention heads cannot be split evenly across the workers.
@@ -86,7 +88,9 @@ pub enum ShardError {
 impl std::fmt::Display for ShardError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ShardError::ReduceWorldMismatch { .. } => f.write_str("reduce world mismatch"),
+            ShardError::ShardsOutOfRange { start, end, world } => {
+                write!(f, "shards {start}..{end} are not a part of 0..{world}")
+            }
             ShardError::HeadsNotDivisible { heads, world } => {
                 write!(f, "{heads} heads not divisible across {world} workers")
             }
@@ -119,12 +123,13 @@ mod tests {
             "compression plan exceeds layer count"
         );
         assert_eq!(
-            ShardError::ReduceWorldMismatch {
-                reduce_world: 2,
+            ShardError::ShardsOutOfRange {
+                start: 2,
+                end: 5,
                 world: 4
             }
             .to_string(),
-            "reduce world mismatch"
+            "shards 2..5 are not a part of 0..4"
         );
         assert_eq!(
             ShardError::HeadsNotDivisible { heads: 4, world: 3 }.to_string(),

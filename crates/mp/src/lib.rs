@@ -5,7 +5,7 @@
 //! Training?"* (MLSys 2024).
 //!
 //! Where `actcomp-distsim` *costs* model parallelism, this crate
-//! *executes* it: encoder layers are genuinely sharded across simulated
+//! *executes* it: encoder layers are genuinely sharded across
 //! tensor-parallel workers (Megatron's column-then-row split), partial
 //! activations are summed through a [`CompressedAllReduce`] that runs the
 //! real compressor arithmetic, and pipeline stages exchange activations
@@ -14,10 +14,15 @@
 //! model (tested), so the accuracy experiments isolate exactly the effect
 //! the paper studies.
 //!
+//! The tensor-parallel layer is written once, as a [`Block`] over a
+//! range of shards. The serial [`MpBert`] runs one over every shard and
+//! sums in process ([`InProcess`]); each rank of the threaded
+//! `actcomp-runtime` engine runs one over its own shard and sums over its
+//! ring. Both build their compressors from one [`CompressorRecipe`].
+//!
+//! - [`tp`]: the [`Block`] and the [`Reduce`] trait its executors fill in,
+//! - [`shard`]: one worker's column/row shards and the fused plans they run,
 //! - [`reduce`]: compressed all-reduce / all-gather with byte accounting,
-//! - [`shard`]: single-worker shard primitives (also the building blocks
-//!   of the threaded `actcomp-runtime` engine),
-//! - [`tp`]: sharded attention, MLP, and encoder blocks,
 //! - [`pp`]: compressing stage boundaries,
 //! - [`model`]: [`MpBert`] — the full model with a per-layer
 //!   [`CompressionPlan`](actcomp_compress::CompressionPlan),
@@ -56,8 +61,8 @@ pub mod shard;
 pub mod tp;
 
 pub use error::{MpConfigError, ShardError};
-pub use model::{stage_offsets, MpBert, MpConfig};
+pub use model::{stage_offsets, CompressorRecipe, MpBert, MpConfig, Site};
 pub use pp::PipelineBoundary;
-pub use reduce::{rank_order_sum, CommBytes, CompressedAllReduce};
+pub use reduce::{rank_order_sum, CommBytes, CompressedAllReduce, InProcess};
 pub use shard::{ColumnShard, RowShard};
-pub use tp::{TpAttention, TpEncoderLayer, TpFeedForward};
+pub use tp::{Block, Reduce, SumPoint};

@@ -4,11 +4,11 @@
 
 use crate::error::MpConfigError;
 use crate::pp::PipelineBoundary;
-use crate::reduce::{CommBytes, CompressedAllReduce};
-use crate::tp::TpEncoderLayer;
+use crate::reduce::{CommBytes, CompressedAllReduce, InProcess};
+use crate::tp::{Block, SumPoint};
 use actcomp_compress::plan::CompressionPlan;
 use actcomp_compress::spec::CompressorSpec;
-use actcomp_compress::{Compressor, Identity};
+use actcomp_compress::{Compressor, ErrorFeedback};
 use actcomp_nn::{BertConfig, BertEncoder, Embedding, Layer, LayerNorm, Parameter};
 use actcomp_tensor::Tensor;
 use rand::{Rng, SeedableRng};
@@ -85,13 +85,13 @@ pub struct MpBert {
     pub pos: Embedding,
     /// Embedding layer norm.
     pub emb_ln: LayerNorm,
-    layers: Vec<TpEncoderLayer>,
+    /// Per layer, a block over every TP shard and the sums it runs.
+    layers: Vec<(Block, InProcess)>,
     /// `pp − 1` boundaries; `boundaries[b]` sits before the first layer of
     /// stage `b + 1`.
     boundaries: Vec<PipelineBoundary>,
     stage_offsets: Vec<usize>,
     config: MpConfig,
-    bytes: CommBytes,
 }
 
 impl MpBert {
@@ -137,67 +137,24 @@ impl MpBert {
         rng: &mut ChaCha8Rng,
     ) -> Result<Self, MpConfigError> {
         config.try_validate()?;
-        let h = config.bert.hidden;
-        let n = config.tokens * h;
-
-        let wrap = |c: Box<dyn Compressor>, active: bool| -> Box<dyn Compressor> {
-            if active && config.error_feedback {
-                Box::new(actcomp_compress::ErrorFeedback::new(c))
-            } else {
-                c
-            }
-        };
-        let make_reduce = |covered: bool, rng: &mut ChaCha8Rng| -> CompressedAllReduce {
-            // TP=1 has no all-reduce, hence no TP compression point.
-            let spec = if covered && config.tp > 1 {
-                config.plan.spec
-            } else {
-                CompressorSpec::Baseline
-            };
-            let seed: u64 = rng.gen();
+        let n = config.tokens * config.bert.hidden;
+        let recipe = CompressorRecipe::draw(&config, rng);
+        let reduce = |l, at| {
             CompressedAllReduce::new(
                 (0..config.tp)
-                    .map(|_| {
-                        // Auto-encoders must be replicated (identical
-                        // weights) across workers; other compressors get
-                        // independent streams.
-                        let mut wrng = ChaCha8Rng::seed_from_u64(seed);
-                        wrap(
-                            spec.build(&mut wrng, n, h),
-                            spec != CompressorSpec::Baseline,
-                        )
-                    })
+                    .map(|_| recipe.build(&config, Site::Reduce(l, at), n))
                     .collect(),
             )
         };
-
-        let layers: Vec<TpEncoderLayer> = serial
-            .layers
-            .iter()
-            .enumerate()
+        let layers = (serial.layers.iter().enumerate())
             .map(|(l, layer)| {
-                let covered = config.plan.covers(l);
-                TpEncoderLayer::from_serial(
-                    layer,
-                    config.tp,
-                    make_reduce(covered, rng),
-                    make_reduce(covered, rng),
-                )
+                let block = Block::new(layer, config.tp, 0..config.tp).expect("validated config");
+                let sums = InProcess::new(reduce(l, SumPoint::Attention), reduce(l, SumPoint::Mlp));
+                (block, sums)
             })
             .collect();
-
-        let stage_offsets = stage_offsets(config.bert.layers, config.pp);
         let boundaries = (0..config.pp - 1)
-            .map(|b| {
-                let receiving_first = stage_offsets[b + 1];
-                let comp: Box<dyn Compressor> = if config.plan.covers(receiving_first) {
-                    let mut wrng = ChaCha8Rng::seed_from_u64(rng.gen());
-                    wrap(config.plan.spec.build(&mut wrng, n, h), true)
-                } else {
-                    Box::new(Identity::new())
-                };
-                PipelineBoundary::new(comp)
-            })
+            .map(|b| PipelineBoundary::new(recipe.build(&config, Site::Boundary(b), n)))
             .collect();
 
         Ok(MpBert {
@@ -206,9 +163,8 @@ impl MpBert {
             emb_ln: serial.emb_ln.clone(),
             layers,
             boundaries,
-            stage_offsets,
+            stage_offsets: stage_offsets(config.bert.layers, config.pp),
             config,
-            bytes: CommBytes::default(),
         })
     }
 
@@ -219,7 +175,11 @@ impl MpBert {
 
     /// Cumulative model-parallel traffic since construction.
     pub fn bytes(&self) -> CommBytes {
-        self.bytes
+        let mut bytes = CommBytes::default();
+        for (_, sums) in &self.layers {
+            bytes.add(sums.bytes);
+        }
+        bytes
     }
 
     /// Forward pass: embeds `ids` and runs all stages/layers, applying
@@ -241,9 +201,8 @@ impl MpBert {
             if let Some(b) = self.boundary_before(l) {
                 x = self.boundaries[b].forward(&x);
             }
-            let (y, bytes) = self.layers[l].forward(&x, batch, seq);
-            self.bytes.add(bytes);
-            x = y;
+            let (block, sums) = &mut self.layers[l];
+            x = block.forward(&x, batch, seq, sums);
         }
         x
     }
@@ -252,7 +211,8 @@ impl MpBert {
     pub fn backward(&mut self, dhidden: &Tensor) {
         let mut d = dhidden.clone();
         for l in (0..self.layers.len()).rev() {
-            d = self.layers[l].backward(&d);
+            let (block, sums) = &mut self.layers[l];
+            d = block.backward(&d, sums);
             if let Some(b) = self.boundary_before(l) {
                 d = self.boundaries[b].backward(&d);
             }
@@ -260,8 +220,8 @@ impl MpBert {
         let demb = self.emb_ln.backward(&d);
         self.tok.backward(&demb);
         self.pos.backward(&demb);
-        for layer in &mut self.layers {
-            layer.sync_compressor_grads();
+        for (_, sums) in &mut self.layers {
+            sums.reduces.iter_mut().for_each(|r| r.sync_param_grads());
         }
     }
 
@@ -278,16 +238,16 @@ impl MpBert {
         self.tok.visit_params(f);
         self.pos.visit_params(f);
         self.emb_ln.visit_params(f);
-        for layer in &mut self.layers {
-            layer.visit_params(f);
+        for (block, _) in &mut self.layers {
+            block.visit_params(f);
         }
     }
 
     /// Visits compressor parameters (auto-encoder matrices at TP reduces
     /// and pipeline boundaries).
     pub fn visit_compressor_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
-        for layer in &mut self.layers {
-            layer.visit_compressor_params(f);
+        for (_, sums) in &mut self.layers {
+            sums.reduces.iter_mut().for_each(|r| r.visit_params(f));
         }
         for b in &mut self.boundaries {
             b.visit_params(f);
@@ -318,7 +278,11 @@ impl MpBert {
     /// "we can use the AE at the pre-training phase and remove it during
     /// the fine-tuning phase".
     pub fn to_serial(&self) -> BertEncoder {
-        let layers = self.layers.iter().map(|l| l.to_serial()).collect();
+        let layers = self
+            .layers
+            .iter()
+            .map(|(block, _)| block.to_serial())
+            .collect();
         BertEncoder::from_parts(
             self.tok.clone(),
             self.pos.clone(),
@@ -344,6 +308,74 @@ pub fn stage_offsets(layers: usize, pp: usize) -> Vec<usize> {
         acc += base + usize::from(s < extra);
     }
     offsets
+}
+
+/// Where a compressor sits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Site {
+    /// One of a layer's two forward sums.
+    Reduce(usize, SumPoint),
+    /// Pipeline boundary `b`, before stage `b + 1`.
+    Boundary(usize),
+}
+
+/// Every compressor seed of a run, and the rules that turn one into a
+/// compressor: the one recipe the serial builder and every rank, thread
+/// or process, build from, so all hold identical compressor stacks.
+#[derive(Debug, Clone)]
+pub struct CompressorRecipe {
+    reduces: Vec<[u64; 2]>,
+    boundaries: Vec<Option<u64>>,
+}
+
+impl CompressorRecipe {
+    /// Draws the seeds from `rng`: one per forward sum (attention then
+    /// MLP, in layer order), then one per compressed pipeline boundary.
+    pub fn draw(config: &MpConfig, rng: &mut impl Rng) -> Self {
+        let reduces = (0..config.bert.layers)
+            .map(|_| [rng.gen(), rng.gen()])
+            .collect();
+        let offsets = stage_offsets(config.bert.layers, config.pp);
+        let boundaries = (offsets.iter().skip(1))
+            .map(|&first| config.plan.covers(first).then(|| rng.gen()))
+            .collect();
+        CompressorRecipe {
+            reduces,
+            boundaries,
+        }
+    }
+
+    /// The compressor at `site`, sized for sums of `n` elements. A
+    /// forward sum runs the plan's spec when the plan covers its layer
+    /// and `tp > 1` (`tp = 1` has no all-reduce); a boundary runs it when
+    /// the plan covers the layer after it; anything else is the lossless
+    /// baseline. Every compressor but the baseline is wrapped in error
+    /// feedback when the config asks for it. Each worker's compressor at
+    /// a site comes from the site's one seed, so auto-encoder weights are
+    /// replicated.
+    pub fn build(&self, config: &MpConfig, site: Site, n: usize) -> Box<dyn Compressor> {
+        let plan = &config.plan;
+        let (spec, seed) = match site {
+            Site::Reduce(l, at) => {
+                let covered = config.tp > 1 && plan.covers(l);
+                let spec = if covered {
+                    plan.spec
+                } else {
+                    CompressorSpec::Baseline
+                };
+                (spec, self.reduces[l][at as usize])
+            }
+            Site::Boundary(b) => {
+                (self.boundaries[b]).map_or((CompressorSpec::Baseline, 0), |seed| (plan.spec, seed))
+            }
+        };
+        let c = spec.build(&mut ChaCha8Rng::seed_from_u64(seed), n, config.bert.hidden);
+        if config.error_feedback && spec != CompressorSpec::Baseline {
+            Box::new(ErrorFeedback::new(c))
+        } else {
+            c
+        }
+    }
 }
 
 #[cfg(test)]

@@ -13,9 +13,10 @@
 //! instance per simulated worker, so accuracy experiments measure exactly
 //! what the lossy reduce does to training.
 
+use crate::tp::{Reduce, SumPoint};
 use actcomp_compress::Compressor;
 use actcomp_nn::Parameter;
-use actcomp_tensor::Tensor;
+use actcomp_tensor::{workspace, Tensor, Workspace};
 
 /// Sums one tensor per worker, left to right. Handed tensors in rank
 /// order this is *the* fold of every cross-worker sum — the serial
@@ -182,6 +183,52 @@ impl CompressedAllReduce {
         for w in &mut self.workers {
             w.visit_params(f);
         }
+    }
+}
+
+/// The serial executor's [`Reduce`]: a block holding every shard sums
+/// them in process, the forward sums through their compressed reduces
+/// and the backward ones with [`rank_order_sum`], scratch from the
+/// thread's default workspace.
+#[derive(Debug)]
+pub struct InProcess {
+    /// The compressed reduces at the attention and MLP sums.
+    pub reduces: [CompressedAllReduce; 2],
+    /// Bytes both forward sums have moved.
+    pub bytes: CommBytes,
+}
+
+impl InProcess {
+    /// Sums through `attn` after the attention output and `mlp` after
+    /// the MLP.
+    pub fn new(attn: CompressedAllReduce, mlp: CompressedAllReduce) -> Self {
+        InProcess {
+            reduces: [attn, mlp],
+            bytes: CommBytes::default(),
+        }
+    }
+}
+
+impl Reduce for InProcess {
+    fn compute<T>(&mut self, f: impl FnOnce(&mut Workspace) -> T) -> T {
+        workspace::with_thread_default(f)
+    }
+
+    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>) -> Tensor {
+        let (sum, bytes) = self.reduces[at as usize].forward(&partials);
+        self.bytes.add(bytes);
+        workspace::with_thread_default(|ws| {
+            partials.into_iter().for_each(|p| ws.recycle_tensor(p))
+        });
+        sum
+    }
+
+    fn sum_backward(&mut self, at: SumPoint, dy: &Tensor) -> Vec<Tensor> {
+        self.reduces[at as usize].backward(dy)
+    }
+
+    fn dense_sum(&mut self, parts: Vec<Tensor>) -> Tensor {
+        rank_order_sum(parts.into_iter())
     }
 }
 

@@ -1,18 +1,35 @@
-//! Single-worker shard primitives.
+//! One worker's shard of a tensor-parallel linear, and the fused plans
+//! it runs.
 //!
-//! [`crate::TpAttention`] and [`crate::TpFeedForward`] simulate all
-//! tensor-parallel workers inside one struct; the threaded runtime
-//! (`actcomp-runtime`) instead gives each OS thread exactly one shard.
-//! Both build on the types here so the per-shard arithmetic — and
-//! therefore the floating-point result, which depends on operation
-//! order — is shared rather than duplicated. A worker's attention over
-//! its local heads is no shard function: both call
-//! [`graphs::attention_forward`] / [`graphs::attention_backward`], the
-//! serial layer's own, with the local head count.
+//! [`crate::tp::Block`] holds a contiguous range of these — every shard
+//! in the serial executor, one per rank in the threaded runtime — so the
+//! per-shard arithmetic, and therefore the floating-point result, exists
+//! once. Every op takes the caller's [`Workspace`]: there is one entry
+//! point per op. A worker's attention over its local heads is no shard
+//! function: it is [`graphs::attention_forward`] /
+//! [`graphs::attention_backward`], the serial layer's own, with the local
+//! head count.
 
-use actcomp_nn::{graphs, Parameter};
+use actcomp_nn::{graphs, Linear, Parameter};
 use actcomp_tensor::plan::OutBind;
-use actcomp_tensor::{workspace, Tensor, Workspace};
+use actcomp_tensor::{Tensor, Workspace};
+
+/// Columns `i·w..(i+1)·w` of a `[rows, world·w]` matrix.
+fn column_block(t: &Tensor, world: usize, i: usize) -> Tensor {
+    let (rows, cols) = (t.dims()[0], t.dims()[1]);
+    assert!(
+        cols.is_multiple_of(world),
+        "{cols} columns not divisible into {world} blocks"
+    );
+    let w = cols / world;
+    let data = t
+        .as_slice()
+        .chunks(cols)
+        .flat_map(|row| &row[i * w..(i + 1) * w])
+        .copied()
+        .collect();
+    Tensor::from_vec(data, [rows, w])
+}
 
 /// One worker's shard of a column-parallel linear: full input, a
 /// `[in, out/world]` weight slice and its `[out/world]` bias slice.
@@ -25,48 +42,18 @@ pub struct ColumnShard {
 }
 
 impl ColumnShard {
-    /// Splits a full `[in, out]` weight and `[out]` bias into `world`
-    /// column shards, one per worker.
+    /// Worker `i`'s shard of `linear` split across `world` workers.
     ///
     /// # Panics
     ///
     /// Panics unless `world` divides the output width.
-    pub fn split(weight: &Tensor, bias: &Tensor, world: usize) -> Vec<ColumnShard> {
-        let weights = weight.split_cols(world);
-        let biases = bias.reshaped([1, bias.len()]).split_cols(world);
-        weights
-            .into_iter()
-            .zip(biases)
-            .map(|(w, b)| {
-                let width = b.len();
-                ColumnShard {
-                    weight: Parameter::new(w),
-                    bias: Parameter::new(b.reshape([width])),
-                }
-            })
-            .collect()
-    }
-
-    /// `x · W + b` for this worker's slice; `x` is the full (replicated)
-    /// input. The very [`graphs::linear_forward`] plan the serial
-    /// [`actcomp_nn::Linear`] runs, so a shard's columns are
-    /// bit-identical to the serial layer's column slice.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        let (m, kin) = (x.dims()[0], x.dims()[1]);
-        let n = self.bias.value.len();
-        workspace::with_thread_default(|ws| {
-            let plan = graphs::linear_forward(ws, m, kin, n);
-            let mut res = plan.run(
-                &[
-                    x.as_slice(),
-                    self.weight.value.as_slice(),
-                    self.bias.value.as_slice(),
-                ],
-                vec![OutBind::Lease],
-                ws,
-            );
-            Tensor::from_vec(res[0].take().expect("leased output"), [m, n])
-        })
+    pub fn of(linear: &Linear, world: usize, i: usize) -> ColumnShard {
+        let bias = column_block(&linear.bias.value.reshaped([1, linear.fan_out()]), world, i);
+        let width = bias.len();
+        ColumnShard {
+            weight: Parameter::new(column_block(&linear.weight.value, world, i)),
+            bias: Parameter::new(bias.reshape([width])),
+        }
     }
 
     /// Accumulates weight/bias gradients from `dout` against the forward
@@ -74,7 +61,7 @@ impl ColumnShard {
     /// caller sums partials across workers). One plan
     /// ([`graphs::linear_backward`]) whose weight/bias gradient outputs
     /// accumulate in place (`grad += xᵀ dout`, no temporary).
-    pub fn backward_ws(&mut self, x: &Tensor, dout: &Tensor, ws: &mut Workspace) -> Tensor {
+    pub fn backward(&mut self, x: &Tensor, dout: &Tensor, ws: &mut Workspace) -> Tensor {
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = dout.dims()[1];
         let plan = graphs::linear_backward(ws, m, kin, n);
@@ -90,6 +77,29 @@ impl ColumnShard {
         Tensor::from_vec(res[2].take().expect("leased dx"), [m, kin])
     }
 
+    /// The MLP expansion with the activation fused into the GEMM
+    /// epilogue: returns `(gelu(x·W + b), x·W + b)` from one plan
+    /// ([`graphs::mlp_up`]), the pre-activation stashed out of the
+    /// register tile for backward.
+    pub fn mlp_up(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, Tensor) {
+        let (m, kin) = (x.dims()[0], x.dims()[1]);
+        let n = self.bias.value.len();
+        let plan = graphs::mlp_up(ws, m, kin, n);
+        let mut res = plan.run(
+            &[
+                x.as_slice(),
+                self.weight.value.as_slice(),
+                self.bias.value.as_slice(),
+            ],
+            vec![OutBind::Lease, OutBind::Lease],
+            ws,
+        );
+        (
+            Tensor::from_vec(res[0].take().expect("leased act"), [m, n]),
+            Tensor::from_vec(res[1].take().expect("leased h"), [m, n]),
+        )
+    }
+
     /// Visits the weight then the bias.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
         f(&mut self.weight);
@@ -101,7 +111,7 @@ impl ColumnShard {
 /// `x`, as the one [`graphs::qkv_forward`] plan the serial
 /// `MultiHeadAttention` runs (each bias add in its GEMM's epilogue), so
 /// at `world = 1` the result is the serial layer's.
-pub fn qkv_forward_ws(shards: [&ColumnShard; 3], x: &Tensor, ws: &mut Workspace) -> [Tensor; 3] {
+pub fn qkv_forward(shards: [&ColumnShard; 3], x: &Tensor, ws: &mut Workspace) -> [Tensor; 3] {
     let (m, kin) = (x.dims()[0], x.dims()[1]);
     let n = shards[0].bias.value.len();
     let plan = graphs::qkv_forward(ws, m, kin, n);
@@ -123,11 +133,9 @@ pub fn qkv_forward_ws(shards: [&ColumnShard; 3], x: &Tensor, ws: &mut Workspace)
 /// whole local input gradient `(dq·Wqᵀ + dk·Wkᵀ) + dv·Wvᵀ`, folded inside
 /// the last GEMM's epilogue. The caller sums that one tensor across
 /// workers in rank order, so a layer reduces `n` here rather than `3n`.
-///
-/// Both executors call this, so they agree bit for bit by construction;
-/// the plan is [`graphs::qkv_backward`], the serial `MultiHeadAttention`'s
+/// The plan is [`graphs::qkv_backward`], the serial `MultiHeadAttention`'s
 /// own, so at `world = 1` the result is the serial layer's.
-pub fn qkv_backward_ws(
+pub fn qkv_backward(
     shards: [&mut ColumnShard; 3],
     x: &Tensor,
     douts: [&Tensor; 3],
@@ -161,28 +169,26 @@ pub struct RowShard {
 }
 
 impl RowShard {
-    /// Splits a full `[in, out]` weight into `world` row shards.
+    /// Worker `i`'s rows of a full `[in, out]` weight split across
+    /// `world` workers.
     ///
     /// # Panics
     ///
     /// Panics unless `world` divides the input width.
-    pub fn split(weight: &Tensor, world: usize) -> Vec<RowShard> {
-        weight
-            .split_rows(world)
-            .into_iter()
-            .map(|w| RowShard {
-                weight: Parameter::new(w),
-            })
-            .collect()
+    pub fn of(weight: &Tensor, world: usize, i: usize) -> RowShard {
+        let rows = weight.dims()[0];
+        assert!(
+            rows.is_multiple_of(world),
+            "{rows} rows not divisible into {world} blocks"
+        );
+        let h = rows / world;
+        RowShard {
+            weight: Parameter::new(weight.slice_rows(i * h, (i + 1) * h)),
+        }
     }
 
     /// This worker's partial output `x · W` (pre-reduce, no bias).
-    pub fn partial(&self, x: &Tensor) -> Tensor {
-        workspace::with_thread_default(|ws| self.partial_ws(x, ws))
-    }
-
-    /// [`RowShard::partial`] with caller-provided scratch.
-    pub fn partial_ws(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+    pub fn partial(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = self.weight.value.dims()[1];
         let plan = graphs::matmul(ws, m, kin, n);
@@ -196,14 +202,9 @@ impl RowShard {
 
     /// Accumulates the weight gradient from the (post-reduce) partial
     /// gradient `dpartial` against the forward input shard `x`, returning
-    /// the input-shard gradient.
-    pub fn backward(&mut self, x: &Tensor, dpartial: &Tensor) -> Tensor {
-        workspace::with_thread_default(|ws| self.backward_ws(x, dpartial, ws))
-    }
-
-    /// [`RowShard::backward`] with caller-provided scratch; one plan,
-    /// weight gradient accumulating in place.
-    pub fn backward_ws(&mut self, x: &Tensor, dpartial: &Tensor, ws: &mut Workspace) -> Tensor {
+    /// the input-shard gradient; one plan, weight gradient accumulating
+    /// in place.
+    pub fn backward(&mut self, x: &Tensor, dpartial: &Tensor, ws: &mut Workspace) -> Tensor {
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = dpartial.dims()[1];
         let plan = graphs::matmul_backward(ws, m, kin, n);
@@ -222,6 +223,36 @@ impl RowShard {
         Tensor::from_vec(res[1].take().expect("leased dx"), [m, kin])
     }
 
+    /// The MLP contraction's backward with the GELU derivative fused
+    /// into the data-gradient GEMM's epilogue ([`graphs::mlp_down_backward`]):
+    /// accumulates `dW += actᵀ·dp` straight into the shard's grad and
+    /// returns `dh = (dp·Wᵀ) ⊙ gelu'(h)` without materializing `dp·Wᵀ`.
+    pub fn backward_gelu(
+        &mut self,
+        act: &Tensor,
+        dp: &Tensor,
+        h: &Tensor,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        let (m, kin) = (act.dims()[0], act.dims()[1]);
+        let n = dp.dims()[1];
+        let plan = graphs::mlp_down_backward(ws, m, kin, n);
+        let mut res = plan.run(
+            &[
+                act.as_slice(),
+                dp.as_slice(),
+                self.weight.value.as_slice(),
+                h.as_slice(),
+            ],
+            vec![
+                OutBind::Acc(self.weight.grad.as_mut_slice()),
+                OutBind::Lease,
+            ],
+            ws,
+        );
+        Tensor::from_vec(res[1].take().expect("leased dh"), [m, kin])
+    }
+
     /// Visits the weight.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
         f(&mut self.weight);
@@ -238,12 +269,17 @@ mod tests {
     #[test]
     fn column_shards_concat_to_full_output() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let w = init::randn(&mut rng, [4, 6], 1.0);
-        let b = init::randn(&mut rng, [6], 1.0);
+        let linear = Linear::from_parts(
+            init::randn(&mut rng, [4, 6], 1.0),
+            init::randn(&mut rng, [6], 1.0),
+        );
         let x = init::randn(&mut rng, [3, 4], 1.0);
-        let full = x.matmul(&w).add_row_broadcast(&b);
-        let shards = ColumnShard::split(&w, &b, 2);
-        let outs: Vec<Tensor> = shards.iter().map(|s| s.forward(&x)).collect();
+        let full = linear.apply(&x);
+        let ws = &mut Workspace::new();
+        // `mlp_up`'s second output is the pre-activation `x·W + b`.
+        let outs: Vec<Tensor> = (0..3)
+            .map(|i| ColumnShard::of(&linear, 3, i).mlp_up(&x, ws).1)
+            .collect();
         let refs: Vec<&Tensor> = outs.iter().collect();
         assert!(Tensor::concat_cols(&refs).max_abs_diff(&full) < 1e-6);
     }
@@ -254,10 +290,10 @@ mod tests {
         let w = init::randn(&mut rng, [6, 4], 1.0);
         let x = init::randn(&mut rng, [3, 6], 1.0);
         let full = x.matmul(&w);
-        let shards = RowShard::split(&w, 2);
         let xs = x.split_cols(2);
-        let mut sum = shards[0].partial(&xs[0]);
-        sum.add_assign(&shards[1].partial(&xs[1]));
+        let ws = &mut Workspace::new();
+        let mut sum = RowShard::of(&w, 2, 0).partial(&xs[0], ws);
+        sum.add_assign(&RowShard::of(&w, 2, 1).partial(&xs[1], ws));
         assert!(sum.max_abs_diff(&full) < 1e-5);
     }
 }

@@ -1,533 +1,416 @@
-//! Tensor-parallel (Megatron-style) transformer sublayers with real
-//! sharded arithmetic and compressed all-reduces.
+//! The tensor-parallel (Megatron-style) encoder block, written once for
+//! both executors.
 //!
-//! Each simulated worker owns a column shard of the attention QKV / MLP
-//! expansion weights and a row shard of the output projections. The two
-//! row-parallel projections per layer are where Megatron all-reduces
-//! partial activations — and where the paper inserts compression (its
-//! Figure 3's `C`/`DC` pairs). With the identity compressor the sharded
-//! layer is numerically equivalent to the serial `actcomp_nn` layer
-//! (verified by tests), so any accuracy change is attributable to the
-//! compressor alone.
+//! A [`Block`] owns a contiguous range of a layer's TP shards — the
+//! Q/K/V and MLP-expansion column shards, the `wo`/`fc2` row shards —
+//! plus the replicated row biases and layer norms. The serial
+//! [`crate::MpBert`] builds one over every shard; a runtime rank builds
+//! one over its own. The two differ only in the [`Reduce`] they pass,
+//! which is called at exactly Megatron's four summation points, one
+//! activation (`n`) each:
 //!
-//! Per layer that is Megatron's traffic, one activation (`n`) per reduce:
+//! | pass | sum | operator | size |
+//! |---|---|---|---|
+//! | forward | attention output ([`Reduce::sum`]) | `g`, compressed | `n` |
+//! | forward | MLP output ([`Reduce::sum`]) | `g`, compressed | `n` |
+//! | backward | MLP input gradient ([`Reduce::dense_sum`]) | `f` | `n` |
+//! | backward | QKV input gradient ([`Reduce::dense_sum`]) | `f` | `n` |
 //!
-//! | pass | reduce | size |
-//! |---|---|---|
-//! | forward | attention output (`g`, compressed) | `n` |
-//! | forward | MLP output (`g`, compressed) | `n` |
-//! | backward | MLP input gradient (`f`) | `n` |
-//! | backward | QKV input gradient (`f`) | `n` |
-//!
-//! The backward sums run over workers in rank order. For Q/K/V each
-//! worker first folds its three input gradients into one tensor
-//! ([`qkv_backward_ws`]) and only those are summed — the operands the
-//! threaded runtime's ranks hand their ring, produced by the same
-//! function, which is why the two executors agree bit for bit.
+//! The two forward sums are where the paper inserts compression (its
+//! Figure 3's `C`/`DC` pairs); [`Reduce::sum_backward`] runs the
+//! compressors' backward. Everything between the sums is the block's own
+//! arithmetic, so the executors agree bit for bit by construction: with
+//! the identity compressor a threaded step is the serial one, and the
+//! serial one is numerically the `actcomp_nn` layer. The QKV backward
+//! sum is `n`, not `3n`, because each shard folds its dQ/dK/dV input
+//! gradients first ([`qkv_backward`]).
 
 use crate::error::ShardError;
-use crate::reduce::{rank_order_sum, CommBytes, CompressedAllReduce};
-use crate::shard::{qkv_backward_ws, qkv_forward_ws, ColumnShard, RowShard};
-use actcomp_nn::{graphs, EncoderLayer, Layer, LayerNorm, Parameter};
+use crate::shard::{qkv_backward, qkv_forward, ColumnShard, RowShard};
+use actcomp_nn::{
+    graphs, EncoderLayer, FeedForward, Layer, LayerNorm, Linear, LnCache, MultiHeadAttention,
+    Parameter,
+};
 use actcomp_tensor::attention::Heads;
-use actcomp_tensor::{workspace, Tensor};
+use actcomp_tensor::{Tensor, Workspace};
+use std::ops::Range;
 
-/// Column-parallel linear: full input, per-worker output shards. The
-/// input is replicated, so the block that owns the projection caches it
-/// (once, however many projections share it).
+/// Megatron's two row-parallel sums in a layer, in forward order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SumPoint {
+    /// After the attention output projection `wo`.
+    Attention,
+    /// After the MLP contraction `fc2`.
+    Mlp,
+}
+
+/// How an executor sums a [`Block`]'s partials across the layer's
+/// workers — the one thing the serial executor and a rank do
+/// differently. Tensors handed in or out per shard are one per shard the
+/// block holds, in shard order.
+pub trait Reduce {
+    /// Runs a stretch of the block's own arithmetic with this executor's
+    /// scratch, charged to its compute time.
+    fn compute<T>(&mut self, f: impl FnOnce(&mut Workspace) -> T) -> T;
+    /// `g`: the (compressed) sum over every worker of the partials at
+    /// `at`, this block's given per shard.
+    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>) -> Tensor;
+    /// `g`'s backward: from the gradient of the sum at `at`, the
+    /// gradient of each of this block's partials.
+    fn sum_backward(&mut self, at: SumPoint, dy: &Tensor) -> Vec<Tensor>;
+    /// `f`'s backward: the dense sum over every worker of its input
+    /// gradient, this block's given per shard.
+    fn dense_sum(&mut self, parts: Vec<Tensor>) -> Tensor;
+}
+
+/// A block's parameter groups, in visit order.
+#[derive(Debug, Clone, Copy)]
+enum Group {
+    Q,
+    K,
+    V,
+    Wo,
+    WoBias,
+    Ln1,
+    Fc1,
+    Fc2,
+    Fc2Bias,
+    Ln2,
+}
+
+/// The parameter-group table: each group in [`Block::visit_params`]
+/// order, whether it is sharded (visited once per shard) or replicated
+/// (once per block), and how many tensors it visits each time.
+/// Checkpoints, the grad hashes and [`interleave`] all follow it.
+const GROUPS: [(Group, bool, usize); 10] = [
+    (Group::Q, true, 2),
+    (Group::K, true, 2),
+    (Group::V, true, 2),
+    (Group::Wo, true, 1),
+    (Group::WoBias, false, 1),
+    (Group::Ln1, false, 2),
+    (Group::Fc1, true, 2),
+    (Group::Fc2, true, 1),
+    (Group::Fc2Bias, false, 1),
+    (Group::Ln2, false, 2),
+];
+
+/// Interleaves the parameter visit lists of single-shard blocks — one
+/// per shard of a layer, in shard order — into the visit list of one
+/// block over all of them: sharded groups from every list, replicated
+/// ones from the first. Gathered rank gradients become the serial
+/// executor's this way.
+pub fn interleave<'a>(lists: &[&'a [Tensor]]) -> Vec<&'a Tensor> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    for (_, sharded, len) in GROUPS {
+        let from = if sharded { lists } else { &lists[..1] };
+        out.extend(from.iter().flat_map(|list| &list[at..at + len]));
+        at += len;
+    }
+    out
+}
+
+/// One worker's slice of every sharded projection of a layer.
 #[derive(Debug)]
-struct ColumnShards {
-    /// One [`ColumnShard`] per worker.
-    shards: Vec<ColumnShard>,
+struct Shard {
+    qkv: [ColumnShard; 3],
+    wo: RowShard,
+    fc1: ColumnShard,
+    fc2: RowShard,
 }
 
-impl ColumnShards {
-    fn from_full(weight: &Tensor, bias: &Tensor, world: usize) -> Self {
-        ColumnShards {
-            shards: ColumnShard::split(weight, bias, world),
+impl Shard {
+    fn visit(&mut self, group: Group, f: &mut dyn FnMut(&mut Parameter)) {
+        match group {
+            Group::Q => self.qkv[0].visit_params(f),
+            Group::K => self.qkv[1].visit_params(f),
+            Group::V => self.qkv[2].visit_params(f),
+            Group::Wo => self.wo.visit_params(f),
+            Group::Fc1 => self.fc1.visit_params(f),
+            Group::Fc2 => self.fc2.visit_params(f),
+            _ => unreachable!("{group:?} is replicated"),
         }
-    }
-
-    fn forward(&self, x: &Tensor) -> Vec<Tensor> {
-        self.shards.iter().map(|s| s.forward(x)).collect()
-    }
-
-    /// Returns the input gradient summed over workers in rank order.
-    fn backward(&mut self, x: &Tensor, douts: &[Tensor]) -> Tensor {
-        rank_order_sum(self.shards.iter_mut().zip(douts).map(|(shard, dout)| {
-            workspace::with_thread_default(|ws| shard.backward_ws(x, dout, ws))
-        }))
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
-        for shard in &mut self.shards {
-            shard.visit_params(f);
-        }
-    }
-
-    /// Reassembles the full (weight, bias) pair from the shards.
-    fn to_full(&self) -> (Tensor, Tensor) {
-        let ws: Vec<&Tensor> = self.shards.iter().map(|s| &s.weight.value).collect();
-        let weight = Tensor::concat_cols(&ws);
-        let mut bias = Vec::new();
-        for s in &self.shards {
-            bias.extend_from_slice(s.bias.value.as_slice());
-        }
-        let blen = bias.len();
-        (weight, Tensor::from_vec(bias, [blen]))
     }
 }
 
-/// Row-parallel linear: per-worker input shards, partial outputs reduced
-/// through a (possibly compressing) all-reduce; single shared bias added
-/// after the reduce.
+/// What a micro-batch's backward needs.
 #[derive(Debug)]
-struct RowShards {
-    /// One [`RowShard`] per worker.
-    shards: Vec<RowShard>,
-    /// Shared `[out]` bias.
-    bias: Parameter,
-    reduce: CompressedAllReduce,
-    cache_inputs: Option<Vec<Tensor>>,
-}
-
-impl RowShards {
-    fn from_full(weight: &Tensor, bias: &Tensor, reduce: CompressedAllReduce) -> Self {
-        let world = reduce.world();
-        RowShards {
-            shards: RowShard::split(weight, world),
-            bias: Parameter::new(bias.clone()),
-            reduce,
-            cache_inputs: None,
-        }
-    }
-
-    /// `inputs[i]` is worker `i`'s `[n, in/world]` shard.
-    fn forward(&mut self, inputs: Vec<Tensor>) -> (Tensor, CommBytes) {
-        let partials: Vec<Tensor> = inputs
-            .iter()
-            .zip(&self.shards)
-            .map(|(x, s)| s.partial(x))
-            .collect();
-        let (sum, bytes) = self.reduce.forward(&partials);
-        let y = sum.add_row_broadcast(&self.bias.value);
-        self.cache_inputs = Some(inputs);
-        (y, bytes)
-    }
-
-    /// Returns per-worker input-shard gradients.
-    fn backward(&mut self, dy: &Tensor) -> Vec<Tensor> {
-        let inputs = self
-            .cache_inputs
-            .take()
-            .expect("RowShards::backward without forward");
-        self.bias.grad.add_assign(&dy.sum_axis0());
-        let dpartials = self.reduce.backward(dy);
-        inputs
-            .iter()
-            .zip(&mut self.shards)
-            .zip(&dpartials)
-            .map(|((x, s), dp)| s.backward(x, dp))
-            .collect()
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
-        for s in &mut self.shards {
-            s.visit_params(f);
-        }
-        f(&mut self.bias);
-    }
-
-    /// Reassembles the full (weight, bias) pair from the shards.
-    fn to_full(&self) -> (Tensor, Tensor) {
-        let ws: Vec<&Tensor> = self.shards.iter().map(|s| &s.weight.value).collect();
-        (Tensor::concat_rows(&ws), self.bias.value.clone())
-    }
-}
-
-/// Tensor-parallel multi-head self-attention (heads sharded across
-/// workers, Megatron's column-then-row split).
-#[derive(Debug)]
-pub struct TpAttention {
-    wq: ColumnShards,
-    wk: ColumnShards,
-    wv: ColumnShards,
-    wo: RowShards,
-    heads: usize,
-    world: usize,
-    hidden: usize,
-    cache: Option<TpAttnCache>,
-}
-
-#[derive(Debug)]
-struct TpAttnCache {
-    /// The layer input, shared by the three projections.
+struct Cache {
     x: Tensor,
-    /// Per worker: its Q, K and V shards.
-    qkv: Vec<[Tensor; 3]>,
-    /// Per worker: softmax probabilities of its local heads.
-    probs: Vec<Tensor>,
-    batch: usize,
-    seq: usize,
+    h1: Tensor,
+    ln: [LnCache; 2],
+    at: Heads,
+    /// Per shard: Q, K and V, the softmax probabilities, the context.
+    attn: Vec<([Tensor; 3], Tensor, Tensor)>,
+    /// Per shard: the MLP pre-activation and activation.
+    mlp: Vec<(Tensor, Tensor)>,
 }
 
-impl TpAttention {
-    /// Shards a serial attention layer across `world` workers.
+/// A contiguous range of one encoder layer's tensor-parallel shards,
+/// with the replicated row biases and layer norms and a last-in,
+/// first-out micro-batch cache (the GPipe fill/drain order).
+#[derive(Debug)]
+pub struct Block {
+    shards: Vec<Shard>,
+    wo_bias: Parameter,
+    ln1: LayerNorm,
+    fc2_bias: Parameter,
+    ln2: LayerNorm,
+    world: usize,
+    local_heads: usize,
+    head_dim: usize,
+    caches: Vec<Cache>,
+}
+
+impl Block {
+    /// Shards `shards` of a serial encoder layer split across `world`
+    /// workers.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardError::HeadsNotDivisible`] unless `world` divides the head
+    /// count; [`ShardError::ShardsOutOfRange`] unless `shards` is a
+    /// non-empty part of `0..world`.
     ///
     /// # Panics
     ///
-    /// Panics unless `world` divides the head count.
-    pub fn from_serial(
-        attn: &actcomp_nn::MultiHeadAttention,
+    /// Panics unless `world` divides the MLP width.
+    pub fn new(
+        layer: &EncoderLayer,
         world: usize,
-        reduce: CompressedAllReduce,
-    ) -> Self {
-        match Self::try_from_serial(attn, world, reduce) {
-            Ok(tp) => tp,
-            Err(e) => panic!("{e}"),
+        shards: Range<usize>,
+    ) -> Result<Block, ShardError> {
+        let (attn, ff) = (&layer.attn, &layer.ff);
+        let heads = attn.heads();
+        if world == 0 || !heads.is_multiple_of(world) {
+            return Err(ShardError::HeadsNotDivisible { heads, world });
         }
-    }
-
-    /// Typed variant of [`TpAttention::from_serial`].
-    pub fn try_from_serial(
-        attn: &actcomp_nn::MultiHeadAttention,
-        world: usize,
-        reduce: CompressedAllReduce,
-    ) -> Result<Self, ShardError> {
-        if reduce.world() != world {
-            return Err(ShardError::ReduceWorldMismatch {
-                reduce_world: reduce.world(),
-                world,
-            });
+        if shards.is_empty() || shards.end > world {
+            let (start, end) = (shards.start, shards.end);
+            return Err(ShardError::ShardsOutOfRange { start, end, world });
         }
-        if world == 0 || !attn.heads().is_multiple_of(world) {
-            return Err(ShardError::HeadsNotDivisible {
-                heads: attn.heads(),
-                world,
-            });
-        }
-        Ok(TpAttention {
-            wq: ColumnShards::from_full(&attn.wq.weight.value, &attn.wq.bias.value, world),
-            wk: ColumnShards::from_full(&attn.wk.weight.value, &attn.wk.bias.value, world),
-            wv: ColumnShards::from_full(&attn.wv.weight.value, &attn.wv.bias.value, world),
-            wo: RowShards::from_full(&attn.wo.weight.value, &attn.wo.bias.value, reduce),
-            heads: attn.heads(),
-            world,
-            hidden: attn.hidden(),
-            cache: None,
-        })
-    }
-
-    /// One worker's local heads at this micro-batch shape.
-    fn local_heads(&self, batch: usize, seq: usize) -> Heads {
-        Heads {
-            batch,
-            heads: self.heads / self.world,
-            seq,
-            d: self.hidden / self.heads,
-        }
-    }
-
-    /// Forward over `[batch·seq, hidden]`.
-    pub fn forward(&mut self, x: &Tensor, batch: usize, seq: usize) -> (Tensor, CommBytes) {
-        let at = self.local_heads(batch, seq);
-        let mut qkv = Vec::with_capacity(self.world);
-        let mut ctx = Vec::with_capacity(self.world);
-        let mut probs = Vec::with_capacity(self.world);
-        for wkr in 0..self.world {
-            let shards = [
-                &self.wq.shards[wkr],
-                &self.wk.shards[wkr],
-                &self.wv.shards[wkr],
-            ];
-            workspace::with_thread_default(|ws| {
-                let proj = qkv_forward_ws(shards, x, ws);
-                let (c, p) = graphs::attention_forward(ws, proj.each_ref(), at);
-                qkv.push(proj);
-                ctx.push(c);
-                probs.push(p);
-            });
-        }
-
-        let (y, bytes) = self.wo.forward(ctx);
-        self.cache = Some(TpAttnCache {
-            x: x.clone(),
-            qkv,
-            probs,
-            batch,
-            seq,
-        });
-        (y, bytes)
-    }
-
-    /// Backward; returns the input gradient.
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let TpAttnCache {
-            x,
-            qkv,
-            probs,
-            batch,
-            seq,
-        } = self
-            .cache
-            .take()
-            .expect("TpAttention::backward without forward");
-        let at = self.local_heads(batch, seq);
-
-        let dctx = self.wo.backward(dy);
-        // Each worker folds its own dQ/dK/dV input gradients; the sum
-        // over workers is the one reduce the runtime performs here.
-        rank_order_sum((0..self.world).map(|wkr| {
-            let shards = [
-                &mut self.wq.shards[wkr],
-                &mut self.wk.shards[wkr],
-                &mut self.wv.shards[wkr],
-            ];
-            workspace::with_thread_default(|ws| {
-                let proj = qkv[wkr].each_ref();
-                let grads = graphs::attention_backward(ws, proj, &probs[wkr], &dctx[wkr], at);
-                qkv_backward_ws(shards, &x, grads.each_ref(), ws)
+        let shards = shards
+            .map(|i| Shard {
+                qkv: [&attn.wq, &attn.wk, &attn.wv].map(|l| ColumnShard::of(l, world, i)),
+                wo: RowShard::of(&attn.wo.weight.value, world, i),
+                fc1: ColumnShard::of(&ff.fc1, world, i),
+                fc2: RowShard::of(&ff.fc2.weight.value, world, i),
             })
-        }))
-    }
-
-    /// Visits model parameters (not compressor parameters).
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
-        self.wq.visit_params(f);
-        self.wk.visit_params(f);
-        self.wv.visit_params(f);
-        self.wo.visit_params(f);
-    }
-
-    /// Access to the attention's compressed reduce (AE parameters, sync).
-    pub fn reduce_mut(&mut self) -> &mut CompressedAllReduce {
-        &mut self.wo.reduce
-    }
-
-    /// Reassembles the serial attention layer from the shards.
-    pub fn to_serial(&self) -> actcomp_nn::MultiHeadAttention {
-        use actcomp_nn::Linear;
-        let (qw, qb) = self.wq.to_full();
-        let (kw, kb) = self.wk.to_full();
-        let (vw, vb) = self.wv.to_full();
-        let (ow, ob) = self.wo.to_full();
-        actcomp_nn::MultiHeadAttention::from_parts(
-            Linear::from_parts(qw, qb),
-            Linear::from_parts(kw, kb),
-            Linear::from_parts(vw, vb),
-            Linear::from_parts(ow, ob),
-            self.heads,
-        )
-    }
-}
-
-/// Tensor-parallel feed-forward block (column-parallel expansion,
-/// row-parallel contraction with compressed reduce).
-#[derive(Debug)]
-pub struct TpFeedForward {
-    fc1: ColumnShards,
-    fc2: RowShards,
-    /// The block input and the per-worker pre-activations.
-    cache: Option<(Tensor, Vec<Tensor>)>,
-}
-
-impl TpFeedForward {
-    /// Shards a serial feed-forward block across `world` workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reduce serves a different worker count.
-    pub fn from_serial(
-        ff: &actcomp_nn::FeedForward,
-        world: usize,
-        reduce: CompressedAllReduce,
-    ) -> Self {
-        match Self::try_from_serial(ff, world, reduce) {
-            Ok(tp) => tp,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Typed variant of [`TpFeedForward::from_serial`].
-    pub fn try_from_serial(
-        ff: &actcomp_nn::FeedForward,
-        world: usize,
-        reduce: CompressedAllReduce,
-    ) -> Result<Self, ShardError> {
-        if reduce.world() != world {
-            return Err(ShardError::ReduceWorldMismatch {
-                reduce_world: reduce.world(),
-                world,
-            });
-        }
-        Ok(TpFeedForward {
-            fc1: ColumnShards::from_full(&ff.fc1.weight.value, &ff.fc1.bias.value, world),
-            fc2: RowShards::from_full(&ff.fc2.weight.value, &ff.fc2.bias.value, reduce),
-            cache: None,
-        })
-    }
-
-    /// Forward over `[tokens, hidden]`.
-    pub fn forward(&mut self, x: &Tensor) -> (Tensor, CommBytes) {
-        let h = self.fc1.forward(x);
-        let a: Vec<Tensor> = h.iter().map(|t| t.gelu()).collect();
-        self.cache = Some((x.clone(), h));
-        self.fc2.forward(a)
-    }
-
-    /// Backward; returns the input gradient.
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (x, h) = self
-            .cache
-            .take()
-            .expect("TpFeedForward::backward without forward");
-        let da = self.fc2.backward(dy);
-        let dh: Vec<Tensor> = h
-            .iter()
-            .zip(&da)
-            .map(|(hi, dai)| hi.map(actcomp_tensor::ops::gelu_grad).mul(dai))
             .collect();
-        self.fc1.backward(&x, &dh)
-    }
-
-    /// Visits model parameters.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
-        self.fc1.visit_params(f);
-        self.fc2.visit_params(f);
-    }
-
-    /// Access to the block's compressed reduce.
-    pub fn reduce_mut(&mut self) -> &mut CompressedAllReduce {
-        &mut self.fc2.reduce
-    }
-
-    /// Reassembles the serial feed-forward block from the shards.
-    pub fn to_serial(&self) -> actcomp_nn::FeedForward {
-        use actcomp_nn::Linear;
-        let (w1, b1) = self.fc1.to_full();
-        let (w2, b2) = self.fc2.to_full();
-        actcomp_nn::FeedForward::from_parts(Linear::from_parts(w1, b1), Linear::from_parts(w2, b2))
-    }
-}
-
-/// One tensor-parallel encoder block: sharded attention and MLP with two
-/// (possibly compressed) all-reduces, replicated layer norms.
-#[derive(Debug)]
-pub struct TpEncoderLayer {
-    /// Sharded attention sublayer.
-    pub attn: TpAttention,
-    /// Post-attention layer norm (replicated).
-    pub ln1: LayerNorm,
-    /// Sharded feed-forward sublayer.
-    pub ff: TpFeedForward,
-    /// Post-FF layer norm (replicated).
-    pub ln2: LayerNorm,
-}
-
-impl TpEncoderLayer {
-    /// Shards a serial encoder layer across `world` workers, installing
-    /// the two compressed reduces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `world` doesn't divide the head count or a reduce serves
-    /// a different worker count.
-    pub fn from_serial(
-        layer: &EncoderLayer,
-        world: usize,
-        attn_reduce: CompressedAllReduce,
-        ff_reduce: CompressedAllReduce,
-    ) -> Self {
-        match Self::try_from_serial(layer, world, attn_reduce, ff_reduce) {
-            Ok(tp) => tp,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Typed variant of [`TpEncoderLayer::from_serial`].
-    pub fn try_from_serial(
-        layer: &EncoderLayer,
-        world: usize,
-        attn_reduce: CompressedAllReduce,
-        ff_reduce: CompressedAllReduce,
-    ) -> Result<Self, ShardError> {
-        Ok(TpEncoderLayer {
-            attn: TpAttention::try_from_serial(&layer.attn, world, attn_reduce)?,
+        Ok(Block {
+            shards,
+            wo_bias: Parameter::new(attn.wo.bias.value.clone()),
             ln1: layer.ln1.clone(),
-            ff: TpFeedForward::try_from_serial(&layer.ff, world, ff_reduce)?,
+            fc2_bias: Parameter::new(ff.fc2.bias.value.clone()),
             ln2: layer.ln2.clone(),
+            world,
+            local_heads: heads / world,
+            head_dim: attn.head_dim(),
+            caches: Vec::new(),
         })
     }
 
-    /// Forward over `[batch·seq, hidden]`; returns output plus the bytes
-    /// both reduces moved.
-    pub fn forward(&mut self, x: &Tensor, batch: usize, seq: usize) -> (Tensor, CommBytes) {
-        let (a, mut bytes) = self.attn.forward(x, batch, seq);
-        let h1 = self.ln1.forward(&x.add(&a));
-        let (f, b2) = self.ff.forward(&h1);
-        bytes.add(b2);
-        (self.ln2.forward(&h1.add(&f)), bytes)
+    /// Forward for one micro-batch over `[batch·seq, hidden]`.
+    pub fn forward(&mut self, x: &Tensor, batch: usize, seq: usize, r: &mut impl Reduce) -> Tensor {
+        let at = Heads {
+            batch,
+            heads: self.local_heads,
+            seq,
+            d: self.head_dim,
+        };
+        let (attn, partials): (Vec<_>, Vec<_>) = r.compute(|ws| {
+            self.shards
+                .iter()
+                .map(|s| {
+                    let qkv = qkv_forward(s.qkv.each_ref(), x, ws);
+                    let (ctx, probs) = graphs::attention_forward(ws, qkv.each_ref(), at);
+                    let partial = s.wo.partial(&ctx, ws);
+                    ((qkv, probs, ctx), partial)
+                })
+                .unzip()
+        });
+        let s = r.sum(SumPoint::Attention, partials);
+        let (h1, ln1, mlp, partials) = r.compute(|ws| {
+            let (h1, ln1) =
+                self.ln1
+                    .forward_bias_residual_cached_ws(&s, &self.wo_bias.value, x, ws);
+            let (mlp, partials): (Vec<_>, Vec<_>) = self
+                .shards
+                .iter()
+                .map(|s| {
+                    let (act, h) = s.fc1.mlp_up(&h1, ws);
+                    let partial = s.fc2.partial(&act, ws);
+                    ((h, act), partial)
+                })
+                .unzip();
+            ws.recycle_tensor(s);
+            (h1, ln1, mlp, partials)
+        });
+        let s = r.sum(SumPoint::Mlp, partials);
+        r.compute(|ws| {
+            let (y, ln2) =
+                self.ln2
+                    .forward_bias_residual_cached_ws(&s, &self.fc2_bias.value, &h1, ws);
+            ws.recycle_tensor(s);
+            self.caches.push(Cache {
+                x: ws.lease_copy(x),
+                h1,
+                ln: [ln1, ln2],
+                at,
+                attn,
+                mlp,
+            });
+            y
+        })
     }
 
-    /// Backward; returns the input gradient.
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let d2 = self.ln2.backward(dy);
-        let df = self.ff.backward(&d2);
-        let dh1 = d2.add(&df);
-        let d1 = self.ln1.backward(&dh1);
-        let dxa = self.attn.backward(&d1);
-        d1.add(&dxa)
+    /// Backward for the most recent un-backwarded micro-batch; returns
+    /// the input gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no forward is cached.
+    pub fn backward(&mut self, dy: &Tensor, r: &mut impl Reduce) -> Tensor {
+        let Cache {
+            x,
+            h1,
+            ln: [ln1, ln2],
+            at,
+            attn,
+            mlp,
+        } = self.caches.pop().expect("Block::backward without forward");
+        let d2 = r.compute(|ws| {
+            self.ln2
+                .backward_fused_ws(dy, None, ln2, Some(&mut self.fc2_bias), ws)
+        });
+        let dps = r.sum_backward(SumPoint::Mlp, &d2);
+        let parts = r.compute(|ws| {
+            let parts = (self.shards.iter_mut().zip(mlp).zip(&dps))
+                .map(|((s, (h, act)), dp)| {
+                    let dh = s.fc2.backward_gelu(&act, dp, &h, ws);
+                    let part = s.fc1.backward(&h1, &dh, ws);
+                    for t in [dh, act, h] {
+                        ws.recycle_tensor(t);
+                    }
+                    part
+                })
+                .collect();
+            ws.recycle_tensor(h1);
+            parts
+        });
+        let df = r.dense_sum(parts);
+        let d1 = r.compute(|ws| {
+            let d1 = self
+                .ln1
+                .backward_fused_ws(&d2, Some(&df), ln1, Some(&mut self.wo_bias), ws);
+            ws.recycle_tensor(d2);
+            ws.recycle_tensor(df);
+            d1
+        });
+        let dps = r.sum_backward(SumPoint::Attention, &d1);
+        let parts = r.compute(|ws| {
+            let parts = (self.shards.iter_mut().zip(attn).zip(&dps))
+                .map(|((s, (qkv, probs, ctx)), dp)| {
+                    let dctx = s.wo.backward(&ctx, dp, ws);
+                    let grads = graphs::attention_backward(ws, qkv.each_ref(), &probs, &dctx, at);
+                    let part = qkv_backward(s.qkv.each_mut(), &x, grads.each_ref(), ws);
+                    let rest = [probs, ctx].into_iter().chain(qkv);
+                    for t in [dctx].into_iter().chain(grads).chain(rest) {
+                        ws.recycle_tensor(t);
+                    }
+                    part
+                })
+                .collect();
+            ws.recycle_tensor(x);
+            parts
+        });
+        // The residual branch's gradient lands on the sum in place.
+        let mut dx = r.dense_sum(parts);
+        r.compute(|ws| {
+            dx.add_assign(&d1);
+            ws.recycle_tensor(d1);
+        });
+        dx
     }
 
-    /// Visits model parameters (excluding compressor parameters — use
-    /// [`TpEncoderLayer::visit_compressor_params`]).
+    /// Drops every cached forward without running backward — the
+    /// forward-only serving path's per-batch cleanup — recycling the
+    /// buffers into `ws`.
+    pub fn clear_caches(&mut self, ws: &mut Workspace) {
+        for c in self.caches.drain(..) {
+            let attn =
+                (c.attn.into_iter()).flat_map(|(qkv, p, ctx)| qkv.into_iter().chain([p, ctx]));
+            let mlp = c.mlp.into_iter().flat_map(|(h, act)| [h, act]);
+            let ln = (c.ln.into_iter()).flat_map(|ln| <[Tensor; 2]>::from(ln.into_parts()));
+            for t in [c.x, c.h1].into_iter().chain(attn).chain(mlp).chain(ln) {
+                ws.recycle_tensor(t);
+            }
+        }
+    }
+
+    /// Visits the block's parameters in the order of its parameter-group
+    /// table, the order [`interleave`] assumes.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
-        self.attn.visit_params(f);
-        self.ln1.visit_params(f);
-        self.ff.visit_params(f);
-        self.ln2.visit_params(f);
+        for (group, sharded, _) in GROUPS {
+            match group {
+                _ if sharded => self.shards.iter_mut().for_each(|s| s.visit(group, f)),
+                Group::WoBias => f(&mut self.wo_bias),
+                Group::Ln1 => self.ln1.visit_params(f),
+                Group::Fc2Bias => f(&mut self.fc2_bias),
+                _ => self.ln2.visit_params(f),
+            }
+        }
     }
 
-    /// Visits compressor (auto-encoder) parameters.
-    pub fn visit_compressor_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
-        self.attn.reduce_mut().visit_params(f);
-        self.ff.reduce_mut().visit_params(f);
-    }
-
-    /// All-reduces compressor-parameter gradients across workers.
-    pub fn sync_compressor_grads(&mut self) {
-        self.attn.reduce_mut().sync_param_grads();
-        self.ff.reduce_mut().sync_param_grads();
-    }
-
-    /// Reassembles the serial encoder layer (dropping compressors — the
-    /// paper's §4.4 observation that the AE can be removed after
-    /// pre-training).
+    /// Reassembles the serial encoder layer. Compressors are not part of
+    /// a block: the paper's §4.4 drops the auto-encoder after
+    /// pre-training.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the block holds every shard.
     pub fn to_serial(&self) -> EncoderLayer {
-        EncoderLayer::from_parts(
-            self.attn.to_serial(),
-            self.ln1.clone(),
-            self.ff.to_serial(),
-            self.ln2.clone(),
-        )
+        assert_eq!(self.shards.len(), self.world, "to_serial needs every shard");
+        let cols = |pick: fn(&Shard) -> &ColumnShard| {
+            let part = |t: fn(&ColumnShard) -> &Parameter| -> Vec<&Tensor> {
+                self.shards.iter().map(|s| &t(pick(s)).value).collect()
+            };
+            let (weights, biases) = (part(|c| &c.weight), part(|c| &c.bias));
+            Linear::from_parts(Tensor::concat_cols(&weights), Tensor::concat_rows(&biases))
+        };
+        let rows = |pick: fn(&Shard) -> &RowShard, bias: &Parameter| {
+            let weights: Vec<&Tensor> = self.shards.iter().map(|s| &pick(s).weight.value).collect();
+            Linear::from_parts(Tensor::concat_rows(&weights), bias.value.clone())
+        };
+        let attn = MultiHeadAttention::from_parts(
+            cols(|s| &s.qkv[0]),
+            cols(|s| &s.qkv[1]),
+            cols(|s| &s.qkv[2]),
+            rows(|s| &s.wo, &self.wo_bias),
+            self.local_heads * self.world,
+        );
+        let ff = FeedForward::from_parts(cols(|s| &s.fc1), rows(|s| &s.fc2, &self.fc2_bias));
+        EncoderLayer::from_parts(attn, self.ln1.clone(), ff, self.ln2.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reduce::{CompressedAllReduce, InProcess};
     use actcomp_compress::{Compressor, Identity};
-    use actcomp_nn::EncoderLayer;
     use actcomp_tensor::init;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn identity_reduce(world: usize) -> CompressedAllReduce {
-        CompressedAllReduce::new(
-            (0..world)
-                .map(|_| Box::new(Identity::new()) as Box<dyn Compressor>)
-                .collect(),
-        )
+    fn sums(world: usize, comp: impl Fn() -> Box<dyn Compressor>) -> InProcess {
+        let reduce = || CompressedAllReduce::new((0..world).map(|_| comp()).collect());
+        InProcess::new(reduce(), reduce())
+    }
+
+    fn identity(world: usize) -> InProcess {
+        sums(world, || Box::new(Identity::new()))
     }
 
     fn serial_layer(seed: u64) -> EncoderLayer {
@@ -535,27 +418,27 @@ mod tests {
         EncoderLayer::new(&mut rng, 8, 4, 16)
     }
 
+    fn full(layer: &EncoderLayer, world: usize) -> Block {
+        Block::new(layer, world, 0..world).expect("world divides the heads")
+    }
+
     #[test]
     fn tp_forward_matches_serial_with_identity() {
         for world in [1, 2, 4] {
             let mut serial = serial_layer(0);
-            let mut tp = TpEncoderLayer::from_serial(
-                &serial,
-                world,
-                identity_reduce(world),
-                identity_reduce(world),
-            );
+            let mut tp = full(&serial, world);
+            let mut sums = identity(world);
             let mut rng = ChaCha8Rng::seed_from_u64(1);
             let x = init::randn(&mut rng, [6, 8], 1.0); // batch 3, seq 2
             let want = serial.forward(&x, 3, 2);
-            let (got, bytes) = tp.forward(&x, 3, 2);
+            let got = tp.forward(&x, 3, 2, &mut sums);
             assert!(
                 got.max_abs_diff(&want) < 1e-4,
                 "world {world}: diff {}",
                 got.max_abs_diff(&want)
             );
             if world > 1 {
-                assert!(bytes.dense > 0);
+                assert!(sums.bytes.dense > 0);
             }
         }
     }
@@ -564,20 +447,16 @@ mod tests {
     fn tp_backward_matches_serial_with_identity() {
         let mut serial = serial_layer(2);
         let world = 2;
-        let mut tp = TpEncoderLayer::from_serial(
-            &serial,
-            world,
-            identity_reduce(world),
-            identity_reduce(world),
-        );
+        let mut tp = full(&serial, world);
+        let mut sums = identity(world);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let x = init::randn(&mut rng, [4, 8], 1.0); // batch 2, seq 2
         let dy = init::randn(&mut rng, [4, 8], 1.0);
 
         let _ = serial.forward(&x, 2, 2);
         let dx_serial = serial.backward(&dy);
-        let _ = tp.forward(&x, 2, 2);
-        let dx_tp = tp.backward(&dy);
+        let _ = tp.forward(&x, 2, 2, &mut sums);
+        let dx_tp = tp.backward(&dy, &mut sums);
         assert!(
             dx_tp.max_abs_diff(&dx_serial) < 1e-4,
             "dx diff {}",
@@ -601,11 +480,33 @@ mod tests {
         let mut serial = serial_layer(4);
         let mut count_serial = 0;
         serial.visit_params(&mut |p| count_serial += p.len());
-        let mut tp =
-            TpEncoderLayer::from_serial(&serial, 2, identity_reduce(2), identity_reduce(2));
         let mut count_tp = 0;
-        tp.visit_params(&mut |p| count_tp += p.len());
+        full(&serial, 2).visit_params(&mut |p| count_tp += p.len());
         assert_eq!(count_serial, count_tp);
+    }
+
+    #[test]
+    fn single_shard_visit_lists_interleave_to_the_full_blocks() {
+        let serial = serial_layer(9);
+        let world = 4;
+        let values = |b: &mut Block| {
+            let mut v = Vec::new();
+            b.visit_params(&mut |p| v.push(p.value.clone()));
+            v
+        };
+        let want = values(&mut full(&serial, world));
+        let per_shard: Vec<Vec<Tensor>> = (0..world)
+            .map(|i| values(&mut Block::new(&serial, world, i..i + 1).expect("valid shard")))
+            .collect();
+        let lists: Vec<&[Tensor]> = per_shard.iter().map(Vec::as_slice).collect();
+        let got = interleave(&lists);
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.into_iter().zip(&want) {
+            assert_eq!(g, w);
+        }
+        let per_block: usize = GROUPS.iter().map(|&(_, _, len)| len).sum();
+        assert_eq!(per_shard[0].len(), per_block, "the table counts a visit");
+        assert_eq!(full(&serial, world).to_serial().attn.heads(), 4);
     }
 
     #[test]
@@ -613,28 +514,18 @@ mod tests {
         use actcomp_compress::Quantizer;
         let serial = serial_layer(5);
         let world = 2;
-        let quant_reduce = || {
-            CompressedAllReduce::new(
-                (0..world)
-                    .map(|_| Box::new(Quantizer::new(8)) as Box<dyn Compressor>)
-                    .collect(),
-            )
-        };
-        let mut tp_exact = TpEncoderLayer::from_serial(
-            &serial,
-            world,
-            identity_reduce(world),
-            identity_reduce(world),
-        );
-        let mut tp_q = TpEncoderLayer::from_serial(&serial, world, quant_reduce(), quant_reduce());
+        let mut tp_exact = full(&serial, world);
+        let mut tp_q = full(&serial, world);
+        let mut exact = identity(world);
+        let mut quant = sums(world, || Box::new(Quantizer::new(8)));
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let x = init::randn(&mut rng, [4, 8], 1.0);
-        let (y_exact, _) = tp_exact.forward(&x, 2, 2);
-        let (y_q, bytes) = tp_q.forward(&x, 2, 2);
+        let y_exact = tp_exact.forward(&x, 2, 2, &mut exact);
+        let y_q = tp_q.forward(&x, 2, 2, &mut quant);
         let diff = y_q.max_abs_diff(&y_exact);
         assert!(diff > 0.0, "8-bit quantization should perturb the output");
         assert!(diff < 0.5, "8-bit quantization error too large: {diff}");
-        assert!(bytes.ratio() > 1.5, "ratio {}", bytes.ratio());
+        assert!(quant.bytes.ratio() > 1.5, "ratio {}", quant.bytes.ratio());
     }
 
     #[test]
@@ -643,7 +534,7 @@ mod tests {
         use actcomp_compress::AutoEncoder;
         let serial = serial_layer(7);
         let world = 2;
-        let ae_reduce = |seed: u64| {
+        let ae = |seed: u64| {
             CompressedAllReduce::new(
                 (0..world)
                     .map(|_| {
@@ -653,25 +544,27 @@ mod tests {
                     .collect(),
             )
         };
-        let mut tp = TpEncoderLayer::from_serial(&serial, world, ae_reduce(10), ae_reduce(11));
+        let mut tp = full(&serial, world);
+        let mut sums = InProcess::new(ae(10), ae(11));
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let x = init::randn(&mut rng, [2, 8], 0.5); // batch 1, seq 2
         let dy = init::randn(&mut rng, [2, 8], 1.0);
 
-        let _ = tp.forward(&x, 1, 2);
-        let dx = tp.backward(&dy);
+        let _ = tp.forward(&x, 1, 2, &mut sums);
+        let dx = tp.backward(&dy, &mut sums);
 
         let eps = 1e-2;
+        let mut loss = |x: &Tensor| {
+            let l = tp.forward(x, 1, 2, &mut sums).mul(&dy).sum();
+            let _ = tp.backward(&Tensor::zeros_like(&dy), &mut sums);
+            l
+        };
         for j in 0..x.len() {
             let mut xp = x.clone();
             xp[j] += eps;
             let mut xm = x.clone();
             xm[j] -= eps;
-            let lp = tp.forward(&xp, 1, 2).0.mul(&dy).sum();
-            let _ = tp.backward(&Tensor::zeros_like(&dy));
-            let lm = tp.forward(&xm, 1, 2).0.mul(&dy).sum();
-            let _ = tp.backward(&Tensor::zeros_like(&dy));
-            let fd = (lp - lm) / (2.0 * eps);
+            let fd = (loss(&xp) - loss(&xm)) / (2.0 * eps);
             let denom = 1.0f32.max(dx[j].abs()).max(fd.abs());
             assert!(
                 (dx[j] - fd).abs() / denom < 5e-2,

@@ -1,7 +1,7 @@
 //! Property-based tests of the model-parallel execution layer.
 
 use actcomp_compress::{AutoEncoder, Compressor, Identity, Quantizer, TopK};
-use actcomp_mp::{CompressedAllReduce, TpEncoderLayer};
+use actcomp_mp::{Block, CompressedAllReduce, InProcess};
 use actcomp_nn::EncoderLayer;
 use actcomp_tensor::{init, Tensor};
 use proptest::prelude::*;
@@ -30,15 +30,11 @@ proptest! {
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut serial = EncoderLayer::new(&mut rng, 8, 4, 16);
-        let mut tp = TpEncoderLayer::from_serial(
-            &serial,
-            world,
-            identity_reduce(world),
-            identity_reduce(world),
-        );
+        let mut tp = Block::new(&serial, world, 0..world).expect("world divides the heads");
+        let mut sums = InProcess::new(identity_reduce(world), identity_reduce(world));
         let x = init::randn(&mut rng, [batch * seq, 8], 1.0);
         let want = serial.forward(&x, batch, seq);
-        let (got, _) = tp.forward(&x, batch, seq);
+        let got = tp.forward(&x, batch, seq, &mut sums);
         prop_assert!(got.max_abs_diff(&want) < 1e-3,
             "world {} diff {}", world, got.max_abs_diff(&want));
     }

@@ -10,8 +10,10 @@
 //! model-parallel rank and moves activations between them as real
 //! messages over `std::sync::mpsc` channels:
 //!
-//! - each rank owns its tensor-parallel shard of its pipeline stage,
-//!   built from the same [`actcomp_mp`] shard primitives;
+//! - each rank runs an [`actcomp_mp::Block`] over its own
+//!   tensor-parallel shard of each layer of its pipeline stage — the
+//!   block the serial executor runs over every shard — and sums partials
+//!   over its ring where the serial executor sums them in process;
 //! - the compressed all-reduce (summable auto-encoder codes) and
 //!   compressed all-gather (Top-K / Random-K / quantized messages) run
 //!   over a reusable ring topology ([`TpGroup`]) with the same
@@ -71,7 +73,6 @@
 
 pub mod comm;
 pub mod config;
-pub mod layer;
 mod link;
 pub mod procs;
 mod rank;

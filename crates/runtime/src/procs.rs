@@ -38,7 +38,7 @@ use crate::config::{RuntimeConfig, RuntimeError};
 use crate::link::build_rank_links;
 use crate::rank::{Command, Response};
 use crate::report::{RankReport, RuntimeReport};
-use crate::runtime::{assemble_grads, Seeds, WorkerBuilder};
+use crate::runtime::{assemble_grads, WorkerBuilder};
 use crate::wire::{
     decode_msg, encode_msg, put_string, put_u8, put_usize, Reader, WireError, WireMsg,
 };
@@ -921,8 +921,8 @@ pub fn run_worker(args: WorkerArgs) -> Result<(), ProcsError> {
     // shares: same seed, same draw order as the threaded engine.
     let mut rng = ChaCha8Rng::seed_from_u64(args.seed);
     let serial = BertEncoder::new(&mut rng, cfg.mp.bert.clone());
-    let seeds = Seeds::draw(&cfg, &mut rng);
-    let builder = WorkerBuilder::new(&serial, &cfg, seeds);
+    let recipe = actcomp_mp::CompressorRecipe::draw(&cfg.mp, &mut rng);
+    let builder = WorkerBuilder::new(&serial, &cfg, recipe);
     let (cmd_tx, cmd_rx) = std::sync::mpsc::channel::<Command>();
     let (resp_tx, resp_rx) = std::sync::mpsc::channel::<Response>();
     let worker = builder.build(args.rank, links, cmd_rx, resp_tx);

@@ -5,7 +5,6 @@
 //! transport channels for sockets and process mode).
 
 use crate::comm::TpGroup;
-use crate::layer::{LayerGrads, RankLayer};
 use crate::link::{MsgRx, MsgTx};
 use crate::report::{timed, PhaseTimers, RankReport};
 use crate::trace::TraceHandle;
@@ -13,7 +12,7 @@ use crate::wire::{put_f32, put_string, put_u8, put_usize, Reader, WireError, Wir
 use actcomp_check::{ChannelId, Dir, MsgId, TraceEvent};
 use actcomp_compress::{Compressed, Compressor};
 use actcomp_distsim::schedule::gpipe_order;
-use actcomp_mp::CommBytes;
+use actcomp_mp::{Block, CommBytes, Reduce, SumPoint};
 use actcomp_nn::{Embedding, Layer, LayerNorm, LnCache, Parameter};
 use actcomp_tensor::{Tensor, Workspace};
 use std::sync::mpsc::{Receiver, Sender};
@@ -482,14 +481,70 @@ impl EmbeddingStage {
     }
 }
 
+/// One owned layer: this rank's block over its own shard, and its
+/// compressors at the layer's two forward sums.
+pub(crate) type OwnedLayer = (Block, [Box<dyn Compressor>; 2]);
+
+/// A rank's [`Reduce`]: its one shard's partial summed with its TP
+/// peers' over the group's ring, through the layer's compressors, with
+/// the block's arithmetic charged to the rank's compute time.
+struct Ring<'a> {
+    tp: &'a mut TpGroup,
+    comps: &'a mut [Box<dyn Compressor>; 2],
+    timers: &'a mut PhaseTimers,
+    ws: &'a mut Workspace,
+}
+
+/// The one tensor a rank's block hands a sum.
+fn only(mut parts: Vec<Tensor>) -> Tensor {
+    assert_eq!(parts.len(), 1, "a rank holds one shard");
+    parts.swap_remove(0)
+}
+
+impl Reduce for Ring<'_> {
+    fn compute<T>(&mut self, f: impl FnOnce(&mut Workspace) -> T) -> T {
+        timed(&mut self.timers.compute_s, || f(self.ws))
+    }
+
+    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>) -> Tensor {
+        let partial = only(partials);
+        let comp = self.comps[at as usize].as_mut();
+        let s = (self.tp).compressed_all_reduce(comp, &partial, self.timers, self.ws);
+        self.ws.recycle_tensor(partial);
+        s
+    }
+
+    fn sum_backward(&mut self, at: SumPoint, dy: &Tensor) -> Vec<Tensor> {
+        let comp = self.comps[at as usize].as_mut();
+        vec![self.tp.compressed_backward(comp, dy, self.timers)]
+    }
+
+    fn dense_sum(&mut self, parts: Vec<Tensor>) -> Tensor {
+        let part = only(parts);
+        let s = self.tp.dense_all_reduce(&part, self.timers, self.ws);
+        self.ws.recycle_tensor(part);
+        s
+    }
+}
+
+/// The gradients `visit` hands its callback, in order.
+fn grads_of(visit: impl FnOnce(&mut dyn FnMut(&mut Parameter))) -> Vec<Tensor> {
+    let mut grads = Vec::new();
+    visit(&mut |p| grads.push(p.grad.clone()));
+    grads
+}
+
 /// One rank's gradient snapshot, reassembled by the driver into the
 /// serial `MpBert::visit_all_params` order.
 #[derive(Debug, Clone)]
 pub struct RankGrads {
     /// `[tok, pos, emb_ln gain, emb_ln bias]` — stage-0 ranks only.
     pub embedding: Vec<Tensor>,
-    /// Per owned layer, in stage order.
-    pub layers: Vec<LayerGrads>,
+    /// Per owned layer, in stage order: its block's parameter visit list.
+    pub layers: Vec<Vec<Tensor>>,
+    /// Per owned layer, in stage order: its attention-sum then its
+    /// MLP-sum compressor's parameter grads.
+    pub compressors: Vec<[Vec<Tensor>; 2]>,
     /// Boundary-compressor parameter grads (boundary senders only).
     pub boundary_comp: Vec<Tensor>,
 }
@@ -503,7 +558,7 @@ pub(crate) struct RankWorker {
     pub pp: usize,
     pub micro_batches: usize,
     pub embedding: Option<EmbeddingStage>,
-    pub layers: Vec<RankLayer>,
+    pub layers: Vec<OwnedLayer>,
     pub tp: TpGroup,
     /// Intra-stage broadcast: stage rank 0 fans decoded boundary
     /// tensors out to its TP peers.
@@ -536,7 +591,7 @@ impl RankWorker {
         pp: usize,
         micro_batches: usize,
         embedding: Option<EmbeddingStage>,
-        layers: Vec<RankLayer>,
+        layers: Vec<OwnedLayer>,
         tp: TpGroup,
         bcast_tx: Vec<MsgTx<Tensor>>,
         bcast_rx: Option<MsgRx<Tensor>>,
@@ -759,8 +814,8 @@ impl RankWorker {
 
     /// Recycles every cached forward activation into the arena.
     fn release_caches(&mut self) {
-        for layer in &mut self.layers {
-            layer.clear_caches(&mut self.ws);
+        for (block, _) in &mut self.layers {
+            block.clear_caches(&mut self.ws);
         }
         if let Some(emb) = self.embedding.as_mut() {
             emb.clear_caches(&mut self.ws);
@@ -795,15 +850,14 @@ impl RankWorker {
             let decoded = (self.tpi == 0).then(|| self.pull(Pass::Fill, mb));
             self.stage_broadcast(decoded)
         };
-        for i in 0..self.layers.len() {
-            // Split the borrow: the layer needs &mut self.tp/timers/ws.
-            let (layers, tp, timers, ws) = (
-                &mut self.layers,
-                &mut self.tp,
-                &mut self.timers,
-                &mut self.ws,
-            );
-            let y = layers[i].forward(&x, mb_batch, seq, tp, timers, ws);
+        for (block, comps) in &mut self.layers {
+            let ring = &mut Ring {
+                tp: &mut self.tp,
+                comps,
+                timers: &mut self.timers,
+                ws: &mut self.ws,
+            };
+            let y = block.forward(&x, mb_batch, seq, ring);
             self.ws.recycle_tensor(x);
             x = y;
         }
@@ -896,14 +950,14 @@ impl RankWorker {
             let incoming = (self.tpi == 0).then(|| self.pull(Pass::Drain, mb));
             self.stage_broadcast(incoming)
         };
-        for i in (0..self.layers.len()).rev() {
-            let (layers, tp, timers, ws) = (
-                &mut self.layers,
-                &mut self.tp,
-                &mut self.timers,
-                &mut self.ws,
-            );
-            let nd = layers[i].backward(&d, tp, timers, ws);
+        for (block, comps) in self.layers.iter_mut().rev() {
+            let ring = &mut Ring {
+                tp: &mut self.tp,
+                comps,
+                timers: &mut self.timers,
+                ws: &mut self.ws,
+            };
+            let nd = block.backward(&d, ring);
             self.ws.recycle_tensor(d);
             d = nd;
         }
@@ -920,8 +974,8 @@ impl RankWorker {
     /// Post-drain synchronization, in the serial executor's order:
     /// per-layer compressor grads first, then boundary replicas.
     fn post_drain_sync(&mut self) {
-        for layer in &mut self.layers {
-            layer.sync_compressor_grads(&mut self.tp, &mut self.timers);
+        for comp in self.layers.iter_mut().flat_map(|(_, comps)| comps) {
+            self.tp.sync_param_grads(comp.as_mut(), &mut self.timers);
         }
         if self.send_b.is_some() {
             self.trace_event(
@@ -975,11 +1029,11 @@ impl RankWorker {
         if let Some(emb) = self.embedding.as_mut() {
             emb.visit_params(f);
         }
-        for layer in &mut self.layers {
-            layer.visit_params(f);
+        for (block, _) in &mut self.layers {
+            block.visit_params(f);
         }
-        for layer in &mut self.layers {
-            layer.visit_compressor_params(f);
+        for comp in self.layers.iter_mut().flat_map(|(_, comps)| comps) {
+            comp.visit_params(f);
         }
         if let Some(b) = self.send_b.as_mut() {
             b.comp.visit_params(f);
@@ -990,30 +1044,21 @@ impl RankWorker {
     }
 
     fn collect_grads(&mut self) {
-        let embedding = match self.embedding.as_mut() {
-            Some(emb) => {
-                let mut v = Vec::new();
-                emb.visit_params(&mut |p| v.push(p.grad.clone()));
-                v
-            }
-            None => Vec::new(),
-        };
-        let layers: Vec<LayerGrads> = self.layers.iter_mut().map(|l| l.grads()).collect();
-        let boundary_comp = match self.send_b.as_mut() {
-            Some(b) => {
-                let mut v = Vec::new();
-                b.comp.visit_params(&mut |p| v.push(p.grad.clone()));
-                v
-            }
-            None => Vec::new(),
+        let grads = RankGrads {
+            embedding: (self.embedding.as_mut())
+                .map_or_else(Vec::new, |e| grads_of(|f| e.visit_params(f))),
+            layers: (self.layers.iter_mut())
+                .map(|(block, _)| grads_of(|f| block.visit_params(f)))
+                .collect(),
+            compressors: (self.layers.iter_mut())
+                .map(|(_, comps)| comps.each_mut().map(|c| grads_of(|f| c.visit_params(f))))
+                .collect(),
+            boundary_comp: (self.send_b.as_mut())
+                .map_or_else(Vec::new, |b| grads_of(|f| b.comp.visit_params(f))),
         };
         self.respond(Response::Grads {
             rank: self.rank,
-            grads: RankGrads {
-                embedding,
-                layers,
-                boundary_comp,
-            },
+            grads,
         });
     }
 }

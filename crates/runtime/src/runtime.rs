@@ -2,9 +2,10 @@
 //! rank and drives them through command/response channels.
 //!
 //! Rank `r` owns tensor-parallel shard `r % tp` of pipeline stage
-//! `r / tp`. Compressors are constructed with exactly the same RNG draw
-//! order as the serial [`MpBert`](actcomp_mp::MpBert) builder, so a
-//! threaded run and a serial run built from the same serial encoder and
+//! `r / tp`: one [`Block`] per layer of its stage, over that shard
+//! alone. Compressors come from the serial
+//! [`MpBert`](actcomp_mp::MpBert) builder's own [`CompressorRecipe`], so
+//! a threaded run and a serial run built from the same serial encoder and
 //! seed hold bit-identical parameters.
 //!
 //! The rank workers speak [`MsgTx`](crate::link::MsgTx) /
@@ -16,7 +17,6 @@
 
 use crate::comm::TpGroup;
 use crate::config::{RuntimeConfig, RuntimeError};
-use crate::layer::RankLayer;
 use crate::link::{build_rank_links, typed_world_links, RankLinks};
 use crate::rank::{
     BoundaryReceiver, BoundarySender, Command, EmbeddingStage, RankGrads, RankWorker, Response,
@@ -24,61 +24,16 @@ use crate::rank::{
 use crate::report::{RankReport, RuntimeReport};
 use crate::trace::{TraceCell, TraceHandle};
 use actcomp_check::TraceEvent;
-use actcomp_compress::spec::CompressorSpec;
-use actcomp_compress::{Compressor, Identity};
-use actcomp_mp::stage_offsets;
+use actcomp_compress::Compressor;
+use actcomp_mp::tp::interleave;
+use actcomp_mp::{stage_offsets, Block, CompressorRecipe, Site, SumPoint};
 use actcomp_net::Transport;
 use actcomp_nn::BertEncoder;
 use actcomp_tensor::Tensor;
-use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-/// Per-layer compressor construction recipe, derived from the plan with
-/// the serial builder's RNG draw order.
-struct LayerSeeds {
-    attn: (CompressorSpec, u64),
-    ff: (CompressorSpec, u64),
-}
-
-/// Every compressor seed one run needs, drawn from the driver RNG with
-/// the serial builder's exact draw order. Process mode re-draws the
-/// identical set in every worker from the shared run seed, so all
-/// processes build bit-identical compressor stacks.
-pub(crate) struct Seeds {
-    layers: Vec<LayerSeeds>,
-    boundaries: Vec<Option<u64>>,
-}
-
-impl Seeds {
-    /// Replicates the serial builder's RNG draw order: one seed per
-    /// reduce (attention then feed-forward, in layer order), then one
-    /// per *compressed* pipeline boundary.
-    pub(crate) fn draw(cfg: &RuntimeConfig, rng: &mut ChaCha8Rng) -> Seeds {
-        let tp = cfg.mp.tp;
-        let layers = (0..cfg.mp.bert.layers)
-            .map(|l| {
-                let covered = cfg.mp.plan.covers(l);
-                let spec = if covered && tp > 1 {
-                    cfg.mp.plan.spec
-                } else {
-                    CompressorSpec::Baseline
-                };
-                LayerSeeds {
-                    attn: (spec, rng.gen()),
-                    ff: (spec, rng.gen()),
-                }
-            })
-            .collect();
-        let offsets = stage_offsets(cfg.mp.bert.layers, cfg.mp.pp);
-        let boundaries = (0..cfg.mp.pp.saturating_sub(1))
-            .map(|b| cfg.mp.plan.covers(offsets[b + 1]).then(|| rng.gen()))
-            .collect();
-        Seeds { layers, boundaries }
-    }
-}
 
 /// Builds one rank's worker — shards, compressors, links — identically
 /// whether the rank lives on a thread of this process (threads backend,
@@ -87,58 +42,33 @@ impl Seeds {
 pub(crate) struct WorkerBuilder<'a> {
     serial: &'a BertEncoder,
     cfg: &'a RuntimeConfig,
-    seeds: Seeds,
+    recipe: CompressorRecipe,
     offsets: Vec<usize>,
 }
 
 impl<'a> WorkerBuilder<'a> {
-    pub(crate) fn new(serial: &'a BertEncoder, cfg: &'a RuntimeConfig, seeds: Seeds) -> Self {
+    /// `recipe` is drawn with the serial builder's draw order; process
+    /// mode re-draws it in every worker from the shared run seed.
+    pub(crate) fn new(
+        serial: &'a BertEncoder,
+        cfg: &'a RuntimeConfig,
+        recipe: CompressorRecipe,
+    ) -> Self {
         let offsets = stage_offsets(cfg.mp.bert.layers, cfg.mp.pp);
         WorkerBuilder {
             serial,
             cfg,
-            seeds,
+            recipe,
             offsets,
         }
     }
 
-    /// Per-micro-batch activation element count — what the compressors
-    /// are sized for. At `m = 1` this matches the serial executor.
-    fn n(&self) -> usize {
-        (self.cfg.mp.tokens / self.cfg.micro_batches) * self.cfg.mp.bert.hidden
-    }
-
-    fn build_compressor(&self, spec: CompressorSpec, seed: u64) -> Box<dyn Compressor> {
-        let mut wrng = ChaCha8Rng::seed_from_u64(seed);
-        let c = spec.build(&mut wrng, self.n(), self.cfg.mp.bert.hidden);
-        if self.cfg.mp.error_feedback && spec != CompressorSpec::Baseline {
-            Box::new(actcomp_compress::ErrorFeedback::new(c))
-        } else {
-            c
-        }
-    }
-
-    /// The boundary-`b` compressor. Called once on the sending side and
-    /// once on the receiving side with the same seed, yielding the
-    /// lockstep replica pair.
-    fn build_boundary(&self, b: usize) -> Box<dyn Compressor> {
-        match self.seeds.boundaries[b] {
-            Some(seed) => {
-                let mut wrng = ChaCha8Rng::seed_from_u64(seed);
-                let c = self
-                    .cfg
-                    .mp
-                    .plan
-                    .spec
-                    .build(&mut wrng, self.n(), self.cfg.mp.bert.hidden);
-                if self.cfg.mp.error_feedback {
-                    Box::new(actcomp_compress::ErrorFeedback::new(c))
-                } else {
-                    c
-                }
-            }
-            None => Box::new(Identity::new()),
-        }
+    /// The compressor at `site`, sized for one micro-batch's activation
+    /// (at `m = 1`, the serial executor's size). The boundary pair's two
+    /// halves each build theirs, yielding the lockstep replica pair.
+    fn compressor(&self, site: Site) -> Box<dyn Compressor> {
+        let n = (self.cfg.mp.tokens / self.cfg.micro_batches) * self.cfg.mp.bert.hidden;
+        self.recipe.build(&self.cfg.mp, site, n)
     }
 
     /// Assembles rank `rank`'s worker around its opened links.
@@ -159,16 +89,12 @@ impl<'a> WorkerBuilder<'a> {
             .get(stage + 1)
             .copied()
             .unwrap_or(self.cfg.mp.bert.layers);
-        let layers: Vec<RankLayer> = (lo..hi)
+        let layers = (lo..hi)
             .map(|l| {
-                let seeds = &self.seeds.layers[l];
-                RankLayer::from_serial(
-                    &self.serial.layers[l],
-                    tpi,
-                    tp,
-                    self.build_compressor(seeds.attn.0, seeds.attn.1),
-                    self.build_compressor(seeds.ff.0, seeds.ff.1),
-                )
+                let block = Block::new(&self.serial.layers[l], tp, tpi..tpi + 1)
+                    .expect("the runtime validated the config");
+                let points = [SumPoint::Attention, SumPoint::Mlp];
+                (block, points.map(|at| self.compressor(Site::Reduce(l, at))))
             })
             .collect();
         let embedding = (stage == 0).then(|| {
@@ -193,13 +119,13 @@ impl<'a> WorkerBuilder<'a> {
             ring_ep.set_trace(t.clone());
         }
         let send_b = links.fwd_tx.map(|fwd_tx| BoundarySender {
-            comp: self.build_boundary(stage),
+            comp: self.compressor(Site::Boundary(stage)),
             bytes: actcomp_mp::CommBytes::default(),
             tx: fwd_tx,
             grad_rx: links.grad_rx.expect("sender links come in pairs"),
         });
         let recv_b = links.fwd_rx.map(|fwd_rx| BoundaryReceiver {
-            replica: self.build_boundary(stage - 1),
+            replica: self.compressor(Site::Boundary(stage - 1)),
             rx: fwd_rx,
             grad_tx: links.grad_tx.expect("receiver links come in pairs"),
         });
@@ -343,8 +269,8 @@ impl ThreadedRuntime {
             });
         }
         let world = cfg.world();
-        let seeds = Seeds::draw(&cfg, rng);
-        let builder = WorkerBuilder::new(serial, &cfg, seeds);
+        let recipe = CompressorRecipe::draw(&cfg.mp, rng);
+        let builder = WorkerBuilder::new(serial, &cfg, recipe);
 
         // One response channel per rank: each rank's stream is FIFO in
         // its own command order, so overlapped commands (the serving
@@ -628,55 +554,31 @@ impl ThreadedRuntime {
 /// [`MpBert::visit_all_params`](actcomp_mp::MpBert::visit_all_params)
 /// visits them. Shared by the threads and procs drivers.
 pub(crate) fn assemble_grads(cfg: &RuntimeConfig, grads: &[RankGrads]) -> Vec<Tensor> {
-    let tp = cfg.mp.tp;
-    let pp = cfg.mp.pp;
-    let offsets = stage_offsets(cfg.mp.bert.layers, pp);
-    let mut out: Vec<Tensor> = Vec::new();
-    out.extend(grads[0].embedding.iter().cloned());
-    let stage_of = |l: usize| -> (usize, usize) {
-        let stage = (0..pp)
-            .rev()
-            .find(|&s| offsets[s] <= l)
-            .expect("layer maps to a stage");
-        (stage, l - offsets[stage])
-    };
-    for l in 0..cfg.mp.bert.layers {
-        let (stage, li) = stage_of(l);
-        let at = |t: usize| &grads[stage * tp + t].layers[li];
-        for t in 0..tp {
-            out.extend(at(t).wq.iter().cloned());
-        }
-        for t in 0..tp {
-            out.extend(at(t).wk.iter().cloned());
-        }
-        for t in 0..tp {
-            out.extend(at(t).wv.iter().cloned());
-        }
-        for t in 0..tp {
-            out.push(at(t).wo_weight.clone());
-        }
-        out.push(at(0).wo_bias.clone());
-        out.extend(at(0).ln1.iter().cloned());
-        for t in 0..tp {
-            out.extend(at(t).fc1.iter().cloned());
-        }
-        for t in 0..tp {
-            out.push(at(t).fc2_weight.clone());
-        }
-        out.push(at(0).fc2_bias.clone());
-        out.extend(at(0).ln2.iter().cloned());
+    let (tp, layers) = (cfg.mp.tp, cfg.mp.bert.layers);
+    let offsets = stage_offsets(layers, cfg.mp.pp);
+    // Every layer in order, as its stage's ranks and its index there.
+    let owners: Vec<(&[RankGrads], usize)> = (0..layers)
+        .map(|l| {
+            let stage = offsets
+                .iter()
+                .rposition(|&o| o <= l)
+                .expect("layer 0 starts stage 0");
+            (&grads[stage * tp..(stage + 1) * tp], l - offsets[stage])
+        })
+        .collect();
+    let mut out = grads[0].embedding.clone();
+    for &(ranks, li) in &owners {
+        let lists: Vec<&[Tensor]> = ranks.iter().map(|g| g.layers[li].as_slice()).collect();
+        out.extend(interleave(&lists).into_iter().cloned());
     }
-    for l in 0..cfg.mp.bert.layers {
-        let (stage, li) = stage_of(l);
-        let at = |t: usize| &grads[stage * tp + t].layers[li];
-        for t in 0..tp {
-            out.extend(at(t).attn_comp.iter().cloned());
-        }
-        for t in 0..tp {
-            out.extend(at(t).ff_comp.iter().cloned());
+    for &(ranks, li) in &owners {
+        for point in 0..2 {
+            for g in ranks {
+                out.extend(g.compressors[li][point].iter().cloned());
+            }
         }
     }
-    for b in 0..pp.saturating_sub(1) {
+    for b in 0..cfg.mp.pp - 1 {
         out.extend(grads[b * tp].boundary_comp.iter().cloned());
     }
     out

@@ -12,7 +12,6 @@
 //! malformed frame the same way they treat a hung-up channel (the
 //! worker aborts), while control-plane callers surface it.
 
-use crate::layer::LayerGrads;
 use crate::rank::RankGrads;
 use actcomp_compress::{Compressed, Payload};
 use actcomp_tensor::{Shape, Tensor};
@@ -483,46 +482,13 @@ impl WireMsg for Compressed {
     }
 }
 
-impl WireMsg for LayerGrads {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.wq.encode(out);
-        self.wk.encode(out);
-        self.wv.encode(out);
-        self.wo_weight.encode(out);
-        self.wo_bias.encode(out);
-        self.ln1.encode(out);
-        self.fc1.encode(out);
-        self.fc2_weight.encode(out);
-        self.fc2_bias.encode(out);
-        self.ln2.encode(out);
-        self.attn_comp.encode(out);
-        self.ff_comp.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(LayerGrads {
-            wq: Vec::<Tensor>::decode(r)?,
-            wk: Vec::<Tensor>::decode(r)?,
-            wv: Vec::<Tensor>::decode(r)?,
-            wo_weight: Tensor::decode(r)?,
-            wo_bias: Tensor::decode(r)?,
-            ln1: Vec::<Tensor>::decode(r)?,
-            fc1: Vec::<Tensor>::decode(r)?,
-            fc2_weight: Tensor::decode(r)?,
-            fc2_bias: Tensor::decode(r)?,
-            ln2: Vec::<Tensor>::decode(r)?,
-            attn_comp: Vec::<Tensor>::decode(r)?,
-            ff_comp: Vec::<Tensor>::decode(r)?,
-        })
-    }
-}
-
 impl WireMsg for RankGrads {
     fn encode(&self, out: &mut Vec<u8>) {
         self.embedding.encode(out);
         put_usize(out, self.layers.len());
-        for l in &self.layers {
-            l.encode(out);
+        for (layer, comps) in self.layers.iter().zip(&self.compressors) {
+            layer.encode(out);
+            comps.iter().for_each(|c| c.encode(out));
         }
         self.boundary_comp.encode(out);
     }
@@ -533,13 +499,17 @@ impl WireMsg for RankGrads {
         if n > 1 << 16 {
             return fail("layer grads length");
         }
-        let layers = (0..n)
-            .map(|_| LayerGrads::decode(r))
-            .collect::<Result<_, _>>()?;
+        let mut layers = Vec::with_capacity(n);
+        let mut compressors = Vec::with_capacity(n);
+        for _ in 0..n {
+            layers.push(Vec::<Tensor>::decode(r)?);
+            compressors.push([Vec::<Tensor>::decode(r)?, Vec::<Tensor>::decode(r)?]);
+        }
         let boundary_comp = Vec::<Tensor>::decode(r)?;
         Ok(RankGrads {
             embedding,
             layers,
+            compressors,
             boundary_comp,
         })
     }

@@ -7,20 +7,22 @@
 //!    and `ring_bytes`, against the ring schedule itself rather than the
 //!    checker's step graph, so re-splitting a reduce fails this suite
 //!    even if the checker is edited to match.
-//! 2. Bits: `qkv_backward_ws` at `world = 1` is the serial attention
-//!    layer's backward, and at `world > 1` the rank-order sum of its
-//!    per-rank results (what the ring reduces) is the serial executor's.
+//! 2. Bits: `qkv_backward` at `world = 1` is the serial attention
+//!    layer's backward, and at `world > 1` a rank's single-shard block
+//!    hands every sum its shard's operand of the serial executor's sum,
+//!    so the rank-order fold the ring performs is the serial executor's.
 
 use actcomp_check::collectives::{chunk_ring_steps, ring_chunk_plan, DEFAULT_PIPELINE_DEPTH};
 use actcomp_check::{Dir, MsgId};
 use actcomp_compress::plan::CompressionPlan;
 use actcomp_compress::{Compressor, Identity};
-use actcomp_mp::shard::{qkv_backward_ws, qkv_forward_ws};
+use actcomp_mp::shard::{qkv_backward, qkv_forward};
+use actcomp_mp::tp::interleave;
 use actcomp_mp::{
-    rank_order_sum, stage_offsets, ColumnShard, CompressedAllReduce, MpConfig, RowShard,
-    TpAttention,
+    stage_offsets, Block, ColumnShard, CompressedAllReduce, InProcess, MpConfig, Reduce, RowShard,
+    SumPoint,
 };
-use actcomp_nn::{graphs, BertConfig, MultiHeadAttention};
+use actcomp_nn::{graphs, BertConfig, EncoderLayer, MultiHeadAttention};
 use actcomp_runtime::{RuntimeConfig, ThreadedRuntime};
 use actcomp_tensor::attention::Heads;
 use actcomp_tensor::{init, Tensor, Workspace};
@@ -111,82 +113,32 @@ fn a_dense_step_runs_four_one_activation_reduces_per_layer() {
     }
 }
 
-/// One worker's attention shard and the forward state its backward needs.
-struct Worker {
-    qkv: [ColumnShard; 3],
-    wo: RowShard,
-    proj: [Tensor; 3],
-    ctx: Tensor,
-    probs: Tensor,
-    at: Heads,
-}
-
-/// Shards `attn` over `world` workers and runs each worker's forward up
-/// to its attention context.
-fn sharded_forward(
-    attn: &MultiHeadAttention,
-    world: usize,
-    x: &Tensor,
-    batch: usize,
-    seq: usize,
-) -> Vec<Worker> {
-    let split = |l: &actcomp_nn::Linear| ColumnShard::split(&l.weight.value, &l.bias.value, world);
+#[test]
+fn at_world_one_the_shard_backward_is_the_serial_attention_backward() {
+    let mut rng = ChaCha8Rng::seed_from_u64(21);
+    let mut attn = MultiHeadAttention::new(&mut rng, HIDDEN, HEADS);
+    let x = init::randn(&mut rng, [6, HIDDEN], 1.0); // batch 2, seq 3
+    let dy = init::randn(&mut rng, [6, HIDDEN], 1.0);
     let at = Heads {
-        batch,
-        heads: attn.heads() / world,
-        seq,
+        batch: 2,
+        heads: HEADS,
+        seq: 3,
         d: attn.head_dim(),
     };
     let ws = &mut Workspace::new();
-    split(&attn.wq)
-        .into_iter()
-        .zip(split(&attn.wk))
-        .zip(split(&attn.wv))
-        .zip(RowShard::split(&attn.wo.weight.value, world))
-        .map(|(((wq, wk), wv), wo)| {
-            let proj = qkv_forward_ws([&wq, &wk, &wv], x, ws);
-            let (ctx, probs) = graphs::attention_forward(ws, proj.each_ref(), at);
-            Worker {
-                qkv: [wq, wk, wv],
-                wo,
-                proj,
-                ctx,
-                probs,
-                at,
-            }
-        })
-        .collect()
-}
-
-/// One worker's backward from the (identity-reduced) output gradient
-/// `dy` to its local input gradient — what a rank hands the ring.
-fn local_input_grad(w: &mut Worker, x: &Tensor, dy: &Tensor) -> Tensor {
-    let ws = &mut Workspace::new();
-    let dctx = w.wo.backward(&w.ctx, dy);
-    let grads = graphs::attention_backward(ws, w.proj.each_ref(), &w.probs, &dctx, w.at);
-    let [wq, wk, wv] = &mut w.qkv;
-    qkv_backward_ws([wq, wk, wv], x, grads.each_ref(), ws)
-}
-
-fn attention_case(seed: u64) -> (MultiHeadAttention, Tensor, Tensor) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let attn = MultiHeadAttention::new(&mut rng, HIDDEN, HEADS);
-    let x = init::randn(&mut rng, [6, HIDDEN], 1.0); // batch 2, seq 3
-    let dy = init::randn(&mut rng, [6, HIDDEN], 1.0);
-    (attn, x, dy)
-}
-
-#[test]
-fn at_world_one_the_shard_backward_is_the_serial_attention_backward() {
-    let (mut attn, x, dy) = attention_case(21);
-    let mut workers = sharded_forward(&attn, 1, &x, 2, 3);
-    let dx = local_input_grad(&mut workers[0], &x, &dy);
+    let mut qkv = [&attn.wq, &attn.wk, &attn.wv].map(|l| ColumnShard::of(l, 1, 0));
+    let mut wo = RowShard::of(&attn.wo.weight.value, 1, 0);
+    let proj = qkv_forward(qkv.each_ref(), &x, ws);
+    let (ctx, probs) = graphs::attention_forward(ws, proj.each_ref(), at);
+    let dctx = wo.backward(&ctx, &dy, ws);
+    let grads = graphs::attention_backward(ws, proj.each_ref(), &probs, &dctx, at);
+    let dx = qkv_backward(qkv.each_mut(), &x, grads.each_ref(), ws);
 
     let _ = attn.forward(&x, 2, 3);
     let want = attn.backward_ws(&dy, &mut Workspace::new());
     assert_eq!(dx.as_slice(), want.as_slice(), "dx");
     let serial = [&attn.wq, &attn.wk, &attn.wv];
-    for (shard, linear) in workers[0].qkv.iter().zip(serial) {
+    for (shard, linear) in qkv.iter().zip(serial) {
         assert_eq!(
             shard.weight.grad.as_slice(),
             linear.weight.grad.as_slice(),
@@ -200,32 +152,125 @@ fn at_world_one_the_shard_backward_is_the_serial_attention_backward() {
     }
 }
 
+/// The serial executor's sums, logging what every call was handed and
+/// what it handed back.
+struct Logged {
+    sums: InProcess,
+    /// Per call, in order: the per-shard operands (none for `g`'s
+    /// backward) and the result(s).
+    calls: Vec<(Vec<Tensor>, Vec<Tensor>)>,
+}
+
+impl Reduce for Logged {
+    fn compute<T>(&mut self, f: impl FnOnce(&mut Workspace) -> T) -> T {
+        self.sums.compute(f)
+    }
+
+    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>) -> Tensor {
+        let s = self.sums.sum(at, partials.clone());
+        self.calls.push((partials, vec![s.clone()]));
+        s
+    }
+
+    fn sum_backward(&mut self, at: SumPoint, dy: &Tensor) -> Vec<Tensor> {
+        let ds = self.sums.sum_backward(at, dy);
+        self.calls.push((Vec::new(), ds.clone()));
+        ds
+    }
+
+    fn dense_sum(&mut self, parts: Vec<Tensor>) -> Tensor {
+        let s = self.sums.dense_sum(parts.clone());
+        self.calls.push((parts, vec![s.clone()]));
+        s
+    }
+}
+
+/// Rank `shard`'s sums, fed the serial executor's logged results in
+/// place of its peers: each call checks the operand the rank hands in
+/// is the serial executor's operand for that shard, bit for bit.
+struct Replay<'a> {
+    shard: usize,
+    calls: std::slice::Iter<'a, (Vec<Tensor>, Vec<Tensor>)>,
+    ws: Workspace,
+}
+
+impl Replay<'_> {
+    fn check(&mut self, handed: &[Tensor]) -> &[Tensor] {
+        let (operands, results) = self.calls.next().expect("the serial run made this call");
+        if let [own] = handed {
+            let want = &operands[self.shard];
+            assert_eq!(own.as_slice(), want.as_slice(), "shard {}", self.shard);
+        }
+        results
+    }
+}
+
+impl Reduce for Replay<'_> {
+    fn compute<T>(&mut self, f: impl FnOnce(&mut Workspace) -> T) -> T {
+        f(&mut self.ws)
+    }
+
+    fn sum(&mut self, _: SumPoint, partials: Vec<Tensor>) -> Tensor {
+        self.check(&partials)[0].clone()
+    }
+
+    fn sum_backward(&mut self, _: SumPoint, _: &Tensor) -> Vec<Tensor> {
+        let shard = self.shard;
+        vec![self.check(&[])[shard].clone()]
+    }
+
+    fn dense_sum(&mut self, parts: Vec<Tensor>) -> Tensor {
+        self.check(&parts)[0].clone()
+    }
+}
+
+fn params(block: &mut Block) -> Vec<Tensor> {
+    let mut grads = Vec::new();
+    block.visit_params(&mut |p| grads.push(p.grad.clone()));
+    grads
+}
+
 #[test]
 fn the_rank_order_sum_of_local_input_grads_is_the_serial_executor_backward() {
     for world in [2usize, 4] {
-        let (attn, x, dy) = attention_case(22 + world as u64);
-        let mut workers = sharded_forward(&attn, world, &x, 2, 3);
-        let sum = rank_order_sum(workers.iter_mut().map(|w| local_input_grad(w, &x, &dy)));
+        let mut rng = ChaCha8Rng::seed_from_u64(22 + world as u64);
+        let layer = EncoderLayer::new(&mut rng, HIDDEN, HEADS, 32);
+        let x = init::randn(&mut rng, [6, HIDDEN], 1.0); // batch 2, seq 3
+        let dy = init::randn(&mut rng, [6, HIDDEN], 1.0);
+        let identity = || {
+            let comps = (0..world).map(|_| Box::new(Identity::new()) as Box<dyn Compressor>);
+            CompressedAllReduce::new(comps.collect())
+        };
 
-        let identity = CompressedAllReduce::new(
-            (0..world)
-                .map(|_| Box::new(Identity::new()) as Box<dyn Compressor>)
-                .collect(),
-        );
-        let mut tp = TpAttention::from_serial(&attn, world, identity);
-        let _ = tp.forward(&x, 2, 3);
-        let want = tp.backward(&dy);
-        assert_eq!(sum.as_slice(), want.as_slice(), "world {world}: dx");
+        let mut serial = Block::new(&layer, world, 0..world).expect("valid shards");
+        let mut log = Logged {
+            sums: InProcess::new(identity(), identity()),
+            calls: Vec::new(),
+        };
+        let y = serial.forward(&x, 2, 3, &mut log);
+        let dx = serial.backward(&dy, &mut log);
+        // Four sums and two `g` backwards per micro-batch.
+        assert_eq!(log.calls.len(), 6);
 
-        let mut want_grads = Vec::new();
-        tp.visit_params(&mut |p| want_grads.push(p.grad.clone()));
-        // `TpAttention` visits wq, wk, wv (each: per worker weight, bias).
-        for (proj, chunk) in want_grads.chunks(2 * world).take(3).enumerate() {
-            for (w, pair) in chunk.chunks(2).enumerate() {
-                let shard = &workers[w].qkv[proj];
-                assert_eq!(shard.weight.grad.as_slice(), pair[0].as_slice());
-                assert_eq!(shard.bias.grad.as_slice(), pair[1].as_slice());
-            }
+        let mut rank_grads = Vec::new();
+        for shard in 0..world {
+            let mut rank = Block::new(&layer, world, shard..shard + 1).expect("valid shard");
+            let mut replay = Replay {
+                shard,
+                calls: log.calls.iter(),
+                ws: Workspace::new(),
+            };
+            let ctx = format!("world {world} shard {shard}");
+            assert_eq!(rank.forward(&x, 2, 3, &mut replay), y, "{ctx}: y");
+            assert_eq!(rank.backward(&dy, &mut replay), dx, "{ctx}: dx");
+            rank_grads.push(params(&mut rank));
         }
+        let lists: Vec<&[Tensor]> = rank_grads.iter().map(Vec::as_slice).collect();
+        let gathered: Vec<Tensor> = interleave(&lists).into_iter().cloned().collect();
+        assert_eq!(
+            gathered,
+            params(&mut serial),
+            "world {world}: gathered grads"
+        );
     }
 }
