@@ -10,7 +10,7 @@ use actcomp_compress::plan::CompressionPlan;
 use actcomp_compress::spec::CompressorSpec;
 use actcomp_compress::{Compressor, ErrorFeedback};
 use actcomp_nn::{BertConfig, BertEncoder, Embedding, Layer, LayerNorm, Parameter};
-use actcomp_tensor::Tensor;
+use actcomp_tensor::{workspace, Tensor};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -202,6 +202,9 @@ impl MpBert {
                 x = self.boundaries[b].forward(&x);
             }
             let (block, sums) = &mut self.layers[l];
+            // One micro-batch: a forward replaces the last one's cache,
+            // so forward-only evaluation does not grow it.
+            workspace::with_thread_default(|ws| block.clear_caches(ws));
             x = block.forward(&x, batch, seq, sums);
         }
         x
