@@ -193,9 +193,9 @@ impl CompressedAllReduce {
 #[derive(Debug)]
 pub struct InProcess {
     /// The compressed reduces at the attention and MLP sums.
-    pub reduces: [CompressedAllReduce; 2],
+    pub(crate) reduces: [CompressedAllReduce; 2],
     /// Bytes both forward sums have moved.
-    pub bytes: CommBytes,
+    pub(crate) bytes: CommBytes,
 }
 
 impl InProcess {

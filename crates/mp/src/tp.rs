@@ -506,7 +506,6 @@ mod tests {
         }
         let per_block: usize = GROUPS.iter().map(|&(_, _, len)| len).sum();
         assert_eq!(per_shard[0].len(), per_block, "the table counts a visit");
-        assert_eq!(full(&serial, world).to_serial().attn.heads(), 4);
     }
 
     #[test]
