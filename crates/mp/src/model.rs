@@ -10,7 +10,7 @@ use actcomp_compress::plan::CompressionPlan;
 use actcomp_compress::spec::CompressorSpec;
 use actcomp_compress::{Compressor, ErrorFeedback};
 use actcomp_nn::{BertConfig, BertEncoder, Embedding, Layer, LayerNorm, Parameter};
-use actcomp_tensor::{workspace, Tensor};
+use actcomp_tensor::{Tensor, Workspace};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -92,6 +92,8 @@ pub struct MpBert {
     boundaries: Vec<PipelineBoundary>,
     stage_offsets: Vec<usize>,
     config: MpConfig,
+    /// The layers' scratch and compiled plans, as a rank owns its own.
+    ws: Workspace,
 }
 
 impl MpBert {
@@ -165,12 +167,19 @@ impl MpBert {
             boundaries,
             stage_offsets: stage_offsets(config.bert.layers, config.pp),
             config,
+            ws: Workspace::new(),
         })
     }
 
     /// The run configuration.
     pub fn config(&self) -> &MpConfig {
         &self.config
+    }
+
+    /// How many layer plans this model has compiled: flat once every
+    /// shape it runs has been seen.
+    pub fn plan_compiles(&self) -> u64 {
+        self.ws.plan_compiles()
     }
 
     /// Cumulative model-parallel traffic since construction.
@@ -204,8 +213,8 @@ impl MpBert {
             let (block, sums) = &mut self.layers[l];
             // One micro-batch: a forward replaces the last one's cache,
             // so forward-only evaluation does not grow it.
-            workspace::with_thread_default(|ws| block.clear_caches(ws));
-            x = block.forward(&x, batch, seq, sums);
+            block.clear_caches(&mut self.ws);
+            x = block.forward(&x, batch, seq, sums, &mut self.ws);
         }
         x
     }
@@ -215,7 +224,7 @@ impl MpBert {
         let mut d = dhidden.clone();
         for l in (0..self.layers.len()).rev() {
             let (block, sums) = &mut self.layers[l];
-            d = block.backward(&d, sums);
+            d = block.backward(&d, sums, &mut self.ws);
             if let Some(b) = self.boundary_before(l) {
                 d = self.boundaries[b].backward(&d);
             }

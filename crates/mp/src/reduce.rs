@@ -16,7 +16,7 @@
 use crate::tp::{Reduce, SumPoint};
 use actcomp_compress::Compressor;
 use actcomp_nn::Parameter;
-use actcomp_tensor::{workspace, Tensor, Workspace};
+use actcomp_tensor::{Tensor, Workspace};
 
 /// Sums one tensor per worker, left to right. Handed tensors in rank
 /// order this is *the* fold of every cross-worker sum — the serial
@@ -188,8 +188,7 @@ impl CompressedAllReduce {
 
 /// The serial executor's [`Reduce`]: a block holding every shard sums
 /// them in process, the forward sums through their compressed reduces
-/// and the backward ones with [`rank_order_sum`], scratch from the
-/// thread's default workspace.
+/// and the backward ones with [`rank_order_sum`].
 #[derive(Debug)]
 pub struct InProcess {
     /// The compressed reduces at the attention and MLP sums.
@@ -210,16 +209,14 @@ impl InProcess {
 }
 
 impl Reduce for InProcess {
-    fn compute<T>(&mut self, f: impl FnOnce(&mut Workspace) -> T) -> T {
-        workspace::with_thread_default(f)
+    fn compute<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        f()
     }
 
-    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>) -> Tensor {
+    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
         let (sum, bytes) = self.reduces[at as usize].forward(&partials);
         self.bytes.add(bytes);
-        workspace::with_thread_default(|ws| {
-            partials.into_iter().for_each(|p| ws.recycle_tensor(p))
-        });
+        partials.into_iter().for_each(|p| ws.recycle_tensor(p));
         sum
     }
 
@@ -227,7 +224,7 @@ impl Reduce for InProcess {
         self.reduces[at as usize].backward(dy)
     }
 
-    fn dense_sum(&mut self, parts: Vec<Tensor>) -> Tensor {
+    fn dense_sum(&mut self, parts: Vec<Tensor>, _: &mut Workspace) -> Tensor {
         rank_order_sum(parts.into_iter())
     }
 }

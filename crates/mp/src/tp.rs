@@ -47,20 +47,20 @@ pub enum SumPoint {
 /// How an executor sums a [`Block`]'s partials across the layer's
 /// workers — the one thing the serial executor and a rank do
 /// differently. Tensors handed in or out per shard are one per shard the
-/// block holds, in shard order.
+/// block holds, in shard order; `ws` is the block's scratch.
 pub trait Reduce {
-    /// Runs a stretch of the block's own arithmetic with this executor's
-    /// scratch, charged to its compute time.
-    fn compute<T>(&mut self, f: impl FnOnce(&mut Workspace) -> T) -> T;
+    /// Runs a stretch of the block's own arithmetic, charged to this
+    /// executor's compute time.
+    fn compute<T>(&mut self, f: impl FnOnce() -> T) -> T;
     /// `g`: the (compressed) sum over every worker of the partials at
     /// `at`, this block's given per shard.
-    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>) -> Tensor;
+    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>, ws: &mut Workspace) -> Tensor;
     /// `g`'s backward: from the gradient of the sum at `at`, the
     /// gradient of each of this block's partials.
     fn sum_backward(&mut self, at: SumPoint, dy: &Tensor) -> Vec<Tensor>;
     /// `f`'s backward: the dense sum over every worker of its input
     /// gradient, this block's given per shard.
-    fn dense_sum(&mut self, parts: Vec<Tensor>) -> Tensor;
+    fn dense_sum(&mut self, parts: Vec<Tensor>, ws: &mut Workspace) -> Tensor;
 }
 
 /// A block's parameter groups, in visit order.
@@ -212,14 +212,21 @@ impl Block {
     }
 
     /// Forward for one micro-batch over `[batch·seq, hidden]`.
-    pub fn forward(&mut self, x: &Tensor, batch: usize, seq: usize, r: &mut impl Reduce) -> Tensor {
+    pub fn forward(
+        &mut self,
+        x: &Tensor,
+        batch: usize,
+        seq: usize,
+        r: &mut impl Reduce,
+        ws: &mut Workspace,
+    ) -> Tensor {
         let at = Heads {
             batch,
             heads: self.local_heads,
             seq,
             d: self.head_dim,
         };
-        let (attn, partials): (Vec<_>, Vec<_>) = r.compute(|ws| {
+        let (attn, partials): (Vec<_>, Vec<_>) = r.compute(|| {
             self.shards
                 .iter()
                 .map(|s| {
@@ -230,8 +237,8 @@ impl Block {
                 })
                 .unzip()
         });
-        let s = r.sum(SumPoint::Attention, partials);
-        let (h1, ln1, mlp, partials) = r.compute(|ws| {
+        let s = r.sum(SumPoint::Attention, partials, ws);
+        let (h1, ln1, mlp, partials) = r.compute(|| {
             let (h1, ln1) =
                 self.ln1
                     .forward_bias_residual_cached_ws(&s, &self.wo_bias.value, x, ws);
@@ -247,8 +254,8 @@ impl Block {
             ws.recycle_tensor(s);
             (h1, ln1, mlp, partials)
         });
-        let s = r.sum(SumPoint::Mlp, partials);
-        r.compute(|ws| {
+        let s = r.sum(SumPoint::Mlp, partials, ws);
+        r.compute(|| {
             let (y, ln2) =
                 self.ln2
                     .forward_bias_residual_cached_ws(&s, &self.fc2_bias.value, &h1, ws);
@@ -271,7 +278,7 @@ impl Block {
     /// # Panics
     ///
     /// Panics if no forward is cached.
-    pub fn backward(&mut self, dy: &Tensor, r: &mut impl Reduce) -> Tensor {
+    pub fn backward(&mut self, dy: &Tensor, r: &mut impl Reduce, ws: &mut Workspace) -> Tensor {
         let Cache {
             x,
             h1,
@@ -280,12 +287,12 @@ impl Block {
             attn,
             mlp,
         } = self.caches.pop().expect("Block::backward without forward");
-        let d2 = r.compute(|ws| {
+        let d2 = r.compute(|| {
             self.ln2
                 .backward_fused_ws(dy, None, ln2, Some(&mut self.fc2_bias), ws)
         });
         let dps = r.sum_backward(SumPoint::Mlp, &d2);
-        let parts = r.compute(|ws| {
+        let parts = r.compute(|| {
             let parts = (self.shards.iter_mut().zip(mlp).zip(&dps))
                 .map(|((s, (h, act)), dp)| {
                     let dh = s.fc2.backward_gelu(&act, dp, &h, ws);
@@ -299,8 +306,8 @@ impl Block {
             ws.recycle_tensor(h1);
             parts
         });
-        let df = r.dense_sum(parts);
-        let d1 = r.compute(|ws| {
+        let df = r.dense_sum(parts, ws);
+        let d1 = r.compute(|| {
             let d1 = self
                 .ln1
                 .backward_fused_ws(&d2, Some(&df), ln1, Some(&mut self.wo_bias), ws);
@@ -309,7 +316,7 @@ impl Block {
             d1
         });
         let dps = r.sum_backward(SumPoint::Attention, &d1);
-        let parts = r.compute(|ws| {
+        let parts = r.compute(|| {
             let parts = (self.shards.iter_mut().zip(attn).zip(&dps))
                 .map(|((s, (qkv, probs, ctx)), dp)| {
                     let dctx = s.wo.backward(&ctx, dp, ws);
@@ -326,8 +333,8 @@ impl Block {
             parts
         });
         // The residual branch's gradient lands on the sum in place.
-        let mut dx = r.dense_sum(parts);
-        r.compute(|ws| {
+        let mut dx = r.dense_sum(parts, ws);
+        r.compute(|| {
             dx.add_assign(&d1);
             ws.recycle_tensor(d1);
         });
@@ -428,10 +435,11 @@ mod tests {
             let mut serial = serial_layer(0);
             let mut tp = full(&serial, world);
             let mut sums = identity(world);
+            let ws = &mut Workspace::new();
             let mut rng = ChaCha8Rng::seed_from_u64(1);
             let x = init::randn(&mut rng, [6, 8], 1.0); // batch 3, seq 2
             let want = serial.forward(&x, 3, 2);
-            let got = tp.forward(&x, 3, 2, &mut sums);
+            let got = tp.forward(&x, 3, 2, &mut sums, ws);
             assert!(
                 got.max_abs_diff(&want) < 1e-4,
                 "world {world}: diff {}",
@@ -449,14 +457,15 @@ mod tests {
         let world = 2;
         let mut tp = full(&serial, world);
         let mut sums = identity(world);
+        let ws = &mut Workspace::new();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let x = init::randn(&mut rng, [4, 8], 1.0); // batch 2, seq 2
         let dy = init::randn(&mut rng, [4, 8], 1.0);
 
         let _ = serial.forward(&x, 2, 2);
         let dx_serial = serial.backward(&dy);
-        let _ = tp.forward(&x, 2, 2, &mut sums);
-        let dx_tp = tp.backward(&dy, &mut sums);
+        let _ = tp.forward(&x, 2, 2, &mut sums, ws);
+        let dx_tp = tp.backward(&dy, &mut sums, ws);
         assert!(
             dx_tp.max_abs_diff(&dx_serial) < 1e-4,
             "dx diff {}",
@@ -517,10 +526,11 @@ mod tests {
         let mut tp_q = full(&serial, world);
         let mut exact = identity(world);
         let mut quant = sums(world, || Box::new(Quantizer::new(8)));
+        let ws = &mut Workspace::new();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let x = init::randn(&mut rng, [4, 8], 1.0);
-        let y_exact = tp_exact.forward(&x, 2, 2, &mut exact);
-        let y_q = tp_q.forward(&x, 2, 2, &mut quant);
+        let y_exact = tp_exact.forward(&x, 2, 2, &mut exact, ws);
+        let y_q = tp_q.forward(&x, 2, 2, &mut quant, ws);
         let diff = y_q.max_abs_diff(&y_exact);
         assert!(diff > 0.0, "8-bit quantization should perturb the output");
         assert!(diff < 0.5, "8-bit quantization error too large: {diff}");
@@ -545,17 +555,18 @@ mod tests {
         };
         let mut tp = full(&serial, world);
         let mut sums = InProcess::new(ae(10), ae(11));
+        let ws = &mut Workspace::new();
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let x = init::randn(&mut rng, [2, 8], 0.5); // batch 1, seq 2
         let dy = init::randn(&mut rng, [2, 8], 1.0);
 
-        let _ = tp.forward(&x, 1, 2, &mut sums);
-        let dx = tp.backward(&dy, &mut sums);
+        let _ = tp.forward(&x, 1, 2, &mut sums, ws);
+        let dx = tp.backward(&dy, &mut sums, ws);
 
         let eps = 1e-2;
         let mut loss = |x: &Tensor| {
-            let l = tp.forward(x, 1, 2, &mut sums).mul(&dy).sum();
-            let _ = tp.backward(&Tensor::zeros_like(&dy), &mut sums);
+            let l = tp.forward(x, 1, 2, &mut sums, ws).mul(&dy).sum();
+            let _ = tp.backward(&Tensor::zeros_like(&dy), &mut sums, ws);
             l
         };
         for j in 0..x.len() {

@@ -3,7 +3,7 @@
 use actcomp_compress::{AutoEncoder, Compressor, Identity, Quantizer, TopK};
 use actcomp_mp::{Block, CompressedAllReduce, InProcess};
 use actcomp_nn::EncoderLayer;
-use actcomp_tensor::{init, Tensor};
+use actcomp_tensor::{init, Tensor, Workspace};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -34,7 +34,7 @@ proptest! {
         let mut sums = InProcess::new(identity_reduce(world), identity_reduce(world));
         let x = init::randn(&mut rng, [batch * seq, 8], 1.0);
         let want = serial.forward(&x, batch, seq);
-        let got = tp.forward(&x, batch, seq, &mut sums);
+        let got = tp.forward(&x, batch, seq, &mut sums, &mut Workspace::new());
         prop_assert!(got.max_abs_diff(&want) < 1e-3,
             "world {} diff {}", world, got.max_abs_diff(&want));
     }

@@ -492,7 +492,6 @@ struct Ring<'a> {
     tp: &'a mut TpGroup,
     comps: &'a mut [Box<dyn Compressor>; 2],
     timers: &'a mut PhaseTimers,
-    ws: &'a mut Workspace,
 }
 
 /// The one tensor a rank's block hands a sum.
@@ -502,15 +501,17 @@ fn only(mut parts: Vec<Tensor>) -> Tensor {
 }
 
 impl Reduce for Ring<'_> {
-    fn compute<T>(&mut self, f: impl FnOnce(&mut Workspace) -> T) -> T {
-        timed(&mut self.timers.compute_s, || f(self.ws))
+    fn compute<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        timed(&mut self.timers.compute_s, f)
     }
 
-    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>) -> Tensor {
+    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
         let partial = only(partials);
         let comp = self.comps[at as usize].as_mut();
-        let s = (self.tp).compressed_all_reduce(comp, &partial, self.timers, self.ws);
-        self.ws.recycle_tensor(partial);
+        let s = self
+            .tp
+            .compressed_all_reduce(comp, &partial, self.timers, ws);
+        ws.recycle_tensor(partial);
         s
     }
 
@@ -519,10 +520,10 @@ impl Reduce for Ring<'_> {
         vec![self.tp.compressed_backward(comp, dy, self.timers)]
     }
 
-    fn dense_sum(&mut self, parts: Vec<Tensor>) -> Tensor {
+    fn dense_sum(&mut self, parts: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
         let part = only(parts);
-        let s = self.tp.dense_all_reduce(&part, self.timers, self.ws);
-        self.ws.recycle_tensor(part);
+        let s = self.tp.dense_all_reduce(&part, self.timers, ws);
+        ws.recycle_tensor(part);
         s
     }
 }
@@ -855,9 +856,8 @@ impl RankWorker {
                 tp: &mut self.tp,
                 comps,
                 timers: &mut self.timers,
-                ws: &mut self.ws,
             };
-            let y = block.forward(&x, mb_batch, seq, ring);
+            let y = block.forward(&x, mb_batch, seq, ring, &mut self.ws);
             self.ws.recycle_tensor(x);
             x = y;
         }
@@ -955,9 +955,8 @@ impl RankWorker {
                 tp: &mut self.tp,
                 comps,
                 timers: &mut self.timers,
-                ws: &mut self.ws,
             };
-            let nd = block.backward(&d, ring);
+            let nd = block.backward(&d, ring, &mut self.ws);
             self.ws.recycle_tensor(d);
             d = nd;
         }

@@ -162,12 +162,12 @@ struct Logged {
 }
 
 impl Reduce for Logged {
-    fn compute<T>(&mut self, f: impl FnOnce(&mut Workspace) -> T) -> T {
-        self.sums.compute(f)
+    fn compute<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        f()
     }
 
-    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>) -> Tensor {
-        let s = self.sums.sum(at, partials.clone());
+    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
+        let s = self.sums.sum(at, partials.clone(), ws);
         self.calls.push((partials, vec![s.clone()]));
         s
     }
@@ -178,8 +178,8 @@ impl Reduce for Logged {
         ds
     }
 
-    fn dense_sum(&mut self, parts: Vec<Tensor>) -> Tensor {
-        let s = self.sums.dense_sum(parts.clone());
+    fn dense_sum(&mut self, parts: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
+        let s = self.sums.dense_sum(parts.clone(), ws);
         self.calls.push((parts, vec![s.clone()]));
         s
     }
@@ -191,7 +191,6 @@ impl Reduce for Logged {
 struct Replay<'a> {
     shard: usize,
     calls: std::slice::Iter<'a, (Vec<Tensor>, Vec<Tensor>)>,
-    ws: Workspace,
 }
 
 impl Replay<'_> {
@@ -206,11 +205,11 @@ impl Replay<'_> {
 }
 
 impl Reduce for Replay<'_> {
-    fn compute<T>(&mut self, f: impl FnOnce(&mut Workspace) -> T) -> T {
-        f(&mut self.ws)
+    fn compute<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        f()
     }
 
-    fn sum(&mut self, _: SumPoint, partials: Vec<Tensor>) -> Tensor {
+    fn sum(&mut self, _: SumPoint, partials: Vec<Tensor>, _: &mut Workspace) -> Tensor {
         self.check(&partials)[0].clone()
     }
 
@@ -219,7 +218,7 @@ impl Reduce for Replay<'_> {
         vec![self.check(&[])[shard].clone()]
     }
 
-    fn dense_sum(&mut self, parts: Vec<Tensor>) -> Tensor {
+    fn dense_sum(&mut self, parts: Vec<Tensor>, _: &mut Workspace) -> Tensor {
         self.check(&parts)[0].clone()
     }
 }
@@ -247,8 +246,9 @@ fn the_rank_order_sum_of_local_input_grads_is_the_serial_executor_backward() {
             sums: InProcess::new(identity(), identity()),
             calls: Vec::new(),
         };
-        let y = serial.forward(&x, 2, 3, &mut log);
-        let dx = serial.backward(&dy, &mut log);
+        let ws = &mut Workspace::new();
+        let y = serial.forward(&x, 2, 3, &mut log, ws);
+        let dx = serial.backward(&dy, &mut log, ws);
         // Four sums and two `g` backwards per micro-batch.
         assert_eq!(log.calls.len(), 6);
 
@@ -258,11 +258,10 @@ fn the_rank_order_sum_of_local_input_grads_is_the_serial_executor_backward() {
             let mut replay = Replay {
                 shard,
                 calls: log.calls.iter(),
-                ws: Workspace::new(),
             };
             let ctx = format!("world {world} shard {shard}");
-            assert_eq!(rank.forward(&x, 2, 3, &mut replay), y, "{ctx}: y");
-            assert_eq!(rank.backward(&dy, &mut replay), dx, "{ctx}: dx");
+            assert_eq!(rank.forward(&x, 2, 3, &mut replay, ws), y, "{ctx}: y");
+            assert_eq!(rank.backward(&dy, &mut replay, ws), dx, "{ctx}: dx");
             rank_grads.push(params(&mut rank));
         }
         let lists: Vec<&[Tensor]> = rank_grads.iter().map(Vec::as_slice).collect();
