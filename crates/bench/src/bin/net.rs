@@ -224,7 +224,8 @@ fn main() {
     } else {
         (256, 1024, 16)
     };
-    let payload_bytes = (rows * width * 4) as f64;
+    // A dense element crosses the ring as bfloat16.
+    let payload_bytes = (rows * width * 2) as f64;
     let tcp_caps: &[f64] = if opts.quick {
         &[1000.0, 200.0]
     } else {

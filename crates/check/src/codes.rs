@@ -8,7 +8,7 @@
 //! trace conformance), `AC07xx` multi-process transport
 //! configuration, `AC08xx` fault injection and recovery, `AC09xx`
 //! op-graph plans (cycle / shape mismatch / illegal fusion), `AC10xx`
-//! serving engine and wire-precision configuration. Codes are
+//! serving engine configuration. Codes are
 //! append-only — once published in a diagnostic they keep their meaning
 //! so scripts can match on them, and a retired code's number is never
 //! handed out again (the registry tests hold the retired list).
@@ -142,8 +142,6 @@ pub const SERVE_BATCH_INVALID: &str = "AC1001";
 /// Serving options on the serial backend (serving needs resident rank
 /// workers; `serial` has none).
 pub const SERVE_WRONG_BACKEND: &str = "AC1002";
-/// `runtime.wire_dtype` is not `f32` or `f16`.
-pub const WIRE_DTYPE_UNKNOWN: &str = "AC1003";
 
 /// One registry row: code, summary, whether it can only warn.
 pub struct CodeInfo {
@@ -396,11 +394,6 @@ pub fn registry() -> Vec<CodeInfo> {
             "serving options on a backend without resident workers",
             false,
         ),
-        row(
-            WIRE_DTYPE_UNKNOWN,
-            "runtime.wire_dtype is not f32 or f16",
-            false,
-        ),
     ]
 }
 
@@ -421,7 +414,7 @@ mod tests {
     /// Retired codes as `(family, index)`: they keep their slot so the
     /// number is never reused. Spelled apart so the emitted-code scan
     /// below still rejects any use of the full literal.
-    const RETIRED: &[(&str, u32)] = &[("05", 3)];
+    const RETIRED: &[(&str, u32)] = &[("05", 3), ("10", 3)];
 
     #[test]
     fn registry_families_are_contiguous() {

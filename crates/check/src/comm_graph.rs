@@ -48,7 +48,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use actcomp_compress::spec::CompressorSpec;
 use actcomp_compress::{Compressor, ErrorFeedback};
 use actcomp_distsim::schedule::gpipe_order;
 use actcomp_mp::stage_offsets;
@@ -508,6 +507,16 @@ impl Gen {
         self.exp.ring_dense += (self.tp - 1) * rows * self.hidden * 2;
     }
 
+    /// A forward sum the plan leaves dense: the dense ring, metered as
+    /// an all-reduce of `len` elements.
+    fn dense_sum(&mut self, rows: usize, len: usize) {
+        self.dense_ar(rows);
+        let p = self.tp;
+        let bytes = 2 * (p - 1) * (len * 2) / p;
+        self.exp.reduce_wire += bytes;
+        self.exp.reduce_dense += bytes;
+    }
+
     /// A stage-input broadcast point (`stage_broadcast`). The ordinal
     /// advances on every rank even when nothing travels.
     fn bcast_point(&mut self) {
@@ -578,56 +587,30 @@ pub fn build_comm_graph(cfg: &ExperimentConfig) -> Option<CommGraph> {
     offsets.push(layers);
     let ef = cfg.plan.error_feedback;
 
-    // Build each distinct codec once (mirroring the engine's seeding
-    // structure; message sizes are data- and seed-independent) and
-    // size messages by compressing zero tensors.
-    let build_layer_codec = |covered: bool| -> Box<dyn Compressor> {
-        let spec = if covered && tp > 1 {
-            plan.spec
-        } else {
-            CompressorSpec::Baseline
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let c = spec.build(&mut rng, n, h);
-        if ef && spec != CompressorSpec::Baseline {
+    // The plan's codec, built as the engine seeds it (message sizes are
+    // data- and seed-independent) to size messages by compressing zero
+    // tensors. A sum the plan leaves dense has no codec.
+    let codec = || -> Box<dyn Compressor> {
+        let c = plan.spec.build(&mut ChaCha8Rng::seed_from_u64(0), n, h);
+        if ef {
             Box::new(ErrorFeedback::new(c))
         } else {
             c
         }
     };
-    let mut wire_cache: BTreeMap<(bool, usize), usize> = BTreeMap::new();
-    let mut layer_profile = |covered: bool| -> LayerComm {
-        let mut comp = build_layer_codec(covered);
+    let covered = {
+        let mut comp = codec();
         let chunks = codec_chunk_plan(chunk_rows, comp.chunkable(), tp, &[mb_tokens, h]);
         let summable = comp.summable();
-        let mut sized = |rows: usize| -> usize {
-            *wire_cache
-                .entry((covered, rows))
-                .or_insert_with(|| comp.compress(&Tensor::zeros(vec![rows, h])).wire_bytes(2))
-        };
-        let chunk_bytes: Vec<usize> = if summable && tp > 1 {
-            chunks.iter().map(|&rows| sized(rows)).collect()
-        } else {
-            Vec::new()
-        };
-        let msg_bytes = if !summable && tp > 1 {
-            sized(mb_tokens)
-        } else {
-            0
-        };
+        let mut sized = |rows: usize| comp.compress(&Tensor::zeros(vec![rows, h])).wire_bytes(2);
         LayerComm {
             summable,
-            chunk_bytes,
-            msg_bytes,
-        }
-    };
-    let covered_profile = layer_profile(true);
-    let uncovered_profile = layer_profile(false);
-    let profile_of = |l: usize| -> &LayerComm {
-        if plan.covers(l) {
-            &covered_profile
-        } else {
-            &uncovered_profile
+            chunk_bytes: if summable {
+                chunks.iter().map(|&rows| sized(rows)).collect()
+            } else {
+                Vec::new()
+            },
+            msg_bytes: if summable { 0 } else { sized(mb_tokens) },
         }
     };
 
@@ -636,15 +619,7 @@ pub fn build_comm_graph(cfg: &ExperimentConfig) -> Option<CommGraph> {
     let boundary_bytes: Vec<usize> = (0..pp.saturating_sub(1))
         .map(|b| {
             if plan.covers(offsets[b + 1]) {
-                let mut rng = ChaCha8Rng::seed_from_u64(0);
-                let built = plan.spec.build(&mut rng, n, h);
-                let mut comp: Box<dyn Compressor> = if ef {
-                    Box::new(ErrorFeedback::new(built))
-                } else {
-                    built
-                };
-                comp.compress(&Tensor::zeros(vec![mb_tokens, h]))
-                    .wire_bytes(2)
+                (codec().compress(&Tensor::zeros(vec![mb_tokens, h]))).wire_bytes(2)
             } else {
                 mb_tokens * h * 2
             }
@@ -692,8 +667,13 @@ pub fn build_comm_graph(cfg: &ExperimentConfig) -> Option<CommGraph> {
                 }
                 for l in lo..hi {
                     // Attention then feed-forward partial-sum reduces.
-                    g.car(profile_of(l), n);
-                    g.car(profile_of(l), n);
+                    for _ in 0..2 {
+                        if plan.covers(l) {
+                            g.car(&covered, n);
+                        } else {
+                            g.dense_sum(mb_tokens, n);
+                        }
+                    }
                 }
                 if !last && tpi == 0 {
                     g.push(

@@ -181,10 +181,6 @@ pub struct RuntimeSection {
     /// `actcomp serve`: microseconds the dispatcher waits to fill a
     /// batch beyond the first queued request (omitted: 200).
     pub batch_window_us: Option<u64>,
-    /// Dense-activation precision on framed transports: `f32` (default,
-    /// bit-exact) or `f16` (half the dense wire bytes, ~1e-3 relative
-    /// rounding). Ignored by in-process typed channels.
-    pub wire_dtype: Option<String>,
 }
 
 impl RuntimeSection {
@@ -212,7 +208,6 @@ impl RuntimeSection {
             max_restarts: None,
             max_batch: None,
             batch_window_us: None,
-            wire_dtype: None,
         }
     }
 

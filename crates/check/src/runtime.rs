@@ -1,7 +1,6 @@
 //! Execution-backend checks (`AC0301`–`AC0304`), multi-process
 //! transport checks (`AC0701`–`AC0706`), fault-injection / recovery
-//! checks (`AC0801`–`AC0805`), and serving / wire-precision checks
-//! (`AC1001`–`AC1003`).
+//! checks (`AC0801`–`AC0805`), and serving checks (`AC1001`–`AC1002`).
 //!
 //! The threaded engine (`actcomp-runtime`) has its own structural
 //! invariants on top of the shape/plan/schedule algebra: the backend
@@ -424,7 +423,7 @@ fn check_fault(cfg: &ExperimentConfig, rt: &RuntimeSection, diags: &mut Diagnost
     }
 }
 
-/// The serving / wire-precision pass (`AC1001`–`AC1003`). `actcomp
+/// The serving pass (`AC1001`–`AC1002`). `actcomp
 /// serve` keeps rank workers resident behind an admission queue; its
 /// knobs only make sense on backends that *have* resident workers, and
 /// an empty batch ceiling would stall the dispatcher before the first
@@ -462,20 +461,6 @@ fn check_serve(rt: &RuntimeSection, diags: &mut Diagnostics) {
                     .with_help("serving belongs to `backend = \"threads\"` or `\"procs\"`"),
                 );
             }
-        }
-    }
-
-    // --- wire dtype label (AC1003) -------------------------------------
-    if let Some(dtype) = &rt.wire_dtype {
-        if dtype != "f32" && dtype != "f16" {
-            diags.push(
-                Diagnostic::error(
-                    codes::WIRE_DTYPE_UNKNOWN,
-                    "runtime.wire_dtype",
-                    format!("unknown wire dtype `{dtype}`"),
-                )
-                .with_help("known dtypes: f32 (bit-exact) and f16 (half the dense wire bytes)"),
-            );
         }
     }
 }
@@ -831,14 +816,12 @@ mod tests {
         let mut rt = RuntimeSection::threads_default();
         rt.max_batch = Some(8);
         rt.batch_window_us = Some(200);
-        rt.wire_dtype = Some("f16".to_string());
         assert!(run(&with_runtime(rt)).is_empty());
 
         // max_batch = 1 is the one-request-at-a-time baseline, not an
         // error; procs serves too.
         let mut rt = procs_default();
         rt.max_batch = Some(1);
-        rt.wire_dtype = Some("f32".to_string());
         assert!(run(&with_runtime(rt)).is_empty());
     }
 
@@ -863,14 +846,5 @@ mod tests {
         assert!(codes_of(&diags)
             .iter()
             .all(|c| *c == codes::SERVE_WRONG_BACKEND));
-    }
-
-    #[test]
-    fn rejects_unknown_wire_dtype() {
-        let mut rt = RuntimeSection::threads_default();
-        rt.wire_dtype = Some("bf16".to_string());
-        let diags = run(&with_runtime(rt));
-        assert_eq!(codes_of(&diags), vec![codes::WIRE_DTYPE_UNKNOWN]);
-        assert!(diags[0].message.contains("bf16"));
     }
 }

@@ -61,7 +61,7 @@ USAGE:
                         [--max-restarts N] [--step-timeout SECS] [--rendezvous-timeout SECS]
   actcomp serve         [--backend threads|procs] [--tp N] [--pp N] [--spec ID] [--seq N]
                         [--layers N] [--hidden N] [--heads N] [--ff N] [--vocab N]
-                        [--max-batch N] [--batch-window-us N] [--depth N] [--wire-dtype f32|f16]
+                        [--max-batch N] [--batch-window-us N] [--depth N]
                         [--requests N] [--clients N] [--arrival closed|open] [--rate X]
                         [--bench] [--quick] [--seed N] [--out PATH]
                         [--transport uds|tcp] [--fault SPEC]
@@ -621,7 +621,7 @@ fn serve_transports(label: &str, world: usize) -> Vec<Box<dyn actcomp_net::Trans
 fn serve(args: &Args) {
     use actcomp_runtime::{
         run_load, Arrival, LoadConfig, ProcsOptions, ProcsRuntime, ServeBackend, ServeConfig,
-        ServeEngine, ThreadedRuntime, WireDtype,
+        ServeEngine, ThreadedRuntime,
     };
     use rand::SeedableRng;
 
@@ -639,7 +639,6 @@ fn serve(args: &Args) {
     let max_batch = args.get_usize("max-batch", 8);
     let window_us = args.get_usize("batch-window-us", 200) as u64;
     let depth = args.get_usize("depth", 2);
-    let wire = args.get("wire-dtype", "f32").to_string();
     let bench = args.flag("bench");
     let quick = args.flag("quick");
     let requests = args.get_usize("requests", if quick { 96 } else { 512 });
@@ -659,8 +658,8 @@ fn serve(args: &Args) {
     };
 
     // Static validation first — the AC03xx backend pass plus the AC10xx
-    // serving/wire pass — so a bad flag combination dies with a
-    // diagnosis, not a panic in a worker.
+    // serving pass — so a bad flag combination dies with a diagnosis,
+    // not a panic in a worker.
     let mut cfg = ExperimentConfig::paper_default();
     cfg.model.layers = layers;
     cfg.model.hidden = hidden;
@@ -697,16 +696,9 @@ fn serve(args: &Args) {
         fault: fault.clone(),
         max_batch: Some(max_batch),
         batch_window_us: Some(window_us),
-        wire_dtype: Some(wire.clone()),
         ..RuntimeSection::threads_default()
     });
     validate_or_exit(&cfg);
-
-    // The wire dtype is process-global; procs workers inherit it via
-    // the environment (the spawned `worker` subcommand reads it back).
-    let wd = WireDtype::parse(&wire).expect("validated wire dtype");
-    actcomp_runtime::set_wire_dtype(wd);
-    std::env::set_var("ACTCOMP_WIRE_DTYPE", wd.name());
 
     let plan = cfg.resolve_plan().expect("validated spec resolves");
     let make_cfg = || actcomp_runtime::RuntimeConfig {
@@ -772,7 +764,7 @@ fn serve(args: &Args) {
     };
 
     println!(
-        "serve: {backend} {layers}L h{hidden} tp={tp} pp={pp} spec={} seq={seq} wire={wire} \
+        "serve: {backend} {layers}L h{hidden} tp={tp} pp={pp} spec={} seq={seq} \
          max_batch={max_batch} window={window_us}us depth={depth}",
         spec.label()
     );
@@ -886,7 +878,6 @@ fn serve(args: &Args) {
         vocab: usize,
         seq: usize,
         spec: String,
-        wire_dtype: String,
         max_batch: usize,
         batch_window_us: u64,
         depth: usize,
@@ -919,7 +910,6 @@ fn serve(args: &Args) {
             vocab,
             seq,
             spec: spec.label().to_string(),
-            wire_dtype: wire.clone(),
             max_batch,
             batch_window_us: window_us,
             depth,
@@ -967,14 +957,6 @@ fn grads_fnv(grads: &[actcomp_tensor::Tensor]) -> u64 {
 /// arrives via the `ACTCOMP_WORKER_CFG` environment variable, the seed
 /// and topology via flags so `u64` values never round-trip through JSON.
 fn worker(args: &Args) {
-    // Serving propagates the wire dtype to workers via the environment
-    // (it is process-global state, not part of the run config JSON).
-    if let Some(wd) = std::env::var("ACTCOMP_WIRE_DTYPE")
-        .ok()
-        .and_then(|v| actcomp_runtime::WireDtype::parse(&v))
-    {
-        actcomp_runtime::set_wire_dtype(wd);
-    }
     let required = |key: &str| -> &str {
         args.raw(key).unwrap_or_else(|| {
             eprintln!("error: worker needs --{key} (spawned by `run --backend procs`)");

@@ -37,38 +37,38 @@ const SHAPE: &[&str] = &[
 const PINS: [(&str, &str); 9] = [
     (
         "--backend threads --tp 2 --pp 2 --micro-batches 2",
-        "20b1482fb1ebb228",
+        "d47de0c32cf2bad7",
     ),
-    ("--backend serial", "3cf7dca5162582b5"),
+    ("--backend serial", "e75f9fa0200deffc"),
     (
         "--backend threads --spec A2 --tp 4 --pp 1 --micro-batches 2",
-        "a051ce9b773d9695",
+        "9627c37937b1699a",
     ),
     (
         "--backend threads --spec T2 --tp 2 --pp 2 --micro-batches 2",
-        "2dbc4f79fcfe5d99",
+        "61fca5f808f1742b",
     ),
     (
         "--backend threads --spec Q2 --error-feedback --tp 4 --pp 2 --micro-batches 2",
-        "d1c9b5ffc7354ed6",
+        "07b3a607e3129fb6",
     ),
     (
         "--backend procs --transport tcp --spec Q2 --link-mbps 200 --micro-batches 2",
-        "a5c5f383e27d5d00",
+        "6fd10a2c98079f20",
     ),
     // The serial executor's compressed path, which every accuracy table
     // trains on.
     (
         "--backend serial --spec A2 --tp 4 --pp 1",
-        "527f53652313ac8e",
+        "6d92b81ee21b568b",
     ),
     (
         "--backend serial --spec T2 --tp 2 --pp 2",
-        "0135ae5cfaabd6dc",
+        "d624432c59f88a55",
     ),
     (
         "--backend serial --spec Q2 --error-feedback --tp 4 --pp 2",
-        "59acb7fe54b61401",
+        "daa794b368e127ad",
     ),
 ];
 

@@ -116,7 +116,6 @@ fn bench_writes_the_serving_report() {
         "\"speedup_batched_vs_serial\"",
         "\"batch_hist\"",
         "\"report\"",
-        "\"wire_dtype\"",
     ] {
         assert!(
             text.contains(field),
@@ -141,14 +140,13 @@ fn serve_rejects_serving_options_on_the_serial_backend() {
 }
 
 #[test]
-fn f16_wire_serves_over_procs() {
+fn procs_workers_serve_over_tcp() {
+    // The tensor-parallel sums cross real sockets as two-byte dense rows.
     let output = serve(&[
         "--backend",
         "procs",
         "--transport",
-        "uds",
-        "--wire-dtype",
-        "f16",
+        "tcp",
         "--requests",
         "8",
         "--clients",
@@ -156,7 +154,7 @@ fn f16_wire_serves_over_procs() {
     ]);
     assert!(
         output.status.success(),
-        "f16 procs serve failed\nstdout:\n{}\nstderr:\n{}",
+        "tcp procs serve failed\nstdout:\n{}\nstderr:\n{}",
         String::from_utf8_lossy(&output.stdout),
         String::from_utf8_lossy(&output.stderr)
     );

@@ -23,6 +23,7 @@
 //! - [`tp`]: the [`Block`] and the [`Reduce`] trait its executors fill in,
 //! - [`shard`]: one worker's column/row shards and the fused plans they run,
 //! - [`reduce`]: compressed all-reduce / all-gather with byte accounting,
+//!   and [`wire_sum`], the bfloat16 fold of every dense sum,
 //! - [`pp`]: compressing stage boundaries,
 //! - [`model`]: [`MpBert`] — the full model with a per-layer
 //!   [`CompressionPlan`](actcomp_compress::CompressionPlan),
@@ -61,8 +62,8 @@ pub mod shard;
 pub mod tp;
 
 pub use error::{MpConfigError, ShardError};
-pub use model::{stage_offsets, CompressorRecipe, MpBert, MpConfig, Site};
+pub use model::{stage_offsets, CompressorRecipe, MpBert, MpConfig};
 pub use pp::PipelineBoundary;
-pub use reduce::{rank_order_sum, CommBytes, CompressedAllReduce, InProcess};
+pub use reduce::{rank_order_sum, wire_round, wire_sum, CommBytes, CompressedAllReduce, InProcess};
 pub use shard::{ColumnShard, RowShard};
 pub use tp::{Block, Reduce, SumPoint};

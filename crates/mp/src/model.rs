@@ -142,21 +142,19 @@ impl MpBert {
         let n = config.tokens * config.bert.hidden;
         let recipe = CompressorRecipe::draw(&config, rng);
         let reduce = |l, at| {
-            CompressedAllReduce::new(
-                (0..config.tp)
-                    .map(|_| recipe.build(&config, Site::Reduce(l, at), n))
-                    .collect(),
-            )
+            let workers = (0..config.tp).map(|_| recipe.reduce(&config, l, at, n));
+            workers.collect::<Option<_>>().map(CompressedAllReduce::new)
         };
         let layers = (serial.layers.iter().enumerate())
             .map(|(l, layer)| {
                 let block = Block::new(layer, config.tp, 0..config.tp).expect("validated config");
-                let sums = InProcess::new(reduce(l, SumPoint::Attention), reduce(l, SumPoint::Mlp));
+                let points = [SumPoint::Attention, SumPoint::Mlp];
+                let sums = InProcess::with(config.tp, points.map(|at| reduce(l, at)));
                 (block, sums)
             })
             .collect();
         let boundaries = (0..config.pp - 1)
-            .map(|b| PipelineBoundary::new(recipe.build(&config, Site::Boundary(b), n)))
+            .map(|b| PipelineBoundary::new(recipe.boundary(&config, b, n)))
             .collect();
 
         Ok(MpBert {
@@ -233,7 +231,9 @@ impl MpBert {
         self.tok.backward(&demb);
         self.pos.backward(&demb);
         for (_, sums) in &mut self.layers {
-            sums.reduces.iter_mut().for_each(|r| r.sync_param_grads());
+            for r in sums.reduces.iter_mut().flatten() {
+                r.sync_param_grads();
+            }
         }
     }
 
@@ -259,7 +259,9 @@ impl MpBert {
     /// and pipeline boundaries).
     pub fn visit_compressor_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
         for (_, sums) in &mut self.layers {
-            sums.reduces.iter_mut().for_each(|r| r.visit_params(f));
+            for r in sums.reduces.iter_mut().flatten() {
+                r.visit_params(f);
+            }
         }
         for b in &mut self.boundaries {
             b.visit_params(f);
@@ -322,15 +324,6 @@ pub fn stage_offsets(layers: usize, pp: usize) -> Vec<usize> {
     offsets
 }
 
-/// Where a compressor sits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Site {
-    /// One of a layer's two forward sums.
-    Reduce(usize, SumPoint),
-    /// Pipeline boundary `b`, before stage `b + 1`.
-    Boundary(usize),
-}
-
 /// Every compressor seed of a run, and the rules that turn one into a
 /// compressor: the one recipe the serial builder and every rank, thread
 /// or process, build from, so all hold identical compressor stacks.
@@ -357,30 +350,34 @@ impl CompressorRecipe {
         }
     }
 
-    /// The compressor at `site`, sized for sums of `n` elements. A
-    /// forward sum runs the plan's spec when the plan covers its layer
-    /// and `tp > 1` (`tp = 1` has no all-reduce); a boundary runs it when
-    /// the plan covers the layer after it; anything else is the lossless
-    /// baseline. Every compressor but the baseline is wrapped in error
-    /// feedback when the config asks for it. Each worker's compressor at
-    /// a site comes from the site's one seed, so auto-encoder weights are
-    /// replicated.
-    pub fn build(&self, config: &MpConfig, site: Site, n: usize) -> Box<dyn Compressor> {
-        let plan = &config.plan;
-        let (spec, seed) = match site {
-            Site::Reduce(l, at) => {
-                let covered = config.tp > 1 && plan.covers(l);
-                let spec = if covered {
-                    plan.spec
-                } else {
-                    CompressorSpec::Baseline
-                };
-                (spec, self.reduces[l][at as usize])
-            }
-            Site::Boundary(b) => {
-                (self.boundaries[b]).map_or((CompressorSpec::Baseline, 0), |seed| (plan.spec, seed))
-            }
-        };
+    /// The compressor at forward sum `at` of layer `l`, sized for sums
+    /// of `n` elements: the plan's spec when the plan covers the layer
+    /// and `tp > 1` (`tp = 1` has no all-reduce), `None` — a dense sum —
+    /// otherwise. Each worker's compressor at a sum comes from the sum's
+    /// one seed, so auto-encoder weights are replicated.
+    pub fn reduce(
+        &self,
+        config: &MpConfig,
+        l: usize,
+        at: SumPoint,
+        n: usize,
+    ) -> Option<Box<dyn Compressor>> {
+        let covered = config.tp > 1 && config.plan.covers(l);
+        covered.then(|| Self::build(config, config.plan.spec, self.reduces[l][at as usize], n))
+    }
+
+    /// The compressor at pipeline boundary `b`, sized for activations of
+    /// `n` elements: the plan's spec when the plan covers the layer after
+    /// it, the lossless baseline otherwise.
+    pub fn boundary(&self, config: &MpConfig, b: usize, n: usize) -> Box<dyn Compressor> {
+        let seed = self.boundaries[b];
+        let spec = seed.map_or(CompressorSpec::Baseline, |_| config.plan.spec);
+        Self::build(config, spec, seed.unwrap_or(0), n)
+    }
+
+    /// `spec` drawn from `seed`, wrapped in error feedback when the
+    /// config asks for it and the spec is lossy.
+    fn build(config: &MpConfig, spec: CompressorSpec, seed: u64, n: usize) -> Box<dyn Compressor> {
         let c = spec.build(&mut ChaCha8Rng::seed_from_u64(seed), n, config.bert.hidden);
         if config.error_feedback && spec != CompressorSpec::Baseline {
             Box::new(ErrorFeedback::new(c))
@@ -422,11 +419,14 @@ mod tests {
         let ids = [1usize, 2, 3, 4, 5, 6, 7, 8];
         let want = serial.forward(&ids, 2, 4);
         let got = mp.forward(&ids, 2, 4);
-        assert!(
-            got.max_abs_diff(&want) < 1e-4,
-            "diff {}",
-            got.max_abs_diff(&want)
+        // Four layers, two sums of two parts each, every part's partial
+        // sum rounded to bfloat16 (8 significant bits): at most 2⁻⁸ of
+        // the output's scale per rounding.
+        let (diff, bound) = (
+            got.max_abs_diff(&want),
+            16.0 * 2f32.powi(-8) * want.abs_max(),
         );
+        assert!(diff <= bound, "diff {diff} > {bound}");
     }
 
     #[test]

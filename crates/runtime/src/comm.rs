@@ -2,9 +2,9 @@
 //!
 //! Each rank owns a [`TpGroup`] endpoint of a ring over
 //! `std::sync::mpsc` channels. Collectives run the same compressor
-//! arithmetic as the serial [`actcomp_mp::CompressedAllReduce`], so a
-//! threaded run with the identity compressor is bit-identical to the
-//! serial executor.
+//! arithmetic as the serial [`actcomp_mp::CompressedAllReduce`], and a
+//! dense sum the serial executor's [`actcomp_mp::wire_sum`], so a
+//! threaded run is bit-identical to the serial executor.
 //!
 //! # Ring algorithm
 //!
@@ -13,10 +13,12 @@
 //!
 //! 1. *Chain reduce* (rank order `0 → 1 → … → p−1`): rank 0 ships each
 //!    chunk of its partial; every rank in between adds its own rows to
-//!    the buffer it received and forwards it. The buffer arriving at
-//!    rank `p−1` holds `((x₀ + x₁) + x₂) + …` — exactly the serial
-//!    executor's left fold in rank order, which is what keeps the
-//!    threaded runtime bitwise equal to serial.
+//!    the buffer it received and forwards it. Dense rows are rounded to
+//!    bfloat16 whenever they leave a rank ([`actcomp_mp::wire_sum`]),
+//!    and the total is rounded before rank `p−1` consumes it, so the
+//!    result is exactly the serial executor's rounded left fold in rank
+//!    order — which is what keeps the threaded runtime, and every rank's
+//!    copy of the total, bitwise equal to serial.
 //! 2. *Broadcast* (`p−1 → 0 → 1 → … → p−2`): the root forwards each
 //!    finished chunk around the ring; every rank copies it into its
 //!    output.
@@ -66,14 +68,14 @@
 use crate::link::{typed_pair, MsgRx, MsgTx, CHAN_RING};
 use crate::report::{timed, PhaseTimers};
 use crate::trace::TraceHandle;
-use crate::wire::{put_f32_slice, put_u8, put_usize, Reader, WireError, WireMsg};
+use crate::wire::{put_bf16_slice, put_u8, put_usize, Reader, WireError, WireMsg};
 use actcomp_check::collectives::{
     chunk_ring_steps, codec_chunk_plan, gather_ring_steps, ring_chunk_plan, GatherHop, RingStep,
     DEFAULT_PIPELINE_DEPTH,
 };
 use actcomp_check::{ChannelId, Dir, MsgId};
 use actcomp_compress::{Compressed, Compressor};
-use actcomp_mp::{rank_order_sum, CommBytes};
+use actcomp_mp::{rank_order_sum, wire_round, wire_sum, CommBytes};
 use actcomp_net::{Transport, TransportError};
 use actcomp_tensor::{Tensor, Workspace};
 use std::time::Instant;
@@ -127,14 +129,16 @@ pub(crate) enum GatherPayload {
 /// One row chunk of a chain-reduce / broadcast collective.
 #[derive(Debug)]
 pub(crate) enum ChunkData {
-    /// Raw rows of a dense reduce (owned, recycled via `Workspace`).
+    /// Rows of a dense reduce, already rounded to bfloat16 (owned,
+    /// recycled via `Workspace`).
     Dense(Vec<f32>),
     /// A per-chunk code of a summable compressed reduce.
     Code(Compressed),
 }
 
 impl ChunkData {
-    /// fp16-equivalent bytes this chunk occupies on the wire.
+    /// Bytes this chunk's payload occupies on the wire: two a dense
+    /// element, and the fp16-equivalent size of a code.
     fn wire_bytes(&self) -> usize {
         match self {
             ChunkData::Dense(v) => v.len() * 2,
@@ -185,7 +189,7 @@ impl WireMsg for RingMsg {
                 match data {
                     ChunkData::Dense(rows) => {
                         put_u8(out, 0);
-                        put_f32_slice(out, rows);
+                        put_bf16_slice(out, rows);
                     }
                     ChunkData::Code(c) => {
                         put_u8(out, 1);
@@ -216,7 +220,7 @@ impl WireMsg for RingMsg {
                 let bcast = r.read_u8("chunk bcast flag")? != 0;
                 let idx = r.read_usize("chunk index")?;
                 let data = match r.read_u8("chunk data tag")? {
-                    0 => ChunkData::Dense(r.f32_vec("dense chunk rows")?),
+                    0 => ChunkData::Dense(r.bf16_vec("dense chunk rows")?),
                     1 => ChunkData::Code(Compressed::decode(r)?),
                     _ => {
                         return Err(WireError {
@@ -419,9 +423,10 @@ impl RowChunks {
     }
 }
 
-/// Dense rows riding a chunk ring: received buffers are accumulated in
-/// place and forwarded without a copy, then recycled into the
-/// workspace where they stop.
+/// Dense rows riding a chunk ring: every buffer that leaves a rank is
+/// rounded to bfloat16 in place ([`wire_round`]); received buffers are
+/// accumulated in place and forwarded without a copy, then recycled
+/// into the workspace where they stop.
 struct DenseRows<'a> {
     data: &'a [f32],
     chunks: RowChunks,
@@ -446,6 +451,7 @@ impl<'a> RingPayload for DenseRows<'a> {
     fn ship(&mut self, own: &'a [f32], ws: &mut Workspace) -> Vec<f32> {
         let mut buf = ws.lease(own.len());
         buf.copy_from_slice(own);
+        wire_round(&mut buf);
         buf
     }
 
@@ -454,6 +460,7 @@ impl<'a> RingPayload for DenseRows<'a> {
             for (b, &v) in acc.iter_mut().zip(own) {
                 *b += v;
             }
+            wire_round(&mut acc);
         });
         acc
     }
@@ -539,8 +546,9 @@ pub struct TpGroup {
     /// serial executor's formulas — dense backward reduces count
     /// nothing here, exactly as in serial).
     pub bytes: CommBytes,
-    /// Ring-vs-gather accounting: `wire` is the fp16-equivalent bytes
-    /// this rank *actually sent* in collectives; `dense` is what the
+    /// Ring-vs-gather accounting: `wire` is the payload bytes this rank
+    /// *actually sent* in collectives (two a dense element, codes at
+    /// their fp16-equivalent size); `dense` is what the
     /// gather-based implementation of the same collectives would have
     /// sent per rank. For the gather reference path the two are equal;
     /// for ring collectives `wire ≤ dense`, strictly less for `p ≥ 3`.
@@ -917,15 +925,10 @@ impl TpGroup {
         self.chunk_ring(&mut codes, plan.len(), timers, ws);
         let CodeChunks { out, own_wire, .. } = codes;
 
-        // Serial-matching accounting: an all-reduce of `b` own bytes
-        // costs `2 (p−1) b / p` per rank.
+        // Serial-matching accounting, and the gather-equivalent baseline
+        // for the ring-vs-gather comparison.
         let p = self.world;
-        let per_rank_ar = |bytes: usize| 2 * (p - 1) * bytes / p;
-        self.bytes.add(CommBytes {
-            wire: per_rank_ar(own_wire),
-            dense: per_rank_ar(partial.len() * 2),
-        });
-        // Gather-equivalent baseline for the ring-vs-gather comparison.
+        (self.bytes).add(CommBytes::all_reduce(p, own_wire, partial.len() * 2));
         self.ring_bytes.dense += (p - 1) * own_wire;
         out.expect("every chunk was consumed")
     }
@@ -960,10 +963,11 @@ impl TpGroup {
         out
     }
 
-    /// Exact (uncompressed) ring all-reduce over row chunks, used for
-    /// the backward reductions the serial executor performs as plain
-    /// sums — no bytes counted into [`TpGroup::bytes`], to match its
-    /// accounting; actual traffic lands in [`TpGroup::ring_bytes`].
+    /// Dense (uncompressed) ring all-reduce over row chunks: the serial
+    /// executor's [`wire_sum`], rank for rank and bit for bit, with every
+    /// partial sum crossing the wire as bfloat16. Nothing is counted
+    /// into [`TpGroup::bytes`] (callers meter what the serial executor
+    /// meters); actual traffic lands in [`TpGroup::ring_bytes`].
     ///
     /// Received chunk buffers are reused in place along the chain (no
     /// full-tensor clone per hop) and recycled into `ws` when consumed.
@@ -994,7 +998,7 @@ impl TpGroup {
     /// Reference gather-based dense all-reduce — the pre-ring
     /// implementation, kept as the bitwise oracle for the ring path and
     /// as the "before" side of the collectives benchmark. Clones the
-    /// full tensor per hop, sums gathered tensors in rank order.
+    /// full tensor per hop, folds gathered tensors with [`wire_sum`].
     pub fn dense_all_reduce_gather(
         &mut self,
         partial: &Tensor,
@@ -1002,9 +1006,7 @@ impl TpGroup {
     ) -> Tensor {
         let t0 = Instant::now();
         let gathered = self.all_gather(partial.clone(), timers);
-        let out = timed(&mut timers.decode_s, || {
-            rank_order_sum(gathered.into_iter())
-        });
+        let out = timed(&mut timers.decode_s, || wire_sum(gathered.into_iter()));
         timers.collective_s += t0.elapsed().as_secs_f64();
         out
     }
@@ -1065,6 +1067,7 @@ impl TpGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{decode_msg, encode_msg};
     use actcomp_compress::Identity;
     use actcomp_tensor::init;
     use rand::SeedableRng;
@@ -1085,15 +1088,16 @@ mod tests {
 
     #[test]
     fn threaded_identity_reduce_sums_in_rank_order() {
+        // The identity code is summed exactly; dense rows travel as
+        // bfloat16 partial sums. Both folds run in rank order.
         let world = 4;
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let parts: Vec<Tensor> = (0..world)
             .map(|_| init::randn(&mut rng, [2, 8], 1.0))
             .collect();
-        let mut expect = parts[0].clone();
-        for p in &parts[1..] {
-            expect.add_assign(p);
-        }
+        let exact = rank_order_sum(parts.iter().cloned());
+        let rounded = wire_sum(parts.iter().cloned());
+        assert_ne!(exact, rounded, "the dense ring must round");
         let groups = TpGroup::ring(world);
         let handles: Vec<_> = groups
             .into_iter()
@@ -1103,8 +1107,9 @@ mod tests {
                     let mut comp = Identity::new();
                     let mut timers = PhaseTimers::default();
                     let mut ws = Workspace::new();
-                    let out = g.compressed_all_reduce(&mut comp, &p, &mut timers, &mut ws);
-                    (out, g.bytes)
+                    let code = g.compressed_all_reduce(&mut comp, &p, &mut timers, &mut ws);
+                    let dense = g.dense_all_reduce(&p, &mut timers, &mut ws);
+                    (code, dense, g.bytes)
                 })
             })
             .collect();
@@ -1112,9 +1117,33 @@ mod tests {
             .into_iter()
             .map(|h| h.join().expect("rank"))
             .collect();
-        for (out, bytes) in &results {
-            assert_eq!(out.max_abs_diff(&expect), 0.0, "exact rank-order sum");
+        for (code, dense, bytes) in &results {
+            assert_eq!(code, &exact, "exact rank-order sum");
+            assert_eq!(dense, &rounded, "rounded rank-order sum");
             assert_eq!(bytes.wire, bytes.dense, "identity moves dense bytes");
+        }
+    }
+
+    #[test]
+    fn dense_chunks_travel_in_two_bytes_and_decode_exactly() {
+        let mut rows: Vec<f32> = (0..256).map(|i| (i as f32 - 128.0) * 0.37 + 0.01).collect();
+        wire_round(&mut rows);
+        let frame = encode_msg(&RingMsg::Chunk {
+            bcast: true,
+            idx: 3,
+            data: ChunkData::Dense(rows.clone()),
+        });
+        // Tag, flag, index, data tag and length, then two bytes a value.
+        assert_eq!(frame.len(), 19 + 2 * rows.len());
+        match decode_msg::<RingMsg>(&frame).expect("decode") {
+            RingMsg::Chunk {
+                data: ChunkData::Dense(back),
+                ..
+            } => assert!(back
+                .iter()
+                .zip(&rows)
+                .all(|(a, b)| a.to_bits() == b.to_bits())),
+            other => panic!("decoded {}", other.kind()),
         }
     }
 

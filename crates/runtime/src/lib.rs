@@ -27,9 +27,10 @@
 //!   and emitted as `BENCH_runtime.json`.
 //!
 //! The engine is deterministic given a seed — every collective reduces
-//! in rank order, per-rank RNGs are `ChaCha8` streams — and
-//! bit-identical to the serial [`MpBert`](actcomp_mp::MpBert) when
-//! compression is off (test-enforced).
+//! in rank order, a dense sum with the serial executor's own rounded
+//! fold ([`wire_sum`](actcomp_mp::wire_sum)), per-rank RNGs are
+//! `ChaCha8` streams — and bit-identical to the serial
+//! [`MpBert`](actcomp_mp::MpBert) (test-enforced).
 //!
 //! # Example
 //!
@@ -96,4 +97,3 @@ pub use serve::{
 };
 pub use shard::ShardError;
 pub use supervisor::{supervise, RecoveryEvent, RecoveryTrace, SuperviseOptions};
-pub use wire::{set_wire_dtype, wire_dtype, WireDtype};

@@ -10,7 +10,7 @@ use crate::report::{timed, PhaseTimers, RankReport};
 use crate::trace::TraceHandle;
 use crate::wire::{put_f32, put_string, put_u8, put_usize, Reader, WireError, WireMsg};
 use actcomp_check::{ChannelId, Dir, MsgId, TraceEvent};
-use actcomp_compress::{Compressed, Compressor};
+use actcomp_compress::{Compressed, Compressor, Identity};
 use actcomp_distsim::schedule::gpipe_order;
 use actcomp_mp::{Block, CommBytes, Reduce, SumPoint};
 use actcomp_nn::{Embedding, Layer, LayerNorm, LnCache, Parameter};
@@ -482,15 +482,16 @@ impl EmbeddingStage {
 }
 
 /// One owned layer: this rank's block over its own shard, and its
-/// compressors at the layer's two forward sums.
-pub(crate) type OwnedLayer = (Block, [Box<dyn Compressor>; 2]);
+/// compressors at the layer's two forward sums (`None` where the sum is
+/// dense).
+pub(crate) type OwnedLayer = (Block, [Option<Box<dyn Compressor>>; 2]);
 
 /// A rank's [`Reduce`]: its one shard's partial summed with its TP
 /// peers' over the group's ring, through the layer's compressors, with
 /// the block's arithmetic charged to the rank's compute time.
 struct Ring<'a> {
     tp: &'a mut TpGroup,
-    comps: &'a mut [Box<dyn Compressor>; 2],
+    comps: &'a mut [Option<Box<dyn Compressor>>; 2],
     timers: &'a mut PhaseTimers,
 }
 
@@ -507,17 +508,24 @@ impl Reduce for Ring<'_> {
 
     fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
         let partial = only(partials);
-        let comp = self.comps[at as usize].as_mut();
-        let s = self
-            .tp
-            .compressed_all_reduce(comp, &partial, self.timers, ws);
+        let s = match self.comps[at as usize].as_deref_mut() {
+            Some(comp) => (self.tp).compressed_all_reduce(comp, &partial, self.timers, ws),
+            None => {
+                // Metered as the serial executor meters a dense sum.
+                let n = partial.len() * 2;
+                (self.tp.bytes).add(CommBytes::all_reduce(self.tp.world, n, n));
+                self.tp.dense_all_reduce(&partial, self.timers, ws)
+            }
+        };
         ws.recycle_tensor(partial);
         s
     }
 
     fn sum_backward(&mut self, at: SumPoint, dy: &Tensor) -> Vec<Tensor> {
-        let comp = self.comps[at as usize].as_mut();
-        vec![self.tp.compressed_backward(comp, dy, self.timers)]
+        vec![match self.comps[at as usize].as_deref_mut() {
+            Some(comp) => self.tp.compressed_backward(comp, dy, self.timers),
+            None => dy.clone(),
+        }]
     }
 
     fn dense_sum(&mut self, parts: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
@@ -973,8 +981,12 @@ impl RankWorker {
     /// Post-drain synchronization, in the serial executor's order:
     /// per-layer compressor grads first, then boundary replicas.
     fn post_drain_sync(&mut self) {
+        // A dense sum syncs an empty parameter list: every rank of every
+        // plan walks the same collectives.
+        let mut dense = Identity;
         for comp in self.layers.iter_mut().flat_map(|(_, comps)| comps) {
-            self.tp.sync_param_grads(comp.as_mut(), &mut self.timers);
+            let comp = comp.as_deref_mut().unwrap_or(&mut dense);
+            self.tp.sync_param_grads(comp, &mut self.timers);
         }
         if self.send_b.is_some() {
             self.trace_event(
@@ -1031,7 +1043,7 @@ impl RankWorker {
         for (block, _) in &mut self.layers {
             block.visit_params(f);
         }
-        for comp in self.layers.iter_mut().flat_map(|(_, comps)| comps) {
+        for comp in self.layers.iter_mut().flat_map(|(_, c)| c).flatten() {
             comp.visit_params(f);
         }
         if let Some(b) = self.send_b.as_mut() {
@@ -1050,7 +1062,11 @@ impl RankWorker {
                 .map(|(block, _)| grads_of(|f| block.visit_params(f)))
                 .collect(),
             compressors: (self.layers.iter_mut())
-                .map(|(_, comps)| comps.each_mut().map(|c| grads_of(|f| c.visit_params(f))))
+                .map(|(_, comps)| {
+                    comps
+                        .each_mut()
+                        .map(|c| grads_of(|f| c.iter_mut().for_each(|c| c.visit_params(f))))
+                })
                 .collect(),
             boundary_comp: (self.send_b.as_mut())
                 .map_or_else(Vec::new, |b| grads_of(|f| b.comp.visit_params(f))),

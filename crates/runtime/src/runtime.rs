@@ -26,7 +26,7 @@ use crate::trace::{TraceCell, TraceHandle};
 use actcomp_check::TraceEvent;
 use actcomp_compress::Compressor;
 use actcomp_mp::tp::interleave;
-use actcomp_mp::{stage_offsets, Block, CompressorRecipe, Site, SumPoint};
+use actcomp_mp::{stage_offsets, Block, CompressorRecipe, SumPoint};
 use actcomp_net::Transport;
 use actcomp_nn::BertEncoder;
 use actcomp_tensor::Tensor;
@@ -63,12 +63,16 @@ impl<'a> WorkerBuilder<'a> {
         }
     }
 
-    /// The compressor at `site`, sized for one micro-batch's activation
-    /// (at `m = 1`, the serial executor's size). The boundary pair's two
-    /// halves each build theirs, yielding the lockstep replica pair.
-    fn compressor(&self, site: Site) -> Box<dyn Compressor> {
-        let n = (self.cfg.mp.tokens / self.cfg.micro_batches) * self.cfg.mp.bert.hidden;
-        self.recipe.build(&self.cfg.mp, site, n)
+    /// Elements of one micro-batch's activation (at `m = 1`, the serial
+    /// executor's size): what every compressor is sized for.
+    fn n(&self) -> usize {
+        (self.cfg.mp.tokens / self.cfg.micro_batches) * self.cfg.mp.bert.hidden
+    }
+
+    /// The compressor at boundary `b`. The boundary pair's two halves
+    /// each build theirs, yielding the lockstep replica pair.
+    fn boundary(&self, b: usize) -> Box<dyn Compressor> {
+        self.recipe.boundary(&self.cfg.mp, b, self.n())
     }
 
     /// Assembles rank `rank`'s worker around its opened links.
@@ -94,7 +98,8 @@ impl<'a> WorkerBuilder<'a> {
                 let block = Block::new(&self.serial.layers[l], tp, tpi..tpi + 1)
                     .expect("the runtime validated the config");
                 let points = [SumPoint::Attention, SumPoint::Mlp];
-                (block, points.map(|at| self.compressor(Site::Reduce(l, at))))
+                let comps = points.map(|at| self.recipe.reduce(&self.cfg.mp, l, at, self.n()));
+                (block, comps)
             })
             .collect();
         let embedding = (stage == 0).then(|| {
@@ -119,13 +124,13 @@ impl<'a> WorkerBuilder<'a> {
             ring_ep.set_trace(t.clone());
         }
         let send_b = links.fwd_tx.map(|fwd_tx| BoundarySender {
-            comp: self.compressor(Site::Boundary(stage)),
+            comp: self.boundary(stage),
             bytes: actcomp_mp::CommBytes::default(),
             tx: fwd_tx,
             grad_rx: links.grad_rx.expect("sender links come in pairs"),
         });
         let recv_b = links.fwd_rx.map(|fwd_rx| BoundaryReceiver {
-            replica: self.compressor(Site::Boundary(stage - 1)),
+            replica: self.boundary(stage - 1),
             rx: fwd_rx,
             grad_tx: links.grad_tx.expect("receiver links come in pairs"),
         });

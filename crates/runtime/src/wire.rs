@@ -16,138 +16,6 @@ use crate::rank::RankGrads;
 use actcomp_compress::{Compressed, Payload};
 use actcomp_tensor::{Shape, Tensor};
 use bytes::Bytes;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-// ---------------------------------------------------------------------
-// Wire dtype (dense activation precision on the wire)
-// ---------------------------------------------------------------------
-
-/// Precision used for **dense** activation payloads on a framed
-/// transport (`--wire-dtype`). `F16` halves dense wire bytes at ~1e-3
-/// relative error; it never touches sparse or quantized payloads, and
-/// in-process typed channels bypass the wire codec entirely, so only
-/// transport-backed runs are affected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireDtype {
-    /// Exact bit-pattern f32 (the default; bitwise conformance holds).
-    #[default]
-    F32,
-    /// IEEE 754 binary16 with round-to-nearest-even, decoded back to
-    /// f32 on receive.
-    F16,
-}
-
-impl WireDtype {
-    /// Parses a `--wire-dtype` value.
-    pub fn parse(s: &str) -> Option<WireDtype> {
-        match s {
-            "f32" => Some(WireDtype::F32),
-            "f16" => Some(WireDtype::F16),
-            _ => None,
-        }
-    }
-
-    /// The config-file spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            WireDtype::F32 => "f32",
-            WireDtype::F16 => "f16",
-        }
-    }
-}
-
-/// Process-global encode-side dtype. Decoders always accept both tags,
-/// so mixed worlds interoperate as long as every encoder is set
-/// consistently *before* workers start (each worker process applies its
-/// own `--wire-dtype` at startup).
-static WIRE_DTYPE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the dense wire precision for every subsequent encode in this
-/// process; returns the previous setting (tests restore it).
-pub fn set_wire_dtype(d: WireDtype) -> WireDtype {
-    let prev = WIRE_DTYPE.swap(d as u8, Ordering::Relaxed);
-    if prev == WireDtype::F16 as u8 {
-        WireDtype::F16
-    } else {
-        WireDtype::F32
-    }
-}
-
-/// The dense wire precision currently in effect for this process.
-pub fn wire_dtype() -> WireDtype {
-    if WIRE_DTYPE.load(Ordering::Relaxed) == WireDtype::F16 as u8 {
-        WireDtype::F16
-    } else {
-        WireDtype::F32
-    }
-}
-
-/// Converts an `f32` to IEEE binary16 bits, round-to-nearest-even.
-/// Overflow saturates to infinity; NaN stays NaN (quiet bit forced so
-/// the mantissa cannot truncate to an infinity pattern).
-pub(crate) fn f32_to_f16_bits(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let man = bits & 0x007f_ffff;
-    if exp == 0xff {
-        return sign | 0x7c00 | if man != 0 { 0x0200 } else { 0 };
-    }
-    let e = exp - 127 + 15;
-    if e >= 0x1f {
-        return sign | 0x7c00;
-    }
-    if e <= 0 {
-        if e < -10 {
-            return sign;
-        }
-        // Half subnormal: shift the implicit-1 mantissa into place.
-        let man = man | 0x0080_0000;
-        let shift = (14 - e) as u32;
-        let half = man >> shift;
-        let rem = man & ((1u32 << shift) - 1);
-        let halfway = 1u32 << (shift - 1);
-        let rounded = if rem > halfway || (rem == halfway && half & 1 == 1) {
-            half + 1
-        } else {
-            half
-        };
-        return sign | rounded as u16;
-    }
-    let half = ((e as u32) << 10) | (man >> 13);
-    let rem = man & 0x1fff;
-    // A mantissa carry on round-up overflows into the exponent field,
-    // which is exactly the right encoding (up to and including inf).
-    let rounded = if rem > 0x1000 || (rem == 0x1000 && half & 1 == 1) {
-        half + 1
-    } else {
-        half
-    };
-    sign | rounded as u16
-}
-
-/// Converts IEEE binary16 bits back to `f32` (exact — every f16 value
-/// is representable in f32).
-pub(crate) fn f16_bits_to_f32(h: u16) -> f32 {
-    let sign = ((h & 0x8000) as u32) << 16;
-    let exp = (h >> 10) & 0x1f;
-    let man = (h & 0x03ff) as u32;
-    match (exp, man) {
-        (0, 0) => f32::from_bits(sign),
-        // Subnormal half = man * 2^-24; the product is exact in f32.
-        (0, _) => {
-            let v = man as f32 * f32::from_bits(0x3380_0000); // 2^-24
-            if sign != 0 {
-                -v
-            } else {
-                v
-            }
-        }
-        (0x1f, 0) => f32::from_bits(sign | 0x7f80_0000),
-        (0x1f, _) => f32::from_bits(sign | 0x7fc0_0000 | (man << 13)),
-        _ => f32::from_bits(sign | ((exp as u32 + 127 - 15) << 23) | (man << 13)),
-    }
-}
 
 /// A decode failure: what was being parsed and why it stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,22 +93,35 @@ impl<'a> Reader<'a> {
         Ok(self.take(n, what)?.to_vec())
     }
 
-    pub(crate) fn f32_vec(&mut self, what: &'static str) -> Result<Vec<f32>, WireError> {
+    /// A length-prefixed run of `W`-byte little-endian words. The count
+    /// comes off the wire: `n · W` must not overflow.
+    fn words<const W: usize, T>(
+        &mut self,
+        what: &'static str,
+        word: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, WireError> {
         let n = self.usize(what)?;
-        let raw = self.take(n.checked_mul(4).ok_or(WireError { what })?, what)?;
+        let raw = self.take(n.checked_mul(W).ok_or(WireError { what })?, what)?;
         Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .chunks_exact(W)
+            .map(|c| word(c.try_into().expect("W-byte chunk")))
             .collect())
     }
 
+    fn f32_vec(&mut self, what: &'static str) -> Result<Vec<f32>, WireError> {
+        self.words(what, f32::from_le_bytes)
+    }
+
     fn u32_vec(&mut self, what: &'static str) -> Result<Vec<u32>, WireError> {
-        let n = self.usize(what)?;
-        let raw = self.take(n.checked_mul(4).ok_or(WireError { what })?, what)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+        self.words(what, u32::from_le_bytes)
+    }
+
+    /// The inverse of [`put_bf16_slice`]: each value widened back to
+    /// `f32` exactly.
+    pub(crate) fn bf16_vec(&mut self, what: &'static str) -> Result<Vec<f32>, WireError> {
+        self.words(what, |b| {
+            f32::from_bits(u32::from(u16::from_le_bytes(b)) << 16)
+        })
     }
 
     fn string(&mut self, what: &'static str) -> Result<String, WireError> {
@@ -287,6 +168,17 @@ pub(crate) fn put_u32_slice(out: &mut Vec<u8>, v: &[u32]) {
     out.extend(v.iter().flat_map(|x| x.to_le_bytes()));
 }
 
+/// Values already rounded to bfloat16 ([`actcomp_mp::wire_round`]), two
+/// bytes each: the top half of every `f32`, whose dropped low half is
+/// zero, so the round trip is exact.
+pub(crate) fn put_bf16_slice(out: &mut Vec<u8>, v: &[f32]) {
+    put_usize(out, v.len());
+    out.extend(
+        v.iter()
+            .flat_map(|x| ((x.to_bits() >> 16) as u16).to_le_bytes()),
+    );
+}
+
 pub(crate) fn put_string(out: &mut Vec<u8>, v: &str) {
     put_bytes(out, v.as_bytes());
 }
@@ -296,20 +188,6 @@ fn put_dims(out: &mut Vec<u8>, dims: &[usize]) {
     put_usize(out, dims.len());
     for &d in dims {
         put_usize(out, d);
-    }
-}
-
-/// The body of a tag-3 (f16 dense) compressed frame: tensor dims, then
-/// a length-prefixed run of little-endian binary16 values. Factored out
-/// so tests can measure and decode the half frame without touching the
-/// process-global dtype.
-pub(crate) fn put_dense_f16(out: &mut Vec<u8>, t: &Tensor) {
-    put_dims(out, t.dims());
-    let data = t.as_slice();
-    put_usize(out, data.len());
-    out.reserve(data.len() * 2);
-    for &x in data {
-        out.extend_from_slice(&f32_to_f16_bits(x).to_le_bytes());
     }
 }
 
@@ -390,10 +268,6 @@ impl WireMsg for Compressed {
     fn encode(&self, out: &mut Vec<u8>) {
         put_dims(out, self.shape().dims());
         match self.payload() {
-            Payload::Dense(t) if wire_dtype() == WireDtype::F16 => {
-                put_u8(out, 3);
-                put_dense_f16(out, t);
-            }
             Payload::Dense(t) => {
                 put_u8(out, 0);
                 t.encode(out);
@@ -443,39 +317,6 @@ impl WireMsg for Compressed {
                 scale: r.f32("quantized scale")?,
                 zero: r.f32("quantized zero")?,
             },
-            // Decoders always accept f16 dense frames regardless of the
-            // local encode-side dtype.
-            3 => {
-                let trank = r.usize("f16 tensor rank")?;
-                if trank > 8 {
-                    return fail("f16 tensor rank");
-                }
-                let mut tdims = Vec::with_capacity(trank);
-                for _ in 0..trank {
-                    tdims.push(r.usize("f16 tensor dim")?);
-                }
-                if tdims.contains(&0) {
-                    return fail("f16 tensor dim");
-                }
-                let n = r.usize("f16 tensor data length")?;
-                if n > 1 << 28 {
-                    return fail("f16 tensor data length");
-                }
-                let raw = r.take(
-                    n.checked_mul(2).ok_or(WireError {
-                        what: "f16 tensor data length",
-                    })?,
-                    "f16 tensor data",
-                )?;
-                let data: Vec<f32> = raw
-                    .chunks_exact(2)
-                    .map(|c| f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])))
-                    .collect();
-                if checked_len(&tdims) != Some(data.len()) {
-                    return fail("f16 tensor data length");
-                }
-                Payload::Dense(Tensor::from_vec(data, Shape::new(tdims)))
-            }
             _ => return fail("compressed payload tag"),
         };
         Ok(Compressed::new(payload, shape))
@@ -623,110 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn f16_conversion_exact_for_representable_values() {
-        // Every value exactly representable in binary16 round-trips
-        // bit-for-bit through f32 -> f16 -> f32.
-        for v in [
-            0.0f32,
-            -0.0,
-            1.0,
-            -1.0,
-            0.5,
-            2.0,
-            65504.0,
-            -65504.0,
-            1365.0 * 2f32.powi(-12), // 0.333251953125, an exact half mantissa
-            2f32.powi(-14),          // smallest normal half
-            5.9604645e-8,            // smallest subnormal half
-            1023.0 * 2f32.powi(-24), // largest subnormal half
-        ] {
-            let back = f16_bits_to_f32(f32_to_f16_bits(v));
-            assert_eq!(back.to_bits(), v.to_bits(), "value {v}");
-        }
-    }
-
-    #[test]
-    fn f16_conversion_rounds_to_nearest_even() {
-        // 1.0 + 2^-11 is exactly halfway between two half values;
-        // nearest-even keeps the even mantissa (1.0).
-        assert_eq!(f32_to_f16_bits(1.0 + 2f32.powi(-11)), f32_to_f16_bits(1.0));
-        // 1.0 + 3*2^-11 is halfway above an odd mantissa; rounds up to
-        // the even neighbour.
-        assert_eq!(
-            f32_to_f16_bits(1.0 + 3.0 * 2f32.powi(-11)),
-            f32_to_f16_bits(1.0 + 2f32.powi(-9)),
-        );
-        // Anything past half's max rounds to infinity; NaN stays NaN.
-        assert_eq!(f16_bits_to_f32(f32_to_f16_bits(1e6)), f32::INFINITY);
-        assert_eq!(f16_bits_to_f32(f32_to_f16_bits(-1e6)), f32::NEG_INFINITY);
-        assert!(f16_bits_to_f32(f32_to_f16_bits(f32::NAN)).is_nan());
-        // Values below half's subnormal range flush to signed zero.
-        assert_eq!(f16_bits_to_f32(f32_to_f16_bits(1e-9)).to_bits(), 0);
-        assert_eq!(
-            f16_bits_to_f32(f32_to_f16_bits(-1e-9)).to_bits(),
-            (-0.0f32).to_bits()
-        );
-    }
-
-    #[test]
-    fn f16_relative_error_bounded() {
-        // Round-to-nearest gives |x - f16(x)| <= 2^-11 |x| for normals.
-        let mut worst = 0.0f64;
-        for i in 0..10_000 {
-            let x = (i as f32 * 0.37 + 0.01) * if i % 2 == 0 { 1.0 } else { -1.0 };
-            let x = x % 60000.0;
-            let back = f16_bits_to_f32(f32_to_f16_bits(x));
-            let rel = ((back - x) as f64 / x as f64).abs();
-            worst = worst.max(rel);
-        }
-        assert!(worst <= 2f64.powi(-11), "worst rel error {worst}");
-    }
-
-    #[test]
-    fn f16_dense_frames_halve_payload_and_decode_within_tolerance() {
-        let vals: Vec<f32> = (0..256).map(|i| (i as f32 - 128.0) * 0.37 + 0.01).collect();
-        let t = Tensor::from_vec(vals.clone(), vec![16, 16]);
-        let dense = Compressed::new(Payload::Dense(t.clone()), Shape::new(vec![16, 16]));
-        let f32_frame = encode_msg(&dense);
-
-        // Hand-build the tag-3 frame (no global dtype mutation: the
-        // bit-exact codec tests share this test binary).
-        let mut f16_frame = Vec::new();
-        put_usize(&mut f16_frame, 2);
-        put_usize(&mut f16_frame, 16);
-        put_usize(&mut f16_frame, 16);
-        put_u8(&mut f16_frame, 3);
-        put_dense_f16(&mut f16_frame, &t);
-
-        assert!(
-            f16_frame.len() < f32_frame.len() * 3 / 4,
-            "f16 dense frame must be substantially smaller: {} vs {}",
-            f16_frame.len(),
-            f32_frame.len()
-        );
-
-        let back: Compressed = decode_msg(&f16_frame).expect("decode tag 3");
-        assert_eq!(back.shape(), dense.shape());
-        match back.payload() {
-            Payload::Dense(got) => {
-                for (a, b) in got.as_slice().iter().zip(&vals) {
-                    let rel = ((a - b) / b).abs();
-                    assert!(rel <= 2f32.powi(-11), "rel error {rel} for {b}");
-                }
-            }
-            _ => panic!("tag 3 must decode to a dense payload"),
-        }
-    }
-
-    #[test]
-    fn wire_dtype_parses() {
-        assert_eq!(WireDtype::parse("f32"), Some(WireDtype::F32));
-        assert_eq!(WireDtype::parse("f16"), Some(WireDtype::F16));
-        assert_eq!(WireDtype::parse("bf16"), None);
-        assert_eq!(WireDtype::F16.name(), "f16");
-    }
-
-    #[test]
     fn truncated_payloads_are_typed_errors() {
         let t = Tensor::from_vec(vec![1.0f32; 6], vec![2, 3]);
         let buf = encode_msg(&t);
@@ -740,8 +477,9 @@ mod tests {
     fn hostile_length_prefixes_are_typed_errors_never_panics() {
         use crate::comm::RingMsg;
         // Every place a decoder reads a count off the wire, fed counts
-        // whose `at + n` (or `n * 4`) overflows. A CRC-valid frame from
-        // a peer can carry any of these; the answer is always `Err`.
+        // whose `at + n` (or `n * 4`, or `n * 2`) overflows. A CRC-valid
+        // frame from a peer can carry any of these; the answer is always
+        // `Err`.
         type Build = fn(&mut Vec<u8>, usize);
         let tensor: Build = |out, n| {
             put_dims(out, &[4]);
@@ -779,18 +517,10 @@ mod tests {
             put_usize(out, n);
             out.extend_from_slice(&[0u8; 32]);
         };
-        let code_f16: Build = |out, n| {
-            put_dims(out, &[4]);
-            put_u8(out, 3);
-            put_dims(out, &[4]);
+        // Two-byte dense rows: at `n = 2^63 + 4`, an unchecked `n * 2`
+        // wraps to exactly the 8 bytes that follow.
+        let dense_rows: Build = |out, n| {
             put_usize(out, n);
-            out.extend_from_slice(&[0u8; 8]);
-        };
-        let code_f16_dims: Build = |out, n| {
-            put_dims(out, &[4]);
-            put_u8(out, 3);
-            put_dims(out, &[n, 4]);
-            put_usize(out, 4);
             out.extend_from_slice(&[0u8; 8]);
         };
         let codes = [
@@ -798,8 +528,6 @@ mod tests {
             code_sparse_values,
             code_sparse_indices,
             code_quant,
-            code_f16,
-            code_f16_dims,
         ];
 
         // What precedes the payload in a gather hop / a ring chunk.
@@ -816,7 +544,13 @@ mod tests {
             p
         };
 
-        for n in [u64::MAX, u64::MAX / 4, 1 << 62] {
+        for n in [
+            u64::MAX,
+            u64::MAX / 2 + 1,
+            u64::MAX / 4,
+            1 << 62,
+            (1 << 63) + 4,
+        ] {
             let n = n as usize;
             let built = |build: Build, prefix: &[u8]| {
                 let mut buf = prefix.to_vec();
@@ -839,7 +573,7 @@ mod tests {
             put_usize(&mut one_grad, 1);
             assert!(decode_msg::<RingMsg>(&built(tensor, &one_grad)).is_err());
             // The dense-chunk length, and control-plane strings.
-            assert!(decode_msg::<RingMsg>(&built(tensor_list, &chunk(0))).is_err());
+            assert!(decode_msg::<RingMsg>(&built(dense_rows, &chunk(0))).is_err());
             let hello = built(tensor_list, &[]);
             assert!(Reader::new(&hello).read_string("hello").is_err());
         }

@@ -1,13 +1,15 @@
 //! Ring-collective equivalence and byte-accounting tests.
 //!
 //! The chunked chain-reduce + broadcast collectives must be bitwise
-//! interchangeable with the gather-based reference for every group size
-//! and chunk plan — determinism is the runtime's core contract — and
-//! must move strictly fewer bytes per rank than the gather once the
-//! group has three or more ranks.
+//! interchangeable with the gather-based reference and with the serial
+//! executor's fold for every group size, chunk plan and wire —
+//! determinism is the runtime's core contract — and must move strictly
+//! fewer bytes per rank than the gather once the group has three or
+//! more ranks.
 
 use actcomp_compress::{AutoEncoder, Identity};
-use actcomp_mp::CommBytes;
+use actcomp_mp::{rank_order_sum, wire_sum, CommBytes};
+use actcomp_net::{mpsc_world, SocketOptions, SocketTransport, Transport, TransportKind};
 use actcomp_runtime::{PhaseTimers, RingTuning, TpGroup};
 use actcomp_tensor::{init, Tensor, Workspace};
 use proptest::prelude::*;
@@ -63,6 +65,66 @@ where
         .collect()
 }
 
+/// What carries a ring: typed in-process channels, or framed messages
+/// over the mpsc transport or Unix sockets.
+#[derive(Debug, Clone, Copy)]
+enum Wire {
+    Typed,
+    Mpsc,
+    Uds,
+}
+
+/// Runs one dense all-reduce per rank over `wire`, each rank on its own
+/// thread, and returns the outputs in rank order.
+fn dense_over(wire: Wire, tuning: RingTuning, parts: &[Tensor]) -> Vec<Tensor> {
+    let world = parts.len();
+    let transports: Vec<Box<dyn Transport>> = match wire {
+        Wire::Typed => {
+            let reduce = |g: &mut TpGroup, p: &Tensor, t: &mut PhaseTimers, ws: &mut Workspace| {
+                g.dense_all_reduce(p, t, ws)
+            };
+            return run_ranks(world, Some(tuning), parts, reduce)
+                .into_iter()
+                .map(|(out, _)| out)
+                .collect();
+        }
+        Wire::Mpsc => (mpsc_world(world).into_iter())
+            .map(|t| Box::new(t) as Box<dyn Transport>)
+            .collect(),
+        Wire::Uds => {
+            let mut ts: Vec<SocketTransport> = (0..world)
+                .map(|r| {
+                    let opts = SocketOptions::default();
+                    SocketTransport::bind(TransportKind::Uds, r, world, 0xC0DE, opts).expect("bind")
+                })
+                .collect();
+            let addrs: Vec<String> = ts.iter().map(|t| t.local_addr().to_string()).collect();
+            for t in &mut ts {
+                for (peer, addr) in addrs.iter().enumerate() {
+                    t.set_peer(peer, addr.clone());
+                }
+            }
+            ts.into_iter()
+                .map(|t| Box::new(t) as Box<dyn Transport>)
+                .collect()
+        }
+    };
+    let handles: Vec<_> = (transports.into_iter().zip(parts.to_vec()))
+        .map(|(mut t, p)| {
+            std::thread::spawn(move || {
+                let mut g = TpGroup::over_transport(t.as_mut()).expect("ring links");
+                g.tuning = tuning;
+                let mut timers = PhaseTimers::default();
+                g.dense_all_reduce(&p, &mut timers, &mut Workspace::new())
+            })
+        })
+        .collect();
+    handles
+        .into_iter()
+        .map(|h| h.join().expect("rank thread"))
+        .collect()
+}
+
 fn randn_parts(world: usize, rows: usize, width: usize, seed: u64) -> Vec<Tensor> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     (0..world)
@@ -74,9 +136,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The chunked ring dense all-reduce is bit-identical to the
-    /// gather-based reference for tp ∈ {1, 2, 4}, for row counts that
-    /// are not a multiple of the chunk size, and for every pipeline
-    /// depth — the chunk plan must never change the fold.
+    /// gather-based reference (which folds with `wire_sum`) for
+    /// tp ∈ {1, 2, 4}, for row counts that are not a multiple of the chunk
+    /// size, and for every pipeline depth — the chunk plan must never
+    /// change the fold.
     #[test]
     fn ring_dense_matches_gather_bitwise(
         world_ix in 0usize..3,
@@ -102,9 +165,9 @@ proptest! {
         }
     }
 
-    /// The chunked identity compressed reduce reproduces the serial
-    /// executor's left fold bit for bit on every rank, for tp ∈ {1, 2, 4}
-    /// and arbitrary chunk plans.
+    /// The chunked identity compressed reduce sums its codes exactly —
+    /// the serial `CompressedAllReduce`'s `f32` left fold — bit for bit
+    /// on every rank, for tp ∈ {1, 2, 4} and arbitrary chunk plans.
     #[test]
     fn chunked_identity_reduce_matches_serial_fold(
         world_ix in 0usize..3,
@@ -116,10 +179,7 @@ proptest! {
     ) {
         let world = [1, 2, 4][world_ix];
         let parts = randn_parts(world, rows, width, seed);
-        let mut expect = parts[0].clone();
-        for p in &parts[1..] {
-            expect.add_assign(p);
-        }
+        let expect = rank_order_sum(parts.iter().cloned());
         let chunk_rows = (chunk_sel > 0).then_some(chunk_sel);
         let tuning = RingTuning { chunk_rows, pipeline_depth: depth };
         let outs = run_ranks(world, Some(tuning), &parts, |g, p, t, ws| {
@@ -128,6 +188,29 @@ proptest! {
         });
         for (rank, (out, _)) in outs.iter().enumerate() {
             prop_assert!(bitwise_eq(out, &expect), "rank {rank} diverged from serial fold");
+        }
+    }
+
+    /// On every wire, the dense ring is the serial executor's
+    /// `wire_sum`, bit for bit, and every rank holds the same total —
+    /// the last rank of the chain included — for p ∈ {2, 3, 4} and
+    /// arbitrary chunk plans.
+    #[test]
+    fn dense_ring_is_the_wire_sum_on_every_rank_and_wire(
+        world in 2usize..5,
+        wire in prop::sample::select(vec![Wire::Typed, Wire::Mpsc, Wire::Uds]),
+        rows in 1usize..9,
+        width in 1usize..12,
+        chunk_sel in 0usize..5,
+        depth in 1usize..5,
+        seed in 2000u64..3000,
+    ) {
+        let parts = randn_parts(world, rows, width, seed);
+        let expect = wire_sum(parts.iter().cloned());
+        let chunk_rows = (chunk_sel > 0).then_some(chunk_sel);
+        let tuning = RingTuning { chunk_rows, pipeline_depth: depth };
+        for (rank, out) in dense_over(wire, tuning, &parts).iter().enumerate() {
+            prop_assert!(bitwise_eq(out, &expect), "{wire:?}: rank {rank} diverged from wire_sum");
         }
     }
 }

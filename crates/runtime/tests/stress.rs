@@ -4,6 +4,7 @@
 //! linearly-growing byte counters.
 
 use actcomp_compress::{Compressor, Identity, TopK};
+use actcomp_mp::{rank_order_sum, wire_sum};
 use actcomp_runtime::{PhaseTimers, TpGroup};
 use actcomp_tensor::{init, Tensor, Workspace};
 use rand::SeedableRng;
@@ -21,8 +22,11 @@ fn hundred_collective_rounds_at_tp4_stay_consistent() {
             std::thread::spawn(move || {
                 let rank = g.rank;
                 // Every rank derives its partials from the shared seed +
-                // its rank id, so peers can't accidentally agree.
-                let mut rng = ChaCha8Rng::seed_from_u64(100 + rank as u64);
+                // its rank id, so peers can't accidentally agree; each
+                // also replays its peers' streams to know the sums.
+                let mut rngs: Vec<_> = (0..WORLD)
+                    .map(|r| ChaCha8Rng::seed_from_u64(100 + r as u64))
+                    .collect();
                 let mut topk: Box<dyn Compressor> = Box::new(TopK::new(8));
                 let mut ident: Box<dyn Compressor> = Box::new(Identity::new());
                 let mut timers = PhaseTimers::default();
@@ -30,16 +34,19 @@ fn hundred_collective_rounds_at_tp4_stay_consistent() {
                 let mut sums = Vec::with_capacity(ITERS);
                 let mut per_round_bytes = Vec::with_capacity(ITERS);
                 for _ in 0..ITERS {
-                    let part = init::randn(&mut rng, [4, 16], 1.0);
+                    let parts: Vec<Tensor> = (rngs.iter_mut())
+                        .map(|rng| init::randn(rng, [4, 16], 1.0))
+                        .collect();
+                    let part = &parts[rank];
                     let before = g.bytes;
                     let compressed =
-                        g.compressed_all_reduce(topk.as_mut(), &part, &mut timers, &mut ws);
-                    let exact =
-                        g.compressed_all_reduce(ident.as_mut(), &part, &mut timers, &mut ws);
-                    let dense = g.dense_all_reduce(&part, &mut timers, &mut ws);
-                    // The identity "compressed" reduce and the dense
-                    // reduce are the same sum, computed two ways.
-                    assert_eq!(exact.as_slice(), dense.as_slice());
+                        g.compressed_all_reduce(topk.as_mut(), part, &mut timers, &mut ws);
+                    let exact = g.compressed_all_reduce(ident.as_mut(), part, &mut timers, &mut ws);
+                    let dense = g.dense_all_reduce(part, &mut timers, &mut ws);
+                    // The identity code is summed exactly; dense rows
+                    // travel as bfloat16 partial sums.
+                    assert_eq!(exact, rank_order_sum(parts.iter().cloned()));
+                    assert_eq!(dense, wire_sum(parts.into_iter()));
                     sums.push((compressed.sum(), dense.sum()));
                     per_round_bytes
                         .push((g.bytes.wire - before.wire, g.bytes.dense - before.dense));
