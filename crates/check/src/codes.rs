@@ -55,14 +55,12 @@ pub const TP_SPANS_NODES: &str = "AC0206";
 /// Unknown cluster preset or schedule kind.
 pub const UNKNOWN_PRESET_OR_KIND: &str = "AC0207";
 
-/// Unknown execution backend (not `threads` or `serial`).
+/// Unknown execution backend (not `threads`, `serial` or `procs`).
 pub const UNKNOWN_BACKEND: &str = "AC0301";
-/// Thread count disagrees with the model-parallel world size.
-pub const THREADS_NOT_WORLD: &str = "AC0302";
+// Indices 02 and 04 of this family are retired: they checked a rank
+// thread count and a rank placement map that no engine ever read.
 /// Runtime micro-batch count does not divide the batch.
 pub const MICROBATCH_NOT_DIVIDING_BATCH: &str = "AC0303";
-/// Rank map is not a bijection over `0..tp*pp`.
-pub const RANK_MAP_NOT_BIJECTION: &str = "AC0304";
 
 /// `runtime.kernel_threads` is not a positive thread count.
 pub const KERNEL_THREADS_INVALID: &str = "AC0401";
@@ -102,14 +100,13 @@ pub const TRANSPORT_WRONG_BACKEND: &str = "AC0702";
 /// `runtime.link_mbps` without the TCP transport, or not a positive
 /// finite bandwidth.
 pub const THROTTLE_WITHOUT_TCP: &str = "AC0703";
-/// Two ranks listen on the same port or socket path (or the address
-/// list does not cover the world).
-pub const LISTEN_ADDR_COLLISION: &str = "AC0704";
+// Index 04 of this family is retired: it checked per-rank listen
+// addresses that no launcher ever bound.
 /// Comm tracing/auditing with the `procs` backend (trace events cannot
 /// cross process boundaries).
 pub const PROCS_TRACE_UNSUPPORTED: &str = "AC0705";
-/// `runtime.world_size` disagrees with `tp * pp` in procs mode.
-pub const PROCS_WORLD_MISMATCH: &str = "AC0706";
+// Index 06 of this family is retired: it checked a worker count the
+// launcher always derives from `tp * pp`.
 
 /// `runtime.fault` does not parse under the fault-spec grammar.
 pub const FAULT_SPEC_INVALID: &str = "AC0801";
@@ -136,8 +133,9 @@ pub const GRAPH_SHAPE_MISMATCH: &str = "AC0902";
 /// the epilogue-fusion rules.
 pub const GRAPH_ILLEGAL_FUSION: &str = "AC0903";
 
-/// `runtime.max_batch` is zero (the serving dispatcher cannot build
-/// empty engine batches).
+/// `runtime.max_batch` or `runtime.depth` is zero (the serving
+/// dispatcher cannot build empty engine batches, or keep none in
+/// flight).
 pub const SERVE_BATCH_INVALID: &str = "AC1001";
 /// Serving options on the serial backend (serving needs resident rank
 /// workers; `serial` has none).
@@ -250,22 +248,12 @@ pub fn registry() -> Vec<CodeInfo> {
         ),
         row(
             UNKNOWN_BACKEND,
-            "unknown execution backend (known: threads, serial)",
-            false,
-        ),
-        row(
-            THREADS_NOT_WORLD,
-            "thread count disagrees with tp x pp world size",
+            "unknown execution backend (known: threads, serial, procs)",
             false,
         ),
         row(
             MICROBATCH_NOT_DIVIDING_BATCH,
             "runtime micro-batch count does not divide the batch",
-            false,
-        ),
-        row(
-            RANK_MAP_NOT_BIJECTION,
-            "rank map is not a bijection over 0..tp*pp",
             false,
         ),
         row(
@@ -334,18 +322,8 @@ pub fn registry() -> Vec<CodeInfo> {
             false,
         ),
         row(
-            LISTEN_ADDR_COLLISION,
-            "listen addresses collide or do not cover the world",
-            false,
-        ),
-        row(
             PROCS_TRACE_UNSUPPORTED,
             "comm tracing cannot cross process boundaries (procs backend)",
-            false,
-        ),
-        row(
-            PROCS_WORLD_MISMATCH,
-            "runtime.world_size disagrees with tp x pp in procs mode",
             false,
         ),
         row(
@@ -386,7 +364,7 @@ pub fn registry() -> Vec<CodeInfo> {
         ),
         row(
             SERVE_BATCH_INVALID,
-            "serving max_batch is zero (dispatcher cannot batch)",
+            "serving max_batch or depth is zero (dispatcher cannot batch)",
             false,
         ),
         row(
@@ -414,7 +392,14 @@ mod tests {
     /// Retired codes as `(family, index)`: they keep their slot so the
     /// number is never reused. Spelled apart so the emitted-code scan
     /// below still rejects any use of the full literal.
-    const RETIRED: &[(&str, u32)] = &[("05", 3), ("10", 3)];
+    const RETIRED: &[(&str, u32)] = &[
+        ("03", 2),
+        ("03", 4),
+        ("05", 3),
+        ("07", 4),
+        ("07", 6),
+        ("10", 3),
+    ];
 
     #[test]
     fn registry_families_are_contiguous() {

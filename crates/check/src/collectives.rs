@@ -236,7 +236,7 @@ fn check_pipeline_depth_field(pipeline_depth: Option<usize>, diags: &mut Diagnos
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RuntimeSection;
+    use crate::config::RunSpec;
 
     fn codes_of(diags: Diagnostics) -> Vec<&'static str> {
         diags.into_vec().iter().map(|d| d.code).collect()
@@ -297,10 +297,11 @@ mod tests {
     #[test]
     fn config_section_feeds_the_pass() {
         let mut cfg = ExperimentConfig::paper_default();
-        let mut rt = RuntimeSection::threads_default();
-        rt.chunk_rows = Some(0);
-        rt.pipeline_depth = Some(0);
-        cfg.runtime = Some(rt);
+        cfg.runtime = Some(RunSpec {
+            chunk_rows: Some(0),
+            pipeline_depth: Some(0),
+            ..RunSpec::default()
+        });
         let mut diags = Diagnostics::new();
         check_collectives(&cfg, &mut diags);
         let got = codes_of(diags);
@@ -328,10 +329,11 @@ mod tests {
     fn tuning_resolves_fields_before_defaults() {
         let mut cfg = ExperimentConfig::paper_default();
         assert_eq!(resolved_ring_tuning(&cfg), (None, DEFAULT_PIPELINE_DEPTH));
-        let mut rt = RuntimeSection::threads_default();
-        rt.chunk_rows = Some(16);
-        rt.pipeline_depth = Some(2);
-        cfg.runtime = Some(rt);
+        cfg.runtime = Some(RunSpec {
+            chunk_rows: Some(16),
+            pipeline_depth: Some(2),
+            ..RunSpec::default()
+        });
         assert_eq!(resolved_ring_tuning(&cfg), (Some(16), 2));
     }
 

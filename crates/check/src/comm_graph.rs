@@ -1216,7 +1216,7 @@ pub fn audit_trace(graph: &CommGraph, trace: &[Vec<TraceEvent>]) -> Vec<Diagnost
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RuntimeSection;
+    use crate::config::{Backend, RunSpec};
 
     /// Tiny model so codec sizing stays cheap: 4 layers, hidden 16,
     /// 8 tokens per step.
@@ -1241,12 +1241,12 @@ mod tests {
         cfg.batch.seq = 4;
         cfg.batch.num_micro_batches = 1;
         cfg.plan.spec = spec.to_string();
-        let mut rt = RuntimeSection::threads_default();
-        rt.threads = None;
-        rt.micro_batches = Some(m);
-        rt.chunk_rows = chunk_rows;
-        rt.pipeline_depth = Some(depth);
-        cfg.runtime = Some(rt);
+        cfg.runtime = Some(RunSpec {
+            micro_batches: Some(m),
+            chunk_rows,
+            pipeline_depth: Some(depth),
+            ..RunSpec::default()
+        });
         cfg
     }
 
@@ -1368,7 +1368,7 @@ mod tests {
         // Serial backend.
         let mut cfg = tiny_cfg(2, 1, "w/o", 1, None, 4);
         if let Some(rt) = cfg.runtime.as_mut() {
-            rt.backend = "serial".to_string();
+            rt.backend = Backend::Serial;
         }
         assert!(build_comm_graph(&cfg).is_none());
         assert!(check_comm_protocol(&cfg).is_empty());

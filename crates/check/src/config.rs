@@ -8,9 +8,12 @@
 //! failures are diagnostics, not panics* — the whole point of a static
 //! validator.
 
+use crate::codes;
+use crate::diagnostics::Diagnostic;
 use actcomp_compress::plan::CompressionPlan;
 use actcomp_compress::spec::CompressorSpec;
 use actcomp_distsim::hardware::ClusterSpec;
+use actcomp_net::{FaultPlan, TransportKind};
 use serde::{Deserialize, Serialize};
 
 /// Transformer geometry (the shape algebra's input).
@@ -106,24 +109,151 @@ pub struct MemorySection {
     pub device_gb: f64,
 }
 
-/// Execution-backend selection for `actcomp-runtime`.
+/// Where a run's ranks execute.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Backend {
+    /// One OS thread per rank.
+    #[default]
+    Threads,
+    /// The single-threaded `MpBert` executor.
+    Serial,
+    /// One OS process per rank over sockets.
+    Procs,
+}
+
+impl Backend {
+    const ALL: [Backend; 3] = [Backend::Threads, Backend::Serial, Backend::Procs];
+
+    /// The label the CLI and the JSON form spell this backend with.
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Threads => "threads",
+            Backend::Serial => "serial",
+            Backend::Procs => "procs",
+        }
+    }
+
+    /// Parses a backend label.
+    ///
+    /// # Errors
+    ///
+    /// `AC0301` for a label that names no backend.
+    pub fn parse(label: &str) -> Result<Backend, Diagnostic> {
+        Backend::ALL
+            .into_iter()
+            .find(|b| b.name() == label)
+            .ok_or_else(|| {
+                Diagnostic::error(
+                    codes::UNKNOWN_BACKEND,
+                    "runtime.backend",
+                    format!("unknown execution backend `{label}`"),
+                )
+                .with_help("known backends: threads, serial, procs")
+            })
+    }
+}
+
+/// The data-plane wire a run's ranks talk over (the `procs` backend's
+/// `runtime.transport`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Wire(pub TransportKind);
+
+impl Wire {
+    /// Parses a transport label.
+    ///
+    /// # Errors
+    ///
+    /// `AC0701` for a label that names no transport.
+    pub fn parse(label: &str) -> Result<Wire, Diagnostic> {
+        TransportKind::parse(label).map(Wire).map_err(|_| {
+            Diagnostic::error(
+                codes::TRANSPORT_UNKNOWN,
+                "runtime.transport",
+                format!("unknown transport `{label}`"),
+            )
+            .with_help("known transports: mpsc, uds, tcp")
+        })
+    }
+}
+
+/// A deterministic fault-injection plan together with the spec it was
+/// parsed from (`actcomp run --fault` grammar, e.g. `kill:rank=1@step=3`
+/// or `corrupt:frame=2,seed=7`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultSpec {
+    text: String,
+    plan: FaultPlan,
+}
+
+impl FaultSpec {
+    /// Parses a fault spec.
+    ///
+    /// # Errors
+    ///
+    /// `AC0801` for a spec that does not parse.
+    pub fn parse(text: &str) -> Result<FaultSpec, Diagnostic> {
+        match FaultPlan::parse(text) {
+            Ok(plan) => Ok(FaultSpec {
+                text: text.to_string(),
+                plan,
+            }),
+            Err(e) => Err(Diagnostic::error(
+                codes::FAULT_SPEC_INVALID,
+                "runtime.fault",
+                format!("fault spec `{text}` does not parse: {e}"),
+            )
+            .with_help(
+                "grammar: kill:rank=R@step=K | drop|dup|corrupt|sever:frame=N[,rank=R] \
+                 | delay:frame=N,ms=M | <kind>:p=P[,seed=S]",
+            )),
+        }
+    }
+
+    /// The parsed plan.
+    pub fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
+}
+
+/// Serializes a label type as its label string; deserializes through
+/// its `parse`, so a label that does not parse fails with the rendered
+/// diagnostic, code included.
+macro_rules! label_serde {
+    ($ty:ty, |$x:ident| $label:expr) => {
+        impl Serialize for $ty {
+            fn to_value(&self) -> serde::Value {
+                let $x = self;
+                serde::Value::Str($label.to_string())
+            }
+        }
+        impl Deserialize for $ty {
+            fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+                <$ty>::parse(&String::from_value(v)?).map_err(|d| serde::Error::custom(d.render()))
+            }
+        }
+    };
+}
+label_serde!(Backend, |b| b.name());
+label_serde!(Wire, |w| w.0.name());
+label_serde!(FaultSpec, |f| f.text);
+
+/// The run spec: how an experiment executes. Parsed once — from the
+/// command line by `actcomp run` / `serve`, or from the `runtime`
+/// section of a config by `actcomp check` — validated by the same
+/// checker passes either way, and shipped whole to every `procs`
+/// worker. Labels are typed: a backend, transport or fault spec that
+/// does not parse is refused when the spec is built, with its code.
 ///
-/// Absent means "serial executor, whole-batch steps" — the historical
-/// behaviour — so existing configs keep validating unchanged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RuntimeSection {
-    /// Execution backend: `threads` (one OS thread per rank), `serial`,
-    /// or `procs` (one OS process per rank over sockets).
-    pub backend: String,
-    /// Worker-thread count; when given it must equal `tp * pp` (the
-    /// threaded engine spawns exactly one thread per rank).
-    pub threads: Option<usize>,
+/// Absent from a config means "serial executor, whole-batch steps" —
+/// the historical behaviour — so existing configs keep validating
+/// unchanged.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct RunSpec {
+    /// Execution backend.
+    pub backend: Backend,
     /// Micro-batches per engine step (omitted: 1); must divide
     /// `batch.micro_batch`.
     pub micro_batches: Option<usize>,
-    /// Optional rank→thread placement; must be a bijection over
-    /// `0..tp*pp`.
-    pub rank_map: Option<Vec<usize>>,
     /// Compute-kernel pool size *per rank* (the GEMM worker count, not
     /// the rank-thread count). Omitted: the engine resolves it from the
     /// `ACTCOMP_THREADS` environment variable, then available
@@ -139,19 +269,11 @@ pub struct RuntimeSection {
     /// Data-plane wire for the `procs` backend: `uds` (default) or
     /// `tcp`; `mpsc` is the in-process trait backend and cannot cross
     /// processes. Meaningless for other backends.
-    pub transport: Option<String>,
+    pub transport: Option<Wire>,
     /// Outgoing per-rank bandwidth cap in Mbit/s; requires the `tcp`
     /// transport (the token bucket models a NIC, and only TCP runs on
     /// one).
     pub link_mbps: Option<f64>,
-    /// Worker-process count for the `procs` backend; when given it must
-    /// equal `tp * pp` (one process per rank).
-    pub world_size: Option<usize>,
-    /// Explicit per-rank listen addresses (`host:port` for `tcp`,
-    /// filesystem paths for `uds`). Omitted: every rank binds an
-    /// ephemeral address. When given, one address per rank, no
-    /// collisions.
-    pub listen: Option<Vec<String>>,
     /// Record comm events for conformance auditing (`actcomp run
     /// --audit`). Only the in-process backends can trace; the `procs`
     /// backend rejects it.
@@ -162,17 +284,18 @@ pub struct RuntimeSection {
     /// Worker rendezvous deadline in seconds for the `procs` launcher
     /// (omitted: 120). Must be positive and finite.
     pub rendezvous_timeout_s: Option<f64>,
-    /// Deterministic fault-injection spec (`actcomp run --fault`
-    /// grammar, e.g. `kill:rank=1@step=3` or `corrupt:frame=2,seed=7`).
-    /// Only the `procs` backend injects faults.
-    pub fault: Option<String>,
+    /// Deterministic fault injection. Only the `procs` backend injects
+    /// faults.
+    pub fault: Option<FaultSpec>,
     /// Take a distributed checkpoint every N steps (`procs` backend
     /// only). Must be at least 1 when given.
     pub checkpoint_every: Option<usize>,
-    /// Directory for checkpoint shards and the recovery manifest.
+    /// Directory for checkpoint shards and the recovery manifest
+    /// (omitted: `CKPT_actcomp`).
     pub checkpoint_dir: Option<String>,
     /// Worker-generation restarts the supervisor may attempt before
-    /// giving up (`procs` backend only).
+    /// giving up (`procs` backend only; omitted: 2 when the run injects
+    /// faults or checkpoints, else 0).
     pub max_restarts: Option<usize>,
     /// `actcomp serve`: most requests coalesced into one engine batch
     /// (omitted: 8). Must be at least 1 when given; serving requires
@@ -181,39 +304,38 @@ pub struct RuntimeSection {
     /// `actcomp serve`: microseconds the dispatcher waits to fill a
     /// batch beyond the first queued request (omitted: 200).
     pub batch_window_us: Option<u64>,
+    /// `actcomp serve`: engine batches in flight at once (omitted: 2).
+    /// Must be at least 1 when given.
+    pub depth: Option<usize>,
 }
 
-impl RuntimeSection {
-    /// The threaded-backend default: thread count inferred from the
-    /// parallelism degrees, one micro-batch, identity placement.
-    pub fn threads_default() -> Self {
-        RuntimeSection {
-            backend: "threads".to_string(),
-            threads: None,
-            micro_batches: None,
-            rank_map: None,
-            kernel_threads: None,
-            chunk_rows: None,
-            pipeline_depth: None,
-            transport: None,
-            link_mbps: None,
-            world_size: None,
-            listen: None,
-            trace: None,
-            step_timeout_s: None,
-            rendezvous_timeout_s: None,
-            fault: None,
-            checkpoint_every: None,
-            checkpoint_dir: None,
-            max_restarts: None,
-            max_batch: None,
-            batch_window_us: None,
-        }
-    }
-
+impl RunSpec {
     /// Micro-batches per engine step after defaulting (omitted means 1).
     pub fn micro_batches(&self) -> usize {
         self.micro_batches.unwrap_or(1)
+    }
+
+    /// The `procs` data-plane wire after defaulting (omitted means UDS).
+    pub fn transport(&self) -> TransportKind {
+        self.transport.map_or(TransportKind::Uds, |w| w.0)
+    }
+
+    /// True when the run opts into the fault-tolerance machinery
+    /// (injected faults or periodic checkpoints).
+    pub fn fault_tolerant(&self) -> bool {
+        self.fault.is_some() || self.checkpoint_every.is_some()
+    }
+
+    /// Restarts the supervisor may attempt: explicit, else on (2) as
+    /// soon as the run is fault-tolerant, else fail-fast (0).
+    pub fn max_restarts(&self) -> usize {
+        self.max_restarts
+            .unwrap_or(if self.fault_tolerant() { 2 } else { 0 })
+    }
+
+    /// The checkpoint directory after defaulting.
+    pub fn checkpoint_dir(&self) -> &str {
+        self.checkpoint_dir.as_deref().unwrap_or("CKPT_actcomp")
     }
 }
 
@@ -234,8 +356,9 @@ pub struct ExperimentConfig {
     pub plan: PlanSection,
     /// Device memory budget.
     pub memory: MemorySection,
-    /// Execution backend (absent: serial executor, whole-batch steps).
-    pub runtime: Option<RuntimeSection>,
+    /// How the experiment executes (absent: serial executor,
+    /// whole-batch steps).
+    pub runtime: Option<RunSpec>,
 }
 
 impl ExperimentConfig {
@@ -305,6 +428,11 @@ impl ExperimentConfig {
     /// Serializes the config as pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("config serializes")
+    }
+
+    /// The run spec, defaulted when the config has no `runtime` section.
+    pub fn run_spec(&self) -> RunSpec {
+        self.runtime.clone().unwrap_or_default()
     }
 
     /// Resolves the compressor spec label, if it names a Table 1 entry.
@@ -400,17 +528,45 @@ mod tests {
         assert_eq!(cfg.runtime, None);
 
         let mut cfg = cfg;
-        cfg.runtime = Some(RuntimeSection::threads_default());
+        cfg.runtime = Some(RunSpec::default());
         let back = ExperimentConfig::from_json(&cfg.to_json()).unwrap();
         assert_eq!(back, cfg);
 
+        // Typed labels round-trip as their labels.
+        let mut spec = RunSpec {
+            backend: Backend::Procs,
+            transport: Some(Wire(TransportKind::Tcp)),
+            fault: Some(FaultSpec::parse("kill:rank=1@step=3").unwrap()),
+            ..RunSpec::default()
+        };
+        spec.link_mbps = Some(200.0);
+        let json = serde_json::to_string(&spec).unwrap();
+        assert!(json.contains(r#""backend":"procs""#), "{json}");
+        assert!(json.contains(r#""fault":"kill:rank=1@step=3""#), "{json}");
+        assert_eq!(serde_json::from_str::<RunSpec>(&json).unwrap(), spec);
+
         // micro_batches defaults to 1 when omitted from the document.
         let json = r#"{"backend": "threads"}"#;
-        let section: RuntimeSection = serde_json::from_str(json).unwrap();
+        let section: RunSpec = serde_json::from_str(json).unwrap();
+        assert_eq!(section, RunSpec::default());
         assert_eq!(section.micro_batches(), 1);
-        assert_eq!(section.threads, None);
-        assert_eq!(section.rank_map, None);
-        assert_eq!(section.kernel_threads, None);
+        assert_eq!(section.transport(), TransportKind::Uds);
+
+        // A label that does not parse is refused with its code.
+        for (json, code) in [
+            (r#"{"backend": "mpi"}"#, codes::UNKNOWN_BACKEND),
+            (
+                r#"{"backend": "procs", "transport": "rdma"}"#,
+                codes::TRANSPORT_UNKNOWN,
+            ),
+            (
+                r#"{"backend": "procs", "fault": "explode"}"#,
+                codes::FAULT_SPEC_INVALID,
+            ),
+        ] {
+            let err = serde_json::from_str::<RunSpec>(json).unwrap_err();
+            assert!(err.to_string().contains(code), "{json}: {err}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::codes;
 use crate::config::ExperimentConfig;
 use crate::diagnostics::{Diagnostic, Diagnostics};
-use actcomp_tensor::pool::parse_thread_spec;
+use actcomp_tensor::pool::{env_thread_spec, parse_thread_spec};
 
 /// The kernel thread-pool pass: validates `runtime.kernel_threads` and
 /// the `ACTCOMP_THREADS` environment variable.
@@ -22,7 +22,7 @@ pub fn check_kernels(cfg: &ExperimentConfig, diags: &mut Diagnostics) {
     if let Some(rt) = &cfg.runtime {
         check_kernel_threads_field(rt.kernel_threads, diags);
     }
-    if let Ok(v) = std::env::var("ACTCOMP_THREADS") {
+    if let Some(v) = env_thread_spec() {
         check_env_spec(&v, diags);
     }
 }
@@ -67,7 +67,7 @@ fn check_env_spec(value: &str, diags: &mut Diagnostics) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RuntimeSection;
+    use crate::config::RunSpec;
 
     fn codes_of(diags: Diagnostics) -> Vec<&'static str> {
         diags.into_vec().iter().map(|d| d.code).collect()
@@ -97,9 +97,10 @@ mod tests {
     #[test]
     fn config_section_feeds_the_pass() {
         let mut cfg = ExperimentConfig::paper_default();
-        let mut rt = RuntimeSection::threads_default();
-        rt.kernel_threads = Some(0);
-        cfg.runtime = Some(rt);
+        cfg.runtime = Some(RunSpec {
+            kernel_threads: Some(0),
+            ..RunSpec::default()
+        });
         let mut diags = Diagnostics::new();
         check_kernels(&cfg, &mut diags);
         assert!(codes_of(diags).contains(&codes::KERNEL_THREADS_INVALID));

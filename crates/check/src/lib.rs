@@ -37,8 +37,9 @@ pub use comm_graph::{
     Dir, ExpectedCounters, MsgId, Phase, TraceEvent,
 };
 pub use config::{
-    resolve_spec_label, BatchSection, ClusterSection, ExperimentConfig, MemorySection,
-    ModelSection, OpSpec, ParallelismSection, PlanSection, RuntimeSection, ScheduleSection,
+    resolve_spec_label, Backend, BatchSection, ClusterSection, ExperimentConfig, FaultSpec,
+    MemorySection, ModelSection, OpSpec, ParallelismSection, PlanSection, RunSpec, ScheduleSection,
+    Wire,
 };
 pub use diagnostics::{render_report, Diagnostic, Diagnostics, Severity};
 pub use shape::{shape_trace, ShapeStep};
@@ -120,16 +121,17 @@ mod tests {
         cfg.parallelism.tp = 3; // shape: AC0002 + AC0003 (+ AC0007 warning)
         cfg.plan.spec = "Z9".to_string(); // plan: AC0102
         cfg.cluster.preset = "dgx".to_string(); // schedule: AC0207
-        let mut rt = RuntimeSection::threads_default();
-        rt.backend = "mpi".to_string(); // runtime: AC0301
-        rt.kernel_threads = Some(0); // kernels: AC0401
-        rt.chunk_rows = Some(0); // collectives: AC0501
-        rt.pipeline_depth = Some(0); // collectives: AC0502
-        cfg.runtime = Some(rt);
+        cfg.runtime = Some(RunSpec {
+            micro_batches: Some(5),  // runtime: AC0303
+            kernel_threads: Some(0), // kernels: AC0401
+            chunk_rows: Some(0),     // collectives: AC0501
+            pipeline_depth: Some(0), // collectives: AC0502
+            ..RunSpec::default()
+        });
         let diags = check(&cfg);
         let codes: Vec<&str> = diags.iter().map(|d| d.code).collect();
         for expected in [
-            "AC0002", "AC0003", "AC0102", "AC0207", "AC0301", "AC0401", "AC0501", "AC0502",
+            "AC0002", "AC0003", "AC0102", "AC0207", "AC0303", "AC0401", "AC0501", "AC0502",
         ] {
             assert!(codes.contains(&expected), "missing {expected} in {codes:?}");
         }

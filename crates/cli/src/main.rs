@@ -14,14 +14,19 @@
 
 mod args;
 
-use actcomp_check::{render_report, ExperimentConfig, RuntimeSection, Severity};
+use actcomp_check::{
+    render_report, Backend, BatchSection, Diagnostic, ExperimentConfig, FaultSpec, ModelSection,
+    ParallelismSection, RunSpec, Severity, Wire,
+};
 use actcomp_compress::spec::CompressorSpec;
 use actcomp_core::throughput::{finetune_breakdown, pretrain_breakdown, Machine};
 use actcomp_core::{accuracy, AccuracyConfig};
 use actcomp_data::GlueTask;
 use actcomp_distsim::IterationBreakdown;
+use actcomp_net::TransportKind;
 use actcomp_perfmodel::scaling::{paper_bandwidth_elems, table10_configs};
 use actcomp_perfmodel::{weak_scaling, PerfCoefficients};
+use actcomp_runtime::RuntimeConfig;
 use args::Args;
 
 fn main() {
@@ -63,7 +68,7 @@ USAGE:
                         [--layers N] [--hidden N] [--heads N] [--ff N] [--vocab N]
                         [--max-batch N] [--batch-window-us N] [--depth N]
                         [--requests N] [--clients N] [--arrival closed|open] [--rate X]
-                        [--bench] [--quick] [--seed N] [--out PATH]
+                        [--bench] [--quick] [--seed N] [--out PATH] [--kernel-threads N]
                         [--transport uds|tcp] [--fault SPEC]
   actcomp simulate      [--machine nvlink|pcie] [--tp N] [--pp N] [--batch N] [--seq N] [--spec ID] [--json]
   actcomp pretrain-sim  [--tp N] [--pp N] [--spec ID] [--json]
@@ -201,9 +206,10 @@ fn comm_check(cfg: &ExperimentConfig) {
 }
 
 /// `actcomp run`: execute real training steps on the threaded engine
-/// (`--backend threads`, one OS thread per rank) or the serial executor
-/// (`--backend serial`), print the measured per-phase breakdown, and —
-/// for the threaded engine — write it as `BENCH_runtime.json`.
+/// (`--backend threads`, one OS thread per rank), one OS process per
+/// rank (`--backend procs`) or the serial executor (`--backend
+/// serial`), print the measured per-phase breakdown, and — for the
+/// rank engines — write it as `BENCH_runtime.json`.
 ///
 /// The defaults are a deliberately tiny transformer so the command
 /// doubles as a fast smoke test; scale the shape flags up for real
@@ -211,97 +217,39 @@ fn comm_check(cfg: &ExperimentConfig) {
 fn run(args: &Args) {
     use rand::{Rng, SeedableRng};
 
-    let section = run_runtime_section(args);
-    let backend = section.backend.clone();
-    let tp = args.get_usize("tp", 2);
-    let pp = args.get_usize("pp", 2);
-    let layers = args.get_usize("layers", 4);
-    let hidden = args.get_usize("hidden", 32);
-    let heads = args.get_usize("heads", 4);
-    let ff = args.get_usize("ff", 64);
-    let vocab = args.get_usize("vocab", 64);
-    let batch = args.get_usize("batch", 4);
-    let seq = args.get_usize("seq", 8);
-    let m = section.micro_batches();
+    let cfg = experiment(args, args.get_usize("batch", 4), run_spec(args));
+    let spec = cfg.run_spec();
+    let (batch, seq, vocab) = (cfg.batch.micro_batch, cfg.batch.seq, cfg.model.vocab);
+    let m = spec.micro_batches();
     let steps = args.get_usize("steps", 2);
     let seed = args.get_usize("seed", 0) as u64;
     let out = args.get("out", "BENCH_runtime.json");
-    let spec = parse_spec(args.get("spec", "w/o"));
-    let audit = section.trace == Some(true);
+    let audit = spec.trace == Some(true);
     let grad_hash = args.flag("grad-hash");
     let lr = 1e-2;
-    if audit && backend != "threads" {
+    if audit && spec.backend != Backend::Threads {
         eprintln!("error: --audit requires --backend threads (it replays the rank engine's trace)");
         std::process::exit(2);
     }
-    // Test hook: make one worker exit right after rendezvous so the
-    // typed-failure path (`WorkerLost`, not a hang) can be exercised
-    // end-to-end. Deliberately undocumented.
-    let fail_rank = flag_value(args, "fail-rank", "a rank index");
-    let checkpoint_dir = args.get("checkpoint-dir", "CKPT_actcomp").to_string();
-    // Restarts default on (2) as soon as the run opts into the
-    // fault-tolerance machinery; plain runs keep fail-fast semantics.
-    let chaos = section.fault.is_some() || section.checkpoint_every.is_some();
-    let max_restarts = section.max_restarts.unwrap_or(if chaos { 2 } else { 0 });
-
-    // Static validation first — the same checker path as `actcomp check`,
-    // including the AC03xx runtime pass — so a bad flag combination dies
-    // with a diagnosis instead of a mid-run panic in a worker thread.
-    let mut cfg = ExperimentConfig::paper_default();
-    cfg.model.layers = layers;
-    cfg.model.hidden = hidden;
-    cfg.model.heads = heads;
-    cfg.model.ff_hidden = ff;
-    cfg.model.vocab = vocab;
-    cfg.model.max_seq = seq;
-    cfg.parallelism.tp = tp;
-    cfg.parallelism.pp = pp;
-    let world = tp * pp;
-    if world > 4 {
-        cfg.cluster.preset = "p3_cluster".to_string();
-        cfg.cluster.nodes = world.div_ceil(4);
-    }
-    cfg.batch.micro_batch = batch;
-    cfg.batch.seq = seq;
-    cfg.batch.num_micro_batches = m;
-    cfg.plan.spec = spec.label().to_string();
-    cfg.plan.error_feedback = args.flag("error-feedback");
-    cfg.runtime = Some(section.clone());
-    validate_or_exit(&cfg);
-    if let Some(n) = section.kernel_threads {
-        actcomp_tensor::pool::set_threads(n);
-    }
-
-    let plan = cfg.resolve_plan().expect("validated spec resolves");
-    let mp_cfg = actcomp_mp::MpConfig {
-        bert: actcomp_nn::BertConfig {
-            vocab,
-            hidden,
-            layers,
-            heads,
-            ff_hidden: ff,
-            max_seq: seq,
-        },
-        tp,
-        pp,
-        plan,
-        tokens: batch * seq,
-        error_feedback: cfg.plan.error_feedback,
-    };
+    let rt_cfg = RuntimeConfig::of(&cfg).expect("validated spec resolves");
 
     let mut drng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x1d5);
     let ids: Vec<usize> = (0..batch * seq)
         .map(|_| (drng.gen::<u64>() % vocab as u64) as usize)
         .collect();
     println!(
-        "{backend}: {layers}L h{hidden} tp={tp} pp={pp} m={m} spec={} \
-         batch={batch} seq={seq} steps={steps}",
-        spec.label()
+        "{}: {}L h{} tp={} pp={} m={m} spec={} batch={batch} seq={seq} steps={steps}",
+        spec.backend.name(),
+        cfg.model.layers,
+        cfg.model.hidden,
+        cfg.parallelism.tp,
+        cfg.parallelism.pp,
+        cfg.plan.spec
     );
 
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    match backend.as_str() {
-        "threads" => {
+    match spec.backend {
+        Backend::Threads => {
             // With --audit the static graph is the reference the recorded
             // trace must replay exactly; it and the engine resolve the
             // ring tuning from the same validated config.
@@ -311,7 +259,6 @@ fn run(args: &Args) {
                     std::process::exit(1);
                 })
             });
-            let rt_cfg = run_runtime_config(&cfg, mp_cfg);
             let mut rt =
                 actcomp_runtime::ThreadedRuntime::new(&mut rng, rt_cfg).unwrap_or_else(|e| {
                     eprintln!("error: {e}");
@@ -365,34 +312,17 @@ fn run(args: &Args) {
                 Err(e) => eprintln!("warning: could not write {out}: {e}"),
             }
         }
-        "procs" => {
-            let kind =
-                actcomp_net::TransportKind::parse(section.transport.as_deref().unwrap_or("uds"))
-                    .unwrap_or_else(|e| {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    });
-            let rt_cfg = run_runtime_config(&cfg, mp_cfg);
-            let mut procs = actcomp_runtime::ProcsOptions::new(rt_cfg, seed, kind);
-            procs.link_mbps = section.link_mbps;
-            procs.fail_rank = fail_rank;
-            procs.fault = section.fault.clone();
-            if let Some(secs) = section.step_timeout_s {
-                procs.step_timeout = std::time::Duration::from_secs_f64(secs);
-            }
-            if let Some(secs) = section.rendezvous_timeout_s {
-                procs.rendezvous_timeout = std::time::Duration::from_secs_f64(secs);
-            }
+        Backend::Procs => {
+            let mut procs = actcomp_runtime::ProcsOptions::new(cfg.clone(), seed);
+            // Test hook: make one worker exit right after rendezvous so
+            // the typed-failure path (`WorkerLost`, not a hang) can be
+            // exercised end-to-end. Deliberately undocumented.
+            procs.fail_rank = flag_value(args, "fail-rank", "a rank index");
             let sup = actcomp_runtime::SuperviseOptions {
                 procs,
                 steps,
                 lr,
                 ids: ids.clone(),
-                batch,
-                seq,
-                checkpoint_every: section.checkpoint_every,
-                checkpoint_dir: std::path::PathBuf::from(&checkpoint_dir),
-                max_restarts,
             };
             let (mut rt, recovery) = actcomp_runtime::supervise(sup, &mut |step, y| {
                 let loss = 0.5 * y.sq_norm();
@@ -415,7 +345,7 @@ fn run(args: &Args) {
                     recovery.restarts
                 );
             }
-            if chaos {
+            if spec.fault_tolerant() {
                 let path = "RECOVERY_trace.json";
                 match std::fs::write(
                     path,
@@ -449,11 +379,11 @@ fn run(args: &Args) {
                 eprintln!("warning: shutdown: {e}");
             }
         }
-        "serial" => {
+        Backend::Serial => {
             if m > 1 {
                 println!("note: the serial executor runs the whole batch per step (m ignored)");
             }
-            let mut mp = actcomp_mp::MpBert::try_new(&mut rng, mp_cfg).unwrap_or_else(|e| {
+            let mut mp = actcomp_mp::MpBert::try_new(&mut rng, rt_cfg.mp).unwrap_or_else(|e| {
                 eprintln!("error: {e}");
                 std::process::exit(1);
             });
@@ -482,8 +412,6 @@ fn run(args: &Args) {
             );
             println!("(per-phase timers require --backend threads; nothing written)");
         }
-        // Unknown backends were already rejected by the AC0301 check.
-        other => unreachable!("backend `{other}` passed validation"),
     }
 }
 
@@ -498,12 +426,32 @@ fn flag_value<T: std::str::FromStr>(args: &Args, key: &str, what: &str) -> Optio
     })
 }
 
-/// The `runtime` section an `actcomp run` command line describes: what
-/// the checker validates and what the engine (or the `procs` launcher)
-/// is then configured from, so no flag reaches a rank by a side
-/// channel.
-fn run_runtime_section(args: &Args) -> RuntimeSection {
-    let backend = args.get("backend", "threads").to_string();
+/// The typed value of a label flag (`--backend`, `--transport`,
+/// `--fault`), when given; a label that does not parse adds its
+/// diagnostic to `refused`.
+fn label_flag<T>(
+    args: &Args,
+    key: &str,
+    parse: fn(&str) -> Result<T, Diagnostic>,
+    refused: &mut Vec<Diagnostic>,
+) -> Option<T> {
+    parse(args.raw(key)?).map_err(|d| refused.push(d)).ok()
+}
+
+/// The run spec an `actcomp run` / `serve` command line describes,
+/// parsed once, here. Labels that do not parse are refused with their
+/// codes; the values are validated with the rest of the experiment by
+/// [`experiment`], exactly as `actcomp check` validates a config's
+/// `runtime` section.
+fn run_spec(args: &Args) -> RunSpec {
+    let mut refused = Vec::new();
+    let backend = label_flag(args, "backend", Backend::parse, &mut refused);
+    let transport = label_flag(args, "transport", Wire::parse, &mut refused);
+    let fault = label_flag(args, "fault", FaultSpec::parse, &mut refused);
+    if !refused.is_empty() {
+        eprintln!("{}", render_report(&refused));
+        std::process::exit(1);
+    }
     let count = |key: &str, what: &str| {
         args.raw(key).map(|v| {
             actcomp_tensor::pool::parse_count_spec(v, what).unwrap_or_else(|e| {
@@ -512,100 +460,64 @@ fn run_runtime_section(args: &Args) -> RuntimeSection {
             })
         })
     };
-    RuntimeSection {
-        micro_batches: Some(args.get_usize("micro-batches", 1)),
-        kernel_threads: args.raw("kernel-threads").map(|v| {
-            actcomp_tensor::pool::parse_thread_spec(v).unwrap_or_else(|e| {
-                eprintln!("error: --kernel-threads: {e}");
-                std::process::exit(2);
-            })
-        }),
+    RunSpec {
+        backend: backend.unwrap_or_default(),
+        micro_batches: flag_value(args, "micro-batches", "a count"),
+        kernel_threads: count("kernel-threads", "thread count"),
         chunk_rows: count("chunk-rows", "chunk row count"),
         pipeline_depth: count("pipeline-depth", "pipeline depth"),
-        // Transport options only mean something for the multi-process
-        // launcher; the checker (AC0702/AC0703) rejects stray uses.
-        transport: match args.raw("transport") {
-            Some(t) => Some(t.to_string()),
-            None if backend == "procs" => Some("uds".to_string()),
-            None => None,
-        },
+        transport,
         link_mbps: flag_value(args, "link-mbps", "a number"),
-        trace: Some(args.flag("audit")),
-        // Fault-injection and recovery options (procs backend; the
-        // checker's AC08xx pass rejects them elsewhere and validates
-        // the values). Only explicit flags go through validation: the
-        // CLI's default checkpoint directory and restart budget are not
-        // config statements.
+        trace: args.flag("audit").then_some(true),
         step_timeout_s: flag_value(args, "step-timeout", "seconds"),
         rendezvous_timeout_s: flag_value(args, "rendezvous-timeout", "seconds"),
-        fault: args.raw("fault").map(str::to_string),
+        fault,
         checkpoint_every: flag_value(args, "checkpoint-every", "a step count"),
         checkpoint_dir: args.raw("checkpoint-dir").map(str::to_string),
         max_restarts: flag_value(args, "max-restarts", "a count"),
-        backend,
-        ..RuntimeSection::threads_default()
+        max_batch: flag_value(args, "max-batch", "a count"),
+        batch_window_us: flag_value(args, "batch-window-us", "microseconds"),
+        depth: flag_value(args, "depth", "a count"),
     }
 }
 
-/// The engine configuration of an `actcomp run`, for the `threads`
-/// engine and — serialized into `ACTCOMP_WORKER_CFG` — for every
-/// `procs` worker alike: micro-batching, tracing and the ring tuning
-/// all come from the validated `runtime` section, so `--chunk-rows` /
-/// `--pipeline-depth` reach the ranks that run the collectives (and
-/// `--audit` checks the engine against a graph built from the same
-/// values).
-fn run_runtime_config(
-    cfg: &ExperimentConfig,
-    mp: actcomp_mp::MpConfig,
-) -> actcomp_runtime::RuntimeConfig {
-    let rt = cfg.runtime.as_ref().expect("`run` sets a runtime section");
-    let (chunk_rows, pipeline_depth) = actcomp_check::collectives::resolved_ring_tuning(cfg);
-    actcomp_runtime::RuntimeConfig {
-        mp,
-        micro_batches: rt.micro_batches(),
-        tuning: Some(actcomp_runtime::RingTuning {
-            chunk_rows,
-            pipeline_depth,
-        }),
-        trace: rt.trace == Some(true),
+/// The experiment an `actcomp run` / `serve` command line describes:
+/// the shape and degree flags over the paper default, `batch` sequences
+/// a step, and the run spec. Validated here by the checker — the same
+/// passes as `actcomp check` — so a bad flag combination dies with a
+/// diagnosis instead of a mid-run panic in a worker; then the kernel
+/// pool is sized from the spec.
+fn experiment(args: &Args, batch: usize, spec: RunSpec) -> ExperimentConfig {
+    let seq = args.get_usize("seq", 8);
+    let (tp, pp) = (args.get_usize("tp", 2), args.get_usize("pp", 2));
+    let mut cfg = ExperimentConfig::paper_default();
+    cfg.model = ModelSection {
+        layers: args.get_usize("layers", 4),
+        hidden: args.get_usize("hidden", 32),
+        heads: args.get_usize("heads", 4),
+        ff_hidden: args.get_usize("ff", 64),
+        vocab: args.get_usize("vocab", 64),
+        max_seq: seq,
+    };
+    cfg.parallelism = ParallelismSection { tp, pp };
+    if tp * pp > 4 {
+        cfg.cluster.preset = "p3_cluster".to_string();
+        cfg.cluster.nodes = (tp * pp).div_ceil(4);
     }
-}
-
-/// An in-process framed transport world for the threads serving
-/// backend: one transport per rank, every peer wired to every other.
-fn serve_transports(label: &str, world: usize) -> Vec<Box<dyn actcomp_net::Transport>> {
-    use actcomp_net::{mpsc_world, SocketOptions, SocketTransport, Transport, TransportKind};
-    match label {
-        "mpsc" => mpsc_world(world)
-            .into_iter()
-            .map(|t| Box::new(t) as Box<dyn Transport>)
-            .collect(),
-        "uds" | "tcp" => {
-            let kind = TransportKind::parse(label).expect("known transport");
-            let mut ts: Vec<SocketTransport> = (0..world)
-                .map(|r| {
-                    SocketTransport::bind(kind, r, world, 0x5EAF, SocketOptions::default())
-                        .unwrap_or_else(|e| {
-                            eprintln!("error: {e}");
-                            std::process::exit(1);
-                        })
-                })
-                .collect();
-            let addrs: Vec<String> = ts.iter().map(|t| t.local_addr().to_string()).collect();
-            for t in ts.iter_mut() {
-                for (p, a) in addrs.iter().enumerate() {
-                    t.set_peer(p, a.clone());
-                }
-            }
-            ts.into_iter()
-                .map(|t| Box::new(t) as Box<dyn Transport>)
-                .collect()
-        }
-        other => {
-            eprintln!("error: unknown serve transport '{other}' (typed|mpsc|uds|tcp)");
-            std::process::exit(2);
-        }
+    cfg.batch = BatchSection {
+        micro_batch: batch,
+        seq,
+        num_micro_batches: spec.micro_batches(),
+    };
+    cfg.plan.spec = parse_spec(args.get("spec", "w/o")).label().to_string();
+    cfg.plan.error_feedback = args.flag("error-feedback");
+    let kernel_threads = spec.kernel_threads;
+    cfg.runtime = Some(spec);
+    validate_or_exit(&cfg);
+    if let Some(n) = kernel_threads {
+        actcomp_tensor::pool::set_threads(n);
     }
+    cfg
 }
 
 /// `actcomp serve`: forward-only inference serving with continuous
@@ -625,148 +537,63 @@ fn serve(args: &Args) {
     };
     use rand::SeedableRng;
 
-    let backend = args.get("backend", "threads").to_string();
-    let tp = args.get_usize("tp", 2);
-    let pp = args.get_usize("pp", 2);
-    let layers = args.get_usize("layers", 4);
-    let hidden = args.get_usize("hidden", 32);
-    let heads = args.get_usize("heads", 4);
-    let ff = args.get_usize("ff", 64);
-    let vocab = args.get_usize("vocab", 64);
-    let seq = args.get_usize("seq", 8);
-    let seed = args.get_usize("seed", 0) as u64;
-    let spec = parse_spec(args.get("spec", "w/o"));
-    let max_batch = args.get_usize("max-batch", 8);
-    let window_us = args.get_usize("batch-window-us", 200) as u64;
-    let depth = args.get_usize("depth", 2);
-    let bench = args.flag("bench");
-    let quick = args.flag("quick");
-    let requests = args.get_usize("requests", if quick { 96 } else { 512 });
-    let clients = args.get_usize("clients", 2 * max_batch);
-    let out = args.get("out", "BENCH_serve.json").to_string();
-    let rate = args.raw("rate").map(|v| {
-        v.parse::<f64>().unwrap_or_else(|_| {
-            eprintln!("error: --rate expects requests per second, got '{v}'");
-            std::process::exit(2);
-        })
-    });
-    let fault = args.raw("fault").map(str::to_string);
-    let transport = match args.raw("transport") {
-        Some(t) => Some(t.to_string()),
-        None if backend == "procs" => Some("uds".to_string()),
-        None => None,
-    };
-
-    // Static validation first — the AC03xx backend pass plus the AC10xx
-    // serving pass — so a bad flag combination dies with a diagnosis,
-    // not a panic in a worker.
-    let mut cfg = ExperimentConfig::paper_default();
-    cfg.model.layers = layers;
-    cfg.model.hidden = hidden;
-    cfg.model.heads = heads;
-    cfg.model.ff_hidden = ff;
-    cfg.model.vocab = vocab;
-    cfg.model.max_seq = seq;
-    cfg.parallelism.tp = tp;
-    cfg.parallelism.pp = pp;
-    let world = tp * pp;
-    if world > 4 {
-        cfg.cluster.preset = "p3_cluster".to_string();
-        cfg.cluster.nodes = world.div_ceil(4);
-    }
+    let mut spec = run_spec(args);
+    // Serving always states its knobs, so the checker's AC10xx pass
+    // sees them.
+    let defaults = ServeConfig::of(&spec);
+    spec.max_batch = Some(defaults.max_batch);
+    spec.batch_window_us = Some(defaults.batch_window.as_micros() as u64);
+    spec.depth = Some(defaults.depth);
     // Serving is forward-only: one request = one micro-batch of `seq`
     // tokens, so the boundary/collective compressors are sized per
     // request.
-    cfg.batch.micro_batch = 1;
-    cfg.batch.seq = seq;
-    cfg.batch.num_micro_batches = 1;
-    cfg.plan.spec = spec.label().to_string();
-    cfg.plan.error_feedback = args.flag("error-feedback");
-    cfg.runtime = Some(RuntimeSection {
-        backend: backend.clone(),
-        micro_batches: Some(1),
-        // For the threads backend `--transport` picks in-process wiring
-        // (typed/mpsc/uds/tcp), which is not launcher configuration —
-        // the AC07xx pass only validates the procs launcher's wire.
-        transport: if backend == "procs" {
-            transport.clone()
-        } else {
-            None
-        },
-        fault: fault.clone(),
-        max_batch: Some(max_batch),
-        batch_window_us: Some(window_us),
-        ..RuntimeSection::threads_default()
-    });
-    validate_or_exit(&cfg);
+    let cfg = experiment(args, 1, spec);
+    let spec = cfg.run_spec();
+    let batched_cfg = ServeConfig::of(&spec);
+    let (seq, vocab) = (cfg.batch.seq, cfg.model.vocab);
+    let seed = args.get_usize("seed", 0) as u64;
+    let bench = args.flag("bench");
+    let quick = args.flag("quick");
+    let requests = args.get_usize("requests", if quick { 96 } else { 512 });
+    let clients = args.get_usize("clients", 2 * batched_cfg.max_batch);
+    let out = args.get("out", "BENCH_serve.json").to_string();
+    let rate = flag_value::<f64>(args, "rate", "requests per second");
+    let rt_cfg = RuntimeConfig::of(&cfg).expect("validated spec resolves");
 
-    let plan = cfg.resolve_plan().expect("validated spec resolves");
-    let make_cfg = || actcomp_runtime::RuntimeConfig {
-        mp: actcomp_mp::MpConfig {
-            bert: actcomp_nn::BertConfig {
-                vocab,
-                hidden,
-                layers,
-                heads,
-                ff_hidden: ff,
-                max_seq: seq,
-            },
-            tp,
-            pp,
-            plan,
-            tokens: seq,
-            error_feedback: cfg.plan.error_feedback,
-        },
-        micro_batches: 1,
-        tuning: None,
-        trace: false,
-    };
     let make_backend = || -> ServeBackend {
-        match backend.as_str() {
-            "threads" => {
+        match spec.backend {
+            Backend::Threads => {
                 // Reseeded per engine so every bench mode serves
-                // identically-initialised weights. `--transport` picks
-                // the in-process wire the rank threads frame over
-                // (default: typed channels, no byte framing).
+                // identically-initialised weights.
                 let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-                let rt = match transport.as_deref() {
-                    None | Some("typed") => ThreadedRuntime::new(&mut rng, make_cfg()),
-                    Some(label) => {
-                        let c = make_cfg();
-                        let serial = actcomp_nn::BertEncoder::new(&mut rng, c.mp.bert.clone());
-                        let ts = serve_transports(label, world);
-                        ThreadedRuntime::with_transports(&serial, c, &mut rng, ts)
-                    }
-                };
-                ServeBackend::Threads(rt.unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }))
-            }
-            "procs" => {
-                let kind = actcomp_net::TransportKind::parse(transport.as_deref().unwrap_or("uds"))
-                    .unwrap_or_else(|e| {
+                ServeBackend::Threads(
+                    ThreadedRuntime::new(&mut rng, rt_cfg.clone()).unwrap_or_else(|e| {
                         eprintln!("error: {e}");
-                        std::process::exit(2);
-                    });
-                let mut opts = ProcsOptions::new(make_cfg(), seed, kind);
-                opts.fault = fault.clone();
-                ServeBackend::Procs(ProcsRuntime::launch(opts).unwrap_or_else(|e| {
+                        std::process::exit(1);
+                    }),
+                )
+            }
+            Backend::Procs => ServeBackend::Procs(
+                ProcsRuntime::launch(ProcsOptions::new(cfg.clone(), seed)).unwrap_or_else(|e| {
                     eprintln!("error: {e}");
                     std::process::exit(1);
-                }))
-            }
-            other => {
-                eprintln!("error: `actcomp serve` needs --backend threads|procs, got '{other}'");
-                std::process::exit(2);
-            }
+                }),
+            ),
+            Backend::Serial => unreachable!("AC1002 refuses serving on the serial backend"),
         }
     };
 
     println!(
-        "serve: {backend} {layers}L h{hidden} tp={tp} pp={pp} spec={} seq={seq} \
-         max_batch={max_batch} window={window_us}us depth={depth}",
-        spec.label()
+        "serve: {} {}L h{} tp={} pp={} spec={} seq={seq} max_batch={} window={}us depth={}",
+        spec.backend.name(),
+        cfg.model.layers,
+        cfg.model.hidden,
+        cfg.parallelism.tp,
+        cfg.parallelism.pp,
+        cfg.plan.spec,
+        batched_cfg.max_batch,
+        batched_cfg.batch_window.as_micros(),
+        batched_cfg.depth
     );
 
     // One load run on a fresh engine; any failed request is a typed
@@ -808,11 +635,6 @@ fn serve(args: &Args) {
         (report, stats, phase)
     };
 
-    let batched_cfg = ServeConfig {
-        max_batch,
-        batch_window: std::time::Duration::from_micros(window_us),
-        depth,
-    };
     if !bench {
         let arrival = match args.get("arrival", "closed") {
             "closed" => Arrival::Closed { clients },
@@ -865,29 +687,14 @@ fn serve(args: &Args) {
          {} of {} batches overlapped, batch histogram {:?}",
         batched_stats.overlapped, batched_stats.batches, batched_stats.batch_hist
     );
+    // The experiment is recorded whole: its run spec carries the
+    // backend, the wire and the serving knobs.
     #[derive(serde::Serialize)]
-    struct BenchConfig {
-        backend: String,
-        transport: Option<String>,
-        tp: usize,
-        pp: usize,
-        layers: usize,
-        hidden: usize,
-        heads: usize,
-        ff: usize,
-        vocab: usize,
-        seq: usize,
-        spec: String,
-        max_batch: usize,
-        batch_window_us: u64,
-        depth: usize,
+    struct BenchDoc {
+        experiment: ExperimentConfig,
         requests: usize,
         clients: usize,
         open_rate_req_per_s: f64,
-    }
-    #[derive(serde::Serialize)]
-    struct BenchDoc {
-        config: BenchConfig,
         serial: actcomp_runtime::LoadReport,
         batched: actcomp_runtime::LoadReport,
         open: actcomp_runtime::LoadReport,
@@ -898,25 +705,10 @@ fn serve(args: &Args) {
         report: Option<actcomp_runtime::RuntimeReport>,
     }
     let doc = BenchDoc {
-        config: BenchConfig {
-            backend: backend.clone(),
-            transport: transport.clone(),
-            tp,
-            pp,
-            layers,
-            hidden,
-            heads,
-            ff,
-            vocab,
-            seq,
-            spec: spec.label().to_string(),
-            max_batch,
-            batch_window_us: window_us,
-            depth,
-            requests,
-            clients,
-            open_rate_req_per_s: open_rate,
-        },
+        experiment: cfg.clone(),
+        requests,
+        clients,
+        open_rate_req_per_s: open_rate,
         serial: serial_lr,
         batched: batched_lr,
         open: open_lr,
@@ -953,9 +745,9 @@ fn grads_fnv(grads: &[actcomp_tensor::Tensor]) -> u64 {
 }
 
 /// Hidden `actcomp worker` subcommand: one rank of a `--backend procs`
-/// run. Spawned by the launcher (never by hand); the run configuration
-/// arrives via the `ACTCOMP_WORKER_CFG` environment variable, the seed
-/// and topology via flags so `u64` values never round-trip through JSON.
+/// run. Spawned by the launcher (never by hand) with where to dial; the
+/// experiment, seed and generation arrive in the launch frame on the
+/// control connection.
 fn worker(args: &Args) {
     let required = |key: &str| -> &str {
         args.raw(key).unwrap_or_else(|| {
@@ -963,59 +755,18 @@ fn worker(args: &Args) {
             std::process::exit(2);
         })
     };
-    let parse_usize = |key: &str| -> usize {
-        required(key).parse().unwrap_or_else(|_| {
-            eprintln!("error: --{key} expects an integer");
-            std::process::exit(2);
-        })
-    };
-    let rank = parse_usize("rank");
-    let world = parse_usize("world");
-    let coord = required("coord").to_string();
-    let kind = actcomp_net::TransportKind::parse(required("transport")).unwrap_or_else(|e| {
+    let rank = required("rank").parse().unwrap_or_else(|_| {
+        eprintln!("error: --rank expects an integer");
+        std::process::exit(2);
+    });
+    let kind = TransportKind::parse(required("transport")).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    let seed: u64 = required("seed").parse().unwrap_or_else(|_| {
-        eprintln!("error: --seed expects an unsigned integer");
-        std::process::exit(2);
-    });
-    let link_mbps = args.raw("link-mbps").map(|v| {
-        v.parse::<f64>().unwrap_or_else(|_| {
-            eprintln!("error: --link-mbps expects a number");
-            std::process::exit(2);
-        })
-    });
-    let epoch: u32 = args
-        .raw("epoch")
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("error: --epoch expects an unsigned integer");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(0);
-    let rendezvous_timeout = args
-        .raw("rendezvous-timeout-ms")
-        .map(|v| {
-            let ms: u64 = v.parse().unwrap_or_else(|_| {
-                eprintln!("error: --rendezvous-timeout-ms expects milliseconds");
-                std::process::exit(2);
-            });
-            std::time::Duration::from_millis(ms)
-        })
-        .unwrap_or(actcomp_runtime::procs::DEFAULT_RENDEZVOUS_TIMEOUT);
     let worker_args = actcomp_runtime::WorkerArgs {
         rank,
-        world,
-        coord,
+        coord: required("coord").to_string(),
         kind,
-        seed,
-        link_mbps,
-        fail_after_rendezvous: args.flag("fail-after-rendezvous"),
-        epoch,
-        fault: args.raw("fault").map(str::to_string),
-        rendezvous_timeout,
     };
     if let Err(e) = actcomp_runtime::run_worker(worker_args) {
         eprintln!("worker rank {rank}: error: {e}");
@@ -1206,29 +957,12 @@ fn specs() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use actcomp_runtime::{RingTuning, RuntimeConfig};
+    use actcomp_runtime::RingTuning;
 
-    /// The engine configuration `actcomp <command line>` builds.
-    fn runtime_config_of(command_line: &str) -> RuntimeConfig {
+    /// The experiment `actcomp <command line>` runs.
+    fn experiment_of(command_line: &str) -> ExperimentConfig {
         let args = Args::parse(command_line.split_whitespace().map(String::from));
-        let mut cfg = ExperimentConfig::paper_default();
-        cfg.runtime = Some(run_runtime_section(&args));
-        let mp = actcomp_mp::MpConfig {
-            bert: actcomp_nn::BertConfig {
-                vocab: 64,
-                hidden: 32,
-                layers: 4,
-                heads: 4,
-                ff_hidden: 64,
-                max_seq: 8,
-            },
-            tp: 2,
-            pp: 2,
-            plan: cfg.resolve_plan().expect("paper default resolves"),
-            tokens: 32,
-            error_feedback: false,
-        };
-        run_runtime_config(&cfg, mp)
+        experiment(&args, 4, run_spec(&args))
     }
 
     #[test]
@@ -1238,23 +972,43 @@ mod tests {
             pipeline_depth: 1,
         };
         for backend in ["threads", "procs"] {
-            let cfg = runtime_config_of(&format!(
+            let exp = experiment_of(&format!(
                 "run --backend {backend} --chunk-rows 1 --pipeline-depth 1"
             ));
+            let cfg = RuntimeConfig::of(&exp).expect("resolves");
             assert_eq!(cfg.tuning, Some(tuned), "{backend}");
-            // What the procs launcher puts into ACTCOMP_WORKER_CFG, and
-            // what a worker reads back out of it.
-            let json = serde_json::to_string(&cfg).expect("config serializes");
-            assert!(
-                json.contains(r#""tuning":{"chunk_rows":1,"pipeline_depth":1}"#),
-                "{backend}: {json}"
-            );
-            let worker: RuntimeConfig = serde_json::from_str(&json).expect("worker parses");
-            assert_eq!(worker.tuning, Some(tuned), "{backend}");
+            // What the procs launcher ships every worker, and the engine
+            // a worker derives from it.
+            let json = serde_json::to_string(&exp).expect("config serializes");
+            let shipped = ExperimentConfig::from_json(&json).expect("worker parses");
+            assert_eq!(shipped, exp, "{backend}");
+            assert_eq!(RuntimeConfig::of(&shipped), Some(cfg), "{backend}");
         }
         // Without the flags every rank still gets an explicit tuning:
         // the defaults, never its own environment.
-        let plain = runtime_config_of("run --backend procs");
+        let plain = RuntimeConfig::of(&experiment_of("run --backend procs")).expect("resolves");
         assert_eq!(plain.tuning, Some(RingTuning::default()));
+    }
+
+    #[test]
+    fn run_and_serve_parse_one_spec() {
+        let exp = experiment_of(
+            "run --backend procs --transport tcp --link-mbps 200 --fault kill:rank=1@step=3 \
+             --checkpoint-every 2 --kernel-threads 1 --max-batch 4",
+        );
+        let spec = exp.run_spec();
+        assert_eq!(spec.backend, Backend::Procs);
+        assert_eq!(spec.transport(), TransportKind::Tcp);
+        assert_eq!(spec.link_mbps, Some(200.0));
+        assert_eq!(spec.kernel_threads, Some(1));
+        assert_eq!(spec.max_batch, Some(4));
+        assert_eq!(spec.max_restarts(), 2, "fault-tolerant runs restart");
+        assert_eq!(
+            spec.fault
+                .as_ref()
+                .and_then(|f| f.plan().kill())
+                .map(|k| k.rank),
+            Some(1)
+        );
     }
 }

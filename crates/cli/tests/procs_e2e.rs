@@ -80,9 +80,18 @@ fn procs_uds_and_tcp_match_threads_bitwise() {
 fn ring_tuning_flags_run_the_chunked_path_across_processes() {
     // One-row chunks, one in flight: every collective takes the
     // multi-chunk paced path in each worker process (the flags travel in
-    // the worker config). Grad hashes are chunk-plan-independent by
+    // the run spec of the launch frame). Grad hashes are chunk-plan-independent by
     // design, so the tuned procs run must equal the threads backend.
-    let tuned = ["--chunk-rows", "1", "--pipeline-depth", "1"];
+    // One kernel thread per rank rides along: the pool size is a speed
+    // knob, never a bit.
+    let tuned = [
+        "--chunk-rows",
+        "1",
+        "--pipeline-depth",
+        "1",
+        "--kernel-threads",
+        "1",
+    ];
     let threads = grad_hash(&run(
         &[&["--backend", "threads"], &tuned[..]].concat(),
         "threads-tuned",

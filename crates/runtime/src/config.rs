@@ -1,7 +1,10 @@
 //! Configuration and typed errors for the threaded execution engine.
 
 use crate::comm::RingTuning;
+use actcomp_check::collectives::resolved_ring_tuning;
+use actcomp_check::ExperimentConfig;
 use actcomp_mp::{MpConfig, MpConfigError};
+use actcomp_nn::BertConfig;
 
 /// Configuration of a threaded model-parallel run: the model-parallel
 /// layout plus the GPipe micro-batch count.
@@ -26,6 +29,42 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
+    /// The engine configuration an experiment describes: its model,
+    /// degrees and compression plan, `batch.micro_batch ×
+    /// batch.seq` tokens a step, and the micro-batching, ring tuning
+    /// and tracing of its run spec — the ring tuning resolved exactly
+    /// as the static comm graph resolves it. `actcomp run`, `actcomp
+    /// serve` and every `procs` worker derive their engine from this
+    /// one function. `None` when the plan's spec label does not resolve
+    /// (`AC0102`).
+    pub fn of(cfg: &ExperimentConfig) -> Option<RuntimeConfig> {
+        let spec = cfg.run_spec();
+        let (chunk_rows, pipeline_depth) = resolved_ring_tuning(cfg);
+        Some(RuntimeConfig {
+            mp: MpConfig {
+                bert: BertConfig {
+                    vocab: cfg.model.vocab,
+                    hidden: cfg.model.hidden,
+                    layers: cfg.model.layers,
+                    heads: cfg.model.heads,
+                    ff_hidden: cfg.model.ff_hidden,
+                    max_seq: cfg.model.max_seq,
+                },
+                tp: cfg.parallelism.tp,
+                pp: cfg.parallelism.pp,
+                plan: cfg.resolve_plan()?,
+                tokens: cfg.batch.micro_batch * cfg.batch.seq,
+                error_feedback: cfg.plan.error_feedback,
+            },
+            micro_batches: spec.micro_batches(),
+            tuning: Some(RingTuning {
+                chunk_rows,
+                pipeline_depth,
+            }),
+            trace: spec.trace == Some(true),
+        })
+    }
+
     /// Validates the configuration.
     pub fn try_validate(&self) -> Result<(), RuntimeError> {
         self.mp.try_validate()?;
@@ -172,7 +211,6 @@ impl From<MpConfigError> for RuntimeError {
 mod tests {
     use super::*;
     use actcomp_compress::plan::CompressionPlan;
-    use actcomp_nn::BertConfig;
 
     fn cfg(tp: usize, pp: usize, micro_batches: usize) -> RuntimeConfig {
         RuntimeConfig {

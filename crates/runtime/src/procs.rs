@@ -6,13 +6,14 @@
 //!
 //! The launcher (rank 0's process, `actcomp run --backend procs`) binds
 //! a [`CtrlListener`] and spawns `tp · pp` workers
-//! (`actcomp worker --rank N --world W --coord ADDR …`), passing the
-//! run configuration as JSON in the `ACTCOMP_WORKER_CFG` environment
-//! variable and the seed as a flag (the seed must not cross JSON: the
-//! vendored parser is `f64`-backed). Each worker then:
+//! (`actcomp worker --rank N --coord ADDR --transport KIND`: where to
+//! dial, nothing else). Each worker then:
 //!
-//! 1. dials the coordinator and binds its data-plane
-//!    [`SocketTransport`], sending `Hello { rank, data_addr }`;
+//! 1. dials the coordinator and receives the `Launch` frame: the whole
+//!    experiment, run spec included, plus the seed and the generation.
+//!    It derives its engine configuration with [`RuntimeConfig::of`],
+//!    the function the launcher used, binds its data-plane
+//!    [`SocketTransport`] and sends `Hello { rank, data_addr }`;
 //! 2. receives the full `PeerTable` once every worker has reported,
 //!    opens its data links (`build_rank_links`), rebuilds the model
 //!    from the shared seed with the exact RNG draw order of the
@@ -21,9 +22,12 @@
 //!    (an ordinary `RankWorker` on its own thread), and return the
 //!    `Response` — until `Shutdown`.
 //!
-//! All processes derive the same `config_hash` (FNV-1a over the config
-//! JSON and the seed), which the data-plane handshake verifies, so a
-//! stray worker from a different run is rejected with a typed error.
+//! All processes derive the same `config_hash` (FNV-1a over the engine
+//! configuration's JSON and the seed), which the data-plane handshake
+//! verifies, so a stray worker from a different run is rejected with a
+//! typed error. The fault plan and the generation are left out of it on
+//! purpose: a respawned generation runs without the plan, and must
+//! still restore the checkpoints its predecessor stamped.
 //!
 //! # Failure semantics
 //!
@@ -42,6 +46,7 @@ use crate::runtime::{assemble_grads, WorkerBuilder};
 use crate::wire::{
     decode_msg, encode_msg, put_string, put_u8, put_usize, Reader, WireError, WireMsg,
 };
+use actcomp_check::ExperimentConfig;
 use actcomp_net::{
     CtrlConn, CtrlListener, SocketOptions, SocketTransport, Transport, TransportError,
     TransportKind,
@@ -50,24 +55,22 @@ use actcomp_nn::BertEncoder;
 use actcomp_tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::process::Child;
 use std::time::Duration;
 
-/// Environment variable carrying the run configuration JSON to workers.
-pub const WORKER_CFG_ENV: &str = "ACTCOMP_WORKER_CFG";
-
-/// Default launcher-side deadline for workers to dial in and report
-/// ready (covers model construction in the workers). Override with
-/// [`ProcsOptions::rendezvous_timeout`].
+/// Default deadline for workers to dial in and report ready (covers
+/// model construction in the workers). Override with the run spec's
+/// `rendezvous_timeout_s`.
 pub const DEFAULT_RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(120);
 /// Default launcher-side deadline for a step response. Generous: a full
 /// BERT-Large step on a loaded machine is minutes — a dead worker is
 /// detected within the 10-second liveness window instead, by its
-/// closed connection or its missing heartbeats. Override with
-/// [`ProcsOptions::step_timeout`].
+/// closed connection or its missing heartbeats. Override with the run
+/// spec's `step_timeout_s`.
 pub const DEFAULT_STEP_TIMEOUT: Duration = Duration::from_secs(600);
-/// How long a worker waits for the coordinator during rendezvous.
+/// How long a worker waits for the coordinator and its launch frame.
 const WORKER_DIAL_TIMEOUT: Duration = Duration::from_secs(30);
 /// How often a worker pings the launcher while its rank thread is busy
 /// computing a command, so a slow step is distinguishable from a dead
@@ -172,9 +175,11 @@ impl From<TransportError> for ProcsError {
     }
 }
 
-/// FNV-1a 64 over the config JSON and the run seed — the value every
-/// process must agree on for the data-plane handshake to accept.
-pub fn config_hash(cfg_json: &str, seed: u64) -> u64 {
+/// FNV-1a 64 over the engine configuration's JSON and the run seed —
+/// the value every process must agree on for the data-plane handshake
+/// to accept.
+pub fn config_hash(cfg: &RuntimeConfig, seed: u64) -> u64 {
+    let cfg_json = serde_json::to_string(cfg).expect("config serializes");
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in cfg_json.bytes().chain(seed.to_le_bytes()) {
         h ^= b as u64;
@@ -183,8 +188,45 @@ pub fn config_hash(cfg_json: &str, seed: u64) -> u64 {
     h
 }
 
+/// A duration in seconds from a run spec, or `default` when it is
+/// absent or not a valid duration (the checker's `AC0803` rejects those
+/// before a launch).
+fn secs_or(secs: Option<f64>, default: Duration) -> Duration {
+    secs.and_then(|s| Duration::try_from_secs_f64(s).ok())
+        .unwrap_or(default)
+}
+
+/// The engine configuration a procs run's experiment describes, refused
+/// up front when it cannot run across processes. The launcher and every
+/// worker derive it with this one function.
+fn engine_config(exp: &ExperimentConfig) -> Result<RuntimeConfig, ProcsError> {
+    let cfg = RuntimeConfig::of(exp).ok_or_else(|| ProcsError::Protocol {
+        detail: format!("compressor spec `{}` does not resolve", exp.plan.spec),
+    })?;
+    cfg.try_validate()?;
+    if cfg.trace {
+        return Err(ProcsError::TraceUnsupported);
+    }
+    Ok(cfg)
+}
+
+/// What the launcher ships every worker, as the first frame on its
+/// control connection: the experiment (run spec included) and the
+/// generation's launch parameters. Configuration reaches a worker by no
+/// other channel.
+#[derive(Serialize, Deserialize)]
+struct Launch {
+    cfg: ExperimentConfig,
+    seed: u64,
+    epoch: u32,
+    /// Test hook: this rank exits right after rendezvous.
+    fail_rank: Option<usize>,
+}
+
 /// Control-plane frames between launcher and workers.
 enum CtrlMsg {
+    /// Launcher → worker, first: a JSON [`Launch`].
+    Launch(String),
     /// Worker → launcher: here I am, my data plane listens at `addr`.
     Hello { rank: usize, data_addr: String },
     /// Launcher → worker: every rank's data-plane address, by index.
@@ -226,6 +268,10 @@ impl WireMsg for CtrlMsg {
                 resp.encode(out);
             }
             CtrlMsg::Heartbeat => put_u8(out, 6),
+            CtrlMsg::Launch(json) => {
+                put_u8(out, 7);
+                put_string(out, json);
+            }
         }
     }
 
@@ -252,6 +298,7 @@ impl WireMsg for CtrlMsg {
             4 => CtrlMsg::Cmd(Command::decode(r)?),
             5 => CtrlMsg::Resp(Response::decode(r)?),
             6 => CtrlMsg::Heartbeat,
+            7 => CtrlMsg::Launch(r.read_string("launch frame")?),
             _ => {
                 return Err(WireError {
                     what: "control tag",
@@ -275,52 +322,35 @@ fn recv_ctrl(conn: &mut CtrlConn, timeout: Duration) -> Result<CtrlMsg, ProcsErr
 /// How to launch a multi-process run.
 #[derive(Clone)]
 pub struct ProcsOptions {
-    /// The run configuration (shared verbatim with every worker).
-    pub cfg: RuntimeConfig,
+    /// The experiment every worker runs, shipped to each whole. Its run
+    /// spec sets the data-plane wire, the bandwidth cap, the step and
+    /// rendezvous deadlines, the fault plan and the kernel pool size.
+    pub cfg: ExperimentConfig,
     /// Seed for model and compressor construction; all processes draw
     /// the identical parameter and compressor state from it.
     pub seed: u64,
-    /// Data-plane wire: [`TransportKind::Uds`] or [`TransportKind::Tcp`].
-    pub kind: TransportKind,
-    /// Outgoing per-rank bandwidth cap in Mbit/s (TCP only).
-    pub link_mbps: Option<f64>,
     /// The worker executable; `None` re-executes the current binary
     /// (the CLI's hidden `worker` subcommand).
     pub worker_exe: Option<PathBuf>,
     /// Test hook: this rank exits right after rendezvous, simulating a
     /// mid-run crash.
     pub fail_rank: Option<usize>,
-    /// Launcher-side deadline for one step response. Heartbeats keep a
-    /// slow rank alive within it; detection of a *silent* rank is
-    /// bounded by the (much shorter) liveness window.
-    pub step_timeout: Duration,
-    /// Deadline for the whole rendezvous (dial-in, peer table, ready).
-    pub rendezvous_timeout: Duration,
     /// Restart generation: 0 for a fresh run, incremented by the
     /// supervisor on every relaunch after a worker loss. Carried in the
     /// data-plane handshake, so a fenced-off survivor of a previous
     /// generation is refused with a typed handshake error.
     pub epoch: u32,
-    /// Fault-injection spec (see `actcomp_net::FaultPlan`), passed
-    /// verbatim to every worker. `None`: no injection.
-    pub fault: Option<String>,
 }
 
 impl ProcsOptions {
-    /// Options for a plain (fault-free, first-generation) run with the
-    /// default timeouts.
-    pub fn new(cfg: RuntimeConfig, seed: u64, kind: TransportKind) -> ProcsOptions {
+    /// Options for a first-generation run of `cfg`.
+    pub fn new(cfg: ExperimentConfig, seed: u64) -> ProcsOptions {
         ProcsOptions {
             cfg,
             seed,
-            kind,
-            link_mbps: None,
             worker_exe: None,
             fail_rank: None,
-            step_timeout: DEFAULT_STEP_TIMEOUT,
-            rendezvous_timeout: DEFAULT_RENDEZVOUS_TIMEOUT,
             epoch: 0,
-            fault: None,
         }
     }
 }
@@ -368,23 +398,25 @@ impl ProcsRuntime {
     /// rendezvous ([`ProcsError::WorkerLost`]). Never hangs: every
     /// control-plane wait has a deadline.
     pub fn launch(opts: ProcsOptions) -> Result<ProcsRuntime, ProcsError> {
-        opts.cfg.try_validate()?;
-        if opts.cfg.trace {
-            return Err(ProcsError::TraceUnsupported);
-        }
-        if opts.kind == TransportKind::Mpsc {
+        let cfg = engine_config(&opts.cfg)?;
+        let spec = opts.cfg.run_spec();
+        let kind = spec.transport();
+        if kind == TransportKind::Mpsc {
             return Err(ProcsError::MpscUnsupported);
         }
-        if let Some(spec) = &opts.fault {
-            // Validate up front so a typo dies in the launcher, not as
-            // a protocol error in every worker.
-            actcomp_net::FaultPlan::parse(spec).map_err(|e| ProcsError::Protocol {
-                detail: format!("fault spec: {e}"),
-            })?;
-        }
-        let world = opts.cfg.world();
-        let cfg_json = serde_json::to_string(&opts.cfg).expect("config serializes");
-        let tag = config_hash(&cfg_json, opts.seed);
+        let world = cfg.world();
+        let tag = config_hash(&cfg, opts.seed);
+        let launch = CtrlMsg::Launch(
+            serde_json::to_string(&Launch {
+                cfg: opts.cfg.clone(),
+                seed: opts.seed,
+                epoch: opts.epoch,
+                fail_rank: opts.fail_rank,
+            })
+            .map_err(|e| ProcsError::Protocol {
+                detail: format!("launch frame: {e}"),
+            })?,
+        );
         let exe = match &opts.worker_exe {
             Some(p) => p.clone(),
             None => std::env::current_exe().map_err(|e| ProcsError::Spawn {
@@ -392,42 +424,25 @@ impl ProcsRuntime {
                 detail: format!("resolving the worker executable: {e}"),
             })?,
         };
-        let listener = CtrlListener::bind(opts.kind)?;
+        let listener = CtrlListener::bind(kind)?;
 
         // Spawn all workers, then rendezvous. Children are killed on
         // any error path via the handles collected so far.
         let mut children: Vec<Child> = Vec::with_capacity(world);
         let spawn_all = (0..world).try_for_each(|rank| -> Result<(), ProcsError> {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.arg("worker")
+            let child = std::process::Command::new(&exe)
+                .arg("worker")
                 .arg("--rank")
                 .arg(rank.to_string())
-                .arg("--world")
-                .arg(world.to_string())
                 .arg("--coord")
                 .arg(listener.addr())
                 .arg("--transport")
-                .arg(opts.kind.name())
-                .arg("--seed")
-                .arg(opts.seed.to_string())
-                .arg("--epoch")
-                .arg(opts.epoch.to_string())
-                .arg("--rendezvous-timeout-ms")
-                .arg(opts.rendezvous_timeout.as_millis().to_string())
-                .env(WORKER_CFG_ENV, &cfg_json);
-            if let Some(mbps) = opts.link_mbps {
-                cmd.arg("--link-mbps").arg(mbps.to_string());
-            }
-            if let Some(spec) = &opts.fault {
-                cmd.arg("--fault").arg(spec);
-            }
-            if opts.fail_rank == Some(rank) {
-                cmd.arg("--fail-after-rendezvous");
-            }
-            let child = cmd.spawn().map_err(|e| ProcsError::Spawn {
-                rank,
-                detail: e.to_string(),
-            })?;
+                .arg(kind.name())
+                .spawn()
+                .map_err(|e| ProcsError::Spawn {
+                    rank,
+                    detail: e.to_string(),
+                })?;
             children.push(child);
             Ok(())
         });
@@ -439,27 +454,26 @@ impl ProcsRuntime {
             return Err(e);
         }
 
-        match Self::rendezvous(&listener, children, world, &opts) {
-            Ok(workers) => Ok(ProcsRuntime {
-                workers,
-                cfg: opts.cfg.clone(),
-                step_timeout: opts.step_timeout,
-                tag,
-            }),
-            Err(e) => Err(e),
-        }
+        let rdv = secs_or(spec.rendezvous_timeout_s, DEFAULT_RENDEZVOUS_TIMEOUT);
+        let workers = Self::rendezvous(&listener, children, world, rdv, &launch)?;
+        Ok(ProcsRuntime {
+            workers,
+            cfg,
+            step_timeout: secs_or(spec.step_timeout_s, DEFAULT_STEP_TIMEOUT),
+            tag,
+        })
     }
 
-    /// Accepts every worker's dial-in, distributes the peer table, and
-    /// waits for all ranks to report ready. Kills the children on any
-    /// failure.
+    /// Accepts every worker's dial-in and hands it the launch frame,
+    /// distributes the peer table, and waits for all ranks to report
+    /// ready. Kills the children on any failure.
     fn rendezvous(
         listener: &CtrlListener,
         mut children: Vec<Child>,
         world: usize,
-        opts: &ProcsOptions,
+        rdv: Duration,
+        launch: &CtrlMsg,
     ) -> Result<Vec<WorkerHandle>, ProcsError> {
-        let rdv = opts.rendezvous_timeout;
         let kill_all = |children: &mut Vec<Child>| {
             for c in children.iter_mut() {
                 let _ = c.kill();
@@ -471,6 +485,7 @@ impl ProcsRuntime {
             let mut addrs: Vec<String> = vec![String::new(); world];
             for _ in 0..world {
                 let mut conn = listener.accept(rdv)?;
+                send_ctrl(&mut conn, launch)?;
                 match recv_ctrl(&mut conn, rdv)? {
                     CtrlMsg::Hello { rank, data_addr } => {
                         if rank >= world || conns[rank].is_some() {
@@ -813,72 +828,57 @@ impl Drop for ProcsRuntime {
 }
 
 /// Parsed `actcomp worker …` arguments (the hidden subcommand the
-/// launcher spawns; not part of the user-facing CLI surface).
+/// launcher spawns; not part of the user-facing CLI surface): where to
+/// dial. Everything else arrives in the launch frame.
 #[derive(Debug, Clone)]
 pub struct WorkerArgs {
     /// This worker's rank.
     pub rank: usize,
-    /// Total ranks in the run.
-    pub world: usize,
     /// The launcher's control-plane address.
     pub coord: String,
-    /// Data-plane wire.
+    /// The wire both planes run over.
     pub kind: TransportKind,
-    /// Shared run seed.
-    pub seed: u64,
-    /// Outgoing bandwidth cap in Mbit/s (TCP only).
-    pub link_mbps: Option<f64>,
-    /// Test hook: exit right after rendezvous to simulate a crash.
-    pub fail_after_rendezvous: bool,
-    /// Restart generation, echoed into the data-plane handshake.
-    pub epoch: u32,
-    /// Fault-injection spec (parsed locally; every worker gets the same
-    /// spec and applies only its own clauses).
-    pub fault: Option<String>,
-    /// How long to wait for the launcher's peer table.
-    pub rendezvous_timeout: Duration,
+}
+
+/// The launch a worker's first control frame carries.
+fn parse_launch(msg: CtrlMsg) -> Result<Launch, ProcsError> {
+    match msg {
+        CtrlMsg::Launch(json) => serde_json::from_str(&json).map_err(|e| ProcsError::Protocol {
+            detail: format!("launch frame: {e}"),
+        }),
+        _ => Err(ProcsError::Protocol {
+            detail: "expected the launch frame".to_string(),
+        }),
+    }
 }
 
 /// The worker process body: rendezvous, rebuild the model, run the
 /// command loop until shutdown. Returns typed errors so the CLI can
 /// render them and exit nonzero; a clean shutdown returns `Ok`.
 pub fn run_worker(args: WorkerArgs) -> Result<(), ProcsError> {
-    let cfg_json = std::env::var(WORKER_CFG_ENV).map_err(|_| ProcsError::Protocol {
-        detail: format!("{WORKER_CFG_ENV} is not set"),
-    })?;
-    let cfg: RuntimeConfig = serde_json::from_str(&cfg_json).map_err(|e| ProcsError::Protocol {
-        detail: format!("parsing {WORKER_CFG_ENV}: {e}"),
-    })?;
-    cfg.try_validate()?;
-    if cfg.trace {
-        return Err(ProcsError::TraceUnsupported);
-    }
-    if cfg.world() != args.world {
+    let mut ctrl = CtrlConn::connect(args.kind, &args.coord, WORKER_DIAL_TIMEOUT)?;
+    let launch = parse_launch(recv_ctrl(&mut ctrl, WORKER_DIAL_TIMEOUT)?)?;
+    let cfg = engine_config(&launch.cfg)?;
+    let spec = launch.cfg.run_spec();
+    let world = cfg.world();
+    if args.rank >= world {
         return Err(ProcsError::Protocol {
-            detail: format!(
-                "world {} does not match tp x pp = {}",
-                args.world,
-                cfg.world()
-            ),
+            detail: format!("rank {} outside a world of {world}", args.rank),
         });
     }
-    let hash = config_hash(&cfg_json, args.seed);
-    let plan = match &args.fault {
-        Some(spec) => actcomp_net::FaultPlan::parse(spec).map_err(|e| ProcsError::Protocol {
-            detail: format!("fault spec: {e}"),
-        })?,
-        None => actcomp_net::FaultPlan::default(),
-    };
+    if let Some(n) = spec.kernel_threads.filter(|&n| n > 0) {
+        actcomp_tensor::pool::set_threads(n);
+    }
+    let plan = spec.fault.map(|f| f.plan().clone()).unwrap_or_default();
 
-    let mut ctrl = CtrlConn::connect(args.kind, &args.coord, WORKER_DIAL_TIMEOUT)?;
     let mut transport = SocketTransport::bind(
         args.kind,
         args.rank,
-        args.world,
-        hash,
+        world,
+        config_hash(&cfg, launch.seed),
         SocketOptions {
-            link_mbps: args.link_mbps,
-            epoch: args.epoch,
+            link_mbps: spec.link_mbps,
+            epoch: launch.epoch,
             ..SocketOptions::default()
         },
     )?;
@@ -889,7 +889,8 @@ pub fn run_worker(args: WorkerArgs) -> Result<(), ProcsError> {
             data_addr: transport.local_addr().to_string(),
         },
     )?;
-    let addrs = match recv_ctrl(&mut ctrl, args.rendezvous_timeout)? {
+    let rdv = secs_or(spec.rendezvous_timeout_s, DEFAULT_RENDEZVOUS_TIMEOUT);
+    let addrs = match recv_ctrl(&mut ctrl, rdv)? {
         CtrlMsg::PeerTable { addrs } => addrs,
         _ => {
             return Err(ProcsError::Protocol {
@@ -897,9 +898,9 @@ pub fn run_worker(args: WorkerArgs) -> Result<(), ProcsError> {
             })
         }
     };
-    if addrs.len() != args.world {
+    if addrs.len() != world {
         return Err(ProcsError::Protocol {
-            detail: format!("peer table covers {} of {} ranks", addrs.len(), args.world),
+            detail: format!("peer table covers {} of {world} ranks", addrs.len()),
         });
     }
     for (peer, addr) in addrs.into_iter().enumerate() {
@@ -919,7 +920,7 @@ pub fn run_worker(args: WorkerArgs) -> Result<(), ProcsError> {
 
     // Rebuild the identical model and compressor stack every process
     // shares: same seed, same draw order as the threaded engine.
-    let mut rng = ChaCha8Rng::seed_from_u64(args.seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(launch.seed);
     let serial = BertEncoder::new(&mut rng, cfg.mp.bert.clone());
     let recipe = actcomp_mp::CompressorRecipe::draw(&cfg.mp, &mut rng);
     let builder = WorkerBuilder::new(&serial, &cfg, recipe);
@@ -932,7 +933,7 @@ pub fn run_worker(args: WorkerArgs) -> Result<(), ProcsError> {
         .expect("spawn rank thread");
 
     send_ctrl(&mut ctrl, &CtrlMsg::Ready)?;
-    if args.fail_after_rendezvous {
+    if launch.fail_rank == Some(args.rank) {
         // Simulated crash for the failure-propagation tests: vanish
         // without shutdown, exactly like a SIGKILLed worker.
         std::process::exit(3);
@@ -1010,4 +1011,101 @@ pub fn run_worker(args: WorkerArgs) -> Result<(), ProcsError> {
     let _ = rank_thread.join();
     transport.shutdown();
     loop_result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use actcomp_check::{Backend, FaultSpec, RunSpec, Wire};
+
+    fn tiny(spec: RunSpec) -> ExperimentConfig {
+        let mut cfg = ExperimentConfig::paper_default();
+        cfg.model.layers = 4;
+        cfg.model.hidden = 16;
+        cfg.model.heads = 4;
+        cfg.model.ff_hidden = 32;
+        cfg.model.vocab = 32;
+        cfg.model.max_seq = 8;
+        cfg.batch.micro_batch = 2;
+        cfg.batch.seq = 4;
+        cfg.plan.spec = "T2".to_string();
+        cfg.runtime = Some(spec);
+        cfg
+    }
+
+    fn launch_frame(json: &str) -> Vec<u8> {
+        encode_msg(&CtrlMsg::Launch(json.to_string()))
+    }
+
+    #[test]
+    fn workers_derive_the_launchers_engine_from_the_launch_frame() {
+        let cfg = tiny(RunSpec {
+            backend: Backend::Procs,
+            transport: Some(Wire(TransportKind::Tcp)),
+            link_mbps: Some(200.0),
+            fault: Some(FaultSpec::parse("kill:rank=1@step=3").expect("parses")),
+            kernel_threads: Some(1),
+            chunk_rows: Some(1),
+            micro_batches: Some(2),
+            ..RunSpec::default()
+        });
+        let seed = u64::MAX - 3; // exact through JSON
+        let json = serde_json::to_string(&Launch {
+            cfg: cfg.clone(),
+            seed,
+            epoch: 2,
+            fail_rank: Some(1),
+        })
+        .expect("serializes");
+        let frame = launch_frame(&json);
+        let got = parse_launch(decode_msg(&frame).expect("decodes")).expect("parses");
+        assert_eq!(got.cfg, cfg);
+        assert_eq!((got.seed, got.epoch, got.fail_rank), (seed, 2, Some(1)));
+        let ours = engine_config(&cfg).expect("launcher engine");
+        let theirs = engine_config(&got.cfg).expect("worker engine");
+        assert_eq!(theirs, ours);
+        assert_eq!(config_hash(&theirs, got.seed), config_hash(&ours, seed));
+    }
+
+    #[test]
+    fn hostile_launch_frames_are_typed_errors() {
+        let protocol = |r: Result<Launch, ProcsError>| match r {
+            Err(ProcsError::Protocol { detail }) => detail,
+            Err(e) => panic!("expected a protocol error, got {e}"),
+            Ok(_) => panic!("expected a protocol error, got a launch"),
+        };
+        assert!(protocol(parse_launch(CtrlMsg::Ready)).contains("expected the launch"));
+        assert!(protocol(parse_launch(CtrlMsg::Launch("{".to_string()))).contains("launch frame"));
+        // A label that does not parse is refused with its code.
+        let good = serde_json::to_string(&Launch {
+            cfg: tiny(RunSpec::default()),
+            seed: 7,
+            epoch: 0,
+            fail_rank: None,
+        })
+        .expect("serializes");
+        let bad = good.replace(r#""backend":"threads""#, r#""backend":"mpi""#);
+        assert_ne!(bad, good);
+        let detail = protocol(parse_launch(
+            decode_msg(&launch_frame(&bad)).expect("decodes"),
+        ));
+        assert!(detail.contains("AC0301"), "{detail}");
+        // Truncated frames never reach the parser.
+        let frame = launch_frame(&good);
+        for cut in [1, 5, frame.len() - 1] {
+            assert!(
+                decode_msg::<CtrlMsg>(&frame[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
+        // A spec that cannot run across processes is refused up front.
+        let traced = tiny(RunSpec {
+            trace: Some(true),
+            ..RunSpec::default()
+        });
+        assert!(matches!(
+            engine_config(&traced),
+            Err(ProcsError::TraceUnsupported)
+        ));
+    }
 }

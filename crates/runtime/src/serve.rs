@@ -55,6 +55,7 @@ use crate::config::{RuntimeConfig, RuntimeError};
 use crate::procs::{ProcsError, ProcsRuntime};
 use crate::report::RuntimeReport;
 use crate::runtime::ThreadedRuntime;
+use actcomp_check::RunSpec;
 use actcomp_tensor::Tensor;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -214,6 +215,20 @@ impl Default for ServeConfig {
             max_batch: 8,
             batch_window: Duration::from_micros(200),
             depth: 2,
+        }
+    }
+}
+
+impl ServeConfig {
+    /// The serving knobs of a run spec, defaulted field by field.
+    pub fn of(spec: &RunSpec) -> ServeConfig {
+        let d = ServeConfig::default();
+        ServeConfig {
+            max_batch: spec.max_batch.unwrap_or(d.max_batch),
+            batch_window: spec
+                .batch_window_us
+                .map_or(d.batch_window, Duration::from_micros),
+            depth: spec.depth.unwrap_or(d.depth),
         }
     }
 }

@@ -18,15 +18,15 @@
 //! Because the driver replays the *same* token ids every step and every
 //! rank's state is exactly its checkpoint shard, a recovered run is
 //! bit-identical to a fault-free one — the chaos e2e asserts equal
-//! `--grad-hash` output. Fault specs ([`ProcsOptions::fault`]) are
-//! injected into the first generation only; respawned generations run
-//! clean, otherwise a `kill` fault would re-fire forever.
+//! `--grad-hash` output. The run spec's fault plan is injected into the
+//! first generation only; respawned generations run clean, otherwise a
+//! `kill` fault would re-fire forever.
 
 use crate::procs::{ProcsError, ProcsOptions, ProcsRuntime};
 use actcomp_tensor::Tensor;
 use serde::Serialize;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 /// First-retry backoff; doubles per consecutive restart.
@@ -35,6 +35,8 @@ const BACKOFF_BASE: Duration = Duration::from_millis(100);
 const BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 /// How to run a supervised (restartable) multi-process training loop.
+/// The experiment's run spec sets the checkpoint cadence and directory
+/// and the restart budget; its batch geometry sets each step's shape.
 pub struct SuperviseOptions {
     /// Launch options for each worker generation. `epoch` is the
     /// *starting* epoch; the supervisor bumps it on every restart.
@@ -44,20 +46,9 @@ pub struct SuperviseOptions {
     /// SGD learning rate applied each step.
     pub lr: f32,
     /// Token ids replayed every step (determinism requires the driver,
-    /// not the supervisor, to fix these once).
+    /// not the supervisor, to fix these once): `batch.micro_batch ×
+    /// batch.seq` of them.
     pub ids: Vec<usize>,
-    /// Batch dimension of each step.
-    pub batch: usize,
-    /// Sequence length of each step.
-    pub seq: usize,
-    /// Take a distributed checkpoint every N steps (`None` = never;
-    /// recovery then replays from step 0).
-    pub checkpoint_every: Option<usize>,
-    /// Where checkpoint shards and `manifest.json` live.
-    pub checkpoint_dir: PathBuf,
-    /// How many restarts to attempt before giving up and surfacing the
-    /// underlying error.
-    pub max_restarts: usize,
 }
 
 /// One recovery incident: what failed, and where training resumed.
@@ -141,13 +132,13 @@ pub fn supervise(
     opts: SuperviseOptions,
     on_step: &mut dyn FnMut(usize, &Tensor),
 ) -> Result<(ProcsRuntime, RecoveryTrace), ProcsError> {
-    if let Some(every) = opts.checkpoint_every {
-        if every == 0 {
-            return Err(ProcsError::Protocol {
-                detail: "checkpoint interval must be at least 1 step".to_string(),
-            });
-        }
+    let spec = opts.procs.cfg.run_spec();
+    if spec.checkpoint_every == Some(0) {
+        return Err(ProcsError::Protocol {
+            detail: "checkpoint interval must be at least 1 step".to_string(),
+        });
     }
+    let max_restarts = spec.max_restarts();
     let mut trace = RecoveryTrace::default();
     let base_epoch = opts.procs.epoch;
     let mut epoch = base_epoch;
@@ -159,11 +150,11 @@ pub fn supervise(
     loop {
         let mut procs = opts.procs.clone();
         procs.epoch = epoch;
-        if epoch > base_epoch {
+        if let Some(rt) = procs.cfg.runtime.as_mut().filter(|_| epoch > base_epoch) {
             // The fault plan describes generation 0; re-injecting a
             // `kill` fault into the replacement would fail every
             // generation until max_restarts runs out.
-            procs.fault = None;
+            rt.fault = None;
         }
 
         // One generation: launch, restore, step until done or dead.
@@ -172,7 +163,7 @@ pub fn supervise(
             Ok(rt) => return Ok((rt, trace)),
             Err((step, e)) if recoverable(&e) => {
                 trace.restarts += 1;
-                if trace.restarts > opts.max_restarts {
+                if trace.restarts > max_restarts {
                     return Err(e);
                 }
                 let backoff = backoff_for(trace.restarts);
@@ -210,23 +201,25 @@ fn run_generation(
     last_ckpt: &mut usize,
     on_step: &mut dyn FnMut(usize, &Tensor),
 ) -> Result<ProcsRuntime, (usize, ProcsError)> {
+    let exp = &opts.procs.cfg;
+    let spec = exp.run_spec();
+    let dir = Path::new(spec.checkpoint_dir());
     let mut rt = ProcsRuntime::launch(procs).map_err(|e| (start_step, e))?;
     if start_step > 0 {
-        rt.restore(&opts.checkpoint_dir, start_step)
-            .map_err(|e| (start_step, e))?;
+        rt.restore(dir, start_step).map_err(|e| (start_step, e))?;
     }
     for step in start_step..opts.steps {
         let result = (|| -> Result<(), ProcsError> {
-            let y = rt.forward(&opts.ids, opts.batch, opts.seq)?;
+            let y = rt.forward(&opts.ids, exp.batch.micro_batch, exp.batch.seq)?;
             on_step(step, &y);
             rt.zero_grad()?;
             rt.backward(&y)?;
             rt.sgd_step(opts.lr)?;
-            if let Some(every) = opts.checkpoint_every {
+            if let Some(every) = spec.checkpoint_every {
                 if (step + 1).is_multiple_of(every) && step + 1 < opts.steps {
-                    rt.checkpoint(&opts.checkpoint_dir, step + 1)?;
+                    rt.checkpoint(dir, step + 1)?;
                     write_manifest(
-                        &opts.checkpoint_dir,
+                        dir,
                         &Manifest {
                             step: step + 1,
                             epoch,

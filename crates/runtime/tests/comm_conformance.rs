@@ -16,11 +16,8 @@
 //! the engine interprets the step lists and chunk plans that
 //! `actcomp_check::collectives` defines.
 
-use actcomp_check::collectives::resolved_ring_tuning;
-use actcomp_check::{analyze, audit_trace, build_comm_graph, ExperimentConfig, RuntimeSection};
-use actcomp_mp::MpConfig;
-use actcomp_nn::BertConfig;
-use actcomp_runtime::{RingTuning, RuntimeConfig, ThreadedRuntime};
+use actcomp_check::{analyze, audit_trace, build_comm_graph, ExperimentConfig, RunSpec};
+use actcomp_runtime::{RuntimeConfig, ThreadedRuntime};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -54,43 +51,22 @@ fn experiment(
     cfg.batch.seq = 4;
     cfg.batch.num_micro_batches = 1;
     cfg.plan.spec = spec.to_string();
-    cfg.runtime = Some(RuntimeSection {
+    cfg.runtime = Some(RunSpec {
         micro_batches: Some(m),
         chunk_rows,
         pipeline_depth: Some(depth),
-        ..RuntimeSection::threads_default()
+        ..RunSpec::default()
     });
     cfg
 }
 
-/// The engine configuration equivalent to `experiment(..)`: same shape,
-/// same plan resolution, and the ring tuning resolved by the function
-/// the static graph (and the CLI) resolves it with.
+/// The engine configuration `experiment(..)` describes — derived by the
+/// function the CLI and every procs worker derive it with, the ring
+/// tuning resolved as the static graph resolves it.
 fn engine_cfg(cfg: &ExperimentConfig, trace: bool) -> RuntimeConfig {
-    let rt = cfg.runtime.as_ref().expect("threads runtime section");
-    let (chunk_rows, pipeline_depth) = resolved_ring_tuning(cfg);
     RuntimeConfig {
-        mp: MpConfig {
-            bert: BertConfig {
-                vocab: cfg.model.vocab,
-                hidden: cfg.model.hidden,
-                layers: cfg.model.layers,
-                heads: cfg.model.heads,
-                ff_hidden: cfg.model.ff_hidden,
-                max_seq: cfg.model.max_seq,
-            },
-            tp: cfg.parallelism.tp,
-            pp: cfg.parallelism.pp,
-            plan: cfg.resolve_plan().expect("validated spec resolves"),
-            tokens: cfg.batch.micro_batch * cfg.batch.seq,
-            error_feedback: cfg.plan.error_feedback,
-        },
-        micro_batches: rt.micro_batches.unwrap_or(1),
-        tuning: Some(RingTuning {
-            chunk_rows,
-            pipeline_depth,
-        }),
         trace,
+        ..RuntimeConfig::of(cfg).expect("validated spec resolves")
     }
 }
 

@@ -67,10 +67,17 @@ pub fn parse_count_spec(s: &str, what: &str) -> Result<usize, String> {
     }
 }
 
+/// The `ACTCOMP_THREADS` environment variable, when set. The one place
+/// the variable is read: the pool sizes itself from it, and
+/// `actcomp check` validates the same value.
+pub fn env_thread_spec() -> Option<String> {
+    std::env::var("ACTCOMP_THREADS").ok()
+}
+
 fn env_default() -> usize {
     let fallback = || std::thread::available_parallelism().map_or(1, |n| n.get());
-    match std::env::var("ACTCOMP_THREADS") {
-        Ok(v) => match parse_thread_spec(&v) {
+    match env_thread_spec() {
+        Some(v) => match parse_thread_spec(&v) {
             Ok(n) => n,
             Err(e) => {
                 eprintln!(
@@ -80,7 +87,7 @@ fn env_default() -> usize {
                 fallback()
             }
         },
-        Err(_) => fallback(),
+        None => fallback(),
     }
 }
 
