@@ -63,13 +63,13 @@ use std::time::Duration;
 /// Default deadline for workers to dial in and report ready (covers
 /// model construction in the workers). Override with the run spec's
 /// `rendezvous_timeout_s`.
-pub const DEFAULT_RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(120);
+const DEFAULT_RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(120);
 /// Default launcher-side deadline for a step response. Generous: a full
 /// BERT-Large step on a loaded machine is minutes — a dead worker is
 /// detected within the 10-second liveness window instead, by its
 /// closed connection or its missing heartbeats. Override with the run
 /// spec's `step_timeout_s`.
-pub const DEFAULT_STEP_TIMEOUT: Duration = Duration::from_secs(600);
+const DEFAULT_STEP_TIMEOUT: Duration = Duration::from_secs(600);
 /// How long a worker waits for the coordinator and its launch frame.
 const WORKER_DIAL_TIMEOUT: Duration = Duration::from_secs(30);
 /// How often a worker pings the launcher while its rank thread is busy
@@ -178,7 +178,7 @@ impl From<TransportError> for ProcsError {
 /// FNV-1a 64 over the engine configuration's JSON and the run seed —
 /// the value every process must agree on for the data-plane handshake
 /// to accept.
-pub fn config_hash(cfg: &RuntimeConfig, seed: u64) -> u64 {
+fn config_hash(cfg: &RuntimeConfig, seed: u64) -> u64 {
     let cfg_json = serde_json::to_string(cfg).expect("config serializes");
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in cfg_json.bytes().chain(seed.to_le_bytes()) {
