@@ -71,32 +71,121 @@ static CRC_TABLES: [[u32; 256]; 8] = {
     t
 };
 
+/// Buffers this long and longer are checksummed in four lanes.
+const LANES_MIN: usize = 2048;
+
+/// `X2N[k]` is `x^(2^k) mod P` in the reflected representation (bit 31
+/// is `x^0`), built at compile time. Products of these entries shift a
+/// CRC state past any number of zero bytes, which is how the four lanes
+/// of [`crc32`] are joined.
+static X2N: [u32; 64] = {
+    let mut t = [0u32; 64];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 64 {
+        t[k] = p;
+        p = mulmod(p, p);
+        k += 1;
+    }
+    t
+};
+
+/// `a · b mod P` over GF(2), both in the reflected representation.
+const fn mulmod(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0;
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        b = (b >> 1) ^ (CRC_POLY & (b & 1).wrapping_neg());
+        m >>= 1;
+    }
+    p
+}
+
+/// `x^(8n) mod P`: multiplying a CRC state by it feeds `n` zero bytes.
+fn shift_bytes(n: usize) -> u32 {
+    let mut bits = (n as u64) * 8;
+    let mut p = 1u32 << 31; // x^0
+    let mut k = 0;
+    while bits != 0 {
+        if bits & 1 != 0 {
+            p = mulmod(X2N[k], p);
+        }
+        bits >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// Folds eight bytes into a (non-inverted) CRC state.
+#[inline(always)]
+fn fold8(crc: u32, w: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+    let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][((hi >> 8) & 0xFF) as usize]
+        ^ t[1][((hi >> 16) & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// Slicing-by-8 over `bytes`, from and to a non-inverted state.
+fn crc_serial(mut crc: u32, bytes: &[u8]) -> u32 {
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        crc = fold8(crc, w);
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// Four slicing-by-8 streams over the four equal lanes of `bytes` (a
+/// multiple of 32 long), interleaved so their table loads overlap. The
+/// state is linear, so a lane run from zero continues the lanes before
+/// it once their state is shifted past the lane's bytes.
+fn crc_lanes(crc: u32, bytes: &[u8]) -> u32 {
+    let lane = bytes.len() / 4;
+    let (l0, rest) = bytes.split_at(lane);
+    let (l1, rest) = rest.split_at(lane);
+    let (l2, l3) = rest.split_at(lane);
+    let mut c = [crc, 0, 0, 0];
+    let words = (l0.chunks_exact(8).zip(l1.chunks_exact(8)))
+        .zip(l2.chunks_exact(8).zip(l3.chunks_exact(8)));
+    for ((w0, w1), (w2, w3)) in words {
+        c[0] = fold8(c[0], w0);
+        c[1] = fold8(c[1], w1);
+        c[2] = fold8(c[2], w2);
+        c[3] = fold8(c[3], w3);
+    }
+    let shift = shift_bytes(lane);
+    c[1..].iter().fold(c[0], |acc, &ci| mulmod(acc, shift) ^ ci)
+}
+
 /// IEEE CRC32 (reflected, polynomial `0xEDB88320`) over `bytes`,
 /// continuing from `seed` (start with `0` for a fresh checksum).
 ///
 /// Table-driven slicing-by-8: every payload byte is checksummed on
 /// send and again on receive, so this loop is on the per-frame hot
-/// path. Public so checkpoint shards can reuse the exact wire checksum.
+/// path. From [`LANES_MIN`] bytes on, the bulk runs as four
+/// interleaved streams; the result is bit-identical either way.
+/// Public so checkpoint shards can reuse the exact wire checksum.
 pub fn crc32(seed: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
     let mut crc = !seed;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    let mut rest = bytes;
+    if bytes.len() >= LANES_MIN {
+        let (bulk, tail) = bytes.split_at(bytes.len() & !31);
+        crc = crc_lanes(crc, bulk);
+        rest = tail;
     }
-    for &b in words.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
+    !crc_serial(crc, rest)
 }
 
 /// What can go wrong reading a frame: a plain I/O failure, or a frame
@@ -129,25 +218,32 @@ impl From<std::io::Error> for FrameError {
 }
 
 /// Writes one `[chan u16 LE][len u32 LE][payload][crc32 u32 LE]`
-/// frame. The CRC covers the header and the payload.
+/// frame to a blocking writer. The CRC covers the header and the
+/// payload.
 pub(crate) fn write_frame(w: &mut impl Write, chan: u16, payload: &[u8]) -> std::io::Result<()> {
-    write_frame_with(w, chan, payload, 0)
+    match write_frame_with(w, chan, payload, 0)? {
+        None => Ok(()),
+        Some(_) => Err(std::io::ErrorKind::WouldBlock.into()),
+    }
 }
 
-/// Like [`write_frame`] but XORs `crc_flip` into the trailer — the
-/// fault-injection hook that makes a receiver's CRC check fail
-/// deterministically (pass `0` for an honest frame).
+/// Writes one frame as far as `w` takes it, XORing `crc_flip` into the
+/// trailer — the fault-injection hook that makes a receiver's CRC check
+/// fail deterministically (pass `0` for an honest frame).
 ///
 /// Header, payload and trailer leave in one vectored write (resumed on
 /// a short count), so on a socket a frame costs one syscall — and one
 /// segment under `TCP_NODELAY` — and the payload is never copied into
-/// a staging buffer. Pass the raw stream, not a `BufWriter`.
+/// a staging buffer. Pass the raw stream, not a `BufWriter`. Returns
+/// `None` once the whole frame is written, or — when a nonblocking `w`
+/// refuses part-way — the bytes it has not taken, for the caller to
+/// write later.
 pub(crate) fn write_frame_with(
     w: &mut impl Write,
     chan: u16,
     payload: &[u8],
     crc_flip: u32,
-) -> std::io::Result<()> {
+) -> std::io::Result<Option<Vec<u8>>> {
     let len = u32::try_from(payload.len()).map_err(|_| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame payload over 4 GiB")
     })?;
@@ -173,67 +269,112 @@ pub(crate) fn write_frame_with(
             // trims the first survivor.
             Ok(n) => IoSlice::advance_slices(&mut rest, n),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                let mut left = Vec::with_capacity(rest.iter().map(|s| s.len()).sum());
+                for s in rest.iter() {
+                    left.extend_from_slice(s);
+                }
+                return Ok(Some(left));
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(None)
+}
+
+/// Reads one frame, returning `(chan, payload)` — a [`FrameReader`]
+/// used once, for streams whose read errors end the conversation.
+pub(crate) fn read_frame(r: &mut impl Read) -> Result<(u16, Vec<u8>), FrameError> {
+    FrameReader::default().read(r)
+}
+
+/// One frame being read off a stream. A read error — a read timeout
+/// included — leaves the bytes already taken in here, so calling
+/// [`FrameReader::read`] again resumes the frame where it stopped and
+/// the stream keeps its frame alignment.
+#[derive(Default)]
+pub(crate) struct FrameReader {
+    hdr: [u8; 6],
+    hdr_got: usize,
+    payload: Vec<u8>,
+    trailer: [u8; 4],
+    trailer_got: usize,
+}
+
+impl FrameReader {
+    /// Reads the rest of the current frame, returning `(chan, payload)`.
+    ///
+    /// Hostile headers are rejected *before* the payload allocation: a
+    /// length over the 1 GiB cap or a frame on the reserved channel 0
+    /// (no honest sender emits either) is [`FrameError::Corrupt`]. A
+    /// CRC trailer mismatch is equally `Corrupt` — the payload bytes
+    /// are discarded, never handed to a decoder.
+    ///
+    /// Reads header, payload and trailer separately: hand it a
+    /// buffered reader on a socket, so the 6- and 4-byte reads ride
+    /// along with the payload's instead of costing a syscall each.
+    pub(crate) fn read(&mut self, r: &mut impl Read) -> Result<(u16, Vec<u8>), FrameError> {
+        read_part(r, &mut self.hdr, &mut self.hdr_got)?;
+        let hdr = self.hdr;
+        let chan = u16::from_le_bytes([hdr[0], hdr[1]]);
+        let len = u32::from_le_bytes([hdr[2], hdr[3], hdr[4], hdr[5]]) as usize;
+        if chan == 0 {
+            return Err(FrameError::Corrupt(
+                "frame on reserved channel 0 (corrupt or hostile header)".to_string(),
+            ));
+        }
+        if len > MAX_FRAME {
+            return Err(FrameError::Corrupt(format!(
+                "frame length {len} exceeds the 1 GiB cap"
+            )));
+        }
+        if self.payload.len() < len {
+            // The header is unauthenticated until the trailer checks
+            // out, so its length buys at most `PAYLOAD_PREALLOC_CAP`
+            // bytes up front; past that the buffer grows only as payload
+            // bytes actually arrive.
+            if self.payload.capacity() == 0 {
+                self.payload.reserve_exact(len.min(PAYLOAD_PREALLOC_CAP));
+            }
+            let want = (len - self.payload.len()) as u64;
+            // On an error `read_to_end` keeps what it read.
+            r.by_ref().take(want).read_to_end(&mut self.payload)?;
+            if self.payload.len() < len {
+                return Err(FrameError::Io(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    format!(
+                        "stream ended {} bytes into a {len}-byte frame payload",
+                        self.payload.len()
+                    ),
+                )));
+            }
+        }
+        read_part(r, &mut self.trailer, &mut self.trailer_got)?;
+        let payload = std::mem::take(&mut self.payload);
+        (self.hdr_got, self.trailer_got) = (0, 0);
+        let want = u32::from_le_bytes(self.trailer);
+        let got = crc32(crc32(0, &hdr), &payload);
+        if want != got {
+            return Err(FrameError::Corrupt(format!(
+                "CRC mismatch on channel {chan} ({len} bytes): computed {got:#010x}, trailer {want:#010x}"
+            )));
+        }
+        Ok((chan, payload))
+    }
+}
+
+/// Fills `buf[*got..]` from `r`, counting progress in `got` so a failed
+/// read can be resumed.
+fn read_part(r: &mut impl Read, buf: &mut [u8], got: &mut usize) -> std::io::Result<()> {
+    while *got < buf.len() {
+        match r.read(&mut buf[*got..]) {
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => *got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
     Ok(())
-}
-
-/// Reads one frame, returning `(chan, payload)`.
-///
-/// Hostile headers are rejected *before* the payload allocation: a
-/// length over the 1 GiB cap or a frame on the reserved channel 0
-/// (no honest sender emits either) is [`FrameError::Corrupt`]. A CRC
-/// trailer mismatch is equally `Corrupt` — the payload bytes are
-/// discarded, never handed to a decoder.
-///
-/// Reads header, payload and trailer separately: hand it a buffered
-/// reader on a socket, so the 6- and 4-byte reads ride along with the
-/// payload's instead of costing a syscall each.
-pub(crate) fn read_frame(r: &mut impl Read) -> Result<(u16, Vec<u8>), FrameError> {
-    let mut payload = Vec::new();
-    let chan = read_frame_into(r, &mut payload)?;
-    Ok((chan, payload))
-}
-
-/// [`read_frame`] into a caller-owned (empty) buffer, so a test can
-/// see what a failed read left allocated.
-fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<u16, FrameError> {
-    let mut hdr = [0u8; 6];
-    r.read_exact(&mut hdr)?;
-    let chan = u16::from_le_bytes([hdr[0], hdr[1]]);
-    let len = u32::from_le_bytes([hdr[2], hdr[3], hdr[4], hdr[5]]) as usize;
-    if chan == 0 {
-        return Err(FrameError::Corrupt(
-            "frame on reserved channel 0 (corrupt or hostile header)".to_string(),
-        ));
-    }
-    if len > MAX_FRAME {
-        return Err(FrameError::Corrupt(format!(
-            "frame length {len} exceeds the 1 GiB cap"
-        )));
-    }
-    // The header is unauthenticated until the trailer checks out, so
-    // its length buys at most `PAYLOAD_PREALLOC_CAP` bytes up front;
-    // past that the buffer grows only as payload bytes actually arrive.
-    payload.reserve_exact(len.min(PAYLOAD_PREALLOC_CAP));
-    let got = r.by_ref().take(len as u64).read_to_end(payload)?;
-    if got < len {
-        return Err(FrameError::Io(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            format!("stream ended {got} bytes into a {len}-byte frame payload"),
-        )));
-    }
-    let mut trailer = [0u8; 4];
-    r.read_exact(&mut trailer)?;
-    let want = u32::from_le_bytes(trailer);
-    let got = crc32(crc32(0, &hdr), payload);
-    if want != got {
-        return Err(FrameError::Corrupt(format!(
-            "CRC mismatch on channel {chan} ({len} bytes): computed {got:#010x}, trailer {want:#010x}"
-        )));
-    }
-    Ok(chan)
 }
 
 /// The first frame on every data connection: proves both ends belong
@@ -366,6 +507,44 @@ mod tests {
             for split in 0..=buf.len() {
                 let (a, b) = buf.split_at(split);
                 prop_assert_eq!(crc32(crc32(seed, a), b), whole, "split at {}", split);
+            }
+        }
+
+        /// Around and past the four-lane threshold: odd lengths (a
+        /// tail after the lanes), lengths just under it, and two-part
+        /// chains whose halves fall on either side of it, all equal to
+        /// the bitwise oracle.
+        #[test]
+        fn crc32_lanes_equal_the_bitwise_oracle(
+            buf in collection::vec(0u8..=255, LANES_MIN - 40..3 * LANES_MIN + 40),
+            seed in 0u32..=u32::MAX,
+            split in 0usize..=1,
+            cut in 0usize..=usize::MAX,
+        ) {
+            let want = crc32_bitwise(seed, &buf);
+            prop_assert_eq!(crc32(seed, &buf), want, "len {}", buf.len());
+            // Half the cases split right at the lane threshold or the
+            // lane alignment; the rest anywhere.
+            let at = if split == 0 {
+                [LANES_MIN, buf.len() & !31, cut % 64][cut % 3].min(buf.len())
+            } else {
+                cut % (buf.len() + 1)
+            };
+            let (a, b) = buf.split_at(at);
+            prop_assert_eq!(crc32(crc32(seed, a), b), want, "len {} split at {}", buf.len(), at);
+        }
+    }
+
+    #[test]
+    fn shifting_by_zero_bytes_is_feeding_zero_bytes() {
+        for n in [0usize, 1, 7, 8, 511, 4096, 1 << 20] {
+            let zeros = vec![0u8; n];
+            for state in [0u32, 1, 0xDEAD_BEEF, u32::MAX] {
+                assert_eq!(
+                    mulmod(state, shift_bytes(n)),
+                    crc_serial(state, &zeros),
+                    "{n} zero bytes from {state:#x}"
+                );
             }
         }
     }
@@ -510,16 +689,16 @@ mod tests {
         buf.extend_from_slice(&1u16.to_le_bytes());
         buf.extend_from_slice(&(MAX_FRAME as u32).to_le_bytes());
         buf.extend_from_slice(&[0xAB; 10]);
-        let mut payload = Vec::new();
-        match read_frame_into(&mut &buf[..], &mut payload) {
+        let mut reader = FrameReader::default();
+        match reader.read(&mut &buf[..]) {
             Err(FrameError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
             other => panic!("expected EOF, got {other:?}"),
         }
-        assert_eq!(payload.len(), 10);
+        assert_eq!(reader.payload.len(), 10);
         assert!(
-            payload.capacity() <= PAYLOAD_PREALLOC_CAP,
+            reader.payload.capacity() <= PAYLOAD_PREALLOC_CAP,
             "capacity {} grew past the cap on a header's word",
-            payload.capacity()
+            reader.payload.capacity()
         );
     }
 
@@ -615,5 +794,104 @@ mod tests {
             Err(FrameError::Corrupt(what)) => assert!(what.contains("CRC"), "{what}"),
             other => panic!("expected a CRC failure, got {other:?}"),
         }
+    }
+
+    /// A nonblocking sink with `room` bytes of space, then full.
+    struct FullPipe {
+        out: Vec<u8>,
+        room: usize,
+    }
+
+    impl Write for FullPipe {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let mut wrote = 0;
+            for b in bufs {
+                let n = b.len().min(self.room);
+                self.out.extend_from_slice(&b[..n]);
+                self.room -= n;
+                wrote += n;
+            }
+            Ok(wrote)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_refused_frame_returns_exactly_the_bytes_not_taken() {
+        let payload: Vec<u8> = (0..5000).map(|i| (i * 13) as u8).collect();
+        let mut whole = Vec::new();
+        write_frame(&mut whole, 4, &payload).expect("write");
+        for room in [0, 1, 5, 6, 7, 4000, 5005, 5006, 5009, 5010] {
+            let mut pipe = FullPipe {
+                out: Vec::new(),
+                room,
+            };
+            let rest = write_frame_with(&mut pipe, 4, &payload, 0).expect("write");
+            assert_eq!(rest.is_none(), room == whole.len(), "room {room}");
+            pipe.out.extend_from_slice(&rest.unwrap_or_default());
+            assert!(pipe.out == whole, "room {room}: bytes lost or repeated");
+        }
+    }
+
+    /// A source that times out before every read, then yields up to
+    /// 1000 bytes.
+    struct StallingReader<'a> {
+        bytes: &'a [u8],
+        stalled: bool,
+    }
+
+    impl Read for StallingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.stalled = !self.stalled;
+            if self.stalled {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.bytes.len()).min(1000);
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_timed_out_read_resumes_mid_frame() {
+        let payloads: Vec<Vec<u8>> = [0usize, 3, 5000, 70_000]
+            .iter()
+            .map(|&n| (0..n).map(|i| (i * 7 + n) as u8).collect())
+            .collect();
+        let mut stream = Vec::new();
+        for (i, p) in payloads.iter().enumerate() {
+            write_frame(&mut stream, 1 + i as u16, p).expect("write");
+        }
+        let mut src = StallingReader {
+            bytes: &stream,
+            stalled: false,
+        };
+        let mut reader = FrameReader::default();
+        let mut timeouts = 0;
+        for (i, p) in payloads.iter().enumerate() {
+            let (chan, got) = loop {
+                match reader.read(&mut src) {
+                    Ok(frame) => break frame,
+                    Err(FrameError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        timeouts += 1
+                    }
+                    Err(e) => panic!("frame {i}: {e:?}"),
+                }
+            };
+            assert_eq!(chan, 1 + i as u16);
+            assert!(got == *p, "payload of {} bytes changed", p.len());
+        }
+        assert!(timeouts > 70, "only {timeouts} reads were interrupted");
     }
 }

@@ -50,8 +50,8 @@
 //!
 //! Every user-reachable connect/handshake/receive path returns a typed
 //! [`TransportError`] — no panics on I/O. A peer that disappears turns
-//! into [`TransportError::PeerClosed`] on the next receive (the demux
-//! drops that peer's queues on EOF), a connection killed by a CRC
+//! into [`TransportError::PeerClosed`] on the next receive once its
+//! queued frames are delivered, a connection killed by a CRC
 //! failure yields [`TransportError::FrameCorrupt`], and
 //! handshake/receive timeouts surface as [`TransportError::Timeout`]
 //! rather than hanging forever.
@@ -127,8 +127,9 @@ impl std::fmt::Display for TransportKind {
 /// order; distinct channels to the same peer may interleave on the
 /// wire but never reorder within a channel.
 pub trait FrameTx: Send {
-    /// Ships one frame. Blocks only for flow control (socket buffers,
-    /// bandwidth throttle), never for a matching receiver.
+    /// Ships one frame. Blocks only for the bandwidth throttle, never
+    /// for a matching receiver: a socket queues what its kernel buffer
+    /// will not take.
     fn send(&mut self, payload: &[u8]) -> Result<(), TransportError>;
 
     /// Fault-injection hook: ships one frame whose integrity check

@@ -3,29 +3,37 @@
 //!
 //! Each rank binds one listener. Data connections are opened lazily by
 //! the sender (one connection per directed rank pair, all channels
-//! multiplexed over it); the acceptor verifies the handshake, then a
-//! reader thread demultiplexes incoming frames into per-`(from, chan)`
-//! queues. Frames for channels nobody has opened yet are buffered, so
-//! open order never races message arrival. When a peer's connection
-//! dies, its queues are torn down and every blocked receiver wakes
-//! with [`TransportError::PeerClosed`] instead of hanging.
+//! multiplexed over it). The acceptor verifies the handshake, installs
+//! the inbound stream in the sending peer's [`Inbox`] and is done with
+//! it: no thread sits on a connection. A receiver reads its peer's
+//! connection on its own thread — whoever holds the stream reads it,
+//! frames for other channels (opened yet or not) wait in per-channel
+//! queues, and queued frames are delivered before a dead or corrupt
+//! connection is reported as [`TransportError::PeerClosed`] or
+//! [`TransportError::FrameCorrupt`].
+//!
+//! Sends never wait on the peer. Outbound streams are nonblocking: a
+//! frame the kernel will not take whole goes, with every frame after
+//! it, to an ordered backlog that a writer thread — spawned on the
+//! connection's first overflow — drains. Two ranks writing to each
+//! other before either reads therefore cannot deadlock, however large
+//! the frames.
 
 use crate::error::TransportError;
 use crate::frame::{
-    read_frame, write_frame, write_frame_with, FrameError, Handshake, CTRL_CHAN, FRAME_OVERHEAD,
-    HS_CHAN,
+    read_frame, write_frame, write_frame_with, FrameError, FrameReader, Handshake, CTRL_CHAN,
+    FRAME_OVERHEAD, HS_CHAN,
 };
 use crate::throttle::TokenBucket;
 use crate::{FrameRx, FrameTx, Transport, TransportKind};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -58,6 +66,10 @@ impl Default for SocketOptions {
     }
 }
 
+/// The longest one blocking read of a peer's connection lasts before
+/// its receiver re-checks its own deadline.
+const MAX_READ_WAIT: Duration = Duration::from_secs(1);
+
 /// A listener of either flavor.
 pub(crate) enum ListenerInner {
     Tcp(TcpListener),
@@ -78,6 +90,22 @@ impl Stream {
             Stream::Tcp(s) => s.set_read_timeout(t),
             #[cfg(unix)]
             Stream::Uds(s) => s.set_read_timeout(t),
+        }
+    }
+
+    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_nonblocking(on),
+            #[cfg(unix)]
+            Stream::Uds(s) => s.set_nonblocking(on),
+        }
+    }
+
+    fn try_clone(&self) -> std::io::Result<Stream> {
+        match self {
+            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
+            #[cfg(unix)]
+            Stream::Uds(s) => s.try_clone().map(Stream::Uds),
         }
     }
 
@@ -129,25 +157,59 @@ impl Write for Stream {
     }
 }
 
-/// Incoming-frame router shared between reader threads and receivers.
-#[derive(Default)]
-struct DemuxState {
-    /// Live queues for opened receive channels.
-    queues: HashMap<(usize, u16), Sender<Vec<u8>>>,
-    /// Frames that arrived before their channel was opened.
-    pending: HashMap<(usize, u16), VecDeque<Vec<u8>>>,
-    /// Peers whose inbound connection hit EOF or an error.
-    closed: HashSet<usize>,
-    /// Peers whose connection died on a corrupt frame, with the CRC
-    /// failure that killed it. Receivers report [`TransportError::
-    /// FrameCorrupt`] instead of `PeerClosed` for these.
-    corrupt: HashMap<usize, String>,
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-type Demux = Arc<Mutex<DemuxState>>;
+/// One peer's inbound connection, shared by every receiver of that
+/// peer's channels.
+#[derive(Default)]
+struct Inbox {
+    state: Mutex<InboxState>,
+    /// Wakes waiting receivers: a frame was queued, the connection was
+    /// installed or handed back, or it died.
+    ready: Condvar,
+}
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+#[derive(Default)]
+struct InboxState {
+    /// Whether the peer's connection was admitted (a second is refused).
+    admitted: bool,
+    /// The connection, while no receiver is reading it.
+    conn: Option<InConn>,
+    /// Frames read for channels other than their reader's, in order.
+    queues: HashMap<u16, VecDeque<Vec<u8>>>,
+    /// Why the connection ended, once it has; reported after the queues
+    /// drain.
+    dead: Option<TransportError>,
+    /// Receivers blocked on [`Inbox::ready`]; nobody is woken when zero.
+    waiting: usize,
+}
+
+/// Every rank's inbox, indexed by the sending rank.
+type Inboxes = Arc<[Inbox]>;
+
+/// A handshaken inbound connection and the frame being read off it.
+struct InConn {
+    /// Buffered, so a frame's header and trailer — and whole runs of
+    /// small frames — share a syscall; a payload larger than the buffer
+    /// is read straight into its `Vec` once the buffer drains.
+    stream: BufReader<Stream>,
+    /// Keeps a frame a timeout interrupted, for the next reader.
+    frame: FrameReader,
+    /// The read timeout armed on the socket.
+    timeout: Duration,
+}
+
+impl InConn {
+    /// Reads the next frame, blocking at most about `wait` for bytes.
+    fn read(&mut self, wait: Duration) -> Result<(u16, Vec<u8>), FrameError> {
+        if self.timeout != wait {
+            self.stream.get_ref().set_read_timeout(Some(wait))?;
+            self.timeout = wait;
+        }
+        self.frame.read(&mut self.stream)
+    }
 }
 
 /// Monotonic suffix for Unix socket paths within one process.
@@ -198,8 +260,8 @@ pub struct SocketTransport {
     opts: SocketOptions,
     addr: String,
     peers: Vec<Option<String>>,
-    demux: Demux,
-    conns: HashMap<usize, Arc<Mutex<Stream>>>,
+    inboxes: Inboxes,
+    conns: HashMap<usize, Arc<Outbound>>,
     bucket: Option<Arc<Mutex<TokenBucket>>>,
     accept_handle: Option<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
@@ -265,13 +327,12 @@ impl SocketTransport {
                 ))
             }
         };
-        let demux: Demux = Arc::new(Mutex::new(DemuxState::default()));
+        let inboxes: Inboxes = (0..world).map(|_| Inbox::default()).collect();
         let stop = Arc::new(AtomicBool::new(false));
         let accept_handle = spawn_acceptor(
             listener,
-            Arc::clone(&demux),
+            Arc::clone(&inboxes),
             Arc::clone(&stop),
-            world,
             config_hash,
             opts.epoch,
             opts.handshake_timeout,
@@ -284,7 +345,7 @@ impl SocketTransport {
             opts,
             addr,
             peers: (0..world).map(|_| None).collect(),
-            demux,
+            inboxes,
             conns: HashMap::new(),
             bucket: opts
                 .link_mbps
@@ -311,7 +372,7 @@ impl SocketTransport {
 
     /// Opens (or reuses) the data connection to `to`, performing the
     /// handshake on first use.
-    fn ensure_conn(&mut self, to: usize) -> Result<Arc<Mutex<Stream>>, TransportError> {
+    fn ensure_conn(&mut self, to: usize) -> Result<Arc<Outbound>, TransportError> {
         if let Some(c) = self.conns.get(&to) {
             return Ok(Arc::clone(c));
         }
@@ -356,9 +417,20 @@ impl SocketTransport {
             });
         }
         stream
-            .set_read_timeout(None)
-            .map_err(|e| TransportError::io("clearing the handshake timeout", &e))?;
-        let conn = Arc::new(Mutex::new(stream));
+            .set_nonblocking(true)
+            .map_err(|e| TransportError::io("making the data connection nonblocking", &e))?;
+        let conn = Arc::new(Outbound {
+            to,
+            state: Mutex::new(OutState {
+                stream,
+                backlog: VecDeque::new(),
+                draining: false,
+                closing: false,
+                failed: None,
+                writer: None,
+            }),
+            work: Condvar::new(),
+        });
         self.conns.insert(to, Arc::clone(&conn));
         Ok(conn)
     }
@@ -388,11 +460,10 @@ impl Transport for SocketTransport {
                 what: "channel 0 is reserved (corrupt-header sentinel)".to_string(),
             });
         }
-        let conn = self.ensure_conn(to)?;
+        let out = self.ensure_conn(to)?;
         Ok(Box::new(SocketTx {
-            conn,
+            out,
             chan,
-            to,
             bucket: self.bucket.as_ref().map(Arc::clone),
         }))
     }
@@ -404,25 +475,10 @@ impl Transport for SocketTransport {
                 reason: format!("rank out of range (world {})", self.world),
             });
         }
-        let (tx, rx) = channel();
-        let mut st = lock(&self.demux);
-        if let Some(buffered) = st.pending.remove(&(from, chan)) {
-            for frame in buffered {
-                // The receiving half is right here; this cannot fail.
-                let _ = tx.send(frame);
-            }
-        }
-        if !st.closed.contains(&from) {
-            st.queues.insert((from, chan), tx);
-        }
-        // When `from` is already closed the sender is dropped here, so
-        // the receiver yields the buffered frames then PeerClosed (or
-        // FrameCorrupt when corruption is what killed the connection).
-        drop(st);
         Ok(Box::new(SocketRx {
-            rx,
+            inboxes: Arc::clone(&self.inboxes),
             from,
-            demux: Arc::clone(&self.demux),
+            chan,
         }))
     }
 
@@ -445,8 +501,20 @@ impl Transport for SocketTransport {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        // Closing our write sides EOFs the peers' reader threads; the
-        // path guard unlinks the socket file.
+        // Whatever was sent still arrives: each writer drains its
+        // backlog before it exits. Closing our write sides then EOFs
+        // the peers' receivers; the path guard unlinks the socket file.
+        for out in self.conns.values() {
+            let writer = {
+                let mut st = lock(&out.state);
+                st.closing = true;
+                st.writer.take()
+            };
+            out.work.notify_one();
+            if let Some(w) = writer {
+                let _ = w.join();
+            }
+        }
         self.conns.clear();
         self.uds_path = None;
     }
@@ -529,13 +597,13 @@ fn connect_retry(
     }
 }
 
-/// Spawns the accept loop: handshake every inbound connection, then
-/// hand it to a detached reader thread that demultiplexes frames.
+/// Spawns the accept loop. Each inbound connection gets a short-lived
+/// thread that handshakes it (so a slow peer never stalls the accept
+/// loop), installs it in the peer's inbox and exits.
 fn spawn_acceptor(
     listener: ListenerInner,
-    demux: Demux,
+    inboxes: Inboxes,
     stop: Arc<AtomicBool>,
-    world: usize,
     config_hash: u64,
     epoch: u32,
     handshake_timeout: Duration,
@@ -562,33 +630,27 @@ fn spawn_acceptor(
                     continue;
                 }
             };
-            let demux = Arc::clone(&demux);
-            // Reader threads are detached: they exit on EOF when the
-            // peer closes its write side (or its process dies).
+            let inboxes = Arc::clone(&inboxes);
             let _ = std::thread::Builder::new()
-                .name("actcomp-net-read".to_string())
+                .name("actcomp-net-handshake".to_string())
                 .spawn(move || {
-                    serve_conn(stream, demux, world, config_hash, epoch, handshake_timeout);
+                    admit(stream, &inboxes, config_hash, epoch, handshake_timeout);
                 });
         })
         .expect("spawn acceptor thread")
 }
 
-/// Handshakes one inbound connection and pumps its frames into the
-/// demux until EOF or a corrupt frame.
-fn serve_conn(
+/// Handshakes one inbound connection and installs it in its peer's
+/// inbox, where receivers read it.
+fn admit(
     stream: Stream,
-    demux: Demux,
-    world: usize,
+    inboxes: &[Inbox],
     config_hash: u64,
     epoch: u32,
     handshake_timeout: Duration,
 ) {
-    // Reads go through the buffer, so a frame's header and trailer —
-    // and whole runs of small frames — share a syscall; a payload
-    // larger than the buffer is read straight into its `Vec` once the
-    // buffer drains. The few writes (the handshake ack) go to the
-    // stream underneath.
+    // The buffer goes into the inbox with the stream: it may already
+    // hold the first frames after the handshake.
     let mut conn = BufReader::new(stream);
     if conn
         .get_ref()
@@ -597,7 +659,18 @@ fn serve_conn(
     {
         return;
     }
-    let from = match accept_handshake(&mut conn, world, config_hash, epoch) {
+    let admitted =
+        accept_handshake(&mut conn, inboxes.len(), config_hash, epoch).and_then(|from| {
+            // One connection per peer: claimed before the ack, so a
+            // second one is refused.
+            if std::mem::replace(&mut lock(&inboxes[from].state).admitted, true) {
+                return Err(TransportError::BadFrame {
+                    what: format!("a second connection from rank {from}"),
+                });
+            }
+            Ok(from)
+        });
+    let from = match admitted {
         Ok(from) => from,
         Err(reason) => {
             // Best-effort rejection; the connector surfaces it as
@@ -608,45 +681,20 @@ fn serve_conn(
             return;
         }
     };
-    if write_frame(conn.get_mut(), HS_CHAN, &[0u8]).is_err()
-        || conn.get_ref().set_read_timeout(None).is_err()
-    {
-        return;
-    }
-    loop {
-        match read_frame(&mut conn) {
-            Ok((chan, payload)) => {
-                let mut st = lock(&demux);
-                match st.queues.get(&(from, chan)) {
-                    Some(tx) => {
-                        if tx.send(payload).is_err() {
-                            // Receiver dropped; stop routing this chan.
-                            st.queues.remove(&(from, chan));
-                        }
-                    }
-                    None => st
-                        .pending
-                        .entry((from, chan))
-                        .or_default()
-                        .push_back(payload),
-                }
-            }
-            Err(FrameError::Corrupt(what)) => {
-                // Frame alignment is lost; the connection is dead.
-                // Remember why, so receivers report FrameCorrupt
-                // instead of a bare PeerClosed.
-                lock(&demux).corrupt.insert(from, what);
-                let _ = conn.get_ref().shutdown_both();
-                break;
-            }
-            Err(FrameError::Io(_)) => break,
+    let inbox = &inboxes[from];
+    let acked = write_frame(conn.get_mut(), HS_CHAN, &[0u8]);
+    let mut st = lock(&inbox.state);
+    match acked {
+        Ok(()) => {
+            st.conn = Some(InConn {
+                stream: conn,
+                frame: FrameReader::default(),
+                timeout: handshake_timeout,
+            })
         }
+        Err(_) => st.dead = Some(peer_closed(from, "completing a handshake")),
     }
-    // EOF or error: tear down this peer's queues so blocked receivers
-    // wake with PeerClosed/FrameCorrupt instead of hanging.
-    let mut st = lock(&demux);
-    st.closed.insert(from);
-    st.queues.retain(|(f, _), _| *f != from);
+    inbox.ready.notify_all();
 }
 
 /// Reads and validates the handshake frame, returning the peer rank.
@@ -681,7 +729,7 @@ fn accept_handshake(
     if hs.epoch != epoch {
         // The fencing check: a peer from another restart generation
         // (usually a stale worker the supervisor already replaced) is
-        // refused before any of its frames can reach the demux.
+        // refused before any of its frames can reach a receiver.
         return Err(TransportError::HandshakeMismatch {
             field: "epoch",
             ours: u64::from(epoch),
@@ -698,17 +746,95 @@ fn accept_handshake(
     Ok(hs.from as usize)
 }
 
+fn peer_closed(rank: usize, what: &str) -> TransportError {
+    TransportError::PeerClosed {
+        rank: Some(rank),
+        what: what.to_string(),
+    }
+}
+
+/// A failed write, typed: a vanished peer is [`TransportError::PeerClosed`].
+fn send_error(e: &std::io::Error, to: usize) -> TransportError {
+    match e.kind() {
+        std::io::ErrorKind::BrokenPipe
+        | std::io::ErrorKind::ConnectionReset
+        | std::io::ErrorKind::UnexpectedEof => peer_closed(to, "sending a frame"),
+        _ => TransportError::io(format!("sending a frame to rank {to}"), e),
+    }
+}
+
+/// One outbound connection, shared by every channel to its peer.
+struct Outbound {
+    to: usize,
+    state: Mutex<OutState>,
+    /// Wakes the writer: the backlog grew, or the endpoint is closing.
+    work: Condvar,
+}
+
+struct OutState {
+    /// Nonblocking, except while the writer drains the backlog.
+    stream: Stream,
+    /// Frame bytes the kernel has not taken yet, in send order. While
+    /// it is nonempty (or the writer is writing) every send queues
+    /// behind it.
+    backlog: VecDeque<Vec<u8>>,
+    /// Whether the writer holds a buffer it took off the backlog.
+    draining: bool,
+    /// Set at shutdown: the writer exits once the backlog is empty.
+    closing: bool,
+    /// Why the writer stopped; every later send reports it.
+    failed: Option<TransportError>,
+    /// Spawned on the first frame the kernel would not take whole.
+    writer: Option<JoinHandle<()>>,
+}
+
+/// The writer thread: writes the backlog in order, with the stream in
+/// blocking mode while there is one.
+fn drain(out: &Outbound, mut stream: Stream) {
+    let mut st = lock(&out.state);
+    loop {
+        let Some(buf) = st.backlog.pop_front() else {
+            if st.closing {
+                return;
+            }
+            st = out.work.wait(st).unwrap_or_else(|e| e.into_inner());
+            continue;
+        };
+        st.draining = true;
+        drop(st);
+        // Senders queue while `draining` is set, so the mode can flip
+        // outside the lock.
+        let wrote = stream
+            .set_nonblocking(false)
+            .and_then(|()| stream.write_all(&buf));
+        st = lock(&out.state);
+        let wrote = wrote.and_then(|()| {
+            if st.backlog.is_empty() {
+                st.draining = false;
+                stream.set_nonblocking(true)?;
+            }
+            Ok(())
+        });
+        if let Err(e) = wrote {
+            st.failed = Some(send_error(&e, out.to));
+            st.backlog.clear();
+            st.draining = false;
+            return;
+        }
+    }
+}
+
 /// The sending end of one channel over a shared socket connection.
 struct SocketTx {
-    conn: Arc<Mutex<Stream>>,
+    out: Arc<Outbound>,
     chan: u16,
-    to: usize,
     bucket: Option<Arc<Mutex<TokenBucket>>>,
 }
 
 impl SocketTx {
-    /// Writes one frame, optionally with a deliberately broken CRC
-    /// trailer (`crc_flip != 0` — the fault-injection path).
+    /// Sends one frame, optionally with a deliberately broken CRC
+    /// trailer (`crc_flip != 0` — the fault-injection path). Returns
+    /// once the frame is in the kernel or in the backlog.
     fn send_with(&mut self, payload: &[u8], crc_flip: u32) -> Result<(), TransportError> {
         if let Some(bucket) = &self.bucket {
             // Debit under the lock, sleep outside it so concurrent
@@ -718,16 +844,35 @@ impl SocketTx {
                 std::thread::sleep(wait);
             }
         }
-        let mut w = lock(&self.conn);
-        write_frame_with(&mut *w, self.chan, payload, crc_flip).map_err(|e| match e.kind() {
-            std::io::ErrorKind::BrokenPipe
-            | std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::UnexpectedEof => TransportError::PeerClosed {
-                rank: Some(self.to),
-                what: "sending a frame".to_string(),
-            },
-            _ => TransportError::io(format!("sending a frame to rank {}", self.to), &e),
-        })
+        let to = self.out.to;
+        let mut st = lock(&self.out.state);
+        if let Some(e) = &st.failed {
+            return Err(e.clone());
+        }
+        let rest = if st.backlog.is_empty() && !st.draining {
+            write_frame_with(&mut st.stream, self.chan, payload, crc_flip)
+        } else {
+            let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
+            write_frame_with(&mut frame, self.chan, payload, crc_flip).map(|_| Some(frame))
+        };
+        match rest.map_err(|e| send_error(&e, to))? {
+            None => return Ok(()),
+            Some(rest) => st.backlog.push_back(rest),
+        }
+        if st.writer.is_none() {
+            let stream = st
+                .stream
+                .try_clone()
+                .map_err(|e| TransportError::io(format!("cloning the link to rank {to}"), &e))?;
+            let out = Arc::clone(&self.out);
+            let writer = std::thread::Builder::new()
+                .name("actcomp-net-write".to_string())
+                .spawn(move || drain(&out, stream))
+                .map_err(|e| TransportError::io("spawning a socket writer", &e))?;
+            st.writer = Some(writer);
+        }
+        self.out.work.notify_one();
+        Ok(())
     }
 }
 
@@ -741,46 +886,97 @@ impl FrameTx for SocketTx {
     }
 
     fn sever(&mut self) -> Result<(), TransportError> {
-        lock(&self.conn)
-            .shutdown_both()
-            .map_err(|e| TransportError::io(format!("severing the link to rank {}", self.to), &e))
+        lock(&self.out.state).stream.shutdown_both().map_err(|e| {
+            TransportError::io(format!("severing the link to rank {}", self.out.to), &e)
+        })
     }
 }
 
-/// The receiving end of one channel, fed by the peer's reader thread.
+/// The receiving end of one channel: reads its peer's connection on
+/// the calling thread whenever no other receiver of that peer is.
 struct SocketRx {
-    rx: Receiver<Vec<u8>>,
+    inboxes: Inboxes,
     from: usize,
-    /// Consulted when the queue disconnects, to distinguish a corrupt
-    /// connection from a plainly closed one.
-    demux: Demux,
+    chan: u16,
 }
 
 impl SocketRx {
-    fn disconnected(&self) -> TransportError {
-        if let Some(what) = lock(&self.demux).corrupt.get(&self.from) {
-            return TransportError::FrameCorrupt { what: what.clone() };
-        }
-        TransportError::PeerClosed {
-            rank: Some(self.from),
-            what: "receiving a frame".to_string(),
+    /// The next frame on this channel, waiting until `deadline` (`None`:
+    /// for ever); `timeout` only labels the error.
+    fn recv_until(
+        &mut self,
+        deadline: Option<Instant>,
+        timeout: Duration,
+    ) -> Result<Vec<u8>, TransportError> {
+        let inbox = &self.inboxes[self.from];
+        let mut st = lock(&inbox.state);
+        loop {
+            if let Some(frame) = st.queues.get_mut(&self.chan).and_then(VecDeque::pop_front) {
+                return Ok(frame);
+            }
+            if let Some(e) = &st.dead {
+                return Err(e.clone());
+            }
+            let wait = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => MAX_READ_WAIT,
+                Some(left) if left.is_zero() => {
+                    return Err(TransportError::Timeout {
+                        what: format!("a frame from rank {}", self.from),
+                        after: timeout,
+                    })
+                }
+                Some(left) => left.min(MAX_READ_WAIT),
+            };
+            let Some(mut conn) = st.conn.take() else {
+                // Another receiver is reading, or the peer has not
+                // connected yet: wait to be handed a frame or the stream.
+                st.waiting += 1;
+                st = (inbox.ready.wait_timeout(st, wait))
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0;
+                st.waiting -= 1;
+                continue;
+            };
+            drop(st);
+            let read = conn.read(wait);
+            st = lock(&inbox.state);
+            match read {
+                Ok((chan, frame)) => {
+                    st.conn = Some(conn);
+                    if chan == self.chan {
+                        if st.waiting > 0 {
+                            inbox.ready.notify_all();
+                        }
+                        return Ok(frame);
+                    }
+                    st.queues.entry(chan).or_default().push_back(frame);
+                }
+                // The frame reader keeps a partial frame for whoever
+                // reads next.
+                Err(FrameError::Io(e)) if is_timeout(&e) => st.conn = Some(conn),
+                Err(FrameError::Corrupt(what)) => {
+                    // Frame alignment is lost; the connection is dead.
+                    let _ = conn.stream.get_ref().shutdown_both();
+                    st.dead = Some(TransportError::FrameCorrupt { what });
+                }
+                Err(FrameError::Io(_)) => {
+                    st.dead = Some(peer_closed(self.from, "receiving a frame"));
+                }
+            }
+            if st.waiting > 0 {
+                inbox.ready.notify_all();
+            }
         }
     }
 }
 
 impl FrameRx for SocketRx {
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        self.rx.recv().map_err(|_| self.disconnected())
+        self.recv_until(None, Duration::MAX)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => TransportError::Timeout {
-                what: format!("a frame from rank {}", self.from),
-                after: timeout,
-            },
-            RecvTimeoutError::Disconnected => self.disconnected(),
-        })
+        self.recv_until(Instant::now().checked_add(timeout), timeout)
     }
 }
 
@@ -1134,6 +1330,145 @@ mod tests {
             a.open_send(1, 1),
             Err(TransportError::Timeout { .. })
         ));
+    }
+
+    /// Frame `i` of the stream tagged `tag`, `len` bytes long.
+    fn numbered(tag: u8, i: usize, len: usize) -> Vec<u8> {
+        let mut p = vec![tag; len];
+        p[..8].copy_from_slice(&(i as u64).to_le_bytes());
+        p
+    }
+
+    /// Both ends send 16 MiB in 256 KiB frames before either receives:
+    /// far past what the kernel buffers, so each send side must back
+    /// its frames up rather than wait for the other to read.
+    fn crossed_floods_finish(kind: TransportKind) {
+        const FRAMES: usize = 64;
+        const LEN: usize = 256 * 1024;
+        let (a, b) = pair(kind);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for (mut me, peer, tag) in [(a, 1, 0xA_u8), (b, 0, 0xB)] {
+            let done = done_tx.clone();
+            std::thread::spawn(move || {
+                let mut tx = me.open_send(peer, 5).expect("send side");
+                let mut rx = me.open_recv(peer, 5).expect("recv side");
+                for i in 0..FRAMES {
+                    tx.send(&numbered(tag, i, LEN)).expect("send");
+                }
+                let theirs = tag ^ 0xA ^ 0xB;
+                for i in 0..FRAMES {
+                    let got = rx.recv_timeout(Duration::from_secs(30)).expect("frame");
+                    assert!(
+                        got == numbered(theirs, i, LEN),
+                        "frame {i} lost or reordered"
+                    );
+                }
+                drop(tx);
+                me.shutdown();
+                done.send(()).expect("report");
+            });
+        }
+        drop(done_tx);
+        for _ in 0..2 {
+            done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("both directions finish");
+        }
+    }
+
+    #[test]
+    fn tcp_crossed_floods_cannot_deadlock() {
+        crossed_floods_finish(TransportKind::Tcp);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn uds_crossed_floods_cannot_deadlock() {
+        crossed_floods_finish(TransportKind::Uds);
+    }
+
+    #[test]
+    fn two_threads_receive_two_channels_of_one_peer() {
+        let (mut a, mut b) = pair(TransportKind::Tcp);
+        let mut txs = [3u16, 4].map(|chan| a.open_send(1, chan).expect("send side"));
+        let readers: Vec<_> = [3u16, 4]
+            .map(|chan| {
+                let mut rx = b.open_recv(0, chan).expect("recv side");
+                std::thread::spawn(move || {
+                    for i in 0..500usize {
+                        let got = rx.recv_timeout(Duration::from_secs(10)).expect("frame");
+                        assert_eq!(got, numbered(chan as u8, i, 8 + i % 3000));
+                    }
+                })
+            })
+            .into();
+        for i in 0..500usize {
+            for (tx, chan) in txs.iter_mut().zip([3u8, 4]) {
+                tx.send(&numbered(chan, i, 8 + i % 3000)).expect("send");
+            }
+        }
+        for r in readers {
+            r.join().expect("reader");
+        }
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn frames_wait_for_a_channel_opened_later() {
+        let (mut a, mut b) = pair(TransportKind::Tcp);
+        let mut early = a.open_send(1, 7).expect("send side");
+        let mut late = a.open_send(1, 8).expect("send side");
+        for i in 0..3 {
+            early.send(&numbered(7, i, 16)).expect("send");
+        }
+        late.send(b"last").expect("send");
+        // Reading channel 8 reads past channel 7's frames first.
+        let mut rx8 = b.open_recv(0, 8).expect("recv side");
+        assert_eq!(rx8.recv().expect("frame"), b"last");
+        let mut rx7 = b.open_recv(0, 7).expect("recv side");
+        for i in 0..3 {
+            assert_eq!(rx7.recv().expect("queued frame"), numbered(7, i, 16));
+        }
+        // A closed peer reports after its queued frames, not before.
+        early.send(b"parting").expect("send");
+        drop((early, late));
+        a.shutdown();
+        let mut rx7 = b.open_recv(0, 7).expect("recv side");
+        assert!(rx8.recv().expect_err("closed").is_peer_closed());
+        assert_eq!(rx7.recv().expect("queued frame"), b"parting");
+        assert!(rx7.recv().expect_err("closed").is_peer_closed());
+        b.shutdown();
+    }
+
+    #[test]
+    fn a_silent_peer_times_out_within_the_deadline() {
+        let (mut a, mut b) = pair(TransportKind::Tcp);
+        let deadline = Duration::from_millis(150);
+        // Before the peer ever connects, then on a connected, quiet link.
+        let mut rx = b.open_recv(0, 2).expect("recv side");
+        for round in 0..2 {
+            let t0 = Instant::now();
+            let err = rx.recv_timeout(deadline).expect_err("silent");
+            assert!(matches!(err, TransportError::Timeout { .. }), "got {err:?}");
+            let took = t0.elapsed();
+            assert!(
+                took >= deadline && took < Duration::from_secs(2),
+                "round {round}: {took:?}"
+            );
+            let _ = a.open_send(1, 2).expect("connect");
+        }
+        // The link still works after timing out.
+        a.open_send(1, 2)
+            .expect("send side")
+            .send(b"hi")
+            .expect("send");
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)).expect("frame"),
+            b"hi"
+        );
+        a.shutdown();
+        b.shutdown();
     }
 
     #[test]

@@ -1041,10 +1041,15 @@ impl TpGroup {
     /// installs the sum locally — the threaded counterpart of
     /// [`actcomp_mp::CompressedAllReduce::sync_param_grads`]. Summation
     /// runs in rank order, so replicated auto-encoder parameters stay
-    /// bit-identical across ranks.
+    /// bit-identical across ranks. A compressor without parameters
+    /// returns at once: every rank of the group holds the same kind of
+    /// compressor, so all skip the gather together.
     pub fn sync_param_grads(&mut self, comp: &mut dyn Compressor, timers: &mut PhaseTimers) {
         let mut own: Vec<Tensor> = Vec::new();
         comp.visit_params(&mut |p| own.push(p.grad.clone()));
+        if own.is_empty() {
+            return;
+        }
         let gathered = self.all_gather(own, timers);
         let sums = timed(&mut timers.decode_s, || {
             let mut ranks = gathered.into_iter();
@@ -1056,11 +1061,8 @@ impl TpGroup {
             }
             sums
         });
-        let mut i = 0;
-        comp.visit_params(&mut |p| {
-            p.grad = sums[i].clone();
-            i += 1;
-        });
+        let mut sums = sums.into_iter();
+        comp.visit_params(&mut |p| p.grad = sums.next().expect("one sum per parameter"));
     }
 }
 

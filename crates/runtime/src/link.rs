@@ -27,7 +27,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 /// Upper bound on one framed data-plane receive. A *dead* peer surfaces
-/// much sooner as `PeerClosed` (the socket demux drops its queues on
+/// much sooner as `PeerClosed` (the receiver reading the socket sees
 /// EOF); this deadline only catches a peer that is alive but silent —
 /// e.g. a dropped frame under fault injection — turning an indefinite
 /// stall into a typed timeout that fails the step instead of hanging

@@ -10,7 +10,7 @@ use crate::report::{timed, PhaseTimers, RankReport};
 use crate::trace::TraceHandle;
 use crate::wire::{put_f32, put_string, put_u8, put_usize, Reader, WireError, WireMsg};
 use actcomp_check::{ChannelId, Dir, MsgId, TraceEvent};
-use actcomp_compress::{Compressed, Compressor, Identity};
+use actcomp_compress::{Compressed, Compressor};
 use actcomp_distsim::schedule::gpipe_order;
 use actcomp_mp::{Block, CommBytes, Reduce, SumPoint};
 use actcomp_nn::{Embedding, Layer, LayerNorm, LnCache, Parameter};
@@ -981,11 +981,9 @@ impl RankWorker {
     /// Post-drain synchronization, in the serial executor's order:
     /// per-layer compressor grads first, then boundary replicas.
     fn post_drain_sync(&mut self) {
-        // A dense sum syncs an empty parameter list: every rank of every
-        // plan walks the same collectives.
-        let mut dense = Identity;
-        for comp in self.layers.iter_mut().flat_map(|(_, comps)| comps) {
-            let comp = comp.as_deref_mut().unwrap_or(&mut dense);
+        // A dense sum has no codec, and a codec without parameters (all
+        // but the auto-encoders) has nothing to sync.
+        for comp in self.layers.iter_mut().flat_map(|(_, c)| c).flatten() {
             self.tp.sync_param_grads(comp, &mut self.timers);
         }
         if self.send_b.is_some() {

@@ -200,7 +200,7 @@ fn faulty_socket_pair(kind: TransportKind, spec: &str) -> (Box<dyn FrameTx>, Box
     let mut faulty = FaultyTransport::new(send_side, plan);
     let tx = faulty.open_send(1, 1).expect("send side");
     let rx = recv_side.open_recv(0, 1).expect("recv side");
-    // Keep both transports (demux threads, socket files) alive for the
+    // Keep both transports (connections, socket files) alive for the
     // duration of the test.
     std::mem::forget(faulty);
     std::mem::forget(recv_side);
