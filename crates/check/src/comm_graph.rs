@@ -48,7 +48,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use actcomp_compress::{spec::Family::AutoEncoder, Compressor, ErrorFeedback};
+use actcomp_compress::{Compressor, ErrorFeedback};
 use actcomp_distsim::schedule::gpipe_order;
 use actcomp_mp::stage_offsets;
 use actcomp_tensor::Tensor;
@@ -721,9 +721,9 @@ pub fn build_comm_graph(cfg: &ExperimentConfig) -> Option<CommGraph> {
             }
 
             g.phase = Phase::Sync;
-            // Only a codec with parameters — an auto-encoder — syncs
-            // their grads; a dense sum has no codec.
-            for _l in (lo..hi).filter(|&l| plan.covers(l) && plan.spec.family() == AutoEncoder) {
+            // Only a codec with parameters syncs their grads; a dense
+            // sum has no codec.
+            for _l in (lo..hi).filter(|&l| plan.covers(l) && plan.spec.has_params()) {
                 // Attention then feed-forward compressor-grad gathers.
                 g.gather_ring(None);
                 g.gather_ring(None);

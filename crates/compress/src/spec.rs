@@ -132,6 +132,15 @@ impl CompressorSpec {
         }
     }
 
+    /// Whether the built compressor carries trainable parameters (only
+    /// the auto-encoders do) — and so runs a grad-sync all-gather after
+    /// each step. The checker's comm graph keys on this; the runtime on
+    /// whether [`crate::Compressor::visit_params`] yields anything, and
+    /// a unit test holds the two together.
+    pub fn has_params(&self) -> bool {
+        self.family() == Family::AutoEncoder
+    }
+
     /// The reference code dimension (`c` at `h = 1024`) this spec derives
     /// from, if it is AE-relative.
     fn reference_code_dim(&self) -> Option<usize> {
@@ -262,6 +271,17 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use CompressorSpec::*;
+
+    #[test]
+    fn built_compressors_visit_parameters_exactly_when_the_spec_has_them() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        for spec in CompressorSpec::all() {
+            let mut comp = spec.build(&mut rng, 4 * 64, 64);
+            let mut params = 0;
+            comp.visit_params(&mut |_| params += 1);
+            assert_eq!(params > 0, spec.has_params(), "{spec}: {params} parameters");
+        }
+    }
 
     #[test]
     fn paper_scale_code_dims() {

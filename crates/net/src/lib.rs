@@ -54,7 +54,9 @@
 //! queued frames are delivered, a connection killed by a CRC
 //! failure yields [`TransportError::FrameCorrupt`], and
 //! handshake/receive timeouts surface as [`TransportError::Timeout`]
-//! rather than hanging forever.
+//! rather than hanging forever. Shutdown drains unsent frames while
+//! their peer reads and gives up on one that has read nothing for the
+//! handshake timeout.
 //!
 //! # Fault injection
 //!

@@ -10,14 +10,17 @@
 //! frames for other channels (opened yet or not) wait in per-channel
 //! queues, and queued frames are delivered before a dead or corrupt
 //! connection is reported as [`TransportError::PeerClosed`] or
-//! [`TransportError::FrameCorrupt`].
+//! [`TransportError::FrameCorrupt`]. A peer that reconnects (its last
+//! handshake failed on its side) replaces its earlier connection.
 //!
 //! Sends never wait on the peer. Outbound streams are nonblocking: a
 //! frame the kernel will not take whole goes, with every frame after
 //! it, to an ordered backlog that a writer thread — spawned on the
 //! connection's first overflow — drains. Two ranks writing to each
 //! other before either reads therefore cannot deadlock, however large
-//! the frames.
+//! the frames. Shutdown drains every backlog while its peer keeps
+//! reading, and abandons one that has taken no byte for the handshake
+//! timeout: a peer that stopped reading delays teardown, never hangs it.
 
 use crate::error::TransportError;
 use crate::frame::{
@@ -66,9 +69,9 @@ impl Default for SocketOptions {
     }
 }
 
-/// The longest one blocking read of a peer's connection lasts before
-/// its receiver re-checks its own deadline.
-const MAX_READ_WAIT: Duration = Duration::from_secs(1);
+/// The longest one blocking read (or backlog write) on a peer's
+/// connection lasts before its thread re-checks its own deadline.
+const MAX_IO_WAIT: Duration = Duration::from_secs(1);
 
 /// A listener of either flavor.
 pub(crate) enum ListenerInner {
@@ -90,6 +93,14 @@ impl Stream {
             Stream::Tcp(s) => s.set_read_timeout(t),
             #[cfg(unix)]
             Stream::Uds(s) => s.set_read_timeout(t),
+        }
+    }
+
+    fn set_write_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_write_timeout(t),
+            #[cfg(unix)]
+            Stream::Uds(s) => s.set_write_timeout(t),
         }
     }
 
@@ -173,8 +184,9 @@ struct Inbox {
 
 #[derive(Default)]
 struct InboxState {
-    /// Whether the peer's connection was admitted (a second is refused).
-    admitted: bool,
+    /// How many connections the peer has had admitted; a receiver that
+    /// reads an older one than the latest drops it.
+    generation: u64,
     /// The connection, while no receiver is reading it.
     conn: Option<InConn>,
     /// Frames read for channels other than their reader's, in order.
@@ -421,6 +433,7 @@ impl SocketTransport {
             .map_err(|e| TransportError::io("making the data connection nonblocking", &e))?;
         let conn = Arc::new(Outbound {
             to,
+            stall: self.opts.handshake_timeout,
             state: Mutex::new(OutState {
                 stream,
                 backlog: VecDeque::new(),
@@ -501,19 +514,26 @@ impl Transport for SocketTransport {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        // Whatever was sent still arrives: each writer drains its
-        // backlog before it exits. Closing our write sides then EOFs
-        // the peers' receivers; the path guard unlinks the socket file.
-        for out in self.conns.values() {
-            let writer = {
-                let mut st = lock(&out.state);
-                st.closing = true;
-                st.writer.take()
-            };
-            out.work.notify_one();
-            if let Some(w) = writer {
-                let _ = w.join();
-            }
+        // Whatever was sent still arrives while its peer reads: the
+        // writers drain their backlogs side by side, each giving up once
+        // its peer has taken no byte for `Outbound::stall`. Closing our
+        // write sides then EOFs the peers' receivers; the path guard
+        // unlinks the socket file.
+        let writers: Vec<_> = self
+            .conns
+            .values()
+            .filter_map(|out| {
+                let writer = {
+                    let mut st = lock(&out.state);
+                    st.closing = true;
+                    st.writer.take()
+                };
+                out.work.notify_one();
+                writer
+            })
+            .collect();
+        for w in writers {
+            let _ = w.join();
         }
         self.conns.clear();
         self.uds_path = None;
@@ -659,18 +679,7 @@ fn admit(
     {
         return;
     }
-    let admitted =
-        accept_handshake(&mut conn, inboxes.len(), config_hash, epoch).and_then(|from| {
-            // One connection per peer: claimed before the ack, so a
-            // second one is refused.
-            if std::mem::replace(&mut lock(&inboxes[from].state).admitted, true) {
-                return Err(TransportError::BadFrame {
-                    what: format!("a second connection from rank {from}"),
-                });
-            }
-            Ok(from)
-        });
-    let from = match admitted {
+    let from = match accept_handshake(&mut conn, inboxes.len(), config_hash, epoch) {
         Ok(from) => from,
         Err(reason) => {
             // Best-effort rejection; the connector surfaces it as
@@ -681,20 +690,27 @@ fn admit(
             return;
         }
     };
+    let Ok(mut ack) = conn.get_ref().try_clone() else {
+        return;
+    };
+    // Installed before the ack, so the connector's first frame finds it.
+    // A sender connects again only after its last handshake failed on
+    // its side, so the connection this one replaces carried no frame.
     let inbox = &inboxes[from];
-    let acked = write_frame(conn.get_mut(), HS_CHAN, &[0u8]);
-    let mut st = lock(&inbox.state);
-    match acked {
-        Ok(()) => {
-            st.conn = Some(InConn {
-                stream: conn,
-                frame: FrameReader::default(),
-                timeout: handshake_timeout,
-            })
-        }
-        Err(_) => st.dead = Some(peer_closed(from, "completing a handshake")),
+    {
+        let mut st = lock(&inbox.state);
+        st.generation += 1;
+        st.conn = Some(InConn {
+            stream: conn,
+            frame: FrameReader::default(),
+            timeout: handshake_timeout,
+        });
+        st.dead = None;
+        inbox.ready.notify_all();
     }
-    inbox.ready.notify_all();
+    // A connector gone by now reports its own failure; its receivers
+    // read the end of the connection.
+    let _ = write_frame(&mut ack, HS_CHAN, &[0u8]);
 }
 
 /// Reads and validates the handshake frame, returning the peer rank.
@@ -766,6 +782,9 @@ fn send_error(e: &std::io::Error, to: usize) -> TransportError {
 /// One outbound connection, shared by every channel to its peer.
 struct Outbound {
     to: usize,
+    /// How long a closing endpoint's writer waits on a peer that takes
+    /// no byte before it abandons the backlog.
+    stall: Duration,
     state: Mutex<OutState>,
     /// Wakes the writer: the backlog grew, or the endpoint is closing.
     work: Condvar,
@@ -780,7 +799,8 @@ struct OutState {
     backlog: VecDeque<Vec<u8>>,
     /// Whether the writer holds a buffer it took off the backlog.
     draining: bool,
-    /// Set at shutdown: the writer exits once the backlog is empty.
+    /// Set at shutdown: the writer exits once the backlog is empty, or
+    /// once its peer has stalled for [`Outbound::stall`].
     closing: bool,
     /// Why the writer stopped; every later send reports it.
     failed: Option<TransportError>,
@@ -806,7 +826,7 @@ fn drain(out: &Outbound, mut stream: Stream) {
         // outside the lock.
         let wrote = stream
             .set_nonblocking(false)
-            .and_then(|()| stream.write_all(&buf));
+            .and_then(|()| write_while_taken(out, &mut stream, &buf));
         st = lock(&out.state);
         let wrote = wrote.and_then(|()| {
             if st.backlog.is_empty() {
@@ -816,12 +836,44 @@ fn drain(out: &Outbound, mut stream: Stream) {
             Ok(())
         });
         if let Err(e) = wrote {
-            st.failed = Some(send_error(&e, out.to));
+            st.failed = Some(if is_timeout(&e) {
+                TransportError::Timeout {
+                    what: format!("rank {} to read frames sent before shutdown", out.to),
+                    after: out.stall,
+                }
+            } else {
+                send_error(&e, out.to)
+            });
             st.backlog.clear();
             st.draining = false;
             return;
         }
     }
+}
+
+/// Writes all of `buf` to a blocking stream whose writes time out after
+/// [`MAX_IO_WAIT`]. Waits as long as the endpoint is open; once it is
+/// closing, fails with a timeout when the peer has taken no byte for
+/// [`Outbound::stall`].
+fn write_while_taken(out: &Outbound, stream: &mut Stream, mut buf: &[u8]) -> std::io::Result<()> {
+    let mut progress = Instant::now();
+    while !buf.is_empty() {
+        match stream.write(buf) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                buf = &buf[n..];
+                progress = Instant::now();
+            }
+            Err(e) if is_timeout(&e) => {
+                if progress.elapsed() >= out.stall && lock(&out.state).closing {
+                    return Err(e);
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// The sending end of one channel over a shared socket connection.
@@ -860,9 +912,9 @@ impl SocketTx {
             Some(rest) => st.backlog.push_back(rest),
         }
         if st.writer.is_none() {
-            let stream = st
-                .stream
-                .try_clone()
+            // Each blocking write is bounded, so a stalled peer is noticed.
+            let stream = (st.stream.try_clone())
+                .and_then(|s| s.set_write_timeout(Some(MAX_IO_WAIT)).map(|()| s))
                 .map_err(|e| TransportError::io(format!("cloning the link to rank {to}"), &e))?;
             let out = Arc::clone(&self.out);
             let writer = std::thread::Builder::new()
@@ -918,14 +970,14 @@ impl SocketRx {
                 return Err(e.clone());
             }
             let wait = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
-                None => MAX_READ_WAIT,
+                None => MAX_IO_WAIT,
                 Some(left) if left.is_zero() => {
                     return Err(TransportError::Timeout {
                         what: format!("a frame from rank {}", self.from),
                         after: timeout,
                     })
                 }
-                Some(left) => left.min(MAX_READ_WAIT),
+                Some(left) => left.min(MAX_IO_WAIT),
             };
             let Some(mut conn) = st.conn.take() else {
                 // Another receiver is reading, or the peer has not
@@ -937,12 +989,18 @@ impl SocketRx {
                 st.waiting -= 1;
                 continue;
             };
+            let generation = st.generation;
             drop(st);
             let read = conn.read(wait);
             st = lock(&inbox.state);
+            // A reconnect while this thread read: the old link is done
+            // with, and its end is no news.
+            let current = st.generation == generation;
             match read {
                 Ok((chan, frame)) => {
-                    st.conn = Some(conn);
+                    if current {
+                        st.conn = Some(conn);
+                    }
                     if chan == self.chan {
                         if st.waiting > 0 {
                             inbox.ready.notify_all();
@@ -953,6 +1011,7 @@ impl SocketRx {
                 }
                 // The frame reader keeps a partial frame for whoever
                 // reads next.
+                Err(_) if !current => {}
                 Err(FrameError::Io(e)) if is_timeout(&e) => st.conn = Some(conn),
                 Err(FrameError::Corrupt(what)) => {
                     // Frame alignment is lost; the connection is dead.
@@ -1119,12 +1178,18 @@ mod tests {
     use super::*;
 
     fn pair(kind: TransportKind) -> (SocketTransport, SocketTransport) {
-        let opts = SocketOptions {
-            connect_timeout: Duration::from_secs(5),
-            handshake_timeout: Duration::from_secs(5),
-            link_mbps: None,
-            epoch: 0,
-        };
+        pair_with(
+            kind,
+            SocketOptions {
+                connect_timeout: Duration::from_secs(5),
+                handshake_timeout: Duration::from_secs(5),
+                link_mbps: None,
+                epoch: 0,
+            },
+        )
+    }
+
+    fn pair_with(kind: TransportKind, opts: SocketOptions) -> (SocketTransport, SocketTransport) {
         let mut a = SocketTransport::bind(kind, 0, 2, 42, opts).expect("bind rank 0");
         let mut b = SocketTransport::bind(kind, 1, 2, 42, opts).expect("bind rank 1");
         let (aa, ba) = (a.local_addr().to_string(), b.local_addr().to_string());
@@ -1385,6 +1450,110 @@ mod tests {
     #[test]
     fn uds_crossed_floods_cannot_deadlock() {
         crossed_floods_finish(TransportKind::Uds);
+    }
+
+    /// Shutdown delivers a backlog its peer is still reading, and gives
+    /// up on one whose peer never reads: endpoints that each owe the
+    /// other a backlog, shut down one after the other on one thread,
+    /// both return and report the abandoned frames as a `Timeout`.
+    fn shutdown_is_bounded(kind: TransportKind) {
+        const FRAMES: usize = 32;
+        const LEN: usize = 256 * 1024;
+        let opts = SocketOptions {
+            handshake_timeout: Duration::from_millis(300),
+            ..SocketOptions::default()
+        };
+        let flood = |me: &mut SocketTransport, peer, tag| {
+            let mut tx = me.open_send(peer, 5).expect("send side");
+            for i in 0..FRAMES {
+                tx.send(&numbered(tag, i, LEN)).expect("send");
+            }
+            tx
+        };
+        let (mut a, mut b) = pair_with(kind, opts);
+        let _tx = flood(&mut a, 1, 0xA);
+        let mut rx = b.open_recv(0, 5).expect("recv side");
+        let closer = std::thread::spawn(move || a.shutdown());
+        for i in 0..FRAMES {
+            let got = rx.recv_timeout(Duration::from_secs(10)).expect("frame");
+            assert!(got == numbered(0xA, i, LEN), "frame {i} lost or reordered");
+        }
+        closer.join().expect("draining a reading peer");
+        let (mut c, mut d) = pair_with(kind, opts);
+        let mut txs = [flood(&mut c, 1, 0xC), flood(&mut d, 0, 0xD)];
+        for end in [&mut c, &mut d] {
+            let t0 = Instant::now();
+            end.shutdown();
+            let took = t0.elapsed();
+            assert!(took < Duration::from_secs(5), "shutdown took {took:?}");
+        }
+        for tx in &mut txs {
+            let err = tx.send(b"late").expect_err("abandoned");
+            assert!(matches!(err, TransportError::Timeout { .. }), "got {err:?}");
+        }
+        b.shutdown();
+    }
+
+    #[test]
+    fn tcp_shutdown_is_bounded() {
+        shutdown_is_bounded(TransportKind::Tcp);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn uds_shutdown_is_bounded() {
+        shutdown_is_bounded(TransportKind::Uds);
+    }
+
+    /// A handshaken link to `to`, posing as rank 0 of its world.
+    fn raw_link(to: &SocketTransport) -> Stream {
+        let mut s =
+            connect_retry(to.kind, to.local_addr(), 1, Duration::from_secs(5)).expect("connect");
+        let hs = Handshake {
+            world: to.world as u32,
+            from: 0,
+            config_hash: to.config_hash,
+            epoch: to.opts.epoch,
+        };
+        write_frame(&mut s, HS_CHAN, &hs.encode()).expect("handshake");
+        s.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        assert_eq!(read_frame(&mut s).expect("ack"), (HS_CHAN, vec![0]));
+        s
+    }
+
+    #[test]
+    fn a_reconnect_replaces_an_abandoned_link() {
+        // Links a sender gave up on after their handshake: the receiver
+        // reads the newest, whether it was reading the old one when the
+        // new one arrived or had already seen the old one close.
+        let (mut a, mut b) = pair(TransportKind::Tcp);
+        let abandoned = raw_link(&b);
+        let mut rx = b.open_recv(0, 3).expect("recv side");
+        let b = Arc::new(Mutex::new(b));
+        let dialer = {
+            let b = Arc::clone(&b);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(200));
+                let mut s = raw_link(&lock(&b));
+                write_frame(&mut s, 3, b"new").expect("send");
+                s
+            })
+        };
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)).expect("frame"),
+            b"new"
+        );
+        drop((abandoned, dialer.join().expect("dialer")));
+        assert!(rx.recv().expect_err("closed").is_peer_closed());
+        let mut tx = a.open_send(1, 3).expect("reconnect");
+        tx.send(b"after").expect("send");
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)).expect("frame"),
+            b"after"
+        );
+        a.shutdown();
+        lock(&b).shutdown();
     }
 
     #[test]
