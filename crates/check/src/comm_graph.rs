@@ -11,11 +11,12 @@
 //!
 //! [`build_comm_graph`] emits the complete static message-flow graph:
 //! per rank, the ordered sequence of [`CommEvent`]s for one training
-//! step. Ring collectives come from the very step lists the engine
-//! interprets ([`crate::collectives::chunk_ring_steps`] /
-//! [`crate::collectives::gather_ring_steps`]); the stage broadcast and
-//! the pipeline boundary sends mirror the rank worker. [`analyze`]
-//! then proves, or refutes with an `AC06xx` diagnostic:
+//! step, read off the lists the engine executes: each rank's step list
+//! ([`crate::steps::rank_steps`]) orders its boundary messages, stage
+//! broadcasts, collectives and grad syncs, and each ring collective
+//! comes from its own step list ([`crate::collectives::chunk_ring_steps`]
+//! / [`crate::collectives::gather_ring_steps`]). [`analyze`] then
+//! proves, or refutes with an `AC06xx` diagnostic:
 //!
 //! * **send/recv matching** — every send has exactly one receive and
 //!   vice versa (`AC0601` orphan send, `AC0602` starved recv,
@@ -49,8 +50,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use actcomp_compress::{Compressor, ErrorFeedback};
-use actcomp_distsim::schedule::gpipe_order;
-use actcomp_mp::stage_offsets;
+use actcomp_mp::{stage_offsets, SumPoint};
 use actcomp_tensor::Tensor;
 
 use crate::codes;
@@ -60,6 +60,7 @@ use crate::collectives::{
 use crate::config::ExperimentConfig;
 use crate::diagnostics::Diagnostic;
 use crate::runtime::uses_threads_backend;
+use crate::steps::{rank_steps, Op, Sweep};
 
 /// At most this many diagnostics are emitted per code before the
 /// remainder is folded into one summary finding.
@@ -377,34 +378,26 @@ impl CommGraph {
     }
 }
 
-/// Per-layer communication profile, read off the layer's actual codec.
-struct LayerComm {
-    /// Compressed-domain summable (chain-reduce path) vs gathered.
-    summable: bool,
-    /// Wire bytes per reduce/broadcast chunk (summable path). One
-    /// entry when the codec is not chunkable.
-    chunk_bytes: Vec<usize>,
-    /// Whole-message wire bytes (gathered path).
-    msg_bytes: usize,
+/// Per-sum communication profile, read off the sum's actual codec.
+enum LayerComm {
+    /// Compressed-domain summable (chain-reduce path): wire bytes per
+    /// reduce/broadcast chunk, one entry when the codec is not chunkable.
+    Summable(Vec<usize>),
+    /// Gathered: whole-message wire bytes.
+    Gathered(usize),
 }
 
-/// Per-rank event generator. Ring collectives are the wire events of
-/// the shared step lists ([`crate::collectives`]) the engine interprets;
-/// the per-stage order of collectives, broadcasts and boundary messages
-/// still mirrors the engine's rank worker by hand.
+/// Per-rank event generator: the events of the rank's step list
+/// ([`crate::steps`]), whose blocks and codec gathers expand to the
+/// ring step lists ([`crate::collectives`]) the engine interprets.
 struct Gen {
     tp: usize,
     stage: usize,
     tpi: usize,
-    hidden: usize,
-    chunk_rows: Option<usize>,
     depth: usize,
     /// Collective ordinal within this stage's ring; advances in the
     /// same order on every rank of the stage.
     coll: usize,
-    /// Stage-broadcast ordinal; advances at every broadcast point even
-    /// when `tp == 1` so all ranks stay in lockstep.
-    bseq: usize,
     phase: Phase,
     events: Vec<CommEvent>,
     exp: ExpectedCounters,
@@ -441,10 +434,14 @@ impl Gen {
         self.coll - 1
     }
 
-    /// A chain-reduce → ring-broadcast collective: the wire events of
-    /// the step list the engine interprets.
+    /// A chain-reduce → ring-broadcast collective (a dense
+    /// `dense_all_reduce` or a summable codec's): the wire events of the
+    /// step list the engine interprets.
     fn chunk_ring(&mut self, chunk_bytes: &[usize]) {
         let (r, p) = (self.tpi, self.tp);
+        if p == 1 {
+            return;
+        }
         let coll = self.next_coll();
         for step in chunk_ring_steps(r, p, chunk_bytes.len(), self.depth) {
             for (dir, bcast, idx) in step.wire() {
@@ -458,6 +455,8 @@ impl Gen {
         // its broadcast on.
         let own: usize = chunk_bytes.iter().sum();
         self.exp.ring_wire += if r + 2 < p { 2 * own } else { own };
+        // The gather-equivalent baseline.
+        self.exp.ring_dense += (p - 1) * own;
     }
 
     /// A whole-message ring all-gather (gathered reduce, grad sync):
@@ -471,83 +470,29 @@ impl Gen {
         }
     }
 
-    /// A compressed all-reduce over `[rows, hidden]` with the layer's
-    /// codec (`compressed_all_reduce`).
+    /// An all-reduce over `[rows, hidden]` through the layer's codec
+    /// (`compressed_all_reduce`) or, for a dense sum, the dense ring
+    /// metered as the serial executor meters it.
     fn car(&mut self, lc: &LayerComm, len: usize) {
         let p = self.tp;
         if p == 1 {
             return;
         }
-        if lc.summable {
-            let chunk_bytes = lc.chunk_bytes.clone();
-            self.chunk_ring(&chunk_bytes);
-            let own: usize = chunk_bytes.iter().sum();
-            self.exp.reduce_wire += 2 * (p - 1) * own / p;
-            self.exp.reduce_dense += 2 * (p - 1) * (len * 2) / p;
-            self.exp.ring_dense += (p - 1) * own;
-        } else {
-            self.gather_ring(Some(lc.msg_bytes));
-            let gathered = p * lc.msg_bytes;
-            let sent = (p - 1) * lc.msg_bytes;
-            self.exp.reduce_wire += gathered * (p - 1) / p;
-            self.exp.reduce_dense += 2 * (p - 1) * (len * 2) / p;
-            self.exp.ring_wire += sent;
-            self.exp.ring_dense += sent;
-        }
-    }
-
-    /// A dense all-reduce over `[rows, hidden]` (`dense_all_reduce`).
-    fn dense_ar(&mut self, rows: usize) {
-        if self.tp == 1 {
-            return;
-        }
-        let plan = ring_chunk_plan(self.chunk_rows, rows);
-        let chunk_bytes: Vec<usize> = plan.iter().map(|&r| r * self.hidden * 2).collect();
-        self.chunk_ring(&chunk_bytes);
-        self.exp.ring_dense += (self.tp - 1) * rows * self.hidden * 2;
-    }
-
-    /// A forward sum the plan leaves dense: the dense ring, metered as
-    /// an all-reduce of `len` elements.
-    fn dense_sum(&mut self, rows: usize, len: usize) {
-        self.dense_ar(rows);
-        let p = self.tp;
-        let bytes = 2 * (p - 1) * (len * 2) / p;
-        self.exp.reduce_wire += bytes;
-        self.exp.reduce_dense += bytes;
-    }
-
-    /// A stage-input broadcast point (`stage_broadcast`). The ordinal
-    /// advances on every rank even when nothing travels.
-    fn bcast_point(&mut self) {
-        let seq = self.bseq;
-        self.bseq += 1;
-        if self.tp == 1 {
-            return;
-        }
-        if self.tpi == 0 {
-            for peer in 1..self.tp {
-                self.push(
-                    Dir::Send,
-                    ChannelId::Bcast {
-                        stage: self.stage,
-                        peer,
-                    },
-                    MsgId::Bcast { seq },
-                    None,
-                );
+        match lc {
+            LayerComm::Summable(chunk_bytes) => {
+                self.chunk_ring(chunk_bytes);
+                let own: usize = chunk_bytes.iter().sum();
+                self.exp.reduce_wire += 2 * (p - 1) * own / p;
             }
-        } else {
-            self.push(
-                Dir::Recv,
-                ChannelId::Bcast {
-                    stage: self.stage,
-                    peer: self.tpi,
-                },
-                MsgId::Bcast { seq },
-                None,
-            );
+            &LayerComm::Gathered(msg_bytes) => {
+                self.gather_ring(Some(msg_bytes));
+                let sent = (p - 1) * msg_bytes;
+                self.exp.reduce_wire += p * msg_bytes * (p - 1) / p;
+                self.exp.ring_wire += sent;
+                self.exp.ring_dense += sent;
+            }
         }
+        self.exp.reduce_dense += 2 * (p - 1) * (len * 2) / p;
     }
 }
 
@@ -603,16 +548,18 @@ pub fn build_comm_graph(cfg: &ExperimentConfig) -> Option<CommGraph> {
         let chunks = codec_chunk_plan(chunk_rows, comp.chunkable(), tp, &[mb_tokens, h]);
         let summable = comp.summable();
         let mut sized = |rows: usize| comp.compress(&Tensor::zeros(vec![rows, h])).wire_bytes(2);
-        LayerComm {
-            summable,
-            chunk_bytes: if summable {
-                chunks.iter().map(|&rows| sized(rows)).collect()
-            } else {
-                Vec::new()
-            },
-            msg_bytes: if summable { 0 } else { sized(mb_tokens) },
+        if summable {
+            LayerComm::Summable(chunks.iter().map(|&rows| sized(rows)).collect())
+        } else {
+            LayerComm::Gathered(sized(mb_tokens))
         }
     };
+    // A sum the plan leaves dense rides the dense ring's row chunks.
+    let dense_chunks: Vec<usize> = (ring_chunk_plan(chunk_rows, mb_tokens).iter())
+        .map(|&rows| rows * h * 2)
+        .collect();
+    let dense = LayerComm::Summable(dense_chunks.clone());
+    let params = plan.spec.has_params();
 
     // Boundary codecs compress regardless of tp (they serve pipeline
     // parallelism); uncovered boundaries use the identity.
@@ -629,124 +576,57 @@ pub fn build_comm_graph(cfg: &ExperimentConfig) -> Option<CommGraph> {
     let mut events = Vec::with_capacity(world);
     let mut expected = Vec::with_capacity(world);
     for stage in 0..pp {
-        let (lo, hi) = (offsets[stage], offsets[stage + 1]);
-        let last = stage + 1 == pp;
+        let layers = offsets[stage]..offsets[stage + 1];
         for tpi in 0..tp {
             let mut g = Gen {
                 tp,
                 stage,
                 tpi,
-                hidden: h,
-                chunk_rows,
                 depth,
                 coll: 0,
-                bseq: 0,
                 phase: Phase::Sync,
                 events: Vec::new(),
                 exp: ExpectedCounters::default(),
             };
-
-            // Forward command: GPipe forward micro-batches in order.
-            for op in gpipe_order(pp, m, stage)
-                .into_iter()
-                .filter(|o| !o.backward)
-            {
-                g.phase = Phase::Forward { mb: op.mb };
-                if stage > 0 {
-                    if tpi == 0 {
-                        g.push(
-                            Dir::Recv,
-                            ChannelId::BoundaryFwd {
-                                boundary: stage - 1,
-                            },
-                            MsgId::Activation { mb: op.mb },
-                            None,
-                        );
+            let steps = [Sweep::Forward, Sweep::Backward].map(|s| rank_steps(pp, m, stage, tpi, s));
+            for step in steps.into_iter().flatten() {
+                g.phase = step.phase;
+                match (step.op, step.phase) {
+                    (Op::Blocks, Phase::Forward { .. }) => {
+                        for l in layers.clone() {
+                            let lc = if plan.covers(l) { &covered } else { &dense };
+                            for _at in SumPoint::ALL {
+                                g.car(lc, n);
+                            }
+                        }
                     }
-                    g.bcast_point();
-                }
-                for l in lo..hi {
-                    // Attention then feed-forward partial-sum reduces.
-                    for _ in 0..2 {
-                        if plan.covers(l) {
-                            g.car(&covered, n);
-                        } else {
-                            g.dense_sum(mb_tokens, n);
+                    // Per layer, the feed-forward then the QKV input-grad
+                    // dense sums (dQ/dK/dV folded on the rank).
+                    (Op::Blocks, _) => {
+                        (0..2 * layers.len()).for_each(|_| g.chunk_ring(&dense_chunks))
+                    }
+                    (Op::CodecGrads, _) => {
+                        // Only a codec with parameters syncs their grads;
+                        // a dense sum has no codec.
+                        let synced = layers.clone().filter(|&l| params && plan.covers(l));
+                        for _at in synced.flat_map(|_| SumPoint::ALL) {
+                            g.gather_ring(None);
+                        }
+                    }
+                    (op, phase) => {
+                        // An activation is metered at its boundary's wire bytes.
+                        let metered = op == Op::Send && matches!(phase, Phase::Forward { .. });
+                        let bytes = metered.then(|| boundary_bytes[stage]);
+                        if let Some(b) = bytes {
+                            g.exp.boundary_wire += b;
+                            g.exp.boundary_dense += n * 2;
+                        }
+                        for (dir, channel, msg) in step.wire(stage, tp, tpi) {
+                            g.push(dir, channel, msg, bytes);
                         }
                     }
                 }
-                if !last && tpi == 0 {
-                    g.push(
-                        Dir::Send,
-                        ChannelId::BoundaryFwd { boundary: stage },
-                        MsgId::Activation { mb: op.mb },
-                        Some(boundary_bytes[stage]),
-                    );
-                    g.exp.boundary_wire += boundary_bytes[stage];
-                    g.exp.boundary_dense += n * 2;
-                }
             }
-
-            // Backward command: GPipe backward micro-batches, then the
-            // compressor-gradient sync (same command, no barrier).
-            for op in gpipe_order(pp, m, stage).into_iter().filter(|o| o.backward) {
-                g.phase = Phase::Backward { mb: op.mb };
-                if !last {
-                    if tpi == 0 {
-                        g.push(
-                            Dir::Recv,
-                            ChannelId::BoundaryGrad { boundary: stage },
-                            MsgId::Grad { mb: op.mb },
-                            None,
-                        );
-                    }
-                    g.bcast_point();
-                }
-                for _l in (lo..hi).rev() {
-                    // Feed-forward input-grad reduce, then the QKV
-                    // input-grad reduce (dQ/dK/dV folded on the rank).
-                    g.dense_ar(mb_tokens);
-                    g.dense_ar(mb_tokens);
-                }
-                if stage > 0 && tpi == 0 {
-                    g.push(
-                        Dir::Send,
-                        ChannelId::BoundaryGrad {
-                            boundary: stage - 1,
-                        },
-                        MsgId::Grad { mb: op.mb },
-                        None,
-                    );
-                }
-            }
-
-            g.phase = Phase::Sync;
-            // Only a codec with parameters syncs their grads; a dense
-            // sum has no codec.
-            for _l in (lo..hi).filter(|&l| plan.covers(l) && plan.spec.has_params()) {
-                // Attention then feed-forward compressor-grad gathers.
-                g.gather_ring(None);
-                g.gather_ring(None);
-            }
-            if tpi == 0 && !last {
-                g.push(
-                    Dir::Send,
-                    ChannelId::BoundaryFwd { boundary: stage },
-                    MsgId::GradSync,
-                    None,
-                );
-            }
-            if tpi == 0 && stage > 0 {
-                g.push(
-                    Dir::Recv,
-                    ChannelId::BoundaryFwd {
-                        boundary: stage - 1,
-                    },
-                    MsgId::GradSync,
-                    None,
-                );
-            }
-
             events.push(g.events);
             expected.push(g.exp);
         }
@@ -800,12 +680,8 @@ pub fn analyze(graph: &CommGraph) -> Vec<Diagnostic> {
         base[r + 1] = base[r] + graph.events[r].len();
     }
     let n = base[world];
-    let locate = |id: usize| -> (usize, usize) {
-        let r = base.partition_point(|&b| b <= id) - 1;
-        (r, id - base[r])
-    };
     let describe = |id: usize| -> String {
-        let (r, i) = locate(id);
+        let (r, i) = locate(&base, id);
         format!("rank {r} event {i}: {}", graph.events[r][i])
     };
 
@@ -884,27 +760,15 @@ pub fn analyze(graph: &CommGraph) -> Vec<Diagnostic> {
             preds[recvs[0]].push(sends[0]);
         }
     }
-    let last_fwd: Vec<Option<usize>> = (0..world)
-        .map(|r| {
-            graph.events[r]
-                .iter()
-                .rposition(|e| matches!(e.phase, Phase::Forward { .. }))
-                .map(|i| base[r] + i)
-        })
-        .collect();
-    let first_bwd: Vec<Option<usize>> = (0..world)
-        .map(|r| {
-            graph.events[r]
-                .iter()
-                .position(|e| !matches!(e.phase, Phase::Forward { .. }))
-                .map(|i| base[r] + i)
-        })
-        .collect();
-    for &lf in last_fwd.iter().flatten() {
-        for &fb in first_bwd.iter().flatten() {
-            if locate(lf).0 != locate(fb).0 {
-                succs[lf].push(fb);
-                preds[fb].push(lf);
+    let is_fwd = |e: &CommEvent| matches!(e.phase, Phase::Forward { .. });
+    for (r, events) in graph.events.iter().enumerate() {
+        let Some(lf) = events.iter().rposition(is_fwd) else {
+            continue;
+        };
+        for (q, other) in graph.events.iter().enumerate() {
+            if let Some(fb) = other.iter().position(|e| !is_fwd(e)).filter(|_| q != r) {
+                succs[base[r] + lf].push(base[q] + fb);
+                preds[base[q] + fb].push(base[r] + lf);
             }
         }
     }
@@ -994,14 +858,10 @@ pub fn analyze(graph: &CommGraph) -> Vec<Diagnostic> {
         }
     }
     for (ch, (sends, recvs)) in &chans {
-        let s_msgs: Vec<MsgId> = sends
-            .iter()
-            .map(|&id| ev_at(graph, &base, id).msg)
-            .collect();
-        let r_msgs: Vec<MsgId> = recvs
-            .iter()
-            .map(|&id| ev_at(graph, &base, id).msg)
-            .collect();
+        let msgs = |ids: &[usize]| -> Vec<MsgId> {
+            ids.iter().map(|&id| ev_at(graph, &base, id).msg).collect()
+        };
+        let (s_msgs, r_msgs) = (msgs(sends), msgs(recvs));
         if !ch.is_ring() {
             // Non-ring receives are strictly FIFO (and panic on an
             // unexpected message kind): consumption order must equal
@@ -1012,33 +872,22 @@ pub fn analyze(graph: &CommGraph) -> Vec<Diagnostic> {
                     .zip(&r_msgs)
                     .position(|(a, b)| a != b)
                     .unwrap_or(s_msgs.len().min(r_msgs.len()));
+                let at = |msgs: &[MsgId]| msgs.get(k).map_or("nothing".into(), |m| m.to_string());
                 order_faults.push(format!(
                     "FIFO order mismatch on {ch} at position {k}: sender enqueues {} but \
                      receiver consumes {}",
-                    s_msgs
-                        .get(k)
-                        .map(|m| m.to_string())
-                        .unwrap_or_else(|| "nothing".into()),
-                    r_msgs
-                        .get(k)
-                        .map(|m| m.to_string())
-                        .unwrap_or_else(|| "nothing".into()),
+                    at(&s_msgs),
+                    at(&r_msgs),
                 ));
             }
             continue;
         }
         // Ring links: gathers are consumed FIFO, chunks selectively.
-        let s_gather: Vec<MsgId> = s_msgs
-            .iter()
-            .copied()
-            .filter(|m| matches!(m, MsgId::Gather { .. }))
-            .collect();
-        let r_gather: Vec<MsgId> = r_msgs
-            .iter()
-            .copied()
-            .filter(|m| matches!(m, MsgId::Gather { .. }))
-            .collect();
-        if s_gather != r_gather {
+        let gathers = |msgs: &[MsgId]| -> Vec<MsgId> {
+            let gathers = msgs.iter().filter(|m| matches!(m, MsgId::Gather { .. }));
+            gathers.copied().collect()
+        };
+        if gathers(&s_msgs) != gathers(&r_msgs) {
             order_faults.push(format!(
                 "gather delivery order on {ch} differs between sender and receiver; \
                  the non-selective gather receive would consume a wrong hop"
@@ -1048,17 +897,14 @@ pub fn analyze(graph: &CommGraph) -> Vec<Diagnostic> {
         // same order on both endpoints, or a chunk receive can meet a
         // gather at the head of the queue (a panic in the engine).
         let coll_seq = |msgs: &[MsgId]| -> Vec<usize> {
-            let mut out: Vec<usize> = Vec::new();
-            for m in msgs {
-                let c = match *m {
-                    MsgId::Chunk { coll, .. } | MsgId::Gather { coll, .. } => coll,
-                    _ => continue,
-                };
-                if out.last() != Some(&c) {
-                    out.push(c);
-                }
-            }
-            out
+            let mut colls: Vec<usize> = (msgs.iter())
+                .filter_map(|m| match *m {
+                    MsgId::Chunk { coll, .. } | MsgId::Gather { coll, .. } => Some(coll),
+                    _ => None,
+                })
+                .collect();
+            colls.dedup();
+            colls
         };
         if coll_seq(&s_msgs) != coll_seq(&r_msgs) {
             order_faults.push(format!(
@@ -1108,8 +954,14 @@ pub fn analyze(graph: &CommGraph) -> Vec<Diagnostic> {
 
 /// Event lookup by flat node id.
 fn ev_at<'g>(graph: &'g CommGraph, base: &[usize], id: usize) -> &'g CommEvent {
+    let (r, i) = locate(base, id);
+    &graph.events[r][i]
+}
+
+/// A flat node id's `(rank, event index)`.
+fn locate(base: &[usize], id: usize) -> (usize, usize) {
     let r = base.partition_point(|&b| b <= id) - 1;
-    &graph.events[r][id - base[r]]
+    (r, id - base[r])
 }
 
 /// Cross-checks the event-sum of metered sends against the closed-form
@@ -1304,11 +1156,8 @@ mod tests {
                                 tp: world,
                                 stage: 0,
                                 tpi,
-                                hidden: 1,
-                                chunk_rows: None,
                                 depth,
                                 coll: 0,
-                                bseq: 0,
                                 phase: Phase::Forward { mb: 0 },
                                 events: Vec::new(),
                                 exp: ExpectedCounters::default(),

@@ -31,6 +31,7 @@ pub mod plan;
 pub mod runtime;
 pub mod schedule;
 pub mod shape;
+pub mod steps;
 
 pub use comm_graph::{
     analyze, audit_trace, build_comm_graph, check_comm_protocol, ChannelId, CommEvent, CommGraph,

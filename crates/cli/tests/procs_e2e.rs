@@ -166,3 +166,53 @@ fn mpsc_transport_is_rejected_for_procs() {
     );
     assert!(all.contains("AC0701"), "checker should flag mpsc: {all}");
 }
+
+#[test]
+fn procs_bad_inputs_are_typed_errors_and_the_workers_run_on() {
+    use actcomp_check::{Backend, ExperimentConfig, RunSpec};
+    use actcomp_runtime::{ProcsError, ProcsOptions, ProcsRuntime, RuntimeError};
+    use actcomp_tensor::Tensor;
+
+    let mut cfg = ExperimentConfig::paper_default();
+    cfg.model.layers = 4;
+    cfg.model.hidden = 16;
+    cfg.model.heads = 4;
+    cfg.model.ff_hidden = 32;
+    cfg.model.vocab = 32;
+    cfg.model.max_seq = 8;
+    cfg.parallelism.tp = 2;
+    cfg.parallelism.pp = 1;
+    cfg.batch.micro_batch = 2;
+    cfg.batch.seq = 4;
+    cfg.runtime = Some(RunSpec {
+        backend: Backend::Procs,
+        micro_batches: Some(2),
+        ..RunSpec::default()
+    });
+    let mut opts = ProcsOptions::new(cfg, 7);
+    opts.worker_exe = Some(BIN.into());
+    let mut rt = ProcsRuntime::launch(opts).expect("workers launch");
+    let typed = |r: Result<(), ProcsError>| match r {
+        Err(ProcsError::Config(e)) => e,
+        other => panic!("expected a typed input error, got {other:?}"),
+    };
+    // The threads engine's suite covers every case of the shared check;
+    // here each driver entry point must route through it.
+    let ids = [1, 2, 3, 4, 5, 6, 7, 8];
+    let grad = Tensor::zeros(vec![8, 16]);
+    let no_forward = RuntimeError::BackwardWithoutForward;
+    assert_eq!(typed(rt.backward(&grad)), no_forward);
+    let oov = RuntimeError::TokenOutOfVocab { id: 40, vocab: 32 };
+    assert_eq!(typed(rt.forward(&[40; 8], 2, 4).map(drop)), oov);
+    let too_long = RuntimeError::SeqTooLong { seq: 9, max_seq: 8 };
+    assert_eq!(typed(rt.infer_submit(&[1; 9], 1, 9)), too_long);
+    let y = rt.forward(&ids, 2, 4).expect("valid forward");
+    let short = RuntimeError::GradShapeMismatch {
+        got: vec![4, 16],
+        want: [8, 16],
+    };
+    assert_eq!(typed(rt.backward(&y.slice_rows(0, 4))), short);
+    rt.zero_grad().expect("zero grads");
+    rt.backward(&y).expect("valid backward");
+    rt.shutdown().expect("clean shutdown");
+}

@@ -148,8 +148,7 @@ impl MpBert {
         let layers = (serial.layers.iter().enumerate())
             .map(|(l, layer)| {
                 let block = Block::new(layer, config.tp, 0..config.tp).expect("validated config");
-                let points = [SumPoint::Attention, SumPoint::Mlp];
-                let sums = InProcess::with(config.tp, points.map(|at| reduce(l, at)));
+                let sums = InProcess::with(config.tp, SumPoint::ALL.map(|at| reduce(l, at)));
                 (block, sums)
             })
             .collect();

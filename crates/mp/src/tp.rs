@@ -45,6 +45,11 @@ pub enum SumPoint {
     Mlp,
 }
 
+impl SumPoint {
+    /// Both sums, in forward order.
+    pub const ALL: [SumPoint; 2] = [SumPoint::Attention, SumPoint::Mlp];
+}
+
 /// How an executor sums a [`Block`]'s partials across the layer's
 /// workers — the one thing the serial executor and a rank do
 /// differently. Tensors handed in or out per shard are one per shard the

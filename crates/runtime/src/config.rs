@@ -1,6 +1,7 @@
 //! Configuration and typed errors for the threaded execution engine.
 
 use crate::comm::RingTuning;
+use crate::rank::Command;
 use actcomp_check::collectives::resolved_ring_tuning;
 use actcomp_check::ExperimentConfig;
 use actcomp_mp::{MpConfig, MpConfigError};
@@ -86,6 +87,72 @@ impl RuntimeConfig {
     pub fn world(&self) -> usize {
         self.mp.tp * self.mp.pp
     }
+
+    /// Checks a command's inputs before a driver dispatches it, so a bad
+    /// input is a typed error instead of a dead rank. `outstanding` is
+    /// the row count of the forward whose caches a backward consumes;
+    /// returns the one after the command. An inference releases every
+    /// cached activation, an outstanding forward's included.
+    pub(crate) fn check_command(
+        &self,
+        cmd: &Command,
+        outstanding: Option<usize>,
+    ) -> Result<Option<usize>, RuntimeError> {
+        match cmd {
+            Command::Forward { ids, batch, seq } => {
+                self.check_ids(ids, *batch, *seq)?;
+                if !batch.is_multiple_of(self.micro_batches) {
+                    return Err(RuntimeError::BatchNotDivisible {
+                        batch: *batch,
+                        micro_batches: self.micro_batches,
+                    });
+                }
+                Ok(Some(batch * seq))
+            }
+            Command::Infer { micro: 0, .. } => Err(RuntimeError::ZeroMicroBatches),
+            Command::Infer {
+                ids, batch, seq, ..
+            } => self.check_ids(ids, *batch, *seq).map(|_| None),
+            Command::Backward { dhidden } => {
+                let rows = outstanding.ok_or(RuntimeError::BackwardWithoutForward)?;
+                let want = [rows, self.mp.bert.hidden];
+                if dhidden.dims() != want {
+                    return Err(RuntimeError::GradShapeMismatch {
+                        got: dhidden.dims().to_vec(),
+                        want,
+                    });
+                }
+                Ok(None)
+            }
+            _ => Ok(outstanding),
+        }
+    }
+
+    /// Checks one batch's token ids: exactly `batch · seq` of them, at
+    /// most the model's `max_seq` a sequence, every id inside the
+    /// vocabulary.
+    pub(crate) fn check_ids(
+        &self,
+        ids: &[usize],
+        batch: usize,
+        seq: usize,
+    ) -> Result<(), RuntimeError> {
+        let (vocab, max_seq) = (self.mp.bert.vocab, self.mp.bert.max_seq);
+        if ids.len() != batch * seq {
+            return Err(RuntimeError::IdsLengthMismatch {
+                len: ids.len(),
+                batch,
+                seq,
+            });
+        }
+        if seq > max_seq {
+            return Err(RuntimeError::SeqTooLong { seq, max_seq });
+        }
+        match ids.iter().find(|&&id| id >= vocab) {
+            Some(&id) => Err(RuntimeError::TokenOutOfVocab { id, vocab }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Errors constructing or driving the threaded runtime.
@@ -119,13 +186,22 @@ pub enum RuntimeError {
         /// The model's maximum sequence length.
         max_seq: usize,
     },
-    /// The backward gradient's rows are not divisible by the
-    /// micro-batch count.
-    GradRowsNotDivisible {
-        /// Rows of the gradient tensor.
-        rows: usize,
-        /// Configured micro-batch count.
-        micro_batches: usize,
+    /// A token id lies outside the model's vocabulary.
+    TokenOutOfVocab {
+        /// The first offending id.
+        id: usize,
+        /// The model's vocabulary size.
+        vocab: usize,
+    },
+    /// A backward was requested with no forward outstanding.
+    BackwardWithoutForward,
+    /// The backward gradient is not the outstanding forward's
+    /// `[rows, hidden]`.
+    GradShapeMismatch {
+        /// Dims of the gradient tensor.
+        got: Vec<usize>,
+        /// The outstanding forward's `[rows, hidden]`.
+        want: [usize; 2],
     },
     /// A ring-collective chunk needs at least one row (`AC0501`).
     ZeroChunkRows,
@@ -169,12 +245,15 @@ impl std::fmt::Display for RuntimeError {
                 f,
                 "sequence length {seq} exceeds the model maximum of {max_seq}"
             ),
-            RuntimeError::GradRowsNotDivisible {
-                rows,
-                micro_batches,
-            } => write!(
+            RuntimeError::TokenOutOfVocab { id, vocab } => {
+                write!(f, "token id {id} outside the vocabulary of {vocab}")
+            }
+            RuntimeError::BackwardWithoutForward => {
+                write!(f, "backward with no forward outstanding")
+            }
+            RuntimeError::GradShapeMismatch { got, want } => write!(
                 f,
-                "gradient of {rows} rows not divisible by {micro_batches} micro-batches"
+                "gradient of shape {got:?} for a forward of shape {want:?}"
             ),
             RuntimeError::ZeroChunkRows => {
                 write!(f, "chunk_rows must be at least 1")

@@ -19,9 +19,10 @@
 //!   over a reusable ring topology ([`TpGroup`]) with the same
 //!   compressor arithmetic as the serial
 //!   [`CompressedAllReduce`](actcomp_mp::CompressedAllReduce);
-//! - pipeline stages run the GPipe fill/drain micro-batch schedule,
-//!   shared with `actcomp-distsim`'s
-//!   [`gpipe_order`](actcomp_distsim::schedule::gpipe_order);
+//! - every rank executes its GPipe step list — micro-batch inputs,
+//!   boundary messages, stage broadcasts, blocks and grad syncs —
+//!   from [`actcomp_check::steps::rank_steps`], the list the
+//!   comm-protocol proof walks;
 //! - every rank keeps per-phase wall-clock timers
 //!   (compute/encode/wire/decode), aggregated into a [`RuntimeReport`]
 //!   and emitted as `BENCH_runtime.json`.

@@ -372,6 +372,9 @@ pub struct ProcsRuntime {
     /// The run's config hash — stamped into checkpoint shards so a
     /// restore from a different run is refused.
     tag: u64,
+    /// Rows of the forward a backward would consume
+    /// ([`RuntimeConfig::check_command`]).
+    outstanding: Option<usize>,
 }
 
 impl std::fmt::Debug for ProcsRuntime {
@@ -461,6 +464,7 @@ impl ProcsRuntime {
             cfg,
             step_timeout: secs_or(spec.step_timeout_s, DEFAULT_STEP_TIMEOUT),
             tag,
+            outstanding: None,
         })
     }
 
@@ -570,6 +574,14 @@ impl ProcsRuntime {
     }
 
     /// Sends one command to every worker.
+    /// Checks a forward, inference or backward command's inputs
+    /// ([`RuntimeConfig::check_command`]) and broadcasts it; nothing is
+    /// dispatched on an error ([`ProcsError::Config`]).
+    fn dispatch(&mut self, cmd: Command) -> Result<(), ProcsError> {
+        self.outstanding = self.cfg.check_command(&cmd, self.outstanding)?;
+        self.broadcast(&cmd)
+    }
+
     fn broadcast(&mut self, cmd: &Command) -> Result<(), ProcsError> {
         let frame = CtrlMsg::Cmd(cmd.clone());
         for (rank, w) in self.workers.iter_mut().enumerate() {
@@ -632,14 +644,17 @@ impl ProcsRuntime {
     }
 
     /// Runs a pipelined forward pass over the whole batch, returning
-    /// the final hidden states `[batch · seq, hidden]`.
+    /// the final hidden states `[batch · seq, hidden]`. Inputs are
+    /// checked as [`ThreadedRuntime::forward`](crate::ThreadedRuntime::forward)
+    /// checks them ([`ProcsError::Config`]); nothing is dispatched on an
+    /// error, here and in [`Self::infer_submit`] and [`Self::backward`].
     pub fn forward(
         &mut self,
         ids: &[usize],
         batch: usize,
         seq: usize,
     ) -> Result<Tensor, ProcsError> {
-        self.broadcast(&Command::Forward {
+        self.dispatch(Command::Forward {
             ids: ids.to_vec(),
             batch,
             seq,
@@ -665,17 +680,7 @@ impl ProcsRuntime {
         nreq: usize,
         seq: usize,
     ) -> Result<(), ProcsError> {
-        if nreq == 0 {
-            return Err(ProcsError::Config(RuntimeError::ZeroMicroBatches));
-        }
-        if ids.len() != nreq * seq {
-            return Err(ProcsError::Config(RuntimeError::IdsLengthMismatch {
-                len: ids.len(),
-                batch: nreq,
-                seq,
-            }));
-        }
-        self.broadcast(&Command::Infer {
+        self.dispatch(Command::Infer {
             ids: ids.to_vec(),
             batch: nreq,
             seq,
@@ -709,7 +714,7 @@ impl ProcsRuntime {
     /// Runs the pipelined backward pass from the gradient of the final
     /// hidden states.
     pub fn backward(&mut self, dhidden: &Tensor) -> Result<(), ProcsError> {
-        self.broadcast(&Command::Backward {
+        self.dispatch(Command::Backward {
             dhidden: dhidden.clone(),
         })?;
         self.collect()?;

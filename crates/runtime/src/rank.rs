@@ -2,16 +2,19 @@
 //! of one pipeline stage, driven by commands from the runtime and
 //! exchanging activations/gradients with its peers over [`MsgTx`] /
 //! [`MsgRx`] links (typed channels in the threads backend, framed
-//! transport channels for sockets and process mode).
+//! transport channels for sockets and process mode). A forward,
+//! inference or backward command executes the rank's step list
+//! ([`rank_steps`]) — the same list the comm-protocol proof walks, so
+//! the worker names no channel or message itself.
 
 use crate::comm::TpGroup;
 use crate::link::{MsgRx, MsgTx};
 use crate::report::{timed, PhaseTimers, RankReport};
 use crate::trace::TraceHandle;
 use crate::wire::{put_f32, put_string, put_u8, put_usize, Reader, WireError, WireMsg};
-use actcomp_check::{ChannelId, Dir, MsgId, TraceEvent};
+use actcomp_check::steps::{rank_steps, Op, Step, Sweep};
+use actcomp_check::{Phase, TraceEvent};
 use actcomp_compress::{Compressed, Compressor};
-use actcomp_distsim::schedule::gpipe_order;
 use actcomp_mp::{Block, CommBytes, Reduce, SumPoint};
 use actcomp_nn::{Embedding, Layer, LayerNorm, LnCache, Parameter};
 use actcomp_tensor::{Tensor, Workspace};
@@ -347,74 +350,6 @@ pub(crate) struct BoundaryReceiver {
     pub grad_tx: MsgTx<Tensor>,
 }
 
-/// What either boundary half does with the tensors of a fill or a
-/// drain, on its rank's own thread.
-pub(crate) trait BoundaryHalf {
-    /// Takes the next inbound tensor off the link, decoded.
-    fn pull(&mut self, timers: &mut PhaseTimers) -> Tensor;
-    /// Encodes and sends one outbound tensor; the wire bytes, where the
-    /// audit trace records them.
-    fn push(&mut self, x: Tensor, timers: &mut PhaseTimers) -> Option<usize>;
-}
-
-impl BoundaryHalf for BoundarySender {
-    /// Drain: a downstream gradient through the compressor backward.
-    fn pull(&mut self, timers: &mut PhaseTimers) -> Tensor {
-        let dy = timed(&mut timers.wire_s, || {
-            self.grad_rx.recv().expect("downstream stage hung up")
-        });
-        timed(&mut timers.encode_s, || self.comp.backward(&dy))
-    }
-
-    /// Fill: a compressed activation downstream.
-    fn push(&mut self, x: Tensor, timers: &mut PhaseTimers) -> Option<usize> {
-        let msg = timed(&mut timers.encode_s, || self.comp.compress(&x));
-        let wire = msg.wire_bytes(2);
-        self.bytes.add(CommBytes {
-            wire,
-            dense: x.len() * 2,
-        });
-        timed(&mut timers.wire_s, || {
-            self.tx
-                .send(FwdMsg::Activation(msg))
-                .expect("downstream stage hung up")
-        });
-        Some(wire)
-    }
-}
-
-impl BoundaryHalf for BoundaryReceiver {
-    /// Fill: an upstream activation, decompressed by the replica.
-    fn pull(&mut self, timers: &mut PhaseTimers) -> Tensor {
-        let msg = timed(&mut timers.wire_s, || {
-            self.rx.recv().expect("upstream stage hung up")
-        });
-        match msg {
-            FwdMsg::Activation(msg) => {
-                timed(&mut timers.decode_s, || self.replica.decompress(&msg))
-            }
-            FwdMsg::GradSync(_) => panic!("grad sync during forward"),
-        }
-    }
-
-    /// Drain: a dense gradient upstream.
-    fn push(&mut self, d: Tensor, timers: &mut PhaseTimers) -> Option<usize> {
-        timed(&mut timers.wire_s, || {
-            self.grad_tx.send(d).expect("upstream stage hung up")
-        });
-        None
-    }
-}
-
-/// The two passes of a step over the pipeline boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pass {
-    /// Forwards: activations flow downstream.
-    Fill,
-    /// Backwards: gradients flow upstream.
-    Drain,
-}
-
 /// Replicated first-stage embeddings with per-micro-batch caches.
 pub(crate) struct EmbeddingStage {
     pub tok: Embedding,
@@ -433,7 +368,7 @@ impl EmbeddingStage {
         }
     }
 
-    fn forward_mb(
+    fn forward(
         &mut self,
         ids: &[usize],
         mb_batch: usize,
@@ -452,7 +387,7 @@ impl EmbeddingStage {
         x
     }
 
-    fn backward_mb(&mut self, d: &Tensor, ws: &mut Workspace) {
+    fn backward(&mut self, d: &Tensor, ws: &mut Workspace) {
         let (ids, pos_ids, cache) = self
             .caches
             .pop()
@@ -581,11 +516,6 @@ pub(crate) struct RankWorker {
     /// Audit-trace handle (same cell as this rank's `tp` group) for
     /// boundary and broadcast events; `None` records nothing.
     trace: Option<TraceHandle>,
-    /// Stage-broadcast ordinal, reset per step; advances at every
-    /// broadcast point even when `tp == 1` (mirrors the static graph).
-    bcast_seq: usize,
-    /// Per-micro-batch outputs buffered on the last stage.
-    fwd_out: Vec<Tensor>,
     /// This rank's scratch arena: packing buffers, head blocks and
     /// gradient temporaries are reused across micro-batches and steps.
     ws: Workspace,
@@ -627,29 +557,17 @@ impl RankWorker {
             cmd_rx,
             resp_tx,
             trace,
-            bcast_seq: 0,
-            fwd_out: Vec::new(),
             ws: Workspace::new(),
         }
-    }
-
-    /// Records one boundary/broadcast event when tracing is on.
-    fn trace_event(&self, dir: Dir, channel: ChannelId, msg: MsgId, bytes: Option<usize>) {
-        if let Some(trace) = &self.trace {
-            trace.record(dir, channel, msg, bytes);
-        }
-    }
-
-    fn is_last_stage(&self) -> bool {
-        self.stage + 1 == self.pp
     }
 
     /// The worker loop: block on commands until shutdown.
     pub fn run(mut self) {
         while let Ok(cmd) = self.cmd_rx.recv() {
             match cmd {
-                Command::Forward { ids, batch, seq } => self.forward(&ids, batch, seq),
-                Command::Backward { dhidden } => self.backward(&dhidden),
+                cmd @ (Command::Forward { .. }
+                | Command::Infer { .. }
+                | Command::Backward { .. }) => self.execute(&cmd),
                 Command::ZeroGrad => {
                     self.visit_owned_params(&mut |p| p.zero_grad());
                     self.done();
@@ -690,12 +608,6 @@ impl RankWorker {
                     self.load_shard(std::path::Path::new(&dir), step, tag);
                     self.done();
                 }
-                Command::Infer {
-                    ids,
-                    batch,
-                    seq,
-                    micro,
-                } => self.infer(&ids, batch, seq, micro),
             }
         }
     }
@@ -743,82 +655,203 @@ impl RankWorker {
         self.resp_tx.send(resp).expect("runtime hung up");
     }
 
+    /// Runs a forward, inference or backward command: this rank's step
+    /// list ([`rank_steps`]) in one loop carrying the current tensor
+    /// from step to step. An inference runs the forward list over one
+    /// micro-batch per request and releases each one's activation
+    /// caches when it is done — no backward follows, so serving does
+    /// not grow memory per request.
+    fn execute(&mut self, cmd: &Command) {
+        let (sweep, m) = match *cmd {
+            Command::Backward { .. } => (Sweep::Backward, self.micro_batches),
+            Command::Infer { micro, .. } => (Sweep::Forward, micro),
+            _ => (Sweep::Forward, self.micro_batches),
+        };
+        let (ids, seq) = match cmd {
+            Command::Forward { ids, seq, .. } | Command::Infer { ids, seq, .. } => (&ids[..], *seq),
+            _ => (&[][..], 1),
+        };
+        let keep_caches = !matches!(cmd, Command::Infer { .. });
+        if sweep == Sweep::Forward {
+            // A forward starts a new step: collective ordinals restart so
+            // traces match the per-step static graph.
+            self.tp.reset_step();
+        }
+        let mb_tokens = ids.len() / m;
+        let mut cur: Option<Tensor> = None;
+        let mut kept = Vec::new();
+        let steps = rank_steps(self.pp, m, self.stage, self.tpi, sweep);
+        for (i, &step) in steps.iter().enumerate() {
+            let mb = match step.phase {
+                Phase::Forward { mb } | Phase::Backward { mb } => mb,
+                Phase::Sync => 0,
+            };
+            let mut bytes = None;
+            match step.op {
+                Op::Embed => {
+                    let emb = self.embedding.as_mut().expect("stage 0 embeds");
+                    let (ids, ws) = (&ids[mb * mb_tokens..(mb + 1) * mb_tokens], &mut self.ws);
+                    let x = timed(&mut self.timers.compute_s, || {
+                        emb.forward(ids, mb_tokens / seq, seq, ws)
+                    });
+                    cur = Some(x);
+                }
+                Op::OutputGrad => {
+                    let Command::Backward { dhidden: d } = cmd else {
+                        unreachable!("only a backward seeds the output gradient")
+                    };
+                    let rows = d.dims()[0] / m;
+                    cur = Some(timed(&mut self.timers.compute_s, || {
+                        d.slice_rows(mb * rows, (mb + 1) * rows)
+                    }));
+                }
+                Op::Recv => cur = self.recv(step.phase),
+                Op::Bcast { .. } => cur = Some(self.stage_broadcast(cur.take())),
+                Op::Blocks => {
+                    let mut x = cur.take().expect("the step input precedes the blocks");
+                    let backward = sweep == Sweep::Backward;
+                    let n = self.layers.len();
+                    for i in 0..n {
+                        let (block, comps) = &mut self.layers[if backward { n - 1 - i } else { i }];
+                        let ring = &mut Ring {
+                            tp: &mut self.tp,
+                            comps,
+                            timers: &mut self.timers,
+                        };
+                        let y = if backward {
+                            block.backward(&x, ring, &mut self.ws)
+                        } else {
+                            block.forward(&x, mb_tokens / seq, seq, ring, &mut self.ws)
+                        };
+                        self.ws.recycle_tensor(x);
+                        x = y;
+                    }
+                    cur = Some(x);
+                }
+                Op::Send => bytes = self.send(step.phase, cur.take()),
+                Op::Keep => kept.extend(cur.take()),
+                Op::EmbedBackward => {
+                    let (emb, ws) = (self.embedding.as_mut().expect("stage 0"), &mut self.ws);
+                    let d = cur.take().expect("the blocks' input gradient");
+                    timed(&mut self.timers.compute_s, || emb.backward(&d, ws));
+                }
+                Op::CodecGrads => {
+                    // A dense sum has no codec, and a codec without
+                    // parameters (all but the auto-encoders) has nothing
+                    // to sync.
+                    for comp in self.layers.iter_mut().flat_map(|(_, c)| c).flatten() {
+                        self.tp.sync_param_grads(comp, &mut self.timers);
+                    }
+                }
+            }
+            self.trace(step, bytes);
+            // An inference frees a micro-batch's caches once it is out.
+            let mb_done = steps.get(i + 1).is_none_or(|next| next.phase != step.phase);
+            if !keep_caches && mb_done {
+                self.release_caches();
+            }
+        }
+        if kept.is_empty() {
+            self.done();
+        } else {
+            let parts: Vec<&Tensor> = kept.iter().collect();
+            self.respond(Response::Output {
+                y: Tensor::concat_rows(&parts),
+            });
+        }
+    }
+
+    /// Records a boundary or broadcast step's messages when tracing is
+    /// on; `bytes` on a metered send.
+    fn trace(&self, step: Step, bytes: Option<usize>) {
+        if let Some(trace) = &self.trace {
+            for (dir, channel, msg) in step.wire(self.stage, self.tp.world, self.tpi) {
+                trace.record(dir, channel, msg, bytes);
+            }
+        }
+    }
+
     /// Broadcasts a tensor decoded on stage rank 0 to all TP peers, or
-    /// receives it on a peer rank. The broadcast ordinal advances on
-    /// every rank at every call — even solo ranks with nothing to send —
-    /// so traced sequences stay aligned with the static graph.
+    /// receives it on a peer rank.
     fn stage_broadcast(&mut self, t: Option<Tensor>) -> Tensor {
-        let seq = self.bcast_seq;
-        self.bcast_seq += 1;
         if self.tpi == 0 {
             let t = t.expect("stage rank 0 provides the broadcast value");
             timed(&mut self.timers.wire_s, || {
-                for (i, tx) in self.bcast_tx.iter().enumerate() {
-                    if let Some(trace) = &self.trace {
-                        trace.record(
-                            Dir::Send,
-                            ChannelId::Bcast {
-                                stage: self.stage,
-                                peer: i + 1,
-                            },
-                            MsgId::Bcast { seq },
-                            None,
-                        );
-                    }
+                for tx in &self.bcast_tx {
                     tx.send(t.clone()).expect("stage peer hung up");
                 }
             });
             t
         } else {
             let rx = self.bcast_rx.as_ref().expect("peer broadcast receiver");
-            self.trace_event(
-                Dir::Recv,
-                ChannelId::Bcast {
-                    stage: self.stage,
-                    peer: self.tpi,
-                },
-                MsgId::Bcast { seq },
-                None,
-            );
             timed(&mut self.timers.wire_s, || {
                 rx.recv().expect("stage rank 0 hung up")
             })
         }
     }
 
-    /// GPipe fill: run this stage's forwards in the shared schedule's
-    /// micro-batch order.
-    fn forward(&mut self, ids: &[usize], batch: usize, seq: usize) {
-        let m = self.micro_batches;
-        self.run_forward(ids, batch, seq, m, true);
-        self.respond_forward_output();
-    }
-
-    /// Forward-only pass over a coalesced request batch: `micro`
-    /// micro-batches (one per request) instead of the configured
-    /// training count, each releasing its activation caches as it ends —
-    /// no backward follows, so a batch works in one request's buffers
-    /// and serving does not grow memory per request.
-    fn infer(&mut self, ids: &[usize], batch: usize, seq: usize, micro: usize) {
-        self.run_forward(ids, batch, seq, micro, false);
-        self.respond_forward_output();
-    }
-
-    /// Shared fill body for `forward` and `infer`: reset per-step
-    /// ordinals, then run the schedule with `m` micro-batches.
-    fn run_forward(&mut self, ids: &[usize], batch: usize, seq: usize, m: usize, keep: bool) {
-        // A forward command starts a new step: collective and broadcast
-        // ordinals restart so traces match the per-step static graph.
-        self.tp.reset_step();
-        self.bcast_seq = 0;
-        self.fwd_out.clear();
-        let mb_batch = batch / m;
-        for mb in self.schedule(Pass::Fill, m) {
-            self.forward_mb(ids, mb, mb_batch, seq);
-            if !keep {
-                self.release_caches();
-            }
+    /// A boundary receive: the upstream activation decoded by the
+    /// replica, the downstream gradient through the compressor backward,
+    /// or — at sync — the upstream codec's parameter grads, loaded into
+    /// the replica.
+    fn recv(&mut self, phase: Phase) -> Option<Tensor> {
+        let t = &mut self.timers;
+        if let Phase::Backward { .. } = phase {
+            let b = self.send_b.as_mut().expect("non-final stage sender");
+            let dy = timed(&mut t.wire_s, || {
+                b.grad_rx.recv().expect("downstream stage hung up")
+            });
+            return Some(timed(&mut t.encode_s, || b.comp.backward(&dy)));
         }
+        let b = self.recv_b.as_mut().expect("non-first stage receiver");
+        let msg = timed(&mut t.wire_s, || {
+            b.rx.recv().expect("upstream stage hung up")
+        });
+        match (msg, phase) {
+            (FwdMsg::Activation(msg), Phase::Forward { .. }) => {
+                Some(timed(&mut t.decode_s, || b.replica.decompress(&msg)))
+            }
+            (FwdMsg::GradSync(grads), Phase::Sync) => {
+                let mut grads = grads.into_iter();
+                b.replica
+                    .visit_params(&mut |p| p.grad = grads.next().expect("one grad a parameter"));
+                None
+            }
+            _ => panic!("boundary message out of step"),
+        }
+    }
+
+    /// A boundary send: the activation compressed downstream (its wire
+    /// bytes returned, as metered), the gradient dense upstream, or — at
+    /// sync — the codec's parameter grads to the downstream replica.
+    fn send(&mut self, phase: Phase, x: Option<Tensor>) -> Option<usize> {
+        let t = &mut self.timers;
+        if let Phase::Backward { .. } = phase {
+            let b = self.recv_b.as_mut().expect("non-first stage receiver");
+            let d = x.expect("the blocks' input gradient");
+            timed(&mut t.wire_s, || {
+                b.grad_tx.send(d).expect("upstream stage hung up")
+            });
+            return None;
+        }
+        let b = self.send_b.as_mut().expect("non-final stage sender");
+        let (msg, wire) = match phase {
+            Phase::Forward { .. } => {
+                let x = x.expect("the blocks' output");
+                let msg = timed(&mut t.encode_s, || b.comp.compress(&x));
+                let wire = msg.wire_bytes(2);
+                b.bytes.add(CommBytes {
+                    wire,
+                    dense: x.len() * 2,
+                });
+                (FwdMsg::Activation(msg), Some(wire))
+            }
+            _ => (FwdMsg::GradSync(grads_of(|f| b.comp.visit_params(f))), None),
+        };
+        timed(&mut t.wire_s, || {
+            b.tx.send(msg).expect("downstream stage hung up")
+        });
+        wire
     }
 
     /// Recycles every cached forward activation into the arena.
@@ -828,206 +861,6 @@ impl RankWorker {
         }
         if let Some(emb) = self.embedding.as_mut() {
             emb.clear_caches(&mut self.ws);
-        }
-    }
-
-    /// The last stage's rank 0 answers a fill with the concatenated
-    /// hidden states; everyone else just acks.
-    fn respond_forward_output(&mut self) {
-        if self.is_last_stage() && self.tpi == 0 {
-            let parts: Vec<&Tensor> = self.fwd_out.iter().collect();
-            self.respond(Response::Output {
-                y: Tensor::concat_rows(&parts),
-            });
-        } else {
-            self.done();
-        }
-    }
-
-    /// One forward micro-batch: embed or take the boundary activation,
-    /// broadcast it across the stage, run the owned layers, and buffer
-    /// the result on the last stage or push it across the boundary.
-    fn forward_mb(&mut self, ids: &[usize], mb: usize, mb_batch: usize, seq: usize) {
-        let mut x = if let Some(emb) = self.embedding.as_mut() {
-            let lo = mb * mb_batch * seq;
-            let hi = lo + mb_batch * seq;
-            let t0 = std::time::Instant::now();
-            let x = emb.forward_mb(&ids[lo..hi], mb_batch, seq, &mut self.ws);
-            self.timers.compute_s += t0.elapsed().as_secs_f64();
-            x
-        } else {
-            let decoded = (self.tpi == 0).then(|| self.pull(Pass::Fill, mb));
-            self.stage_broadcast(decoded)
-        };
-        for (block, comps) in &mut self.layers {
-            let ring = &mut Ring {
-                tp: &mut self.tp,
-                comps,
-                timers: &mut self.timers,
-            };
-            let y = block.forward(&x, mb_batch, seq, ring, &mut self.ws);
-            self.ws.recycle_tensor(x);
-            x = y;
-        }
-        if self.is_last_stage() {
-            self.fwd_out.push(x);
-        } else if self.tpi == 0 {
-            self.push(Pass::Fill, mb, x);
-        }
-    }
-
-    /// Takes the next inbound boundary tensor of `pass` off the link,
-    /// decoded: through the receiving half in a fill, the sending one in
-    /// a drain.
-    fn pull(&mut self, pass: Pass, mb: usize) -> Tensor {
-        let sender = pass == Pass::Drain;
-        self.trace_boundary(Dir::Recv, pass, sender, mb, None);
-        let (half, timers) = self.half(sender);
-        half.pull(timers)
-    }
-
-    /// Encodes and sends one outbound boundary tensor of `pass`: through
-    /// the sending half in a fill, the receiving one in a drain.
-    fn push(&mut self, pass: Pass, mb: usize, x: Tensor) {
-        let sender = pass == Pass::Fill;
-        let (half, timers) = self.half(sender);
-        let bytes = half.push(x, timers);
-        self.trace_boundary(Dir::Send, pass, sender, mb, bytes);
-    }
-
-    /// This rank's sending or receiving boundary half, with the timers
-    /// its work is charged to.
-    fn half(&mut self, sender: bool) -> (&mut dyn BoundaryHalf, &mut PhaseTimers) {
-        let half: &mut dyn BoundaryHalf = if sender {
-            self.send_b.as_mut().expect("non-final stage sender")
-        } else {
-            self.recv_b.as_mut().expect("non-first stage receiver")
-        };
-        (half, &mut self.timers)
-    }
-
-    /// Records micro-batch `mb`'s boundary event of this pass on the
-    /// sending half's boundary (this stage's) or the receiving half's
-    /// (the previous stage's).
-    fn trace_boundary(&self, dir: Dir, pass: Pass, sender: bool, mb: usize, bytes: Option<usize>) {
-        let Some(trace) = &self.trace else { return };
-        let boundary = if sender { self.stage } else { self.stage - 1 };
-        let (channel, msg) = match pass {
-            Pass::Fill => (
-                ChannelId::BoundaryFwd { boundary },
-                MsgId::Activation { mb },
-            ),
-            Pass::Drain => (ChannelId::BoundaryGrad { boundary }, MsgId::Grad { mb }),
-        };
-        trace.record(dir, channel, msg, bytes);
-    }
-
-    /// This stage's micro-batches for one pass, in the shared schedule's
-    /// order.
-    fn schedule(&self, pass: Pass, m: usize) -> Vec<usize> {
-        gpipe_order(self.pp, m, self.stage)
-            .into_iter()
-            .filter(|o| o.backward == (pass == Pass::Drain))
-            .map(|o| o.mb)
-            .collect()
-    }
-
-    /// GPipe drain: run this stage's backwards in the shared schedule's
-    /// (reversed) micro-batch order, then ring-sync compressor grads and
-    /// forward the boundary grads to the decode replicas.
-    fn backward(&mut self, dhidden: &Tensor) {
-        let m = self.micro_batches;
-        let mb_rows = dhidden.dims()[0] / m;
-        for mb in self.schedule(Pass::Drain, m) {
-            self.backward_mb(dhidden, mb, mb_rows);
-        }
-        self.post_drain_sync();
-        self.done();
-    }
-
-    /// One backward micro-batch: seed the gradient (output slice on the
-    /// last stage, the boundary gradient elsewhere), broadcast across
-    /// the stage, run the owned layers in reverse, and finish with the
-    /// embedding backward on stage 0 or the upstream boundary push.
-    fn backward_mb(&mut self, dhidden: &Tensor, mb: usize, mb_rows: usize) {
-        let mut d = if self.is_last_stage() {
-            timed(&mut self.timers.compute_s, || {
-                dhidden.slice_rows(mb * mb_rows, (mb + 1) * mb_rows)
-            })
-        } else {
-            let incoming = (self.tpi == 0).then(|| self.pull(Pass::Drain, mb));
-            self.stage_broadcast(incoming)
-        };
-        for (block, comps) in self.layers.iter_mut().rev() {
-            let ring = &mut Ring {
-                tp: &mut self.tp,
-                comps,
-                timers: &mut self.timers,
-            };
-            let nd = block.backward(&d, ring, &mut self.ws);
-            self.ws.recycle_tensor(d);
-            d = nd;
-        }
-        if let Some(emb) = self.embedding.as_mut() {
-            let t0 = std::time::Instant::now();
-            let (d_ref, ws) = (&d, &mut self.ws);
-            emb.backward_mb(d_ref, ws);
-            self.timers.compute_s += t0.elapsed().as_secs_f64();
-        } else if self.tpi == 0 {
-            self.push(Pass::Drain, mb, d);
-        }
-    }
-
-    /// Post-drain synchronization, in the serial executor's order:
-    /// per-layer compressor grads first, then boundary replicas.
-    fn post_drain_sync(&mut self) {
-        // A dense sum has no codec, and a codec without parameters (all
-        // but the auto-encoders) has nothing to sync.
-        for comp in self.layers.iter_mut().flat_map(|(_, c)| c).flatten() {
-            self.tp.sync_param_grads(comp, &mut self.timers);
-        }
-        if self.send_b.is_some() {
-            self.trace_event(
-                Dir::Send,
-                ChannelId::BoundaryFwd {
-                    boundary: self.stage,
-                },
-                MsgId::GradSync,
-                None,
-            );
-        }
-        if let Some(b) = self.send_b.as_mut() {
-            let mut grads = Vec::new();
-            b.comp.visit_params(&mut |p| grads.push(p.grad.clone()));
-            timed(&mut self.timers.wire_s, || {
-                b.tx.send(FwdMsg::GradSync(grads))
-                    .expect("downstream stage hung up")
-            });
-        }
-        if self.recv_b.is_some() {
-            self.trace_event(
-                Dir::Recv,
-                ChannelId::BoundaryFwd {
-                    boundary: self.stage - 1,
-                },
-                MsgId::GradSync,
-                None,
-            );
-        }
-        if let Some(b) = self.recv_b.as_mut() {
-            let msg = timed(&mut self.timers.wire_s, || {
-                b.rx.recv().expect("upstream stage hung up")
-            });
-            match msg {
-                FwdMsg::GradSync(grads) => {
-                    let mut i = 0;
-                    b.replica.visit_params(&mut |p| {
-                        p.grad = grads[i].clone();
-                        i += 1;
-                    });
-                }
-                FwdMsg::Activation(_) => panic!("activation during grad sync"),
-            }
         }
     }
 

@@ -97,8 +97,8 @@ impl<'a> WorkerBuilder<'a> {
             .map(|l| {
                 let block = Block::new(&self.serial.layers[l], tp, tpi..tpi + 1)
                     .expect("the runtime validated the config");
-                let points = [SumPoint::Attention, SumPoint::Mlp];
-                let comps = points.map(|at| self.recipe.reduce(&self.cfg.mp, l, at, self.n()));
+                let comps =
+                    SumPoint::ALL.map(|at| self.recipe.reduce(&self.cfg.mp, l, at, self.n()));
                 (block, comps)
             })
             .collect();
@@ -172,6 +172,9 @@ pub struct ThreadedRuntime {
     /// runs; kept alive (acceptor threads, sockets) until after the rank
     /// threads join.
     transports: Vec<Box<dyn Transport>>,
+    /// Rows of the forward a backward would consume
+    /// ([`RuntimeConfig::check_command`]).
+    outstanding: Option<usize>,
 }
 
 impl std::fmt::Debug for ThreadedRuntime {
@@ -304,6 +307,7 @@ impl ThreadedRuntime {
             handles,
             cfg,
             transports,
+            outstanding: None,
         })
     }
 
@@ -321,6 +325,15 @@ impl ThreadedRuntime {
         for tx in &self.cmd_txs {
             tx.send(cmd.clone()).expect("rank thread hung up");
         }
+    }
+
+    /// Checks a forward, inference or backward command's inputs
+    /// ([`RuntimeConfig::check_command`]) and broadcasts it; nothing is
+    /// dispatched on an error.
+    fn dispatch(&mut self, cmd: Command) -> Result<(), RuntimeError> {
+        self.outstanding = self.cfg.check_command(&cmd, self.outstanding)?;
+        self.broadcast(cmd);
+        Ok(())
     }
 
     /// Collects one response per rank for the oldest outstanding
@@ -341,39 +354,27 @@ impl ThreadedRuntime {
     ///
     /// [`RuntimeError::IdsLengthMismatch`] if `ids.len() != batch * seq`,
     /// [`RuntimeError::SeqTooLong`] if `seq` exceeds the model maximum,
-    /// [`RuntimeError::BatchNotDivisible`] if `batch` is not divisible
-    /// by the micro-batch count. Nothing is dispatched to the ranks on
-    /// any error.
+    /// [`RuntimeError::TokenOutOfVocab`] for an id outside the
+    /// vocabulary, [`RuntimeError::BatchNotDivisible`] if `batch` is not
+    /// divisible by the micro-batch count. Nothing is dispatched to the
+    /// ranks on any error.
     pub fn forward(
         &mut self,
         ids: &[usize],
         batch: usize,
         seq: usize,
     ) -> Result<Tensor, RuntimeError> {
-        if ids.len() != batch * seq {
-            return Err(RuntimeError::IdsLengthMismatch {
-                len: ids.len(),
-                batch,
-                seq,
-            });
-        }
-        if seq > self.cfg.mp.bert.max_seq {
-            return Err(RuntimeError::SeqTooLong {
-                seq,
-                max_seq: self.cfg.mp.bert.max_seq,
-            });
-        }
-        if !batch.is_multiple_of(self.cfg.micro_batches) {
-            return Err(RuntimeError::BatchNotDivisible {
-                batch,
-                micro_batches: self.cfg.micro_batches,
-            });
-        }
-        self.broadcast(Command::Forward {
+        self.dispatch(Command::Forward {
             ids: ids.to_vec(),
             batch,
             seq,
-        });
+        })?;
+        self.output()
+    }
+
+    /// The last stage's answer to the oldest outstanding forward or
+    /// inference.
+    fn output(&mut self) -> Result<Tensor, RuntimeError> {
         let mut out = None;
         for resp in self.collect() {
             if let Response::Output { y } = resp {
@@ -398,51 +399,27 @@ impl ThreadedRuntime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::IdsLengthMismatch`], [`RuntimeError::SeqTooLong`],
-    /// and [`RuntimeError::ZeroMicroBatches`] if `nreq == 0`. Nothing is
-    /// dispatched on any error.
+    /// [`RuntimeError::ZeroMicroBatches`] if `nreq == 0`, and the id
+    /// errors of [`Self::forward`]. Nothing is dispatched on any error.
     pub fn infer_submit(
         &mut self,
         ids: &[usize],
         nreq: usize,
         seq: usize,
     ) -> Result<(), RuntimeError> {
-        if nreq == 0 {
-            return Err(RuntimeError::ZeroMicroBatches);
-        }
-        if ids.len() != nreq * seq {
-            return Err(RuntimeError::IdsLengthMismatch {
-                len: ids.len(),
-                batch: nreq,
-                seq,
-            });
-        }
-        if seq > self.cfg.mp.bert.max_seq {
-            return Err(RuntimeError::SeqTooLong {
-                seq,
-                max_seq: self.cfg.mp.bert.max_seq,
-            });
-        }
-        self.broadcast(Command::Infer {
+        self.dispatch(Command::Infer {
             ids: ids.to_vec(),
             batch: nreq,
             seq,
             micro: nreq,
-        });
-        Ok(())
+        })
     }
 
     /// Collects the result of the oldest outstanding
     /// [`Self::infer_submit`]: the final hidden states
     /// `[nreq · seq, hidden]`, request-major.
     pub fn infer_wait(&mut self) -> Result<Tensor, RuntimeError> {
-        let mut out = None;
-        for resp in self.collect() {
-            if let Response::Output { y } = resp {
-                out = Some(y);
-            }
-        }
-        Ok(out.expect("last stage produced an output"))
+        self.output()
     }
 
     /// [`Self::infer_submit`] + [`Self::infer_wait`] in one call.
@@ -461,23 +438,14 @@ impl ThreadedRuntime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::GradRowsNotDivisible`] if the gradient's rows are
-    /// not divisible by the micro-batch count; nothing is dispatched.
+    /// [`RuntimeError::BackwardWithoutForward`] if no forward is
+    /// outstanding, [`RuntimeError::GradShapeMismatch`] unless the
+    /// gradient is that forward's `[rows, hidden]`; nothing is
+    /// dispatched.
     pub fn backward(&mut self, dhidden: &Tensor) -> Result<(), RuntimeError> {
-        let rows = if dhidden.rank() >= 1 {
-            dhidden.dims()[0]
-        } else {
-            0
-        };
-        if !rows.is_multiple_of(self.cfg.micro_batches) {
-            return Err(RuntimeError::GradRowsNotDivisible {
-                rows,
-                micro_batches: self.cfg.micro_batches,
-            });
-        }
-        self.broadcast(Command::Backward {
+        self.dispatch(Command::Backward {
             dhidden: dhidden.clone(),
-        });
+        })?;
         let _ = self.collect();
         Ok(())
     }

@@ -308,17 +308,18 @@ impl Ticket {
 pub struct ServeHandle {
     tx: Sender<Msg>,
     seq: usize,
+    cfg: Arc<RuntimeConfig>,
 }
 
 impl ServeHandle {
-    /// Submits one request of exactly `seq` token ids; returns its
-    /// ticket immediately. Malformed requests fail the ticket without
-    /// touching the queue.
+    /// Submits one request of exactly `seq` token ids, each inside the
+    /// vocabulary; returns its ticket immediately. Malformed requests
+    /// fail the ticket without touching the queue.
     pub fn submit(&self, ids: Vec<usize>) -> Ticket {
         let (reply, rx) = channel();
-        if ids.len() != self.seq {
+        if let Err(e) = self.cfg.check_ids(&ids, 1, self.seq) {
             let _ = reply.send(Err(ServeError::BadRequest {
-                detail: format!("{} token ids for a {}-token request", ids.len(), self.seq),
+                detail: e.to_string(),
             }));
         } else {
             // If the dispatcher is gone (engine finished or died) the
@@ -343,6 +344,7 @@ pub struct ServeEngine {
     dispatcher: Option<JoinHandle<ServeBackend>>,
     stats: Arc<Mutex<ServeStats>>,
     seq: usize,
+    cfg: Arc<RuntimeConfig>,
 }
 
 impl ServeEngine {
@@ -360,7 +362,7 @@ impl ServeEngine {
                 detail: "max_batch and depth must be at least 1".to_string(),
             });
         }
-        let rc = backend.config();
+        let rc = Arc::new(backend.config().clone());
         let seq = rc.mp.tokens / rc.micro_batches;
         let stats = Arc::new(Mutex::new(ServeStats::default()));
         let (tx, rx) = channel::<Msg>();
@@ -374,6 +376,7 @@ impl ServeEngine {
             dispatcher: Some(dispatcher),
             stats,
             seq,
+            cfg: rc,
         })
     }
 
@@ -382,6 +385,7 @@ impl ServeEngine {
         ServeHandle {
             tx: self.tx.as_ref().expect("engine running").clone(),
             seq: self.seq,
+            cfg: Arc::clone(&self.cfg),
         }
     }
 
@@ -826,9 +830,14 @@ mod tests {
             tuning: None,
             trace: false,
         };
-        let rt = ThreadedRuntime::new(&mut ChaCha8Rng::seed_from_u64(5), rc).expect("engine");
+        let rt =
+            ThreadedRuntime::new(&mut ChaCha8Rng::seed_from_u64(5), rc.clone()).expect("engine");
         let (tx, rx) = channel::<Msg>();
-        let handle = ServeHandle { tx, seq: SEQ };
+        let handle = ServeHandle {
+            tx,
+            seq: SEQ,
+            cfg: Arc::new(rc),
+        };
         let tickets: Vec<Ticket> = (0..3 * cfg.max_batch + 1)
             .map(|i| handle.submit(vec![i % 16; SEQ]))
             .collect();

@@ -16,7 +16,7 @@
 //! the engine interprets the step lists and chunk plans that
 //! `actcomp_check::collectives` defines.
 
-use actcomp_check::{analyze, audit_trace, build_comm_graph, ExperimentConfig, RunSpec};
+use actcomp_check::{analyze, audit_trace, build_comm_graph, ExperimentConfig, Phase, RunSpec};
 use actcomp_runtime::{RuntimeConfig, ThreadedRuntime};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -179,6 +179,34 @@ fn untraced_runs_return_no_trace() {
     rt.zero_grad();
     rt.backward(&y).expect("valid grad");
     assert!(rt.take_trace().is_none());
+}
+
+#[test]
+fn inference_traces_conform_to_the_forward_half_of_the_static_graph() {
+    // The serve path: an inference of `k` requests runs the forward half
+    // of the step lists with one micro-batch a request, so its trace is
+    // the graph's forward events at `micro_batches = k`.
+    for tp in [1usize, 2, 4] {
+        for pp in [1usize, 2] {
+            for spec in ["w/o", "T2"] {
+                let cfg = experiment(tp, pp, spec, 2, None, 4);
+                let mut rng = ChaCha8Rng::seed_from_u64(21);
+                let mut rt = ThreadedRuntime::new(&mut rng, engine_cfg(&cfg, true)).expect("valid");
+                for k in [1usize, 2] {
+                    let mut served = experiment(tp, pp, spec, k, None, 4);
+                    served.batch.micro_batch = k;
+                    let mut graph = build_comm_graph(&served).expect("graph");
+                    for events in &mut graph.events {
+                        events.retain(|e| matches!(e.phase, Phase::Forward { .. }));
+                    }
+                    rt.infer(&IDS[..4 * k], k, 4).expect("valid inference");
+                    let trace = rt.take_trace().expect("trace mode is on");
+                    let audit = audit_trace(&graph, &trace);
+                    assert!(audit.is_empty(), "tp={tp} pp={pp} {spec} k={k}: {audit:#?}");
+                }
+            }
+        }
+    }
 }
 
 proptest::proptest! {

@@ -224,6 +224,11 @@ fn malformed_requests_fail_typed_without_entering_the_queue() {
         matches!(err, ServeError::BadRequest { .. }),
         "typed BadRequest, got {err}"
     );
+    let err = (handle.submit(vec![999; SEQ]).wait()).expect_err("id outside the vocabulary");
+    assert!(
+        matches!(err, ServeError::BadRequest { .. }),
+        "typed BadRequest, got {err}"
+    );
     // A good request still flows afterwards.
     let ok = handle.submit(vec![1; SEQ]).wait().expect("good request");
     assert_eq!(ok.dims(), &[SEQ, 16]);
