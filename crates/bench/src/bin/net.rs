@@ -24,7 +24,7 @@
 use actcomp_bench::util;
 use actcomp_compress::plan::CompressionPlan;
 use actcomp_compress::spec::CompressorSpec;
-use actcomp_core::report::{write_records, Table};
+use actcomp_core::report::Table;
 use actcomp_distsim::calibration;
 use actcomp_distsim::collective::{allreduce_time, chain_allreduce_time};
 use actcomp_distsim::hardware::{LinkKind, LinkSpec};
@@ -241,7 +241,6 @@ fn main() {
             .map(String::from)
             .collect(),
     );
-    let mut records = Vec::new();
     type Run = (String, Option<f64>, Vec<Box<dyn Transport>>);
     let mut runs: Vec<Run> = vec![
         ("mpsc".into(), None, mpsc_boxed(world)),
@@ -266,23 +265,12 @@ fn main() {
     for (transport, cap, ts) in runs {
         let (per_op, wire) = bench_collective(ts, rows, width, iters);
         let gbps = wire / per_op / 1e9;
-        let label = match cap {
-            Some(c) => format!("{transport}@{c}Mbps"),
-            None => transport.clone(),
-        };
         table.push_row(vec![
             transport.clone(),
             cap.map_or("—".into(), |c| format!("{c:.0}")),
             format!("{:.3}", per_op * 1e3),
             format!("{gbps:.3}"),
         ]);
-        records.push(util::record(
-            "net",
-            format!("{label} all-reduce"),
-            None,
-            per_op * 1e3,
-            "ms",
-        ));
         collectives.push(CollectiveRow {
             transport,
             link_mbps: cap,
@@ -346,20 +334,6 @@ fn main() {
         let measured = row.per_op_ms / 1e3;
         let rel_error = (measured - predicted) / predicted;
         let calibrated_rel_error = (measured - calibrated) / calibrated;
-        records.push(util::record(
-            "net",
-            format!("tcp@{cap}Mbps vs distsim"),
-            Some(predicted * 1e3),
-            measured * 1e3,
-            "ms",
-        ));
-        records.push(util::record(
-            "net",
-            format!("tcp@{cap}Mbps vs distsim (calibrated)"),
-            Some(calibrated * 1e3),
-            measured * 1e3,
-            "ms",
-        ));
         distsim.push(DistsimRow {
             link_mbps: cap,
             measured_ms: measured * 1e3,
@@ -390,20 +364,6 @@ fn main() {
         );
         baseline_ms.push(base * 1e3);
         compressed_ms.push(comp * 1e3);
-        records.push(util::record(
-            "net",
-            format!("step w/o @{cap}Mbps"),
-            None,
-            base * 1e3,
-            "ms",
-        ));
-        records.push(util::record(
-            "net",
-            format!("step T2 @{cap}Mbps"),
-            None,
-            comp * 1e3,
-            "ms",
-        ));
     }
     // The crossover estimate: the geometric mean of the last cap where
     // the baseline won and the first where compression did (the sweep
@@ -483,11 +443,5 @@ fn main() {
             }
         }
         Err(e) => eprintln!("warning: could not serialize BENCH_net.json: {e}"),
-    }
-    let path = opts.out_dir.join("net.json");
-    if let Err(e) = write_records(&path, &records) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("[records written to {}]", path.display());
     }
 }

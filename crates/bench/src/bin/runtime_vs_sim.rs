@@ -7,8 +7,7 @@
 //! Absolute times cannot match — the engine measures CPU threads while
 //! the simulator models V100s — so the comparison is over fractions:
 //! compute / encode / wire / decode as a percentage of the iteration,
-//! with the relative error per phase reported. The measured side also
-//! lands in `BENCH_runtime.json`, the artifact CI checks for.
+//! with the relative error per phase reported.
 
 use actcomp_bench::util;
 use actcomp_compress::cost::CostModel;
@@ -112,11 +111,7 @@ fn measured(spec: CompressorSpec, steps: usize) -> Shares {
         rt.backward(&y).expect("valid benchmark grad");
         rt.sgd_step(1e-2);
     }
-    let report = rt.report();
-    if let Err(e) = std::fs::write("BENCH_runtime.json", report.to_json()) {
-        eprintln!("warning: could not write BENCH_runtime.json: {e}");
-    }
-    let t = report.totals;
+    let t = rt.report().totals;
     let total = t.total_s().max(f64::MIN_POSITIVE);
     Shares {
         compute: t.compute_s / total,

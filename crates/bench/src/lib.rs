@@ -7,8 +7,10 @@
 //! reported numbers next to ours; `run_all` executes the full set and
 //! writes JSON records plus a markdown summary under `results/`.
 //!
-//! Criterion micro-benchmarks for the compressor kernels, matmul, and the
-//! simulators live under `benches/`.
+//! Performance is measured by one harness, the `ledger` package under
+//! `src/bin/ledger/` (its workloads are declared in `BENCHMARK.json`):
+//! a step's or a request's time split by layer, from GEMM to transport.
+//! `bin/net.rs` also sweeps capped links for the compression crossover.
 
 pub mod paper;
 pub mod util;

@@ -1071,6 +1071,7 @@ pub fn audit_trace(graph: &CommGraph, trace: &[Vec<TraceEvent>]) -> Vec<Diagnost
 mod tests {
     use super::*;
     use crate::config::{Backend, RunSpec};
+    use actcomp_compress::spec::CompressorSpec;
 
     /// Tiny model so codec sizing stays cheap: 4 layers, hidden 16,
     /// 8 tokens per step.
@@ -1230,27 +1231,33 @@ mod tests {
     }
 
     #[test]
-    fn error_feedback_collapses_reduce_chunking() {
-        // A2 is summable + chunkable: forward reduces ride multi-chunk
-        // rings. Error feedback wraps the codec and disables chunking,
-        // so every forward reduce becomes a single-chunk ring.
-        // Cover every layer so no Identity (chunkable either way)
-        // reduces dilute the signal.
-        let mut cfg = tiny_cfg(2, 1, "A2", 1, None, 4);
-        cfg.plan.start_layer = Some(0);
-        cfg.plan.num_layers = Some(4);
-        let chunky = build_comm_graph(&cfg).expect("graph");
-        let has_high_idx = |g: &CommGraph| {
+    fn no_lossy_codec_chunks_a_forward_reduce() {
+        // Only identity is chunkable: a dense plan's forward reduces ride
+        // multi-chunk rings, and under every lossy codec, with or without
+        // error feedback, each forward reduce is one chunk. Every layer is
+        // compressed, so no identity reduce dilutes the signal.
+        let forward_chunks = |spec: &str, error_feedback: bool| {
+            let mut cfg = tiny_cfg(2, 1, spec, 1, None, 4);
+            cfg.plan.start_layer = Some(0);
+            cfg.plan.num_layers = Some(4);
+            cfg.plan.error_feedback = error_feedback;
+            let g = build_comm_graph(&cfg).expect("graph");
+            assert!(analyze(&g).is_empty(), "{spec}");
             g.events.iter().flatten().any(|e| {
                 matches!(e.phase, Phase::Forward { .. })
                     && matches!(e.msg, MsgId::Chunk { idx, .. } if idx > 0)
             })
         };
-        assert!(has_high_idx(&chunky), "A2 forward reduces should chunk");
-        cfg.plan.error_feedback = true;
-        let single = build_comm_graph(&cfg).expect("graph");
-        assert!(!has_high_idx(&single), "EF-wrapped A2 must not chunk");
-        assert!(analyze(&single).is_empty());
+        assert!(forward_chunks("w/o", false), "dense reduces should chunk");
+        for spec in &CompressorSpec::all()[1..] {
+            for ef in [false, true] {
+                assert!(
+                    !forward_chunks(spec.label(), ef),
+                    "{} (error feedback {ef}) chunked a forward reduce",
+                    spec.label()
+                );
+            }
+        }
     }
 
     fn event(dir: Dir, channel: ChannelId, msg: MsgId, bytes: Option<usize>) -> CommEvent {

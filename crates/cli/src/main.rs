@@ -4,7 +4,7 @@
 //! ```text
 //! actcomp check experiment.json
 //! actcomp run --backend threads --tp 2 --pp 2 --spec T2 --steps 3
-//! actcomp serve --bench --quick --tp 2 --pp 2 --spec T2
+//! actcomp serve --tp 2 --pp 2 --spec T2 --requests 256
 //! actcomp simulate --machine pcie --tp 2 --pp 2 --batch 32 --seq 512 --spec A1
 //! actcomp pretrain-sim --tp 4 --pp 4 --spec A2
 //! actcomp finetune --task cola --spec Q2 --steps 150
@@ -68,7 +68,7 @@ USAGE:
                         [--layers N] [--hidden N] [--heads N] [--ff N] [--vocab N]
                         [--max-batch N] [--batch-window-us N] [--depth N]
                         [--requests N] [--clients N] [--arrival closed|open] [--rate X]
-                        [--bench] [--quick] [--seed N] [--out PATH] [--kernel-threads N]
+                        [--seed N] [--kernel-threads N]
                         [--transport uds|tcp] [--fault SPEC]
   actcomp simulate      [--machine nvlink|pcie] [--tp N] [--pp N] [--batch N] [--seq N] [--spec ID] [--json]
   actcomp pretrain-sim  [--tp N] [--pp N] [--spec ID] [--json]
@@ -524,12 +524,10 @@ fn experiment(args: &Args, batch: usize, spec: RunSpec) -> ExperimentConfig {
 /// request batching on resident rank workers (see DESIGN.md, Serving
 /// engine).
 ///
-/// Plain mode runs one synthetic load (closed- or open-loop) and
-/// prints throughput, latency percentiles, and the per-rank phase
-/// breakdown. `--bench` additionally measures the one-request-at-a-time
-/// baseline (`max_batch = 1`, `depth = 1`) and a fixed-rate open-loop
-/// run on identically-initialised engines and writes the comparison as
-/// `BENCH_serve.json`.
+/// Runs one synthetic load (closed- or open-loop) and prints
+/// throughput, latency percentiles, the batch counters and the
+/// per-rank phase breakdown. The repo's serving benchmark is the
+/// ledger's `serve_sat` and `serve_paced` workloads.
 fn serve(args: &Args) {
     use actcomp_runtime::{
         run_load, Arrival, LoadConfig, ProcsOptions, ProcsRuntime, ServeBackend, ServeConfig,
@@ -549,37 +547,23 @@ fn serve(args: &Args) {
     // request.
     let cfg = experiment(args, 1, spec);
     let spec = cfg.run_spec();
-    let batched_cfg = ServeConfig::of(&spec);
+    let scfg = ServeConfig::of(&spec);
     let (seq, vocab) = (cfg.batch.seq, cfg.model.vocab);
     let seed = args.get_usize("seed", 0) as u64;
-    let bench = args.flag("bench");
-    let quick = args.flag("quick");
-    let requests = args.get_usize("requests", if quick { 96 } else { 512 });
-    let clients = args.get_usize("clients", 2 * batched_cfg.max_batch);
-    let out = args.get("out", "BENCH_serve.json").to_string();
+    let requests = args.get_usize("requests", 512);
+    let clients = args.get_usize("clients", 2 * scfg.max_batch);
     let rate = flag_value::<f64>(args, "rate", "requests per second");
-    let rt_cfg = RuntimeConfig::of(&cfg).expect("validated spec resolves");
-
-    let make_backend = || -> ServeBackend {
-        match spec.backend {
-            Backend::Threads => {
-                // Reseeded per engine so every bench mode serves
-                // identically-initialised weights.
-                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-                ServeBackend::Threads(
-                    ThreadedRuntime::new(&mut rng, rt_cfg.clone()).unwrap_or_else(|e| {
-                        eprintln!("error: {e}");
-                        std::process::exit(1);
-                    }),
-                )
-            }
-            Backend::Procs => ServeBackend::Procs(
-                ProcsRuntime::launch(ProcsOptions::new(cfg.clone(), seed)).unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }),
-            ),
-            Backend::Serial => unreachable!("AC1002 refuses serving on the serial backend"),
+    let arrival = match args.get("arrival", "closed") {
+        "closed" => Arrival::Closed { clients },
+        "open" => Arrival::Open {
+            rate: rate.unwrap_or_else(|| {
+                eprintln!("error: --arrival open needs --rate REQ_PER_S");
+                std::process::exit(2);
+            }),
+        },
+        other => {
+            eprintln!("error: unknown arrival process '{other}' (closed|open)");
+            std::process::exit(2);
         }
     };
 
@@ -591,136 +575,66 @@ fn serve(args: &Args) {
         cfg.parallelism.tp,
         cfg.parallelism.pp,
         cfg.plan.spec,
-        batched_cfg.max_batch,
-        batched_cfg.batch_window.as_micros(),
-        batched_cfg.depth
+        scfg.max_batch,
+        scfg.batch_window.as_micros(),
+        scfg.depth
     );
+    let backend = match spec.backend {
+        Backend::Threads => {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let rt_cfg = RuntimeConfig::of(&cfg).expect("validated spec resolves");
+            ThreadedRuntime::new(&mut rng, rt_cfg)
+                .map(ServeBackend::Threads)
+                .map_err(|e| e.to_string())
+        }
+        Backend::Procs => ProcsRuntime::launch(ProcsOptions::new(cfg, seed))
+            .map(ServeBackend::Procs)
+            .map_err(|e| e.to_string()),
+        Backend::Serial => unreachable!("AC1002 refuses serving on the serial backend"),
+    };
 
-    // One load run on a fresh engine; any failed request is a typed
-    // serving error and exits non-zero (the dispatcher answers every
-    // request on a dead world, so probing it recovers the error).
-    let run_mode = |label: &str, scfg: ServeConfig, arrival: Arrival| {
-        let engine = ServeEngine::start(make_backend(), scfg).unwrap_or_else(|e| {
+    let engine = backend
+        .and_then(|b| ServeEngine::start(b, scfg).map_err(|e| e.to_string()))
+        .unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(1);
         });
-        let lcfg = LoadConfig {
-            requests,
-            arrival,
-            vocab,
-            seed: seed ^ 0x10ad,
-        };
-        let report = run_load(&engine, &lcfg);
-        if report.failed > 0 {
-            let probe = engine.handle().submit(vec![0; seq]).wait();
-            match probe {
-                Err(e) => eprintln!("error: {} request(s) failed: {e}", report.failed),
-                Ok(_) => eprintln!("error: {} request(s) failed", report.failed),
-            }
-            drop(engine);
-            std::process::exit(1);
-        }
-        println!(
-            "{label:>8}: {:>8.1} req/s  p50 {:.2} ms  p95 {:.2} ms  p99 {:.2} ms  \
-             mean {:.2} ms  ({} reqs, {:.2} s)",
-            report.req_per_s,
-            report.p50_ms,
-            report.p95_ms,
-            report.p99_ms,
-            report.mean_ms,
-            report.completed,
-            report.elapsed_s
-        );
-        let (stats, phase) = engine.finish();
-        (report, stats, phase)
-    };
-
-    if !bench {
-        let arrival = match args.get("arrival", "closed") {
-            "closed" => Arrival::Closed { clients },
-            "open" => Arrival::Open {
-                rate: rate.unwrap_or_else(|| {
-                    eprintln!("error: --arrival open needs --rate REQ_PER_S");
-                    std::process::exit(2);
-                }),
-            },
-            other => {
-                eprintln!("error: unknown arrival process '{other}' (closed|open)");
-                std::process::exit(2);
-            }
-        };
-        let (_, stats, phase) = run_mode("load", batched_cfg, arrival);
-        println!(
-            "batches: {} dispatched ({} with another in flight), size histogram {:?}",
-            stats.batches, stats.overlapped, stats.batch_hist
-        );
-        if let Some(phase) = &phase {
-            print_phase_report(phase);
-        }
-        return;
-    }
-
-    // --bench: the one-request-at-a-time baseline — a single closed-loop
-    // client against an unbatched engine (`max_batch = 1`, `depth = 1`),
-    // so at most one request is anywhere in the system — vs continuous
-    // batching under saturating closed-loop load, plus a fixed-rate
-    // open-loop latency run.
-    let serial_cfg = ServeConfig {
-        max_batch: 1,
-        batch_window: std::time::Duration::ZERO,
-        depth: 1,
-    };
-    let (serial_lr, _, _) = run_mode("serial", serial_cfg, Arrival::Closed { clients: 1 });
-    let (batched_lr, batched_stats, phase) =
-        run_mode("batched", batched_cfg, Arrival::Closed { clients });
-    // Default offered load: 70% of measured saturated throughput, so
-    // the open-loop run measures latency below the knee.
-    let open_rate = rate.unwrap_or(0.7 * batched_lr.req_per_s).max(1.0);
-    let (open_lr, _, _) = run_mode("open", batched_cfg, Arrival::Open { rate: open_rate });
-    let speedup = if serial_lr.req_per_s > 0.0 {
-        batched_lr.req_per_s / serial_lr.req_per_s
-    } else {
-        0.0
-    };
-    println!(
-        "speedup: {speedup:.2}x (continuous batching vs one-request-at-a-time), \
-         {} of {} batches overlapped, batch histogram {:?}",
-        batched_stats.overlapped, batched_stats.batches, batched_stats.batch_hist
-    );
-    // The experiment is recorded whole: its run spec carries the
-    // backend, the wire and the serving knobs.
-    #[derive(serde::Serialize)]
-    struct BenchDoc {
-        experiment: ExperimentConfig,
-        requests: usize,
-        clients: usize,
-        open_rate_req_per_s: f64,
-        serial: actcomp_runtime::LoadReport,
-        batched: actcomp_runtime::LoadReport,
-        open: actcomp_runtime::LoadReport,
-        speedup_batched_vs_serial: f64,
-        batches: usize,
-        overlapped: usize,
-        batch_hist: Vec<usize>,
-        report: Option<actcomp_runtime::RuntimeReport>,
-    }
-    let doc = BenchDoc {
-        experiment: cfg.clone(),
+    let lcfg = LoadConfig {
         requests,
-        clients,
-        open_rate_req_per_s: open_rate,
-        serial: serial_lr,
-        batched: batched_lr,
-        open: open_lr,
-        speedup_batched_vs_serial: speedup,
-        batches: batched_stats.batches,
-        overlapped: batched_stats.overlapped,
-        batch_hist: batched_stats.batch_hist.clone(),
-        report: phase,
+        arrival,
+        vocab,
+        seed: seed ^ 0x10ad,
     };
-    match std::fs::write(&out, serde_json::to_string_pretty(&doc).expect("serialize")) {
-        Ok(()) => println!("[bench written to {out}]"),
-        Err(e) => eprintln!("warning: could not write {out}: {e}"),
+    let report = run_load(&engine, &lcfg);
+    // Any failed request is a typed serving error and exits non-zero
+    // (the dispatcher answers every request on a dead world, so probing
+    // it recovers the error).
+    if report.failed > 0 {
+        match engine.handle().submit(vec![0; seq]).wait() {
+            Err(e) => eprintln!("error: {} request(s) failed: {e}", report.failed),
+            Ok(_) => eprintln!("error: {} request(s) failed", report.failed),
+        }
+        drop(engine);
+        std::process::exit(1);
+    }
+    println!(
+        "    load: {:>8.1} req/s  p50 {:.2} ms  p95 {:.2} ms  p99 {:.2} ms  \
+         mean {:.2} ms  ({} reqs, {:.2} s)",
+        report.req_per_s,
+        report.p50_ms,
+        report.p95_ms,
+        report.p99_ms,
+        report.mean_ms,
+        report.completed,
+        report.elapsed_s
+    );
+    let (stats, phase) = engine.finish();
+    println!(
+        "batches: {} dispatched ({} with another in flight), size histogram {:?}",
+        stats.batches, stats.overlapped, stats.batch_hist
+    );
+    if let Some(phase) = &phase {
+        print_phase_report(phase);
     }
 }
 

@@ -42,7 +42,7 @@ const PINS: [(&str, &str); 9] = [
     ("--backend serial", "e75f9fa0200deffc"),
     (
         "--backend threads --spec A2 --tp 4 --pp 1 --micro-batches 2",
-        "9627c37937b1699a",
+        "2cbc4d5340555e82",
     ),
     (
         "--backend threads --spec T2 --tp 2 --pp 2 --micro-batches 2",
@@ -110,4 +110,17 @@ fn seeded_grad_hashes_match_their_pins() {
         })
         .collect();
     assert!(moved.is_empty(), "grad hashes moved:\n{}", moved.join("\n"));
+}
+
+#[test]
+fn autoencoder_gradients_ignore_the_ring_chunking() {
+    // The auto-encoder's weight gradients sum over every row of a
+    // collective, so its codec runs unchunked: the ring's chunk size is a
+    // speed knob and must not move a bit, and the engine must equal the
+    // serial executor.
+    let serial = grad_hash("--backend serial --spec A2 --tp 2 --pp 1", 100);
+    for (case, chunking) in (101..).zip(["", "--chunk-rows 1", "--chunk-rows 1000"]) {
+        let flags = format!("--backend threads --spec A2 --tp 2 --pp 1 {chunking}");
+        assert_eq!(grad_hash(&flags, case), serial, "`{flags}`");
+    }
 }

@@ -78,10 +78,11 @@ fn procs_uds_and_tcp_match_threads_bitwise() {
 
 #[test]
 fn ring_tuning_flags_run_the_chunked_path_across_processes() {
-    // One-row chunks, one in flight: every collective takes the
+    // One-row chunks, one in flight: every dense collective takes the
     // multi-chunk paced path in each worker process (the flags travel in
-    // the run spec of the launch frame). Grad hashes are chunk-plan-independent by
-    // design, so the tuned procs run must equal the threads backend.
+    // the run spec of the launch frame). The dense ring reproduces the
+    // rank-order fold at every chunk plan, and no lossy codec is ever
+    // chunked, so the tuned procs run must equal the threads backend.
     // One kernel thread per rank rides along: the pool size is a speed
     // knob, never a bit.
     let tuned = [

@@ -128,15 +128,6 @@ impl Compressor for AutoEncoder {
         true
     }
 
-    fn chunkable(&self) -> bool {
-        // Row `r` of the code is `x[r] @ E` and row `r` of the
-        // reconstruction is `code[r] @ D` — no cross-row coupling, so
-        // encoding/decoding row chunks independently is bitwise identical
-        // to the whole-tensor matmul (the GEMM k-loop order per output
-        // element is fixed by the kernel contract).
-        true
-    }
-
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
         f(&mut self.encoder);
         f(&mut self.decoder);

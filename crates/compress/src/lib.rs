@@ -112,14 +112,14 @@ pub trait Compressor: Send {
 
     /// Whether this codec may be applied independently to contiguous row
     /// chunks of a rank-2 activation with results bitwise identical to
-    /// compressing the whole tensor at once. True only for codecs whose
-    /// per-row output depends on nothing outside the row: identity (per
-    /// element) and the auto-encoder (the code's row `r` is `x[r] @ E`).
-    /// False for anything with whole-tensor semantics — Top-K's global
-    /// selection, per-tensor quantization ranges, error-feedback
-    /// residuals — which `actcomp-runtime` therefore ships as a single
-    /// chunk. Chunked callers must also run [`Compressor::backward`] once
-    /// per chunk in reverse chunk order (the caches are LIFO).
+    /// compressing the whole tensor at once, forward *and* backward. True
+    /// only for identity (per element, no state). False for anything with
+    /// whole-tensor semantics — Top-K's global selection, per-tensor
+    /// quantization ranges, error-feedback residuals — and for the
+    /// auto-encoder, whose codes are per-row but whose weight gradients
+    /// (`dE += xᵀ·dcode`, `dD += codeᵀ·dy`) sum over every row, so their
+    /// bits would depend on the chunk plan. `actcomp-runtime` ships a
+    /// codec that is not chunkable as a single chunk.
     fn chunkable(&self) -> bool {
         false
     }

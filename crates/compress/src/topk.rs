@@ -15,13 +15,13 @@ const MIN_CHUNK: usize = 2048;
 /// merge over up to `chunks * k` candidate keys; once that merge
 /// approaches the input size the chunking is pure overhead (measured
 /// 0.77x against the serial loop at 8 threads and the paper's 5% keep
-/// rate on 2^21 elements — see `BENCH_codecs.json`). The quarter-input
-/// bound the gate first shipped with still left marginal keep rates on
-/// the pooled path for a ~1.2x return that a noisy or oversubscribed
-/// pool erases, so the gate now falls back earlier: it admits the pooled
-/// path only when the candidate set stays under an *eighth* of the input
-/// and the planner actually produces more than one chunk. The codecs
-/// bench pins the routed path per case in its `path` field.
+/// rate on 2^21 elements). The quarter-input bound the gate first
+/// shipped with still left marginal keep rates on the pooled path for a
+/// ~1.2x return that a noisy or oversubscribed pool erases, so the gate
+/// now falls back earlier: it admits the pooled path only when the
+/// candidate set stays under an *eighth* of the input and the planner
+/// actually produces more than one chunk.
+/// `tests::pooled_gate_admits_small_k_only` pins the routing.
 ///
 /// Gating is a pure routing decision: the selection's total key order
 /// makes both paths bit-identical (test-enforced), so this only ever

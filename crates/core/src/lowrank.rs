@@ -143,7 +143,7 @@ mod tests {
     fn figure2_shape_reproduces() {
         // Needs the full-depth model: the gradient's low-rank structure
         // emerges from the converging deep stack (shallow stacks keep it
-        // above the 2x-rank criterion).
+        // above the 2x-rank threshold).
         let cfg = AccuracyConfig::paper_default();
         let analysis = analyze(&cfg, 40);
         assert!(

@@ -55,12 +55,13 @@
 //! link's FIFO matches the receiver's processing order up to the
 //! reduce/broadcast interleave, which a small stash absorbs.
 //!
-//! Summable codecs that declare [`Compressor::chunkable`] (identity,
-//! auto-encoder) are encoded per chunk and their codes chain-reduced
-//! with [`Compressed::sum`] — per-element rank-order folds, bitwise
-//! equal to the unchunked message. Non-chunkable codecs travel as a
-//! single chunk, preserving their whole-tensor semantics (global Top-K
-//! selection, per-tensor quantization ranges, error-feedback residuals).
+//! Summable codecs that declare [`Compressor::chunkable`] (identity
+//! only) are encoded per chunk and their codes chain-reduced with
+//! [`Compressed::sum`] — per-element rank-order folds, bitwise equal to
+//! the unchunked message. Non-chunkable codecs travel as a single chunk,
+//! preserving their whole-tensor semantics (global Top-K selection,
+//! per-tensor quantization ranges, error-feedback residuals, the
+//! auto-encoder's weight gradients summed over every row).
 //! Non-summable messages still all-gather, but each message is decoded
 //! as it arrives so decode overlaps the remaining wire hops; the final
 //! summation stays in rank order.
@@ -860,9 +861,7 @@ impl TpGroup {
     }
 
     /// The row-chunk plan `compressed_all_reduce` uses for `t`
-    /// ([`codec_chunk_plan`]). [`TpGroup::compressed_backward`] derives
-    /// the same plan from the gradient's (identical) shape to pop the
-    /// per-chunk caches.
+    /// ([`codec_chunk_plan`]).
     fn codec_plan(&self, comp: &dyn Compressor, t: &Tensor) -> Vec<usize> {
         codec_chunk_plan(
             self.tuning.chunk_rows,
@@ -996,9 +995,9 @@ impl TpGroup {
     }
 
     /// Reference gather-based dense all-reduce — the pre-ring
-    /// implementation, kept as the bitwise oracle for the ring path and
-    /// as the "before" side of the collectives benchmark. Clones the
-    /// full tensor per hop, folds gathered tensors with [`wire_sum`].
+    /// implementation, kept as the bitwise oracle for the ring path.
+    /// Clones the full tensor per hop, folds gathered tensors with
+    /// [`wire_sum`].
     pub fn dense_all_reduce_gather(
         &mut self,
         partial: &Tensor,
@@ -1011,30 +1010,16 @@ impl TpGroup {
         out
     }
 
-    /// Runs the codec backward for a collective that
-    /// [`TpGroup::compressed_all_reduce`] chunked: slices `dy` with the
-    /// same shape-only plan, pops the per-chunk LIFO caches in *reverse*
-    /// chunk order, and reassembles the per-chunk gradients in forward
-    /// order. For unchunked codecs this is exactly `comp.backward(dy)`.
+    /// Runs the codec backward for a [`TpGroup::compressed_all_reduce`],
+    /// once over the whole `dy`. Only identity, whose backward is the
+    /// pass-through, is ever chunked, so no chunk plan reaches here.
     pub fn compressed_backward(
         &self,
         comp: &mut dyn Compressor,
         dy: &Tensor,
         timers: &mut PhaseTimers,
     ) -> Tensor {
-        let plan = self.codec_plan(comp, dy);
-        if plan.len() <= 1 {
-            return timed(&mut timers.encode_s, || comp.backward(dy));
-        }
-        timed(&mut timers.encode_s, || {
-            let mut parts: Vec<Tensor> = row_bounds(&plan)
-                .into_iter()
-                .rev()
-                .map(|(r0, r1)| comp.backward(&dy.slice_rows(r0, r1)))
-                .collect();
-            parts.reverse();
-            Tensor::concat_rows(&parts.iter().collect::<Vec<_>>())
-        })
+        timed(&mut timers.encode_s, || comp.backward(dy))
     }
 
     /// All-reduces `comp`'s parameter gradients across the group and

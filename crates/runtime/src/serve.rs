@@ -36,7 +36,7 @@
 //! same information.
 //!
 //! The module also ships the synthetic load generator behind
-//! `actcomp serve --bench`: closed-loop (a fixed set of clients, each
+//! `actcomp serve`: closed-loop (a fixed set of clients, each
 //! submitting its next request when the previous completes) and
 //! open-loop (fixed-rate arrivals independent of completions, each
 //! timed from the instant it was due) drivers that measure throughput
@@ -589,9 +589,8 @@ pub struct LoadConfig {
     pub seed: u64,
 }
 
-/// What one load run measured (the per-mode payload of
-/// `BENCH_serve.json`).
-#[derive(Debug, Clone, serde::Serialize)]
+/// What one load run measured.
+#[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Requests completed successfully.
     pub completed: usize,

@@ -3,7 +3,10 @@
 //! the attention op at the serving head shape. Counted by a
 //! `#[global_allocator]` that forwards to the system allocator and tallies
 //! allocations per thread; the file is its own test binary so nothing
-//! else shares that allocator.
+//! else shares that allocator. It is the one place `unsafe` is allowed
+//! (the workspace denies `unsafe_code`): a global allocator cannot be
+//! written without it.
+#![allow(unsafe_code)]
 
 use actcomp_tensor::attention::{attention_forward, Heads};
 use actcomp_tensor::{kernels, Workspace};
