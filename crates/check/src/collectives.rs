@@ -1,10 +1,10 @@
 //! Ring-collective schedule and chunking checks (`AC0501`–`AC0502`).
 //!
 //! This module owns the *one* description of a tensor-parallel ring
-//! collective: how a tensor is split into row chunks
-//! ([`ring_chunk_plan`], [`codec_chunk_plan`]), and the order in which
-//! every rank sends, receives and works on those chunks
-//! ([`chunk_ring_steps`], [`gather_ring_steps`]). The runtime's
+//! collective: how a dense tensor is split into row chunks
+//! ([`ring_chunk_plan`]; a compressed reduce's code is one chunk), and
+//! the order in which every rank sends, receives and works on those
+//! chunks ([`chunk_ring_steps`], [`gather_ring_steps`]). The runtime's
 //! `TpGroup` *interprets* the step lists; the comm-protocol analyzer
 //! ([`crate::comm_graph`]) maps the same lists to events and proves
 //! matching, delivery order and deadlock-freedom on them — so the two
@@ -43,24 +43,6 @@ pub fn ring_chunk_plan(chunk_rows: Option<usize>, rows: usize) -> Vec<usize> {
         done += take;
     }
     plan
-}
-
-/// The chunk plan of a *compressed* all-reduce over a tensor of shape
-/// `dims`: a real row plan only when the codec is chunkable, the tensor
-/// is rank 2 with at least one row, and the group has peers; a single
-/// whole-tensor chunk otherwise (global Top-K selection, per-tensor
-/// quantization ranges and error-feedback residuals need the whole
-/// tensor).
-pub fn codec_chunk_plan(
-    chunk_rows: Option<usize>,
-    chunkable: bool,
-    world: usize,
-    dims: &[usize],
-) -> Vec<usize> {
-    match *dims {
-        [rows, _] if chunkable && world > 1 && rows > 0 => ring_chunk_plan(chunk_rows, rows),
-        _ => vec![dims.first().copied().unwrap_or(1)],
-    }
 }
 
 /// One visit of chunk `idx` to a rank of a chain-reduce → ring-broadcast
@@ -335,16 +317,6 @@ mod tests {
             ..RunSpec::default()
         });
         assert_eq!(resolved_ring_tuning(&cfg), (Some(16), 2));
-    }
-
-    #[test]
-    fn codecs_chunk_only_rank_two_tensors_on_real_rings() {
-        assert_eq!(codec_chunk_plan(Some(2), true, 2, &[5, 8]), vec![2, 2, 1]);
-        // Not chunkable, solo ring, not rank 2, no rows: one chunk.
-        assert_eq!(codec_chunk_plan(Some(2), false, 2, &[5, 8]), vec![5]);
-        assert_eq!(codec_chunk_plan(Some(2), true, 1, &[5, 8]), vec![5]);
-        assert_eq!(codec_chunk_plan(Some(2), true, 2, &[5, 8, 2]), vec![5]);
-        assert_eq!(codec_chunk_plan(Some(2), true, 2, &[0, 8]).len(), 1);
     }
 
     #[test]

@@ -55,7 +55,7 @@ use actcomp_tensor::Tensor;
 
 use crate::codes;
 use crate::collectives::{
-    chunk_ring_steps, codec_chunk_plan, gather_ring_steps, resolved_ring_tuning, ring_chunk_plan,
+    chunk_ring_steps, gather_ring_steps, resolved_ring_tuning, ring_chunk_plan,
 };
 use crate::config::ExperimentConfig;
 use crate::diagnostics::Diagnostic;
@@ -380,8 +380,8 @@ impl CommGraph {
 
 /// Per-sum communication profile, read off the sum's actual codec.
 enum LayerComm {
-    /// Compressed-domain summable (chain-reduce path): wire bytes per
-    /// reduce/broadcast chunk, one entry when the codec is not chunkable.
+    /// Chain-reduce path: wire bytes per reduce/broadcast chunk (the
+    /// dense ring's row chunks, or a summable codec's one code).
     Summable(Vec<usize>),
     /// Gathered: whole-message wire bytes.
     Gathered(usize),
@@ -543,15 +543,16 @@ pub fn build_comm_graph(cfg: &ExperimentConfig) -> Option<CommGraph> {
             c
         }
     };
+    // Every compressed reduce moves its whole code as one message.
     let covered = {
         let mut comp = codec();
-        let chunks = codec_chunk_plan(chunk_rows, comp.chunkable(), tp, &[mb_tokens, h]);
-        let summable = comp.summable();
-        let mut sized = |rows: usize| comp.compress(&Tensor::zeros(vec![rows, h])).wire_bytes(2);
-        if summable {
-            LayerComm::Summable(chunks.iter().map(|&rows| sized(rows)).collect())
+        let bytes = comp
+            .compress(&Tensor::zeros(vec![mb_tokens, h]))
+            .wire_bytes(2);
+        if comp.summable() {
+            LayerComm::Summable(vec![bytes])
         } else {
-            LayerComm::Gathered(sized(mb_tokens))
+            LayerComm::Gathered(bytes)
         }
     };
     // A sum the plan leaves dense rides the dense ring's row chunks.
@@ -1231,13 +1232,13 @@ mod tests {
     }
 
     #[test]
-    fn no_lossy_codec_chunks_a_forward_reduce() {
-        // Only identity is chunkable: a dense plan's forward reduces ride
-        // multi-chunk rings, and under every lossy codec, with or without
-        // error feedback, each forward reduce is one chunk. Every layer is
-        // compressed, so no identity reduce dilutes the signal.
-        let forward_chunks = |spec: &str, error_feedback: bool| {
-            let mut cfg = tiny_cfg(2, 1, spec, 1, None, 4);
+    fn every_compressed_reduce_is_one_chunk_at_any_chunk_rows() {
+        // The dense plan's forward reduces ride multi-chunk rings; under
+        // every codec, with or without error feedback, each forward
+        // reduce is one chunk at any `--chunk-rows`. Every layer is
+        // compressed, so no dense reduce dilutes the signal.
+        let forward_chunks = |spec: &str, error_feedback: bool, chunk_rows: Option<usize>| {
+            let mut cfg = tiny_cfg(2, 1, spec, 1, chunk_rows, 4);
             cfg.plan.start_layer = Some(0);
             cfg.plan.num_layers = Some(4);
             cfg.plan.error_feedback = error_feedback;
@@ -1248,14 +1249,19 @@ mod tests {
                     && matches!(e.msg, MsgId::Chunk { idx, .. } if idx > 0)
             })
         };
-        assert!(forward_chunks("w/o", false), "dense reduces should chunk");
-        for spec in &CompressorSpec::all()[1..] {
-            for ef in [false, true] {
-                assert!(
-                    !forward_chunks(spec.label(), ef),
-                    "{} (error feedback {ef}) chunked a forward reduce",
-                    spec.label()
-                );
+        for chunk_rows in [None, Some(1), Some(3)] {
+            assert!(
+                forward_chunks("w/o", false, chunk_rows),
+                "dense reduces should chunk"
+            );
+            for spec in &CompressorSpec::all()[1..] {
+                for ef in [false, true] {
+                    assert!(
+                        !forward_chunks(spec.label(), ef, chunk_rows),
+                        "{} (error feedback {ef}, chunk rows {chunk_rows:?}) chunked a forward reduce",
+                        spec.label()
+                    );
+                }
             }
         }
     }

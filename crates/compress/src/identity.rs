@@ -44,12 +44,6 @@ impl Compressor for Identity {
     fn summable(&self) -> bool {
         true
     }
-
-    fn chunkable(&self) -> bool {
-        // Per-element passthrough: any row chunking reproduces the whole-
-        // tensor message bit for bit.
-        true
-    }
 }
 
 #[cfg(test)]

@@ -37,14 +37,12 @@
 
 #![warn(missing_docs)]
 
-mod adaptive;
 mod autoencoder;
 mod error_feedback;
 mod identity;
 mod lowrank;
 mod message;
 mod quant;
-mod quant_ext;
 mod randk;
 mod topk;
 
@@ -52,7 +50,6 @@ pub mod cost;
 pub mod plan;
 pub mod spec;
 
-pub use adaptive::RowTopK;
 pub use autoencoder::AutoEncoder;
 pub use error_feedback::ErrorFeedback;
 pub use identity::Identity;
@@ -60,7 +57,6 @@ pub use lowrank::LowRank;
 pub use message::{Compressed, Payload};
 pub use plan::{CompressionPlan, PlanError};
 pub use quant::Quantizer;
-pub use quant_ext::{RowQuantizer, StochasticQuantizer};
 pub use randk::RandomK;
 pub use spec::SpecError;
 pub use topk::{pooled_select_beneficial, TopK};
@@ -110,20 +106,6 @@ pub trait Compressor: Send {
         false
     }
 
-    /// Whether this codec may be applied independently to contiguous row
-    /// chunks of a rank-2 activation with results bitwise identical to
-    /// compressing the whole tensor at once, forward *and* backward. True
-    /// only for identity (per element, no state). False for anything with
-    /// whole-tensor semantics — Top-K's global selection, per-tensor
-    /// quantization ranges, error-feedback residuals — and for the
-    /// auto-encoder, whose codes are per-row but whose weight gradients
-    /// (`dE += xᵀ·dcode`, `dD += codeᵀ·dy`) sum over every row, so their
-    /// bits would depend on the chunk plan. `actcomp-runtime` ships a
-    /// codec that is not chunkable as a single chunk.
-    fn chunkable(&self) -> bool {
-        false
-    }
-
     /// Visits learnable compressor parameters (the auto-encoder's encoder
     /// and decoder matrices). Default: none.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Parameter)) {}
@@ -155,10 +137,6 @@ impl Compressor for Box<dyn Compressor> {
 
     fn summable(&self) -> bool {
         (**self).summable()
-    }
-
-    fn chunkable(&self) -> bool {
-        (**self).chunkable()
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {

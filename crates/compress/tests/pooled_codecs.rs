@@ -9,8 +9,7 @@
 //! `pool::set_threads` never races a concurrently running test.
 
 use actcomp_compress::{
-    AutoEncoder, Compressed, Compressor, Identity, Payload, Quantizer, RandomK, RowQuantizer,
-    RowTopK, StochasticQuantizer, TopK,
+    AutoEncoder, Compressed, Compressor, Identity, Payload, Quantizer, RandomK, TopK,
 };
 use actcomp_tensor::{init, pool, Tensor};
 use rand::SeedableRng;
@@ -67,13 +66,10 @@ fn codecs() -> Vec<(&'static str, Box<dyn Compressor>)> {
     vec![
         ("identity", Box::new(Identity::new())),
         ("topk", Box::new(TopK::new(700))),
-        ("rowtopk", Box::new(RowTopK::new(9))),
         ("randk", Box::new(RandomK::new(500, 5))),
         ("quant2", Box::new(Quantizer::new(2))),
         ("quant4", Box::new(Quantizer::new(4))),
         ("quant8", Box::new(Quantizer::new(8))),
-        ("rowquant4", Box::new(RowQuantizer::new(4))),
-        ("stochquant4", Box::new(StochasticQuantizer::new(4, 13))),
         ("autoencoder", Box::new(AutoEncoder::new(&mut wrng, 64, 16))),
     ]
 }

@@ -1,7 +1,7 @@
 //! Channel-based ring collectives for one tensor-parallel group.
 //!
-//! Each rank owns a [`TpGroup`] endpoint of a ring over
-//! `std::sync::mpsc` channels. Collectives run the same compressor
+//! Each rank owns a [`TpGroup`] endpoint of a ring over framed
+//! transport channels. Collectives run the same compressor
 //! arithmetic as the serial [`actcomp_mp::CompressedAllReduce`], and a
 //! dense sum the serial executor's [`actcomp_mp::wire_sum`], so a
 //! threaded run is bit-identical to the serial executor.
@@ -9,7 +9,8 @@
 //! # Ring algorithm
 //!
 //! Dense reduces and summable-code reduces use a **pipelined chain
-//! reduce plus ring broadcast** over row chunks:
+//! reduce plus ring broadcast** over chunks (row chunks of a dense
+//! tensor; a code travels as one chunk):
 //!
 //! 1. *Chain reduce* (rank order `0 → 1 → … → p−1`): rank 0 ships each
 //!    chunk of its partial; every rank in between adds its own rows to
@@ -39,7 +40,7 @@
 //! [`gather_ring_steps`] for whole-message gathers), defined in
 //! `actcomp_check::collectives`. This module *interprets* those steps
 //! — one interpreter, generic over what a chunk carries (dense rows or
-//! a per-chunk code) — and `actcomp check --comm` proves matching,
+//! a whole code) — and `actcomp check --comm` proves matching,
 //! delivery order and deadlock-freedom on the very same lists.
 //!
 //! # Chunking and overlap
@@ -55,29 +56,26 @@
 //! link's FIFO matches the receiver's processing order up to the
 //! reduce/broadcast interleave, which a small stash absorbs.
 //!
-//! Summable codecs that declare [`Compressor::chunkable`] (identity
-//! only) are encoded per chunk and their codes chain-reduced with
-//! [`Compressed::sum`] — per-element rank-order folds, bitwise equal to
-//! the unchunked message. Non-chunkable codecs travel as a single chunk,
-//! preserving their whole-tensor semantics (global Top-K selection,
-//! per-tensor quantization ranges, error-feedback residuals, the
-//! auto-encoder's weight gradients summed over every row).
-//! Non-summable messages still all-gather, but each message is decoded
-//! as it arrives so decode overlaps the remaining wire hops; the final
-//! summation stays in rank order.
+//! A summable codec's code is encoded once over the whole tensor and
+//! chain-reduced as a single chunk with [`Compressed::sum`], preserving
+//! whole-tensor semantics (the auto-encoder's weight gradients summed
+//! over every row, error-feedback residuals); the tuning knobs shape
+//! only the dense ring. Non-summable messages all-gather, but each
+//! message is decoded as it arrives so decode overlaps the remaining
+//! wire hops; the final summation stays in rank order.
 
-use crate::link::{typed_pair, MsgRx, MsgTx, CHAN_RING};
+use crate::link::{MsgRx, MsgTx, CHAN_RING};
 use crate::report::{timed, PhaseTimers};
 use crate::trace::TraceHandle;
 use crate::wire::{put_bf16_slice, put_u8, put_usize, Reader, WireError, WireMsg};
 use actcomp_check::collectives::{
-    chunk_ring_steps, codec_chunk_plan, gather_ring_steps, ring_chunk_plan, GatherHop, RingStep,
+    chunk_ring_steps, gather_ring_steps, ring_chunk_plan, GatherHop, RingStep,
     DEFAULT_PIPELINE_DEPTH,
 };
 use actcomp_check::{ChannelId, Dir, MsgId};
 use actcomp_compress::{Compressed, Compressor};
-use actcomp_mp::{rank_order_sum, wire_round, wire_sum, CommBytes};
-use actcomp_net::{Transport, TransportError};
+use actcomp_mp::{rank_order_sum, wire_round, CommBytes};
+use actcomp_net::{mpsc_world, Transport, TransportError};
 use actcomp_tensor::{Tensor, Workspace};
 use std::time::Instant;
 
@@ -121,8 +119,6 @@ impl Default for RingTuning {
 pub(crate) enum GatherPayload {
     /// A compressed activation message (non-summable reduce).
     Code(Compressed),
-    /// An uncompressed tensor (the gather-based dense reference path).
-    Dense(Tensor),
     /// Compressor-parameter gradients (auto-encoder sync).
     Grads(Vec<Tensor>),
 }
@@ -133,7 +129,7 @@ pub(crate) enum ChunkData {
     /// Rows of a dense reduce, already rounded to bfloat16 (owned,
     /// recycled via `Workspace`).
     Dense(Vec<f32>),
-    /// A per-chunk code of a summable compressed reduce.
+    /// The code of a summable compressed reduce.
     Code(Compressed),
 }
 
@@ -173,12 +169,8 @@ impl WireMsg for RingMsg {
                         put_u8(out, 0);
                         c.encode(out);
                     }
-                    GatherPayload::Dense(t) => {
-                        put_u8(out, 1);
-                        t.encode(out);
-                    }
                     GatherPayload::Grads(v) => {
-                        put_u8(out, 2);
+                        put_u8(out, 1);
                         v.encode(out);
                     }
                 }
@@ -207,8 +199,7 @@ impl WireMsg for RingMsg {
                 let origin = r.read_usize("gather origin")?;
                 let payload = match r.read_u8("gather payload tag")? {
                     0 => GatherPayload::Code(Compressed::decode(r)?),
-                    1 => GatherPayload::Dense(Tensor::decode(r)?),
-                    2 => GatherPayload::Grads(Vec::<Tensor>::decode(r)?),
+                    1 => GatherPayload::Grads(Vec::<Tensor>::decode(r)?),
                     _ => {
                         return Err(WireError {
                             what: "gather payload tag",
@@ -258,7 +249,6 @@ impl RingMsg {
                 ..
             } => "dense rows",
             RingMsg::Chunk { .. } | RingMsg::Gather(_, GatherPayload::Code(_)) => "a code",
-            RingMsg::Gather(_, GatherPayload::Dense(_)) => "a dense tensor",
             RingMsg::Gather(_, GatherPayload::Grads(_)) => "parameter gradients",
         }
     }
@@ -297,15 +287,6 @@ impl FromRing for Compressed {
     }
 }
 
-impl FromRing for Tensor {
-    fn from_ring(msg: RingMsg) -> Result<Self, RingMsg> {
-        match msg {
-            RingMsg::Gather(_, GatherPayload::Dense(t)) => Ok(t),
-            other => Err(other),
-        }
-    }
-}
-
 impl FromRing for Vec<Tensor> {
     fn from_ring(msg: RingMsg) -> Result<Self, RingMsg> {
         match msg {
@@ -334,15 +315,6 @@ impl GatherItem for Compressed {
     }
 }
 
-impl GatherItem for Tensor {
-    fn wrap(self) -> GatherPayload {
-        GatherPayload::Dense(self)
-    }
-    fn metered(&self) -> Option<usize> {
-        Some(self.len() * 2)
-    }
-}
-
 impl GatherItem for Vec<Tensor> {
     fn wrap(self) -> GatherPayload {
         GatherPayload::Grads(self)
@@ -352,7 +324,7 @@ impl GatherItem for Vec<Tensor> {
     }
 }
 
-/// What a chunk ring moves — dense rows or per-chunk codes — as the
+/// What a chunk ring moves — dense rows or a whole code — as the
 /// local operations the [`RingStep`]s of a collective call for: make
 /// the own chunk, fold a received partial sum into it, consume a total.
 trait RingPayload {
@@ -391,19 +363,8 @@ fn rows_width(t: &Tensor) -> (usize, usize) {
     (rows, len / rows)
 }
 
-/// Cumulative `(start, end)` row ranges for a row-chunk plan.
-fn row_bounds(plan: &[usize]) -> Vec<(usize, usize)> {
-    let mut bounds = Vec::with_capacity(plan.len());
-    let mut at = 0;
-    for &rows in plan {
-        bounds.push((at, at + rows));
-        at += rows;
-    }
-    bounds
-}
-
 /// The row-chunk geometry of one collective over a `[rows, width]`
-/// tensor.
+/// tensor: each chunk's `(start, end)` rows.
 struct RowChunks {
     rows: Vec<(usize, usize)>,
     width: usize,
@@ -411,10 +372,14 @@ struct RowChunks {
 
 impl RowChunks {
     fn new(plan: &[usize], width: usize) -> RowChunks {
-        RowChunks {
-            rows: row_bounds(plan),
-            width,
-        }
+        let mut at = 0;
+        let rows = (plan.iter())
+            .map(|&n| {
+                at += n;
+                (at - n, at)
+            })
+            .collect();
+        RowChunks { rows, width }
     }
 
     /// The element range of chunk `idx`.
@@ -478,19 +443,18 @@ impl<'a> RingPayload for DenseRows<'a> {
     }
 }
 
-/// Per-chunk codes of a summable compressor riding a chunk ring.
-struct CodeChunks<'a> {
+/// The code of a summable compressor riding a chunk ring as its one
+/// chunk: encoded once over the whole partial, decoded once.
+struct WholeCode<'a> {
     comp: &'a mut dyn Compressor,
     partial: &'a Tensor,
-    chunks: RowChunks,
-    /// The decoded result: a leased tensor the chunks' rows land in, or
-    /// — for an unchunked collective — the one decoded tensor itself.
+    /// The decoded total, once consumed.
     out: Option<Tensor>,
-    /// Wire bytes of the codes this rank made.
+    /// Wire bytes of the code this rank made.
     own_wire: usize,
 }
 
-impl RingPayload for CodeChunks<'_> {
+impl RingPayload for WholeCode<'_> {
     type Chunk = Compressed;
     type Own = Compressed;
     // A code is cheap to copy and slow to decode: ship it first.
@@ -500,14 +464,8 @@ impl RingPayload for CodeChunks<'_> {
         ChunkData::Code(chunk)
     }
 
-    fn make(&mut self, idx: usize, timers: &mut PhaseTimers) -> Compressed {
-        let code = if self.chunks.rows.len() == 1 {
-            timed(&mut timers.encode_s, || self.comp.compress(self.partial))
-        } else {
-            let (r0, r1) = self.chunks.rows[idx];
-            let chunk = self.partial.slice_rows(r0, r1);
-            timed(&mut timers.encode_s, || self.comp.compress(&chunk))
-        };
+    fn make(&mut self, _idx: usize, timers: &mut PhaseTimers) -> Compressed {
+        let code = timed(&mut timers.encode_s, || self.comp.compress(self.partial));
         self.own_wire += code.wire_bytes(2);
         code
     }
@@ -520,13 +478,8 @@ impl RingPayload for CodeChunks<'_> {
         timed(&mut timers.decode_s, || acc.sum(&own))
     }
 
-    fn consume(&mut self, idx: usize, total: &Compressed, timers: &mut PhaseTimers) {
-        let dec = timed(&mut timers.decode_s, || self.comp.decompress(total));
-        match &mut self.out {
-            Some(out) => out.as_mut_slice()[self.chunks.elems(idx)].copy_from_slice(dec.as_slice()),
-            // Unchunked: the decoded tensor is the output, no copy.
-            None => self.out = Some(dec),
-        }
+    fn consume(&mut self, _idx: usize, total: &Compressed, timers: &mut PhaseTimers) {
+        self.out = Some(timed(&mut timers.decode_s, || self.comp.decompress(total)));
     }
 }
 
@@ -535,7 +488,7 @@ impl RingPayload for CodeChunks<'_> {
 /// All collectives are deterministic: reductions always fold in rank
 /// order `0..world` with a chunk plan derived purely from shapes and
 /// [`RingTuning`], so the result is independent of thread scheduling and
-/// of the chunk plan itself (for dense and chunkable-codec reduces).
+/// of the chunk plan itself.
 pub struct TpGroup {
     /// This rank's index within the group.
     pub rank: usize,
@@ -549,10 +502,10 @@ pub struct TpGroup {
     pub bytes: CommBytes,
     /// Ring-vs-gather accounting: `wire` is the payload bytes this rank
     /// *actually sent* in collectives (two a dense element, codes at
-    /// their fp16-equivalent size); `dense` is what the
-    /// gather-based implementation of the same collectives would have
-    /// sent per rank. For the gather reference path the two are equal;
-    /// for ring collectives `wire ≤ dense`, strictly less for `p ≥ 3`.
+    /// their fp16-equivalent size); `dense` is what a whole-message
+    /// all-gather of the same collectives would have sent per rank.
+    /// For gathered collectives the two are equal; for chunk-ring
+    /// collectives `wire ≤ dense`, strictly less for `p ≥ 3`.
     pub ring_bytes: CommBytes,
     /// Chunking/pipelining knobs ([`RingTuning::default`] unless the
     /// engine's `RuntimeConfig::tuning` or a caller set them). All
@@ -578,38 +531,24 @@ impl std::fmt::Debug for TpGroup {
 }
 
 impl TpGroup {
-    /// Builds the endpoints of a ring over `world` ranks; endpoint `t`
-    /// sends to `(t + 1) % world` and receives from `(t − 1) % world`.
+    /// Builds the endpoints of a ring over `world` ranks, one per
+    /// endpoint of an in-process [`mpsc_world`]
+    /// ([`TpGroup::over_transport`]); endpoint `t` sends to
+    /// `(t + 1) % world` and receives from `(t − 1) % world`.
     ///
     /// # Panics
     ///
     /// Panics if `world` is zero.
     pub fn ring(world: usize) -> Vec<TpGroup> {
         assert!(world > 0, "ring needs at least one rank");
-        if world == 1 {
-            return vec![TpGroup::solo()];
-        }
-        let links: Vec<(MsgTx<RingMsg>, MsgRx<RingMsg>)> =
-            (0..world).map(|_| typed_pair()).collect();
-        let mut txs: Vec<Option<MsgTx<RingMsg>>> = Vec::with_capacity(world);
-        let mut rxs: Vec<Option<MsgRx<RingMsg>>> = Vec::with_capacity(world);
-        for (tx, rx) in links {
-            txs.push(Some(tx));
-            rxs.push(Some(rx));
-        }
-        // Link `t` carries traffic from rank t to rank (t + 1) % world:
-        // rank t holds the sender of link t and the receiver of link
-        // (t − 1) % world.
-        (0..world)
-            .map(|t| {
-                TpGroup::from_links(t, world, txs[t].take(), rxs[(t + world - 1) % world].take())
-            })
+        mpsc_world(world)
+            .iter_mut()
+            .map(|t| TpGroup::over_transport(t).expect("a fresh mpsc world opens every link"))
             .collect()
     }
 
-    /// Builds one endpoint from pre-opened links (typed channels or
-    /// framed transport channels). `tx`/`rx` must be `Some` whenever
-    /// `world > 1`.
+    /// Builds one endpoint from pre-opened ring links. `tx`/`rx` must be
+    /// `Some` whenever `world > 1`.
     pub(crate) fn from_links(
         rank: usize,
         world: usize,
@@ -646,8 +585,8 @@ impl TpGroup {
         Ok(TpGroup::from_links(
             rank,
             world,
-            Some(MsgTx::Framed(std::sync::Mutex::new(tx))),
-            Some(MsgRx::Framed(std::sync::Mutex::new(rx))),
+            Some(MsgTx::new(tx)),
+            Some(MsgRx::new(rx)),
         ))
     }
 
@@ -715,9 +654,9 @@ impl TpGroup {
     fn send(&mut self, msg: RingMsg, bytes: Option<usize>, timers: &mut PhaseTimers) {
         self.ring_bytes.wire += bytes.unwrap_or(0);
         self.record(Dir::Send, msg.id(self.active_coll), bytes);
-        let tx = self.next_tx.as_ref().expect("ring sender");
+        let tx = self.next_tx.as_mut().expect("ring sender");
         timed(&mut timers.wire_s, || {
-            tx.send(msg).expect("ring peer hung up");
+            tx.send(&msg).expect("ring peer hung up");
         });
     }
 
@@ -734,7 +673,7 @@ impl TpGroup {
         let msg = match self.stash.iter().position(|m| m.id(coll) == want) {
             Some(pos) => self.stash.swap_remove(pos),
             None => loop {
-                let rx = self.prev_rx.as_ref().expect("ring receiver");
+                let rx = self.prev_rx.as_mut().expect("ring receiver");
                 let msg = timed(&mut timers.wire_s, || rx.recv().expect("ring peer hung up"));
                 if msg.id(coll) == want {
                     break msg;
@@ -860,23 +799,12 @@ impl TpGroup {
             .collect()
     }
 
-    /// The row-chunk plan `compressed_all_reduce` uses for `t`
-    /// ([`codec_chunk_plan`]).
-    fn codec_plan(&self, comp: &dyn Compressor, t: &Tensor) -> Vec<usize> {
-        codec_chunk_plan(
-            self.tuning.chunk_rows,
-            comp.chunkable(),
-            self.world,
-            t.dims(),
-        )
-    }
-
     /// Compressed all-reduce of this rank's `partial` with the partials
     /// the peer ranks are concurrently contributing.
     ///
     /// Mirrors the serial [`actcomp_mp::CompressedAllReduce`] bit for
-    /// bit: summable codes are chain-reduced in rank order and decoded
-    /// once (per chunk, for chunkable codecs); non-summable messages are
+    /// bit: a summable code is chain-reduced in rank order as one chunk
+    /// and decoded once; non-summable messages are
     /// all-gathered, decoded as they arrive, and summed in rank order.
     /// Byte accounting uses the same formulas as the serial executor and
     /// accumulates into [`TpGroup::bytes`]; the whole call is also
@@ -904,8 +832,8 @@ impl TpGroup {
         out
     }
 
-    /// Chain-reduce + broadcast over per-chunk codes of a summable
-    /// compressor.
+    /// Chain-reduce + broadcast of a summable compressor's code, as one
+    /// chunk.
     fn summable_reduce(
         &mut self,
         comp: &mut dyn Compressor,
@@ -913,16 +841,14 @@ impl TpGroup {
         timers: &mut PhaseTimers,
         ws: &mut Workspace,
     ) -> Tensor {
-        let plan = self.codec_plan(comp, partial);
-        let mut codes = CodeChunks {
+        let mut code = WholeCode {
             comp,
             partial,
-            chunks: RowChunks::new(&plan, rows_width(partial).1),
-            out: (plan.len() > 1).then(|| ws.lease_tensor(partial.shape().clone())),
+            out: None,
             own_wire: 0,
         };
-        self.chunk_ring(&mut codes, plan.len(), timers, ws);
-        let CodeChunks { out, own_wire, .. } = codes;
+        self.chunk_ring(&mut code, 1, timers, ws);
+        let WholeCode { out, own_wire, .. } = code;
 
         // Serial-matching accounting, and the gather-equivalent baseline
         // for the ring-vs-gather comparison.
@@ -963,7 +889,7 @@ impl TpGroup {
     }
 
     /// Dense (uncompressed) ring all-reduce over row chunks: the serial
-    /// executor's [`wire_sum`], rank for rank and bit for bit, with every
+    /// executor's [`actcomp_mp::wire_sum`], rank for rank and bit for bit, with every
     /// partial sum crossing the wire as bfloat16. Nothing is counted
     /// into [`TpGroup::bytes`] (callers meter what the serial executor
     /// meters); actual traffic lands in [`TpGroup::ring_bytes`].
@@ -994,25 +920,8 @@ impl TpGroup {
         dense.out
     }
 
-    /// Reference gather-based dense all-reduce — the pre-ring
-    /// implementation, kept as the bitwise oracle for the ring path.
-    /// Clones the full tensor per hop, folds gathered tensors with
-    /// [`wire_sum`].
-    pub fn dense_all_reduce_gather(
-        &mut self,
-        partial: &Tensor,
-        timers: &mut PhaseTimers,
-    ) -> Tensor {
-        let t0 = Instant::now();
-        let gathered = self.all_gather(partial.clone(), timers);
-        let out = timed(&mut timers.decode_s, || wire_sum(gathered.into_iter()));
-        timers.collective_s += t0.elapsed().as_secs_f64();
-        out
-    }
-
     /// Runs the codec backward for a [`TpGroup::compressed_all_reduce`],
-    /// once over the whole `dy`. Only identity, whose backward is the
-    /// pass-through, is ever chunked, so no chunk plan reaches here.
+    /// once over the whole `dy`, as the reduce encoded the whole partial.
     pub fn compressed_backward(
         &self,
         comp: &mut dyn Compressor,
@@ -1055,7 +964,8 @@ impl TpGroup {
 mod tests {
     use super::*;
     use crate::wire::{decode_msg, encode_msg};
-    use actcomp_compress::Identity;
+    use actcomp_compress::{Identity, TopK};
+    use actcomp_mp::wire_sum;
     use actcomp_tensor::init;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -1136,8 +1046,8 @@ mod tests {
 
     #[test]
     fn mismatched_collectives_report_one_protocol_violation() {
-        // Rank 0 gathers while rank 1 runs a chunked reduce: rank 1
-        // meets a gather hop where its schedule calls for a chunk.
+        // Rank 0 gathers a Top-K code while rank 1 runs a dense reduce:
+        // rank 1 meets a gather hop where its schedule calls for a chunk.
         let x = Tensor::zeros(vec![2, 4]);
         let mut groups = TpGroup::ring(2);
         let mut g1 = groups.pop().expect("rank 1");
@@ -1145,7 +1055,13 @@ mod tests {
         let y = x.clone();
         let peer = std::thread::spawn(move || {
             // Ends with "ring peer hung up" once rank 1 is gone.
-            g0.dense_all_reduce_gather(&y, &mut PhaseTimers::default())
+            let mut comp = TopK::new(2);
+            g0.compressed_all_reduce(
+                &mut comp,
+                &y,
+                &mut PhaseTimers::default(),
+                &mut Workspace::new(),
+            )
         });
         let victim = std::thread::spawn(move || {
             g1.dense_all_reduce(&x, &mut PhaseTimers::default(), &mut Workspace::new())
@@ -1157,7 +1073,7 @@ mod tests {
         for part in [
             "ring protocol violation at tp rank 1/2",
             "expected chunk(coll 0, reduce, idx 0)",
-            "received gather(coll 0, origin 0) carrying a dense tensor",
+            "received gather(coll 0, origin 0) carrying a code",
         ] {
             assert!(text.contains(part), "missing {part:?} in {text:?}");
         }

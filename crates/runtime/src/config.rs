@@ -212,13 +212,20 @@ pub enum RuntimeError {
         /// The transport-layer error rendering.
         detail: String,
     },
-    /// A transport world was supplied whose size or rank set does not
-    /// match `tp · pp`.
+    /// A transport world was supplied whose size does not match
+    /// `tp · pp`.
     WorldMismatch {
         /// Ranks the transports cover.
         got: usize,
         /// Ranks the configuration needs.
         need: usize,
+    },
+    /// The transport at position `index` of the set is another rank's.
+    TransportRank {
+        /// Position in the transport set.
+        index: usize,
+        /// The rank that transport belongs to.
+        rank: usize,
     },
 }
 
@@ -267,6 +274,10 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::WorldMismatch { got, need } => {
                 write!(f, "transport world covers {got} ranks but tp x pp = {need}")
             }
+            RuntimeError::TransportRank { index, rank } => write!(
+                f,
+                "transport {index} is rank {rank}; transports must be in rank order"
+            ),
         }
     }
 }

@@ -1,14 +1,15 @@
-//! Transport-generic message links between rank workers.
+//! Typed message links between rank workers over framed transport
+//! channels.
 //!
 //! Every channel a rank worker uses — ring collectives, intra-stage
-//! broadcast, pipeline-boundary activations and gradients — is either a
-//! plain in-process `std::sync::mpsc` channel carrying the typed message
-//! (the threads backend's zero-copy fast path) or a framed
+//! broadcast, pipeline-boundary activations and gradients — is a framed
 //! [`Transport`](actcomp_net::Transport) channel carrying the message's
-//! [`WireMsg`](crate::wire::WireMsg) encoding (Unix sockets, TCP, or the
-//! trait-level mpsc backend). Workers are written against [`MsgTx`] /
-//! [`MsgRx`] and cannot tell the difference; the transport-conformance
-//! suite holds them to *bitwise* identical gradients either way.
+//! [`WireMsg`](crate::wire::WireMsg) encoding: the in-process mpsc
+//! transport for the threads backend, Unix sockets or TCP otherwise.
+//! Workers are written against [`MsgTx`] / [`MsgRx`], which encode and
+//! decode at the link, so every backend runs the same worker code; the
+//! transport-conformance suite holds them to *bitwise* identical
+//! gradients.
 //!
 //! Channel ids are fixed per edge kind, so a directed rank pair uses a
 //! distinct `(from, to, chan)` triple per logical link:
@@ -22,16 +23,15 @@
 
 use crate::wire::{decode_msg, encode_msg, WireMsg};
 use actcomp_net::{FrameRx, FrameTx, Transport, TransportError};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Mutex;
+use std::marker::PhantomData;
 use std::time::Duration;
 
-/// Upper bound on one framed data-plane receive. A *dead* peer surfaces
-/// much sooner as `PeerClosed` (the receiver reading the socket sees
-/// EOF); this deadline only catches a peer that is alive but silent —
-/// e.g. a dropped frame under fault injection — turning an indefinite
-/// stall into a typed timeout that fails the step instead of hanging
-/// the worker forever.
+/// Upper bound on one data-plane receive. A *dead* peer surfaces much
+/// sooner as `PeerClosed` (its channel half drops, or the receiver
+/// reading the socket sees EOF); this deadline only catches a peer that
+/// is alive but silent — e.g. a dropped frame under fault injection —
+/// turning an indefinite stall into a typed timeout that fails the step
+/// instead of hanging the worker forever.
 const RECV_DEADLINE: Duration = Duration::from_secs(600);
 
 /// Ring-collective traffic between TP neighbours.
@@ -44,12 +44,9 @@ pub(crate) const CHAN_FWD: u16 = 3;
 pub(crate) const CHAN_GRAD: u16 = 4;
 
 /// Why a link operation failed. Data-plane callers treat every variant
-/// as a dead peer (the worker panics and the driver surfaces it);
-/// control-plane callers keep the detail.
+/// as a dead peer (the worker panics and the driver surfaces it).
 #[derive(Debug)]
 pub(crate) enum LinkError {
-    /// The in-process channel or connection was closed.
-    Closed,
     /// The transport reported a typed failure.
     Transport(TransportError),
     /// A frame arrived but did not decode as the expected message.
@@ -59,68 +56,56 @@ pub(crate) enum LinkError {
 impl std::fmt::Display for LinkError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            LinkError::Closed => write!(f, "peer channel closed"),
             LinkError::Transport(e) => write!(f, "{e}"),
             LinkError::Decode(e) => write!(f, "{e}"),
         }
     }
 }
 
-/// Sending half of a worker link: typed fast path or framed transport.
-///
-/// Methods take `&self` (the framed side locks internally) so workers
-/// can hold a sender and receiver of the same group simultaneously,
-/// exactly as they did with bare `mpsc` endpoints.
-pub(crate) enum MsgTx<T: WireMsg> {
-    /// In-process typed channel (threads backend).
-    Typed(Sender<T>),
-    /// Framed transport channel; messages cross as their wire encoding.
-    Framed(Mutex<Box<dyn FrameTx>>),
+/// Sending half of a worker link: messages of type `T` cross a framed
+/// transport channel as their wire encoding.
+pub(crate) struct MsgTx<T: WireMsg> {
+    tx: Box<dyn FrameTx>,
+    msg: PhantomData<fn(&T)>,
 }
 
 impl<T: WireMsg> MsgTx<T> {
-    /// Ships one message.
-    pub fn send(&self, msg: T) -> Result<(), LinkError> {
-        match self {
-            MsgTx::Typed(tx) => tx.send(msg).map_err(|_| LinkError::Closed),
-            MsgTx::Framed(tx) => {
-                let buf = encode_msg(&msg);
-                let mut tx = tx.lock().unwrap_or_else(|e| e.into_inner());
-                tx.send(&buf).map_err(LinkError::Transport)
-            }
+    /// Wraps an opened frame sender.
+    pub fn new(tx: Box<dyn FrameTx>) -> Self {
+        MsgTx {
+            tx,
+            msg: PhantomData,
         }
+    }
+
+    /// Ships one message.
+    pub fn send(&mut self, msg: &T) -> Result<(), LinkError> {
+        self.tx.send(&encode_msg(msg)).map_err(LinkError::Transport)
     }
 }
 
 /// Receiving half of a worker link.
-pub(crate) enum MsgRx<T: WireMsg> {
-    /// In-process typed channel (threads backend).
-    Typed(Receiver<T>),
-    /// Framed transport channel.
-    Framed(Mutex<Box<dyn FrameRx>>),
+pub(crate) struct MsgRx<T: WireMsg> {
+    rx: Box<dyn FrameRx>,
+    msg: PhantomData<fn() -> T>,
 }
 
 impl<T: WireMsg> MsgRx<T> {
-    /// Blocks for the next message.
-    pub fn recv(&self) -> Result<T, LinkError> {
-        match self {
-            MsgRx::Typed(rx) => rx.recv().map_err(|_| LinkError::Closed),
-            MsgRx::Framed(rx) => {
-                let buf = {
-                    let mut rx = rx.lock().unwrap_or_else(|e| e.into_inner());
-                    rx.recv_timeout(RECV_DEADLINE)
-                        .map_err(LinkError::Transport)?
-                };
-                decode_msg(&buf).map_err(LinkError::Decode)
-            }
+    /// Wraps an opened frame receiver.
+    pub fn new(rx: Box<dyn FrameRx>) -> Self {
+        MsgRx {
+            rx,
+            msg: PhantomData,
         }
     }
-}
 
-/// Builds a typed in-process channel pair wrapped as links.
-pub(crate) fn typed_pair<T: WireMsg>() -> (MsgTx<T>, MsgRx<T>) {
-    let (tx, rx) = channel();
-    (MsgTx::Typed(tx), MsgRx::Typed(rx))
+    /// Blocks for the next message.
+    pub fn recv(&mut self) -> Result<T, LinkError> {
+        let buf = (self.rx)
+            .recv_timeout(RECV_DEADLINE)
+            .map_err(LinkError::Transport)?;
+        decode_msg(&buf).map_err(LinkError::Decode)
+    }
 }
 
 /// Every peer link one rank worker holds, grouped by role. Halves are
@@ -147,10 +132,8 @@ pub(crate) struct RankLinks {
 }
 
 /// Opens every link rank `transport.rank()` needs for a `tp × pp` world
-/// over the given transport. The channel topology is identical to the
-/// typed-channel plumbing in [`ThreadedRuntime::from_serial`]
-/// (`crate::ThreadedRuntime::from_serial`): calling this on every rank's
-/// transport yields a fully connected world.
+/// over the given transport: calling this on every rank's transport
+/// yields a fully connected world.
 pub(crate) fn build_rank_links(
     transport: &mut dyn Transport,
     tp: usize,
@@ -165,77 +148,28 @@ pub(crate) fn build_rank_links(
     if tp > 1 {
         let next = stage * tp + (tpi + 1) % tp;
         let prev = stage * tp + (tpi + tp - 1) % tp;
-        links.ring_tx = Some(MsgTx::Framed(Mutex::new(
-            transport.open_send(next, CHAN_RING)?,
-        )));
-        links.ring_rx = Some(MsgRx::Framed(Mutex::new(
-            transport.open_recv(prev, CHAN_RING)?,
-        )));
+        links.ring_tx = Some(MsgTx::new(transport.open_send(next, CHAN_RING)?));
+        links.ring_rx = Some(MsgRx::new(transport.open_recv(prev, CHAN_RING)?));
         if tpi == 0 {
             for peer in 1..tp {
-                links.bcast_tx.push(MsgTx::Framed(Mutex::new(
+                links.bcast_tx.push(MsgTx::new(
                     transport.open_send(stage * tp + peer, CHAN_BCAST)?,
-                )));
+                ));
             }
         } else {
-            links.bcast_rx = Some(MsgRx::Framed(Mutex::new(
-                transport.open_recv(stage * tp, CHAN_BCAST)?,
-            )));
+            links.bcast_rx = Some(MsgRx::new(transport.open_recv(stage * tp, CHAN_BCAST)?));
         }
     }
 
     if tpi == 0 && stage + 1 < pp {
         let downstream = (stage + 1) * tp;
-        links.fwd_tx = Some(MsgTx::Framed(Mutex::new(
-            transport.open_send(downstream, CHAN_FWD)?,
-        )));
-        links.grad_rx = Some(MsgRx::Framed(Mutex::new(
-            transport.open_recv(downstream, CHAN_GRAD)?,
-        )));
+        links.fwd_tx = Some(MsgTx::new(transport.open_send(downstream, CHAN_FWD)?));
+        links.grad_rx = Some(MsgRx::new(transport.open_recv(downstream, CHAN_GRAD)?));
     }
     if tpi == 0 && stage > 0 {
         let upstream = (stage - 1) * tp;
-        links.fwd_rx = Some(MsgRx::Framed(Mutex::new(
-            transport.open_recv(upstream, CHAN_FWD)?,
-        )));
-        links.grad_tx = Some(MsgTx::Framed(Mutex::new(
-            transport.open_send(upstream, CHAN_GRAD)?,
-        )));
+        links.fwd_rx = Some(MsgRx::new(transport.open_recv(upstream, CHAN_FWD)?));
+        links.grad_tx = Some(MsgTx::new(transport.open_send(upstream, CHAN_GRAD)?));
     }
     Ok(links)
-}
-
-/// Builds the typed-channel link set for every rank of a `tp × pp`
-/// world — the threads backend's plumbing, wrapped in [`MsgTx`] /
-/// [`MsgRx`] so the worker code is shared with the transport path.
-pub(crate) fn typed_world_links(tp: usize, pp: usize) -> Vec<RankLinks> {
-    let world = tp * pp;
-    let mut links: Vec<RankLinks> = (0..world).map(|_| RankLinks::default()).collect();
-    for stage in 0..pp {
-        if tp > 1 {
-            // Ring link t → (t+1) % tp within the stage.
-            for t in 0..tp {
-                let (tx, rx) = typed_pair();
-                links[stage * tp + t].ring_tx = Some(tx);
-                links[stage * tp + (t + 1) % tp].ring_rx = Some(rx);
-            }
-            // Broadcast fan-out from stage rank 0.
-            for peer in 1..tp {
-                let (tx, rx) = typed_pair();
-                links[stage * tp].bcast_tx.push(tx);
-                links[stage * tp + peer].bcast_rx = Some(rx);
-            }
-        }
-        // Pipeline boundary between this stage's and the next stage's
-        // rank 0s.
-        if stage + 1 < pp {
-            let (fwd_tx, fwd_rx) = typed_pair();
-            let (grad_tx, grad_rx) = typed_pair();
-            links[stage * tp].fwd_tx = Some(fwd_tx);
-            links[stage * tp].grad_rx = Some(grad_rx);
-            links[(stage + 1) * tp].fwd_rx = Some(fwd_rx);
-            links[(stage + 1) * tp].grad_tx = Some(grad_tx);
-        }
-    }
-    links
 }

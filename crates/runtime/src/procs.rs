@@ -573,7 +573,6 @@ impl ProcsRuntime {
         self.tag
     }
 
-    /// Sends one command to every worker.
     /// Checks a forward, inference or backward command's inputs
     /// ([`RuntimeConfig::check_command`]) and broadcasts it; nothing is
     /// dispatched on an error ([`ProcsError::Config`]).
@@ -582,6 +581,7 @@ impl ProcsRuntime {
         self.broadcast(&cmd)
     }
 
+    /// Sends one command to every worker.
     fn broadcast(&mut self, cmd: &Command) -> Result<(), ProcsError> {
         let frame = CtrlMsg::Cmd(cmd.clone());
         for (rank, w) in self.workers.iter_mut().enumerate() {

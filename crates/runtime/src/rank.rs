@@ -1,8 +1,8 @@
 //! The per-rank worker: one OS thread owning one tensor-parallel shard
 //! of one pipeline stage, driven by commands from the runtime and
 //! exchanging activations/gradients with its peers over [`MsgTx`] /
-//! [`MsgRx`] links (typed channels in the threads backend, framed
-//! transport channels for sockets and process mode). A forward,
+//! [`MsgRx`] links (framed channels of the in-process mpsc transport in
+//! the threads backend, of sockets otherwise). A forward,
 //! inference or backward command executes the rank's step list
 //! ([`rank_steps`]) — the same list the comm-protocol proof walks, so
 //! the worker names no channel or message itself.
@@ -777,13 +777,13 @@ impl RankWorker {
         if self.tpi == 0 {
             let t = t.expect("stage rank 0 provides the broadcast value");
             timed(&mut self.timers.wire_s, || {
-                for tx in &self.bcast_tx {
-                    tx.send(t.clone()).expect("stage peer hung up");
+                for tx in &mut self.bcast_tx {
+                    tx.send(&t).expect("stage peer hung up");
                 }
             });
             t
         } else {
-            let rx = self.bcast_rx.as_ref().expect("peer broadcast receiver");
+            let rx = self.bcast_rx.as_mut().expect("peer broadcast receiver");
             timed(&mut self.timers.wire_s, || {
                 rx.recv().expect("stage rank 0 hung up")
             })
@@ -830,7 +830,7 @@ impl RankWorker {
             let b = self.recv_b.as_mut().expect("non-first stage receiver");
             let d = x.expect("the blocks' input gradient");
             timed(&mut t.wire_s, || {
-                b.grad_tx.send(d).expect("upstream stage hung up")
+                b.grad_tx.send(&d).expect("upstream stage hung up")
             });
             return None;
         }
@@ -849,7 +849,7 @@ impl RankWorker {
             _ => (FwdMsg::GradSync(grads_of(|f| b.comp.visit_params(f))), None),
         };
         timed(&mut t.wire_s, || {
-            b.tx.send(msg).expect("downstream stage hung up")
+            b.tx.send(&msg).expect("downstream stage hung up")
         });
         wire
     }

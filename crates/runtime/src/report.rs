@@ -69,8 +69,8 @@ pub struct RankReport {
     /// Bytes this rank's tensor-parallel reduces moved.
     pub reduce_bytes: CommBytes,
     /// Ring-vs-gather traffic for this rank's collectives: `wire` is
-    /// what the ring implementation actually sent, `dense` is what the
-    /// gather-based implementation would have sent.
+    /// what the ring implementation actually sent, `dense` is what a
+    /// whole-message all-gather would have sent.
     pub ring_bytes: CommBytes,
     /// Bytes the pipeline boundary this rank *sends* moved (zero unless
     /// the rank is a boundary owner, i.e. `tp_index == 0` on a

@@ -8,16 +8,15 @@
 //! a threaded run and a serial run built from the same serial encoder and
 //! seed hold bit-identical parameters.
 //!
-//! The rank workers speak [`MsgTx`](crate::link::MsgTx) /
-//! [`MsgRx`](crate::link::MsgRx) links, so the same engine runs over
-//! plain typed channels ([`ThreadedRuntime::from_serial`]) or over any
-//! [`Transport`](actcomp_net::Transport) — in-process mpsc, Unix domain
-//! sockets, loopback TCP — via [`ThreadedRuntime::with_transports`],
-//! with bitwise identical results.
+//! Every rank link is a channel of a
+//! [`Transport`](actcomp_net::Transport) handed to
+//! [`ThreadedRuntime::with_transports`]: the in-process mpsc transport
+//! ([`ThreadedRuntime::from_serial`]), Unix domain sockets or loopback
+//! TCP, with bitwise identical results.
 
 use crate::comm::TpGroup;
 use crate::config::{RuntimeConfig, RuntimeError};
-use crate::link::{build_rank_links, typed_world_links, RankLinks};
+use crate::link::{build_rank_links, RankLinks};
 use crate::rank::{
     BoundaryReceiver, BoundarySender, Command, EmbeddingStage, RankGrads, RankWorker, Response,
 };
@@ -27,7 +26,7 @@ use actcomp_check::TraceEvent;
 use actcomp_compress::Compressor;
 use actcomp_mp::tp::interleave;
 use actcomp_mp::{stage_offsets, Block, CompressorRecipe, SumPoint};
-use actcomp_net::Transport;
+use actcomp_net::{mpsc_world, Transport};
 use actcomp_nn::BertEncoder;
 use actcomp_tensor::Tensor;
 use rand_chacha::ChaCha8Rng;
@@ -168,9 +167,8 @@ pub struct ThreadedRuntime {
     resp_rxs: Vec<Receiver<Response>>,
     handles: Vec<JoinHandle<()>>,
     cfg: RuntimeConfig,
-    /// Transports backing the rank links in [`Self::with_transports`]
-    /// runs; kept alive (acceptor threads, sockets) until after the rank
-    /// threads join.
+    /// Transports backing the rank links; kept alive (acceptor threads,
+    /// sockets) until after the rank threads join.
     transports: Vec<Box<dyn Transport>>,
     /// Rows of the forward a backward would consume
     /// ([`RuntimeConfig::check_command`]).
@@ -198,7 +196,7 @@ impl ThreadedRuntime {
     }
 
     /// Shards an existing serial encoder across `tp · pp` rank threads
-    /// wired with in-process typed channels — the fast path.
+    /// linked by the in-process mpsc transport ([`mpsc_world`]).
     ///
     /// `rng` is consumed with the same draw order as
     /// [`MpBert::from_serial`](actcomp_mp::MpBert::from_serial), so the
@@ -209,22 +207,25 @@ impl ThreadedRuntime {
         cfg: RuntimeConfig,
         rng: &mut ChaCha8Rng,
     ) -> Result<Self, RuntimeError> {
-        let links = typed_world_links(cfg.mp.tp, cfg.mp.pp);
-        Self::spawn(serial, cfg, rng, links, Vec::new())
+        let transports = (mpsc_world(cfg.world()).into_iter())
+            .map(|t| Box::new(t) as Box<dyn Transport>)
+            .collect();
+        Self::with_transports(serial, cfg, rng, transports)
     }
 
     /// Shards an existing serial encoder across `tp · pp` rank threads
     /// whose every inter-rank message crosses the given transports —
-    /// one per rank, `transports[r].rank() == r` — instead of typed
-    /// channels. The transport-conformance suite uses this to prove
-    /// sockets and channels produce bitwise identical training steps.
+    /// one per rank, `transports[r].rank() == r`. The
+    /// transport-conformance suite uses this to prove sockets and the
+    /// in-process transport produce bitwise identical training steps.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::WorldMismatch`] if the transport set does not
-    /// cover exactly ranks `0..tp·pp` in order;
+    /// [`RuntimeError::WorldMismatch`] unless the set holds one
+    /// transport per rank of a `tp·pp` world;
+    /// [`RuntimeError::TransportRank`] unless it is in rank order;
     /// [`RuntimeError::Transport`] if opening any link fails. Validation
-    /// errors as in [`Self::from_serial`].
+    /// errors as in [`Self::new`].
     pub fn with_transports(
         serial: &BertEncoder,
         cfg: RuntimeConfig,
@@ -239,13 +240,26 @@ impl ThreadedRuntime {
                 need: world,
             });
         }
-        for (r, t) in transports.iter().enumerate() {
-            if t.rank() != r || t.world() != world {
+        for (index, t) in transports.iter().enumerate() {
+            if t.world() != world {
                 return Err(RuntimeError::WorldMismatch {
                     got: t.world(),
                     need: world,
                 });
             }
+            if t.rank() != index {
+                return Err(RuntimeError::TransportRank {
+                    index,
+                    rank: t.rank(),
+                });
+            }
+        }
+        let m = cfg.micro_batches;
+        if !cfg.mp.tokens.is_multiple_of(m) {
+            return Err(RuntimeError::BatchNotDivisible {
+                batch: cfg.mp.tokens,
+                micro_batches: m,
+            });
         }
         let mut links = Vec::with_capacity(world);
         for t in transports.iter_mut() {
@@ -256,27 +270,6 @@ impl ThreadedRuntime {
             })?;
             links.push(l);
         }
-        Self::spawn(serial, cfg, rng, links, transports)
-    }
-
-    /// Common spawn path: draw seeds, build each rank's worker around
-    /// its links, and start the rank threads.
-    fn spawn(
-        serial: &BertEncoder,
-        cfg: RuntimeConfig,
-        rng: &mut ChaCha8Rng,
-        links: Vec<RankLinks>,
-        transports: Vec<Box<dyn Transport>>,
-    ) -> Result<Self, RuntimeError> {
-        cfg.try_validate()?;
-        let m = cfg.micro_batches;
-        if !cfg.mp.tokens.is_multiple_of(m) {
-            return Err(RuntimeError::BatchNotDivisible {
-                batch: cfg.mp.tokens,
-                micro_batches: m,
-            });
-        }
-        let world = cfg.world();
         let recipe = CompressorRecipe::draw(&cfg.mp, rng);
         let builder = WorkerBuilder::new(serial, &cfg, recipe);
 

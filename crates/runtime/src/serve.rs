@@ -67,7 +67,7 @@ use std::time::{Duration, Instant};
 
 /// The execution engine a [`ServeEngine`] dispatches to.
 pub enum ServeBackend {
-    /// Rank threads in this process — over typed channels or any
+    /// Rank threads in this process, over any
     /// [`Transport`](actcomp_net::Transport) set (mpsc/uds/tcp).
     Threads(ThreadedRuntime),
     /// One OS process per rank (control-socket rendezvous, heartbeat

@@ -5,8 +5,7 @@
 //! transport-conformance invariant is *bitwise*: an `f32` must cross
 //! the wire as its exact bit pattern (`to_le_bytes`/`from_le_bytes`),
 //! never through a decimal round-trip. Layout is positional with a
-//! one-byte tag for enums — exactly what the in-process typed channels
-//! carry, flattened.
+//! one-byte tag for enums: the engine's message types, flattened.
 //!
 //! Decoding returns typed errors; the data-plane callers treat a
 //! malformed frame the same way they treat a hung-up channel (the

@@ -1,11 +1,10 @@
 //! Ring-collective equivalence and byte-accounting tests.
 //!
-//! The chunked chain-reduce + broadcast collectives must be bitwise
-//! interchangeable with the gather-based reference and with the serial
-//! executor's fold for every group size, chunk plan and wire —
-//! determinism is the runtime's core contract — and must move strictly
-//! fewer bytes per rank than the gather once the group has three or
-//! more ranks.
+//! The chunked chain-reduce + broadcast collectives must reproduce the
+//! serial executor's fold bit for bit for every group size, chunk plan
+//! and wire — determinism is the runtime's core contract — and must
+//! move strictly fewer bytes per rank than a whole-message gather once
+//! the group has three or more ranks.
 
 use actcomp_compress::Identity;
 use actcomp_mp::{rank_order_sum, wire_sum, CommBytes};
@@ -24,15 +23,10 @@ fn bitwise_eq(a: &Tensor, b: &Tensor) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Runs one collective per rank on its own thread and returns
-/// `(output, ring_bytes)` per rank in rank order. `tuning = None`
-/// keeps the default tuning.
-fn run_ranks<F>(
-    world: usize,
-    tuning: Option<RingTuning>,
-    parts: &[Tensor],
-    f: F,
-) -> Vec<(Tensor, CommBytes)>
+/// Runs one collective per rank of a default-tuned ring, each on its
+/// own thread, and returns `(output, ring_bytes)` per rank in rank
+/// order.
+fn run_ranks<F>(world: usize, parts: &[Tensor], f: F) -> Vec<(Tensor, CommBytes)>
 where
     F: Fn(&mut TpGroup, &Tensor, &mut PhaseTimers, &mut Workspace) -> Tensor
         + Send
@@ -40,13 +34,7 @@ where
         + Copy
         + 'static,
 {
-    let mut groups = TpGroup::ring(world);
-    if let Some(t) = tuning {
-        // Every endpoint of a ring must agree on the chunk plan.
-        for g in &mut groups {
-            g.tuning = t;
-        }
-    }
+    let groups = TpGroup::ring(world);
     let handles: Vec<_> = groups
         .into_iter()
         .zip(parts.to_vec())
@@ -65,11 +53,10 @@ where
         .collect()
 }
 
-/// What carries a ring: typed in-process channels, or framed messages
-/// over the mpsc transport or Unix sockets.
+/// What carries a ring's framed messages: the in-process mpsc
+/// transport or Unix sockets.
 #[derive(Debug, Clone, Copy)]
 enum Wire {
-    Typed,
     Mpsc,
     Uds,
 }
@@ -79,15 +66,6 @@ enum Wire {
 fn dense_over(wire: Wire, tuning: RingTuning, parts: &[Tensor]) -> Vec<Tensor> {
     let world = parts.len();
     let transports: Vec<Box<dyn Transport>> = match wire {
-        Wire::Typed => {
-            let reduce = |g: &mut TpGroup, p: &Tensor, t: &mut PhaseTimers, ws: &mut Workspace| {
-                g.dense_all_reduce(p, t, ws)
-            };
-            return run_ranks(world, Some(tuning), parts, reduce)
-                .into_iter()
-                .map(|(out, _)| out)
-                .collect();
-        }
         Wire::Mpsc => (mpsc_world(world).into_iter())
             .map(|t| Box::new(t) as Box<dyn Transport>)
             .collect(),
@@ -135,54 +113,20 @@ fn randn_parts(world: usize, rows: usize, width: usize, seed: u64) -> Vec<Tensor
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The chunked ring dense all-reduce is bit-identical to the
-    /// gather-based reference (which folds with `wire_sum`) for
-    /// tp ∈ {1, 2, 4}, for row counts that are not a multiple of the chunk
-    /// size, and for every pipeline depth — the chunk plan must never
-    /// change the fold.
-    #[test]
-    fn ring_dense_matches_gather_bitwise(
-        world_ix in 0usize..3,
-        rows in 1usize..9,
-        width in 1usize..12,
-        chunk_sel in 0usize..5,
-        depth in 1usize..5,
-        seed in 0u64..1000,
-    ) {
-        let world = [1, 2, 4][world_ix];
-        let parts = randn_parts(world, rows, width, seed);
-        // 0 selects automatic chunking; n pins n rows per chunk.
-        let chunk_rows = (chunk_sel > 0).then_some(chunk_sel);
-        let tuning = RingTuning { chunk_rows, pipeline_depth: depth };
-        let ring = run_ranks(world, Some(tuning), &parts, |g, p, t, ws| {
-            g.dense_all_reduce(p, t, ws)
-        });
-        let gather = run_ranks(world, None, &parts, |g, p, t, _| {
-            g.dense_all_reduce_gather(p, t)
-        });
-        for (rank, (r, g)) in ring.iter().zip(&gather).enumerate() {
-            prop_assert!(bitwise_eq(&r.0, &g.0), "rank {rank} diverged");
-        }
-    }
-
-    /// The chunked identity compressed reduce sums its codes exactly —
-    /// the serial `CompressedAllReduce`'s `f32` left fold — bit for bit
-    /// on every rank, for tp ∈ {1, 2, 4} and arbitrary chunk plans.
+    /// The identity compressed reduce sums its codes exactly — the
+    /// serial `CompressedAllReduce`'s `f32` left fold — bit for bit on
+    /// every rank, for tp ∈ {1, 2, 4}.
     #[test]
     fn chunked_identity_reduce_matches_serial_fold(
         world_ix in 0usize..3,
         rows in 1usize..9,
         width in 1usize..12,
-        chunk_sel in 0usize..5,
-        depth in 1usize..5,
         seed in 1000u64..2000,
     ) {
         let world = [1, 2, 4][world_ix];
         let parts = randn_parts(world, rows, width, seed);
         let expect = rank_order_sum(parts.iter().cloned());
-        let chunk_rows = (chunk_sel > 0).then_some(chunk_sel);
-        let tuning = RingTuning { chunk_rows, pipeline_depth: depth };
-        let outs = run_ranks(world, Some(tuning), &parts, |g, p, t, ws| {
+        let outs = run_ranks(world, &parts, |g, p, t, ws| {
             let mut comp = Identity::new();
             g.compressed_all_reduce(&mut comp, p, t, ws)
         });
@@ -193,12 +137,12 @@ proptest! {
 
     /// On every wire, the dense ring is the serial executor's
     /// `wire_sum`, bit for bit, and every rank holds the same total —
-    /// the last rank of the chain included — for p ∈ {2, 3, 4} and
+    /// the last rank of the chain included — for p ∈ {1, 2, 3, 4} and
     /// arbitrary chunk plans.
     #[test]
     fn dense_ring_is_the_wire_sum_on_every_rank_and_wire(
-        world in 2usize..5,
-        wire in prop::sample::select(vec![Wire::Typed, Wire::Mpsc, Wire::Uds]),
+        world in 1usize..5,
+        wire in prop::sample::select(vec![Wire::Mpsc, Wire::Uds]),
         rows in 1usize..9,
         width in 1usize..12,
         chunk_sel in 0usize..5,
@@ -216,52 +160,33 @@ proptest! {
 }
 
 /// At tp = 4 every rank of a ring collective sends strictly fewer bytes
-/// than the gather-based implementation of the same collective (which
-/// ships `(p−1)` full payloads per rank), for both the dense reduce and
-/// the summable compressed reduce. The gather reference itself reports
-/// actual == baseline.
+/// than a whole-message gather of the same collective (which ships
+/// `(p−1)` full payloads per rank, the baseline `ring_bytes.dense`
+/// records), for both the dense reduce and the summable compressed
+/// reduce.
 #[test]
 fn ring_moves_fewer_bytes_per_rank_than_gather_at_tp4() {
     let world = 4;
     let parts = randn_parts(world, 8, 16, 9);
 
-    let dense = run_ranks(world, None, &parts, |g, p, t, ws| {
-        g.dense_all_reduce(p, t, ws)
-    });
-    for (rank, (_, ring_bytes)) in dense.iter().enumerate() {
-        assert!(ring_bytes.dense > 0);
-        assert!(
-            ring_bytes.wire < ring_bytes.dense,
-            "rank {rank}: dense ring sent {} bytes, gather baseline {}",
-            ring_bytes.wire,
-            ring_bytes.dense
-        );
-    }
-
-    let compressed = run_ranks(world, None, &parts, |g, p, t, ws| {
+    let dense = run_ranks(world, &parts, |g, p, t, ws| g.dense_all_reduce(p, t, ws));
+    let compressed = run_ranks(world, &parts, |g, p, t, ws| {
         let mut comp = Identity::new();
         g.compressed_all_reduce(&mut comp, p, t, ws)
     });
-    for (rank, (_, ring_bytes)) in compressed.iter().enumerate() {
-        assert!(
-            ring_bytes.wire < ring_bytes.dense,
-            "rank {rank}: compressed ring sent {} bytes, gather baseline {}",
-            ring_bytes.wire,
-            ring_bytes.dense
-        );
-    }
-
-    let gather = run_ranks(world, None, &parts, |g, p, t, _| {
-        g.dense_all_reduce_gather(p, t)
-    });
-    for (_, ring_bytes) in &gather {
-        assert_eq!(
-            ring_bytes.wire, ring_bytes.dense,
-            "gather is its own baseline"
-        );
+    for (what, ranks) in [("dense", &dense), ("compressed", &compressed)] {
+        for (rank, (_, ring_bytes)) in ranks.iter().enumerate() {
+            assert!(ring_bytes.dense > 0);
+            assert!(
+                ring_bytes.wire < ring_bytes.dense,
+                "rank {rank}: {what} ring sent {} bytes, gather baseline {}",
+                ring_bytes.wire,
+                ring_bytes.dense
+            );
+        }
     }
     // And the ring totals beat the gather totals in aggregate too.
     let ring_total: usize = dense.iter().map(|(_, b)| b.wire).sum();
-    let gather_total: usize = gather.iter().map(|(_, b)| b.wire).sum();
+    let gather_total: usize = dense.iter().map(|(_, b)| b.dense).sum();
     assert!(ring_total < gather_total);
 }

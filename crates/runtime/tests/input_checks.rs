@@ -1,10 +1,12 @@
 //! A bad input to the threaded engine is a typed error that dispatches
 //! nothing: every rank stays alive, and the same engine then runs a
-//! valid step bit-identical to a fresh engine's.
+//! valid step bit-identical to a fresh engine's. A bad transport set is
+//! a typed error before any rank starts.
 
 use actcomp_compress::plan::CompressionPlan;
 use actcomp_mp::MpConfig;
-use actcomp_nn::BertConfig;
+use actcomp_net::{mpsc_world, Transport};
+use actcomp_nn::{BertConfig, BertEncoder};
 use actcomp_runtime::{RuntimeConfig, RuntimeError, ThreadedRuntime};
 use actcomp_tensor::Tensor;
 use rand::SeedableRng;
@@ -12,8 +14,8 @@ use rand_chacha::ChaCha8Rng;
 
 const IDS: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 
-fn engine(tp: usize, pp: usize) -> ThreadedRuntime {
-    let cfg = RuntimeConfig {
+fn cfg(tp: usize, pp: usize) -> RuntimeConfig {
+    RuntimeConfig {
         mp: MpConfig {
             bert: BertConfig {
                 vocab: 32,
@@ -32,8 +34,11 @@ fn engine(tp: usize, pp: usize) -> ThreadedRuntime {
         micro_batches: 2,
         tuning: None,
         trace: false,
-    };
-    ThreadedRuntime::new(&mut ChaCha8Rng::seed_from_u64(3), cfg).expect("valid config")
+    }
+}
+
+fn engine(tp: usize, pp: usize) -> ThreadedRuntime {
+    ThreadedRuntime::new(&mut ChaCha8Rng::seed_from_u64(3), cfg(tp, pp)).expect("valid config")
 }
 
 /// One valid step's output and gradients.
@@ -125,4 +130,21 @@ fn bad_inputs_are_typed_errors_and_the_engine_runs_on() {
             assert_eq!(got.as_slice(), want.as_slice());
         }
     }
+}
+
+#[test]
+fn an_out_of_order_transport_set_names_the_misplaced_rank() {
+    let c = cfg(2, 1);
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    let serial = BertEncoder::new(&mut rng, c.mp.bert.clone());
+    let reversed: Vec<Box<dyn Transport>> = (mpsc_world(2).into_iter().rev())
+        .map(|t| Box::new(t) as Box<dyn Transport>)
+        .collect();
+    let err = ThreadedRuntime::with_transports(&serial, c, &mut rng, reversed)
+        .expect_err("a reversed transport set");
+    assert_eq!(err, RuntimeError::TransportRank { index: 0, rank: 1 });
+    assert_eq!(
+        err.to_string(),
+        "transport 0 is rank 1; transports must be in rank order"
+    );
 }

@@ -4,7 +4,7 @@
 //! Each request runs as its own micro-batch, so a batched forward's
 //! per-request rows must be **bit-identical** to running each request
 //! alone on an identical engine — across tp ∈ {1, 2} × pp ∈ {1, 2},
-//! over typed channels, framed mpsc, and Unix-domain sockets, with
+//! over the in-process mpsc transport and Unix-domain sockets, with
 //! compression off and with a deterministic Top-K plan (with and
 //! without error feedback: each boundary compressor sees the same call
 //! sequence either way, so even stateful codecs stay in lockstep).
@@ -12,7 +12,7 @@
 use actcomp_compress::plan::CompressionPlan;
 use actcomp_compress::spec::CompressorSpec;
 use actcomp_mp::MpConfig;
-use actcomp_net::{mpsc_world, SocketOptions, SocketTransport, Transport, TransportKind};
+use actcomp_net::{SocketOptions, SocketTransport, Transport, TransportKind};
 use actcomp_nn::{BertConfig, BertEncoder};
 use actcomp_runtime::{
     RuntimeConfig, ServeBackend, ServeConfig, ServeEngine, ServeError, ServeStats, ThreadedRuntime,
@@ -56,7 +56,6 @@ fn cfg(tp: usize, pp: usize, plan: CompressionPlan, error_feedback: bool) -> Run
 
 #[derive(Clone, Copy)]
 enum Wiring {
-    Typed,
     Mpsc,
     Uds,
 }
@@ -64,7 +63,6 @@ enum Wiring {
 impl Wiring {
     fn name(self) -> &'static str {
         match self {
-            Wiring::Typed => "typed",
             Wiring::Mpsc => "mpsc",
             Wiring::Uds => "uds",
         }
@@ -94,16 +92,7 @@ fn engine(c: RuntimeConfig, wiring: Wiring) -> ThreadedRuntime {
     let mut rt_rng = ChaCha8Rng::seed_from_u64(13);
     let world = c.mp.tp * c.mp.pp;
     match wiring {
-        Wiring::Typed => ThreadedRuntime::from_serial(&serial, c, &mut rt_rng),
-        Wiring::Mpsc => ThreadedRuntime::with_transports(
-            &serial,
-            c,
-            &mut rt_rng,
-            mpsc_world(world)
-                .into_iter()
-                .map(|t| Box::new(t) as Box<dyn Transport>)
-                .collect(),
-        ),
+        Wiring::Mpsc => ThreadedRuntime::from_serial(&serial, c, &mut rt_rng),
         Wiring::Uds => ThreadedRuntime::with_transports(
             &serial,
             c,
@@ -130,8 +119,8 @@ fn grid(plan: fn() -> CompressionPlan, error_feedback: bool, wirings: &[Wiring])
     for tp in [1usize, 2] {
         for pp in [1usize, 2] {
             // Reference: each request alone, in arrival order, on one
-            // resident engine over typed channels.
-            let mut serial = engine(cfg(tp, pp, plan(), error_feedback), Wiring::Typed);
+            // resident engine.
+            let mut serial = engine(cfg(tp, pp, plan(), error_feedback), Wiring::Mpsc);
             let want: Vec<Tensor> = reqs
                 .iter()
                 .map(|ids| serial.infer(ids, 1, SEQ).expect("serial infer"))
@@ -179,11 +168,7 @@ fn grid(plan: fn() -> CompressionPlan, error_feedback: bool, wirings: &[Wiring])
 
 #[test]
 fn batched_uncompressed_requests_are_bit_identical_to_solo() {
-    grid(
-        CompressionPlan::none,
-        false,
-        &[Wiring::Typed, Wiring::Mpsc, Wiring::Uds],
-    );
+    grid(CompressionPlan::none, false, &[Wiring::Mpsc, Wiring::Uds]);
 }
 
 #[test]
@@ -191,7 +176,7 @@ fn batched_compressed_requests_are_bit_identical_to_solo() {
     fn plan() -> CompressionPlan {
         CompressionPlan::last_layers(CompressorSpec::T2, 4, 2)
     }
-    grid(plan, false, &[Wiring::Typed, Wiring::Mpsc]);
+    grid(plan, false, &[Wiring::Mpsc]);
 }
 
 #[test]
@@ -202,7 +187,7 @@ fn batched_error_feedback_requests_are_bit_identical_to_solo() {
     fn plan() -> CompressionPlan {
         CompressionPlan::last_layers(CompressorSpec::T2, 4, 2)
     }
-    grid(plan, true, &[Wiring::Typed]);
+    grid(plan, true, &[Wiring::Mpsc]);
 }
 
 #[test]
@@ -210,7 +195,7 @@ fn malformed_requests_fail_typed_without_entering_the_queue() {
     let serve = ServeEngine::start(
         ServeBackend::Threads(engine(
             cfg(1, 1, CompressionPlan::none(), false),
-            Wiring::Typed,
+            Wiring::Mpsc,
         )),
         ServeConfig::default(),
     )
@@ -244,7 +229,7 @@ fn zero_batch_or_depth_is_rejected() {
         let err = ServeEngine::start(
             ServeBackend::Threads(engine(
                 cfg(1, 1, CompressionPlan::none(), false),
-                Wiring::Typed,
+                Wiring::Mpsc,
             )),
             ServeConfig {
                 max_batch,
@@ -264,7 +249,7 @@ fn closed_loop(depth: usize, tickets: usize, batches: usize) -> ServeStats {
     let serve = ServeEngine::start(
         ServeBackend::Threads(engine(
             cfg(1, 2, CompressionPlan::none(), false),
-            Wiring::Typed,
+            Wiring::Mpsc,
         )),
         ServeConfig {
             max_batch: 4,
@@ -327,7 +312,7 @@ fn a_lone_request_waits_one_window_not_two() {
     let serve = ServeEngine::start(
         ServeBackend::Threads(engine(
             cfg(1, 2, CompressionPlan::none(), false),
-            Wiring::Typed,
+            Wiring::Mpsc,
         )),
         ServeConfig {
             max_batch: 4,

@@ -1,12 +1,13 @@
 //! Transport conformance: the threaded engine must produce **bitwise
 //! identical** training steps no matter which wire carries its
-//! messages — typed in-process channels, the framed mpsc transport,
-//! Unix domain sockets, or loopback TCP.
+//! messages — the in-process mpsc transport
+//! ([`ThreadedRuntime::from_serial`]), Unix domain sockets, or loopback
+//! TCP.
 //!
 //! This is the PR 2 invariant extended to `actcomp-net`: with
 //! compression off (and, stronger, with a deterministic compressor on)
 //! the forward output, every parameter gradient, and the byte counters
-//! must agree across all four wirings for every tp × pp layout in the
+//! must agree across all three wirings for every tp × pp layout in the
 //! grid tp ∈ {1, 2, 4} × pp ∈ {1, 2}.
 
 use actcomp_compress::plan::CompressionPlan;
@@ -151,23 +152,13 @@ fn conformance_grid(plan: fn() -> CompressionPlan, micro_batches: usize) {
     for tp in [1usize, 2, 4] {
         for pp in [1usize, 2] {
             let world = tp * pp;
-            let typed = run_engine(cfg(tp, pp, plan(), micro_batches), None);
-            let framed = run_engine(
-                cfg(tp, pp, plan(), micro_batches),
-                Some(
-                    mpsc_world(world)
-                        .into_iter()
-                        .map(|t| Box::new(t) as Box<dyn Transport>)
-                        .collect(),
-                ),
-            );
-            assert_same(&format!("tp={tp} pp={pp} mpsc"), &typed, &framed);
+            let mpsc = run_engine(cfg(tp, pp, plan(), micro_batches), None);
             for kind in [TransportKind::Uds, TransportKind::Tcp] {
                 let got = run_engine(
                     cfg(tp, pp, plan(), micro_batches),
                     Some(socket_world(kind, world)),
                 );
-                assert_same(&format!("tp={tp} pp={pp} {kind}"), &typed, &got);
+                assert_same(&format!("tp={tp} pp={pp} {kind}"), &mpsc, &got);
             }
         }
     }
