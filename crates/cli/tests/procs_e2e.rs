@@ -171,7 +171,7 @@ fn mpsc_transport_is_rejected_for_procs() {
 #[test]
 fn procs_bad_inputs_are_typed_errors_and_the_workers_run_on() {
     use actcomp_check::{Backend, ExperimentConfig, RunSpec};
-    use actcomp_runtime::{ProcsError, ProcsOptions, ProcsRuntime, RuntimeError};
+    use actcomp_runtime::{ProcsOptions, ProcsRuntime, RuntimeError};
     use actcomp_tensor::Tensor;
 
     let mut cfg = ExperimentConfig::paper_default();
@@ -193,8 +193,8 @@ fn procs_bad_inputs_are_typed_errors_and_the_workers_run_on() {
     let mut opts = ProcsOptions::new(cfg, 7);
     opts.worker_exe = Some(BIN.into());
     let mut rt = ProcsRuntime::launch(opts).expect("workers launch");
-    let typed = |r: Result<(), ProcsError>| match r {
-        Err(ProcsError::Config(e)) => e,
+    let typed = |r: Result<(), RuntimeError>| match r {
+        Err(e) => e,
         other => panic!("expected a typed input error, got {other:?}"),
     };
     // The threads engine's suite covers every case of the shared check;

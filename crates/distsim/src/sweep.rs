@@ -10,7 +10,7 @@
 //!
 //! [`par_map`] is deliberately order-preserving and deterministic: the
 //! grid is split into contiguous chunks with
-//! [`plan_unit_chunks`](actcomp_tensor::pool::plan_unit_chunks) and the
+//! [`plan_unit_chunks`] and the
 //! results land in pre-assigned slots, so the output is bit-identical
 //! to a serial `items.iter().map(f)` regardless of the pool size or
 //! scheduling order. The sweep tests assert exactly that.
@@ -21,7 +21,7 @@ use actcomp_tensor::pool::{configured_threads, plan_unit_chunks, run_on_chunks};
 ///
 /// Equivalent to `items.iter().map(f).collect()` but with grid points
 /// evaluated concurrently on up to
-/// [`configured_threads`](actcomp_tensor::pool::configured_threads)
+/// [`configured_threads`]
 /// scoped threads. `f` must be pure with respect to ordering for the
 /// serial/parallel equivalence to hold; every sweep closure in this
 /// workspace is (the simulator is a pure function of its `TrainSetup`).

@@ -174,7 +174,7 @@ fn crc_lanes(crc: u32, bytes: &[u8]) -> u32 {
 ///
 /// Table-driven slicing-by-8: every payload byte is checksummed on
 /// send and again on receive, so this loop is on the per-frame hot
-/// path. From [`LANES_MIN`] bytes on, the bulk runs as four
+/// path. From 2048 bytes (`LANES_MIN`) on, the bulk runs as four
 /// interleaved streams; the result is bit-identical either way.
 /// Public so checkpoint shards can reuse the exact wire checksum.
 pub fn crc32(seed: u32, bytes: &[u8]) -> u32 {

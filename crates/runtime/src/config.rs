@@ -1,11 +1,13 @@
-//! Configuration and typed errors for the threaded execution engine.
+//! Configuration and the one typed error of both execution backends.
 
 use crate::comm::RingTuning;
 use crate::rank::Command;
 use actcomp_check::collectives::resolved_ring_tuning;
 use actcomp_check::ExperimentConfig;
 use actcomp_mp::{MpConfig, MpConfigError};
+use actcomp_net::TransportError;
 use actcomp_nn::BertConfig;
+use std::time::Duration;
 
 /// Configuration of a threaded model-parallel run: the model-parallel
 /// layout plus the GPipe micro-batch count.
@@ -155,7 +157,8 @@ impl RuntimeConfig {
     }
 }
 
-/// Errors constructing or driving the threaded runtime.
+/// Errors constructing, launching or driving a runtime, on either
+/// backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
     /// The underlying model-parallel configuration is invalid.
@@ -207,11 +210,9 @@ pub enum RuntimeError {
     ZeroChunkRows,
     /// The ring pipeline needs at least one chunk in flight (`AC0502`).
     ZeroPipelineDepth,
-    /// Opening transport links between ranks failed.
-    Transport {
-        /// The transport-layer error rendering.
-        detail: String,
-    },
+    /// Opening transport links between ranks, or the control plane of
+    /// a `procs` launch, failed.
+    Transport(TransportError),
     /// A transport world was supplied whose size does not match
     /// `tp · pp`.
     WorldMismatch {
@@ -226,6 +227,42 @@ pub enum RuntimeError {
         index: usize,
         /// The rank that transport belongs to.
         rank: usize,
+    },
+    /// A rank left the world: its thread or worker process stopped
+    /// answering the driver, or a link to a peer failed under it
+    /// mid-step. The world stays lost: every later operation returns
+    /// the same error.
+    RankLost {
+        /// The lost rank.
+        rank: usize,
+        /// The transport failure that surfaced the loss.
+        error: TransportError,
+    },
+    /// A worker process went silent: its connection is still open, but
+    /// neither a response nor a heartbeat arrived within the liveness
+    /// window (or the step timeout expired with only heartbeats).
+    RankTimeout {
+        /// The silent rank.
+        rank: usize,
+        /// How long the driver waited before giving up.
+        after: Duration,
+    },
+    /// Audit tracing needs in-process event cells; the `procs` backend
+    /// rejects it up front (`actcomp check` reports this as `AC0705`).
+    TraceUnsupported,
+    /// `mpsc` cannot cross process boundaries.
+    MpscUnsupported,
+    /// Spawning a worker process failed.
+    Spawn {
+        /// Rank being spawned.
+        rank: usize,
+        /// OS error rendering.
+        detail: String,
+    },
+    /// A control frame arrived that does not fit the protocol.
+    Protocol {
+        /// What was wrong.
+        detail: String,
     },
 }
 
@@ -268,9 +305,7 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::ZeroPipelineDepth => {
                 write!(f, "pipeline_depth must be at least 1")
             }
-            RuntimeError::Transport { detail } => {
-                write!(f, "transport: {detail}")
-            }
+            RuntimeError::Transport(e) => write!(f, "transport: {e}"),
             RuntimeError::WorldMismatch { got, need } => {
                 write!(f, "transport world covers {got} ranks but tp x pp = {need}")
             }
@@ -278,6 +313,22 @@ impl std::fmt::Display for RuntimeError {
                 f,
                 "transport {index} is rank {rank}; transports must be in rank order"
             ),
+            RuntimeError::RankLost { rank, error } => write!(f, "rank {rank} lost: {error}"),
+            RuntimeError::RankTimeout { rank, after } => write!(
+                f,
+                "rank {rank} timed out: silent for {:.1}s (no response, no heartbeat)",
+                after.as_secs_f64()
+            ),
+            RuntimeError::TraceUnsupported => {
+                write!(f, "comm tracing is not supported in procs mode")
+            }
+            RuntimeError::MpscUnsupported => {
+                write!(f, "the mpsc transport cannot cross process boundaries")
+            }
+            RuntimeError::Spawn { rank, detail } => write!(f, "spawning worker {rank}: {detail}"),
+            RuntimeError::Protocol { detail } => {
+                write!(f, "control protocol violation: {detail}")
+            }
         }
     }
 }
@@ -286,6 +337,7 @@ impl std::error::Error for RuntimeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RuntimeError::Config(e) => Some(e),
+            RuntimeError::Transport(e) | RuntimeError::RankLost { error: e, .. } => Some(e),
             _ => None,
         }
     }
@@ -294,6 +346,12 @@ impl std::error::Error for RuntimeError {
 impl From<MpConfigError> for RuntimeError {
     fn from(e: MpConfigError) -> Self {
         RuntimeError::Config(e)
+    }
+}
+
+impl From<TransportError> for RuntimeError {
+    fn from(e: TransportError) -> Self {
+        RuntimeError::Transport(e)
     }
 }
 

@@ -63,6 +63,17 @@
 //! assert!(report.totals.total_s() > 0.0);
 //! ```
 //!
+//! # Backends and errors
+//!
+//! [`ThreadedRuntime`] (one rank thread each) and [`ProcsRuntime`] (one
+//! worker process each) are handles on one driver: the same step
+//! operations, the same input checks and the one error type,
+//! [`RuntimeError`]. A rank lost mid-step — a closed channel or
+//! connection, a link that failed under it — is
+//! [`RuntimeError::RankLost`] on either backend, never a panic in the
+//! caller or a hang; the serving engine wraps it as
+//! [`ServeError::Engine`].
+//!
 //! # Conformance auditing
 //!
 //! With [`RuntimeConfig::trace`] set, every rank records its sends and
@@ -75,6 +86,7 @@
 
 pub mod comm;
 pub mod config;
+mod driver;
 mod link;
 pub mod procs;
 mod rank;
@@ -88,7 +100,7 @@ mod wire;
 
 pub use comm::{RingTuning, TpGroup};
 pub use config::{RuntimeConfig, RuntimeError};
-pub use procs::{run_worker, ProcsError, ProcsOptions, ProcsRuntime, WorkerArgs};
+pub use procs::{run_worker, ProcsOptions, ProcsRuntime, WorkerArgs};
 pub use rank::RankGrads;
 pub use report::{PhaseTimers, RankReport, RuntimeReport};
 pub use runtime::ThreadedRuntime;

@@ -43,25 +43,6 @@ pub(crate) const CHAN_FWD: u16 = 3;
 /// Backward boundary gradients.
 pub(crate) const CHAN_GRAD: u16 = 4;
 
-/// Why a link operation failed. Data-plane callers treat every variant
-/// as a dead peer (the worker panics and the driver surfaces it).
-#[derive(Debug)]
-pub(crate) enum LinkError {
-    /// The transport reported a typed failure.
-    Transport(TransportError),
-    /// A frame arrived but did not decode as the expected message.
-    Decode(crate::wire::WireError),
-}
-
-impl std::fmt::Display for LinkError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LinkError::Transport(e) => write!(f, "{e}"),
-            LinkError::Decode(e) => write!(f, "{e}"),
-        }
-    }
-}
-
 /// Sending half of a worker link: messages of type `T` cross a framed
 /// transport channel as their wire encoding.
 pub(crate) struct MsgTx<T: WireMsg> {
@@ -79,8 +60,8 @@ impl<T: WireMsg> MsgTx<T> {
     }
 
     /// Ships one message.
-    pub fn send(&mut self, msg: &T) -> Result<(), LinkError> {
-        self.tx.send(&encode_msg(msg)).map_err(LinkError::Transport)
+    pub fn send(&mut self, msg: &T) -> Result<(), TransportError> {
+        self.tx.send(&encode_msg(msg))
     }
 }
 
@@ -99,12 +80,13 @@ impl<T: WireMsg> MsgRx<T> {
         }
     }
 
-    /// Blocks for the next message.
-    pub fn recv(&mut self) -> Result<T, LinkError> {
-        let buf = (self.rx)
-            .recv_timeout(RECV_DEADLINE)
-            .map_err(LinkError::Transport)?;
-        decode_msg(&buf).map_err(LinkError::Decode)
+    /// Blocks for the next message. A frame that does not decode as a
+    /// `T` is a [`TransportError::BadFrame`].
+    pub fn recv(&mut self) -> Result<T, TransportError> {
+        let buf = self.rx.recv_timeout(RECV_DEADLINE)?;
+        decode_msg(&buf).map_err(|e| TransportError::BadFrame {
+            what: e.to_string(),
+        })
     }
 }
 

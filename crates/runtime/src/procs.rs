@@ -35,14 +35,19 @@
 //! data connections. Data-plane peers observe
 //! [`TransportError::PeerClosed`], fail their own step, and exit; the
 //! launcher observes the control-plane close (or a timeout) and
-//! surfaces [`ProcsError::WorkerLost`] instead of hanging. Remaining
-//! children are killed on drop.
+//! surfaces [`RuntimeError::RankLost`] (or [`RuntimeError::RankTimeout`])
+//! instead of hanging. Remaining children are killed on drop.
+//!
+//! The launcher drives its workers with the same driver, step for step,
+//! as [`ThreadedRuntime`](crate::ThreadedRuntime) drives its rank
+//! threads: only the port to each rank differs.
 
 use crate::config::{RuntimeConfig, RuntimeError};
+use crate::driver::{Driver, Port};
 use crate::link::build_rank_links;
-use crate::rank::{Command, Response};
-use crate::report::{RankReport, RuntimeReport};
-use crate::runtime::{assemble_grads, WorkerBuilder};
+use crate::rank::{Command, Reply, Response};
+use crate::report::RuntimeReport;
+use crate::runtime::WorkerBuilder;
 use crate::wire::{
     decode_msg, encode_msg, put_string, put_u8, put_usize, Reader, WireError, WireMsg,
 };
@@ -56,8 +61,9 @@ use actcomp_tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Child;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 /// Default deadline for workers to dial in and report ready (covers
@@ -76,104 +82,6 @@ const WORKER_DIAL_TIMEOUT: Duration = Duration::from_secs(30);
 /// computing a command, so a slow step is distinguishable from a dead
 /// process.
 const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
-/// How much total control-plane silence (no response, no heartbeat) the
-/// launcher tolerates from a worker that owes it a response. Detection
-/// of a hung rank is bounded by this window, not the step timeout.
-const LIVENESS_WINDOW: Duration = Duration::from_secs(10);
-
-/// Errors launching or driving a multi-process run.
-#[derive(Debug)]
-pub enum ProcsError {
-    /// The run configuration is invalid.
-    Config(RuntimeError),
-    /// The control or data plane failed.
-    Transport(TransportError),
-    /// Audit tracing needs in-process event cells; procs mode rejects
-    /// it up front (`actcomp check` reports this as `AC0705`).
-    TraceUnsupported,
-    /// `mpsc` cannot cross process boundaries.
-    MpscUnsupported,
-    /// Spawning a worker process failed.
-    Spawn {
-        /// Rank being spawned.
-        rank: usize,
-        /// OS error rendering.
-        detail: String,
-    },
-    /// A worker's control connection closed or timed out mid-run.
-    WorkerLost {
-        /// The lost worker's rank (`None` before ranks are known).
-        rank: Option<usize>,
-        /// What the launcher was doing.
-        detail: String,
-    },
-    /// A worker went silent — its connection is still open, but neither
-    /// a response nor a heartbeat arrived within the liveness window
-    /// (or the step timeout expired with only heartbeats).
-    RankTimeout {
-        /// The silent worker's rank.
-        rank: usize,
-        /// How long the launcher waited before giving up.
-        after: Duration,
-    },
-    /// A control frame arrived that does not fit the protocol.
-    Protocol {
-        /// What was wrong.
-        detail: String,
-    },
-}
-
-impl std::fmt::Display for ProcsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProcsError::Config(e) => write!(f, "{e}"),
-            ProcsError::Transport(e) => write!(f, "{e}"),
-            ProcsError::TraceUnsupported => {
-                write!(f, "comm tracing is not supported in procs mode")
-            }
-            ProcsError::MpscUnsupported => {
-                write!(f, "the mpsc transport cannot cross process boundaries")
-            }
-            ProcsError::Spawn { rank, detail } => {
-                write!(f, "spawning worker {rank}: {detail}")
-            }
-            ProcsError::WorkerLost { rank, detail } => match rank {
-                Some(r) => write!(f, "worker {r} lost: {detail}"),
-                None => write!(f, "worker lost: {detail}"),
-            },
-            ProcsError::RankTimeout { rank, after } => write!(
-                f,
-                "rank {rank} silent for {:.1}s (no response, no heartbeat)",
-                after.as_secs_f64()
-            ),
-            ProcsError::Protocol { detail } => {
-                write!(f, "control protocol violation: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ProcsError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ProcsError::Config(e) => Some(e),
-            ProcsError::Transport(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<RuntimeError> for ProcsError {
-    fn from(e: RuntimeError) -> Self {
-        ProcsError::Config(e)
-    }
-}
-
-impl From<TransportError> for ProcsError {
-    fn from(e: TransportError) -> Self {
-        ProcsError::Transport(e)
-    }
-}
 
 /// FNV-1a 64 over the engine configuration's JSON and the run seed —
 /// the value every process must agree on for the data-plane handshake
@@ -199,13 +107,13 @@ fn secs_or(secs: Option<f64>, default: Duration) -> Duration {
 /// The engine configuration a procs run's experiment describes, refused
 /// up front when it cannot run across processes. The launcher and every
 /// worker derive it with this one function.
-fn engine_config(exp: &ExperimentConfig) -> Result<RuntimeConfig, ProcsError> {
-    let cfg = RuntimeConfig::of(exp).ok_or_else(|| ProcsError::Protocol {
+fn engine_config(exp: &ExperimentConfig) -> Result<RuntimeConfig, RuntimeError> {
+    let cfg = RuntimeConfig::of(exp).ok_or_else(|| RuntimeError::Protocol {
         detail: format!("compressor spec `{}` does not resolve", exp.plan.spec),
     })?;
     cfg.try_validate()?;
     if cfg.trace {
-        return Err(ProcsError::TraceUnsupported);
+        return Err(RuntimeError::TraceUnsupported);
     }
     Ok(cfg)
 }
@@ -224,7 +132,7 @@ struct Launch {
 }
 
 /// Control-plane frames between launcher and workers.
-enum CtrlMsg {
+pub(crate) enum CtrlMsg {
     /// Launcher → worker, first: a JSON [`Launch`].
     Launch(String),
     /// Worker → launcher: here I am, my data plane listens at `addr`.
@@ -308,13 +216,16 @@ impl WireMsg for CtrlMsg {
     }
 }
 
-fn send_ctrl(conn: &mut CtrlConn, msg: &CtrlMsg) -> Result<(), TransportError> {
+pub(crate) fn send_ctrl(conn: &mut CtrlConn, msg: &CtrlMsg) -> Result<(), TransportError> {
     conn.send(&encode_msg(msg))
 }
 
-fn recv_ctrl(conn: &mut CtrlConn, timeout: Duration) -> Result<CtrlMsg, ProcsError> {
-    let frame = conn.recv(timeout)?;
-    decode_msg(&frame).map_err(|e| ProcsError::Protocol {
+pub(crate) fn recv_ctrl(conn: &mut CtrlConn, timeout: Duration) -> Result<CtrlMsg, RuntimeError> {
+    decode_ctrl(&conn.recv(timeout)?)
+}
+
+fn decode_ctrl(frame: &[u8]) -> Result<CtrlMsg, RuntimeError> {
+    decode_msg(frame).map_err(|e| RuntimeError::Protocol {
         detail: e.to_string(),
     })
 }
@@ -355,37 +266,34 @@ impl ProcsOptions {
     }
 }
 
-/// One spawned worker as the launcher sees it.
-struct WorkerHandle {
-    child: Child,
-    ctrl: CtrlConn,
+/// Worker processes spawned but not yet handed to the driver: killed
+/// and reaped if the launch fails.
+struct Spawned(Vec<Child>);
+
+impl Drop for Spawned {
+    fn drop(&mut self) {
+        for c in &mut self.0 {
+            let _ = c.kill();
+            let _ = c.wait();
+        }
+    }
 }
 
 /// The launcher's handle on a multi-process run: the process-mode
-/// equivalent of [`ThreadedRuntime`](crate::ThreadedRuntime), with the
-/// same step operations but every rank in its own OS process.
+/// equivalent of [`ThreadedRuntime`](crate::ThreadedRuntime), driving
+/// the same step operations through the same driver, with every rank
+/// in its own OS process.
 pub struct ProcsRuntime {
-    workers: Vec<WorkerHandle>,
-    cfg: RuntimeConfig,
-    /// Per-step response deadline (heartbeat-extended liveness aside).
-    step_timeout: Duration,
+    pub(crate) driver: Driver,
     /// The run's config hash — stamped into checkpoint shards so a
     /// restore from a different run is refused.
     tag: u64,
-    /// Rows of the forward a backward would consume
-    /// ([`RuntimeConfig::check_command`]).
-    outstanding: Option<usize>,
 }
 
 impl std::fmt::Debug for ProcsRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ProcsRuntime(tp={}, pp={}, workers={})",
-            self.cfg.mp.tp,
-            self.cfg.mp.pp,
-            self.workers.len()
-        )
+        let c = self.config();
+        write!(f, "ProcsRuntime(tp={}, pp={})", c.mp.tp, c.mp.pp)
     }
 }
 
@@ -395,17 +303,18 @@ impl ProcsRuntime {
     ///
     /// # Errors
     ///
-    /// Typed errors for invalid configs ([`ProcsError::Config`],
-    /// [`ProcsError::TraceUnsupported`], [`ProcsError::MpscUnsupported`]),
-    /// spawn failures, and any worker that dies or times out during
-    /// rendezvous ([`ProcsError::WorkerLost`]). Never hangs: every
-    /// control-plane wait has a deadline.
-    pub fn launch(opts: ProcsOptions) -> Result<ProcsRuntime, ProcsError> {
+    /// Typed errors for invalid configs (validation errors,
+    /// [`RuntimeError::TraceUnsupported`],
+    /// [`RuntimeError::MpscUnsupported`]), spawn failures, and any worker
+    /// that dies or times out during rendezvous
+    /// ([`RuntimeError::RankLost`]). Never hangs: every control-plane
+    /// wait has a deadline.
+    pub fn launch(opts: ProcsOptions) -> Result<ProcsRuntime, RuntimeError> {
         let cfg = engine_config(&opts.cfg)?;
         let spec = opts.cfg.run_spec();
         let kind = spec.transport();
         if kind == TransportKind::Mpsc {
-            return Err(ProcsError::MpscUnsupported);
+            return Err(RuntimeError::MpscUnsupported);
         }
         let world = cfg.world();
         let tag = config_hash(&cfg, opts.seed);
@@ -416,23 +325,23 @@ impl ProcsRuntime {
                 epoch: opts.epoch,
                 fail_rank: opts.fail_rank,
             })
-            .map_err(|e| ProcsError::Protocol {
+            .map_err(|e| RuntimeError::Protocol {
                 detail: format!("launch frame: {e}"),
             })?,
         );
         let exe = match &opts.worker_exe {
             Some(p) => p.clone(),
-            None => std::env::current_exe().map_err(|e| ProcsError::Spawn {
+            None => std::env::current_exe().map_err(|e| RuntimeError::Spawn {
                 rank: 0,
                 detail: format!("resolving the worker executable: {e}"),
             })?,
         };
         let listener = CtrlListener::bind(kind)?;
 
-        // Spawn all workers, then rendezvous. Children are killed on
-        // any error path via the handles collected so far.
-        let mut children: Vec<Child> = Vec::with_capacity(world);
-        let spawn_all = (0..world).try_for_each(|rank| -> Result<(), ProcsError> {
+        // Spawn all workers, then rendezvous. `spawned` kills the
+        // children started so far on any error path.
+        let mut spawned = Spawned(Vec::with_capacity(world));
+        for rank in 0..world {
             let child = std::process::Command::new(&exe)
                 .arg("worker")
                 .arg("--rank")
@@ -442,130 +351,91 @@ impl ProcsRuntime {
                 .arg("--transport")
                 .arg(kind.name())
                 .spawn()
-                .map_err(|e| ProcsError::Spawn {
+                .map_err(|e| RuntimeError::Spawn {
                     rank,
                     detail: e.to_string(),
                 })?;
-            children.push(child);
-            Ok(())
-        });
-        if let Err(e) = spawn_all {
-            for c in &mut children {
-                let _ = c.kill();
-                let _ = c.wait();
-            }
-            return Err(e);
+            spawned.0.push(child);
         }
-
         let rdv = secs_or(spec.rendezvous_timeout_s, DEFAULT_RENDEZVOUS_TIMEOUT);
-        let workers = Self::rendezvous(&listener, children, world, rdv, &launch)?;
+        let conns = Self::rendezvous(&listener, world, rdv, &launch)?;
+        let step_timeout = secs_or(spec.step_timeout_s, DEFAULT_STEP_TIMEOUT);
+        let ports = (std::mem::take(&mut spawned.0).into_iter().zip(conns))
+            .map(|(child, ctrl)| Port::Process {
+                child,
+                ctrl,
+                step_timeout,
+            })
+            .collect();
         Ok(ProcsRuntime {
-            workers,
-            cfg,
-            step_timeout: secs_or(spec.step_timeout_s, DEFAULT_STEP_TIMEOUT),
+            driver: Driver::new(cfg, ports, Vec::new()),
             tag,
-            outstanding: None,
         })
     }
 
     /// Accepts every worker's dial-in and hands it the launch frame,
     /// distributes the peer table, and waits for all ranks to report
-    /// ready. Kills the children on any failure.
+    /// ready. Returns the control connections in rank order.
     fn rendezvous(
         listener: &CtrlListener,
-        mut children: Vec<Child>,
         world: usize,
         rdv: Duration,
         launch: &CtrlMsg,
-    ) -> Result<Vec<WorkerHandle>, ProcsError> {
-        let kill_all = |children: &mut Vec<Child>| {
-            for c in children.iter_mut() {
-                let _ = c.kill();
-                let _ = c.wait();
-            }
-        };
-        let result = || -> Result<(Vec<Option<CtrlConn>>, Vec<String>), ProcsError> {
-            let mut conns: Vec<Option<CtrlConn>> = (0..world).map(|_| None).collect();
-            let mut addrs: Vec<String> = vec![String::new(); world];
-            for _ in 0..world {
-                let mut conn = listener.accept(rdv)?;
-                send_ctrl(&mut conn, launch)?;
-                match recv_ctrl(&mut conn, rdv)? {
-                    CtrlMsg::Hello { rank, data_addr } => {
-                        if rank >= world || conns[rank].is_some() {
-                            return Err(ProcsError::Protocol {
-                                detail: format!("duplicate or out-of-range hello from rank {rank}"),
-                            });
-                        }
-                        addrs[rank] = data_addr;
-                        conns[rank] = Some(conn);
+    ) -> Result<Vec<CtrlConn>, RuntimeError> {
+        let mut conns: Vec<Option<CtrlConn>> = (0..world).map(|_| None).collect();
+        let mut addrs: Vec<String> = vec![String::new(); world];
+        for _ in 0..world {
+            let mut conn = listener.accept(rdv)?;
+            send_ctrl(&mut conn, launch)?;
+            match recv_ctrl(&mut conn, rdv)? {
+                CtrlMsg::Hello { rank, data_addr } => {
+                    if rank >= world || conns[rank].is_some() {
+                        return Err(RuntimeError::Protocol {
+                            detail: format!("duplicate or out-of-range hello from rank {rank}"),
+                        });
                     }
-                    _ => {
-                        return Err(ProcsError::Protocol {
-                            detail: "expected a hello frame".to_string(),
-                        })
-                    }
+                    addrs[rank] = data_addr;
+                    conns[rank] = Some(conn);
+                }
+                _ => {
+                    return Err(RuntimeError::Protocol {
+                        detail: "expected a hello frame".to_string(),
+                    })
                 }
             }
-            Ok((conns, addrs))
-        };
-        let (mut conns, addrs) = match result() {
-            Ok(v) => v,
-            Err(e) => {
-                kill_all(&mut children);
-                return Err(e);
-            }
-        };
-
+        }
+        let mut conns: Vec<CtrlConn> = (conns.into_iter())
+            .map(|c| c.expect("all ranks said hello"))
+            .collect();
         let table = CtrlMsg::PeerTable { addrs };
         for (rank, conn) in conns.iter_mut().enumerate() {
-            let conn = conn.as_mut().expect("all ranks said hello");
-            if let Err(e) = send_ctrl(conn, &table) {
-                kill_all(&mut children);
-                return Err(ProcsError::WorkerLost {
-                    rank: Some(rank),
-                    detail: format!("sending the peer table: {e}"),
-                });
-            }
+            send_ctrl(conn, &table).map_err(|error| RuntimeError::RankLost { rank, error })?;
         }
         for (rank, conn) in conns.iter_mut().enumerate() {
-            let conn = conn.as_mut().expect("all ranks said hello");
             match recv_ctrl(conn, rdv) {
                 Ok(CtrlMsg::Ready) => {}
                 Ok(_) => {
-                    kill_all(&mut children);
-                    return Err(ProcsError::Protocol {
+                    return Err(RuntimeError::Protocol {
                         detail: format!("expected ready from rank {rank}"),
-                    });
+                    })
                 }
-                Err(e) => {
-                    kill_all(&mut children);
-                    return Err(ProcsError::WorkerLost {
-                        rank: Some(rank),
-                        detail: format!("waiting for ready: {e}"),
-                    });
+                Err(RuntimeError::Transport(error)) => {
+                    return Err(RuntimeError::RankLost { rank, error })
                 }
+                Err(e) => return Err(e),
             }
         }
-
-        Ok(children
-            .into_iter()
-            .zip(conns)
-            .map(|(child, ctrl)| WorkerHandle {
-                child,
-                ctrl: ctrl.expect("all ranks said hello"),
-            })
-            .collect())
+        Ok(conns)
     }
 
     /// The run configuration.
     pub fn config(&self) -> &RuntimeConfig {
-        &self.cfg
+        self.driver.config()
     }
 
     /// Total rank (process) count.
     pub fn world(&self) -> usize {
-        self.cfg.world()
+        self.config().world()
     }
 
     /// The run's config hash (the checkpoint/handshake stamp).
@@ -573,166 +443,58 @@ impl ProcsRuntime {
         self.tag
     }
 
-    /// Checks a forward, inference or backward command's inputs
-    /// ([`RuntimeConfig::check_command`]) and broadcasts it; nothing is
-    /// dispatched on an error ([`ProcsError::Config`]).
-    fn dispatch(&mut self, cmd: Command) -> Result<(), ProcsError> {
-        self.outstanding = self.cfg.check_command(&cmd, self.outstanding)?;
-        self.broadcast(&cmd)
-    }
-
-    /// Sends one command to every worker.
-    fn broadcast(&mut self, cmd: &Command) -> Result<(), ProcsError> {
-        let frame = CtrlMsg::Cmd(cmd.clone());
-        for (rank, w) in self.workers.iter_mut().enumerate() {
-            send_ctrl(&mut w.ctrl, &frame).map_err(|e| ProcsError::WorkerLost {
-                rank: Some(rank),
-                detail: format!("sending a command: {e}"),
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Collects one response per worker, in rank order.
-    ///
-    /// A busy worker emits heartbeats while its rank thread computes,
-    /// so the launcher tolerates up to the full step timeout of
-    /// heartbeat-backed computation but only [`LIVENESS_WINDOW`] of
-    /// *silence* — a dead or hung rank surfaces as a typed
-    /// [`ProcsError::RankTimeout`] (or [`ProcsError::WorkerLost`] on a
-    /// closed connection) in seconds, not minutes.
-    fn collect(&mut self) -> Result<Vec<Response>, ProcsError> {
-        let step_timeout = self.step_timeout;
-        let mut out = Vec::with_capacity(self.workers.len());
-        for (rank, w) in self.workers.iter_mut().enumerate() {
-            let deadline = std::time::Instant::now() + step_timeout;
-            let resp = loop {
-                let now = std::time::Instant::now();
-                if now >= deadline {
-                    return Err(ProcsError::RankTimeout {
-                        rank,
-                        after: step_timeout,
-                    });
-                }
-                let window = LIVENESS_WINDOW.min(deadline - now);
-                match recv_ctrl(&mut w.ctrl, window) {
-                    Ok(CtrlMsg::Heartbeat) => continue,
-                    Ok(CtrlMsg::Resp(resp)) => break resp,
-                    Ok(_) => {
-                        return Err(ProcsError::Protocol {
-                            detail: format!("expected a response from rank {rank}"),
-                        })
-                    }
-                    Err(ProcsError::Transport(TransportError::Timeout { .. })) => {
-                        return Err(ProcsError::RankTimeout {
-                            rank,
-                            after: window,
-                        })
-                    }
-                    Err(ProcsError::Transport(e)) => {
-                        return Err(ProcsError::WorkerLost {
-                            rank: Some(rank),
-                            detail: format!("waiting for a response: {e}"),
-                        })
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            out.push(resp);
-        }
-        Ok(out)
-    }
-
-    /// Runs a pipelined forward pass over the whole batch, returning
-    /// the final hidden states `[batch · seq, hidden]`. Inputs are
-    /// checked as [`ThreadedRuntime::forward`](crate::ThreadedRuntime::forward)
-    /// checks them ([`ProcsError::Config`]); nothing is dispatched on an
-    /// error, here and in [`Self::infer_submit`] and [`Self::backward`].
+    /// [`ThreadedRuntime::forward`](crate::ThreadedRuntime::forward),
+    /// inputs checked the same way. A worker that dies or goes silent
+    /// surfaces as [`RuntimeError::RankLost`] /
+    /// [`RuntimeError::RankTimeout`] within the liveness window, here and
+    /// in every other operation.
     pub fn forward(
         &mut self,
         ids: &[usize],
         batch: usize,
         seq: usize,
-    ) -> Result<Tensor, ProcsError> {
-        self.dispatch(Command::Forward {
-            ids: ids.to_vec(),
-            batch,
-            seq,
-        })?;
-        let mut out = None;
-        for resp in self.collect()? {
-            if let Response::Output { y } = resp {
-                out = Some(y);
-            }
-        }
-        out.ok_or_else(|| ProcsError::Protocol {
-            detail: "no rank produced a forward output".to_string(),
-        })
+    ) -> Result<Tensor, RuntimeError> {
+        self.driver.forward(ids, batch, seq)
     }
 
-    /// Dispatches a forward-only inference pass over a coalesced
-    /// request batch (one micro-batch per request) without waiting for
-    /// the result — the process-mode half of the serving engine's
-    /// continuous-batching overlap. Pair with [`Self::infer_wait`].
+    /// [`ThreadedRuntime::infer_submit`](crate::ThreadedRuntime::infer_submit).
     pub fn infer_submit(
         &mut self,
         ids: &[usize],
         nreq: usize,
         seq: usize,
-    ) -> Result<(), ProcsError> {
-        self.dispatch(Command::Infer {
-            ids: ids.to_vec(),
-            batch: nreq,
-            seq,
-            micro: nreq,
-        })
+    ) -> Result<(), RuntimeError> {
+        self.driver.infer_submit(ids, nreq, seq)
     }
 
-    /// Collects the result of the oldest outstanding
-    /// [`Self::infer_submit`]. A worker that dies or goes silent
-    /// mid-batch surfaces as a typed [`ProcsError::WorkerLost`] /
-    /// [`ProcsError::RankTimeout`] within the liveness window — serving
-    /// never hangs on a dead rank.
-    pub fn infer_wait(&mut self) -> Result<Tensor, ProcsError> {
-        let mut out = None;
-        for resp in self.collect()? {
-            if let Response::Output { y } = resp {
-                out = Some(y);
-            }
-        }
-        out.ok_or_else(|| ProcsError::Protocol {
-            detail: "no rank produced an inference output".to_string(),
-        })
+    /// [`ThreadedRuntime::infer_wait`](crate::ThreadedRuntime::infer_wait).
+    pub fn infer_wait(&mut self) -> Result<Tensor, RuntimeError> {
+        self.driver.infer_wait()
     }
 
     /// [`Self::infer_submit`] + [`Self::infer_wait`] in one call.
-    pub fn infer(&mut self, ids: &[usize], nreq: usize, seq: usize) -> Result<Tensor, ProcsError> {
-        self.infer_submit(ids, nreq, seq)?;
-        self.infer_wait()
+    pub fn infer(
+        &mut self,
+        ids: &[usize],
+        nreq: usize,
+        seq: usize,
+    ) -> Result<Tensor, RuntimeError> {
+        self.driver.infer(ids, nreq, seq)
     }
 
-    /// Runs the pipelined backward pass from the gradient of the final
-    /// hidden states.
-    pub fn backward(&mut self, dhidden: &Tensor) -> Result<(), ProcsError> {
-        self.dispatch(Command::Backward {
-            dhidden: dhidden.clone(),
-        })?;
-        self.collect()?;
-        Ok(())
+    /// [`ThreadedRuntime::backward`](crate::ThreadedRuntime::backward).
+    pub fn backward(&mut self, dhidden: &Tensor) -> Result<(), RuntimeError> {
+        self.driver.backward(dhidden)
     }
 
     /// Zeroes every parameter gradient on every rank.
-    pub fn zero_grad(&mut self) -> Result<(), ProcsError> {
-        self.broadcast(&Command::ZeroGrad)?;
-        self.collect()?;
-        Ok(())
+    pub fn zero_grad(&mut self) -> Result<(), RuntimeError> {
+        self.driver.zero_grad()
     }
 
     /// Applies one SGD step with learning rate `lr` on every rank.
-    pub fn sgd_step(&mut self, lr: f32) -> Result<(), ProcsError> {
-        self.broadcast(&Command::SgdStep { lr })?;
-        self.collect()?;
-        Ok(())
+    pub fn sgd_step(&mut self, lr: f32) -> Result<(), RuntimeError> {
+        self.driver.sgd_step(lr)
     }
 
     /// Takes a distributed checkpoint at `step`: every rank writes its
@@ -740,95 +502,34 @@ impl ProcsRuntime {
     /// with the run's config hash and the step, so a restore from the
     /// wrong run (or the wrong point) is refused instead of silently
     /// diverging.
-    pub fn checkpoint(&mut self, dir: &std::path::Path, step: usize) -> Result<(), ProcsError> {
-        self.broadcast(&Command::Checkpoint {
-            dir: dir.to_string_lossy().into_owned(),
-            step,
-            tag: self.tag,
-        })?;
-        self.collect()?;
-        Ok(())
+    pub fn checkpoint(&mut self, dir: &Path, step: usize) -> Result<(), RuntimeError> {
+        self.driver.checkpoint(dir, step, self.tag)
     }
 
     /// Restores every rank's parameter shard from the checkpoint taken
     /// at `step` in `dir`. Shards are CRC-verified and must carry this
     /// run's config hash and the requested step.
-    pub fn restore(&mut self, dir: &std::path::Path, step: usize) -> Result<(), ProcsError> {
-        self.broadcast(&Command::Restore {
-            dir: dir.to_string_lossy().into_owned(),
-            step,
-            tag: self.tag,
-        })?;
-        self.collect()?;
-        Ok(())
+    pub fn restore(&mut self, dir: &Path, step: usize) -> Result<(), RuntimeError> {
+        self.driver.restore(dir, step, self.tag)
     }
 
     /// Gathers all parameter gradients, reassembled into the serial
     /// executor's visit order — byte-for-byte the same list the threads
     /// backend returns (conformance-test enforced).
-    pub fn collect_grads(&mut self) -> Result<Vec<Tensor>, ProcsError> {
-        self.broadcast(&Command::CollectGrads)?;
-        let mut per_rank: Vec<Option<crate::rank::RankGrads>> =
-            (0..self.world()).map(|_| None).collect();
-        for resp in self.collect()? {
-            if let Response::Grads { rank, grads } = resp {
-                if rank < per_rank.len() {
-                    per_rank[rank] = Some(grads);
-                }
-            }
-        }
-        let grads: Vec<crate::rank::RankGrads> = per_rank
-            .into_iter()
-            .enumerate()
-            .map(|(r, g)| {
-                g.ok_or_else(|| ProcsError::Protocol {
-                    detail: format!("rank {r} did not report grads"),
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(assemble_grads(&self.cfg, &grads))
+    pub fn collect_grads(&mut self) -> Result<Vec<Tensor>, RuntimeError> {
+        self.driver.collect_grads()
     }
 
     /// Gathers per-rank timers and byte counters into the aggregated
     /// report.
-    pub fn report(&mut self) -> Result<RuntimeReport, ProcsError> {
-        self.broadcast(&Command::Report)?;
-        let mut ranks: Vec<RankReport> = self
-            .collect()?
-            .into_iter()
-            .filter_map(|r| match r {
-                Response::Report { report } => Some(*report),
-                _ => None,
-            })
-            .collect();
-        ranks.sort_by_key(|r| r.rank);
-        Ok(RuntimeReport::from_ranks(
-            self.cfg.mp.tp,
-            self.cfg.mp.pp,
-            self.cfg.micro_batches,
-            ranks,
-        ))
+    pub fn report(&mut self) -> Result<RuntimeReport, RuntimeError> {
+        self.driver.report()
     }
 
     /// Graceful teardown: shuts every worker down and reaps it.
-    pub fn shutdown(mut self) -> Result<(), ProcsError> {
-        let _ = self.broadcast(&Command::Shutdown);
-        for w in self.workers.iter_mut() {
-            let _ = w.child.wait();
-        }
-        self.workers.clear();
+    pub fn shutdown(mut self) -> Result<(), RuntimeError> {
+        self.driver.close(false);
         Ok(())
-    }
-}
-
-impl Drop for ProcsRuntime {
-    fn drop(&mut self) {
-        // Best-effort: ask nicely, then make sure nothing lingers.
-        let _ = self.broadcast(&Command::Shutdown);
-        for w in self.workers.iter_mut() {
-            let _ = w.child.kill();
-            let _ = w.child.wait();
-        }
     }
 }
 
@@ -846,12 +547,12 @@ pub struct WorkerArgs {
 }
 
 /// The launch a worker's first control frame carries.
-fn parse_launch(msg: CtrlMsg) -> Result<Launch, ProcsError> {
+fn parse_launch(msg: CtrlMsg) -> Result<Launch, RuntimeError> {
     match msg {
-        CtrlMsg::Launch(json) => serde_json::from_str(&json).map_err(|e| ProcsError::Protocol {
+        CtrlMsg::Launch(json) => serde_json::from_str(&json).map_err(|e| RuntimeError::Protocol {
             detail: format!("launch frame: {e}"),
         }),
-        _ => Err(ProcsError::Protocol {
+        _ => Err(RuntimeError::Protocol {
             detail: "expected the launch frame".to_string(),
         }),
     }
@@ -860,14 +561,14 @@ fn parse_launch(msg: CtrlMsg) -> Result<Launch, ProcsError> {
 /// The worker process body: rendezvous, rebuild the model, run the
 /// command loop until shutdown. Returns typed errors so the CLI can
 /// render them and exit nonzero; a clean shutdown returns `Ok`.
-pub fn run_worker(args: WorkerArgs) -> Result<(), ProcsError> {
+pub fn run_worker(args: WorkerArgs) -> Result<(), RuntimeError> {
     let mut ctrl = CtrlConn::connect(args.kind, &args.coord, WORKER_DIAL_TIMEOUT)?;
     let launch = parse_launch(recv_ctrl(&mut ctrl, WORKER_DIAL_TIMEOUT)?)?;
     let cfg = engine_config(&launch.cfg)?;
     let spec = launch.cfg.run_spec();
     let world = cfg.world();
     if args.rank >= world {
-        return Err(ProcsError::Protocol {
+        return Err(RuntimeError::Protocol {
             detail: format!("rank {} outside a world of {world}", args.rank),
         });
     }
@@ -898,13 +599,13 @@ pub fn run_worker(args: WorkerArgs) -> Result<(), ProcsError> {
     let addrs = match recv_ctrl(&mut ctrl, rdv)? {
         CtrlMsg::PeerTable { addrs } => addrs,
         _ => {
-            return Err(ProcsError::Protocol {
+            return Err(RuntimeError::Protocol {
                 detail: "expected the peer table".to_string(),
             })
         }
     };
     if addrs.len() != world {
-        return Err(ProcsError::Protocol {
+        return Err(RuntimeError::Protocol {
             detail: format!("peer table covers {} of {world} ranks", addrs.len()),
         });
     }
@@ -929,13 +630,7 @@ pub fn run_worker(args: WorkerArgs) -> Result<(), ProcsError> {
     let serial = BertEncoder::new(&mut rng, cfg.mp.bert.clone());
     let recipe = actcomp_mp::CompressorRecipe::draw(&cfg.mp, &mut rng);
     let builder = WorkerBuilder::new(&serial, &cfg, recipe);
-    let (cmd_tx, cmd_rx) = std::sync::mpsc::channel::<Command>();
-    let (resp_tx, resp_rx) = std::sync::mpsc::channel::<Response>();
-    let worker = builder.build(args.rank, links, cmd_rx, resp_tx);
-    let rank_thread = std::thread::Builder::new()
-        .name(format!("actcomp-rank-{}", args.rank))
-        .spawn(move || worker.run())
-        .expect("spawn rank thread");
+    let (cmd_tx, resp_rx, rank_thread) = builder.spawn(args.rank, links);
 
     send_ctrl(&mut ctrl, &CtrlMsg::Ready)?;
     if launch.fail_rank == Some(args.rank) {
@@ -944,28 +639,30 @@ pub fn run_worker(args: WorkerArgs) -> Result<(), ProcsError> {
         std::process::exit(3);
     }
 
-    // Bridge loop: every command yields exactly one response, except
-    // Shutdown which ends the run. While the rank thread computes, the
-    // bridge pings the launcher so a slow step never reads as a death.
-    let kill_at = plan.kill_at(args.rank);
+    let bridged = bridge(&mut ctrl, &cmd_tx, &resp_rx, plan.kill_at(args.rank));
+    drop(cmd_tx);
+    let _ = rank_thread.join();
+    transport.shutdown();
+    bridged
+}
+
+/// The worker's bridge loop: every command yields exactly one response,
+/// except Shutdown which ends the run. While the rank thread computes,
+/// the bridge pings the launcher so a slow step never reads as a death.
+/// A rank that lost a data-plane link (a peer died) replies its typed
+/// error, which ends the worker so the launcher sees the close.
+fn bridge(
+    ctrl: &mut CtrlConn,
+    cmd_tx: &Sender<Command>,
+    resp_rx: &Receiver<Reply>,
+    kill_at: Option<usize>,
+) -> Result<(), RuntimeError> {
     let mut forwards_seen: usize = 0;
-    let loop_result = 'cmds: loop {
-        let frame = match ctrl.recv_blocking() {
-            Ok(f) => f,
-            Err(e) => break Err(ProcsError::from(e)),
-        };
-        let msg = match decode_msg::<CtrlMsg>(&frame) {
-            Ok(m) => m,
-            Err(e) => {
-                break Err(ProcsError::Protocol {
-                    detail: e.to_string(),
-                })
-            }
-        };
-        let cmd = match msg {
+    loop {
+        let cmd = match decode_ctrl(&ctrl.recv_blocking()?)? {
             CtrlMsg::Cmd(cmd) => cmd,
             _ => {
-                break Err(ProcsError::Protocol {
+                return Err(RuntimeError::Protocol {
                     detail: "expected a command frame".to_string(),
                 })
             }
@@ -980,42 +677,27 @@ pub fn run_worker(args: WorkerArgs) -> Result<(), ProcsError> {
             }
             forwards_seen += 1;
         }
-        let is_shutdown = matches!(cmd, Command::Shutdown);
-        if cmd_tx.send(cmd).is_err() {
-            break Err(ProcsError::Protocol {
-                detail: "rank worker exited unexpectedly".to_string(),
-            });
-        }
-        if is_shutdown {
-            break Ok(());
+        let shutdown = matches!(cmd, Command::Shutdown);
+        cmd_tx.send(cmd).map_err(|_| RuntimeError::Protocol {
+            detail: "rank worker exited unexpectedly".to_string(),
+        })?;
+        if shutdown {
+            return Ok(());
         }
         let resp = loop {
             match resp_rx.recv_timeout(HEARTBEAT_INTERVAL) {
-                Ok(r) => break r,
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    if let Err(e) = send_ctrl(&mut ctrl, &CtrlMsg::Heartbeat) {
-                        break 'cmds Err(ProcsError::from(e));
-                    }
-                }
-                // The rank thread panicked (e.g. a data-plane peer
-                // died); exit with a typed error so the launcher sees
-                // the close.
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                    break 'cmds Err(ProcsError::Protocol {
+                Ok(reply) => break reply?,
+                Err(RecvTimeoutError::Timeout) => send_ctrl(ctrl, &CtrlMsg::Heartbeat)?,
+                // The rank thread panicked (a ring peer died).
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(RuntimeError::Protocol {
                         detail: "rank worker failed mid-command".to_string(),
                     })
                 }
             }
         };
-        if let Err(e) = send_ctrl(&mut ctrl, &CtrlMsg::Resp(resp)) {
-            break Err(ProcsError::from(e));
-        }
-    };
-
-    drop(cmd_tx);
-    let _ = rank_thread.join();
-    transport.shutdown();
-    loop_result
+        send_ctrl(ctrl, &CtrlMsg::Resp(resp))?;
+    }
 }
 
 #[cfg(test)]
@@ -1074,8 +756,8 @@ mod tests {
 
     #[test]
     fn hostile_launch_frames_are_typed_errors() {
-        let protocol = |r: Result<Launch, ProcsError>| match r {
-            Err(ProcsError::Protocol { detail }) => detail,
+        let protocol = |r: Result<Launch, RuntimeError>| match r {
+            Err(RuntimeError::Protocol { detail }) => detail,
             Err(e) => panic!("expected a protocol error, got {e}"),
             Ok(_) => panic!("expected a protocol error, got a launch"),
         };
@@ -1110,7 +792,7 @@ mod tests {
         });
         assert!(matches!(
             engine_config(&traced),
-            Err(ProcsError::TraceUnsupported)
+            Err(RuntimeError::TraceUnsupported)
         ));
     }
 }

@@ -8,6 +8,7 @@
 //! the worker names no channel or message itself.
 
 use crate::comm::TpGroup;
+use crate::config::RuntimeError;
 use crate::link::{MsgRx, MsgTx};
 use crate::report::{timed, PhaseTimers, RankReport};
 use crate::trace::TraceHandle;
@@ -16,6 +17,7 @@ use actcomp_check::steps::{rank_steps, Op, Step, Sweep};
 use actcomp_check::{Phase, TraceEvent};
 use actcomp_compress::{Compressed, Compressor};
 use actcomp_mp::{Block, CommBytes, Reduce, SumPoint};
+use actcomp_net::TransportError;
 use actcomp_nn::{Embedding, Layer, LayerNorm, LnCache, Parameter};
 use actcomp_tensor::{Tensor, Workspace};
 use std::sync::mpsc::{Receiver, Sender};
@@ -209,6 +211,10 @@ impl WireMsg for Command {
         })
     }
 }
+
+/// A rank's answer to one command: its response, or the loss of a
+/// link that ended it.
+pub(crate) type Reply = Result<Response, RuntimeError>;
 
 /// Responses ranks send back to the runtime.
 pub(crate) enum Response {
@@ -512,7 +518,7 @@ pub(crate) struct RankWorker {
     pub recv_b: Option<BoundaryReceiver>,
     pub timers: PhaseTimers,
     pub cmd_rx: Receiver<Command>,
-    pub resp_tx: Sender<Response>,
+    pub resp_tx: Sender<Reply>,
     /// Audit-trace handle (same cell as this rank's `tp` group) for
     /// boundary and broadcast events; `None` records nothing.
     trace: Option<TraceHandle>,
@@ -537,7 +543,7 @@ impl RankWorker {
         send_b: Option<BoundarySender>,
         recv_b: Option<BoundaryReceiver>,
         cmd_rx: Receiver<Command>,
-        resp_tx: Sender<Response>,
+        resp_tx: Sender<Reply>,
         trace: Option<TraceHandle>,
     ) -> Self {
         RankWorker {
@@ -561,24 +567,28 @@ impl RankWorker {
         }
     }
 
-    /// The worker loop: block on commands until shutdown.
+    /// The worker loop: block on commands until shutdown, answering
+    /// each with one reply. A failed link is replied as
+    /// [`RuntimeError::RankLost`] and ends the loop, so the rank's own
+    /// links drop and every peer waiting on one fails in turn instead of
+    /// blocking. A rank whose driver has gone exits too.
     pub fn run(mut self) {
         while let Ok(cmd) = self.cmd_rx.recv() {
-            match cmd {
+            let reply = match cmd {
                 cmd @ (Command::Forward { .. }
                 | Command::Infer { .. }
                 | Command::Backward { .. }) => self.execute(&cmd),
                 Command::ZeroGrad => {
                     self.visit_owned_params(&mut |p| p.zero_grad());
-                    self.done();
+                    Ok(Response::Done)
                 }
                 Command::SgdStep { lr } => {
                     self.visit_owned_params(&mut |p| p.value.axpy(-lr, &p.grad));
-                    self.done();
+                    Ok(Response::Done)
                 }
-                Command::CollectGrads => self.collect_grads(),
-                Command::Report => {
-                    let report = RankReport {
+                Command::CollectGrads => Ok(self.collect_grads()),
+                Command::Report => Ok(Response::Report {
+                    report: Box::new(RankReport {
                         rank: self.rank,
                         stage: self.stage,
                         tp_index: self.tpi,
@@ -587,27 +597,29 @@ impl RankWorker {
                         ring_bytes: self.tp.ring_bytes,
                         boundary_bytes: self.send_b.as_ref().map(|b| b.bytes).unwrap_or_default(),
                         plan_compiles: Some(self.ws.plan_compiles()),
-                    };
-                    self.respond(Response::Report {
-                        report: Box::new(report),
-                    });
-                }
-                Command::TakeTrace => {
-                    let events = self.trace.as_ref().map(|t| t.take()).unwrap_or_default();
-                    self.respond(Response::Trace {
-                        rank: self.rank,
-                        events,
-                    });
-                }
+                    }),
+                }),
+                Command::TakeTrace => Ok(Response::Trace {
+                    rank: self.rank,
+                    events: self.trace.as_ref().map(|t| t.take()).unwrap_or_default(),
+                }),
                 Command::Shutdown => break,
                 Command::Checkpoint { dir, step, tag } => {
                     self.save_shard(std::path::Path::new(&dir), step, tag);
-                    self.done();
+                    Ok(Response::Done)
                 }
                 Command::Restore { dir, step, tag } => {
                     self.load_shard(std::path::Path::new(&dir), step, tag);
-                    self.done();
+                    Ok(Response::Done)
                 }
+            };
+            let reply = reply.map_err(|error| RuntimeError::RankLost {
+                rank: self.rank,
+                error,
+            });
+            let failed = reply.is_err();
+            if self.resp_tx.send(reply).is_err() || failed {
+                break;
             }
         }
     }
@@ -647,21 +659,14 @@ impl RankWorker {
         assert_eq!(i, tensors.len(), "shard holds more tensors than the model");
     }
 
-    fn done(&self) {
-        self.respond(Response::Done);
-    }
-
-    fn respond(&self, resp: Response) {
-        self.resp_tx.send(resp).expect("runtime hung up");
-    }
-
     /// Runs a forward, inference or backward command: this rank's step
     /// list ([`rank_steps`]) in one loop carrying the current tensor
     /// from step to step. An inference runs the forward list over one
     /// micro-batch per request and releases each one's activation
     /// caches when it is done — no backward follows, so serving does
-    /// not grow memory per request.
-    fn execute(&mut self, cmd: &Command) {
+    /// not grow memory per request. Replies the last stage's output, or
+    /// `Done`; a failed boundary or broadcast link is the error.
+    fn execute(&mut self, cmd: &Command) -> Result<Response, TransportError> {
         let (sweep, m) = match *cmd {
             Command::Backward { .. } => (Sweep::Backward, self.micro_batches),
             Command::Infer { micro, .. } => (Sweep::Forward, micro),
@@ -705,8 +710,8 @@ impl RankWorker {
                         d.slice_rows(mb * rows, (mb + 1) * rows)
                     }));
                 }
-                Op::Recv => cur = self.recv(step.phase),
-                Op::Bcast { .. } => cur = Some(self.stage_broadcast(cur.take())),
+                Op::Recv => cur = self.recv(step.phase)?,
+                Op::Bcast { .. } => cur = Some(self.stage_broadcast(cur.take())?),
                 Op::Blocks => {
                     let mut x = cur.take().expect("the step input precedes the blocks");
                     let backward = sweep == Sweep::Backward;
@@ -728,7 +733,7 @@ impl RankWorker {
                     }
                     cur = Some(x);
                 }
-                Op::Send => bytes = self.send(step.phase, cur.take()),
+                Op::Send => bytes = self.send(step.phase, cur.take())?,
                 Op::Keep => kept.extend(cur.take()),
                 Op::EmbedBackward => {
                     let (emb, ws) = (self.embedding.as_mut().expect("stage 0"), &mut self.ws);
@@ -752,13 +757,12 @@ impl RankWorker {
             }
         }
         if kept.is_empty() {
-            self.done();
-        } else {
-            let parts: Vec<&Tensor> = kept.iter().collect();
-            self.respond(Response::Output {
-                y: Tensor::concat_rows(&parts),
-            });
+            return Ok(Response::Done);
         }
+        let parts: Vec<&Tensor> = kept.iter().collect();
+        Ok(Response::Output {
+            y: Tensor::concat_rows(&parts),
+        })
     }
 
     /// Records a boundary or broadcast step's messages when tracing is
@@ -773,20 +777,16 @@ impl RankWorker {
 
     /// Broadcasts a tensor decoded on stage rank 0 to all TP peers, or
     /// receives it on a peer rank.
-    fn stage_broadcast(&mut self, t: Option<Tensor>) -> Tensor {
+    fn stage_broadcast(&mut self, t: Option<Tensor>) -> Result<Tensor, TransportError> {
         if self.tpi == 0 {
             let t = t.expect("stage rank 0 provides the broadcast value");
             timed(&mut self.timers.wire_s, || {
-                for tx in &mut self.bcast_tx {
-                    tx.send(&t).expect("stage peer hung up");
-                }
-            });
-            t
+                (self.bcast_tx.iter_mut()).try_for_each(|tx| tx.send(&t))
+            })?;
+            Ok(t)
         } else {
             let rx = self.bcast_rx.as_mut().expect("peer broadcast receiver");
-            timed(&mut self.timers.wire_s, || {
-                rx.recv().expect("stage rank 0 hung up")
-            })
+            timed(&mut self.timers.wire_s, || rx.recv())
         }
     }
 
@@ -794,20 +794,16 @@ impl RankWorker {
     /// replica, the downstream gradient through the compressor backward,
     /// or — at sync — the upstream codec's parameter grads, loaded into
     /// the replica.
-    fn recv(&mut self, phase: Phase) -> Option<Tensor> {
+    fn recv(&mut self, phase: Phase) -> Result<Option<Tensor>, TransportError> {
         let t = &mut self.timers;
         if let Phase::Backward { .. } = phase {
             let b = self.send_b.as_mut().expect("non-final stage sender");
-            let dy = timed(&mut t.wire_s, || {
-                b.grad_rx.recv().expect("downstream stage hung up")
-            });
-            return Some(timed(&mut t.encode_s, || b.comp.backward(&dy)));
+            let dy = timed(&mut t.wire_s, || b.grad_rx.recv())?;
+            return Ok(Some(timed(&mut t.encode_s, || b.comp.backward(&dy))));
         }
         let b = self.recv_b.as_mut().expect("non-first stage receiver");
-        let msg = timed(&mut t.wire_s, || {
-            b.rx.recv().expect("upstream stage hung up")
-        });
-        match (msg, phase) {
+        let msg = timed(&mut t.wire_s, || b.rx.recv())?;
+        Ok(match (msg, phase) {
             (FwdMsg::Activation(msg), Phase::Forward { .. }) => {
                 Some(timed(&mut t.decode_s, || b.replica.decompress(&msg)))
             }
@@ -818,21 +814,19 @@ impl RankWorker {
                 None
             }
             _ => panic!("boundary message out of step"),
-        }
+        })
     }
 
     /// A boundary send: the activation compressed downstream (its wire
     /// bytes returned, as metered), the gradient dense upstream, or — at
     /// sync — the codec's parameter grads to the downstream replica.
-    fn send(&mut self, phase: Phase, x: Option<Tensor>) -> Option<usize> {
+    fn send(&mut self, phase: Phase, x: Option<Tensor>) -> Result<Option<usize>, TransportError> {
         let t = &mut self.timers;
         if let Phase::Backward { .. } = phase {
             let b = self.recv_b.as_mut().expect("non-first stage receiver");
             let d = x.expect("the blocks' input gradient");
-            timed(&mut t.wire_s, || {
-                b.grad_tx.send(&d).expect("upstream stage hung up")
-            });
-            return None;
+            timed(&mut t.wire_s, || b.grad_tx.send(&d))?;
+            return Ok(None);
         }
         let b = self.send_b.as_mut().expect("non-final stage sender");
         let (msg, wire) = match phase {
@@ -848,10 +842,8 @@ impl RankWorker {
             }
             _ => (FwdMsg::GradSync(grads_of(|f| b.comp.visit_params(f))), None),
         };
-        timed(&mut t.wire_s, || {
-            b.tx.send(&msg).expect("downstream stage hung up")
-        });
-        wire
+        timed(&mut t.wire_s, || b.tx.send(&msg))?;
+        Ok(wire)
     }
 
     /// Recycles every cached forward activation into the arena.
@@ -885,7 +877,7 @@ impl RankWorker {
         }
     }
 
-    fn collect_grads(&mut self) {
+    fn collect_grads(&mut self) -> Response {
         let grads = RankGrads {
             embedding: (self.embedding.as_mut())
                 .map_or_else(Vec::new, |e| grads_of(|f| e.visit_params(f))),
@@ -902,9 +894,9 @@ impl RankWorker {
             boundary_comp: (self.send_b.as_mut())
                 .map_or_else(Vec::new, |b| grads_of(|f| b.comp.visit_params(f))),
         };
-        self.respond(Response::Grads {
+        Response::Grads {
             rank: self.rank,
             grads,
-        });
+        }
     }
 }

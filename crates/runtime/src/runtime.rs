@@ -1,5 +1,6 @@
 //! The threaded execution engine: spawns one OS thread per model-parallel
-//! rank and drives them through command/response channels.
+//! rank and drives them through the shared driver's command/response
+//! channels.
 //!
 //! Rank `r` owns tensor-parallel shard `r % tp` of pipeline stage
 //! `r / tp`: one [`Block`] per layer of its stage, over that shard
@@ -16,15 +17,13 @@
 
 use crate::comm::TpGroup;
 use crate::config::{RuntimeConfig, RuntimeError};
+use crate::driver::{Driver, Port};
 use crate::link::{build_rank_links, RankLinks};
-use crate::rank::{
-    BoundaryReceiver, BoundarySender, Command, EmbeddingStage, RankGrads, RankWorker, Response,
-};
-use crate::report::{RankReport, RuntimeReport};
+use crate::rank::{BoundaryReceiver, BoundarySender, Command, EmbeddingStage, RankWorker, Reply};
+use crate::report::RuntimeReport;
 use crate::trace::{TraceCell, TraceHandle};
 use actcomp_check::TraceEvent;
 use actcomp_compress::Compressor;
-use actcomp_mp::tp::interleave;
 use actcomp_mp::{stage_offsets, Block, CompressorRecipe, SumPoint};
 use actcomp_net::{mpsc_world, Transport};
 use actcomp_nn::BertEncoder;
@@ -74,14 +73,14 @@ impl<'a> WorkerBuilder<'a> {
         self.recipe.boundary(&self.cfg.mp, b, self.n())
     }
 
-    /// Assembles rank `rank`'s worker around its opened links.
-    pub(crate) fn build(
+    /// Spawns rank `rank`'s worker thread around its opened links:
+    /// returns where to send its commands, where its replies arrive,
+    /// and its handle.
+    pub(crate) fn spawn(
         &self,
         rank: usize,
         links: RankLinks,
-        cmd_rx: Receiver<Command>,
-        resp_tx: Sender<Response>,
-    ) -> RankWorker {
+    ) -> (Sender<Command>, Receiver<Reply>, JoinHandle<()>) {
         let tp = self.cfg.mp.tp;
         let pp = self.cfg.mp.pp;
         let stage = rank / tp;
@@ -133,7 +132,9 @@ impl<'a> WorkerBuilder<'a> {
             rx: fwd_rx,
             grad_tx: links.grad_tx.expect("receiver links come in pairs"),
         });
-        RankWorker::new(
+        let (cmd_tx, cmd_rx) = channel();
+        let (resp_tx, resp_rx) = channel();
+        let worker = RankWorker::new(
             rank,
             stage,
             tpi,
@@ -149,12 +150,22 @@ impl<'a> WorkerBuilder<'a> {
             cmd_rx,
             resp_tx,
             trace,
-        )
+        );
+        let handle = std::thread::Builder::new()
+            .name(format!("actcomp-rank-{rank}"))
+            .spawn(move || worker.run())
+            .expect("spawn rank thread");
+        (cmd_tx, resp_rx, handle)
     }
 }
 
 /// A multi-threaded model-parallel execution engine: `tp · pp` OS
 /// threads exchanging compressed activations over channels.
+///
+/// A rank that is lost mid-step — its thread gone, a link to a peer
+/// failed — is a typed [`RuntimeError::RankLost`] from the fallible
+/// operations, and the world stays lost; the infallible ones panic
+/// with that error.
 ///
 /// With compression off ([`CompressionPlan::none`]) a step is
 /// bit-identical to the serial [`MpBert`](actcomp_mp::MpBert) executor
@@ -163,24 +174,16 @@ impl<'a> WorkerBuilder<'a> {
 ///
 /// [`CompressionPlan::none`]: actcomp_compress::plan::CompressionPlan::none
 pub struct ThreadedRuntime {
-    cmd_txs: Vec<Sender<Command>>,
-    resp_rxs: Vec<Receiver<Response>>,
-    handles: Vec<JoinHandle<()>>,
-    cfg: RuntimeConfig,
-    /// Transports backing the rank links; kept alive (acceptor threads,
-    /// sockets) until after the rank threads join.
-    transports: Vec<Box<dyn Transport>>,
-    /// Rows of the forward a backward would consume
-    /// ([`RuntimeConfig::check_command`]).
-    outstanding: Option<usize>,
+    pub(crate) driver: Driver,
 }
 
 impl std::fmt::Debug for ThreadedRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let c = self.config();
         write!(
             f,
             "ThreadedRuntime(tp={}, pp={}, m={})",
-            self.cfg.mp.tp, self.cfg.mp.pp, self.cfg.micro_batches
+            c.mp.tp, c.mp.pp, c.micro_batches
         )
     }
 }
@@ -263,81 +266,30 @@ impl ThreadedRuntime {
         }
         let mut links = Vec::with_capacity(world);
         for t in transports.iter_mut() {
-            let l = build_rank_links(t.as_mut(), cfg.mp.tp, cfg.mp.pp).map_err(|e| {
-                RuntimeError::Transport {
-                    detail: e.to_string(),
-                }
-            })?;
-            links.push(l);
+            links.push(build_rank_links(t.as_mut(), cfg.mp.tp, cfg.mp.pp)?);
         }
         let recipe = CompressorRecipe::draw(&cfg.mp, rng);
         let builder = WorkerBuilder::new(serial, &cfg, recipe);
 
-        // One response channel per rank: each rank's stream is FIFO in
-        // its own command order, so overlapped commands (the serving
-        // engine keeps up to `depth` inference batches in flight) demux
-        // correctly — a shared channel would interleave a fast stage's
-        // batch-N+1 response ahead of the last stage's batch-N output.
-        let mut resp_rxs = Vec::with_capacity(world);
-        let mut cmd_txs = Vec::with_capacity(world);
-        let mut handles = Vec::with_capacity(world);
-        for (rank, rank_links) in links.into_iter().enumerate() {
-            let (cmd_tx, cmd_rx) = channel::<Command>();
-            cmd_txs.push(cmd_tx);
-            let (resp_tx, resp_rx) = channel::<Response>();
-            resp_rxs.push(resp_rx);
-            let worker = builder.build(rank, rank_links, cmd_rx, resp_tx);
-            let handle = std::thread::Builder::new()
-                .name(format!("actcomp-rank-{rank}"))
-                .spawn(move || worker.run())
-                .expect("spawn rank thread");
-            handles.push(handle);
-        }
-
+        let ports = (links.into_iter().enumerate())
+            .map(|(rank, rank_links)| {
+                let (tx, rx, handle) = builder.spawn(rank, rank_links);
+                Port::Thread { tx, rx, handle }
+            })
+            .collect();
         Ok(ThreadedRuntime {
-            cmd_txs,
-            resp_rxs,
-            handles,
-            cfg,
-            transports,
-            outstanding: None,
+            driver: Driver::new(cfg, ports, transports),
         })
     }
 
     /// The run configuration.
     pub fn config(&self) -> &RuntimeConfig {
-        &self.cfg
+        self.driver.config()
     }
 
     /// Total rank (thread) count.
     pub fn world(&self) -> usize {
-        self.cfg.world()
-    }
-
-    fn broadcast(&self, cmd: Command) {
-        for tx in &self.cmd_txs {
-            tx.send(cmd.clone()).expect("rank thread hung up");
-        }
-    }
-
-    /// Checks a forward, inference or backward command's inputs
-    /// ([`RuntimeConfig::check_command`]) and broadcasts it; nothing is
-    /// dispatched on an error.
-    fn dispatch(&mut self, cmd: Command) -> Result<(), RuntimeError> {
-        self.outstanding = self.cfg.check_command(&cmd, self.outstanding)?;
-        self.broadcast(cmd);
-        Ok(())
-    }
-
-    /// Collects one response per rank for the oldest outstanding
-    /// command. Per-rank channels keep this correct even with several
-    /// commands in flight: rank `r`'s next response always belongs to
-    /// its oldest unanswered command.
-    fn collect(&self) -> Vec<Response> {
-        self.resp_rxs
-            .iter()
-            .map(|rx| rx.recv().expect("rank thread hung up"))
-            .collect()
+        self.config().world()
     }
 
     /// Runs a pipelined forward pass over the whole batch, returning the
@@ -350,31 +302,15 @@ impl ThreadedRuntime {
     /// [`RuntimeError::TokenOutOfVocab`] for an id outside the
     /// vocabulary, [`RuntimeError::BatchNotDivisible`] if `batch` is not
     /// divisible by the micro-batch count. Nothing is dispatched to the
-    /// ranks on any error.
+    /// ranks on any of these. [`RuntimeError::RankLost`] if a rank is
+    /// lost.
     pub fn forward(
         &mut self,
         ids: &[usize],
         batch: usize,
         seq: usize,
     ) -> Result<Tensor, RuntimeError> {
-        self.dispatch(Command::Forward {
-            ids: ids.to_vec(),
-            batch,
-            seq,
-        })?;
-        self.output()
-    }
-
-    /// The last stage's answer to the oldest outstanding forward or
-    /// inference.
-    fn output(&mut self) -> Result<Tensor, RuntimeError> {
-        let mut out = None;
-        for resp in self.collect() {
-            if let Response::Output { y } = resp {
-                out = Some(y);
-            }
-        }
-        Ok(out.expect("last stage produced an output"))
+        self.driver.forward(ids, batch, seq)
     }
 
     /// Validates and dispatches a forward-only inference pass over a
@@ -392,27 +328,23 @@ impl ThreadedRuntime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::ZeroMicroBatches`] if `nreq == 0`, and the id
-    /// errors of [`Self::forward`]. Nothing is dispatched on any error.
+    /// [`RuntimeError::ZeroMicroBatches`] if `nreq == 0`, and the
+    /// errors of [`Self::forward`]. Nothing is dispatched on an input
+    /// error.
     pub fn infer_submit(
         &mut self,
         ids: &[usize],
         nreq: usize,
         seq: usize,
     ) -> Result<(), RuntimeError> {
-        self.dispatch(Command::Infer {
-            ids: ids.to_vec(),
-            batch: nreq,
-            seq,
-            micro: nreq,
-        })
+        self.driver.infer_submit(ids, nreq, seq)
     }
 
     /// Collects the result of the oldest outstanding
     /// [`Self::infer_submit`]: the final hidden states
     /// `[nreq · seq, hidden]`, request-major.
     pub fn infer_wait(&mut self) -> Result<Tensor, RuntimeError> {
-        self.output()
+        self.driver.infer_wait()
     }
 
     /// [`Self::infer_submit`] + [`Self::infer_wait`] in one call.
@@ -422,8 +354,7 @@ impl ThreadedRuntime {
         nreq: usize,
         seq: usize,
     ) -> Result<Tensor, RuntimeError> {
-        self.infer_submit(ids, nreq, seq)?;
-        self.infer_wait()
+        self.driver.infer(ids, nreq, seq)
     }
 
     /// Runs the pipelined backward pass from the gradient of the final
@@ -434,13 +365,9 @@ impl ThreadedRuntime {
     /// [`RuntimeError::BackwardWithoutForward`] if no forward is
     /// outstanding, [`RuntimeError::GradShapeMismatch`] unless the
     /// gradient is that forward's `[rows, hidden]`; nothing is
-    /// dispatched.
+    /// dispatched. [`RuntimeError::RankLost`] if a rank is lost.
     pub fn backward(&mut self, dhidden: &Tensor) -> Result<(), RuntimeError> {
-        self.dispatch(Command::Backward {
-            dhidden: dhidden.clone(),
-        })?;
-        let _ = self.collect();
-        Ok(())
+        self.driver.backward(dhidden)
     }
 
     /// Drains every rank's recorded comm events, ordered by rank —
@@ -449,29 +376,17 @@ impl ThreadedRuntime {
     /// conform to the per-step static graph
     /// ([`actcomp_check::audit_trace`]).
     pub fn take_trace(&mut self) -> Option<Vec<Vec<TraceEvent>>> {
-        if !self.cfg.trace {
-            return None;
-        }
-        self.broadcast(Command::TakeTrace);
-        let mut per_rank: Vec<Vec<TraceEvent>> = (0..self.world()).map(|_| Vec::new()).collect();
-        for resp in self.collect() {
-            if let Response::Trace { rank, events } = resp {
-                per_rank[rank] = events;
-            }
-        }
-        Some(per_rank)
+        self.driver.take_trace().expect("every rank answers")
     }
 
     /// Zeroes every parameter gradient on every rank.
     pub fn zero_grad(&mut self) {
-        self.broadcast(Command::ZeroGrad);
-        let _ = self.collect();
+        self.driver.zero_grad().expect("every rank answers");
     }
 
     /// Applies one SGD step with learning rate `lr` on every rank.
     pub fn sgd_step(&mut self, lr: f32) {
-        self.broadcast(Command::SgdStep { lr });
-        let _ = self.collect();
+        self.driver.sgd_step(lr).expect("every rank answers");
     }
 
     /// Gathers all parameter gradients, reassembled into the exact order
@@ -479,89 +394,12 @@ impl ThreadedRuntime {
     /// visits them — the bridge the determinism tests compare across
     /// executors.
     pub fn collect_grads(&mut self) -> Vec<Tensor> {
-        self.broadcast(Command::CollectGrads);
-        let mut per_rank: Vec<Option<RankGrads>> = (0..self.world()).map(|_| None).collect();
-        for resp in self.collect() {
-            if let Response::Grads { rank, grads } = resp {
-                per_rank[rank] = Some(grads);
-            }
-        }
-        let grads: Vec<RankGrads> = per_rank
-            .into_iter()
-            .map(|g| g.expect("every rank reported grads"))
-            .collect();
-        assemble_grads(&self.cfg, &grads)
+        self.driver.collect_grads().expect("every rank answers")
     }
 
     /// Gathers per-rank timers and byte counters into the aggregated
     /// report (the payload of `BENCH_runtime.json`).
     pub fn report(&mut self) -> RuntimeReport {
-        self.broadcast(Command::Report);
-        let mut ranks: Vec<RankReport> = self
-            .collect()
-            .into_iter()
-            .filter_map(|r| match r {
-                Response::Report { report } => Some(*report),
-                _ => None,
-            })
-            .collect();
-        ranks.sort_by_key(|r| r.rank);
-        RuntimeReport::from_ranks(
-            self.cfg.mp.tp,
-            self.cfg.mp.pp,
-            self.cfg.micro_batches,
-            ranks,
-        )
-    }
-}
-
-/// Reassembles per-rank gradient snapshots (indexed by rank) into the
-/// exact order
-/// [`MpBert::visit_all_params`](actcomp_mp::MpBert::visit_all_params)
-/// visits them. Shared by the threads and procs drivers.
-pub(crate) fn assemble_grads(cfg: &RuntimeConfig, grads: &[RankGrads]) -> Vec<Tensor> {
-    let (tp, layers) = (cfg.mp.tp, cfg.mp.bert.layers);
-    let offsets = stage_offsets(layers, cfg.mp.pp);
-    // Every layer in order, as its stage's ranks and its index there.
-    let owners: Vec<(&[RankGrads], usize)> = (0..layers)
-        .map(|l| {
-            let stage = offsets
-                .iter()
-                .rposition(|&o| o <= l)
-                .expect("layer 0 starts stage 0");
-            (&grads[stage * tp..(stage + 1) * tp], l - offsets[stage])
-        })
-        .collect();
-    let mut out = grads[0].embedding.clone();
-    for &(ranks, li) in &owners {
-        let lists: Vec<&[Tensor]> = ranks.iter().map(|g| g.layers[li].as_slice()).collect();
-        out.extend(interleave(&lists).into_iter().cloned());
-    }
-    for &(ranks, li) in &owners {
-        for point in 0..2 {
-            for g in ranks {
-                out.extend(g.compressors[li][point].iter().cloned());
-            }
-        }
-    }
-    for b in 0..cfg.mp.pp - 1 {
-        out.extend(grads[b * tp].boundary_comp.iter().cloned());
-    }
-    out
-}
-
-impl Drop for ThreadedRuntime {
-    fn drop(&mut self) {
-        for tx in &self.cmd_txs {
-            // A rank that already exited (or panicked) has dropped its
-            // receiver; that's fine during teardown.
-            let _ = tx.send(Command::Shutdown);
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-        for t in self.transports.iter_mut() {
-            t.shutdown();
-        }
+        self.driver.report().expect("every rank answers")
     }
 }

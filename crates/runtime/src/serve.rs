@@ -29,11 +29,10 @@
 //!   drain — new arrivals enter at micro-batch boundaries, which is
 //!   what makes the batching *continuous*.
 //!
-//! Failures are typed, never hangs: a dead or silent rank in a procs
-//! backend surfaces through the PR 8 liveness machinery
-//! ([`ProcsError::WorkerLost`] / [`ProcsError::RankTimeout`]) and fails
-//! every in-flight and queued ticket with a [`ServeError`] carrying the
-//! same information.
+//! Failures are typed, never hangs: a lost or silent rank on either
+//! backend surfaces from the driver as [`RuntimeError::RankLost`] /
+//! [`RuntimeError::RankTimeout`] and fails every in-flight and queued
+//! ticket with [`ServeError::Engine`] carrying that error.
 //!
 //! The module also ships the synthetic load generator behind
 //! `actcomp serve`: closed-loop (a fixed set of clients, each
@@ -47,12 +46,10 @@
 //! depend on the order requests reach the compressor — still
 //! deterministic for a fixed arrival order, but not independent of
 //! batching history the way stateless codecs are.
-//!
-//! [`ProcsError::WorkerLost`]: crate::ProcsError::WorkerLost
-//! [`ProcsError::RankTimeout`]: crate::ProcsError::RankTimeout
 
 use crate::config::{RuntimeConfig, RuntimeError};
-use crate::procs::{ProcsError, ProcsRuntime};
+use crate::driver::Driver;
+use crate::procs::ProcsRuntime;
 use crate::report::RuntimeReport;
 use crate::runtime::ThreadedRuntime;
 use actcomp_check::RunSpec;
@@ -76,36 +73,16 @@ pub enum ServeBackend {
 }
 
 impl ServeBackend {
-    fn config(&self) -> &RuntimeConfig {
+    /// The driver behind either backend.
+    fn driver(&mut self) -> &mut Driver {
         match self {
-            ServeBackend::Threads(rt) => rt.config(),
-            ServeBackend::Procs(rt) => rt.config(),
-        }
-    }
-
-    fn infer_submit(&mut self, ids: &[usize], nreq: usize, seq: usize) -> Result<(), ServeError> {
-        match self {
-            ServeBackend::Threads(rt) => rt.infer_submit(ids, nreq, seq).map_err(ServeError::from),
-            ServeBackend::Procs(rt) => rt.infer_submit(ids, nreq, seq).map_err(ServeError::from),
-        }
-    }
-
-    fn infer_wait(&mut self) -> Result<Tensor, ServeError> {
-        match self {
-            ServeBackend::Threads(rt) => rt.infer_wait().map_err(ServeError::from),
-            ServeBackend::Procs(rt) => rt.infer_wait().map_err(ServeError::from),
-        }
-    }
-
-    fn report(&mut self) -> Option<RuntimeReport> {
-        match self {
-            ServeBackend::Threads(rt) => Some(rt.report()),
-            ServeBackend::Procs(rt) => rt.report().ok(),
+            ServeBackend::Threads(rt) => &mut rt.driver,
+            ServeBackend::Procs(rt) => &mut rt.driver,
         }
     }
 }
 
-/// Typed serving failures. Cloneable so one backend failure can fail
+/// Typed serving failures. Cloneable so one engine failure can fail
 /// every affected ticket.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
@@ -116,27 +93,10 @@ pub enum ServeError {
     },
     /// The engine has shut down (or died) and accepts no more requests.
     Stopped,
-    /// A rank worker process died mid-request (closed control
-    /// connection; [`crate::ProcsError::WorkerLost`]).
-    WorkerLost {
-        /// The lost worker's rank, when known.
-        rank: Option<usize>,
-        /// What the dispatcher was doing.
-        detail: String,
-    },
-    /// A rank went silent past the liveness window
-    /// ([`crate::ProcsError::RankTimeout`]).
-    RankTimeout {
-        /// The silent rank.
-        rank: usize,
-        /// The error rendering (window duration included).
-        detail: String,
-    },
-    /// Any other backend failure (config, transport, protocol).
-    Backend {
-        /// The underlying error rendering.
-        detail: String,
-    },
+    /// The engine failed: a rank was lost
+    /// ([`RuntimeError::RankLost`]), went silent
+    /// ([`RuntimeError::RankTimeout`]), or the control plane broke.
+    Engine(RuntimeError),
 }
 
 impl std::fmt::Display for ServeError {
@@ -144,40 +104,23 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::BadRequest { detail } => write!(f, "bad request: {detail}"),
             ServeError::Stopped => write!(f, "serving engine stopped"),
-            ServeError::WorkerLost { rank, detail } => match rank {
-                Some(r) => write!(f, "serving worker {r} lost: {detail}"),
-                None => write!(f, "serving worker lost: {detail}"),
-            },
-            ServeError::RankTimeout { rank, detail } => {
-                write!(f, "serving rank {rank} timed out: {detail}")
-            }
-            ServeError::Backend { detail } => write!(f, "serving backend: {detail}"),
+            ServeError::Engine(e) => write!(f, "serving engine: {e}"),
         }
     }
 }
 
-impl std::error::Error for ServeError {}
+impl std::error::Error for ServeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ServeError::Engine(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 impl From<RuntimeError> for ServeError {
     fn from(e: RuntimeError) -> Self {
-        ServeError::Backend {
-            detail: e.to_string(),
-        }
-    }
-}
-
-impl From<ProcsError> for ServeError {
-    fn from(e: ProcsError) -> Self {
-        match e {
-            ProcsError::WorkerLost { rank, detail } => ServeError::WorkerLost { rank, detail },
-            ProcsError::RankTimeout { rank, .. } => ServeError::RankTimeout {
-                rank,
-                detail: e.to_string(),
-            },
-            other => ServeError::Backend {
-                detail: other.to_string(),
-            },
-        }
+        ServeError::Engine(e)
     }
 }
 
@@ -356,13 +299,13 @@ impl ServeEngine {
     /// # Errors
     ///
     /// [`ServeError::BadRequest`] for a zero `max_batch` or `depth`.
-    pub fn start(backend: ServeBackend, cfg: ServeConfig) -> Result<ServeEngine, ServeError> {
+    pub fn start(mut backend: ServeBackend, cfg: ServeConfig) -> Result<ServeEngine, ServeError> {
         if cfg.max_batch == 0 || cfg.depth == 0 {
             return Err(ServeError::BadRequest {
                 detail: "max_batch and depth must be at least 1".to_string(),
             });
         }
-        let rc = Arc::new(backend.config().clone());
+        let rc = Arc::new(backend.driver().config().clone());
         let seq = rc.mp.tokens / rc.micro_batches;
         let stats = Arc::new(Mutex::new(ServeStats::default()));
         let (tx, rx) = channel::<Msg>();
@@ -401,8 +344,8 @@ impl ServeEngine {
 
     /// Stops admission, drains every request queued before this call
     /// plus everything in flight, and returns the final counters plus
-    /// the backend's per-rank phase report (`None` if the dispatcher
-    /// died, e.g. a threads-backend rank panicked). Outstanding
+    /// the backend's per-rank phase report (`None` if a rank was lost or
+    /// the dispatcher died). Outstanding
     /// `ServeHandle` clones keep working until their tickets resolve;
     /// submissions racing past `finish` read as [`ServeError::Stopped`].
     pub fn finish(mut self) -> (ServeStats, Option<RuntimeReport>) {
@@ -410,7 +353,7 @@ impl ServeEngine {
             let _ = tx.send(Msg::Stop);
         }
         let report = match self.dispatcher.take().expect("dispatcher running").join() {
-            Ok(mut backend) => backend.report(),
+            Ok(mut backend) => backend.driver().report().ok(),
             Err(_) => None,
         };
         let stats = self.stats.lock().expect("stats lock").clone();
@@ -479,7 +422,7 @@ fn dispatch(
                 break;
             }
             let ids: Vec<usize> = batch.iter().flat_map(|r| r.ids.iter().copied()).collect();
-            match backend.infer_submit(&ids, batch.len(), seq) {
+            match backend.driver().infer_submit(&ids, batch.len(), seq) {
                 Ok(()) => {
                     stats
                         .lock()
@@ -488,9 +431,10 @@ fn dispatch(
                     inflight.push_back(batch);
                 }
                 Err(e) => {
+                    let e = ServeError::from(e);
                     fail_batch(batch, &e, &stats);
                     while let Some(b) = inflight.pop_front() {
-                        let _ = backend.infer_wait();
+                        let _ = backend.driver().infer_wait();
                         fail_batch(b, &e, &stats);
                     }
                     return answer_until_stop(rx, e, backend, &stats);
@@ -501,7 +445,7 @@ fn dispatch(
         // Retire the oldest in-flight batch: split the request-major
         // output rows back onto the tickets.
         if let Some(batch) = inflight.pop_front() {
-            match backend.infer_wait() {
+            match backend.driver().infer_wait() {
                 Ok(y) => {
                     let done = Instant::now();
                     let mut st = stats.lock().expect("stats lock");
@@ -513,6 +457,7 @@ fn dispatch(
                 }
                 Err(e) => {
                     // Everything else in flight shares the dead world.
+                    let e = ServeError::from(e);
                     fail_batch(batch, &e, &stats);
                     while let Some(b) = inflight.pop_front() {
                         fail_batch(b, &e, &stats);

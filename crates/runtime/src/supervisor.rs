@@ -9,9 +9,9 @@
 //! 2. drive the training step loop, taking a distributed checkpoint
 //!    (one [`shard`](crate::shard) per rank plus a `manifest.json`)
 //!    every `checkpoint_every` steps;
-//! 3. on a *recoverable* failure — a worker died ([`ProcsError::WorkerLost`]),
-//!    went silent ([`ProcsError::RankTimeout`]), or the control plane
-//!    broke ([`ProcsError::Transport`]) — kill the surviving workers,
+//! 3. on a *recoverable* failure — a worker died ([`RuntimeError::RankLost`]),
+//!    went silent ([`RuntimeError::RankTimeout`]), or the control plane
+//!    broke ([`RuntimeError::Transport`]) — kill the surviving workers,
 //!    wait out an exponential backoff, relaunch the whole world at the
 //!    next epoch, restore the last checkpoint, and resume from there.
 //!
@@ -22,7 +22,8 @@
 //! first generation only; respawned generations run clean, otherwise a
 //! `kill` fault would re-fire forever.
 
-use crate::procs::{ProcsError, ProcsOptions, ProcsRuntime};
+use crate::config::RuntimeError;
+use crate::procs::{ProcsOptions, ProcsRuntime};
 use actcomp_tensor::Tensor;
 use serde::Serialize;
 use std::io::Write;
@@ -58,7 +59,7 @@ pub struct RecoveryEvent {
     pub epoch: u32,
     /// Step being executed when the failure surfaced.
     pub step: usize,
-    /// Rendering of the triggering [`ProcsError`].
+    /// Rendering of the triggering [`RuntimeError`].
     pub detail: String,
     /// Step the relaunched generation resumed from (0 = from scratch).
     pub resumed_from: usize,
@@ -89,21 +90,23 @@ struct Manifest {
 /// Is this an error a relaunch could plausibly fix? Worker deaths,
 /// silence, and broken connections are; config, spawn, and protocol
 /// errors would just re-fire identically.
-fn recoverable(e: &ProcsError) -> bool {
+fn recoverable(e: &RuntimeError) -> bool {
     matches!(
         e,
-        ProcsError::WorkerLost { .. } | ProcsError::RankTimeout { .. } | ProcsError::Transport(_)
+        RuntimeError::RankLost { .. }
+            | RuntimeError::RankTimeout { .. }
+            | RuntimeError::Transport(_)
     )
 }
 
 /// Atomically writes the checkpoint manifest (temp file + rename), so a
 /// launcher killed mid-write cannot leave a manifest pointing at shards
 /// that were never taken.
-fn write_manifest(dir: &Path, m: &Manifest) -> Result<(), ProcsError> {
-    let io_err = |e: std::io::Error| ProcsError::Protocol {
+fn write_manifest(dir: &Path, m: &Manifest) -> Result<(), RuntimeError> {
+    let io_err = |e: std::io::Error| RuntimeError::Protocol {
         detail: format!("writing checkpoint manifest: {e}"),
     };
-    let json = serde_json::to_string_pretty(m).map_err(|e| ProcsError::Protocol {
+    let json = serde_json::to_string_pretty(m).map_err(|e| RuntimeError::Protocol {
         detail: format!("encoding checkpoint manifest: {e}"),
     })?;
     let tmp = dir.join("manifest.json.tmp");
@@ -131,10 +134,10 @@ fn write_manifest(dir: &Path, m: &Manifest) -> Result<(), ProcsError> {
 pub fn supervise(
     opts: SuperviseOptions,
     on_step: &mut dyn FnMut(usize, &Tensor),
-) -> Result<(ProcsRuntime, RecoveryTrace), ProcsError> {
+) -> Result<(ProcsRuntime, RecoveryTrace), RuntimeError> {
     let spec = opts.procs.cfg.run_spec();
     if spec.checkpoint_every == Some(0) {
-        return Err(ProcsError::Protocol {
+        return Err(RuntimeError::Protocol {
             detail: "checkpoint interval must be at least 1 step".to_string(),
         });
     }
@@ -200,7 +203,7 @@ fn run_generation(
     epoch: u32,
     last_ckpt: &mut usize,
     on_step: &mut dyn FnMut(usize, &Tensor),
-) -> Result<ProcsRuntime, (usize, ProcsError)> {
+) -> Result<ProcsRuntime, (usize, RuntimeError)> {
     let exp = &opts.procs.cfg;
     let spec = exp.run_spec();
     let dir = Path::new(spec.checkpoint_dir());
@@ -209,7 +212,7 @@ fn run_generation(
         rt.restore(dir, start_step).map_err(|e| (start_step, e))?;
     }
     for step in start_step..opts.steps {
-        let result = (|| -> Result<(), ProcsError> {
+        let result = (|| -> Result<(), RuntimeError> {
             let y = rt.forward(&opts.ids, exp.batch.micro_batch, exp.batch.seq)?;
             on_step(step, &y);
             rt.zero_grad()?;
@@ -252,17 +255,20 @@ mod tests {
 
     #[test]
     fn recoverable_classifies_errors() {
-        assert!(recoverable(&ProcsError::WorkerLost {
-            rank: Some(1),
-            detail: "gone".to_string(),
+        assert!(recoverable(&RuntimeError::RankLost {
+            rank: 1,
+            error: actcomp_net::TransportError::PeerClosed {
+                rank: Some(1),
+                what: "gone".to_string(),
+            },
         }));
-        assert!(recoverable(&ProcsError::RankTimeout {
+        assert!(recoverable(&RuntimeError::RankTimeout {
             rank: 0,
             after: Duration::from_secs(1),
         }));
-        assert!(!recoverable(&ProcsError::Protocol {
+        assert!(!recoverable(&RuntimeError::Protocol {
             detail: "bad frame".to_string(),
         }));
-        assert!(!recoverable(&ProcsError::MpscUnsupported));
+        assert!(!recoverable(&RuntimeError::MpscUnsupported));
     }
 }
