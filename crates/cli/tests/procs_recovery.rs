@@ -145,3 +145,76 @@ fn unrecovered_fault_fails_when_restarts_are_exhausted() {
         "stderr should carry the typed loss error:\n{stderr}"
     );
 }
+
+#[test]
+fn an_unwritable_checkpoint_fails_once_and_names_the_io_error() {
+    // A checkpoint directory under a regular file can never be created:
+    // the run must stop with that I/O error, not relaunch the world to
+    // meet it again.
+    let work = scratch("bad-ckpt");
+    let file = work.join("file");
+    std::fs::write(&file, b"not a directory").expect("scratch file");
+    let dir = file.join("ckpt");
+    let start = Instant::now();
+    let output = run(
+        &[
+            "--transport",
+            "uds",
+            "--checkpoint-every",
+            "1",
+            "--checkpoint-dir",
+            dir.to_str().expect("utf-8 temp dir"),
+        ],
+        "bad-ckpt",
+        &work,
+    );
+    let elapsed = start.elapsed();
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&output.stdout),
+        String::from_utf8_lossy(&output.stderr),
+    );
+    assert!(
+        !output.status.success(),
+        "the run must fail\nstdout:\n{stdout}"
+    );
+    assert!(
+        stderr.contains("checkpoint failed") && stderr.contains("Not a directory"),
+        "the error must name the shard I/O failure:\n{stderr}"
+    );
+    // One generation: step 0 reported once, no restart.
+    assert_eq!(stdout.matches("step 0:").count(), 1, "stdout:\n{stdout}");
+    assert!(!stdout.contains("recovery:"), "stdout:\n{stdout}");
+    assert!(elapsed < Duration::from_secs(60), "took {elapsed:?}");
+}
+
+#[test]
+fn a_crashed_worker_leaves_no_socket_file() {
+    // The launcher unlinks each reaped worker's data-plane socket, so a
+    // worker that vanished without dropping its transport leaves nothing
+    // in the temp dir the workers inherit.
+    let tmp = scratch("sockets");
+    let output = Command::new(BIN)
+        .args([
+            "run",
+            "--backend",
+            "procs",
+            "--transport",
+            "uds",
+            "--tp",
+            "2",
+            "--pp",
+            "1",
+        ])
+        .args(["--steps", "1", "--fail-rank", "1", "--out"])
+        .arg(tmp.join("report.json"))
+        .env("TMPDIR", &tmp)
+        .current_dir(&tmp)
+        .output()
+        .expect("spawn actcomp");
+    assert!(!output.status.success(), "a crashed rank must fail the run");
+    let left: Vec<_> = (std::fs::read_dir(&tmp).expect("read temp dir"))
+        .filter_map(|e| e.ok().map(|e| e.file_name()))
+        .filter(|name| name.to_string_lossy().ends_with(".sock"))
+        .collect();
+    assert!(left.is_empty(), "socket files left behind: {left:?}");
+}

@@ -80,7 +80,7 @@ pub use error::TransportError;
 pub use fault::{FaultKind, FaultPlan, FaultTrigger, FaultyTransport, FrameFault, KillFault};
 pub use frame::{crc32, Handshake, FRAME_OVERHEAD, HS_CHAN, PROTOCOL_VERSION};
 pub use mpsc::{mpsc_world, MpscTransport};
-pub use socket::{SocketOptions, SocketTransport};
+pub use socket::{remove_worker_socket, SocketOptions, SocketTransport};
 pub use throttle::TokenBucket;
 
 use std::time::Duration;

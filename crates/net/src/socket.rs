@@ -238,6 +238,35 @@ impl Drop for UdsPathGuard {
     }
 }
 
+/// File-name prefix of the data-plane sockets process `pid` binds for
+/// `rank`: `actcomp-<pid>-<rank>-`, then a per-process counter and
+/// `.sock`, in the temp dir.
+fn uds_prefix(pid: u32, rank: usize) -> String {
+    format!("actcomp-{pid}-{rank}-")
+}
+
+/// Unlinks the data-plane socket a reaped worker process left at `addr`
+/// (its transport never dropped: it crashed or was killed). `addr` is
+/// what the worker *said* it bound, so it is only trusted as far as it
+/// names a socket [`SocketTransport::bind`] would have made for that
+/// worker: `temp_dir/actcomp-<pid>-<rank>-<n>.sock`, with the child's
+/// own pid and rank, and still a socket. Anything else — another
+/// process's socket, a path elsewhere, a regular file — is left alone.
+/// Returns whether a file was removed.
+pub fn remove_worker_socket(addr: &str, pid: u32, rank: usize) -> bool {
+    let path = std::path::Path::new(addr);
+    let ours = path.parent() == Some(std::env::temp_dir().as_path())
+        && (path.file_name().and_then(|f| f.to_str()))
+            .and_then(|f| f.strip_prefix(&uds_prefix(pid, rank)))
+            .and_then(|f| f.strip_suffix(".sock"))
+            .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()));
+    #[cfg(unix)]
+    let socket = |m: std::fs::Metadata| std::os::unix::fs::FileTypeExt::is_socket(&m.file_type());
+    #[cfg(not(unix))]
+    let socket = |_: std::fs::Metadata| false;
+    ours && std::fs::symlink_metadata(path).is_ok_and(socket) && std::fs::remove_file(path).is_ok()
+}
+
 /// Binds a Unix listener at `path`, reclaiming a stale path left by an
 /// abnormally killed process: if the bind hits `AddrInUse` but nobody
 /// answers a probe connect, the file is a leftover — unlink and retry.
@@ -314,12 +343,9 @@ impl SocketTransport {
             }
             #[cfg(unix)]
             TransportKind::Uds => {
-                let path = std::env::temp_dir().join(format!(
-                    "actcomp-{}-{}-{}.sock",
-                    std::process::id(),
-                    rank,
-                    UDS_COUNTER.fetch_add(1, Ordering::Relaxed),
-                ));
+                let n = UDS_COUNTER.fetch_add(1, Ordering::Relaxed);
+                let path = std::env::temp_dir()
+                    .join(format!("{}{n}.sock", uds_prefix(std::process::id(), rank)));
                 let l = bind_uds(&path).map_err(|e| {
                     TransportError::io(format!("binding unix socket {}", path.display()), &e)
                 })?;
@@ -1176,6 +1202,44 @@ pub(crate) mod ctrl_stream {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[cfg(unix)]
+    #[test]
+    fn remove_worker_socket_unlinks_only_that_workers_socket() {
+        let (dir, pid) = (std::env::temp_dir(), std::process::id());
+        let sock = dir.join(format!("{}0.sock", uds_prefix(pid, 9001)));
+        let _ = std::fs::remove_file(&sock);
+        let _listener = std::os::unix::net::UnixListener::bind(&sock).expect("bind");
+        let addr = sock.to_str().expect("utf-8 temp dir");
+        // Another worker's claim on this path, or another rank's.
+        assert!(!remove_worker_socket(addr, pid + 1, 9001));
+        assert!(!remove_worker_socket(addr, pid, 9002));
+        // Paths outside the pattern, however they are spelled.
+        assert!(!remove_worker_socket("/etc/passwd", pid, 9001));
+        assert!(std::path::Path::new("/etc/passwd").exists());
+        let dotted = dir
+            .join("x")
+            .join("..")
+            .join(sock.file_name().expect("name"));
+        assert!(!remove_worker_socket(
+            dotted.to_str().expect("utf-8"),
+            pid,
+            9001
+        ));
+        // The right name on a regular file.
+        let file = dir.join(format!("{}1.sock", uds_prefix(pid, 9001)));
+        std::fs::write(&file, b"not a socket").expect("scratch file");
+        assert!(!remove_worker_socket(
+            file.to_str().expect("utf-8"),
+            pid,
+            9001
+        ));
+        assert!(file.exists());
+        let _ = std::fs::remove_file(&file);
+        assert!(sock.exists(), "nothing above touched the socket");
+        assert!(remove_worker_socket(addr, pid, 9001));
+        assert!(!sock.exists());
+    }
 
     fn pair(kind: TransportKind) -> (SocketTransport, SocketTransport) {
         pair_with(

@@ -238,6 +238,15 @@ pub enum RuntimeError {
         /// The transport failure that surfaced the loss.
         error: TransportError,
     },
+    /// A rank could not write its checkpoint shard, or could not read or
+    /// verify the one it was told to restore. Final: a relaunch would
+    /// meet the same directory and the same shard.
+    Checkpoint {
+        /// The rank whose shard failed.
+        rank: usize,
+        /// The shard I/O or verification failure.
+        detail: String,
+    },
     /// A worker process went silent: its connection is still open, but
     /// neither a response nor a heartbeat arrived within the liveness
     /// window (or the step timeout expired with only heartbeats).
@@ -314,6 +323,9 @@ impl std::fmt::Display for RuntimeError {
                 "transport {index} is rank {rank}; transports must be in rank order"
             ),
             RuntimeError::RankLost { rank, error } => write!(f, "rank {rank} lost: {error}"),
+            RuntimeError::Checkpoint { rank, detail } => {
+                write!(f, "rank {rank} checkpoint failed: {detail}")
+            }
             RuntimeError::RankTimeout { rank, after } => write!(
                 f,
                 "rank {rank} timed out: silent for {:.1}s (no response, no heartbeat)",

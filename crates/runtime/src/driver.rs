@@ -47,11 +47,14 @@ pub(crate) enum Port {
         handle: JoinHandle<()>,
     },
     /// A worker process and its control connection. `step_timeout`
-    /// bounds a reply backed by heartbeats.
+    /// bounds a reply backed by heartbeats; `data_addr` is where the
+    /// worker said its data plane listens, a socket file to unlink once
+    /// the process is reaped (a crashed or killed worker never did).
     Process {
         child: Child,
         ctrl: CtrlConn,
         step_timeout: Duration,
+        data_addr: String,
     },
 }
 
@@ -105,6 +108,9 @@ impl Port {
             match recv_ctrl(ctrl, window) {
                 Ok(CtrlMsg::Heartbeat) => {}
                 Ok(CtrlMsg::Resp(resp)) => return Ok(resp),
+                Ok(CtrlMsg::CheckpointFailed { detail }) => {
+                    return Err(RuntimeError::Checkpoint { rank, detail })
+                }
                 Ok(_) => {
                     return Err(RuntimeError::Protocol {
                         detail: format!("expected a response from rank {rank}"),
@@ -344,16 +350,21 @@ impl Driver {
             // fine during teardown.
             let _ = port.send(rank, &Command::Shutdown);
         }
-        for port in self.ports.drain(..) {
+        for (rank, port) in self.ports.drain(..).enumerate() {
             match port {
                 Port::Thread { handle, .. } => {
                     let _ = handle.join();
                 }
-                Port::Process { mut child, .. } => {
+                Port::Process {
+                    mut child,
+                    data_addr,
+                    ..
+                } => {
                     if kill {
                         let _ = child.kill();
                     }
                     let _ = child.wait();
+                    actcomp_net::remove_worker_socket(&data_addr, child.id(), rank);
                 }
             }
         }

@@ -149,6 +149,9 @@ pub(crate) enum CtrlMsg {
     /// command runs so the launcher can bound failure detection by the
     /// liveness window instead of the step timeout.
     Heartbeat,
+    /// Worker → launcher: the command failed with
+    /// [`RuntimeError::Checkpoint`]; the worker exits after sending it.
+    CheckpointFailed { detail: String },
 }
 
 impl WireMsg for CtrlMsg {
@@ -180,6 +183,10 @@ impl WireMsg for CtrlMsg {
                 put_u8(out, 7);
                 put_string(out, json);
             }
+            CtrlMsg::CheckpointFailed { detail } => {
+                put_u8(out, 8);
+                put_string(out, detail);
+            }
         }
     }
 
@@ -207,6 +214,9 @@ impl WireMsg for CtrlMsg {
             5 => CtrlMsg::Resp(Response::decode(r)?),
             6 => CtrlMsg::Heartbeat,
             7 => CtrlMsg::Launch(r.read_string("launch frame")?),
+            8 => CtrlMsg::CheckpointFailed {
+                detail: r.read_string("checkpoint failure")?,
+            },
             _ => {
                 return Err(WireError {
                     what: "control tag",
@@ -358,15 +368,19 @@ impl ProcsRuntime {
             spawned.0.push(child);
         }
         let rdv = secs_or(spec.rendezvous_timeout_s, DEFAULT_RENDEZVOUS_TIMEOUT);
-        let conns = Self::rendezvous(&listener, world, rdv, &launch)?;
+        let (conns, addrs) = Self::rendezvous(&listener, world, rdv, &launch)?;
         let step_timeout = secs_or(spec.step_timeout_s, DEFAULT_STEP_TIMEOUT);
-        let ports = (std::mem::take(&mut spawned.0).into_iter().zip(conns))
-            .map(|(child, ctrl)| Port::Process {
-                child,
-                ctrl,
-                step_timeout,
-            })
-            .collect();
+        let ports = (std::mem::take(&mut spawned.0)
+            .into_iter()
+            .zip(conns)
+            .zip(addrs))
+        .map(|((child, ctrl), data_addr)| Port::Process {
+            child,
+            ctrl,
+            step_timeout,
+            data_addr,
+        })
+        .collect();
         Ok(ProcsRuntime {
             driver: Driver::new(cfg, ports, Vec::new()),
             tag,
@@ -375,13 +389,14 @@ impl ProcsRuntime {
 
     /// Accepts every worker's dial-in and hands it the launch frame,
     /// distributes the peer table, and waits for all ranks to report
-    /// ready. Returns the control connections in rank order.
+    /// ready. Returns the control connections and the data-plane
+    /// addresses, in rank order.
     fn rendezvous(
         listener: &CtrlListener,
         world: usize,
         rdv: Duration,
         launch: &CtrlMsg,
-    ) -> Result<Vec<CtrlConn>, RuntimeError> {
+    ) -> Result<(Vec<CtrlConn>, Vec<String>), RuntimeError> {
         let mut conns: Vec<Option<CtrlConn>> = (0..world).map(|_| None).collect();
         let mut addrs: Vec<String> = vec![String::new(); world];
         for _ in 0..world {
@@ -407,7 +422,9 @@ impl ProcsRuntime {
         let mut conns: Vec<CtrlConn> = (conns.into_iter())
             .map(|c| c.expect("all ranks said hello"))
             .collect();
-        let table = CtrlMsg::PeerTable { addrs };
+        let table = CtrlMsg::PeerTable {
+            addrs: addrs.clone(),
+        };
         for (rank, conn) in conns.iter_mut().enumerate() {
             send_ctrl(conn, &table).map_err(|error| RuntimeError::RankLost { rank, error })?;
         }
@@ -425,7 +442,7 @@ impl ProcsRuntime {
                 Err(e) => return Err(e),
             }
         }
-        Ok(conns)
+        Ok((conns, addrs))
     }
 
     /// The run configuration.
@@ -686,6 +703,15 @@ fn bridge(
         }
         let resp = loop {
             match resp_rx.recv_timeout(HEARTBEAT_INTERVAL) {
+                Ok(Err(RuntimeError::Checkpoint { rank, detail })) => {
+                    send_ctrl(
+                        ctrl,
+                        &CtrlMsg::CheckpointFailed {
+                            detail: detail.clone(),
+                        },
+                    )?;
+                    return Err(RuntimeError::Checkpoint { rank, detail });
+                }
                 Ok(reply) => break reply?,
                 Err(RecvTimeoutError::Timeout) => send_ctrl(ctrl, &CtrlMsg::Heartbeat)?,
                 // The rank thread panicked (a ring peer died).

@@ -20,6 +20,7 @@ use actcomp_mp::{Block, CommBytes, Reduce, SumPoint};
 use actcomp_net::TransportError;
 use actcomp_nn::{Embedding, Layer, LayerNorm, LnCache, Parameter};
 use actcomp_tensor::{Tensor, Workspace};
+use std::path::Path;
 use std::sync::mpsc::{Receiver, Sender};
 
 /// Commands the runtime broadcasts to every rank.
@@ -577,7 +578,12 @@ impl RankWorker {
             let reply = match cmd {
                 cmd @ (Command::Forward { .. }
                 | Command::Infer { .. }
-                | Command::Backward { .. }) => self.execute(&cmd),
+                | Command::Backward { .. }) => {
+                    self.execute(&cmd).map_err(|error| RuntimeError::RankLost {
+                        rank: self.rank,
+                        error,
+                    })
+                }
                 Command::ZeroGrad => {
                     self.visit_owned_params(&mut |p| p.zero_grad());
                     Ok(Response::Done)
@@ -605,18 +611,12 @@ impl RankWorker {
                 }),
                 Command::Shutdown => break,
                 Command::Checkpoint { dir, step, tag } => {
-                    self.save_shard(std::path::Path::new(&dir), step, tag);
-                    Ok(Response::Done)
+                    (self.save_shard(Path::new(&dir), step, tag)).map(|()| Response::Done)
                 }
                 Command::Restore { dir, step, tag } => {
-                    self.load_shard(std::path::Path::new(&dir), step, tag);
-                    Ok(Response::Done)
+                    (self.load_shard(Path::new(&dir), step, tag)).map(|()| Response::Done)
                 }
             };
-            let reply = reply.map_err(|error| RuntimeError::RankLost {
-                rank: self.rank,
-                error,
-            });
             let failed = reply.is_err();
             if self.resp_tx.send(reply).is_err() || failed {
                 break;
@@ -625,38 +625,50 @@ impl RankWorker {
     }
 
     /// Writes every owned parameter, in visit order, as this rank's
-    /// checkpoint shard. A failed write panics: the worker dies, the
-    /// launcher sees the loss, and the supervisor treats it like any
-    /// other crash — better than acking a checkpoint that isn't there.
-    fn save_shard(&mut self, dir: &std::path::Path, step: usize, tag: u64) {
+    /// checkpoint shard. A failed write is a
+    /// [`RuntimeError::Checkpoint`]: final, since a relaunch would write
+    /// to the same place — better than acking a checkpoint that isn't
+    /// there.
+    fn save_shard(&mut self, dir: &Path, step: usize, tag: u64) -> Result<(), RuntimeError> {
         let mut tensors = Vec::new();
         self.visit_owned_params(&mut |p| tensors.push(p.value.clone()));
         crate::shard::write_shard(dir, self.rank, step, tag, &tensors)
-            .unwrap_or_else(|e| panic!("rank {} checkpoint failed: {e}", self.rank));
+            .map_err(|e| self.checkpoint_error(format!("writing {}: {e}", dir.display())))
     }
 
     /// Restores every owned parameter from this rank's shard, in the
-    /// same visit order it was written. Verification failures (CRC,
-    /// run/step mismatch, wrong tensor count or shape) panic for the
-    /// same reason a failed save does.
-    fn load_shard(&mut self, dir: &std::path::Path, step: usize, tag: u64) {
+    /// same visit order it was written. A shard that cannot be read or
+    /// fails verification (CRC, run/step stamp, tensor count or shape)
+    /// is a [`RuntimeError::Checkpoint`], and no parameter changes.
+    fn load_shard(&mut self, dir: &Path, step: usize, tag: u64) -> Result<(), RuntimeError> {
         let tensors = crate::shard::read_shard(dir, self.rank, step, tag)
-            .unwrap_or_else(|e| panic!("rank {} restore failed: {e}", self.rank));
-        let mut i = 0;
-        self.visit_owned_params(&mut |p| {
-            let t = tensors
-                .get(i)
-                .unwrap_or_else(|| panic!("shard has only {i} tensors"));
-            assert_eq!(
-                t.dims(),
-                p.value.dims(),
-                "shard tensor {i} shape disagrees with the model"
+            .map_err(|e| self.checkpoint_error(format!("reading {}: {e}", dir.display())))?;
+        let mut shapes = Vec::new();
+        self.visit_owned_params(&mut |p| shapes.push(p.value.dims().to_vec()));
+        if shapes.len() != tensors.len() {
+            let (model, shard) = (shapes.len(), tensors.len());
+            return Err(
+                self.checkpoint_error(format!("shard holds {shard} tensors, the model {model}"))
             );
-            p.value = t.clone();
+        }
+        if let Some(i) = (0..shapes.len()).find(|&i| tensors[i].dims() != shapes[i]) {
+            return Err(
+                self.checkpoint_error(format!("shard tensor {i} shape disagrees with the model"))
+            );
+        }
+        let mut tensors = tensors.into_iter();
+        self.visit_owned_params(&mut |p| {
+            p.value = tensors.next().expect("counted above");
             p.grad = Tensor::zeros_like(&p.value);
-            i += 1;
         });
-        assert_eq!(i, tensors.len(), "shard holds more tensors than the model");
+        Ok(())
+    }
+
+    fn checkpoint_error(&self, detail: String) -> RuntimeError {
+        RuntimeError::Checkpoint {
+            rank: self.rank,
+            detail,
+        }
     }
 
     /// Runs a forward, inference or backward command: this rank's step

@@ -29,6 +29,7 @@ use actcomp_net::{mpsc_world, Transport};
 use actcomp_nn::BertEncoder;
 use actcomp_tensor::Tensor;
 use rand_chacha::ChaCha8Rng;
+use std::path::Path;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -368,6 +369,18 @@ impl ThreadedRuntime {
     /// dispatched. [`RuntimeError::RankLost`] if a rank is lost.
     pub fn backward(&mut self, dhidden: &Tensor) -> Result<(), RuntimeError> {
         self.driver.backward(dhidden)
+    }
+
+    /// Takes a checkpoint at `step`: every rank writes its parameter
+    /// shard to `dir/rank-<r>.ckpt`, CRC-trailed and stamped with `tag`
+    /// and the step.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Checkpoint`] naming the first rank whose shard
+    /// could not be written; [`RuntimeError::RankLost`] if a rank is lost.
+    pub fn checkpoint(&mut self, dir: &Path, step: usize, tag: u64) -> Result<(), RuntimeError> {
+        self.driver.checkpoint(dir, step, tag)
     }
 
     /// Drains every rank's recorded comm events, ordered by rank —

@@ -88,8 +88,8 @@ struct Manifest {
 }
 
 /// Is this an error a relaunch could plausibly fix? Worker deaths,
-/// silence, and broken connections are; config, spawn, and protocol
-/// errors would just re-fire identically.
+/// silence, and broken connections are; config, spawn, protocol and
+/// checkpoint-shard errors would just re-fire identically.
 fn recoverable(e: &RuntimeError) -> bool {
     matches!(
         e,
@@ -270,5 +270,9 @@ mod tests {
             detail: "bad frame".to_string(),
         }));
         assert!(!recoverable(&RuntimeError::MpscUnsupported));
+        assert!(!recoverable(&RuntimeError::Checkpoint {
+            rank: 0,
+            detail: "shard i/o: Not a directory".to_string(),
+        }));
     }
 }

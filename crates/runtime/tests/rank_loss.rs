@@ -3,6 +3,8 @@
 //! the failed rank replies its transport error and exits, so every peer
 //! waiting on it fails in turn instead of blocking. A serving engine on
 //! such a world fails its tickets with that error and still finishes.
+//! A checkpoint no rank can write is the typed, final `Checkpoint`
+//! error, not a panic and not a lost rank.
 
 use actcomp_compress::plan::CompressionPlan;
 use actcomp_mp::MpConfig;
@@ -115,5 +117,24 @@ fn serving_on_a_cut_world_fails_every_ticket_and_finishes() {
         let (stats, report) = engine.finish();
         assert_eq!((stats.completed, stats.failed), (0, 6));
         assert!(report.is_none(), "a lost world has no report");
+    });
+}
+
+#[test]
+fn a_checkpoint_under_a_regular_file_is_a_typed_error() {
+    within_deadline(|| {
+        let file = std::env::temp_dir().join(format!("actcomp-ckpt-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").expect("scratch file");
+        // No rank is cut: the links are healthy, the directory is not.
+        let mut rt = cut_world(2, 1, usize::MAX);
+        let err = rt.checkpoint(&file.join("ckpt"), 1, 7);
+        let _ = std::fs::remove_file(&file);
+        match err {
+            Err(RuntimeError::Checkpoint { rank: 0, detail }) => {
+                assert!(detail.contains("Not a directory"), "{detail}");
+            }
+            Err(e) => panic!("expected rank 0's checkpoint error, got {e}"),
+            Ok(()) => panic!("a checkpoint under a regular file succeeded"),
+        }
     });
 }

@@ -1,47 +1,48 @@
 //! Cache-blocked, register-tiled GEMM kernels with fusable epilogues.
 //!
 //! All three matmul variants (`A@B`, `Aᵀ@B`, `A@Bᵀ`) funnel into one
-//! blocked core:
+//! blocked core, which blocks `j` in slabs of [`NC_TILES`] panels and `k`
+//! in steps of [`KC`], and has each worker **stage** what the inner loop
+//! reads into its own slice of one leased scratch buffer:
 //!
-//! - For `nn` and `nt`, `B` is **packed** into column panels of [`NR`]
+//! - `B` is packed per (slab, k-block) into column panels of [`NR`]
 //!   columns, laid out `[j_tile][p][NR]` and zero-padded on the ragged
-//!   edge, so the inner loop always reads one contiguous `NR`-wide row
-//!   per `k` step. Panels
-//!   are 64-byte aligned inside their leased buffer — each panel row is
-//!   a whole number of cache lines, so full-width vector loads never
-//!   split a line (measured ≈10% on 512³).
-//! - `A` is **streamed row-major** from the caller's tensor: the
+//!   edge, so the inner loop reads one contiguous `NR`-wide row per `k`
+//!   step. A slab's block is `KC × NC_TILES·NR` floats (128&nbsp;KB, L2),
+//!   one panel's `KC × NR` (16&nbsp;KB, L1). `nn` and `tn` copy rows of a
+//!   k-major `B[k,n]`; `nt` gathers them from `B[n,k]`. Panels are
+//!   64-byte aligned — each panel row is a whole number of cache lines,
+//!   so full-width vector loads never split a line (measured ≈10% on
+//!   512³).
+//! - A row-major `A` (`nn`, `nt`) is **streamed** where it lies: the
 //!   micro-kernel reads its [`MR`] multipliers from `MR` parallel row
 //!   streams (`A[m,k]`). A ragged last row-tile (when `m % MR != 0`)
 //!   repeats its last row in the missing streams and stores only its own
-//!   rows, so nothing is staged.
-//! - The `tn` variant (`Aᵀ@B` with `A[k,m]`, `B[k,n]` — the
-//!   weight-gradient shape) **reads both k-major operands where they
-//!   lie**: a `k` step's `MR` multipliers are already adjacent in
-//!   `A[k,m]` and its `NR`-wide row already contiguous in `B[k,n]`, so a
-//!   second micro-kernel takes them in place and nothing is transposed
-//!   or packed. (Staging `Aᵀ` row-major first — what this replaced —
-//!   cost `m·k` scalar stores at stride `k`: two thirds of the call at the
-//!   128→64 shard shape, 34–68 GFLOP/s against `nn`'s 100.) What *is*
-//!   copied, into the same `[tile][p][width]` panels the `nn` path packs
-//!   `B` into: a ragged last tile, zero-padded; and every tile of an
-//!   operand whose rows are longer than [`IN_PLACE_LD`], where walking
-//!   `k` in place would put each step on its own page. The `k` loop is
-//!   **blocked** in steps of [`KC`] so a tile's operand windows stay
-//!   L1-sized and a sweep's L2-sized however many tokens `k` spans;
-//!   between blocks a tile's partial sums travel through the output.
-//! - The `j` dimension is **cache-blocked** in groups of [`NC_TILES`]
-//!   panels: each thread sweeps all of its row tiles against one
-//!   `k × NC` slab of packed `B` before moving to the next slab, so a
-//!   slab is read once per row-chunk sweep instead of the whole packed
-//!   `B` (up to several MB at FFN widths) being re-read per row tile.
+//!   rows.
+//! - A k-major `A` (`tn`, `A[k,m]`: the weight-gradient shape) is packed
+//!   per row tile and k-block as `[p][MR]` (4&nbsp;KB, L1) before the
+//!   tile's panels run. Reading both k-major operands in place instead
+//!   — what this replaced — walks them at their power-of-two row
+//!   strides (`4·m` and `4·n` bytes), so a k-block's rows share a few L1
+//!   sets and evict each other: with zmm FMAs that `tn` read 64–73
+//!   GFLOP/s against `nn`'s 93–129, and no choice of `KC` fixed every
+//!   ledger shape. Staged a k-block ahead of use, each operand is copied
+//!   once per slab and read contiguously from then on.
+//! - Between k-blocks a tile's partial sums travel through the output.
+//!   Each thread sweeps all of its row tiles against one slab before
+//!   moving to the next, so the slab is staged once per row-chunk sweep.
 //!
-//! The micro-kernel keeps an `MR × NR` accumulator block in registers;
-//! its inner loop is an explicit unrolled pass over one `NR`-wide panel
-//! row with a constant trip count, which the autovectorizer reliably
-//! turns into groups of 8-wide (AVX2/NEON) or 16-wide (AVX-512) SIMD
-//! fmadds (see the private `fmadd` helper's cfg gate and
-//! `.cargo/config.toml`'s `target-cpu=native`).
+//! The micro-kernels keep an `MR × NR = 8 × 32` accumulator block in
+//! registers: on AVX-512, 16 zmm accumulators of 32, two B loads and
+//! eight broadcasts per 16 FMAs; on AVX2 the same code is 32 ymm
+//! accumulators, which spill (see DESIGN.md "Kernel layer"). The inner
+//! loops are explicit unrolled passes with constant trip counts, which
+//! LLVM's SLP vectorizer turns into packed FMAs (see the private `fmadd`
+//! helper's cfg gate). `.cargo/config.toml` builds for the host CPU and
+//! lifts the SLP vectorizer's register cap to 512 bits
+//! (`-slp-max-reg-size=512`): LLVM's x86 tuning otherwise caps it at 256
+//! bits even on AVX-512 hosts, and these kernels ran on ymm registers at
+//! half the machine's vector width.
 //!
 //! # Epilogues
 //!
@@ -83,28 +84,27 @@ use crate::pool;
 use crate::workspace::Workspace;
 use std::ops::Range;
 
-/// Rows per register tile of `A` / the output.
-pub const MR: usize = 4;
-/// Columns per packed panel of `B` / register tile of the output.
+/// Rows per register tile of `A` / the output. Eight rows of two
+/// 16-lane vectors are 16 of AVX-512's 32 zmm registers, leaving room for
+/// the two `B` vectors and a broadcast.
+pub const MR: usize = 8;
+/// Columns per staged panel of `B` / register tile of the output: two
+/// zmm vectors, and a divisor of every ledger shard width (64, 128, 256).
 pub const NR: usize = 32;
-/// Packed-`B` panels per cache block of the `j` loop: each thread sweeps
-/// its whole row range against one `k × NC_TILES·NR` slab before moving
-/// on, keeping the slab L2-resident (256 columns = 1&nbsp;KB per `k` step).
+/// Staged-`B` panels per cache block of the `j` loop: each thread sweeps
+/// its whole row range against one `KC × NC_TILES·NR` slab block before
+/// moving on, keeping the block L2-resident (256 columns = 1&nbsp;KB per
+/// `k` step).
 pub const NC_TILES: usize = 8;
-/// `k` steps per block of the `tn` path. A tile's operand windows are
-/// then `KC` rows of `NR` floats (32&nbsp;KB) and the `KC` cache lines its
-/// `MR` multipliers lie in (16&nbsp;KB) — the 48&nbsp;KB L1 — and a row
-/// sweep's working set, `KC` rows of `A`, of `NC_TILES` panels of `B` and
-/// the output window, stays L2-resident however long `k` (tokens per
-/// micro-batch) is. Per block a tile pays one accumulator reload and
-/// store (≈ 55 cycles against `8·KC` of FMAs: 128 and below read slower).
-pub const KC: usize = 256;
-/// Longest row (in `f32`s) of a k-major operand that `tn` reads where it
-/// lies: a `KC`-row window of 1&nbsp;KB rows is 64 pages and four L1 sets.
-/// Longer rows (the BERT-base widths) put every `k` step on its own
-/// page, and are staged like a ragged edge instead.
-pub const IN_PLACE_LD: usize = 256;
-/// `f32`s per 64-byte cache line; packed `B` panels are aligned to this.
+/// `k` steps per block. A tile's operand windows are then `KC` rows of
+/// `NR` floats (16&nbsp;KB) and `KC` rows of `MR` (4&nbsp;KB) — well within
+/// the 48&nbsp;KB L1 — and a slab block (`KC × NC_TILES·NR`, 128&nbsp;KB)
+/// stays L2-resident however long `k` (tokens per micro-batch, for `tn`)
+/// is. Per block a tile pays one accumulator reload and store. At the
+/// ledger shapes 256 and 512 read the same, with a larger stage (a 256
+/// block raised `train_uds_dense`'s peak RSS by ≈ 2&nbsp;MB).
+pub const KC: usize = 128;
+/// `f32`s per 64-byte cache line; staged `B` panels are aligned to this.
 const LINE_F32S: usize = 16;
 /// Spawn threads only when each chunk gets at least this many flops.
 const GRAIN_FLOPS: usize = 1 << 20;
@@ -204,24 +204,28 @@ fn fmadd(a: f32, b: f32, c: f32) -> f32 {
 /// Continues one `MR × W` output tile over every row of `b`, reading `A`
 /// from `MR` parallel row streams (each as long as `b` has rows) and `b`
 /// as whole rows of `B[k, ldb]` with the step's `W`-wide row at
-/// `row[j0..j0 + W]` — the packed panels of the `nn`/`nt` path
-/// (`ldb = NR`, offset 0) or an attention head's window where it lies.
+/// `row[j0..j0 + W]` — the staged panels of the GEMM core (`ldb = NR`,
+/// offset 0) or an attention head's window where it lies.
 /// `W` is [`NR`], or narrower for heads under `NR` lanes.
 ///
-/// Two codegen constraints shape this function, both found the hard way:
+/// Three codegen constraints shape this function, all found the hard way:
 ///
-/// - The constant-trip inner loop must stay index-based over fixed-size
-///   arrays: this exact shape is what LLVM's SLP vectorizer turns into
-///   packed FMAs — iterator/`split_at` formulations of the same math
-///   have been observed to compile to *scalar* fmadds (≈20× slower).
+/// - The constant-trip inner loop ([`fma_step`]) must stay index-based
+///   over fixed-size arrays: this exact shape is what LLVM's SLP
+///   vectorizer turns into packed FMAs — iterator/`split_at`
+///   formulations of the same math have been observed to compile to
+///   *scalar* fmadds (≈20× slower).
 /// - The loop body must be **panic-free**. A single indexed access such
-///   as `rows[r][p]` plants a bounds-check side exit in the hot loop, and
-///   because `acc` is reachable through `&mut` on the unwind path, LLVM
-///   then spills all `MR × NR / 8` accumulator registers to the stack
-///   after *every* FMA (observed ≈3× slowdown). The `zip`s below iterate
-///   all four row streams in lockstep with `b` without any panicking
-///   operation (the `assert!` makes the row slice's check loop-invariant),
-///   so the accumulators live in registers for the whole `k` loop.
+///   as `rows[r][p]` plants a bounds-check side exit in the hot loop
+///   (with `acc` reachable on the unwind path, LLVM then spilled every
+///   accumulator after every FMA, ≈3× slower). The `zip`s below iterate
+///   all eight row streams in lockstep with `b` without any panicking
+///   operation (the `assert!` makes the row slice's check
+///   loop-invariant); the destructuring pins the stream count to `MR`.
+/// - The `k` loop runs on a local copy of the accumulators, written back
+///   once. Inlined into the core, `acc` is a stack array whose stores
+///   LLVM did not sink out of the loop: every accumulator went to memory
+///   after every step (≈3× slower).
 #[inline(always)]
 pub(crate) fn micro_rows<const W: usize>(
     a: [&[f32]; MR],
@@ -229,30 +233,38 @@ pub(crate) fn micro_rows<const W: usize>(
     acc: &mut [[f32; W]; MR],
 ) {
     assert!(j0 + W <= ldb, "tile outside its operand");
-    let [r0, r1, r2, r3] = a;
-    for ((((brow, &a0), &a1), &a2), &a3) in b.chunks_exact(ldb).zip(r0).zip(r1).zip(r2).zip(r3) {
-        let (av, bp) = ([a0, a1, a2, a3], &brow[j0..j0 + W]);
-        for r in 0..MR {
-            for c in 0..W {
-                acc[r][c] = fmadd(av[r], bp[c], acc[r][c]);
-            }
-        }
+    let [r0, r1, r2, r3, r4, r5, r6, r7] = a;
+    let streams = r0
+        .iter()
+        .zip(r1)
+        .zip(r2)
+        .zip(r3)
+        .zip(r4)
+        .zip(r5)
+        .zip(r6)
+        .zip(r7);
+    let mut t = *acc;
+    for (brow, (((((((&a0, &a1), &a2), &a3), &a4), &a5), &a6), &a7)) in
+        b.chunks_exact(ldb).zip(streams)
+    {
+        fma_step(&mut t, &[a0, a1, a2, a3, a4, a5, a6, a7], &brow[j0..j0 + W]);
     }
+    *acc = t;
 }
 
 /// Continues one `R × W` output tile over a k-block whose operands are
-/// both k-major, read where they lie: `a` holds whole rows of `A[k, lda]`
-/// (the `tn` layout) with the step's `R` multipliers at
-/// `row[i0..i0 + R]`, `b` whole rows of `B[k, ldb]` with the step's
-/// `W`-wide row at `row[j0..j0 + W]`. A zero-padded ragged edge is the
-/// same call on its staged copy (`lda = MR` / `ldb = NR`, offset 0). The
-/// GEMM runs `MR × NR` tiles; attention heads narrower than that run
-/// narrower ones.
+/// both k-major: `a` holds whole rows of `A[k, lda]` (the `tn` layout)
+/// with the step's `R` multipliers at `row[i0..i0 + R]`, `b` whole rows
+/// of `B[k, ldb]` with the step's `W`-wide row at `row[j0..j0 + W]`. The
+/// `tn` GEMM calls it on staged panels (`lda = MR`, `ldb = NR`, offset
+/// 0); attention calls it on heads where they lie, narrower than
+/// `MR × NR` where a head is.
 ///
-/// Same two codegen constraints as [`micro_rows`]: flat index-form inner
-/// loops, and a panic-free single-exit `k` loop — the `assert!` makes the
+/// Same codegen constraints as [`micro_rows`]: flat index-form inner
+/// loops, a panic-free single-exit `k` loop — the `assert!` makes the
 /// slice checks loop-invariant, so LLVM deletes them (an `else { break }`
-/// on a short row instead spilled every accumulator after every FMA).
+/// on a short row instead spilled every accumulator after every FMA) —
+/// and a local accumulator copy.
 #[inline(always)]
 pub(crate) fn micro_cols<const R: usize, const W: usize>(
     (a, lda, i0): (&[f32], usize, usize),
@@ -260,13 +272,36 @@ pub(crate) fn micro_cols<const R: usize, const W: usize>(
     acc: &mut [[f32; W]; R],
 ) {
     assert!(i0 + R <= lda && j0 + W <= ldb, "tile outside its operand");
+    let mut t = *acc;
     for (arow, brow) in a.chunks_exact(lda).zip(b.chunks_exact(ldb)) {
-        let (av, bp) = (&arow[i0..i0 + R], &brow[j0..j0 + W]);
-        for r in 0..R {
-            for c in 0..W {
-                acc[r][c] = fmadd(av[r], bp[c], acc[r][c]);
-            }
-        }
+        fma_step(&mut t, &arow[i0..i0 + R], &brow[j0..j0 + W]);
+    }
+    *acc = t;
+}
+
+/// One `k` step of an `R × W` tile: `acc[r][c] = fma(av[r], bp[c],
+/// acc[r][c])`. The rows run as two loops of `R / 2`: LLVM fully unrolls
+/// a loop only up to a size budget, and one loop over all `MR × NR = 256`
+/// products exceeds it — it then stays a loop over rows held in memory,
+/// which the vectorizers turn into gathers and scatters (≈40× slower).
+/// Two half-tile loops each fit; unrolled, the SLP vectorizer packs
+/// every row into `W / 16` zmm FMAs.
+#[inline(always)]
+fn fma_step<const R: usize, const W: usize>(acc: &mut [[f32; W]; R], av: &[f32], bp: &[f32]) {
+    let (lo, hi) = acc.split_at_mut(R / 2);
+    let (alo, ahi) = av.split_at(R / 2);
+    for (row, &a) in lo.iter_mut().zip(alo) {
+        fma_row(row, a, bp);
+    }
+    for (row, &a) in hi.iter_mut().zip(ahi) {
+        fma_row(row, a, bp);
+    }
+}
+
+#[inline(always)]
+fn fma_row<const W: usize>(row: &mut [f32; W], a: f32, bp: &[f32]) {
+    for c in 0..W {
+        row[c] = fmadd(a, bp[c], row[c]);
     }
 }
 
@@ -372,118 +407,124 @@ fn apply_ep_op(vals: &mut [f32], op: &EpOp<'_>, base: usize, jbase: usize) {
     }
 }
 
-/// Leases a buffer with `len` usable elements starting at a 64-byte-aligned
-/// offset; returns the buffer and that offset. Panel strides are whole
-/// cache lines (`NR` is a multiple of [`LINE_F32S`]), so aligning the base
-/// aligns every panel row.
+/// Leases a scratch buffer with `len` usable elements starting at a
+/// 64-byte-aligned offset; returns the buffer and that offset. Its
+/// contents are stale (see [`Workspace::lease_scratch`]): every stager
+/// writes each element it covers, zero padding included. Panel strides
+/// are whole cache lines (`NR` is a multiple of [`LINE_F32S`]), so
+/// aligning the base aligns every panel row.
 fn lease_aligned(ws: &mut Workspace, len: usize) -> (Vec<f32>, usize) {
-    let buf = ws.lease(len + LINE_F32S);
+    let buf = ws.lease_scratch(len + LINE_F32S);
     let addr = buf.as_ptr() as usize;
     let off = (addr.wrapping_neg() % (LINE_F32S * 4)) / 4;
     (buf, off)
 }
 
-/// Packs column tiles `from..` of a k-major `x[k, ld]` into
-/// `[tile][p][W]` panels (destination pre-zeroed, so a ragged last tile
-/// comes out zero-padded). `pack_tiles::<NR>(bp, b, n, 0)` is the packed
-/// `B` of the `nn` path.
-fn pack_tiles<const W: usize>(dst: &mut [f32], x: &[f32], ld: usize, from: usize) {
-    let k = x.len() / ld;
-    for (p, row) in x.chunks_exact(ld).enumerate() {
-        let (full, ragged) = row[from * W..].as_chunks::<W>();
-        for (t, cols) in full.iter().enumerate() {
-            dst[(t * k + p) * W..][..W].copy_from_slice(cols);
-        }
-        if !ragged.is_empty() {
-            dst[(full.len() * k + p) * W..][..ragged.len()].copy_from_slice(ragged);
-        }
-    }
-}
-
-/// Packs `b[n, k]` (logical `Bᵀ`) into `[j_tile][p][NR]` panels
-/// (destination pre-zeroed): every `[p][NR]` panel row is gathered from
-/// the panel's `NR` source rows and written contiguously — not scattered
-/// one `f32` per store at stride `NR`.
-fn pack_b_nt(bp: &mut [f32], b: &[f32], n: usize, k: usize) {
-    debug_assert_eq!(b.len(), n * k);
-    for (panel, rows) in bp.chunks_exact_mut(k * NR).zip(b.chunks(NR * k)) {
-        for (p, prow) in panel.chunks_exact_mut(NR).enumerate() {
-            for (dst, brow) in prow.iter_mut().zip(rows.chunks_exact(k)) {
-                *dst = brow[p];
+/// Stages rows `p` of column tiles `panels` of a k-major `b[k, n]` (the
+/// `B` of `nn` and `tn`) as `[tile][p][NR]` panels, zero-padding a
+/// ragged last tile.
+fn pack_b_nn(dst: &mut [f32], b: &[f32], n: usize, panels: Range<usize>, p: Range<usize>) {
+    let pk = p.len();
+    for (pp, row) in b[p.start * n..p.end * n].chunks_exact(n).enumerate() {
+        for (s, jt) in panels.clone().enumerate() {
+            let (d, cols) = (&mut dst[(s * pk + pp) * NR..][..NR], &row[jt * NR..]);
+            if let Some(full) = cols.first_chunk::<NR>() {
+                d.copy_from_slice(full);
+            } else {
+                d[..cols.len()].copy_from_slice(cols);
+                d[cols.len()..].fill(0.0);
             }
         }
     }
 }
 
-/// A k-major operand `x[k, ld]` as [`micro_cols`] reads it, in tiles of
-/// `W` columns: where it lies, except tiles `from..`, which are staged
-/// `[tile][p][W]` by [`pack_tiles`] — the ragged last tile (zero-padded),
-/// and every tile once rows are longer than [`IN_PLACE_LD`].
-struct KMajor<'a, const W: usize> {
-    x: &'a [f32],
-    ld: usize,
-    from: usize,
-    staged: Vec<f32>,
-    /// 64-byte-aligned start of the panels inside `staged`.
-    off: usize,
+/// Stages rows `p` of column tiles `panels` of `b[n, k]` (logical `Bᵀ`,
+/// the `nt` operand) as `[tile][p][NR]` panels, zero-padding a ragged
+/// last tile: every `[p][NR]` panel row is gathered from the tile's `NR`
+/// source rows and written contiguously — not scattered one `f32` per
+/// store at stride `NR`.
+fn pack_b_nt(
+    dst: &mut [f32],
+    b: &[f32],
+    (n, k): (usize, usize),
+    panels: Range<usize>,
+    p: Range<usize>,
+) {
+    let pk = p.len();
+    for (s, jt) in panels.enumerate() {
+        let w = NR.min(n - jt * NR);
+        let rows = &b[jt * NR * k..][..w * k];
+        let panel = &mut dst[s * pk * NR..][..pk * NR];
+        for (pidx, prow) in p.clone().zip(panel.chunks_exact_mut(NR)) {
+            for (d, brow) in prow.iter_mut().zip(rows.chunks_exact(k)) {
+                *d = brow[pidx];
+            }
+            prow[w..].fill(0.0);
+        }
+    }
 }
 
-impl<'a, const W: usize> KMajor<'a, W> {
-    fn new(ws: &mut Workspace, x: &'a [f32], ld: usize) -> Self {
-        let from = if ld > IN_PLACE_LD { 0 } else { ld / W };
-        let len = (ld.div_ceil(W) - from) * (x.len() / ld) * W;
-        let (mut staged, off) = lease_aligned(ws, len);
-        pack_tiles::<W>(&mut staged[off..], x, ld, from);
-        KMajor {
-            x,
-            ld,
-            from,
-            staged,
-            off,
+/// Stages rows `p` of the `MR`-wide row tile at column `i0` of a k-major
+/// `a[k, m]` (the `tn` `A`) as `[p][MR]`, zero-padding a ragged tile.
+fn pack_a_tn(dst: &mut [f32], a: &[f32], m: usize, i0: usize, p: Range<usize>) {
+    let rows = a[p.start * m..p.end * m]
+        .chunks_exact(m)
+        .zip(dst.as_chunks_mut::<MR>().0);
+    if i0 + MR <= m {
+        for (row, d) in rows {
+            d.copy_from_slice(&row[i0..i0 + MR]);
+        }
+    } else {
+        for (row, d) in rows {
+            let (head, pad) = d.split_at_mut(m - i0);
+            head.copy_from_slice(&row[i0..]);
+            pad.fill(0.0);
         }
     }
+}
 
-    /// Rows `p` of tile `t`, as [`micro_cols`]'s `(rows, ld, offset)`.
-    #[inline(always)]
-    fn window(&self, t: usize, p: Range<usize>) -> (&[f32], usize, usize) {
-        let k = self.x.len() / self.ld;
-        match t.checked_sub(self.from) {
-            Some(s) => {
-                let panel = &self.staged[self.off + s * k * W..][..k * W];
-                (&panel[p.start * W..p.end * W], W, 0)
-            }
-            None => (&self.x[p.start * self.ld..p.end * self.ld], self.ld, t * W),
-        }
-    }
+/// How the core reads `A`.
+#[derive(Clone, Copy)]
+enum Lhs<'a> {
+    /// `A[m, k]`, row-major (`nn`, `nt`): read where it lies, one stream
+    /// per tile row; a ragged last tile repeats its last row in the
+    /// missing streams and stores only its own rows.
+    Rows(&'a [f32]),
+    /// `A[k, m]`, k-major (`tn`): each row tile's k-block staged as
+    /// `[p][MR]` by [`pack_a_tn`] before the tile's panels run.
+    Cols(&'a [f32]),
 }
 
 /// The blocked core: `out (+)= A @ B` (with the epilogue applied per
-/// element), parallelized over i-tile chunks and blocked over `k` in
-/// steps of `kc`. `micro` continues one accumulator tile over one
-/// k-block — it is handed the tile's row-tile and panel index and the
-/// block's `p` range. Between k-blocks a tile's partial sums travel
-/// through `out` and are re-loaded as the next block's accumulator, so
-/// every element stays one increasing-`p` FMA chain; an accumulating
-/// multi-block call therefore takes its addend from a copy of the
-/// original `out`, at the last block. `stash` (when the epilogue requests one) has the same
+/// element), parallelized over i-tile chunks, blocked over `j` in slabs
+/// of [`NC_TILES`] panels and over `k` in steps of [`KC`].
+///
+/// Each worker stages what it reads into its own slice of one leased
+/// scratch buffer: per (slab, k-block), `stage_b(dst, panels, p)` packs
+/// `B` as `[tile][p][NR]` panels (L2-sized); per row tile and k-block, a
+/// k-major `A` packs as `[p][MR]` (L1-sized). Both are contiguous, so no
+/// operand is read at its own (often power-of-two) row stride inside the
+/// `k` loop, and nothing is staged further than a k-block ahead of its
+/// use. Between k-blocks a tile's partial sums travel through `out` and
+/// are re-loaded as the next block's accumulator, so every element stays
+/// one increasing-`p` FMA chain; an accumulating multi-block call
+/// therefore takes its addend from a copy of the original `out`, at the
+/// last block. `stash` (when the epilogue requests one) has the same
 /// `[m, n]` layout as `out` and is chunked identically so every thread
 /// writes only its own rows.
 #[allow(clippy::too_many_arguments)]
-fn gemm_core<M>(
+fn gemm_core(
     out: &mut [f32],
     accumulate: bool,
-    micro: M,
-    m: usize,
-    k: usize,
-    kc: usize,
-    n: usize,
+    a: Lhs<'_>,
+    stage_b: impl Fn(&mut [f32], Range<usize>, Range<usize>) + Sync,
+    (m, k, n): (usize, usize, usize),
     threads: usize,
     ws: &mut Workspace,
     ep: &Epilogue<'_>,
     stash: Option<&mut [f32]>,
-) where
-    M: Fn(usize, usize, Range<usize>, &mut [[f32; NR]; MR]) + Sync,
-{
+) {
+    let kc = KC.min(k).max(1);
     let addend = (accumulate && k > kc).then(|| ws.lease_from(out));
     let itiles = m.div_ceil(MR);
     let jtiles = n.div_ceil(NR);
@@ -491,111 +532,103 @@ fn gemm_core<M>(
     let tile_flops = 2 * MR * n * k;
     let min_tiles = (GRAIN_FLOPS / tile_flops.max(1)).max(1);
     let plan = pool::plan_chunks(itiles, MR, last_rows, threads, min_tiles);
+    let b_len = NC_TILES.min(jtiles) * kc * NR;
+    let a_len = if matches!(a, Lhs::Cols(_)) {
+        kc * MR
+    } else {
+        0
+    };
+    let per = (b_len + a_len).next_multiple_of(LINE_F32S);
+    let (mut stage, off) = lease_aligned(ws, per * plan.chunks());
     let plain = ep.is_empty();
-    pool::run_row_chunks(out, stash, n, plan, |row0, chunk, mut stash_chunk| {
-        let chunk_rows = chunk.len() / n;
-        let ctiles = chunk_rows.div_ceil(MR);
-        // j-blocked sweep: all row tiles of this chunk against one slab
-        // of NC_TILES panels at a time, so the slab stays cached
-        // across the whole row range instead of the full B being
-        // re-read per row tile.
-        for jb in (0..jtiles).step_by(NC_TILES) {
-            let jb_end = (jb + NC_TILES).min(jtiles);
-            for p0 in (0..k.max(1)).step_by(kc) {
-                let p1 = (p0 + kc).min(k);
-                let (first, last) = (p0 == 0, p1 == k);
-                for t in 0..ctiles {
-                    let i0 = row0 + t * MR;
-                    let rows = MR.min(chunk_rows - t * MR);
-                    for jt in jb..jb_end {
-                        let cols = NR.min(n - jt * NR);
-                        let mut acc = [[0.0f32; NR]; MR];
-                        if !first {
-                            for (r, acc_row) in acc.iter_mut().take(rows).enumerate() {
-                                let orow = &chunk[(t * MR + r) * n + jt * NR..][..cols];
-                                acc_row[..cols].copy_from_slice(orow);
-                            }
+    let scratch = &mut stage[off..off + per * plan.chunks()];
+    pool::run_row_chunks(
+        out,
+        stash,
+        scratch,
+        n,
+        plan,
+        |row0, chunk, mut stash_chunk, stage| {
+            let (bstage, astage) = stage.split_at_mut(b_len);
+            let chunk_rows = chunk.len() / n;
+            let ctiles = chunk_rows.div_ceil(MR);
+            // j-blocked sweep: all row tiles of this chunk against one slab
+            // of NC_TILES panels at a time, so the slab stays cached
+            // across the whole row range instead of the full B being
+            // re-read per row tile.
+            for jb in (0..jtiles).step_by(NC_TILES) {
+                let jb_end = (jb + NC_TILES).min(jtiles);
+                for p0 in (0..k.max(1)).step_by(kc) {
+                    let p1 = (p0 + kc).min(k);
+                    let (first, last, pk) = (p0 == 0, p1 == k, p1 - p0);
+                    stage_b(bstage, jb..jb_end, p0..p1);
+                    for t in 0..ctiles {
+                        let i0 = row0 + t * MR;
+                        let rows = MR.min(chunk_rows - t * MR);
+                        if let Lhs::Cols(a) = a {
+                            pack_a_tn(astage, a, m, i0, p0..p1);
                         }
-                        micro(i0 / MR, jt, p0..p1, &mut acc);
-                        for (r, acc_row) in acc.iter().take(rows).enumerate() {
-                            let off = (t * MR + r) * n + jt * NR;
-                            let orow = &mut chunk[off..][..cols];
-                            match addend.as_deref() {
-                                Some(add) if last => {
-                                    let arow = &add[(i0 + r) * n + jt * NR..][..cols];
-                                    for ((o, &e), &v) in orow.iter_mut().zip(arow).zip(acc_row) {
-                                        *o = e + v;
-                                    }
+                        for jt in jb..jb_end {
+                            let cols = NR.min(n - jt * NR);
+                            let mut acc = [[0.0f32; NR]; MR];
+                            if !first {
+                                for (r, acc_row) in acc.iter_mut().take(rows).enumerate() {
+                                    let orow = &chunk[(t * MR + r) * n + jt * NR..][..cols];
+                                    acc_row[..cols].copy_from_slice(orow);
                                 }
-                                _ => store_row(orow, acc_row, last && accumulate),
+                            }
+                            let panel = (&bstage[(jt - jb) * pk * NR..][..pk * NR], NR, 0);
+                            match a {
+                                Lhs::Rows(a) => {
+                                    let rows = std::array::from_fn(|r| {
+                                        &a[(i0 + r).min(m - 1) * k..][p0..p1]
+                                    });
+                                    micro_rows(rows, panel, &mut acc);
+                                }
+                                Lhs::Cols(_) => {
+                                    micro_cols((&astage[..pk * MR], MR, 0), panel, &mut acc)
+                                }
+                            }
+                            for (r, acc_row) in acc.iter().take(rows).enumerate() {
+                                let off = (t * MR + r) * n + jt * NR;
+                                let orow = &mut chunk[off..][..cols];
+                                match addend.as_deref() {
+                                    Some(add) if last => {
+                                        let arow = &add[(i0 + r) * n + jt * NR..][..cols];
+                                        for ((o, &e), &v) in orow.iter_mut().zip(arow).zip(acc_row)
+                                        {
+                                            *o = e + v;
+                                        }
+                                    }
+                                    _ => store_row(orow, acc_row, last && accumulate),
+                                }
                             }
                         }
-                    }
-                    if last && !plain {
-                        // Epilogue over the whole row-tile × j-block window
-                        // (≤ MR × NC_TILES·NR values, still L1-hot): the
-                        // long per-row segments amortize vector startup that
-                        // 32-wide per-tile application could not, while the
-                        // values never make a round trip to DRAM.
-                        let wj0 = jb * NR;
-                        let wcols = (jb_end * NR).min(n) - wj0;
-                        for r in 0..rows {
-                            let off = (t * MR + r) * n + wj0;
-                            let row = &mut chunk[off..][..wcols];
-                            let srow = stash_chunk.as_deref_mut().map(|s| &mut s[off..][..wcols]);
-                            apply_ep_window(row, (i0 + r) * n + wj0, wj0, ep, srow);
+                        if last && !plain {
+                            // Epilogue over the whole row-tile × j-block window
+                            // (≤ MR × NC_TILES·NR values, still L1-hot): the
+                            // long per-row segments amortize vector startup that
+                            // 32-wide per-tile application could not, while the
+                            // values never make a round trip to DRAM.
+                            let wj0 = jb * NR;
+                            let wcols = (jb_end * NR).min(n) - wj0;
+                            for r in 0..rows {
+                                let off = (t * MR + r) * n + wj0;
+                                let row = &mut chunk[off..][..wcols];
+                                let srow =
+                                    stash_chunk.as_deref_mut().map(|s| &mut s[off..][..wcols]);
+                                apply_ep_window(row, (i0 + r) * n + wj0, wj0, ep, srow);
+                            }
                         }
                     }
                 }
             }
-        }
-    });
+        },
+    );
+    ws.recycle(stage);
     if let Some(addend) = addend {
         ws.recycle(addend);
     }
-}
-
-/// The core for a row-major `A[m, k]` (`nn`, `nt`): `B` packed into
-/// panels, one k-block, the row-stream micro-kernel. A ragged last row
-/// tile repeats its last row in the missing streams; those accumulator
-/// rows are never stored.
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows(
-    out: &mut [f32],
-    accumulate: bool,
-    a: &[f32],
-    pack: impl FnOnce(&mut [f32]),
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-    ws: &mut Workspace,
-    ep: &Epilogue<'_>,
-    stash: Option<&mut [f32]>,
-) {
-    let blen = n.div_ceil(NR) * k * NR;
-    let (mut bp, boff) = lease_aligned(ws, blen);
-    pack(&mut bp[boff..boff + blen]);
-    let bp_ref = &bp[boff..boff + blen];
-    let micro = |it: usize, jt: usize, _p: Range<usize>, acc: &mut _| {
-        let panel = &bp_ref[jt * k * NR..][..k * NR];
-        let rows = std::array::from_fn(|r| &a[(it * MR + r).min(m - 1) * k..][..k]);
-        micro_rows(rows, (panel, NR, 0), acc);
-    };
-    gemm_core(
-        out,
-        accumulate,
-        micro,
-        m,
-        k,
-        k.max(1),
-        n,
-        threads,
-        ws,
-        ep,
-        stash,
-    );
-    ws.recycle(bp);
 }
 
 /// Validates the operand lengths of an epilogue against the output shape
@@ -620,7 +653,7 @@ fn check_epilogue(ep: &Epilogue<'_>, m: usize, n: usize, stash: &Option<&mut [f3
 }
 
 /// `out (+)= epilogue(a[m,k] @ b[k,n])` with `threads` workers; scratch
-/// for the packed panels is leased from (and returned to) `ws`.
+/// for the staged panels is leased from (and returned to) `ws`.
 ///
 /// With `accumulate == false` every output element is overwritten; with
 /// `true` the product is added to the existing contents (the epilogue
@@ -649,14 +682,13 @@ pub fn gemm_nn_ep(
     assert_eq!(b.len(), k * n, "gemm_nn rhs len");
     assert_eq!(out.len(), m * n, "gemm_nn out len");
     check_epilogue(ep, m, n, &stash, "gemm_nn");
-    gemm_rows(
+    let stage_b = |dst: &mut [f32], js, p| pack_b_nn(dst, b, n, js, p);
+    gemm_core(
         out,
         accumulate,
-        a,
-        |dst| pack_tiles::<NR>(dst, b, n, 0),
-        m,
-        k,
-        n,
+        Lhs::Rows(a),
+        stage_b,
+        (m, k, n),
         threads,
         ws,
         ep,
@@ -697,10 +729,10 @@ pub fn gemm_nn(
 }
 
 /// `out (+)= epilogue(aᵀ @ b)` for `a[k,m]`, `b[k,n]` — the
-/// weight-gradient shape. Both operands are read where they lie (see
-/// `KMajor` for the two exceptions) by the shared core, k-blocked in
-/// steps of [`KC`]; each element is still one increasing-`p` chain, so
-/// results are bit-identical to `gemm_nn_ep` on the transposed input.
+/// weight-gradient shape. The shared core stages both operands a k-block
+/// at a time (`A` per row tile, `B` per slab), k-blocked in steps of
+/// [`KC`]; each element is still one increasing-`p` chain, so results
+/// are bit-identical to `gemm_nn_ep` on the transposed input.
 ///
 /// # Panics
 ///
@@ -724,14 +756,18 @@ pub fn gemm_tn_ep(
     assert_eq!(b.len(), k * n, "gemm_tn rhs len");
     assert_eq!(out.len(), m * n, "gemm_tn out len");
     check_epilogue(ep, m, n, &stash, "gemm_tn");
-    let lhs = KMajor::<MR>::new(ws, a, m);
-    let rhs = KMajor::<NR>::new(ws, b, n);
-    let micro = |it: usize, jt: usize, p: Range<usize>, acc: &mut _| {
-        micro_cols(lhs.window(it, p.clone()), rhs.window(jt, p), acc);
-    };
-    gemm_core(out, accumulate, micro, m, k, KC, n, threads, ws, ep, stash);
-    ws.recycle(lhs.staged);
-    ws.recycle(rhs.staged);
+    let stage_b = |dst: &mut [f32], js, p| pack_b_nn(dst, b, n, js, p);
+    gemm_core(
+        out,
+        accumulate,
+        Lhs::Cols(a),
+        stage_b,
+        (m, k, n),
+        threads,
+        ws,
+        ep,
+        stash,
+    );
 }
 
 /// `out (+)= aᵀ @ b` — [`gemm_tn_ep`] with the empty epilogue.
@@ -791,14 +827,13 @@ pub fn gemm_nt_ep(
     assert_eq!(b.len(), n * k, "gemm_nt rhs len");
     assert_eq!(out.len(), m * n, "gemm_nt out len");
     check_epilogue(ep, m, n, &stash, "gemm_nt");
-    gemm_rows(
+    let stage_b = |dst: &mut [f32], js, p| pack_b_nt(dst, b, (n, k), js, p);
+    gemm_core(
         out,
         accumulate,
-        a,
-        |dst| pack_b_nt(dst, b, n, k),
-        m,
-        k,
-        n,
+        Lhs::Rows(a),
+        stage_b,
+        (m, k, n),
         threads,
         ws,
         ep,
@@ -1101,12 +1136,12 @@ mod tests {
 
     #[test]
     fn tn_staging_is_bit_identical_to_nn_on_transposed_input() {
-        // gemm_tn(a) must equal gemm_nn(aᵀ) exactly, whichever way tn gets
-        // at its operands — in place, a staged ragged edge, or fully
-        // staged past IN_PLACE_LD — and across every k-block seam: each
+        // gemm_tn(a) must equal gemm_nn(aᵀ) exactly, whatever tiles its
+        // staged operands are cut into — ragged row and column tiles,
+        // more than one j-slab — and across every k-block seam: each
         // element is the same increasing-p chain.
-        let wide = IN_PLACE_LD + 4;
-        let shapes = [(23, 45), (4, 32), (64, 16), (5, wide + 1), (wide, 33)];
+        let wide = NC_TILES * NR + 4;
+        let shapes = [(23, 45), (MR, NR), (64, 16), (MR - 1, wide + 1), (wide, 33)];
         let mut ws = Workspace::new();
         for (m, n) in shapes {
             for k in [1, 17, KC - 1, KC, KC + 1, 3 * KC + 5] {
@@ -1131,7 +1166,9 @@ mod tests {
 
     #[test]
     fn pack_b_nt_writes_the_bytes_the_scatter_wrote() {
-        // The packing this replaced: one f32 per store at stride NR.
+        // The packing this replaced: one f32 per store at stride NR. The
+        // destination starts as NaN, so a padding lane the stager left
+        // stale fails the comparison.
         fn scatter(bp: &mut [f32], b: &[f32], k: usize) {
             for (j, brow) in b.chunks_exact(k).enumerate() {
                 let panel = &mut bp[(j / NR) * k * NR..][..k * NR];
@@ -1143,9 +1180,9 @@ mod tests {
         for (n, k) in [(1, 1), (31, 7), (32, 16), (33, 17), (70, 37), (128, 64)] {
             let b = seq(n * k, 0.5);
             let blen = n.div_ceil(NR) * k * NR;
-            let (mut want, mut got) = (vec![0.0f32; blen], vec![0.0f32; blen]);
+            let (mut want, mut got) = (vec![0.0f32; blen], vec![f32::NAN; blen]);
             scatter(&mut want, &b, k);
-            pack_b_nt(&mut got, &b, n, k);
+            pack_b_nt(&mut got, &b, (n, k), 0..n.div_ceil(NR), 0..k);
             assert_eq!(got, want, "n={n} k={k}");
         }
     }

@@ -386,10 +386,10 @@ impl CompiledPlan {
                     GemmKind::NN | GemmKind::NT => g.shape(a).1,
                     GemmKind::TN => g.shape(a).0,
                 };
-                let mut out = take_target(slots, out_id, m * n, ws);
+                let mut out = take_written(slots, out_id, m * n, ws);
                 let mut stash = stash_id.map(|s| {
                     let (sr, sc) = g.shape(s);
-                    take_target(slots, s, sr * sc, ws)
+                    take_written(slots, s, sr * sc, ws)
                 });
                 {
                     let asl = slot_slice(slots, a);
@@ -599,6 +599,22 @@ fn take_target<'a>(
         Slot::Empty => Target::Owned(ws.lease(len)),
         Slot::Ext { buf, acc } => Target::Ext { buf, acc },
         Slot::Owned(_) | Slot::In(_) => panic!("value {v} produced twice"),
+    }
+}
+
+/// [`take_target`] for a GEMM's output or stash, which the kernel writes
+/// in full before anything reads it (an accumulating output is always
+/// bound externally): a fresh buffer skips the zero fill.
+fn take_written<'a>(
+    slots: &mut [Slot<'a>],
+    v: ValueId,
+    len: usize,
+    ws: &mut Workspace,
+) -> Target<'a> {
+    if matches!(slots[v], Slot::Empty) {
+        Target::Owned(ws.lease_scratch(len))
+    } else {
+        take_target(slots, v, len, ws)
     }
 }
 

@@ -157,14 +157,16 @@ where
     });
 }
 
-/// Runs `f(first_row, chunk, pair_chunk)` over the contiguous row chunks
-/// of `out` (rows `row_width` elements wide) that `plan` describes, one
-/// scoped thread per chunk beyond the first (which runs on the caller).
-/// An optional second buffer of the same layout is split along the
-/// identical boundaries, so each worker owns matching slices of both —
-/// the GEMM epilogue stash: the output tile and its stashed
-/// pre-activation tile are written by the same thread in the same pass.
-/// A one-chunk plan hands `f` the whole buffers, allocating nothing.
+/// Runs `f(first_row, chunk, pair_chunk, scratch_part)` over the
+/// contiguous row chunks of `out` (rows `row_width` elements wide) that
+/// `plan` describes, one scoped thread per chunk beyond the first (which
+/// runs on the caller). An optional second buffer of the same layout is
+/// split along the identical boundaries, so each worker owns matching
+/// slices of both — the GEMM epilogue stash: the output tile and its
+/// stashed pre-activation tile are written by the same thread in the same
+/// pass. `scratch` is split into one equal part per chunk — a worker's
+/// private staging space. A one-chunk plan hands `f` the whole buffers,
+/// allocating nothing.
 ///
 /// # Panics
 ///
@@ -173,11 +175,12 @@ where
 pub(crate) fn run_row_chunks<F>(
     out: &mut [f32],
     pair: Option<&mut [f32]>,
+    scratch: &mut [f32],
     row_width: usize,
     plan: ChunkPlan,
     f: F,
 ) where
-    F: Fn(usize, &mut [f32], Option<&mut [f32]>) + Sync,
+    F: Fn(usize, &mut [f32], Option<&mut [f32]>, &mut [f32]) + Sync,
 {
     if let Some(p) = &pair {
         assert_eq!(p.len(), out.len(), "pair buffer must match the output");
@@ -192,11 +195,13 @@ pub(crate) fn run_row_chunks<F>(
         "chunk plan does not tile the output"
     );
     if plan.chunks <= 1 {
-        f(0, out, pair);
+        f(0, out, pair, scratch);
         return;
     }
+    let per = scratch.len() / plan.chunks;
     std::thread::scope(|scope| {
         let (mut rest, mut prest) = (out, pair);
+        let mut srest = scratch;
         let mut first = None;
         let mut row0 = 0;
         for rows in plan.rows() {
@@ -208,16 +213,18 @@ pub(crate) fn run_row_chunks<F>(
                 prest = Some(ptail);
                 pchunk
             });
+            let (part, stail) = srest.split_at_mut(per);
+            srest = stail;
             if first.is_none() {
-                first = Some((chunk, pchunk));
+                first = Some((chunk, pchunk, part));
             } else {
                 let fr = &f;
-                scope.spawn(move || fr(row0, chunk, pchunk));
+                scope.spawn(move || fr(row0, chunk, pchunk, part));
             }
             row0 += rows;
         }
-        let (chunk, pchunk) = first.expect("at least one chunk");
-        f(0, chunk, pchunk);
+        let (chunk, pchunk, part) = first.expect("at least one chunk");
+        f(0, chunk, pchunk, part);
     });
 }
 
@@ -244,6 +251,12 @@ pub(crate) struct ChunkPlan {
 }
 
 impl ChunkPlan {
+    /// Number of chunks, at least one (a call over no tiles still runs
+    /// one, empty).
+    pub(crate) fn chunks(&self) -> usize {
+        self.chunks.max(1)
+    }
+
     /// Per-chunk *row* counts: `tile_rows` rows per full tile, the final
     /// tile possibly ragged at `last_tile_rows`; the first
     /// `tiles % chunks` chunks take one tile more than the rest.
@@ -337,17 +350,36 @@ mod tests {
             let mut out = vec![0.0f32; 39 * 5];
             let mut pair = vec![0.0f32; 39 * 5];
             let plan = plan_chunks(13, 3, 3, threads, 1);
-            run_row_chunks(&mut out, Some(&mut pair), 5, plan, |row0, chunk, pchunk| {
-                let pchunk = pchunk.expect("pair chunk");
-                for (r, (row, prow)) in chunk.chunks_mut(5).zip(pchunk.chunks_mut(5)).enumerate() {
-                    row.fill((row0 + r) as f32);
-                    prow.fill(-((row0 + r) as f32));
-                }
-            });
+            // Each chunk writes its first row into its own scratch part.
+            let mut scratch = vec![-1.0f32; plan.chunks() * 2];
+            run_row_chunks(
+                &mut out,
+                Some(&mut pair),
+                &mut scratch,
+                5,
+                plan,
+                |row0, chunk, pchunk, part| {
+                    let pchunk = pchunk.expect("pair chunk");
+                    assert_eq!(part.len(), 2, "equal scratch parts");
+                    part.fill(row0 as f32);
+                    for (r, (row, prow)) in
+                        chunk.chunks_mut(5).zip(pchunk.chunks_mut(5)).enumerate()
+                    {
+                        row.fill((row0 + r) as f32);
+                        prow.fill(-((row0 + r) as f32));
+                    }
+                },
+            );
             for (r, (row, prow)) in out.chunks(5).zip(pair.chunks(5)).enumerate() {
                 assert!(row.iter().all(|&v| v == r as f32), "row {r}");
                 assert!(prow.iter().all(|&v| v == -(r as f32)), "pair row {r}");
             }
+            let firsts: Vec<f32> = plan
+                .rows()
+                .scan(0, |r0, rows| Some(std::mem::replace(r0, *r0 + rows) as f32))
+                .collect();
+            let parts: Vec<f32> = scratch.chunks(2).map(|p| p[0]).collect();
+            assert_eq!(parts, firsts, "threads={threads}");
         }
     }
 }

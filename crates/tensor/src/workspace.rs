@@ -55,8 +55,8 @@ impl Workspace {
     }
 
     /// Takes the smallest cached buffer with room for `len` elements off
-    /// the freelist, emptied — the smallest, so big buffers stay
-    /// available for big requests.
+    /// the freelist, contents as recycled — the smallest, so big buffers
+    /// stay available for big requests.
     fn take(&mut self, len: usize) -> Option<Vec<f32>> {
         let mut best: Option<(usize, usize)> = None;
         for (i, b) in self.free.iter().enumerate() {
@@ -66,9 +66,7 @@ impl Workspace {
             }
         }
         let (i, _) = best?;
-        let mut buf = self.free.swap_remove(i);
-        buf.clear();
-        Some(buf)
+        Some(self.free.swap_remove(i))
     }
 
     /// Leases a zeroed buffer of exactly `len` elements, reusing a cached
@@ -77,11 +75,24 @@ impl Workspace {
     pub fn lease(&mut self, len: usize) -> Vec<f32> {
         match self.take(len) {
             Some(mut buf) => {
+                buf.clear();
                 buf.resize(len, 0.0);
                 buf
             }
             None => vec![0.0; len],
         }
+    }
+
+    /// Leases a buffer of exactly `len` elements whose contents are
+    /// unspecified (whatever a recycled buffer last held, zero past
+    /// that), for scratch its user writes before it reads: the GEMM
+    /// kernels' staged panels, which would otherwise pay a zero fill of
+    /// every element they are about to overwrite.
+    #[must_use]
+    pub fn lease_scratch(&mut self, len: usize) -> Vec<f32> {
+        let mut buf = self.take(len).unwrap_or_default();
+        buf.resize(len, 0.0);
+        buf
     }
 
     /// Returns a buffer to the freelist for later reuse.
@@ -116,6 +127,7 @@ impl Workspace {
     #[must_use]
     pub fn lease_from(&mut self, src: &[f32]) -> Vec<f32> {
         let mut buf = self.take(src.len()).unwrap_or_default();
+        buf.clear();
         buf.extend_from_slice(src);
         buf
     }

@@ -13,6 +13,7 @@
 
 use actcomp_tensor::attention::{attention_backward, attention_forward, Heads};
 use actcomp_tensor::graph::Graph;
+use actcomp_tensor::kernels::MR;
 use actcomp_tensor::plan::{CompiledPlan, FusePolicy, OutBind};
 use actcomp_tensor::{init, ops, pool, Workspace};
 use proptest::prelude::*;
@@ -197,10 +198,10 @@ fn check(at: Heads, seed: u64) {
     }
 }
 
-/// Sequence lengths and head widths on both sides of the `MR = 4` row
-/// tile and the 8- and 32-lane register tiles, and the ledger's two head
+/// Sequence lengths and head widths on both sides of the `MR` row tile
+/// and the 8- and 32-lane register tiles, and the ledger's two head
 /// shapes (`seq = d = 8` serving, `seq 64, d 32` training).
-const SEQS: [usize; 5] = [1, 3, 8, 13, 64];
+const SEQS: [usize; 7] = [1, 3, MR - 1, 8, MR + 1, 13, 64];
 const DIMS: [usize; 5] = [1, 4, 8, 12, 32];
 
 proptest! {

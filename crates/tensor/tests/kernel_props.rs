@@ -17,18 +17,33 @@
 //!    variant, ragged edge, k-block seam, accumulate mode, epilogue/stash
 //!    and pool size.
 //!
-//! Shapes are drawn to straddle the blocking constants (`MR = 4`,
-//! `NR = 32`, `KC`, `IN_PLACE_LD`): dimensions deliberately include
-//! values that are not multiples of any tile edge.
-use actcomp_tensor::kernels::{self, reference, EpOp, Epilogue, IN_PLACE_LD, KC};
+//! Shapes are drawn from the blocking constants themselves (`MR`, `NR`,
+//! `NC_TILES`, `KC`), so they straddle whatever tile the kernels use:
+//! dimensions deliberately include values that are not multiples of any
+//! tile edge.
+use actcomp_tensor::kernels::{self, reference, EpOp, Epilogue, KC, MR, NC_TILES, NR};
 use actcomp_tensor::{ops, Workspace};
 use proptest::prelude::*;
 
-/// Dimensions that straddle the MR=4 / NR=32 tile edges: exact tile
+/// Dimensions that straddle the `MR` / `NR` tile edges: exact tile
 /// widths, off-by-ones around them, and ragged sizes in between.
 fn dim() -> impl Strategy<Value = usize> {
     proptest::sample::select(vec![
-        1usize, 2, 3, 4, 5, 7, 8, 9, 16, 31, 32, 33, 37, 40, 61, 64, 65, 70,
+        1usize,
+        2,
+        3,
+        MR - 1,
+        MR,
+        MR + 1,
+        2 * MR + 1,
+        16,
+        NR - 1,
+        NR,
+        NR + 1,
+        37,
+        2 * NR,
+        2 * NR + 1,
+        70,
     ])
 }
 
@@ -199,35 +214,36 @@ fn check_against_oracle(v: Variant, m: usize, k: usize, n: usize, seed: u64) {
     }
 }
 
-/// Row counts around `MR` and past [`IN_PLACE_LD`] (where `tn` stages its
-/// k-major operand instead of reading it in place).
+/// Row counts around `MR` and its multiples, up to enough row tiles
+/// that every pool size splits them into several chunks.
 fn rows() -> impl Strategy<Value = usize> {
     proptest::sample::select(vec![
         1usize,
         3,
-        4,
-        5,
-        8,
+        MR - 1,
+        MR,
+        MR + 1,
+        2 * MR,
+        2 * MR + 1,
         37,
         64,
         65,
-        IN_PLACE_LD + 4,
-        IN_PLACE_LD + 5,
+        33 * MR + 4,
+        33 * MR + 5,
     ])
 }
 
-/// Column counts around `NR`, past one `NC_TILES` j-block and past
-/// [`IN_PLACE_LD`].
+/// Column counts around `NR`, and at and past one `NC_TILES` j-slab.
 fn cols() -> impl Strategy<Value = usize> {
     proptest::sample::select(vec![
         1usize,
         16,
-        31,
-        32,
-        33,
+        NR - 1,
+        NR,
+        NR + 1,
         70,
-        IN_PLACE_LD,
-        IN_PLACE_LD + 5,
+        NC_TILES * NR,
+        NC_TILES * NR + 5,
     ])
 }
 
