@@ -1,14 +1,13 @@
 //! Ring-collective schedule and chunking checks (`AC0501`–`AC0502`).
 //!
-//! This module owns the *one* description of a tensor-parallel ring
-//! collective: how a dense tensor is split into row chunks
-//! ([`ring_chunk_plan`]; a compressed reduce's code is one chunk), and
-//! the order in which every rank sends, receives and works on those
-//! chunks ([`chunk_ring_steps`], [`gather_ring_steps`]). The runtime's
-//! `TpGroup` *interprets* the step lists; the comm-protocol analyzer
-//! ([`crate::comm_graph`]) maps the same lists to events and proves
-//! matching, delivery order and deadlock-freedom on them — so the two
-//! cannot drift apart.
+//! The *one* description of a tensor-parallel ring collective — the
+//! chunk plan ([`ring_chunk_plan`]) and the order in which every rank
+//! sends, receives and works on chunks ([`chunk_ring_steps`],
+//! [`gather_ring_steps`]) — lives with its one interpreter in
+//! [`actcomp_mp::ring`] and is re-exported here. Both executors run the
+//! interpreter; the comm-protocol analyzer ([`crate::comm_graph`]) maps
+//! the same lists to events and proves matching, delivery order and
+//! deadlock-freedom on them — so the two cannot drift apart.
 //!
 //! Both tuning knobs are "at least one" quantities: zero rows per chunk
 //! or a zero-deep pipeline would make the schedule degenerate. The
@@ -16,151 +15,13 @@
 //! `runtime.pipeline_depth` = 0 (`AC0502`).
 
 use crate::codes;
-use crate::comm_graph::Dir;
 use crate::config::ExperimentConfig;
 use crate::diagnostics::{Diagnostic, Diagnostics};
 
-/// Chunk count used when no explicit row count is configured.
-pub const DEFAULT_CHUNKS: usize = 4;
-
-/// Default reduce chunks rank 0 keeps in flight.
-pub const DEFAULT_PIPELINE_DEPTH: usize = 4;
-
-/// The chunk plan of a `rows`-row ring collective: greedy row tiling at
-/// the configured chunk size, or an even four-way split when unset.
-/// Depends only on its arguments, so every rank of a ring (and the
-/// static analyzer) derives the same plan independently.
-pub fn ring_chunk_plan(chunk_rows: Option<usize>, rows: usize) -> Vec<usize> {
-    if rows == 0 {
-        return vec![0];
-    }
-    let per = chunk_rows.unwrap_or(rows.div_ceil(DEFAULT_CHUNKS)).max(1);
-    let mut plan = Vec::with_capacity(rows.div_ceil(per));
-    let mut done = 0;
-    while done < rows {
-        let take = per.min(rows - done);
-        plan.push(take);
-        done += take;
-    }
-    plan
-}
-
-/// One visit of chunk `idx` to a rank of a chain-reduce → ring-broadcast
-/// collective: what the rank receives, the local work it does, and what
-/// it sends on. "Reduce" messages travel the chain `0 → 1 → … → p−1`
-/// accumulating the rank-order left fold; "broadcast" messages carry
-/// the finished total `p−1 → 0 → … → p−2`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RingStep {
-    /// Rank 0: make the own chunk and send it down the reduce chain.
-    Originate {
-        /// Chunk index.
-        idx: usize,
-    },
-    /// Interior rank: make the own chunk, receive the partial sum, fold
-    /// the own chunk into it, send it down the reduce chain.
-    Relay {
-        /// Chunk index.
-        idx: usize,
-    },
-    /// Last rank: make the own chunk, receive the partial sum, fold —
-    /// the result is the total — then consume it and send it as the
-    /// first broadcast hop.
-    Turn {
-        /// Chunk index.
-        idx: usize,
-    },
-    /// Receive the finished chunk on the broadcast leg and consume it;
-    /// pass it on unless the next rank is where the broadcast ends.
-    Deliver {
-        /// Chunk index.
-        idx: usize,
-        /// Whether the chunk is forwarded to the next rank.
-        forward: bool,
-    },
-}
-
-impl RingStep {
-    /// The step's wire events in program order — at most one receive,
-    /// then at most one send — as `(direction, bcast, idx)`.
-    pub fn wire(self) -> impl Iterator<Item = (Dir, bool, usize)> {
-        let (idx, recv, send) = match self {
-            RingStep::Originate { idx } => (idx, None, Some(false)),
-            RingStep::Relay { idx } => (idx, Some(false), Some(false)),
-            RingStep::Turn { idx } => (idx, Some(false), Some(true)),
-            RingStep::Deliver { idx, forward } => (idx, Some(true), forward.then_some(true)),
-        };
-        let recv = recv.map(|bcast| (Dir::Recv, bcast, idx));
-        let send = send.map(|bcast| (Dir::Send, bcast, idx));
-        recv.into_iter().chain(send)
-    }
-}
-
-/// Rank `rank`'s program for one chain-reduce → ring-broadcast
-/// collective over `chunks` chunks in a ring of `world > 1` ranks.
-///
-/// Rank 0 paces the pipeline: it starts `min(depth, chunks)` reduce
-/// chunks and then starts one more per broadcast it has consumed, so at
-/// most `depth` chunks are in flight and memory stays bounded without
-/// blocking sends. Every rank handles its reduce chunks, and then its
-/// broadcast chunks, in index order, so each link's FIFO matches the
-/// receiver's order up to the reduce/broadcast interleave (which the
-/// receiver's `(bcast, idx)` stash absorbs).
-pub fn chunk_ring_steps(rank: usize, world: usize, chunks: usize, depth: usize) -> Vec<RingStep> {
-    debug_assert!(world > 1 && rank < world, "rank {rank} of {world}");
-    // The broadcast ends at rank p−2, the last rank's predecessor.
-    let deliver = |idx| RingStep::Deliver {
-        idx,
-        forward: rank + 2 != world,
-    };
-    if rank == 0 {
-        let lookahead = depth.max(1).min(chunks);
-        let mut steps: Vec<RingStep> = (0..lookahead)
-            .map(|idx| RingStep::Originate { idx })
-            .collect();
-        for idx in 0..chunks {
-            steps.push(deliver(idx));
-            if idx + lookahead < chunks {
-                steps.push(RingStep::Originate {
-                    idx: idx + lookahead,
-                });
-            }
-        }
-        steps
-    } else if rank + 1 < world {
-        (0..chunks)
-            .map(|idx| RingStep::Relay { idx })
-            .chain((0..chunks).map(deliver))
-            .collect()
-    } else {
-        (0..chunks).map(|idx| RingStep::Turn { idx }).collect()
-    }
-}
-
-/// One event of a whole-message ring all-gather: a send to the next
-/// rank or a receive from the previous one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GatherHop {
-    /// Send or receive.
-    pub dir: Dir,
-    /// Rank whose payload this hop carries.
-    pub origin: usize,
-}
-
-/// Rank `rank`'s program for one ring all-gather in a ring of `world`
-/// ranks: `world − 1` times, send a payload on (the own one first, then
-/// each payload just received) and receive the previous rank's — after
-/// which the rank has seen every rank's payload. Empty for a solo ring.
-pub fn gather_ring_steps(rank: usize, world: usize) -> Vec<GatherHop> {
-    (0..world - 1)
-        .flat_map(|hop| {
-            let sent = (rank + world - hop) % world;
-            let received = (rank + world - 1 - hop) % world;
-            [(Dir::Send, sent), (Dir::Recv, received)]
-        })
-        .map(|(dir, origin)| GatherHop { dir, origin })
-        .collect()
-}
+pub use actcomp_mp::ring::{
+    chunk_ring_steps, gather_ring_steps, ring_chunk_plan, GatherHop, RingStep, DEFAULT_CHUNKS,
+    DEFAULT_PIPELINE_DEPTH,
+};
 
 /// Resolves `(chunk_rows, pipeline_depth)` for a config: explicit
 /// `runtime` fields, else automatic chunking and the default depth. The
@@ -218,6 +79,7 @@ fn check_pipeline_depth_field(pipeline_depth: Option<usize>, diags: &mut Diagnos
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm_graph::Dir;
     use crate::config::RunSpec;
 
     fn codes_of(diags: Diagnostics) -> Vec<&'static str> {

@@ -50,6 +50,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use actcomp_compress::{Compressor, ErrorFeedback};
+pub use actcomp_mp::ring::{Dir, MsgId};
 use actcomp_mp::{stage_offsets, SumPoint};
 use actcomp_tensor::Tensor;
 
@@ -65,26 +66,6 @@ use crate::steps::{rank_steps, Op, Sweep};
 /// At most this many diagnostics are emitted per code before the
 /// remainder is folded into one summary finding.
 const MAX_PER_CODE: usize = 5;
-
-/// Direction of a communication event, from the acting rank's view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum Dir {
-    /// The rank enqueues a message.
-    Send,
-    /// The rank consumes a message (recorded at consumption, so a
-    /// stashed chunk appears where the schedule uses it, not where it
-    /// arrived).
-    Recv,
-}
-
-impl fmt::Display for Dir {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Dir::Send => "send",
-            Dir::Recv => "recv",
-        })
-    }
-}
 
 /// One directed `mpsc` channel in the engine's plumbing. Every channel
 /// has exactly one sender rank and one receiver rank.
@@ -156,67 +137,6 @@ impl fmt::Display for ChannelId {
             ChannelId::Bcast { stage, peer } => write!(f, "bcast[stage {stage} -> peer {peer}]"),
             ChannelId::BoundaryFwd { boundary } => write!(f, "fwd-boundary[{boundary}]"),
             ChannelId::BoundaryGrad { boundary } => write!(f, "grad-boundary[{boundary}]"),
-        }
-    }
-}
-
-/// The identity of one message on one channel. `(channel, msg)` is the
-/// matching key between a send and its receive; the analyzer proves it
-/// unique per direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum MsgId {
-    /// A ring chunk: collective ordinal `coll` (per stage ring, in
-    /// program order), reduce (`bcast == false`) or broadcast leg, and
-    /// chunk index. The engine's selective receive keys on
-    /// `(bcast, idx)` only — the stash-interval analysis proves the
-    /// shorter key is unambiguous at every instant.
-    Chunk {
-        /// Collective ordinal within the stage ring.
-        coll: usize,
-        /// Broadcast leg (`true`) or reduce leg (`false`).
-        bcast: bool,
-        /// Chunk index within the collective.
-        idx: usize,
-    },
-    /// A gathered-reduce or grad-sync hop carrying rank `origin`'s
-    /// contribution.
-    Gather {
-        /// Collective ordinal within the stage ring.
-        coll: usize,
-        /// Rank whose payload this hop carries.
-        origin: usize,
-    },
-    /// Stage-input broadcast number `seq` (per rank, per step).
-    Bcast {
-        /// Broadcast ordinal within the step.
-        seq: usize,
-    },
-    /// Forward boundary activation for micro-batch `mb`.
-    Activation {
-        /// Micro-batch index.
-        mb: usize,
-    },
-    /// Backward boundary gradient for micro-batch `mb`.
-    Grad {
-        /// Micro-batch index.
-        mb: usize,
-    },
-    /// End-of-step compressor-gradient sync message.
-    GradSync,
-}
-
-impl fmt::Display for MsgId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            MsgId::Chunk { coll, bcast, idx } => {
-                let leg = if bcast { "bcast" } else { "reduce" };
-                write!(f, "chunk(coll {coll}, {leg}, idx {idx})")
-            }
-            MsgId::Gather { coll, origin } => write!(f, "gather(coll {coll}, origin {origin})"),
-            MsgId::Bcast { seq } => write!(f, "bcast(seq {seq})"),
-            MsgId::Activation { mb } => write!(f, "activation(mb {mb})"),
-            MsgId::Grad { mb } => write!(f, "grad(mb {mb})"),
-            MsgId::GradSync => f.write_str("grad-sync"),
         }
     }
 }
@@ -316,11 +236,13 @@ impl fmt::Display for TraceEvent {
 /// check both against the live engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExpectedCounters {
-    /// Serial-matching reduce accounting, wire bytes (`TpGroup::bytes`).
+    /// Reduce accounting, wire bytes (`actcomp_mp::Endpoint::bytes`,
+    /// the same on every executor).
     pub reduce_wire: usize,
     /// Serial-matching reduce accounting, dense-equivalent bytes.
     pub reduce_dense: usize,
-    /// Actual ring traffic, wire bytes (`TpGroup::ring_bytes`).
+    /// Actual ring traffic, wire bytes
+    /// (`actcomp_mp::Endpoint::ring_bytes`).
     pub ring_wire: usize,
     /// Gather-equivalent baseline for the ring comparison.
     pub ring_dense: usize,

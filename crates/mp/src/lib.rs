@@ -7,7 +7,7 @@
 //! Where `actcomp-distsim` *costs* model parallelism, this crate
 //! *executes* it: encoder layers are genuinely sharded across
 //! tensor-parallel workers (Megatron's column-then-row split), partial
-//! activations are summed through a [`CompressedAllReduce`] that runs the
+//! activations are summed by ring collectives ([`ring`]) that run the
 //! real compressor arithmetic, and pipeline stages exchange activations
 //! through compressing [`PipelineBoundary`]s. With compression disabled
 //! the whole stack is numerically equivalent to the serial `actcomp-nn`
@@ -15,15 +15,20 @@
 //! the paper studies.
 //!
 //! The tensor-parallel layer is written once, as a [`Block`] over a
-//! range of shards. The serial [`MpBert`] runs one over every shard and
-//! sums in process ([`InProcess`]); each rank of the threaded
-//! `actcomp-runtime` engine runs one over its own shard and sums over its
-//! ring. Both build their compressors from one [`CompressorRecipe`].
+//! range of shards, and so are its collectives: one ring interpreter
+//! ([`ring::Endpoint`]) behind one [`Reduce`] ([`Ring`]). The serial
+//! [`MpBert`] runs a block over every shard and drives every worker's
+//! endpoint in one thread ([`InProcess`]); each rank of the
+//! `actcomp-runtime` engine runs one over its own shard and drives its
+//! own endpoint over transport channels. Both build their compressors
+//! from one [`CompressorRecipe`].
 //!
 //! - [`tp`]: the [`Block`] and the [`Reduce`] trait its executors fill in,
 //! - [`shard`]: one worker's column/row shards and the fused plans they run,
-//! - [`reduce`]: compressed all-reduce / all-gather with byte accounting,
+//! - [`ring`]: the ring step lists, their interpreter and its links,
+//! - [`reduce`]: the one [`Reduce`] over ring endpoints, byte accounting,
 //!   and [`wire_sum`], the bfloat16 fold of every dense sum,
+//! - [`timers`]: per-phase wall-clock accounting,
 //! - [`pp`]: compressing stage boundaries,
 //! - [`model`]: [`MpBert`] — the full model with a per-layer
 //!   [`CompressionPlan`](actcomp_compress::CompressionPlan),
@@ -58,12 +63,16 @@ pub mod error;
 pub mod model;
 pub mod pp;
 pub mod reduce;
+pub mod ring;
 pub mod shard;
+pub mod timers;
 pub mod tp;
 
 pub use error::{MpConfigError, ShardError};
 pub use model::{stage_offsets, CompressorRecipe, MpBert, MpConfig};
 pub use pp::PipelineBoundary;
-pub use reduce::{rank_order_sum, wire_round, wire_sum, CommBytes, CompressedAllReduce, InProcess};
+pub use reduce::{rank_order_sum, wire_round, wire_sum, CommBytes, InProcess, Ring};
+pub use ring::{Endpoint, Link, RingTuning};
 pub use shard::{ColumnShard, RowShard};
+pub use timers::{timed, PhaseTimers};
 pub use tp::{Block, Reduce, SumPoint};

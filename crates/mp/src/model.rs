@@ -4,7 +4,7 @@
 
 use crate::error::MpConfigError;
 use crate::pp::PipelineBoundary;
-use crate::reduce::{CommBytes, CompressedAllReduce, InProcess};
+use crate::reduce::{CommBytes, InProcess};
 use crate::tp::{Block, SumPoint};
 use actcomp_compress::plan::CompressionPlan;
 use actcomp_compress::spec::CompressorSpec;
@@ -141,15 +141,12 @@ impl MpBert {
         config.try_validate()?;
         let n = config.tokens * config.bert.hidden;
         let recipe = CompressorRecipe::draw(&config, rng);
-        let reduce = |l, at| {
-            let workers = (0..config.tp).map(|_| recipe.reduce(&config, l, at, n));
-            workers.collect::<Option<_>>().map(CompressedAllReduce::new)
-        };
         let layers = (serial.layers.iter().enumerate())
             .map(|(l, layer)| {
                 let block = Block::new(layer, config.tp, 0..config.tp).expect("validated config");
-                let sums = InProcess::with(config.tp, SumPoint::ALL.map(|at| reduce(l, at)));
-                (block, sums)
+                let workers = (0..config.tp)
+                    .map(|_| SumPoint::ALL.map(|at| recipe.reduce(&config, l, at, n)));
+                (block, InProcess::with(workers.collect()))
             })
             .collect();
         let boundaries = (0..config.pp - 1)
@@ -183,7 +180,7 @@ impl MpBert {
     pub fn bytes(&self) -> CommBytes {
         let mut bytes = CommBytes::default();
         for (_, sums) in &self.layers {
-            bytes.add(sums.bytes);
+            bytes.add(sums.bytes());
         }
         bytes
     }
@@ -211,7 +208,7 @@ impl MpBert {
             // One micro-batch: a forward replaces the last one's cache,
             // so forward-only evaluation does not grow it.
             block.clear_caches(&mut self.ws);
-            x = block.forward(&x, batch, seq, sums, &mut self.ws);
+            x = block.forward(&x, batch, seq, &mut sums.ring(), &mut self.ws);
         }
         x
     }
@@ -221,7 +218,7 @@ impl MpBert {
         let mut d = dhidden.clone();
         for l in (0..self.layers.len()).rev() {
             let (block, sums) = &mut self.layers[l];
-            d = block.backward(&d, sums, &mut self.ws);
+            d = block.backward(&d, &mut sums.ring(), &mut self.ws);
             if let Some(b) = self.boundary_before(l) {
                 d = self.boundaries[b].backward(&d);
             }
@@ -230,9 +227,7 @@ impl MpBert {
         self.tok.backward(&demb);
         self.pos.backward(&demb);
         for (_, sums) in &mut self.layers {
-            for r in sums.reduces.iter_mut().flatten() {
-                r.sync_param_grads();
-            }
+            sums.sync_param_grads();
         }
     }
 
@@ -258,9 +253,7 @@ impl MpBert {
     /// and pipeline boundaries).
     pub fn visit_compressor_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
         for (_, sums) in &mut self.layers {
-            for r in sums.reduces.iter_mut().flatten() {
-                r.visit_params(f);
-            }
+            sums.visit_params(f);
         }
         for b in &mut self.boundaries {
             b.visit_params(f);

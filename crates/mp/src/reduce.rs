@@ -1,4 +1,5 @@
-//! The compressed all-reduce at the heart of the paper's §3.2.
+//! The compressed all-reduce at the heart of the paper's §3.2, and the
+//! one [`Reduce`] both executors sum a block's partials through.
 //!
 //! In Megatron tensor parallelism, each worker holds a *partial* activation
 //! (its shard's contribution) and the workers sum them with an all-reduce.
@@ -9,19 +10,25 @@
 //! - sparse/quantized messages cannot be summed, so they travel by
 //!   all-gather and every worker decodes and sums the gathered messages.
 //!
-//! Both paths are executed here with real arithmetic, one compressor
-//! instance per simulated worker, so accuracy experiments measure exactly
-//! what the lossy reduce does to training. Every other sum is dense, and
-//! its partial sums cross the wire as bfloat16, the 16-bit baseline the
-//! paper measures against ([`wire_sum`]).
+//! Both paths run as ring collectives ([`crate::ring`]) with real
+//! arithmetic, one compressor instance per worker, so accuracy
+//! experiments measure exactly what the lossy reduce does to training.
+//! [`Ring`] drives however many endpoints it holds: a runtime rank its
+//! own, the serial executor ([`InProcess`]) every worker's in one
+//! thread. Every other sum is dense, and its partial sums cross the wire
+//! as bfloat16, the 16-bit baseline the paper measures against
+//! ([`wire_sum`], the ring's dense fold written as one expression).
 
+use crate::ring::{self, Endpoint, Link, Queue};
+use crate::timers::{timed, PhaseTimers};
 use crate::tp::{Reduce, SumPoint};
 use actcomp_compress::Compressor;
 use actcomp_nn::Parameter;
 use actcomp_tensor::{Tensor, Workspace};
 
 /// Sums one tensor per worker, left to right, in `f32`: the fold of
-/// decoded messages, which never cross a wire as a partial sum.
+/// gathered, decoded messages, which never cross a wire as a partial
+/// sum.
 ///
 /// # Panics
 ///
@@ -52,11 +59,10 @@ pub fn wire_round(xs: &mut [f32]) {
 
 /// Sums one tensor per worker in rank order, rounding each partial sum
 /// as it leaves a worker: `s₀ = bf16(x₀)`, `sᵢ = bf16(sᵢ₋₁ + xᵢ)`. This
-/// is *the* fold of every dense cross-worker sum — the serial executor
-/// calls it directly and the runtime's chain reduce performs it hop by
-/// hop, shipping each `sᵢ` in two bytes an element — which is what keeps
-/// the executors, and every rank's copy of the total, bit-identical. A
-/// single part never crosses a wire and is returned unrounded.
+/// is *the* fold of every dense cross-worker sum, the one the ring's
+/// chain reduce performs hop by hop, shipping each `sᵢ` in two bytes an
+/// element; the tests hold the ring to it. A single part never crosses
+/// a wire and is returned unrounded.
 ///
 /// bfloat16 rather than binary16: the backward partials here fall below
 /// binary16's smallest normal, and bfloat16 keeps 8 significant bits at
@@ -111,197 +117,185 @@ impl CommBytes {
     }
 }
 
-/// A compressed sum-reduction across `world` simulated tensor-parallel
-/// workers.
-///
-/// Holds one [`Compressor`] per worker (auto-encoder instances are
-/// initialized identically and kept in sync by [`CompressedAllReduce::sync_param_grads`]).
-pub struct CompressedAllReduce {
-    workers: Vec<Box<dyn Compressor>>,
+/// The one [`Reduce`]: a block's partials summed over ring endpoints —
+/// a rank's own, or every worker's in the serial executor
+/// ([`InProcess`]) — through the layer's compressors, with the block's
+/// arithmetic charged to `timers.compute_s`.
+pub struct Ring<'a, L> {
+    /// The endpoints the block's shards sum over, one per shard.
+    pub endpoints: &'a mut [Endpoint<L>],
+    /// Per endpoint, its compressors at the attention and MLP sums;
+    /// `None` where the sum is dense.
+    pub comps: &'a mut [[Option<Box<dyn Compressor>>; 2]],
+    /// Where the endpoints' time goes.
+    pub timers: &'a mut PhaseTimers,
 }
 
-impl std::fmt::Debug for CompressedAllReduce {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "CompressedAllReduce({} x {})",
-            self.workers.len(),
-            self.workers.first().map(|w| w.name()).unwrap_or("?")
-        )
-    }
+/// Every worker's compressor at the sum `at`.
+fn codecs(
+    comps: &mut [[Option<Box<dyn Compressor>>; 2]],
+    at: SumPoint,
+) -> Vec<&mut dyn Compressor> {
+    (comps.iter_mut())
+        .map(|c| -> &mut dyn Compressor {
+            c[at as usize]
+                .as_deref_mut()
+                .expect("every worker holds the sum's codec")
+        })
+        .collect()
 }
 
-impl CompressedAllReduce {
-    /// Builds a reduce over per-worker compressors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is empty.
-    pub fn new(workers: Vec<Box<dyn Compressor>>) -> Self {
-        assert!(!workers.is_empty(), "reduce needs at least one worker");
-        CompressedAllReduce { workers }
+/// The one sum a block takes from its endpoints' equal results: the
+/// first, the others recycled into `ws`.
+fn first(outs: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
+    let mut outs = outs.into_iter();
+    let sum = outs.next().expect("at least one endpoint");
+    outs.for_each(|t| ws.recycle_tensor(t));
+    sum
+}
+
+impl<L: Link> Reduce for Ring<'_, L> {
+    fn compute<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        timed(&mut self.timers.compute_s, f)
     }
 
-    /// Number of participating workers.
-    pub fn world(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Reduces the per-worker partials into their (lossy) sum, returning
-    /// the reduced tensor and the bytes moved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partials.len()` differs from the world size or shapes
-    /// disagree.
-    pub fn forward(&mut self, partials: &[Tensor]) -> (Tensor, CommBytes) {
+    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
         assert_eq!(
             partials.len(),
-            self.world(),
-            "{} partials for {} workers",
-            partials.len(),
-            self.world()
+            self.endpoints.len(),
+            "one partial per endpoint"
         );
-        // Per-rank byte accounting: a ring all-reduce moves 2(p−1)/p · S
-        // per rank; an all-gather delivers (p−1) peer messages per rank.
-        let p_world = self.world();
-        let dense_bytes = partials[0].len() * 2;
-        let summable = self.workers[0].summable();
-        if summable {
-            // Compress per worker, sum codes on the wire, decode once.
-            let msgs: Vec<_> = self
-                .workers
-                .iter_mut()
-                .zip(partials)
-                .map(|(w, p)| w.compress(p))
-                .collect();
-            let mut total = msgs[0].clone();
-            for m in &msgs[1..] {
-                total = total.sum(m);
+        if self.comps[0][at as usize].is_none() {
+            // A dense forward sum is metered as the all-reduce it is.
+            let (p, n) = (self.endpoints[0].world, partials[0].len() * 2);
+            for ep in self.endpoints.iter_mut() {
+                ep.bytes.add(CommBytes::all_reduce(p, n, n));
             }
-            let out = self.workers[0].decompress(&total);
-            let bytes = CommBytes::all_reduce(p_world, msgs[0].wire_bytes(2), dense_bytes);
-            (out, bytes)
-        } else {
-            // All-gather messages; every worker decodes and sums locally.
-            // (Simulated once — all workers produce the same sum.)
-            let mut gathered = 0;
-            let out = rank_order_sum(self.workers.iter_mut().zip(partials).map(|(w, p)| {
-                let msg = w.compress(p);
-                gathered += msg.wire_bytes(2);
-                w.decompress(&msg)
-            }));
-            // Each rank receives the other (p−1) ranks' messages.
-            let mut bytes = CommBytes::all_reduce(p_world, 0, dense_bytes);
-            bytes.wire = gathered * (p_world - 1) / p_world;
-            (out, bytes)
+            return self.dense_sum(partials, ws);
         }
+        let comps = codecs(self.comps, at);
+        let outs = ring::compressed_all_reduce(self.endpoints, comps, &partials, self.timers, ws);
+        partials.into_iter().for_each(|t| ws.recycle_tensor(t));
+        first(outs, ws)
     }
 
-    /// Routes the gradient of the reduced output back to each worker's
-    /// partial, accumulating any compressor-parameter gradients.
-    ///
-    /// The sum node's gradient fans out identically; each worker's
-    /// compressor then applies its own backward rule (AE matmuls, sparse
-    /// mask, straight-through).
-    pub fn backward(&mut self, dy: &Tensor) -> Vec<Tensor> {
-        self.workers.iter_mut().map(|w| w.backward(dy)).collect()
+    fn sum_backward(&mut self, at: SumPoint, dy: &Tensor) -> Vec<Tensor> {
+        let timers = &mut *self.timers;
+        (self.comps.iter_mut())
+            .map(|c| match c[at as usize].as_deref_mut() {
+                Some(comp) => timed(&mut timers.encode_s, || comp.backward(dy)),
+                None => dy.clone(),
+            })
+            .collect()
     }
 
-    /// Sums compressor-parameter gradients across workers and installs the
-    /// sum in every instance — the gradient all-reduce that keeps
-    /// replicated auto-encoder parameters in sync.
-    pub fn sync_param_grads(&mut self) {
-        let mut sums: Vec<Tensor> = Vec::new();
-        for w in &mut self.workers {
-            let mut i = 0;
-            w.visit_params(&mut |p| {
-                if i == sums.len() {
-                    sums.push(p.grad.clone());
-                } else {
-                    sums[i].add_assign(&p.grad);
-                }
-                i += 1;
-            });
+    fn dense_sum(&mut self, mut parts: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
+        assert_eq!(parts.len(), self.endpoints.len(), "one part per endpoint");
+        if self.endpoints[0].world == 1 {
+            // A lone worker's part is the sum: nothing crosses a wire.
+            return parts.pop().expect("one part");
         }
-        for w in &mut self.workers {
-            let mut i = 0;
-            w.visit_params(&mut |p| {
-                p.grad = sums[i].clone();
-                i += 1;
-            });
-        }
-    }
-
-    /// Visits every worker's compressor parameters (for the optimizer).
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
-        for w in &mut self.workers {
-            w.visit_params(f);
-        }
+        let outs = ring::dense_all_reduce(self.endpoints, &parts, self.timers, ws);
+        parts.into_iter().for_each(|t| ws.recycle_tensor(t));
+        first(outs, ws)
     }
 }
 
-/// The serial executor's [`Reduce`]: a block holding every shard sums
-/// them in process — a forward sum through its compressed reduce where
-/// the layer has one, every other sum with [`wire_sum`].
-#[derive(Debug)]
+/// The serial executor's sums for one layer: every worker's ring
+/// endpoint and compressors, driven in one thread through the one
+/// [`Ring`] a rank drives its own endpoint through.
 pub struct InProcess {
-    world: usize,
-    /// The compressed reduces at the attention and MLP sums; `None`
-    /// where the sum is dense.
-    pub(crate) reduces: [Option<CompressedAllReduce>; 2],
-    /// Bytes both forward sums have moved.
-    pub(crate) bytes: CommBytes,
+    endpoints: Vec<Endpoint<Queue>>,
+    comps: Vec<[Option<Box<dyn Compressor>>; 2]>,
+    timers: PhaseTimers,
+}
+
+impl std::fmt::Debug for InProcess {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "InProcess({} workers)", self.endpoints.len())
+    }
 }
 
 impl InProcess {
-    /// Sums through `attn` after the attention output and `mlp` after
-    /// the MLP.
-    pub fn new(attn: CompressedAllReduce, mlp: CompressedAllReduce) -> Self {
-        Self::with(attn.world(), [Some(attn), Some(mlp)])
+    /// Sums through per-worker compressors: worker `r` compresses with
+    /// `attn[r]` after the attention output and `mlp[r]` after the MLP.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both lists hold one compressor per worker.
+    pub fn new(attn: Vec<Box<dyn Compressor>>, mlp: Vec<Box<dyn Compressor>>) -> Self {
+        assert_eq!(
+            attn.len(),
+            mlp.len(),
+            "one compressor per worker at each sum"
+        );
+        Self::with(
+            attn.into_iter()
+                .zip(mlp)
+                .map(|(a, m)| [Some(a), Some(m)])
+                .collect(),
+        )
     }
 
     /// Sums `world` workers' partials densely at both forward sums, as
     /// in a layer the compression plan does not cover.
     pub fn dense(world: usize) -> Self {
-        Self::with(world, [None, None])
+        Self::with((0..world).map(|_| [None, None]).collect())
     }
 
-    pub(crate) fn with(world: usize, reduces: [Option<CompressedAllReduce>; 2]) -> Self {
+    /// Sums through per-worker compressors at the two forward sums.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `comps` is empty.
+    pub(crate) fn with(comps: Vec<[Option<Box<dyn Compressor>>; 2]>) -> Self {
+        assert!(!comps.is_empty(), "a ring needs at least one worker");
         InProcess {
-            world,
-            reduces,
-            bytes: CommBytes::default(),
-        }
-    }
-}
-
-impl Reduce for InProcess {
-    fn compute<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        f()
-    }
-
-    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
-        let Some(reduce) = &mut self.reduces[at as usize] else {
-            let n = partials[0].len() * 2;
-            self.bytes.add(CommBytes::all_reduce(self.world, n, n));
-            return self.dense_sum(partials, ws);
-        };
-        let (sum, bytes) = reduce.forward(&partials);
-        self.bytes.add(bytes);
-        partials.into_iter().for_each(|p| ws.recycle_tensor(p));
-        sum
-    }
-
-    fn sum_backward(&mut self, at: SumPoint, dy: &Tensor) -> Vec<Tensor> {
-        match &mut self.reduces[at as usize] {
-            Some(reduce) => reduce.backward(dy),
-            None => vec![dy.clone(); self.world],
+            endpoints: Endpoint::serial_ring(comps.len()),
+            comps,
+            timers: PhaseTimers::default(),
         }
     }
 
-    fn dense_sum(&mut self, parts: Vec<Tensor>, _: &mut Workspace) -> Tensor {
-        wire_sum(parts.into_iter())
+    /// The [`Reduce`] a block over every shard sums through.
+    pub fn ring(&mut self) -> Ring<'_, Queue> {
+        Ring {
+            endpoints: &mut self.endpoints,
+            comps: &mut self.comps,
+            timers: &mut self.timers,
+        }
+    }
+
+    /// Bytes this layer's forward sums moved per worker (every worker
+    /// meters the same).
+    pub fn bytes(&self) -> CommBytes {
+        self.endpoints[0].bytes
+    }
+
+    /// Sums compressor-parameter gradients across workers and installs
+    /// the sum in every instance — the gradient all-reduce that keeps
+    /// replicated auto-encoder parameters in sync.
+    pub fn sync_param_grads(&mut self) {
+        for at in SumPoint::ALL {
+            if self.comps[0][at as usize].is_some() {
+                let comps = codecs(&mut self.comps, at);
+                ring::sync_param_grads(&mut self.endpoints, comps, &mut self.timers);
+            }
+        }
+    }
+
+    /// Visits every worker's compressor parameters, sum by sum (for the
+    /// optimizer).
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
+        for at in SumPoint::ALL {
+            for comp in self
+                .comps
+                .iter_mut()
+                .filter_map(|c| c[at as usize].as_mut())
+            {
+                comp.visit_params(f);
+            }
+        }
     }
 }
 
@@ -408,20 +402,28 @@ mod tests {
         assert_eq!(lone, ps[0], "one worker sends nothing");
     }
 
+    /// A serial ring with worker `r` compressing through `comps[r]` at
+    /// the attention sum.
+    fn ring_of(comps: Vec<Box<dyn Compressor>>) -> InProcess {
+        InProcess::with(comps.into_iter().map(|c| [Some(c), None]).collect())
+    }
+
+    /// The attention sum of `ps` and the bytes the ring has moved.
+    fn reduce(sums: &mut InProcess, ps: &[Tensor]) -> (Tensor, CommBytes) {
+        let out = (sums.ring()).sum(SumPoint::Attention, ps.to_vec(), &mut Workspace::new());
+        (out, sums.bytes())
+    }
+
     #[test]
     fn identity_reduce_is_exact_sum() {
         let ps = partials(0, 4, 3, 8);
-        let mut reduce = CompressedAllReduce::new(
+        let mut sums = ring_of(
             (0..4)
                 .map(|_| Box::new(Identity::new()) as Box<dyn Compressor>)
                 .collect(),
         );
-        let (out, bytes) = reduce.forward(&ps);
-        let mut expect = ps[0].clone();
-        for p in &ps[1..] {
-            expect.add_assign(p);
-        }
-        assert!(out.max_abs_diff(&expect) < 1e-5);
+        let (out, bytes) = reduce(&mut sums, &ps);
+        assert_eq!(out, rank_order_sum(ps.into_iter()));
         assert_eq!(bytes.wire, bytes.dense);
     }
 
@@ -434,8 +436,7 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             Box::new(AutoEncoder::new(&mut rng, 16, 4)) as Box<dyn Compressor>
         };
-        let mut reduce = CompressedAllReduce::new(vec![mk(7), mk(7)]);
-        let (out, bytes) = reduce.forward(&ps);
+        let (out, bytes) = reduce(&mut ring_of(vec![mk(7), mk(7)]), &ps);
 
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut single = AutoEncoder::new(&mut rng, 16, 4);
@@ -447,28 +448,22 @@ mod tests {
     #[test]
     fn topk_reduce_sums_decoded_messages() {
         let ps = partials(2, 2, 2, 8);
-        let mut reduce = CompressedAllReduce::new(vec![
-            Box::new(TopK::new(4)) as Box<dyn Compressor>,
-            Box::new(TopK::new(4)),
-        ]);
-        let (out, bytes) = reduce.forward(&ps);
+        let mut sums = ring_of(vec![Box::new(TopK::new(4)), Box::new(TopK::new(4))]);
+        let (out, bytes) = reduce(&mut sums, &ps);
         let mut t0 = TopK::new(4);
         let mut t1 = TopK::new(4);
         let expect = t0.round_trip(&ps[0]).add(&t1.round_trip(&ps[1]));
-        assert!(out.max_abs_diff(&expect) < 1e-6);
+        assert_eq!(out, expect, "decoded messages summed in rank order");
         assert!(bytes.wire < bytes.dense);
     }
 
     #[test]
     fn backward_fans_out_per_worker() {
         let ps = partials(3, 2, 2, 8);
-        let mut reduce = CompressedAllReduce::new(vec![
-            Box::new(TopK::new(4)) as Box<dyn Compressor>,
-            Box::new(TopK::new(4)),
-        ]);
-        let _ = reduce.forward(&ps);
+        let mut sums = ring_of(vec![Box::new(TopK::new(4)), Box::new(TopK::new(4))]);
+        let _ = reduce(&mut sums, &ps);
         let dy = Tensor::ones([2, 8]);
-        let dxs = reduce.backward(&dy);
+        let dxs = sums.ring().sum_backward(SumPoint::Attention, &dy);
         assert_eq!(dxs.len(), 2);
         // Each worker's gradient is masked to its own kept support.
         for (dx, p) in dxs.iter().zip(&ps) {
@@ -491,16 +486,19 @@ mod tests {
         let w0 = spec.build(&mut rng, n, 16);
         let mut rng2 = ChaCha8Rng::seed_from_u64(9);
         let w1 = spec.build(&mut rng2, n, 16);
-        let mut reduce = CompressedAllReduce::new(vec![w0, w1]);
-        let _ = reduce.forward(&ps);
-        let _ = reduce.backward(&Tensor::ones([4, 16]));
-        reduce.sync_param_grads();
+        let mut sums = ring_of(vec![w0, w1]);
+        let _ = reduce(&mut sums, &ps);
+        let _ = sums
+            .ring()
+            .sum_backward(SumPoint::Attention, &Tensor::ones([4, 16]));
+        sums.sync_param_grads();
         // After sync, every worker's grads are identical.
         let mut all: Vec<Tensor> = Vec::new();
-        reduce.visit_params(&mut |p| all.push(p.grad.clone()));
+        sums.visit_params(&mut |p| all.push(p.grad.clone()));
         let half = all.len() / 2;
+        assert!(half > 0, "the auto-encoder has parameters");
         for i in 0..half {
-            assert!(all[i].max_abs_diff(&all[half + i]) < 1e-6);
+            assert_eq!(all[i], all[half + i]);
         }
     }
 }

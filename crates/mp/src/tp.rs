@@ -411,15 +411,15 @@ impl Block {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reduce::{CompressedAllReduce, InProcess};
+    use crate::reduce::InProcess;
     use actcomp_compress::{Compressor, Identity};
     use actcomp_tensor::init;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn sums(world: usize, comp: impl Fn() -> Box<dyn Compressor>) -> InProcess {
-        let reduce = || CompressedAllReduce::new((0..world).map(|_| comp()).collect());
-        InProcess::new(reduce(), reduce())
+        let workers = || (0..world).map(|_| comp()).collect();
+        InProcess::new(workers(), workers())
     }
 
     fn identity(world: usize) -> InProcess {
@@ -454,12 +454,12 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(1);
             let x = init::randn(&mut rng, [6, 8], 1.0); // batch 3, seq 2
             let want = serial.forward(&x, 3, 2);
-            let got = tp.forward(&x, 3, 2, &mut sums, ws);
+            let got = tp.forward(&x, 3, 2, &mut sums.ring(), ws);
             // Two sums of `world` parts, each part's sum rounded once.
             let (diff, bound) = (got.max_abs_diff(&want), bf16_bound(2 * world, &want));
             assert!(diff <= bound, "world {world}: diff {diff} > {bound}");
             if world > 1 {
-                assert!(sums.bytes.dense > 0);
+                assert!(sums.bytes().dense > 0);
             }
         }
     }
@@ -477,8 +477,8 @@ mod tests {
 
         let _ = serial.forward(&x, 2, 2);
         let dx_serial = serial.backward(&dy);
-        let _ = tp.forward(&x, 2, 2, &mut sums, ws);
-        let dx_tp = tp.backward(&dy, &mut sums, ws);
+        let _ = tp.forward(&x, 2, 2, &mut sums.ring(), ws);
+        let dx_tp = tp.backward(&dy, &mut sums.ring(), ws);
         // Four sums, forward and backward, of `world` parts each.
         let (diff, bound) = (
             dx_tp.max_abs_diff(&dx_serial),
@@ -543,12 +543,16 @@ mod tests {
         let ws = &mut Workspace::new();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let x = init::randn(&mut rng, [4, 8], 1.0);
-        let y_exact = tp_exact.forward(&x, 2, 2, &mut exact, ws);
-        let y_q = tp_q.forward(&x, 2, 2, &mut quant, ws);
+        let y_exact = tp_exact.forward(&x, 2, 2, &mut exact.ring(), ws);
+        let y_q = tp_q.forward(&x, 2, 2, &mut quant.ring(), ws);
         let diff = y_q.max_abs_diff(&y_exact);
         assert!(diff > 0.0, "8-bit quantization should perturb the output");
         assert!(diff < 0.5, "8-bit quantization error too large: {diff}");
-        assert!(quant.bytes.ratio() > 1.5, "ratio {}", quant.bytes.ratio());
+        assert!(
+            quant.bytes().ratio() > 1.5,
+            "ratio {}",
+            quant.bytes().ratio()
+        );
     }
 
     #[test]
@@ -558,14 +562,12 @@ mod tests {
         let serial = serial_layer(7);
         let world = 2;
         let ae = |seed: u64| {
-            CompressedAllReduce::new(
-                (0..world)
-                    .map(|_| {
-                        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                        Box::new(AutoEncoder::new(&mut rng, 8, 3)) as Box<dyn Compressor>
-                    })
-                    .collect(),
-            )
+            (0..world)
+                .map(|_| {
+                    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                    Box::new(AutoEncoder::new(&mut rng, 8, 3)) as Box<dyn Compressor>
+                })
+                .collect()
         };
         let mut tp = full(&serial, world);
         let mut sums = InProcess::new(ae(10), ae(11));
@@ -574,13 +576,13 @@ mod tests {
         let x = init::randn(&mut rng, [2, 8], 0.5); // batch 1, seq 2
         let dy = init::randn(&mut rng, [2, 8], 1.0);
 
-        let _ = tp.forward(&x, 1, 2, &mut sums, ws);
-        let dx = tp.backward(&dy, &mut sums, ws);
+        let _ = tp.forward(&x, 1, 2, &mut sums.ring(), ws);
+        let dx = tp.backward(&dy, &mut sums.ring(), ws);
 
         let eps = 1e-2;
         let mut loss = |x: &Tensor| {
-            let l = tp.forward(x, 1, 2, &mut sums, ws).mul(&dy).sum();
-            let _ = tp.backward(&Tensor::zeros_like(&dy), &mut sums, ws);
+            let l = tp.forward(x, 1, 2, &mut sums.ring(), ws).mul(&dy).sum();
+            let _ = tp.backward(&Tensor::zeros_like(&dy), &mut sums.ring(), ws);
             l
         };
         for j in 0..x.len() {

@@ -1,19 +1,30 @@
 //! Property-based tests of the model-parallel execution layer.
 
 use actcomp_compress::{AutoEncoder, Compressor, Identity, Quantizer, TopK};
-use actcomp_mp::{Block, CompressedAllReduce, InProcess};
+use actcomp_mp::{Block, CommBytes, InProcess, Reduce, SumPoint};
 use actcomp_nn::EncoderLayer;
 use actcomp_tensor::{init, Tensor, Workspace};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn identity_reduce(world: usize) -> CompressedAllReduce {
-    CompressedAllReduce::new(
-        (0..world)
-            .map(|_| Box::new(Identity::new()) as Box<dyn Compressor>)
-            .collect(),
-    )
+fn identity_reduce(world: usize) -> InProcess {
+    reduce_of((0..world).map(|_| Box::new(Identity::new()) as Box<dyn Compressor>))
+}
+
+/// The serial ring with one compressor per worker at both sums.
+fn reduce_of(comps: impl Iterator<Item = Box<dyn Compressor>> + Clone) -> InProcess {
+    InProcess::new(comps.clone().collect(), comps.collect())
+}
+
+/// One forward sum of `partials` through the ring, and its bytes.
+fn forward(sums: &mut InProcess, partials: &[Tensor]) -> (Tensor, CommBytes) {
+    let out = (sums.ring()).sum(
+        SumPoint::Attention,
+        partials.to_vec(),
+        &mut Workspace::new(),
+    );
+    (out, sums.bytes())
 }
 
 proptest! {
@@ -34,7 +45,7 @@ proptest! {
         let mut sums = InProcess::dense(world);
         let x = init::randn(&mut rng, [batch * seq, 8], 1.0);
         let want = serial.forward(&x, batch, seq);
-        let got = tp.forward(&x, batch, seq, &mut sums, &mut Workspace::new());
+        let got = tp.forward(&x, batch, seq, &mut sums.ring(), &mut Workspace::new());
         // Two sums of `world` parts, every part's partial sum rounded to
         // bfloat16 (8 significant bits): at most 2⁻⁸ of the output's
         // scale per rounding.
@@ -50,7 +61,7 @@ proptest! {
         let partials: Vec<Tensor> =
             (0..world).map(|_| init::randn(&mut rng, [3, 8], 1.0)).collect();
         let mut reduce = identity_reduce(world);
-        let (out, bytes) = reduce.forward(&partials);
+        let (out, bytes) = forward(&mut reduce, &partials);
         let mut want = partials[0].clone();
         for p in &partials[1..] {
             want.add_assign(p);
@@ -66,12 +77,9 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let partials: Vec<Tensor> =
             (0..world).map(|_| init::randn(&mut rng, [4, 8], 1.0)).collect();
-        let mut reduce = CompressedAllReduce::new(
-            (0..world)
-                .map(|_| Box::new(Quantizer::new(8)) as Box<dyn Compressor>)
-                .collect(),
-        );
-        let (out, _) = reduce.forward(&partials);
+        let mut reduce =
+            reduce_of((0..world).map(|_| Box::new(Quantizer::new(8)) as Box<dyn Compressor>));
+        let (out, _) = forward(&mut reduce, &partials);
         let mut exact = partials[0].clone();
         for p in &partials[1..] {
             exact.add_assign(p);
@@ -90,11 +98,9 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let partials: Vec<Tensor> =
             (0..2).map(|_| init::randn(&mut rng, [2, 8], 1.0)).collect();
-        let mut reduce = CompressedAllReduce::new(
-            (0..2).map(|_| Box::new(TopK::new(k)) as Box<dyn Compressor>).collect(),
-        );
-        let _ = reduce.forward(&partials);
-        let dxs = reduce.backward(&Tensor::ones([2, 8]));
+        let mut reduce = reduce_of((0..2).map(|_| Box::new(TopK::new(k)) as Box<dyn Compressor>));
+        let _ = forward(&mut reduce, &partials);
+        let dxs = reduce.ring().sum_backward(SumPoint::Attention, &Tensor::ones([2, 8]));
         for dx in &dxs {
             let nz = dx.as_slice().iter().filter(|v| **v != 0.0).count();
             prop_assert!(nz <= k.min(16));
@@ -106,21 +112,17 @@ proptest! {
     #[test]
     fn ae_reduce_is_linear(seed in 0u64..500, scale in 0.1f32..3.0) {
         let mk = || {
-            CompressedAllReduce::new(
-                (0..2)
-                    .map(|_| {
-                        let mut r = ChaCha8Rng::seed_from_u64(99);
-                        Box::new(AutoEncoder::new(&mut r, 8, 3)) as Box<dyn Compressor>
-                    })
-                    .collect(),
-            )
+            reduce_of((0..2).map(|_| {
+                let mut r = ChaCha8Rng::seed_from_u64(99);
+                Box::new(AutoEncoder::new(&mut r, 8, 3)) as Box<dyn Compressor>
+            }))
         };
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let partials: Vec<Tensor> =
             (0..2).map(|_| init::randn(&mut rng, [2, 8], 1.0)).collect();
         let scaled: Vec<Tensor> = partials.iter().map(|p| p.scale(scale)).collect();
-        let (y1, _) = mk().forward(&scaled);
-        let (y2, _) = mk().forward(&partials);
+        let (y1, _) = forward(&mut mk(), &scaled);
+        let (y2, _) = forward(&mut mk(), &partials);
         prop_assert!(y1.max_abs_diff(&y2.scale(scale)) < 1e-2 * (1.0 + y1.abs_max()));
     }
 }

@@ -4,21 +4,21 @@
 //! `actcomp` reproduction of *"Does Compressing Activations Help Model
 //! Parallel Training?"* (MLSys 2024).
 //!
-//! Where `actcomp-mp` executes model parallelism as a single-threaded
-//! simulation (all workers' shards summed in-process) and
-//! `actcomp-distsim` only *costs* it, this crate runs one OS thread per
-//! model-parallel rank and moves activations between them as real
-//! messages over `std::sync::mpsc` channels:
+//! Where `actcomp-mp` executes model parallelism in one thread (every
+//! worker's shard and ring endpoint driven in-process) and
+//! `actcomp-distsim` only *costs* it, this crate runs one OS thread or
+//! process per model-parallel rank and moves activations between them
+//! as real messages over framed transport channels:
 //!
 //! - each rank runs an [`actcomp_mp::Block`] over its own
 //!   tensor-parallel shard of each layer of its pipeline stage — the
-//!   block the serial executor runs over every shard — and sums partials
-//!   over its ring where the serial executor sums them in process;
+//!   block the serial executor runs over every shard — and sums its
+//!   partials through the same [`actcomp_mp::Ring`];
 //! - the compressed all-reduce (summable auto-encoder codes) and
-//!   compressed all-gather (Top-K / Random-K / quantized messages) run
-//!   over a reusable ring topology ([`TpGroup`]) with the same
-//!   compressor arithmetic as the serial
-//!   [`CompressedAllReduce`](actcomp_mp::CompressedAllReduce);
+//!   compressed all-gather (Top-K / Random-K / quantized messages) are
+//!   [`actcomp_mp::ring`]'s one interpreter, which a rank drives over
+//!   its own endpoint ([`TpGroup`]) where the serial executor drives
+//!   every worker's in one thread;
 //! - every rank executes its GPipe step list — micro-batch inputs,
 //!   boundary messages, stage broadcasts, blocks and grad syncs —
 //!   from [`actcomp_check::steps::rank_steps`], the list the
@@ -28,8 +28,8 @@
 //!   and emitted as `BENCH_runtime.json`.
 //!
 //! The engine is deterministic given a seed — every collective reduces
-//! in rank order, a dense sum with the serial executor's own rounded
-//! fold ([`wire_sum`](actcomp_mp::wire_sum)), per-rank RNGs are
+//! in rank order, a dense sum with the rounded fold
+//! [`wire_sum`](actcomp_mp::wire_sum) describes, per-rank RNGs are
 //! `ChaCha8` streams — and bit-identical to the serial
 //! [`MpBert`](actcomp_mp::MpBert) (test-enforced).
 //!

@@ -96,9 +96,9 @@ impl<T: WireMsg> MsgRx<T> {
 #[derive(Default)]
 pub(crate) struct RankLinks {
     /// Ring send to the next TP neighbour.
-    pub ring_tx: Option<MsgTx<crate::comm::RingMsg>>,
+    pub ring_tx: Option<MsgTx<actcomp_mp::ring::RingMsg>>,
     /// Ring receive from the previous TP neighbour.
-    pub ring_rx: Option<MsgRx<crate::comm::RingMsg>>,
+    pub ring_rx: Option<MsgRx<actcomp_mp::ring::RingMsg>>,
     /// Broadcast fan-out (stage rank 0 only), to peers `1..tp` in order.
     pub bcast_tx: Vec<MsgTx<actcomp_tensor::Tensor>>,
     /// Broadcast receive (stage peers only).

@@ -16,7 +16,7 @@ use crate::wire::{put_f32, put_string, put_u8, put_usize, Reader, WireError, Wir
 use actcomp_check::steps::{rank_steps, Op, Step, Sweep};
 use actcomp_check::{Phase, TraceEvent};
 use actcomp_compress::{Compressed, Compressor};
-use actcomp_mp::{Block, CommBytes, Reduce, SumPoint};
+use actcomp_mp::{Block, CommBytes, Ring};
 use actcomp_net::TransportError;
 use actcomp_nn::{Embedding, Layer, LayerNorm, LnCache, Parameter};
 use actcomp_tensor::{Tensor, Workspace};
@@ -428,56 +428,6 @@ impl EmbeddingStage {
 /// dense).
 pub(crate) type OwnedLayer = (Block, [Option<Box<dyn Compressor>>; 2]);
 
-/// A rank's [`Reduce`]: its one shard's partial summed with its TP
-/// peers' over the group's ring, through the layer's compressors, with
-/// the block's arithmetic charged to the rank's compute time.
-struct Ring<'a> {
-    tp: &'a mut TpGroup,
-    comps: &'a mut [Option<Box<dyn Compressor>>; 2],
-    timers: &'a mut PhaseTimers,
-}
-
-/// The one tensor a rank's block hands a sum.
-fn only(mut parts: Vec<Tensor>) -> Tensor {
-    assert_eq!(parts.len(), 1, "a rank holds one shard");
-    parts.swap_remove(0)
-}
-
-impl Reduce for Ring<'_> {
-    fn compute<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        timed(&mut self.timers.compute_s, f)
-    }
-
-    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
-        let partial = only(partials);
-        let s = match self.comps[at as usize].as_deref_mut() {
-            Some(comp) => (self.tp).compressed_all_reduce(comp, &partial, self.timers, ws),
-            None => {
-                // Metered as the serial executor meters a dense sum.
-                let n = partial.len() * 2;
-                (self.tp.bytes).add(CommBytes::all_reduce(self.tp.world, n, n));
-                self.tp.dense_all_reduce(&partial, self.timers, ws)
-            }
-        };
-        ws.recycle_tensor(partial);
-        s
-    }
-
-    fn sum_backward(&mut self, at: SumPoint, dy: &Tensor) -> Vec<Tensor> {
-        vec![match self.comps[at as usize].as_deref_mut() {
-            Some(comp) => self.tp.compressed_backward(comp, dy, self.timers),
-            None => dy.clone(),
-        }]
-    }
-
-    fn dense_sum(&mut self, parts: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
-        let part = only(parts);
-        let s = self.tp.dense_all_reduce(&part, self.timers, ws);
-        ws.recycle_tensor(part);
-        s
-    }
-}
-
 /// The gradients `visit` hands its callback, in order.
 fn grads_of(visit: impl FnOnce(&mut dyn FnMut(&mut Parameter))) -> Vec<Tensor> {
     let mut grads = Vec::new();
@@ -731,8 +681,8 @@ impl RankWorker {
                     for i in 0..n {
                         let (block, comps) = &mut self.layers[if backward { n - 1 - i } else { i }];
                         let ring = &mut Ring {
-                            tp: &mut self.tp,
-                            comps,
+                            endpoints: std::slice::from_mut(&mut *self.tp),
+                            comps: std::slice::from_mut(comps),
                             timers: &mut self.timers,
                         };
                         let y = if backward {

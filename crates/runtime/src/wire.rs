@@ -13,6 +13,7 @@
 
 use crate::rank::RankGrads;
 use actcomp_compress::{Compressed, Payload};
+use actcomp_mp::ring::{ChunkData, GatherPayload, RingMsg};
 use actcomp_tensor::{Shape, Tensor};
 use bytes::Bytes;
 
@@ -291,6 +292,12 @@ impl WireMsg for Compressed {
         }
     }
 
+    /// Refuses a code a decoder could not use safely: a shape whose
+    /// element count overflows, quantized codes of a width other than
+    /// 2, 4 or 8 bits or not exactly `ceil(n·bits/8)` bytes long, and
+    /// sparse values and indices of different counts or an index past
+    /// the shape. A receive still checks the shape against what the
+    /// rank holds before decoding ([`actcomp_mp::ring::code_fits`]).
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let rank = r.usize("compressed shape rank")?;
         if rank > 8 {
@@ -303,22 +310,102 @@ impl WireMsg for Compressed {
         if dims.contains(&0) {
             return fail("compressed shape dim");
         }
-        let shape = Shape::new(dims);
+        let n = checked_len(&dims).ok_or(WireError {
+            what: "compressed shape size",
+        })?;
         let payload = match r.u8("compressed payload tag")? {
             0 => Payload::Dense(Tensor::decode(r)?),
-            1 => Payload::Sparse {
-                values: r.f32_vec("sparse values")?,
-                indices: r.u32_vec("sparse indices")?,
-            },
-            2 => Payload::Quantized {
-                codes: Bytes::from(r.bytes("quantized codes")?),
-                bits: r.u8("quantized bits")?,
-                scale: r.f32("quantized scale")?,
-                zero: r.f32("quantized zero")?,
-            },
+            1 => {
+                let values = r.f32_vec("sparse values")?;
+                let indices = r.u32_vec("sparse indices")?;
+                if values.len() != indices.len() {
+                    return fail("sparse index count");
+                }
+                if indices.iter().any(|&i| i as usize >= n) {
+                    return fail("sparse index");
+                }
+                Payload::Sparse { values, indices }
+            }
+            2 => {
+                let codes = r.bytes("quantized codes")?;
+                let bits = r.u8("quantized bits")?;
+                if ![2, 4, 8].contains(&bits) {
+                    return fail("quantized bits");
+                }
+                if n.checked_mul(bits as usize).map(|b| b.div_ceil(8)) != Some(codes.len()) {
+                    return fail("quantized code length");
+                }
+                Payload::Quantized {
+                    codes: Bytes::from(codes),
+                    bits,
+                    scale: r.f32("quantized scale")?,
+                    zero: r.f32("quantized zero")?,
+                }
+            }
             _ => return fail("compressed payload tag"),
         };
-        Ok(Compressed::new(payload, shape))
+        Ok(Compressed::new(payload, Shape::new(dims)))
+    }
+}
+
+impl WireMsg for RingMsg {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            RingMsg::Gather(origin, payload) => {
+                put_u8(out, 0);
+                put_usize(out, *origin);
+                match payload {
+                    GatherPayload::Code(c) => {
+                        put_u8(out, 0);
+                        c.encode(out);
+                    }
+                    GatherPayload::Grads(v) => {
+                        put_u8(out, 1);
+                        v.encode(out);
+                    }
+                }
+            }
+            RingMsg::Chunk { bcast, idx, data } => {
+                put_u8(out, 1);
+                put_u8(out, *bcast as u8);
+                put_usize(out, *idx);
+                match data {
+                    ChunkData::Dense(rows) => {
+                        put_u8(out, 0);
+                        put_bf16_slice(out, rows);
+                    }
+                    ChunkData::Code(c) => {
+                        put_u8(out, 1);
+                        c.encode(out);
+                    }
+                }
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.read_u8("ring message tag")? {
+            0 => {
+                let origin = r.read_usize("gather origin")?;
+                let payload = match r.read_u8("gather payload tag")? {
+                    0 => GatherPayload::Code(Compressed::decode(r)?),
+                    1 => GatherPayload::Grads(Vec::<Tensor>::decode(r)?),
+                    _ => return fail("gather payload tag"),
+                };
+                Ok(RingMsg::Gather(origin, payload))
+            }
+            1 => {
+                let bcast = r.read_u8("chunk bcast flag")? != 0;
+                let idx = r.read_usize("chunk index")?;
+                let data = match r.read_u8("chunk data tag")? {
+                    0 => ChunkData::Dense(r.bf16_vec("dense chunk rows")?),
+                    1 => ChunkData::Code(Compressed::decode(r)?),
+                    _ => return fail("chunk data tag"),
+                };
+                Ok(RingMsg::Chunk { bcast, idx, data })
+            }
+            _ => fail("ring message tag"),
+        }
     }
 }
 
@@ -474,7 +561,6 @@ mod tests {
 
     #[test]
     fn hostile_length_prefixes_are_typed_errors_never_panics() {
-        use crate::comm::RingMsg;
         // Every place a decoder reads a count off the wire, fed counts
         // whose `at + n` (or `n * 4`, or `n * 2`) overflows. A CRC-valid
         // frame from a peer can carry any of these; the answer is always
@@ -575,6 +661,181 @@ mod tests {
             assert!(decode_msg::<RingMsg>(&built(dense_rows, &chunk(0))).is_err());
             let hello = built(tensor_list, &[]);
             assert!(Reader::new(&hello).read_string("hello").is_err());
+        }
+    }
+
+    /// A code whose shape is `dims` with `payload`, as the wire carries it.
+    fn code_frame(dims: &[usize], payload: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_dims(&mut out, dims);
+        payload(&mut out);
+        out
+    }
+
+    #[test]
+    fn codes_a_decoder_could_not_use_are_refused() {
+        let sparse = |values: &[f32], indices: &[u32]| {
+            let (values, indices) = (values.to_vec(), indices.to_vec());
+            move |out: &mut Vec<u8>| {
+                put_u8(out, 1);
+                put_f32_slice(out, &values);
+                put_u32_slice(out, &indices);
+            }
+        };
+        let quant = |codes: usize, bits: u8| {
+            move |out: &mut Vec<u8>| {
+                put_u8(out, 2);
+                put_bytes(out, &vec![0; codes]);
+                put_u8(out, bits);
+                put_f32(out, 1.0);
+                put_f32(out, 0.0);
+            }
+        };
+        let refused = |frame: Vec<u8>, what: &str| match decode_msg::<Compressed>(&frame) {
+            Err(e) => assert_eq!(e.what, what),
+            Ok(_) => panic!("accepted a code with a bad {what}"),
+        };
+        // Ten elements: 2-bit codes take 3 bytes, 4-bit 5, 8-bit 10.
+        for (codes, bits) in [(3, 2), (5, 4), (10, 8)] {
+            assert!(decode_msg::<Compressed>(&code_frame(&[2, 5], quant(codes, bits))).is_ok());
+            refused(
+                code_frame(&[2, 5], quant(codes + 1, bits)),
+                "quantized code length",
+            );
+            refused(
+                code_frame(&[2, 5], quant(codes - 1, bits)),
+                "quantized code length",
+            );
+        }
+        for bits in [0, 1, 3, 16] {
+            refused(code_frame(&[2, 5], quant(10, bits)), "quantized bits");
+        }
+        assert!(decode_msg::<Compressed>(&code_frame(&[2, 5], sparse(&[1.0], &[9]))).is_ok());
+        refused(code_frame(&[2, 5], sparse(&[1.0], &[10])), "sparse index");
+        refused(
+            code_frame(&[2, 5], sparse(&[1.0, 2.0], &[3])),
+            "sparse index count",
+        );
+        refused(code_frame(&[2, 5], sparse(&[], &[3])), "sparse index count");
+        // A shape whose element count overflows, with nothing to fill it.
+        let huge = [1 << 32, 1 << 32];
+        refused(code_frame(&huge, sparse(&[], &[])), "compressed shape size");
+    }
+
+    /// The codec and own code a receive checks a decoded code against.
+    type Check = Option<(Box<dyn Compressor>, Compressed)>;
+
+    /// Valid ring frames of every kind a ring carries, each with its
+    /// check.
+    fn valid_ring_frames() -> Vec<(Vec<u8>, Check)> {
+        use actcomp_compress::spec::CompressorSpec;
+        use actcomp_mp::ring::{ChunkData, GatherPayload, RingMsg};
+        use rand::SeedableRng;
+        let partial = actcomp_tensor::init::randn(
+            &mut rand_chacha::ChaCha8Rng::seed_from_u64(3),
+            [4, 8],
+            1.0,
+        );
+        let coded = |spec: CompressorSpec| {
+            let mut codec = spec.build(&mut rand_chacha::ChaCha8Rng::seed_from_u64(4), 32, 8);
+            let code = codec.compress(&partial);
+            (code.clone(), Some((codec, code)))
+        };
+        let chunk = |data| RingMsg::Chunk {
+            bcast: true,
+            idx: 2,
+            data,
+        };
+        let mut rows = partial.as_slice()[..16].to_vec();
+        actcomp_mp::wire_round(&mut rows);
+        let mut frames = vec![(encode_msg(&chunk(ChunkData::Dense(rows))), None)];
+        for spec in [
+            CompressorSpec::A2,
+            CompressorSpec::T2,
+            CompressorSpec::R2,
+            CompressorSpec::Q2,
+        ] {
+            let (code, check) = coded(spec);
+            frames.push((encode_msg(&chunk(ChunkData::Code(code))), check));
+        }
+        let (code, check) = coded(CompressorSpec::Q2);
+        frames.push((
+            encode_msg(&RingMsg::Gather(1, GatherPayload::Code(code))),
+            check,
+        ));
+        let grads = GatherPayload::Grads(vec![partial.clone(), Tensor::ones([8])]);
+        frames.push((encode_msg(&RingMsg::Gather(0, grads)), None));
+        frames
+    }
+
+    /// Decodes `bytes` as a ring frame; a code that fits `check`'s own
+    /// code, as a receive demands, must then decode under its codec.
+    fn open_ring_frame(bytes: &[u8], check: &Check) -> bool {
+        use actcomp_mp::ring::{code_fits, ChunkData, GatherPayload, RingMsg};
+        let Ok(msg) = decode_msg::<RingMsg>(bytes) else {
+            return false;
+        };
+        if let (
+            RingMsg::Chunk {
+                data: ChunkData::Code(code),
+                ..
+            }
+            | RingMsg::Gather(_, GatherPayload::Code(code)),
+            Some((codec, own)),
+        ) = (msg, check)
+        {
+            if code_fits(&code, own) {
+                assert_eq!(codec.decompress(&code).dims(), own.shape().dims());
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn every_single_byte_corruption_of_a_ring_frame_decodes_or_fails() {
+        for (frame, check) in &valid_ring_frames() {
+            for at in 0..frame.len() {
+                for byte in [0x00, 0xff, frame[at] ^ 0x01, frame[at] ^ 0x80] {
+                    let mut bad = frame.clone();
+                    bad[at] = byte;
+                    open_ring_frame(&bad, check);
+                }
+            }
+        }
+    }
+
+    use actcomp_compress::Compressor;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A ring frame off the wire decodes or fails; it never panics,
+        /// and nothing a receive admits panics its codec.
+        #[test]
+        fn hostile_ring_frames_decode_or_fail_but_never_panic(
+            noise in collection::vec(0u8..=255, 0..160),
+            which in 0usize..7,
+            at in 0usize..1 << 16,
+            byte in 0u8..=255,
+        ) {
+            let frames = valid_ring_frames();
+            let (frame, check) = &frames[which];
+            prop_assert!(open_ring_frame(frame, check), "a valid frame decodes");
+            open_ring_frame(&noise, check);
+            let mut spliced = frame[..at % frame.len()].to_vec();
+            spliced.extend_from_slice(&noise);
+            open_ring_frame(&spliced, check);
+            for n in 0..frame.len() {
+                prop_assert!(!open_ring_frame(&frame[..n], check), "a truncated frame decodes");
+            }
+            let mut bad = frame.clone();
+            bad[at % frame.len()] = byte;
+            open_ring_frame(&bad, check);
+            for flip in [0x01, 0x80, 0xff] {
+                bad[at % frame.len()] = frame[at % frame.len()] ^ flip;
+                open_ring_frame(&bad, check);
+            }
         }
     }
 }

@@ -114,8 +114,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The identity compressed reduce sums its codes exactly — the
-    /// serial `CompressedAllReduce`'s `f32` left fold — bit for bit on
-    /// every rank, for tp ∈ {1, 2, 4}.
+    /// `f32` left fold `rank_order_sum` describes — bit for bit on every
+    /// rank, for tp ∈ {1, 2, 4}.
     #[test]
     fn chunked_identity_reduce_matches_serial_fold(
         world_ix in 0usize..3,

@@ -19,8 +19,7 @@ use actcomp_compress::{Compressor, Identity};
 use actcomp_mp::shard::{qkv_backward, qkv_forward};
 use actcomp_mp::tp::interleave;
 use actcomp_mp::{
-    stage_offsets, Block, ColumnShard, CompressedAllReduce, InProcess, MpConfig, Reduce, RowShard,
-    SumPoint,
+    stage_offsets, Block, ColumnShard, InProcess, MpConfig, Reduce, RowShard, SumPoint,
 };
 use actcomp_nn::{graphs, BertConfig, EncoderLayer, MultiHeadAttention};
 use actcomp_runtime::{RuntimeConfig, ThreadedRuntime};
@@ -167,19 +166,19 @@ impl Reduce for Logged {
     }
 
     fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
-        let s = self.sums.sum(at, partials.clone(), ws);
+        let s = self.sums.ring().sum(at, partials.clone(), ws);
         self.calls.push((partials, vec![s.clone()]));
         s
     }
 
     fn sum_backward(&mut self, at: SumPoint, dy: &Tensor) -> Vec<Tensor> {
-        let ds = self.sums.sum_backward(at, dy);
+        let ds = self.sums.ring().sum_backward(at, dy);
         self.calls.push((Vec::new(), ds.clone()));
         ds
     }
 
     fn dense_sum(&mut self, parts: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
-        let s = self.sums.dense_sum(parts.clone(), ws);
+        let s = self.sums.ring().dense_sum(parts.clone(), ws);
         self.calls.push((parts, vec![s.clone()]));
         s
     }
@@ -238,7 +237,7 @@ fn the_rank_order_sum_of_local_input_grads_is_the_serial_executor_backward() {
         let dy = init::randn(&mut rng, [6, HIDDEN], 1.0);
         let identity = || {
             let comps = (0..world).map(|_| Box::new(Identity::new()) as Box<dyn Compressor>);
-            CompressedAllReduce::new(comps.collect())
+            comps.collect()
         };
 
         let mut serial = Block::new(&layer, world, 0..world).expect("valid shards");
