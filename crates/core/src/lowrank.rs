@@ -7,7 +7,7 @@ use crate::config::AccuracyConfig;
 use actcomp_data::glue::{class_labels, GlueTask};
 use actcomp_nn::optim::{self, Adam};
 use actcomp_nn::{loss, BertEncoder, ClassifierHead, Layer};
-use actcomp_tensor::{linalg, Tensor};
+use actcomp_tensor::{linalg, Tensor, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -117,7 +117,7 @@ fn forward_to_layer(
     let tok = model.tok.forward(ids);
     let pos_ids: Vec<usize> = (0..batch).flat_map(|_| 0..seq).collect();
     let pos = model.pos.forward(&pos_ids);
-    let mut x = model.emb_ln.forward(&tok.add(&pos));
+    let mut x = model.emb_ln.forward(&tok.add(&pos), &mut Workspace::new());
     for layer in model.layers.iter_mut().take(upto + 1) {
         x = layer.forward(&x, batch, seq);
     }

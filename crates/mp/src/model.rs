@@ -9,7 +9,8 @@ use crate::tp::{Block, SumPoint};
 use actcomp_compress::plan::CompressionPlan;
 use actcomp_compress::spec::CompressorSpec;
 use actcomp_compress::{Compressor, ErrorFeedback};
-use actcomp_nn::{BertConfig, BertEncoder, Embedding, Layer, LayerNorm, Parameter};
+use actcomp_nn::graphs::LnInput;
+use actcomp_nn::{BertConfig, BertEncoder, Embedding, Layer, LayerNorm, LnCache, Parameter};
 use actcomp_tensor::{Tensor, Workspace};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -85,6 +86,8 @@ pub struct MpBert {
     pub pos: Embedding,
     /// Embedding layer norm.
     pub emb_ln: LayerNorm,
+    /// `emb_ln`'s cache from the last forward.
+    emb_cache: Option<LnCache>,
     /// Per layer, a block over every TP shard and the sums it runs.
     layers: Vec<(Block, InProcess)>,
     /// `pp − 1` boundaries; `boundaries[b]` sits before the first layer of
@@ -104,10 +107,7 @@ impl MpBert {
     /// Panics on an invalid configuration; [`MpBert::try_new`] is the
     /// non-panicking variant.
     pub fn new(rng: &mut ChaCha8Rng, config: MpConfig) -> Self {
-        match Self::try_new(rng, config) {
-            Ok(mp) => mp,
-            Err(e) => panic!("{e}"),
-        }
+        Self::try_new(rng, config).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Typed variant of [`MpBert::new`].
@@ -126,10 +126,7 @@ impl MpBert {
     /// Panics on an invalid configuration; [`MpBert::try_from_serial`] is
     /// the non-panicking variant.
     pub fn from_serial(serial: &BertEncoder, config: MpConfig, rng: &mut ChaCha8Rng) -> Self {
-        match Self::try_from_serial(serial, config, rng) {
-            Ok(mp) => mp,
-            Err(e) => panic!("{e}"),
-        }
+        Self::try_from_serial(serial, config, rng).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Typed variant of [`MpBert::from_serial`].
@@ -157,6 +154,7 @@ impl MpBert {
             tok: serial.tok.clone(),
             pos: serial.pos.clone(),
             emb_ln: serial.emb_ln.clone(),
+            emb_cache: None,
             layers,
             boundaries,
             stage_offsets: stage_offsets(config.bert.layers, config.pp),
@@ -199,7 +197,12 @@ impl MpBert {
         let tok = self.tok.forward(ids);
         let pos_ids: Vec<usize> = (0..batch).flat_map(|_| 0..seq).collect();
         let pos = self.pos.forward(&pos_ids);
-        let mut x = self.emb_ln.forward(&tok.add(&pos));
+        // The rank's embedding op: the token + position sum is fused into
+        // the layer norm's plan.
+        let (mut x, cache) =
+            self.emb_ln
+                .forward_cached(LnInput::Residual, &[&tok, &pos], &mut self.ws);
+        self.emb_cache = Some(cache);
         for l in 0..self.layers.len() {
             if let Some(b) = self.boundary_before(l) {
                 x = self.boundaries[b].forward(&x);
@@ -223,7 +226,10 @@ impl MpBert {
                 d = self.boundaries[b].backward(&d);
             }
         }
-        let demb = self.emb_ln.backward(&d);
+        let cache = self.emb_cache.take().expect("backward without forward");
+        let demb = self
+            .emb_ln
+            .backward_cached(&d, None, cache, None, &mut self.ws);
         self.tok.backward(&demb);
         self.pos.backward(&demb);
         for (_, sums) in &mut self.layers {
@@ -305,15 +311,10 @@ impl MpBert {
 /// the earliest stages. Shared with the threaded runtime so both
 /// executions agree on the stage → layer mapping.
 pub fn stage_offsets(layers: usize, pp: usize) -> Vec<usize> {
-    let base = layers / pp;
-    let extra = layers % pp;
-    let mut offsets = Vec::with_capacity(pp);
-    let mut acc = 0;
-    for s in 0..pp {
-        offsets.push(acc);
-        acc += base + usize::from(s < extra);
-    }
-    offsets
+    // Stage `s` starts after `s` base-sized stages and the extra layers
+    // of the first `min(s, extra)` of them.
+    let (base, extra) = (layers / pp, layers % pp);
+    (0..pp).map(|s| s * base + s.min(extra)).collect()
 }
 
 /// Every compressor seed of a run, and the rules that turn one into a

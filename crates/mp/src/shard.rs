@@ -274,8 +274,8 @@ mod tests {
             init::randn(&mut rng, [6], 1.0),
         );
         let x = init::randn(&mut rng, [3, 4], 1.0);
-        let full = linear.apply(&x);
         let ws = &mut Workspace::new();
+        let full = linear.apply(&x, ws);
         // `mlp_up`'s second output is the pre-activation `x·W + b`.
         let outs: Vec<Tensor> = (0..3)
             .map(|i| ColumnShard::of(&linear, 3, i).mlp_up(&x, ws).1)

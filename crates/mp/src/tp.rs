@@ -28,9 +28,9 @@
 
 use crate::error::ShardError;
 use crate::shard::{qkv_backward, qkv_forward, ColumnShard, RowShard};
+use actcomp_nn::graphs::{self, LnInput};
 use actcomp_nn::{
-    graphs, EncoderLayer, FeedForward, Layer, LayerNorm, Linear, LnCache, MultiHeadAttention,
-    Parameter,
+    EncoderLayer, FeedForward, Layer, LayerNorm, Linear, LnCache, MultiHeadAttention, Parameter,
 };
 use actcomp_tensor::attention::Heads;
 use actcomp_tensor::{Tensor, Workspace};
@@ -247,7 +247,7 @@ impl Block {
         let (h1, ln1, mlp, partials) = r.compute(|| {
             let (h1, ln1) =
                 self.ln1
-                    .forward_bias_residual_cached_ws(&s, &self.wo_bias.value, x, ws);
+                    .forward_cached(LnInput::BiasResidual, &[&s, &self.wo_bias.value, x], ws);
             let (mlp, partials): (Vec<_>, Vec<_>) = self
                 .shards
                 .iter()
@@ -262,9 +262,11 @@ impl Block {
         });
         let s = r.sum(SumPoint::Mlp, partials, ws);
         r.compute(|| {
-            let (y, ln2) =
-                self.ln2
-                    .forward_bias_residual_cached_ws(&s, &self.fc2_bias.value, &h1, ws);
+            let (y, ln2) = self.ln2.forward_cached(
+                LnInput::BiasResidual,
+                &[&s, &self.fc2_bias.value, &h1],
+                ws,
+            );
             ws.recycle_tensor(s);
             self.caches.push(Cache {
                 x: ws.lease_copy(x),
@@ -295,7 +297,7 @@ impl Block {
         } = self.caches.pop().expect("Block::backward without forward");
         let d2 = r.compute(|| {
             self.ln2
-                .backward_fused_ws(dy, None, ln2, Some(&mut self.fc2_bias), ws)
+                .backward_cached(dy, None, ln2, Some(&mut self.fc2_bias), ws)
         });
         let dps = r.sum_backward(SumPoint::Mlp, &d2);
         let parts = r.compute(|| {
@@ -316,7 +318,7 @@ impl Block {
         let d1 = r.compute(|| {
             let d1 = self
                 .ln1
-                .backward_fused_ws(&d2, Some(&df), ln1, Some(&mut self.wo_bias), ws);
+                .backward_cached(&d2, Some(&df), ln1, Some(&mut self.wo_bias), ws);
             ws.recycle_tensor(d2);
             ws.recycle_tensor(df);
             d1

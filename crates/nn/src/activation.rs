@@ -1,7 +1,7 @@
 //! Elementwise activation layers.
 
 use crate::{Layer, Parameter};
-use actcomp_tensor::{ops, Tensor};
+use actcomp_tensor::{ops, Tensor, Workspace};
 
 /// GELU activation layer (tanh approximation), caching its input.
 ///
@@ -9,10 +9,10 @@ use actcomp_tensor::{ops, Tensor};
 ///
 /// ```
 /// use actcomp_nn::{Gelu, Layer};
-/// use actcomp_tensor::Tensor;
+/// use actcomp_tensor::{Tensor, Workspace};
 ///
 /// let mut g = Gelu::new();
-/// let y = g.forward(&Tensor::from_vec(vec![-2.0, 0.0, 2.0], [1, 3]));
+/// let y = g.forward(&Tensor::from_vec(vec![-2.0, 0.0, 2.0], [1, 3]), &mut Workspace::new());
 /// assert!(y[1].abs() < 1e-7);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -28,12 +28,12 @@ impl Gelu {
 }
 
 impl Layer for Gelu {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _ws: &mut Workspace) -> Tensor {
         self.cache_x = Some(x.clone());
         x.gelu()
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    fn backward(&mut self, dy: &Tensor, _ws: &mut Workspace) -> Tensor {
         let x = self
             .cache_x
             .take()
@@ -58,12 +58,12 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _ws: &mut Workspace) -> Tensor {
         self.cache_x = Some(x.clone());
         x.map(|v| v.max(0.0))
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    fn backward(&mut self, dy: &Tensor, _ws: &mut Workspace) -> Tensor {
         let x = self
             .cache_x
             .take()
@@ -88,13 +88,13 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _ws: &mut Workspace) -> Tensor {
         let y = x.map(f32::tanh);
         self.cache_y = Some(y.clone());
         y
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    fn backward(&mut self, dy: &Tensor, _ws: &mut Workspace) -> Tensor {
         let y = self
             .cache_y
             .take()
@@ -121,9 +121,10 @@ mod tests {
     #[test]
     fn relu_forward_and_grad() {
         let mut r = Relu::new();
-        let y = r.forward(&Tensor::from_vec(vec![-1.0, 2.0], [1, 2]));
+        let ws = &mut Workspace::new();
+        let y = r.forward(&Tensor::from_vec(vec![-1.0, 2.0], [1, 2]), ws);
         assert_eq!(y.as_slice(), &[0.0, 2.0]);
-        let dx = r.backward(&Tensor::ones([1, 2]));
+        let dx = r.backward(&Tensor::ones([1, 2]), ws);
         assert_eq!(dx.as_slice(), &[0.0, 1.0]);
     }
 

@@ -3,7 +3,7 @@
 use crate::{graphs, Layer, Linear, Parameter};
 use actcomp_tensor::attention::Heads;
 use actcomp_tensor::plan::OutBind;
-use actcomp_tensor::{workspace, Tensor, Workspace};
+use actcomp_tensor::{Tensor, Workspace};
 use rand::Rng;
 
 /// Multi-head scaled-dot-product self-attention.
@@ -18,13 +18,13 @@ use rand::Rng;
 ///
 /// ```
 /// use actcomp_nn::MultiHeadAttention;
-/// use actcomp_tensor::Tensor;
+/// use actcomp_tensor::{Tensor, Workspace};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
 /// let mut attn = MultiHeadAttention::new(&mut rng, 16, 4);
 /// let x = Tensor::ones([2 * 3, 16]); // batch 2, seq 3
-/// let y = attn.forward(&x, 2, 3);
+/// let y = attn.forward(&x, 2, 3, &mut Workspace::new());
 /// assert_eq!(y.dims(), &[6, 16]);
 /// ```
 #[derive(Debug, Clone)]
@@ -125,28 +125,13 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Forward pass over `[batch·seq, hidden]` input.
+    /// Forward pass over `[batch·seq, hidden]` input; the projections,
+    /// probabilities and context are leased from `ws`.
     ///
     /// # Panics
     ///
     /// Panics if `x` is not `[batch·seq, hidden]`.
-    pub fn forward(&mut self, x: &Tensor, batch: usize, seq: usize) -> Tensor {
-        workspace::with_thread_default(|ws| self.forward_ws(x, batch, seq, ws))
-    }
-
-    /// [`MultiHeadAttention::forward`] with caller-provided scratch: the
-    /// projections, probabilities and context are leased from `ws`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `[batch·seq, hidden]`.
-    pub fn forward_ws(
-        &mut self,
-        x: &Tensor,
-        batch: usize,
-        seq: usize,
-        ws: &mut Workspace,
-    ) -> Tensor {
+    pub fn forward(&mut self, x: &Tensor, batch: usize, seq: usize, ws: &mut Workspace) -> Tensor {
         let h = self.hidden();
         assert_eq!(
             x.dims(),
@@ -177,7 +162,7 @@ impl MultiHeadAttention {
         let qkv = [0, 1, 2].map(|i| Tensor::from_vec(res[i].take().expect("leased qkv"), [m, h]));
         let at = self.head_layout(batch, seq);
         let (ctx, probs) = graphs::attention_forward(ws, qkv.each_ref(), at);
-        let out = self.wo.forward_ws(&ctx, ws);
+        let out = self.wo.forward(&ctx, ws);
         ws.recycle_tensor(ctx);
         self.cache = Some(AttnCache {
             x: x.clone(),
@@ -194,16 +179,7 @@ impl MultiHeadAttention {
     /// # Panics
     ///
     /// Panics if called without a preceding [`MultiHeadAttention::forward`].
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        workspace::with_thread_default(|ws| self.backward_ws(dy, ws))
-    }
-
-    /// [`MultiHeadAttention::backward`] with caller-provided scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called without a preceding [`MultiHeadAttention::forward`].
-    pub fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+    pub fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let AttnCache {
             x,
             qkv,
@@ -217,7 +193,7 @@ impl MultiHeadAttention {
         let h = self.hidden();
         let m = batch * seq;
 
-        let dctx = self.wo.backward_ws(dy, ws);
+        let dctx = self.wo.backward(dy, ws);
         let at = self.head_layout(batch, seq);
         let grads = graphs::attention_backward(ws, qkv.each_ref(), &probs, &dctx, at);
         ws.recycle_tensor(dctx);
@@ -275,9 +251,10 @@ mod tests {
     fn output_shape_and_determinism() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let mut attn = MultiHeadAttention::new(&mut rng, 8, 2);
+        let ws = &mut Workspace::new();
         let x = init::randn(&mut rng, [6, 8], 1.0);
-        let y1 = attn.forward(&x, 2, 3);
-        let y2 = attn.forward(&x, 2, 3);
+        let y1 = attn.forward(&x, 2, 3, ws);
+        let y2 = attn.forward(&x, 2, 3, ws);
         assert_eq!(y1, y2);
         assert_eq!(y1.dims(), &[6, 8]);
         assert!(y1.all_finite());
@@ -288,9 +265,10 @@ mod tests {
         // With identical tokens, attention is an average: output rows equal.
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut attn = MultiHeadAttention::new(&mut rng, 8, 2);
+        let ws = &mut Workspace::new();
         let row = init::randn(&mut rng, [1, 8], 1.0);
         let x = Tensor::concat_rows(&[&row, &row, &row]);
-        let y = attn.forward(&x, 1, 3);
+        let y = attn.forward(&x, 1, 3, ws);
         let r0 = y.slice_rows(0, 1);
         let r1 = y.slice_rows(1, 2);
         let r2 = y.slice_rows(2, 3);
@@ -303,11 +281,12 @@ mod tests {
     fn input_gradients_match_finite_difference() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut attn = MultiHeadAttention::new(&mut rng, 6, 2);
+        let ws = &mut Workspace::new();
         let x = init::randn(&mut rng, [4, 6], 0.8); // batch 2, seq 2
-        let y = attn.forward(&x, 2, 2);
+        let y = attn.forward(&x, 2, 2, ws);
         let dy = init::randn(&mut rng, y.shape().clone(), 1.0);
-        let _ = attn.forward(&x, 2, 2);
-        let dx = attn.backward(&dy);
+        let _ = attn.forward(&x, 2, 2, ws);
+        let dx = attn.backward(&dy, ws);
 
         let eps = 1e-2;
         for j in 0..x.len() {
@@ -315,8 +294,8 @@ mod tests {
             xp[j] += eps;
             let mut xm = x.clone();
             xm[j] -= eps;
-            let lp = attn.forward(&xp, 2, 2).mul(&dy).sum();
-            let lm = attn.forward(&xm, 2, 2).mul(&dy).sum();
+            let lp = attn.forward(&xp, 2, 2, ws).mul(&dy).sum();
+            let lm = attn.forward(&xm, 2, 2, ws).mul(&dy).sum();
             let fd = (lp - lm) / (2.0 * eps);
             assert_close(dx[j], fd, 3e-2, &format!("attn dx[{j}]"));
         }
@@ -327,13 +306,14 @@ mod tests {
     fn param_gradients_match_finite_difference() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut attn = MultiHeadAttention::new(&mut rng, 6, 2);
+        let ws = &mut Workspace::new();
         let x = init::randn(&mut rng, [4, 6], 0.8);
-        let y = attn.forward(&x, 2, 2);
+        let y = attn.forward(&x, 2, 2, ws);
         let dy = init::randn(&mut rng, y.shape().clone(), 1.0);
 
         attn.visit_params(&mut |p| p.zero_grad());
-        let _ = attn.forward(&x, 2, 2);
-        let _ = attn.backward(&dy);
+        let _ = attn.forward(&x, 2, 2, ws);
+        let _ = attn.backward(&dy, ws);
         let mut grads = Vec::new();
         attn.visit_params(&mut |p| grads.push(p.grad.clone()));
 
@@ -353,9 +333,9 @@ mod tests {
             let stride = (grad.len() / 4).max(1);
             for j in (0..grad.len()).step_by(stride) {
                 bump(&mut attn, t, j, eps);
-                let lp = attn.forward(&x, 2, 2).mul(&dy).sum();
+                let lp = attn.forward(&x, 2, 2, ws).mul(&dy).sum();
                 bump(&mut attn, t, j, -2.0 * eps);
-                let lm = attn.forward(&x, 2, 2).mul(&dy).sum();
+                let lm = attn.forward(&x, 2, 2, ws).mul(&dy).sum();
                 bump(&mut attn, t, j, eps);
                 let fd = (lp - lm) / (2.0 * eps);
                 assert_close(grad[j], fd, 3e-2, &format!("attn param {t}[{j}]"));

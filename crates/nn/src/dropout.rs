@@ -1,7 +1,7 @@
 //! Inverted dropout.
 
 use crate::{Layer, Parameter};
-use actcomp_tensor::Tensor;
+use actcomp_tensor::{Tensor, Workspace};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -44,7 +44,7 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _ws: &mut Workspace) -> Tensor {
         if !self.training || self.p == 0.0 {
             self.cache_mask = None;
             return x.clone();
@@ -62,7 +62,7 @@ impl Layer for Dropout {
         y
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    fn backward(&mut self, dy: &Tensor, _ws: &mut Workspace) -> Tensor {
         match self.cache_mask.take() {
             Some(mask) => dy.mul(&mask),
             None => dy.clone(),
@@ -85,15 +85,16 @@ mod tests {
         let mut d = Dropout::new(0.5, 0);
         d.set_training(false);
         let x = Tensor::ones([4, 4]);
-        assert_eq!(d.forward(&x), x);
-        assert_eq!(d.backward(&x), x);
+        let ws = &mut Workspace::new();
+        assert_eq!(d.forward(&x, ws), x);
+        assert_eq!(d.backward(&x, ws), x);
     }
 
     #[test]
     fn training_preserves_expectation() {
         let mut d = Dropout::new(0.3, 7);
         let x = Tensor::ones([100, 100]);
-        let y = d.forward(&x);
+        let y = d.forward(&x, &mut Workspace::new());
         assert!((y.mean() - 1.0).abs() < 0.05, "mean {}", y.mean());
     }
 
@@ -101,8 +102,9 @@ mod tests {
     fn backward_uses_same_mask() {
         let mut d = Dropout::new(0.5, 3);
         let x = Tensor::ones([8, 8]);
-        let y = d.forward(&x);
-        let dx = d.backward(&Tensor::ones([8, 8]));
+        let ws = &mut Workspace::new();
+        let y = d.forward(&x, ws);
+        let dx = d.backward(&Tensor::ones([8, 8]), ws);
         assert_eq!(y, dx);
     }
 

@@ -3,7 +3,7 @@
 use crate::graphs::{self, LnInput};
 use crate::{Layer, Parameter};
 use actcomp_tensor::plan::OutBind;
-use actcomp_tensor::{workspace, Tensor, Workspace};
+use actcomp_tensor::{Tensor, Workspace};
 
 /// Layer normalization over the feature axis of `[tokens, features]`
 /// inputs: `y = γ ⊙ (x − μ)/√(σ² + ε) + β`.
@@ -12,10 +12,11 @@ use actcomp_tensor::{workspace, Tensor, Workspace};
 ///
 /// ```
 /// use actcomp_nn::{Layer, LayerNorm};
-/// use actcomp_tensor::Tensor;
+/// use actcomp_tensor::{Tensor, Workspace};
 ///
 /// let mut ln = LayerNorm::new(4);
-/// let y = ln.forward(&Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [1, 4]));
+/// let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [1, 4]);
+/// let y = ln.forward(&x, &mut Workspace::new());
 /// assert!(y.mean().abs() < 1e-6); // zero-mean per row with unit γ, zero β
 /// ```
 #[derive(Debug, Clone)]
@@ -33,8 +34,8 @@ pub struct LayerNorm {
 ///
 /// [`Layer::forward`] stores one of these internally; callers that
 /// interleave several in-flight activations (e.g. a microbatched pipeline
-/// stage) use [`LayerNorm::forward_cached`] and keep the caches
-/// themselves.
+/// stage) or normalize a fused sum use [`LayerNorm::forward_cached`] and
+/// keep the caches themselves.
 #[derive(Debug, Clone)]
 pub struct LnCache {
     xhat: Tensor,
@@ -42,16 +43,6 @@ pub struct LnCache {
 }
 
 impl LnCache {
-    /// The cached normalized activation `x̂`.
-    pub fn xhat(&self) -> &Tensor {
-        &self.xhat
-    }
-
-    /// The cached per-row inverse standard deviations.
-    pub fn inv_std(&self) -> &Tensor {
-        &self.inv_std
-    }
-
     /// Consumes the cache into `(x̂, 1/σ)`.
     pub fn into_parts(self) -> (Tensor, Tensor) {
         (self.xhat, self.inv_std)
@@ -75,77 +66,19 @@ impl LayerNorm {
         self.gamma.value.len()
     }
 
-    /// Forward pass returning the backward state explicitly instead of
-    /// storing it, so callers can keep several activations in flight.
+    /// Forward pass over the [`LnInput`] sum of `operands` (in the
+    /// variant's binding order: `[x]`, `[x, r]` or `[s, b, x]`), returning
+    /// the backward state instead of storing it, so callers can keep
+    /// several activations in flight. Runs the [`graphs::layernorm`] plan:
+    /// the sum is a plan-internal intermediate, recycled the moment the
+    /// normalization has consumed it, and `y`, `x̂` and the per-row inverse
+    /// standard deviations are written in one pass, all leased from `ws`.
     ///
     /// # Panics
     ///
-    /// Panics if `x` is not `[tokens, features]`.
-    pub fn forward_cached(&self, x: &Tensor) -> (Tensor, LnCache) {
-        workspace::with_thread_default(|ws| self.forward_cached_ws(x, ws))
-    }
-
-    /// [`LayerNorm::forward_cached`] with caller-provided scratch: runs
-    /// the [`graphs::layernorm`] plan, which writes `y`, `x̂`, and the
-    /// per-row inverse standard deviations in a single fused pass (all
-    /// leased from `ws`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `[tokens, features]`.
-    pub fn forward_cached_ws(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, LnCache) {
-        self.run_forward(LnInput::Plain, &[x], ws)
-    }
-
-    /// Fused residual + layer norm: computes `LN(x + r)` as one graph
-    /// segment — the residual sum is a plan-internal intermediate,
-    /// recycled the moment the normalization has consumed it, instead of
-    /// a caller-held full activation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes disagree or are not `[tokens, features]`.
-    pub fn forward_residual_cached_ws(
-        &self,
-        x: &Tensor,
-        r: &Tensor,
-        ws: &mut Workspace,
-    ) -> (Tensor, LnCache) {
-        assert!(
-            x.shape().same_as(r.shape()),
-            "residual shape {} != input shape {}",
-            r.shape(),
-            x.shape()
-        );
-        self.run_forward(LnInput::Residual, &[x, r], ws)
-    }
-
-    /// `LN((s + bias) + x)` with `bias` broadcast over rows, as one graph
-    /// segment — what follows a row-parallel reduce whose shared bias is
-    /// added once, after the sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes disagree or are not `[tokens, features]`.
-    pub fn forward_bias_residual_cached_ws(
-        &self,
-        s: &Tensor,
-        bias: &Tensor,
-        x: &Tensor,
-        ws: &mut Workspace,
-    ) -> (Tensor, LnCache) {
-        assert!(
-            s.shape().same_as(x.shape()),
-            "residual shape {} != input shape {}",
-            x.shape(),
-            s.shape()
-        );
-        self.run_forward(LnInput::BiasResidual, &[s, bias, x], ws)
-    }
-
-    /// Runs the [`graphs::layernorm`] plan for `input` over `operands`
-    /// (in the variant's binding order) followed by `γ`, `β`.
-    fn run_forward(
+    /// Panics if the operands are not the ones `input` binds, the first
+    /// is not `[tokens, features]`, or a residual's shape differs from it.
+    pub fn forward_cached(
         &self,
         input: LnInput,
         operands: &[&Tensor],
@@ -166,6 +99,14 @@ impl LayerNorm {
             n,
             x.dims()[1]
         );
+        for r in operands[1..].iter().filter(|t| t.rank() == 2) {
+            assert!(
+                x.shape().same_as(r.shape()),
+                "residual shape {} != input shape {}",
+                r.shape(),
+                x.shape()
+            );
+        }
         let m = x.dims()[0];
         let plan = graphs::layernorm(ws, m, n, self.eps, input);
         let mut inputs: Vec<&[f32]> = operands.iter().map(|t| t.as_slice()).collect();
@@ -185,52 +126,18 @@ impl LayerNorm {
         )
     }
 
-    /// [`LayerNorm::forward_residual_cached_ws`] storing the cache
-    /// internally, as [`Layer::forward`] does.
-    pub fn forward_residual(&mut self, x: &Tensor, r: &Tensor) -> Tensor {
-        let (y, cache) =
-            workspace::with_thread_default(|ws| self.forward_residual_cached_ws(x, r, ws));
-        self.cache = Some(cache);
-        y
-    }
-
-    /// Backward pass from an explicit [`LnCache`], accumulating `γ`/`β`
-    /// gradients and returning the input gradient.
+    /// Backward pass from an explicit [`LnCache`], as one plan
+    /// ([`graphs::layernorm_backward`]): optionally folds a second
+    /// upstream gradient `extra` into `dy` first (the residual branch's
+    /// contribution), accumulates `dγ`, `dβ` and — given `row_bias`, a
+    /// row-broadcast bias that was added ahead of the normalization — its
+    /// gradient `Σ_rows dx` straight into the parameters, and returns the
+    /// leased `dx`. The consumed cache's buffers are recycled into `ws`.
     ///
     /// # Panics
     ///
     /// Panics if `dy`'s shape disagrees with the cached activation's.
-    pub fn backward_cached(&mut self, dy: &Tensor, cache: LnCache) -> Tensor {
-        workspace::with_thread_default(|ws| self.backward_cached_ws(dy, cache, ws))
-    }
-
-    /// [`LayerNorm::backward_cached`] with caller-provided scratch; the
-    /// consumed cache's buffers are recycled into `ws`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dy`'s shape disagrees with the cached activation's.
-    pub fn backward_cached_ws(
-        &mut self,
-        dy: &Tensor,
-        cache: LnCache,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        self.backward_fused_ws(dy, None, cache, None, ws)
-    }
-
-    /// LayerNorm backward as one plan ([`graphs::layernorm_backward`]):
-    /// optionally folds a second upstream gradient `extra` into `dy` first
-    /// (the residual branch's contribution), accumulates `dγ`, `dβ` and —
-    /// given `row_bias`, a row-broadcast bias that was added ahead of the
-    /// normalization — its gradient `Σ_rows dx` straight into the
-    /// parameters, and returns the leased `dx`. The consumed cache's
-    /// buffers are recycled into `ws`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dy`'s shape disagrees with the cached activation's.
-    pub fn backward_fused_ws(
+    pub fn backward_cached(
         &mut self,
         dy: &Tensor,
         extra: Option<&Tensor>,
@@ -266,18 +173,18 @@ impl LayerNorm {
 }
 
 impl Layer for LayerNorm {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let (y, cache) = self.forward_cached(x);
+    fn forward(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+        let (y, cache) = self.forward_cached(LnInput::Plain, &[x], ws);
         self.cache = Some(cache);
         y
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let cache = self
             .cache
             .take()
             .expect("LayerNorm::backward called without forward");
-        self.backward_cached(dy, cache)
+        self.backward_cached(dy, None, cache, None, ws)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
@@ -299,7 +206,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let x = init::randn(&mut rng, [5, 16], 3.0).add_scalar(2.0);
         let mut ln = LayerNorm::new(16);
-        let y = ln.forward(&x);
+        let y = ln.forward(&x, &mut Workspace::new());
         let (mean, var) = y.row_moments();
         for i in 0..5 {
             assert!(mean[i].abs() < 1e-5);
@@ -312,7 +219,10 @@ mod tests {
         let mut ln = LayerNorm::new(2);
         ln.gamma.value = Tensor::from_vec(vec![2.0, 2.0], [2]);
         ln.beta.value = Tensor::from_vec(vec![1.0, -1.0], [2]);
-        let y = ln.forward(&Tensor::from_vec(vec![-1.0, 1.0], [1, 2]));
+        let y = ln.forward(
+            &Tensor::from_vec(vec![-1.0, 1.0], [1, 2]),
+            &mut Workspace::new(),
+        );
         // x̂ = [-1, 1] (unit variance after eps ≈ 0), so y ≈ [-1, 1]*2 + β.
         assert!((y[0] + 1.0).abs() < 1e-2);
         assert!((y[1] - 1.0).abs() < 1e-2);
@@ -328,6 +238,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "without forward")]
     fn backward_requires_forward() {
-        LayerNorm::new(2).backward(&Tensor::ones([1, 2]));
+        LayerNorm::new(2).backward(&Tensor::ones([1, 2]), &mut Workspace::new());
     }
 }

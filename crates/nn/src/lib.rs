@@ -8,14 +8,21 @@
 //! operators spliced into model-parallel boundaries. This crate provides
 //! the serial reference implementation of that architecture:
 //!
-//! - primitive layers ([`Linear`], [`LayerNorm`], [`Gelu`], [`Dropout`],
-//!   [`Embedding`]) implementing the [`Layer`] forward/backward contract,
+//! - primitive layers ([`Linear`], [`LayerNorm`], [`Gelu`], [`Dropout`])
+//!   implementing the [`Layer`] forward/backward contract, and the
+//!   [`Embedding`] lookup table,
 //! - [`MultiHeadAttention`] with a complete manual backward pass,
+//! - one entry point per op: a layer op takes the caller's
+//!   [`actcomp_tensor::Workspace`] (a rank or the serial model-parallel
+//!   executor keeps one), while the model-level methods ([`EncoderLayer`],
+//!   [`BertEncoder`], the heads) and [`loss::softmax_cross_entropy`] run on
+//!   the thread's default workspace,
 //! - the [`transformer`] module: encoder blocks, [`BertEncoder`], and
 //!   classification / regression / MLM heads,
 //! - [`graphs`]: the one catalogue of op-graph segments these layers, the
 //!   `actcomp-mp` shards and the runtime's ranks compile and run,
-//! - [`loss`] functions and [`optim`] (SGD, Adam/AdamW),
+//! - [`loss`] functions and [`optim`] (Adam/AdamW, used by the accuracy
+//!   harnesses; the runtime's SGD step is a plain `axpy` with no state),
 //! - [`testutil`]: finite-difference gradient checking used by this crate
 //!   and by `actcomp-mp` to validate compression-in-the-graph layers.
 //!
@@ -40,7 +47,6 @@
 
 mod activation;
 mod attention;
-pub mod checkpoint;
 mod dropout;
 mod embedding;
 pub mod graphs;
@@ -56,7 +62,6 @@ pub mod transformer;
 
 pub use activation::{Gelu, Relu, Tanh};
 pub use attention::MultiHeadAttention;
-pub use checkpoint::{Checkpoint, OptimizerState, TrainingState};
 pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use layernorm::{LayerNorm, LnCache};

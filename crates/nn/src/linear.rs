@@ -2,7 +2,7 @@
 
 use crate::{graphs, Layer, Parameter};
 use actcomp_tensor::plan::OutBind;
-use actcomp_tensor::{init, workspace, Tensor, Workspace};
+use actcomp_tensor::{init, Tensor, Workspace};
 use rand::Rng;
 
 /// Affine transformation `y = x W + b` with cached input for backprop.
@@ -13,12 +13,12 @@ use rand::Rng;
 ///
 /// ```
 /// use actcomp_nn::{Layer, Linear};
-/// use actcomp_tensor::Tensor;
+/// use actcomp_tensor::{Tensor, Workspace};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
 /// let mut layer = Linear::new(&mut rng, 8, 4);
-/// let y = layer.forward(&Tensor::ones([2, 8]));
+/// let y = layer.forward(&Tensor::ones([2, 8]), &mut Workspace::new());
 /// assert_eq!(y.dims(), &[2, 4]);
 /// ```
 #[derive(Debug, Clone)]
@@ -35,15 +35,6 @@ impl Linear {
     pub fn new(rng: &mut impl Rng, fan_in: usize, fan_out: usize) -> Self {
         Linear {
             weight: Parameter::new(init::xavier_uniform(rng, fan_in, fan_out)),
-            bias: Parameter::new(Tensor::zeros([fan_out])),
-            cache_x: None,
-        }
-    }
-
-    /// Creates a layer with `N(0, std²)` weights (Megatron-style init).
-    pub fn new_normal(rng: &mut impl Rng, fan_in: usize, fan_out: usize, std: f32) -> Self {
-        Linear {
-            weight: Parameter::new(init::randn(rng, [fan_in, fan_out], std)),
             bias: Parameter::new(Tensor::zeros([fan_out])),
             cache_x: None,
         }
@@ -81,16 +72,11 @@ impl Linear {
         self.weight.value.dims()[1]
     }
 
-    /// Forward pass without caching (inference-only helper).
-    pub fn apply(&self, x: &Tensor) -> Tensor {
-        workspace::with_thread_default(|ws| self.apply_ws(x, ws))
-    }
-
-    /// [`Linear::apply`] with caller-provided scratch: runs the
+    /// Forward pass without caching (inference-only helper): runs the
     /// [`graphs::linear_forward`] plan, so the bias add executes in the
     /// GEMM's register-tile epilogue instead of a second pass over the
     /// output.
-    pub fn apply_ws(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+    pub fn apply(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = self.fan_out();
         let plan = graphs::linear_forward(ws, m, kin, n);
@@ -105,20 +91,20 @@ impl Linear {
         );
         Tensor::from_vec(out[0].take().expect("leased output"), [m, n])
     }
+}
 
-    /// [`Layer::forward`] with caller-provided scratch.
-    pub fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let y = self.apply_ws(x, ws);
+impl Layer for Linear {
+    fn forward(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+        let y = self.apply(x, ws);
         self.cache_x = Some(x.clone());
         y
     }
 
-    /// [`Layer::backward`] with caller-provided scratch. The whole
-    /// backward — `dW = xᵀ dy`, `db = Σ_rows dy`, `dx = dy Wᵀ` — is one
-    /// plan ([`graphs::linear_backward`]) whose parameter-gradient outputs
-    /// accumulate straight into `grad` ([`OutBind::Acc`], no product
-    /// temporary).
-    pub fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+    /// The whole backward — `dW = xᵀ dy`, `db = Σ_rows dy`, `dx = dy Wᵀ`
+    /// — is one plan ([`graphs::linear_backward`]) whose parameter-gradient
+    /// outputs accumulate straight into `grad` ([`OutBind::Acc`], no
+    /// product temporary).
+    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let x = self
             .cache_x
             .take()
@@ -137,16 +123,6 @@ impl Linear {
         );
         ws.recycle_tensor(x);
         Tensor::from_vec(res[2].take().expect("leased dx"), [m, kin])
-    }
-}
-
-impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        workspace::with_thread_default(|ws| self.forward_ws(x, ws))
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        workspace::with_thread_default(|ws| self.backward_ws(dy, ws))
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
@@ -167,7 +143,10 @@ mod tests {
         let w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
         let b = Tensor::from_vec(vec![0.5, -0.5], [2]);
         let mut layer = Linear::from_parts(w, b);
-        let y = layer.forward(&Tensor::from_vec(vec![1.0, 1.0], [1, 2]));
+        let y = layer.forward(
+            &Tensor::from_vec(vec![1.0, 1.0], [1, 2]),
+            &mut Workspace::new(),
+        );
         assert_eq!(y.as_slice(), &[4.5, 5.5]);
     }
 
@@ -184,11 +163,12 @@ mod tests {
         let mut layer = Linear::new(&mut rng, 2, 2);
         let x = Tensor::ones([3, 2]);
         let dy = Tensor::ones([3, 2]);
-        layer.forward(&x);
-        layer.backward(&dy);
+        let ws = &mut Workspace::new();
+        layer.forward(&x, ws);
+        layer.backward(&dy, ws);
         let g1 = layer.weight.grad.clone();
-        layer.forward(&x);
-        layer.backward(&dy);
+        layer.forward(&x, ws);
+        layer.backward(&dy, ws);
         assert!(layer.weight.grad.max_abs_diff(&g1.scale(2.0)) < 1e-6);
     }
 
@@ -197,7 +177,7 @@ mod tests {
     fn backward_requires_forward() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut layer = Linear::new(&mut rng, 2, 2);
-        layer.backward(&Tensor::ones([1, 2]));
+        layer.backward(&Tensor::ones([1, 2]), &mut Workspace::new());
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Loss functions returning `(loss, dlogits)` pairs.
 
-use actcomp_tensor::{workspace, Tensor, Workspace};
+use actcomp_tensor::{workspace, Tensor};
 
 /// Mean softmax cross-entropy over rows of `[n, classes]` logits.
 ///
 /// Returns the scalar loss and the gradient with respect to the logits
-/// (already divided by `n`, so it can be fed straight into backward).
+/// (already divided by `n`, so it can be fed straight into backward). The
+/// gradient is assembled in a single buffer leased from this thread's
+/// default workspace: copy of the probabilities, label subtraction, and
+/// `1/n` scaling in place.
 ///
 /// # Panics
 ///
@@ -16,30 +19,13 @@ use actcomp_tensor::{workspace, Tensor, Workspace};
 ///
 /// ```
 /// use actcomp_nn::loss::softmax_cross_entropy;
-/// use actcomp_tensor::{workspace, Tensor, Workspace};
+/// use actcomp_tensor::Tensor;
 ///
 /// let logits = Tensor::from_vec(vec![10.0, -10.0], [1, 2]);
 /// let (loss, _grad) = softmax_cross_entropy(&logits, &[0]);
 /// assert!(loss < 1e-4); // confidently correct
 /// ```
 pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-    workspace::with_thread_default(|ws| softmax_cross_entropy_ws(logits, labels, ws))
-}
-
-/// [`softmax_cross_entropy`] with caller-provided scratch: the gradient
-/// is assembled in a single leased buffer (copy of the probabilities,
-/// label subtraction, and `1/n` scaling fused in place) instead of a
-/// clone plus an extra scaled copy.
-///
-/// # Panics
-///
-/// Panics if `labels.len()` differs from the number of rows or any label
-/// is out of range.
-pub fn softmax_cross_entropy_ws(
-    logits: &Tensor,
-    labels: &[usize],
-    ws: &mut Workspace,
-) -> (f32, Tensor) {
     assert_eq!(
         logits.rank(),
         2,
@@ -50,19 +36,21 @@ pub fn softmax_cross_entropy_ws(
     assert_eq!(labels.len(), n, "{} labels for {n} rows", labels.len());
     let probs = logits.softmax_rows();
     let mut loss = 0.0f32;
-    let mut grad = ws.lease(n * c);
-    grad.copy_from_slice(probs.as_slice());
-    for (i, &y) in labels.iter().enumerate() {
-        assert!(y < c, "label {y} out of range for {c} classes");
-        loss -= probs.as_slice()[i * c + y].max(1e-12).ln();
-        grad[i * c + y] -= 1.0;
-    }
-    let inv_n = 1.0 / n as f32;
-    for g in &mut grad {
-        *g *= inv_n;
-    }
-    ws.recycle_tensor(probs);
-    (loss * inv_n, Tensor::from_vec(grad, [n, c]))
+    workspace::with_thread_default(|ws| {
+        let mut grad = ws.lease(n * c);
+        grad.copy_from_slice(probs.as_slice());
+        for (i, &y) in labels.iter().enumerate() {
+            assert!(y < c, "label {y} out of range for {c} classes");
+            loss -= probs.as_slice()[i * c + y].max(1e-12).ln();
+            grad[i * c + y] -= 1.0;
+        }
+        let inv_n = 1.0 / n as f32;
+        for g in &mut grad {
+            *g *= inv_n;
+        }
+        ws.recycle_tensor(probs);
+        (loss * inv_n, Tensor::from_vec(grad, [n, c]))
+    })
 }
 
 /// Masked mean softmax cross-entropy: rows whose `labels[i]` is `None` are

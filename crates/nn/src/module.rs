@@ -1,6 +1,6 @@
 //! Trainable parameters and the layer abstraction.
 
-use actcomp_tensor::Tensor;
+use actcomp_tensor::{Tensor, Workspace};
 
 /// A trainable tensor together with its accumulated gradient.
 ///
@@ -58,12 +58,19 @@ impl Parameter {
 /// see calls in strict `forward → backward` alternation (asserted by the
 /// implementations).
 ///
+/// Both passes take the caller's [`Workspace`]: the layer leases its
+/// outputs and scratch from it, recycles consumed caches into it, and
+/// looks its compiled plans up in it, so a caller that keeps one
+/// workspace (a runtime rank, the serial model-parallel executor) stops
+/// allocating and compiling after its first step. Layers without graph
+/// work (activations, dropout) ignore it.
+///
 /// Inputs and outputs are rank-2 `[tokens, features]` tensors; attention
 /// layers, which additionally need the `(batch, seq)` factorization, expose
 /// their own inherent methods and participate in encoder blocks directly.
 pub trait Layer {
     /// Runs the layer on `x`, caching intermediate state for backward.
-    fn forward(&mut self, x: &Tensor) -> Tensor;
+    fn forward(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor;
 
     /// Propagates the output gradient `dy`, accumulating parameter
     /// gradients and returning the input gradient.
@@ -71,10 +78,10 @@ pub trait Layer {
     /// # Panics
     ///
     /// Panics if called without a preceding [`Layer::forward`].
-    fn backward(&mut self, dy: &Tensor) -> Tensor;
+    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor;
 
     /// Visits every trainable parameter (used by optimizers and
-    /// serialization).
+    /// gradient collection).
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter));
 
     /// Switches between training and evaluation behaviour (dropout etc.).
@@ -101,10 +108,10 @@ mod tests {
     struct Doubler;
 
     impl Layer for Doubler {
-        fn forward(&mut self, x: &Tensor) -> Tensor {
+        fn forward(&mut self, x: &Tensor, _ws: &mut Workspace) -> Tensor {
             x.scale(2.0)
         }
-        fn backward(&mut self, dy: &Tensor) -> Tensor {
+        fn backward(&mut self, dy: &Tensor, _ws: &mut Workspace) -> Tensor {
             dy.scale(2.0)
         }
         fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Parameter)) {}
@@ -116,7 +123,7 @@ mod tests {
         assert_eq!(d.num_params(), 0);
         d.zero_grad();
         d.set_training(false);
-        let y = d.forward(&Tensor::ones([2, 2]));
+        let y = d.forward(&Tensor::ones([2, 2]), &mut Workspace::new());
         assert_eq!(y.sum(), 8.0);
     }
 

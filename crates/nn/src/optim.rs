@@ -9,7 +9,7 @@ use actcomp_tensor::Tensor;
 
 /// A gradient-based parameter updater.
 ///
-/// State (momentum, moments) is keyed by the order in which parameters are
+/// State (Adam's moments) is keyed by the order in which parameters are
 /// visited, so use a stable traversal such as a model's `visit_params`.
 pub trait Optimizer {
     /// Updates the `index`-th visited parameter from its gradient.
@@ -23,15 +23,17 @@ pub trait Optimizer {
 ///
 /// ```
 /// use actcomp_nn::{optim, Linear, Layer};
-/// use actcomp_nn::optim::Sgd;
-/// use actcomp_tensor::Tensor;
+/// use actcomp_nn::optim::Adam;
+/// use actcomp_tensor::{Tensor, Workspace};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
 /// let mut layer = Linear::new(&mut rng, 4, 2);
-/// let mut opt = Sgd::new(0.1);
-/// layer.forward(&Tensor::ones([1, 4]));
-/// layer.backward(&Tensor::ones([1, 2]));
+/// let mut opt = Adam::new(0.1);
+/// let ws = &mut Workspace::new();
+/// layer.forward(&Tensor::ones([1, 4]), ws);
+/// layer.backward(&Tensor::ones([1, 2]), ws);
+/// opt.begin_step();
 /// optim::step(&mut opt, |f| layer.visit_params(f));
 /// ```
 pub fn step<O: Optimizer + ?Sized>(
@@ -43,95 +45,6 @@ pub fn step<O: Optimizer + ?Sized>(
         opt.update(idx, p);
         idx += 1;
     });
-}
-
-/// Rescales all gradients so their global L2 norm is at most `max_norm`
-/// (BERT-style clipping). Returns the pre-clip global norm.
-///
-/// # Examples
-///
-/// ```
-/// use actcomp_nn::{optim, Parameter};
-/// use actcomp_tensor::Tensor;
-///
-/// let mut p = Parameter::new(Tensor::zeros([2]));
-/// p.grad = Tensor::from_vec(vec![3.0, 4.0], [2]);
-/// let norm = optim::clip_global_norm(1.0, |f| f(&mut p));
-/// assert!((norm - 5.0).abs() < 1e-6);
-/// assert!((p.grad.norm() - 1.0).abs() < 1e-5);
-/// ```
-pub fn clip_global_norm(
-    max_norm: f32,
-    mut visit: impl FnMut(&mut dyn FnMut(&mut Parameter)),
-) -> f32 {
-    assert!(max_norm > 0.0, "max_norm must be positive");
-    let mut sq = 0.0f32;
-    visit(&mut |p| sq += p.grad.sq_norm());
-    let norm = sq.sqrt();
-    if norm > max_norm {
-        let scale = max_norm / norm;
-        visit(&mut |p| p.grad.scale_assign(scale));
-    }
-    norm
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (`0.0` disables momentum).
-    pub momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates plain SGD.
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Creates SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// The momentum buffers, in parameter-visit order (empty until the
-    /// first momentum update, or when momentum is disabled).
-    pub fn velocity(&self) -> &[Tensor] {
-        &self.velocity
-    }
-
-    /// Replaces the momentum buffers — the restore half of
-    /// [`Sgd::velocity`]; checkpointing persists them so a resumed run
-    /// continues the same trajectory.
-    pub fn set_velocity(&mut self, velocity: Vec<Tensor>) {
-        self.velocity = velocity;
-    }
-}
-
-impl Optimizer for Sgd {
-    fn update(&mut self, index: usize, param: &mut Parameter) {
-        if self.momentum == 0.0 {
-            param.value.axpy(-self.lr, &param.grad);
-            return;
-        }
-        while self.velocity.len() <= index {
-            self.velocity.push(Tensor::zeros_like(&param.grad));
-        }
-        let v = &mut self.velocity[index];
-        v.scale_assign(self.momentum);
-        v.add_assign(&param.grad);
-        param.value.axpy(-self.lr, v);
-    }
 }
 
 /// Adam / AdamW.
@@ -170,36 +83,10 @@ impl Adam {
         }
     }
 
-    /// Creates AdamW with decoupled weight decay.
-    pub fn with_weight_decay(lr: f32, weight_decay: f32) -> Self {
-        Adam {
-            weight_decay,
-            ..Adam::new(lr)
-        }
-    }
-
     /// Marks the beginning of a new optimization step (advances the bias
     /// correction counter). Call once per batch, before visiting params.
     pub fn begin_step(&mut self) {
         self.step += 1;
-    }
-
-    /// Steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.step
-    }
-
-    /// The moment estimates `(m, v)`, in parameter-visit order.
-    pub fn moments(&self) -> (&[Tensor], &[Tensor]) {
-        (&self.m, &self.v)
-    }
-
-    /// Restores the full Adam state — bias-correction counter and both
-    /// moment vectors — from a checkpoint.
-    pub fn set_state(&mut self, step: u64, m: Vec<Tensor>, v: Vec<Tensor>) {
-        self.step = step;
-        self.m = m;
-        self.v = v;
     }
 }
 
@@ -236,64 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn clip_rescales_only_when_needed() {
-        let mut a = param(&[3.0, 4.0]);
-        a.grad = Tensor::from_vec(vec![3.0, 4.0], [2]);
-        let norm = clip_global_norm(10.0, |f| f(&mut a));
-        assert!((norm - 5.0).abs() < 1e-6);
-        assert!(
-            (a.grad.norm() - 5.0).abs() < 1e-6,
-            "below threshold: untouched"
-        );
-        let _ = clip_global_norm(1.0, |f| f(&mut a));
-        assert!((a.grad.norm() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn clip_spans_multiple_parameters() {
-        let mut a = param(&[0.0]);
-        let mut b = param(&[0.0]);
-        a.grad = Tensor::from_vec(vec![3.0], [1]);
-        b.grad = Tensor::from_vec(vec![4.0], [1]);
-        let norm = clip_global_norm(2.5, |f| {
-            f(&mut a);
-            f(&mut b);
-        });
-        assert!((norm - 5.0).abs() < 1e-6);
-        // Halved globally, proportions preserved.
-        assert!((a.grad[0] - 1.5).abs() < 1e-5);
-        assert!((b.grad[0] - 2.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn sgd_moves_against_gradient() {
-        let mut p = param(&[1.0, -1.0]);
-        p.grad = Tensor::from_vec(vec![0.5, -0.5], [2]);
-        let mut opt = Sgd::new(0.1);
-        opt.update(0, &mut p);
-        assert!((p.value[0] - 0.95).abs() < 1e-6);
-        assert!((p.value[1] + 0.95).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sgd_momentum_accelerates() {
-        let mut plain = param(&[0.0]);
-        let mut mom = param(&[0.0]);
-        let mut opt_plain = Sgd::new(0.1);
-        let mut opt_mom = Sgd::with_momentum(0.1, 0.9);
-        for _ in 0..5 {
-            plain.grad = Tensor::from_vec(vec![1.0], [1]);
-            mom.grad = Tensor::from_vec(vec![1.0], [1]);
-            opt_plain.update(0, &mut plain);
-            opt_mom.update(0, &mut mom);
-        }
-        assert!(
-            mom.value[0] < plain.value[0],
-            "momentum should travel further"
-        );
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         // Minimize f(x) = (x - 3)²; gradient is 2(x - 3).
         let mut p = param(&[0.0]);
@@ -309,7 +138,10 @@ mod tests {
     #[test]
     fn adamw_decays_without_gradient() {
         let mut p = param(&[10.0]);
-        let mut opt = Adam::with_weight_decay(0.1, 0.1);
+        let mut opt = Adam {
+            weight_decay: 0.1,
+            ..Adam::new(0.1)
+        };
         for _ in 0..10 {
             p.zero_grad();
             opt.begin_step();

@@ -4,7 +4,7 @@
 //! to validate layers that embed compression operators.
 
 use crate::Layer;
-use actcomp_tensor::{init, Shape, Tensor};
+use actcomp_tensor::{init, Shape, Tensor, Workspace};
 use rand::Rng;
 
 /// Central finite-difference step. `f32` arithmetic limits how small this
@@ -31,13 +31,14 @@ pub fn grad_check_layer<L: Layer>(
 ) {
     let shape = input_shape.into();
     let x = init::randn(rng, shape, 1.0);
-    let probe = layer.forward(&x);
+    let ws = &mut Workspace::new();
+    let probe = layer.forward(&x, ws);
     let dy = init::randn(rng, probe.shape().clone(), 1.0);
 
     // Analytic gradients.
     layer.zero_grad();
-    let _ = layer.forward(&x);
-    let dx = layer.backward(&dy);
+    let _ = layer.forward(&x, ws);
+    let dx = layer.backward(&dy, ws);
 
     // Input gradient check.
     for j in 0..x.len() {
@@ -46,11 +47,11 @@ pub fn grad_check_layer<L: Layer>(
             xp[j] += FD_EPS;
             let mut xm = x.clone();
             xm[j] -= FD_EPS;
-            let lp = layer.forward(&xp).mul(&dy).sum();
+            let lp = layer.forward(&xp, ws).mul(&dy).sum();
             // Discard the cached state from the probe forward.
-            let _ = layer.backward(&Tensor::zeros_like(&dy));
-            let lm = layer.forward(&xm).mul(&dy).sum();
-            let _ = layer.backward(&Tensor::zeros_like(&dy));
+            let _ = layer.backward(&Tensor::zeros_like(&dy), ws);
+            let lm = layer.forward(&xm, ws).mul(&dy).sum();
+            let _ = layer.backward(&Tensor::zeros_like(&dy), ws);
             (lp - lm) / (2.0 * FD_EPS)
         };
         assert_close(dx[j], fd, tol, &format!("input grad [{j}]"));
@@ -59,8 +60,8 @@ pub fn grad_check_layer<L: Layer>(
     // Parameter gradient check. Re-run the analytic pass so accumulated
     // grads reflect exactly one backward.
     layer.zero_grad();
-    let _ = layer.forward(&x);
-    let _ = layer.backward(&dy);
+    let _ = layer.forward(&x, ws);
+    let _ = layer.backward(&dy, ws);
     let mut analytic: Vec<Tensor> = Vec::new();
     layer.visit_params(&mut |p| analytic.push(p.grad.clone()));
 
@@ -68,11 +69,11 @@ pub fn grad_check_layer<L: Layer>(
         for (j, &g) in grads.as_slice().iter().enumerate() {
             let fd = {
                 perturb(&mut layer, t, j, FD_EPS);
-                let lp = layer.forward(&x).mul(&dy).sum();
-                let _ = layer.backward(&Tensor::zeros_like(&dy));
+                let lp = layer.forward(&x, ws).mul(&dy).sum();
+                let _ = layer.backward(&Tensor::zeros_like(&dy), ws);
                 perturb(&mut layer, t, j, -2.0 * FD_EPS);
-                let lm = layer.forward(&x).mul(&dy).sum();
-                let _ = layer.backward(&Tensor::zeros_like(&dy));
+                let lm = layer.forward(&x, ws).mul(&dy).sum();
+                let _ = layer.backward(&Tensor::zeros_like(&dy), ws);
                 perturb(&mut layer, t, j, FD_EPS);
                 (lp - lm) / (2.0 * FD_EPS)
             };

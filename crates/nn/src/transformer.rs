@@ -1,7 +1,8 @@
 //! BERT-style Transformer encoder built from the primitive layers.
 
+use crate::graphs::{self, LnInput};
 use crate::{
-    graphs, Dropout, Embedding, Layer, LayerNorm, Linear, MultiHeadAttention, Parameter, Tanh,
+    Dropout, Embedding, Layer, LayerNorm, Linear, LnCache, MultiHeadAttention, Parameter, Tanh,
 };
 use actcomp_tensor::plan::OutBind;
 use actcomp_tensor::{workspace, Tensor, Workspace};
@@ -178,9 +179,10 @@ impl FeedForward {
             cache: None,
         }
     }
+}
 
-    /// [`Layer::forward`] with caller-provided scratch.
-    pub fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+impl Layer for FeedForward {
+    fn forward(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let (m, h) = (x.dims()[0], x.dims()[1]);
         let ff = self.fc1.fan_out();
         let plan = graphs::ffn_forward(ws, m, h, ff);
@@ -202,10 +204,9 @@ impl FeedForward {
         out
     }
 
-    /// [`Layer::backward`] with caller-provided scratch. Parameter
-    /// gradients accumulate in place; the GELU-derivative multiply fuses
-    /// into the `dy·W₂ᵀ` GEMM's epilogue.
-    pub fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+    /// Parameter gradients accumulate in place; the GELU-derivative
+    /// multiply fuses into the `dy·W₂ᵀ` GEMM's epilogue.
+    fn backward(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let (x, h1, a) = self
             .cache
             .take()
@@ -237,16 +238,6 @@ impl FeedForward {
         }
         dx
     }
-}
-
-impl Layer for FeedForward {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        workspace::with_thread_default(|ws| self.forward_ws(x, ws))
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        workspace::with_thread_default(|ws| self.backward_ws(dy, ws))
-    }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
         self.fc1.visit_params(f);
@@ -266,6 +257,8 @@ pub struct EncoderLayer {
     pub ff: FeedForward,
     /// Post-FF layer norm.
     pub ln2: LayerNorm,
+    /// `ln1`'s and `ln2`'s caches from the last forward.
+    ln_caches: Option<(LnCache, LnCache)>,
 }
 
 impl EncoderLayer {
@@ -276,6 +269,7 @@ impl EncoderLayer {
             ln1: LayerNorm::new(hidden),
             ff: FeedForward::new(rng, hidden, ff_hidden),
             ln2: LayerNorm::new(hidden),
+            ln_caches: None,
         }
     }
 
@@ -286,27 +280,48 @@ impl EncoderLayer {
         ff: FeedForward,
         ln2: LayerNorm,
     ) -> Self {
-        EncoderLayer { attn, ln1, ff, ln2 }
+        EncoderLayer {
+            attn,
+            ln1,
+            ff,
+            ln2,
+            ln_caches: None,
+        }
     }
 
-    /// Forward pass over `[batch·seq, hidden]`. Each residual + layer
-    /// norm runs as one graph segment ([`LayerNorm::forward_residual`]),
-    /// so the residual sums never persist as caller-held activations.
+    /// Forward pass over `[batch·seq, hidden]`, on this thread's default
+    /// workspace. Each residual + layer norm runs as one graph segment
+    /// ([`LnInput::Residual`]), so the residual sums never persist as
+    /// caller-held activations.
     pub fn forward(&mut self, x: &Tensor, batch: usize, seq: usize) -> Tensor {
-        let a = self.attn.forward(x, batch, seq);
-        let h1 = self.ln1.forward_residual(x, &a);
-        let f = self.ff.forward(&h1);
-        self.ln2.forward_residual(&h1, &f)
+        workspace::with_thread_default(|ws| {
+            let a = self.attn.forward(x, batch, seq, ws);
+            let (h1, c1) = self.ln1.forward_cached(LnInput::Residual, &[x, &a], ws);
+            let f = self.ff.forward(&h1, ws);
+            let (y, c2) = self.ln2.forward_cached(LnInput::Residual, &[&h1, &f], ws);
+            self.ln_caches = Some((c1, c2));
+            y
+        })
     }
 
     /// Backward pass; returns the input gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called without a preceding [`EncoderLayer::forward`].
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let d2 = self.ln2.backward(dy);
-        let df = self.ff.backward(&d2);
-        let dh1 = d2.add(&df);
-        let d1 = self.ln1.backward(&dh1);
-        let dxa = self.attn.backward(&d1);
-        d1.add(&dxa)
+        let (c1, c2) = self
+            .ln_caches
+            .take()
+            .expect("EncoderLayer::backward called without forward");
+        workspace::with_thread_default(|ws| {
+            let d2 = self.ln2.backward_cached(dy, None, c2, None, ws);
+            let df = self.ff.backward(&d2, ws);
+            let dh1 = d2.add(&df);
+            let d1 = self.ln1.backward_cached(&dh1, None, c1, None, ws);
+            let dxa = self.attn.backward(&d1, ws);
+            d1.add(&dxa)
+        })
     }
 
     /// Visits all trainable parameters in the block.
@@ -403,7 +418,7 @@ impl BertEncoder {
         let tok = self.tok.forward(ids);
         let pos_ids: Vec<usize> = (0..batch).flat_map(|_| 0..seq).collect();
         let pos = self.pos.forward(&pos_ids);
-        let mut x = self.emb_ln.forward(&tok.add(&pos));
+        let mut x = workspace::with_thread_default(|ws| self.emb_ln.forward(&tok.add(&pos), ws));
         for layer in &mut self.layers {
             x = layer.forward(&x, batch, seq);
         }
@@ -416,7 +431,7 @@ impl BertEncoder {
         for layer in self.layers.iter_mut().rev() {
             d = layer.backward(&d);
         }
-        let demb = self.emb_ln.backward(&d);
+        let demb = workspace::with_thread_default(|ws| self.emb_ln.backward(&d, ws));
         self.tok.backward(&demb);
         self.pos.backward(&demb);
     }
@@ -487,11 +502,13 @@ impl ClassifierHead {
             cls.extend_from_slice(&hidden.as_slice()[row * h..(row + 1) * h]);
         }
         let cls = Tensor::from_vec(cls, [batch, h]);
-        let p = self.pooler.forward(&cls);
-        let a = self.act.forward(&p);
-        let a = self.dropout.forward(&a);
         self.cache_dims = Some((batch, seq));
-        self.classifier.forward(&a)
+        workspace::with_thread_default(|ws| {
+            let p = self.pooler.forward(&cls, ws);
+            let a = self.act.forward(&p, ws);
+            let a = self.dropout.forward(&a, ws);
+            self.classifier.forward(&a, ws)
+        })
     }
 
     /// Backward pass; returns the gradient scattered back into the
@@ -501,10 +518,12 @@ impl ClassifierHead {
             .cache_dims
             .take()
             .expect("ClassifierHead::backward called without forward");
-        let da = self.classifier.backward(dlogits);
-        let da = self.dropout.backward(&da);
-        let dp = self.act.backward(&da);
-        let dcls = self.pooler.backward(&dp);
+        let dcls = workspace::with_thread_default(|ws| {
+            let da = self.classifier.backward(dlogits, ws);
+            let da = self.dropout.backward(&da, ws);
+            let dp = self.act.backward(&da, ws);
+            self.pooler.backward(&dp, ws)
+        });
         let h = dcls.dims()[1];
         let mut dhidden = Tensor::zeros([batch * seq, h]);
         for t in 0..batch {
@@ -545,12 +564,12 @@ impl MlmHead {
 
     /// Produces `[batch·seq, vocab]` logits.
     pub fn forward(&mut self, hidden: &Tensor) -> Tensor {
-        self.proj.forward(hidden)
+        workspace::with_thread_default(|ws| self.proj.forward(hidden, ws))
     }
 
     /// Backward pass; returns `dhidden`.
     pub fn backward(&mut self, dlogits: &Tensor) -> Tensor {
-        self.proj.backward(dlogits)
+        workspace::with_thread_default(|ws| self.proj.backward(dlogits, ws))
     }
 
     /// Visits the head's parameters.

@@ -18,6 +18,7 @@ use actcomp_check::{Phase, TraceEvent};
 use actcomp_compress::{Compressed, Compressor};
 use actcomp_mp::{Block, CommBytes, Ring};
 use actcomp_net::TransportError;
+use actcomp_nn::graphs::LnInput;
 use actcomp_nn::{Embedding, Layer, LayerNorm, LnCache, Parameter};
 use actcomp_tensor::{Tensor, Workspace};
 use std::path::Path;
@@ -355,6 +356,60 @@ pub(crate) struct BoundaryReceiver {
     pub replica: Box<dyn Compressor>,
     pub rx: MsgRx<FwdMsg>,
     pub grad_tx: MsgTx<Tensor>,
+    /// The stage's layer width: every activation crossing is
+    /// `[micro-batch tokens, hidden]`.
+    pub hidden: usize,
+}
+
+impl BoundaryReceiver {
+    /// The next upstream message, checked against the step before
+    /// anything decodes or installs it. In a forward, an activation code
+    /// shaped like the micro-batch, `[mb_tokens, hidden]`, decoded by the
+    /// replica; at sync, one gradient per replica parameter and of its
+    /// shape, loaded into the replica. A message of the wrong kind, a
+    /// code of another shape or a gradient list that does not match is
+    /// a [`TransportError::BadFrame`], and no parameter changes.
+    fn recv(
+        &mut self,
+        phase: Phase,
+        mb_tokens: usize,
+        t: &mut PhaseTimers,
+    ) -> Result<Option<Tensor>, TransportError> {
+        let msg = timed(&mut t.wire_s, || self.rx.recv())?;
+        let bad = |what: String| TransportError::BadFrame { what };
+        match (msg, phase) {
+            (FwdMsg::Activation(code), Phase::Forward { .. }) => {
+                let want = [mb_tokens, self.hidden];
+                if code.shape().dims() != want {
+                    let got = code.shape();
+                    return Err(bad(format!(
+                        "boundary code of shape {got}, the micro-batch is {want:?}"
+                    )));
+                }
+                Ok(Some(timed(&mut t.decode_s, || {
+                    self.replica.decompress(&code)
+                })))
+            }
+            (FwdMsg::GradSync(grads), Phase::Sync) => {
+                let mut shapes = Vec::new();
+                self.replica
+                    .visit_params(&mut |p| shapes.push(p.value.dims().to_vec()));
+                let fits = |(g, s): (&Tensor, &Vec<usize>)| g.dims() == s;
+                if grads.len() != shapes.len() || !grads.iter().zip(&shapes).all(fits) {
+                    let (got, want) = (grads.len(), shapes.len());
+                    return Err(bad(format!(
+                        "grad sync of {got} tensors does not fit the replica's {want} parameters"
+                    )));
+                }
+                let mut grads = grads.into_iter();
+                self.replica
+                    .visit_params(&mut |p| p.grad = grads.next().expect("checked above"));
+                Ok(None)
+            }
+            (FwdMsg::Activation(_), _) => Err(bad("boundary activation out of step".into())),
+            (FwdMsg::GradSync(_), _) => Err(bad("boundary grad sync out of step".into())),
+        }
+    }
 }
 
 /// Replicated first-stage embeddings with per-micro-batch caches.
@@ -387,7 +442,7 @@ impl EmbeddingStage {
         let p = self.pos.forward_cached(&pos_ids);
         // Fused residual + LN plan: the token+position sum never leaves
         // the compiled segment.
-        let (x, cache) = self.emb_ln.forward_residual_cached_ws(&t, &p, ws);
+        let (x, cache) = self.emb_ln.forward_cached(LnInput::Residual, &[&t, &p], ws);
         ws.recycle_tensor(t);
         ws.recycle_tensor(p);
         self.caches.push((ids.to_vec(), pos_ids, cache));
@@ -399,7 +454,7 @@ impl EmbeddingStage {
             .caches
             .pop()
             .expect("embedding backward without forward");
-        let demb = self.emb_ln.backward_cached_ws(d, cache, ws);
+        let demb = self.emb_ln.backward_cached(d, None, cache, None, ws);
         self.tok.backward_ids(&ids, &demb);
         self.pos.backward_ids(&pos_ids, &demb);
         ws.recycle_tensor(demb);
@@ -672,7 +727,7 @@ impl RankWorker {
                         d.slice_rows(mb * rows, (mb + 1) * rows)
                     }));
                 }
-                Op::Recv => cur = self.recv(step.phase)?,
+                Op::Recv => cur = self.recv(step.phase, mb_tokens)?,
                 Op::Bcast { .. } => cur = Some(self.stage_broadcast(cur.take())?),
                 Op::Blocks => {
                     let mut x = cur.take().expect("the step input precedes the blocks");
@@ -752,11 +807,10 @@ impl RankWorker {
         }
     }
 
-    /// A boundary receive: the upstream activation decoded by the
-    /// replica, the downstream gradient through the compressor backward,
-    /// or — at sync — the upstream codec's parameter grads, loaded into
-    /// the replica.
-    fn recv(&mut self, phase: Phase) -> Result<Option<Tensor>, TransportError> {
+    /// A boundary receive: the downstream gradient through the
+    /// compressor backward, or the upstream message checked and decoded
+    /// by the receiver ([`BoundaryReceiver::recv`]).
+    fn recv(&mut self, phase: Phase, mb_tokens: usize) -> Result<Option<Tensor>, TransportError> {
         let t = &mut self.timers;
         if let Phase::Backward { .. } = phase {
             let b = self.send_b.as_mut().expect("non-final stage sender");
@@ -764,19 +818,7 @@ impl RankWorker {
             return Ok(Some(timed(&mut t.encode_s, || b.comp.backward(&dy))));
         }
         let b = self.recv_b.as_mut().expect("non-first stage receiver");
-        let msg = timed(&mut t.wire_s, || b.rx.recv())?;
-        Ok(match (msg, phase) {
-            (FwdMsg::Activation(msg), Phase::Forward { .. }) => {
-                Some(timed(&mut t.decode_s, || b.replica.decompress(&msg)))
-            }
-            (FwdMsg::GradSync(grads), Phase::Sync) => {
-                let mut grads = grads.into_iter();
-                b.replica
-                    .visit_params(&mut |p| p.grad = grads.next().expect("one grad a parameter"));
-                None
-            }
-            _ => panic!("boundary message out of step"),
-        })
+        b.recv(phase, mb_tokens, t)
     }
 
     /// A boundary send: the activation compressed downstream (its wire
@@ -860,5 +902,107 @@ impl RankWorker {
             rank: self.rank,
             grads,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::link::{CHAN_FWD, CHAN_GRAD};
+    use actcomp_compress::spec::CompressorSpec;
+    use actcomp_net::{mpsc_world, Transport};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+
+    const HIDDEN: usize = 8;
+    const MB_TOKENS: usize = 4;
+
+    /// An auto-encoder boundary codec; sender and replica share the seed.
+    fn codec() -> Box<dyn Compressor> {
+        let rng = &mut ChaCha8Rng::seed_from_u64(5);
+        CompressorSpec::A2.build(rng, MB_TOKENS * HIDDEN, HIDDEN)
+    }
+
+    /// Whether one receive returned a tensor (or its error), and whether
+    /// the replica's gradients changed.
+    type Outcome = (Result<bool, TransportError>, bool);
+
+    /// Feeds `msgs` over an mpsc pair to a stage-1 boundary receiver
+    /// running the receive of each message's paired phase on its own
+    /// thread; returns each receive's outcome, or `None` if the receiver
+    /// panicked or missed a 10 s deadline.
+    fn receive(msgs: Vec<(FwdMsg, Phase)>) -> Vec<Option<Outcome>> {
+        let mut world = mpsc_world(2);
+        let mut up = MsgTx::new(world[0].open_send(1, CHAN_FWD).unwrap());
+        let mut b = BoundaryReceiver {
+            replica: codec(),
+            rx: MsgRx::new(world[1].open_recv(0, CHAN_FWD).unwrap()),
+            grad_tx: MsgTx::new(world[1].open_send(0, CHAN_GRAD).unwrap()),
+            hidden: HIDDEN,
+        };
+        let phases: Vec<Phase> = msgs.iter().map(|(_, p)| *p).collect();
+        for (msg, _) in &msgs {
+            up.send(msg).unwrap();
+        }
+        let (done_tx, done_rx) = channel();
+        let receiver = std::thread::spawn(move || {
+            for phase in phases {
+                let before = grads_of(|f| b.replica.visit_params(f));
+                let got = b.recv(phase, MB_TOKENS, &mut PhaseTimers::default());
+                let changed = grads_of(|f| b.replica.visit_params(f)) != before;
+                let _ = done_tx.send((got.map(|t| t.is_some()), changed));
+            }
+        });
+        let outcomes: Vec<_> = (0..msgs.len())
+            .map(|_| done_rx.recv_timeout(Duration::from_secs(10)).ok())
+            .collect();
+        // A receiver that missed its deadline may still be blocked:
+        // join only one that answered every message.
+        if outcomes.iter().all(Option::is_some) {
+            receiver
+                .join()
+                .expect("the receiver answered every message");
+        }
+        outcomes
+    }
+
+    #[test]
+    fn a_bad_boundary_message_is_a_typed_error_not_a_panic() {
+        let sender = &mut codec();
+        let rng = &mut ChaCha8Rng::seed_from_u64(6);
+        let x = actcomp_tensor::init::randn(rng, [MB_TOKENS, HIDDEN], 1.0);
+        let long = actcomp_tensor::init::randn(rng, [MB_TOKENS + 1, HIDDEN], 1.0);
+        sender
+            .visit_params(&mut |p| p.grad = actcomp_tensor::init::randn(rng, p.value.dims(), 1.0));
+        let grads = grads_of(|f| sender.visit_params(f));
+        let fwd = Phase::Forward { mb: 0 };
+        let outcomes = receive(vec![
+            (FwdMsg::Activation(sender.compress(&long)), fwd),
+            (FwdMsg::GradSync(grads[1..].to_vec()), Phase::Sync),
+            (FwdMsg::GradSync(grads.clone()), fwd),
+            (FwdMsg::Activation(sender.compress(&x)), fwd),
+            (FwdMsg::GradSync(grads), Phase::Sync),
+        ]);
+        let what = [
+            "one extra row",
+            "a short grad sync",
+            "a grad sync in forward",
+        ];
+        for (outcome, what) in outcomes.iter().zip(what) {
+            match outcome {
+                Some((Err(TransportError::BadFrame { .. }), false)) => {}
+                other => panic!("{what}: {other:?}, not a BadFrame leaving the replica as it was"),
+            }
+        }
+        assert!(
+            matches!(outcomes[3], Some((Ok(true), false))),
+            "a code of the micro-batch's shape decodes"
+        );
+        assert!(
+            matches!(outcomes[4], Some((Ok(false), true))),
+            "a matching grad sync installs"
+        );
     }
 }

@@ -132,6 +132,7 @@ impl<'a> WorkerBuilder<'a> {
             replica: self.boundary(stage - 1),
             rx: fwd_rx,
             grad_tx: links.grad_tx.expect("receiver links come in pairs"),
+            hidden: self.cfg.mp.bert.hidden,
         });
         let (cmd_tx, cmd_rx) = channel();
         let (resp_tx, resp_rx) = channel();

@@ -804,6 +804,73 @@ mod tests {
         }
     }
 
+    /// Valid boundary frames: an activation under every payload kind a
+    /// boundary codec emits (dense identity and auto-encoder codes,
+    /// sparse, quantized), each with its check, and a grad sync.
+    fn valid_boundary_frames() -> Vec<(Vec<u8>, Check)> {
+        use crate::rank::FwdMsg;
+        use actcomp_compress::spec::CompressorSpec;
+        use rand::SeedableRng;
+        let x = actcomp_tensor::init::randn(
+            &mut rand_chacha::ChaCha8Rng::seed_from_u64(5),
+            [4, 8],
+            1.0,
+        );
+        let specs = [
+            CompressorSpec::Baseline,
+            CompressorSpec::A2,
+            CompressorSpec::T2,
+            CompressorSpec::Q2,
+        ];
+        let mut frames: Vec<(Vec<u8>, Check)> = (specs.into_iter())
+            .map(|spec| {
+                let mut codec = spec.build(&mut rand_chacha::ChaCha8Rng::seed_from_u64(6), 32, 8);
+                let code = codec.compress(&x);
+                let frame = encode_msg(&FwdMsg::Activation(code.clone()));
+                (frame, Some((codec, code)))
+            })
+            .collect();
+        let grads = FwdMsg::GradSync(vec![x.clone(), Tensor::ones([8])]);
+        frames.push((encode_msg(&grads), None));
+        frames
+    }
+
+    /// Decodes `bytes` as a boundary frame; an activation that fits
+    /// `check`'s own code (shape, payload kind and dense dims) must then
+    /// decode under its codec.
+    fn open_boundary_frame(bytes: &[u8], check: &Check) -> bool {
+        use crate::rank::FwdMsg;
+        let Ok(msg) = decode_msg::<FwdMsg>(bytes) else {
+            return false;
+        };
+        if let (FwdMsg::Activation(code), Some((codec, own))) = (msg, check) {
+            if actcomp_mp::ring::code_fits(&code, own) {
+                assert_eq!(codec.decompress(&code).dims(), own.shape().dims());
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn every_truncation_or_single_byte_corruption_of_a_boundary_frame_is_handled() {
+        for (frame, check) in &valid_boundary_frames() {
+            assert!(open_boundary_frame(frame, check), "a valid frame decodes");
+            for n in 0..frame.len() {
+                assert!(
+                    !open_boundary_frame(&frame[..n], check),
+                    "a truncated frame decodes"
+                );
+            }
+            for at in 0..frame.len() {
+                for byte in [0x00, 0xff, frame[at] ^ 0x01, frame[at] ^ 0x80] {
+                    let mut bad = frame.clone();
+                    bad[at] = byte;
+                    open_boundary_frame(&bad, check);
+                }
+            }
+        }
+    }
+
     use actcomp_compress::Compressor;
     use proptest::prelude::*;
 
@@ -836,6 +903,27 @@ mod tests {
                 bad[at % frame.len()] = frame[at % frame.len()] ^ flip;
                 open_ring_frame(&bad, check);
             }
+        }
+
+        /// A boundary frame off the wire decodes or fails; it never
+        /// panics, and no code that fits its codec's own code panics the
+        /// codec.
+        #[test]
+        fn hostile_boundary_frames_decode_or_fail_but_never_panic(
+            noise in collection::vec(0u8..=255, 0..160),
+            which in 0usize..5,
+            at in 0usize..1 << 16,
+            byte in 0u8..=255,
+        ) {
+            let frames = valid_boundary_frames();
+            let (frame, check) = &frames[which];
+            open_boundary_frame(&noise, check);
+            let mut spliced = frame[..at % frame.len()].to_vec();
+            spliced.extend_from_slice(&noise);
+            open_boundary_frame(&spliced, check);
+            let mut bad = frame.clone();
+            bad[at % frame.len()] = byte;
+            open_boundary_frame(&bad, check);
         }
     }
 }

@@ -133,8 +133,8 @@ fn at_world_one_the_shard_backward_is_the_serial_attention_backward() {
     let grads = graphs::attention_backward(ws, proj.each_ref(), &probs, &dctx, at);
     let dx = qkv_backward(qkv.each_mut(), &x, grads.each_ref(), ws);
 
-    let _ = attn.forward(&x, 2, 3);
-    let want = attn.backward_ws(&dy, &mut Workspace::new());
+    let _ = attn.forward(&x, 2, 3, &mut Workspace::new());
+    let want = attn.backward(&dy, &mut Workspace::new());
     assert_eq!(dx.as_slice(), want.as_slice(), "dx");
     let serial = [&attn.wq, &attn.wk, &attn.wv];
     for (shard, linear) in qkv.iter().zip(serial) {

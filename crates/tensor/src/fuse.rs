@@ -73,19 +73,6 @@ impl Fusion {
     pub fn for_gemm(&self, gemm: ValueId) -> Option<&FusedGemm> {
         self.gemms.iter().find(|f| f.gemm == gemm)
     }
-
-    /// All values that fused away (no buffer is ever materialized for
-    /// them).
-    #[must_use]
-    pub fn absorbed_values(&self) -> Vec<ValueId> {
-        let mut v: Vec<ValueId> = self
-            .gemms
-            .iter()
-            .flat_map(|f| f.absorbed.iter().copied())
-            .collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 /// Why a chain stopped extending at some link — [`GraphError::IllegalFusion`]

@@ -41,17 +41,6 @@ pub fn xavier_uniform(rng: &mut impl Rng, fan_in: usize, fan_out: usize) -> Tens
     uniform(rng, [fan_in, fan_out], -bound, bound)
 }
 
-/// Normal initialization with the scaled standard deviation used for deep
-/// residual stacks (`std / sqrt(2 * layers)`), following Megatron-LM.
-pub fn scaled_residual(
-    rng: &mut impl Rng,
-    shape: impl Into<Shape>,
-    std: f32,
-    num_layers: usize,
-) -> Tensor {
-    randn(rng, shape, std / (2.0 * num_layers as f32).sqrt())
-}
-
 /// One standard-normal sample via Box–Muller.
 fn normal_sample(rng: &mut impl Rng) -> f32 {
     let u1: f32 = rng.gen_range(f32::EPSILON..1.0);

@@ -22,7 +22,7 @@
 //! - [`graph`] / [`fuse`] / [`plan`]: a small op-graph IR with
 //!   GEMM-epilogue fusion and automatic workspace planning — layers emit
 //!   graph segments and execute [`plan::CompiledPlan`]s instead of
-//!   hand-threading `_ws` scratch buffers,
+//!   hand-threading scratch buffers,
 //! - [`linalg`]: a Jacobi SVD for the paper's Figure 2 low-rank analysis,
 //! - [`init`]: seeded initializers so every experiment is reproducible.
 //!

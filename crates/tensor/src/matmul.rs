@@ -3,9 +3,10 @@
 //!
 //! All variants pack their operands and run the register-tiled core from
 //! `kernels`, with the pool size taken from [`crate::pool`] and scratch
-//! leased from a [`Workspace`] — the thread-local default for the plain
-//! methods, or a caller-owned one for the `_ws` variants used on hot
-//! paths (each runtime rank keeps its own).
+//! leased from the thread-local default [`crate::Workspace`]. These are
+//! the methods of callers that hold no workspace (codecs, linear algebra,
+//! tests); a layer on a hot path runs its GEMMs inside a compiled plan
+//! over its own workspace instead (each runtime rank keeps its own).
 //!
 //! ## Why there is no `av == 0.0` skip branch
 //!
@@ -20,7 +21,7 @@
 //! unconditionally. (Top-K-compressed activations *are* sparse, but they
 //! travel as index/value pairs, never through dense matmul.)
 
-use crate::workspace::{self, Workspace};
+use crate::workspace;
 use crate::{kernels, pool, Tensor};
 
 impl Tensor {
@@ -39,34 +40,24 @@ impl Tensor {
     /// assert_eq!(a.matmul(&b).as_slice(), &[19.0, 22.0, 43.0, 50.0]);
     /// ```
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        workspace::with_thread_default(|ws| self.matmul_ws(other, ws))
-    }
-
-    /// [`Tensor::matmul`] with caller-provided scratch. The output buffer
-    /// is leased from `ws` too, so recycling the result
-    /// ([`Workspace::recycle_tensor`]) makes repeated same-shape calls
-    /// allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tensor is not rank 2 or inner dimensions disagree.
-    pub fn matmul_ws(&self, other: &Tensor, ws: &mut Workspace) -> Tensor {
         let (m, k) = dims2(self, "matmul lhs");
         let (k2, n) = dims2(other, "matmul rhs");
         assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
-        let mut out = ws.lease(m * n);
-        kernels::gemm_nn(
-            &mut out,
-            false,
-            self.as_slice(),
-            other.as_slice(),
-            m,
-            k,
-            n,
-            pool::configured_threads(),
-            ws,
-        );
-        Tensor::from_vec(out, [m, n])
+        workspace::with_thread_default(|ws| {
+            let mut out = ws.lease(m * n);
+            kernels::gemm_nn(
+                &mut out,
+                false,
+                self.as_slice(),
+                other.as_slice(),
+                m,
+                k,
+                n,
+                pool::configured_threads(),
+                ws,
+            );
+            Tensor::from_vec(out, [m, n])
+        })
     }
 
     /// Matrix product `selfᵀ @ other` without materializing the transpose.
@@ -79,31 +70,24 @@ impl Tensor {
     ///
     /// Panics if either tensor is not rank 2 or leading dimensions disagree.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        workspace::with_thread_default(|ws| self.matmul_tn_ws(other, ws))
-    }
-
-    /// [`Tensor::matmul_tn`] with caller-provided scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tensor is not rank 2 or leading dimensions disagree.
-    pub fn matmul_tn_ws(&self, other: &Tensor, ws: &mut Workspace) -> Tensor {
         let (k, m) = dims2(self, "matmul_tn lhs");
         let (k2, n) = dims2(other, "matmul_tn rhs");
         assert_eq!(k, k2, "matmul_tn leading dims {k} vs {k2}");
-        let mut out = ws.lease(m * n);
-        kernels::gemm_tn(
-            &mut out,
-            false,
-            self.as_slice(),
-            other.as_slice(),
-            k,
-            m,
-            n,
-            pool::configured_threads(),
-            ws,
-        );
-        Tensor::from_vec(out, [m, n])
+        workspace::with_thread_default(|ws| {
+            let mut out = ws.lease(m * n);
+            kernels::gemm_tn(
+                &mut out,
+                false,
+                self.as_slice(),
+                other.as_slice(),
+                k,
+                m,
+                n,
+                pool::configured_threads(),
+                ws,
+            );
+            Tensor::from_vec(out, [m, n])
+        })
     }
 
     /// Accumulates `self += aᵀ @ b` in place — the gradient-accumulation
@@ -116,31 +100,24 @@ impl Tensor {
     ///
     /// Panics on rank or dimension mismatch.
     pub fn add_matmul_tn(&mut self, a: &Tensor, b: &Tensor) {
-        workspace::with_thread_default(|ws| self.add_matmul_tn_ws(a, b, ws));
-    }
-
-    /// [`Tensor::add_matmul_tn`] with caller-provided scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or dimension mismatch.
-    pub fn add_matmul_tn_ws(&mut self, a: &Tensor, b: &Tensor, ws: &mut Workspace) {
         let (k, m) = dims2(a, "add_matmul_tn lhs");
         let (k2, n) = dims2(b, "add_matmul_tn rhs");
         assert_eq!(k, k2, "add_matmul_tn leading dims {k} vs {k2}");
         let (sm, sn) = dims2(self, "add_matmul_tn out");
         assert_eq!((sm, sn), (m, n), "add_matmul_tn out dims");
-        kernels::gemm_tn(
-            self.as_mut_slice(),
-            true,
-            a.as_slice(),
-            b.as_slice(),
-            k,
-            m,
-            n,
-            pool::configured_threads(),
-            ws,
-        );
+        workspace::with_thread_default(|ws| {
+            kernels::gemm_tn(
+                self.as_mut_slice(),
+                true,
+                a.as_slice(),
+                b.as_slice(),
+                k,
+                m,
+                n,
+                pool::configured_threads(),
+                ws,
+            );
+        });
     }
 
     /// Matrix product `self @ otherᵀ` without materializing the transpose.
@@ -153,108 +130,24 @@ impl Tensor {
     ///
     /// Panics if either tensor is not rank 2 or trailing dimensions disagree.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        workspace::with_thread_default(|ws| self.matmul_nt_ws(other, ws))
-    }
-
-    /// [`Tensor::matmul_nt`] with caller-provided scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tensor is not rank 2 or trailing dimensions disagree.
-    pub fn matmul_nt_ws(&self, other: &Tensor, ws: &mut Workspace) -> Tensor {
         let (m, k) = dims2(self, "matmul_nt lhs");
         let (n, k2) = dims2(other, "matmul_nt rhs");
         assert_eq!(k, k2, "matmul_nt trailing dims {k} vs {k2}");
-        let mut out = ws.lease(m * n);
-        kernels::gemm_nt(
-            &mut out,
-            false,
-            self.as_slice(),
-            other.as_slice(),
-            m,
-            k,
-            n,
-            pool::configured_threads(),
-            ws,
-        );
-        Tensor::from_vec(out, [m, n])
-    }
-
-    /// Batched matrix product of two rank-3 tensors `[b, m, k] @ [b, k, n]`.
-    ///
-    /// Each batch runs the blocked kernel directly on borrowed subslices of
-    /// the operands — no per-batch copies are made.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tensor is not rank 3 or batch/inner dims disagree.
-    pub fn bmm(&self, other: &Tensor) -> Tensor {
-        workspace::with_thread_default(|ws| self.bmm_ws(other, ws))
-    }
-
-    /// [`Tensor::bmm`] with caller-provided scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tensor is not rank 3 or batch/inner dims disagree.
-    pub fn bmm_ws(&self, other: &Tensor, ws: &mut Workspace) -> Tensor {
-        assert_eq!(
-            self.rank(),
-            3,
-            "bmm lhs must be rank 3, got {}",
-            self.shape()
-        );
-        assert_eq!(
-            other.rank(),
-            3,
-            "bmm rhs must be rank 3, got {}",
-            other.shape()
-        );
-        let (b, m, k) = (self.dims()[0], self.dims()[1], self.dims()[2]);
-        let (b2, k2, n) = (other.dims()[0], other.dims()[1], other.dims()[2]);
-        assert_eq!(b, b2, "bmm batch dims {b} vs {b2}");
-        assert_eq!(k, k2, "bmm inner dims {k} vs {k2}");
-        let threads = pool::configured_threads();
-        let mut out = ws.lease(b * m * n);
-        let lhs = self.as_slice();
-        let rhs = other.as_slice();
-        for t in 0..b {
-            kernels::gemm_nn(
-                &mut out[t * m * n..][..m * n],
+        workspace::with_thread_default(|ws| {
+            let mut out = ws.lease(m * n);
+            kernels::gemm_nt(
+                &mut out,
                 false,
-                &lhs[t * m * k..][..m * k],
-                &rhs[t * k * n..][..k * n],
+                self.as_slice(),
+                other.as_slice(),
                 m,
                 k,
                 n,
-                threads,
+                pool::configured_threads(),
                 ws,
             );
-        }
-        Tensor::from_vec(out, [b, m, n])
-    }
-
-    /// Matrix–vector product `self @ v` for a rank-2 tensor and rank-1 vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or dimension mismatch.
-    pub fn matvec(&self, v: &Tensor) -> Tensor {
-        let (m, k) = dims2(self, "matvec lhs");
-        assert_eq!(v.rank(), 1, "matvec rhs must be rank 1");
-        assert_eq!(v.len(), k, "matvec dims {k} vs {}", v.len());
-        let a = self.as_slice();
-        let x = v.as_slice();
-        let out = (0..m)
-            .map(|i| {
-                a[i * k..(i + 1) * k]
-                    .iter()
-                    .zip(x)
-                    .map(|(&p, &q)| p * q)
-                    .sum()
-            })
-            .collect();
-        Tensor::from_vec(out, [m])
+            Tensor::from_vec(out, [m, n])
+        })
     }
 }
 
@@ -310,42 +203,6 @@ mod tests {
         let mut want = Tensor::ones([2, 4]);
         want.add_assign(&a.matmul_tn(&b));
         approx_eq(&grad, &want, 1e-6);
-    }
-
-    #[test]
-    fn bmm_matches_per_batch_matmul() {
-        let a = Tensor::from_vec((0..12).map(|x| x as f32).collect(), [2, 2, 3]);
-        let b = Tensor::from_vec((0..18).map(|x| x as f32 * 0.1).collect(), [2, 3, 3]);
-        let c = a.bmm(&b);
-        assert_eq!(c.dims(), &[2, 2, 3]);
-        let a0 = Tensor::from_vec(a.as_slice()[..6].to_vec(), [2, 3]);
-        let b0 = Tensor::from_vec(b.as_slice()[..9].to_vec(), [3, 3]);
-        let c0 = a0.matmul(&b0);
-        assert_eq!(&c.as_slice()[..6], c0.as_slice());
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Tensor::from_vec((0..6).map(|x| x as f32).collect(), [2, 3]);
-        let v = Tensor::from_vec(vec![1.0, 0.5, 2.0], [3]);
-        let mv = a.matvec(&v);
-        let mm = a.matmul(&v.reshaped([3, 1]));
-        assert_eq!(mv.as_slice(), mm.as_slice());
-    }
-
-    #[test]
-    fn ws_variants_match_plain_and_reuse_buffers() {
-        let a = Tensor::from_vec((0..20).map(|x| x as f32 * 0.3).collect(), [4, 5]);
-        let b = Tensor::from_vec((0..30).map(|x| x as f32 * 0.7).collect(), [5, 6]);
-        let mut ws = Workspace::new();
-        let c1 = a.matmul_ws(&b, &mut ws);
-        assert_eq!(c1.as_slice(), a.matmul(&b).as_slice());
-        ws.recycle_tensor(c1);
-        let cached = ws.cached();
-        assert!(cached > 0, "packing scratch should be cached");
-        let c2 = a.matmul_ws(&b, &mut ws);
-        assert_eq!(ws.cached(), cached - 1, "repeat call reuses cached buffers");
-        assert_eq!(c2.as_slice(), a.matmul(&b).as_slice());
     }
 
     #[test]

@@ -275,12 +275,6 @@ impl CompiledPlan {
         self.fusion.gemms.len()
     }
 
-    /// Number of schedule steps (after fusion).
-    #[must_use]
-    pub fn step_count(&self) -> usize {
-        self.steps.len()
-    }
-
     /// The graph this plan executes.
     #[must_use]
     pub fn graph(&self) -> &Graph {

@@ -77,14 +77,6 @@ impl Tensor {
         Self::zeros(other.shape.clone())
     }
 
-    /// Creates a rank-0 scalar tensor.
-    pub fn scalar(value: f32) -> Self {
-        Tensor {
-            data: vec![value],
-            shape: Shape::new(vec![]),
-        }
-    }
-
     /// Creates the `n`-by-`n` identity matrix.
     pub fn eye(n: usize) -> Self {
         let mut t = Self::zeros([n, n]);
@@ -429,13 +421,6 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_assign(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Combines two same-shaped tensors elementwise.
     ///
     /// # Panics
@@ -457,48 +442,6 @@ impl Tensor {
                 .collect(),
             shape: self.shape.clone(),
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Broadcast helpers (rank-2 + rank-1)
-    // ------------------------------------------------------------------
-
-    /// Adds a length-`n` row vector to every row of an `[m, n]` matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `self` is rank 2 and `bias` is rank 1 with matching width.
-    pub fn add_row_broadcast(&self, bias: &Tensor) -> Self {
-        assert_eq!(self.rank(), 2, "add_row_broadcast requires rank 2");
-        assert_eq!(bias.rank(), 1, "bias must be rank 1");
-        let (m, n) = (self.dims()[0], self.dims()[1]);
-        assert_eq!(bias.len(), n, "bias width {} != {}", bias.len(), n);
-        let mut out = self.data.clone();
-        for i in 0..m {
-            for j in 0..n {
-                out[i * n + j] += bias.data[j];
-            }
-        }
-        Tensor::from_vec(out, [m, n])
-    }
-
-    /// Multiplies every row of an `[m, n]` matrix by a length-`n` vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `self` is rank 2 and `scale` is rank 1 with matching width.
-    pub fn mul_row_broadcast(&self, scale: &Tensor) -> Self {
-        assert_eq!(self.rank(), 2, "mul_row_broadcast requires rank 2");
-        assert_eq!(scale.rank(), 1, "scale must be rank 1");
-        let (m, n) = (self.dims()[0], self.dims()[1]);
-        assert_eq!(scale.len(), n, "scale width {} != {}", scale.len(), n);
-        let mut out = self.data.clone();
-        for i in 0..m {
-            for j in 0..n {
-                out[i * n + j] *= scale.data[j];
-            }
-        }
-        Tensor::from_vec(out, [m, n])
     }
 
     // ------------------------------------------------------------------
@@ -746,20 +689,6 @@ mod tests {
     fn argmax_rows_picks_first_max() {
         let a = Tensor::from_vec(vec![1.0, 3.0, 2.0, 5.0, 5.0, 0.0], [2, 3]);
         assert_eq!(a.argmax_rows(), vec![1, 0]);
-    }
-
-    #[test]
-    fn broadcast_helpers() {
-        let a = Tensor::ones([2, 3]);
-        let b = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]);
-        assert_eq!(
-            a.add_row_broadcast(&b).as_slice(),
-            &[2.0, 3.0, 4.0, 2.0, 3.0, 4.0]
-        );
-        assert_eq!(
-            a.mul_row_broadcast(&b).as_slice(),
-            &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]
-        );
     }
 
     #[test]

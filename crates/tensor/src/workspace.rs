@@ -184,9 +184,10 @@ thread_local! {
 
 /// Runs `f` with this thread's default workspace.
 ///
-/// Used by the workspace-oblivious `Tensor` methods; explicit `_ws`
-/// variants take precedence in hot paths so ranks keep their scratch
-/// local.
+/// Used by the entry points whose callers hold no workspace (the plain
+/// `Tensor` GEMM methods, and in `actcomp-nn` the loss and the serial
+/// model-level methods); every layer op takes the caller's workspace, so
+/// ranks keep their scratch local.
 ///
 /// Re-entrant calls (a plain method invoked while the thread default is
 /// already borrowed) fall back to a fresh temporary workspace: correct,
