@@ -12,7 +12,9 @@ use rand::Rng;
 /// Both matrices are trainable parameters (visited via
 /// [`Compressor::visit_params`]) and receive exact gradients — this is the
 /// "learning-based" method that only model parallelism enables, because it
-/// needs gradient flow through the compressor.
+/// needs gradient flow through the compressor. The matrices are all it
+/// keeps: [`Compressor::backward`] reads the input from its `x` argument
+/// and the code from the message it is handed.
 ///
 /// Since the code `Xw` is linear in `X`, codes from different tensor-parallel
 /// workers can be **summed on the wire**, so the auto-encoder is the one
@@ -30,6 +32,7 @@ use rand::Rng;
 /// let mut ae = AutoEncoder::new(&mut rng, 16, 4);
 /// let msg = ae.compress(&Tensor::ones([8, 16]));
 /// assert_eq!(msg.wire_bytes(2), 8 * 4 * 2); // code is [8, 4]
+/// assert!(ae.fits(&msg));
 /// ```
 #[derive(Debug, Clone)]
 pub struct AutoEncoder {
@@ -37,14 +40,6 @@ pub struct AutoEncoder {
     pub encoder: Parameter,
     /// Decoder matrix `[c, h]`.
     pub decoder: Parameter,
-    /// LIFO stack of (input, code) pairs, one per unconsumed `compress`.
-    caches: Vec<AeCache>,
-}
-
-#[derive(Debug, Clone)]
-struct AeCache {
-    x: Tensor,
-    code: Tensor,
 }
 
 impl AutoEncoder {
@@ -61,7 +56,6 @@ impl AutoEncoder {
         AutoEncoder {
             encoder: Parameter::new(init::xavier_uniform(rng, hidden, code_dim)),
             decoder: Parameter::new(init::xavier_uniform(rng, code_dim, hidden)),
-            caches: Vec::new(),
         }
     }
 
@@ -96,10 +90,6 @@ impl Compressor for AutoEncoder {
             x.dims()[1]
         );
         let code = x.matmul(&self.encoder.value);
-        self.caches.push(AeCache {
-            x: x.clone(),
-            code: code.clone(),
-        });
         Compressed::new(Payload::Dense(code), x.shape().clone())
     }
 
@@ -110,17 +100,25 @@ impl Compressor for AutoEncoder {
         }
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let AeCache { x, code } = self
-            .caches
-            .pop()
-            .expect("AutoEncoder::backward called without compress");
+    fn fits(&self, msg: &Compressed) -> bool {
+        match (msg.shape().dims(), msg.payload()) {
+            (&[rows, h], Payload::Dense(code)) => {
+                h == self.hidden() && code.dims() == [rows, self.code_dim()]
+            }
+            _ => false,
+        }
+    }
+
+    fn backward(&mut self, dy: &Tensor, x: &Tensor, msg: &Compressed) -> Tensor {
+        let Payload::Dense(code) = msg.payload() else {
+            panic!("AutoEncoder::backward needs the dense code it sent")
+        };
         // y = (x E) D
         // dD = codeᵀ dy ; dcode = dy Dᵀ ; dE = xᵀ dcode ; dx = dcode Eᵀ
         // Parameter grads accumulate in place — no product temporary.
-        self.decoder.grad.add_matmul_tn(&code, dy);
+        self.decoder.grad.add_matmul_tn(code, dy);
         let dcode = dy.matmul_nt(&self.decoder.value);
-        self.encoder.grad.add_matmul_tn(&x, &dcode);
+        self.encoder.grad.add_matmul_tn(x, &dcode);
         dcode.matmul_nt(&self.encoder.value)
     }
 
@@ -181,11 +179,8 @@ mod tests {
         let dy = init::randn(&mut rng, [4, 6], 1.0);
 
         ae.visit_params(&mut |p| p.zero_grad());
-        let _ = ae.round_trip(&x);
-        // round_trip consumed no cache; rerun compress to set it.
         let msg = ae.compress(&x);
-        let _ = ae.decompress(&msg);
-        let dx = ae.backward(&dy);
+        let dx = ae.backward(&dy, &x, &msg);
 
         let eps = 1e-2;
         // Input gradient.
@@ -226,30 +221,26 @@ mod tests {
     }
 
     #[test]
-    fn cache_stack_supports_microbatched_backward() {
-        // Two compresses then two backwards (reverse order) must produce
-        // the same dx per micro-batch as paired compress/backward calls.
+    fn backward_pairs_each_message_with_its_own_code() {
+        // Two compresses, then backward with message 1 and then message
+        // 0: each gives exactly what a compress/backward pair of its own
+        // gives, parameter gradients included, whatever the order.
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let a = init::randn(&mut rng, [2, 8], 1.0);
-        let b = init::randn(&mut rng, [2, 8], 1.0);
+        let xs = [0, 1].map(|_| init::randn(&mut rng, [2, 8], 1.0));
         let dy = init::randn(&mut rng, [2, 8], 1.0);
+        let fresh = || AutoEncoder::new(&mut ChaCha8Rng::seed_from_u64(6), 8, 3);
+        let grads = |ae: &AutoEncoder| [ae.encoder.grad.clone(), ae.decoder.grad.clone()];
 
-        let mut rng1 = ChaCha8Rng::seed_from_u64(6);
-        let mut stacked = AutoEncoder::new(&mut rng1, 8, 3);
-        let _ = stacked.compress(&a);
-        let _ = stacked.compress(&b);
-        let dxb = stacked.backward(&dy);
-        let dxa = stacked.backward(&dy);
-
-        let mut rng2 = ChaCha8Rng::seed_from_u64(6);
-        let mut paired = AutoEncoder::new(&mut rng2, 8, 3);
-        let _ = paired.compress(&b);
-        let want_b = paired.backward(&dy);
-        let _ = paired.compress(&a);
-        let want_a = paired.backward(&dy);
-
-        assert_eq!(dxb, want_b);
-        assert_eq!(dxa, want_a);
+        let mut ae = fresh();
+        let msgs = xs.each_ref().map(|x| ae.compress(x));
+        for i in [1, 0] {
+            ae.visit_params(&mut |p| p.zero_grad());
+            let dx = ae.backward(&dy, &xs[i], &msgs[i]);
+            let mut paired = fresh();
+            let msg = paired.compress(&xs[i]);
+            assert_eq!(dx, paired.backward(&dy, &xs[i], &msg), "message {i}");
+            assert_eq!(grads(&ae), grads(&paired), "message {i}");
+        }
     }
 
     #[test]
@@ -268,12 +259,10 @@ mod tests {
         for _ in 0..800 {
             let x = sample(&mut rng);
             ae.visit_params(&mut |p| p.zero_grad());
-            let y = {
-                let msg = ae.compress(&x);
-                ae.decompress(&msg)
-            };
+            let msg = ae.compress(&x);
+            let y = ae.decompress(&msg);
             let dy = y.sub(&x).scale(2.0 / x.len() as f32);
-            let _ = ae.backward(&dy);
+            let _ = ae.backward(&dy, &x, &msg);
             ae.visit_params(&mut |p| {
                 let g = p.grad.clone();
                 p.value.axpy(-0.02, &g);

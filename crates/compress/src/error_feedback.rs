@@ -70,10 +70,16 @@ impl<C: Compressor> Compressor for ErrorFeedback<C> {
         self.inner.decompress(msg)
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    fn fits(&self, msg: &Compressed) -> bool {
+        self.inner.fits(msg)
+    }
+
+    fn backward(&mut self, dy: &Tensor, x: &Tensor, msg: &Compressed) -> Tensor {
         // The residual path is treated as constant (standard EF practice):
-        // gradients flow through the inner compressor only.
-        self.inner.backward(dy)
+        // gradients flow through the inner compressor only, which sees
+        // the caller's `x` (the residual it was compressed with is not
+        // kept per call).
+        self.inner.backward(dy, x, msg)
     }
 
     fn summable(&self) -> bool {

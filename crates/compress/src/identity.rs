@@ -41,6 +41,10 @@ impl Compressor for Identity {
         }
     }
 
+    fn fits(&self, msg: &Compressed) -> bool {
+        matches!(msg.payload(), Payload::Dense(t) if t.dims() == msg.shape().dims())
+    }
+
     fn summable(&self) -> bool {
         true
     }
@@ -56,7 +60,8 @@ mod tests {
         let mut id = Identity::new();
         assert_eq!(id.round_trip(&x), x);
         assert!(id.summable());
-        assert_eq!(id.compress(&x).ratio(2), 1.0);
-        assert_eq!(id.backward(&x), x);
+        let msg = id.compress(&x);
+        assert_eq!(msg.ratio(2), 1.0);
+        assert_eq!(id.backward(&x, &x, &msg), x);
     }
 }

@@ -116,6 +116,15 @@ impl Compressor for LowRank {
         }
     }
 
+    fn fits(&self, msg: &Compressed) -> bool {
+        match (msg.shape().dims(), msg.payload()) {
+            (&[m, n], Payload::Dense(flat)) => {
+                flat.rank() == 1 && flat.len().checked_rem(m + n) == Some(0)
+            }
+            _ => false,
+        }
+    }
+
     // Straight-through backward (PowerSGD treats compression error via EF,
     // not differentiation) — inherited default.
 }

@@ -97,6 +97,19 @@ impl Compressed {
     }
 }
 
+/// The flat indices a sparse message kept: where a sparsifier's
+/// backward lets the gradient through.
+///
+/// # Panics
+///
+/// Panics unless `msg` is sparse.
+pub(crate) fn kept_indices(msg: &Compressed) -> &[u32] {
+    match msg.payload() {
+        Payload::Sparse { indices, .. } => indices,
+        _ => panic!("a sparsifier's backward needs the sparse message it sent"),
+    }
+}
+
 /// Reconstructs a dense tensor from a sparse payload.
 ///
 /// When the index list is sorted (Top-K and Random-K both sort before

@@ -3,30 +3,6 @@
 use crate::spec::CompressorSpec;
 use serde::{Deserialize, Serialize};
 
-/// A placement that cannot exist on the model it targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlanError {
-    /// Asked to compress more layers than the model has.
-    WindowExceedsModel {
-        /// Layers requested.
-        n: usize,
-        /// Layers available.
-        total_layers: usize,
-    },
-}
-
-impl std::fmt::Display for PlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanError::WindowExceedsModel { n, total_layers } => {
-                write!(f, "cannot compress {n} of {total_layers} layers")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PlanError {}
-
 /// A compression placement: apply `spec` to the activations of layers
 /// `[start_layer, start_layer + num_layers)`.
 ///
@@ -52,23 +28,6 @@ impl CompressionPlan {
         }
     }
 
-    /// Typed variant of [`CompressionPlan::last_layers`]: [`PlanError`]
-    /// when `n > total_layers`.
-    pub fn try_last_layers(
-        spec: CompressorSpec,
-        total_layers: usize,
-        n: usize,
-    ) -> Result<Self, PlanError> {
-        if n > total_layers {
-            return Err(PlanError::WindowExceedsModel { n, total_layers });
-        }
-        Ok(CompressionPlan {
-            spec,
-            start_layer: total_layers - n,
-            num_layers: n,
-        })
-    }
-
     /// Compress the last `n` of `total_layers` layers (the paper's default
     /// placement with `n = total_layers / 2`).
     ///
@@ -76,7 +35,15 @@ impl CompressionPlan {
     ///
     /// Panics if `n > total_layers`.
     pub fn last_layers(spec: CompressorSpec, total_layers: usize, n: usize) -> Self {
-        Self::try_last_layers(spec, total_layers, n).unwrap_or_else(|e| panic!("{e}"))
+        assert!(
+            n <= total_layers,
+            "cannot compress {n} of {total_layers} layers"
+        );
+        CompressionPlan {
+            spec,
+            start_layer: total_layers - n,
+            num_layers: n,
+        }
     }
 
     /// Compress `n` layers starting at `start` (the §4.5 location sweep).

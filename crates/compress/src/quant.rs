@@ -238,6 +238,10 @@ impl Compressor for Quantizer {
         }
     }
 
+    fn fits(&self, msg: &Compressed) -> bool {
+        matches!(msg.payload(), Payload::Quantized { bits, .. } if *bits == self.bits)
+    }
+
     // Straight-through backward inherited from the trait default.
 }
 
@@ -302,7 +306,8 @@ mod tests {
     fn straight_through_backward() {
         let mut q = Quantizer::new(8);
         let dy = Tensor::from_vec(vec![1.0, -2.0], [2]);
-        assert_eq!(q.backward(&dy), dy);
+        let msg = q.compress(&dy);
+        assert_eq!(q.backward(&dy, &dy, &msg), dy);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Random-K sparsification.
 
-use crate::message::scatter_sparse;
+use crate::message::{kept_indices, scatter_sparse};
 use crate::{Compressed, Compressor, Payload};
 use actcomp_tensor::{pool, Tensor};
 use rand::seq::index::sample;
@@ -12,7 +12,9 @@ use rand_chacha::ChaCha8Rng;
 ///
 /// Kept values are rescaled by `n/k` so the reconstruction is an unbiased
 /// estimator of the input, as in sparsified-SGD (Stich et al., 2018).
-/// Gradients flow only through the kept positions (with the same scaling).
+/// Gradients flow only through the kept positions (with the same scaling),
+/// which [`Compressor::backward`] reads off the message it is handed; the
+/// codec itself keeps only its random stream.
 ///
 /// # Examples
 ///
@@ -30,8 +32,6 @@ use rand_chacha::ChaCha8Rng;
 pub struct RandomK {
     k: usize,
     rng: ChaCha8Rng,
-    /// LIFO stack of kept-index sets, one per unconsumed `compress`.
-    cache_masks: Vec<Vec<u32>>,
 }
 
 impl RandomK {
@@ -46,7 +46,6 @@ impl RandomK {
         RandomK {
             k,
             rng: ChaCha8Rng::seed_from_u64(seed),
-            cache_masks: Vec::new(),
         }
     }
 
@@ -81,7 +80,6 @@ impl Compressor for RandomK {
                 *slot = data[indices[v0 + j] as usize] * scale;
             }
         });
-        self.cache_masks.push(indices.clone());
         Compressed::new(Payload::Sparse { values, indices }, x.shape().clone())
     }
 
@@ -92,14 +90,15 @@ impl Compressor for RandomK {
         }
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mask = self
-            .cache_masks
-            .pop()
-            .expect("RandomK::backward called without compress");
+    fn fits(&self, msg: &Compressed) -> bool {
+        matches!(msg.payload(), Payload::Sparse { .. })
+    }
+
+    fn backward(&mut self, dy: &Tensor, _x: &Tensor, msg: &Compressed) -> Tensor {
+        let mask = kept_indices(msg);
         let scale = dy.len() as f32 / mask.len() as f32;
         let mut dx = Tensor::zeros_like(dy);
-        for &i in &mask {
+        for &i in mask {
             dx[i as usize] = dy[i as usize] * scale;
         }
         dx
@@ -153,8 +152,8 @@ mod tests {
     fn backward_masks_and_scales() {
         let x = Tensor::ones([10]);
         let mut c = RandomK::new(5, 3);
-        let _ = c.compress(&x);
-        let dx = c.backward(&Tensor::ones([10]));
+        let msg = c.compress(&x);
+        let dx = c.backward(&Tensor::ones([10]), &x, &msg);
         let nz: Vec<f32> = dx
             .as_slice()
             .iter()

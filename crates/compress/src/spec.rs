@@ -23,34 +23,6 @@ pub const SPARSE_ELEM_BYTES: usize = 6;
 /// Wire bytes of one dense fp16 element.
 pub const DENSE_ELEM_BYTES: usize = 2;
 
-/// A spec was asked for a parameter its family does not define.
-///
-/// The typed counterpart of the panics in [`CompressorSpec::code_dim`],
-/// [`CompressorSpec::quant_bits`] and [`CompressorSpec::sparsifier_k`]:
-/// config-driven callers (e.g. the static checker) use the `try_*`
-/// variants and surface these as diagnostics instead of crashing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpecError {
-    /// The spec is not AE-relative, so it has no code dimension.
-    NoCodeDim(CompressorSpec),
-    /// The spec is not a quantizer, so it has no bit width.
-    NotQuantizer(CompressorSpec),
-    /// The spec is not a sparsifier, so it keeps no top/random elements.
-    NotSparsifier(CompressorSpec),
-}
-
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpecError::NoCodeDim(s) => write!(f, "{} has no code dimension", s.label()),
-            SpecError::NotQuantizer(s) => write!(f, "{} has no quantization width", s.label()),
-            SpecError::NotSparsifier(s) => write!(f, "{} is not a sparsifier", s.label()),
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
-
 /// The algorithm family a spec belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Family {
@@ -91,12 +63,6 @@ impl CompressorSpec {
     pub fn all() -> [CompressorSpec; 14] {
         use CompressorSpec::*;
         [Baseline, A1, A2, T1, T2, T3, T4, R1, R2, R3, R4, Q1, Q2, Q3]
-    }
-
-    /// The specs evaluated in the paper's main tables (no `Q3`).
-    pub fn main_table() -> [CompressorSpec; 13] {
-        use CompressorSpec::*;
-        [Baseline, A1, A2, T1, T2, T3, T4, R1, R2, R3, R4, Q1, Q2]
     }
 
     /// The paper's label for this spec.
@@ -153,35 +119,15 @@ impl CompressorSpec {
     }
 
     /// Auto-encoder code dimension at hidden size `h` (scaled from the
-    /// paper's `h = 1024` definition, minimum 1), or [`SpecError`] when
-    /// the spec is not AE-relative.
-    pub fn try_code_dim(&self, h: usize) -> Result<usize, SpecError> {
-        let c = self
-            .reference_code_dim()
-            .ok_or(SpecError::NoCodeDim(*self))?;
-        Ok((c * h / PAPER_HIDDEN).max(1))
-    }
-
-    /// Auto-encoder code dimension at hidden size `h` (scaled from the
     /// paper's `h = 1024` definition, minimum 1).
     ///
     /// # Panics
     ///
     /// Panics if the spec is not AE-relative.
     pub fn code_dim(&self, h: usize) -> usize {
-        self.try_code_dim(h).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Quantization width in bits, or [`SpecError`] when the spec is not
-    /// a quantizer.
-    pub fn try_quant_bits(&self) -> Result<u8, SpecError> {
-        use CompressorSpec::*;
-        match self {
-            Q1 => Ok(2),
-            Q2 => Ok(4),
-            Q3 => Ok(8),
-            _ => Err(SpecError::NotQuantizer(*self)),
-        }
+        let c = (self.reference_code_dim())
+            .unwrap_or_else(|| panic!("{} has no code dimension", self.label()));
+        (c * h / PAPER_HIDDEN).max(1)
     }
 
     /// Quantization width in bits.
@@ -190,7 +136,13 @@ impl CompressorSpec {
     ///
     /// Panics if the spec is not a quantizer.
     pub fn quant_bits(&self) -> u8 {
-        self.try_quant_bits().unwrap_or_else(|e| panic!("{e}"))
+        use CompressorSpec::*;
+        match self {
+            Q1 => 2,
+            Q2 => 4,
+            Q3 => 8,
+            _ => panic!("{} has no quantization width", self.label()),
+        }
     }
 
     /// Number of kept elements for sparsifiers, for an activation of `n`
@@ -201,13 +153,16 @@ impl CompressorSpec {
     /// `k = n·c/(3h)`. `T3/T4/R3/R4` match the AE's *compression ratio*
     /// (`h/c`), so `k = n·c/h`.
     ///
-    /// Typed variant of [`CompressorSpec::sparsifier_k`]: [`SpecError`]
-    /// when the spec is not a sparsifier.
-    pub fn try_sparsifier_k(&self, n: usize, h: usize) -> Result<usize, SpecError> {
+    /// # Panics
+    ///
+    /// Panics if the spec is not a sparsifier.
+    pub fn sparsifier_k(&self, n: usize, h: usize) -> usize {
         use CompressorSpec::*;
-        if !matches!(self.family(), Family::TopK | Family::RandomK) {
-            return Err(SpecError::NotSparsifier(*self));
-        }
+        assert!(
+            matches!(self.family(), Family::TopK | Family::RandomK),
+            "{} is not a sparsifier",
+            self.label()
+        );
         let c = self
             .reference_code_dim()
             .expect("sparsifiers are AE-relative");
@@ -220,15 +175,7 @@ impl CompressorSpec {
             T1 | T2 | R1 | R2 => n * c / PAPER_HIDDEN / (SPARSE_ELEM_BYTES / DENSE_ELEM_BYTES),
             _ => n * c / PAPER_HIDDEN,
         };
-        Ok(k.max(1))
-    }
-
-    /// # Panics
-    ///
-    /// Panics if the spec is not a sparsifier.
-    pub fn sparsifier_k(&self, n: usize, h: usize) -> usize {
-        self.try_sparsifier_k(n, h)
-            .unwrap_or_else(|e| panic!("{e}"))
+        k.max(1)
     }
 
     /// Expected wire bytes for an activation of `n` elements at hidden

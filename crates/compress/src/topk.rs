@@ -1,6 +1,6 @@
 //! Top-K sparsification.
 
-use crate::message::scatter_sparse;
+use crate::message::{kept_indices, scatter_sparse};
 use crate::{Compressed, Compressor, Payload};
 use actcomp_tensor::{pool, Tensor};
 
@@ -105,7 +105,9 @@ pub(crate) fn select_top_k(
 /// Keeps the `k` entries of largest absolute value, zeroing the rest
 /// (the paper's `torch.topk` baseline, §3.2).
 ///
-/// Gradients flow only through the kept positions.
+/// Gradients flow only through the kept positions, which
+/// [`Compressor::backward`] reads off the message it is handed; the
+/// codec itself keeps only a selection scratch buffer.
 ///
 /// # Examples
 ///
@@ -120,8 +122,6 @@ pub(crate) fn select_top_k(
 #[derive(Debug, Clone)]
 pub struct TopK {
     k: usize,
-    /// LIFO stack of kept-index sets, one per unconsumed `compress`.
-    cache_masks: Vec<Vec<u32>>,
     /// Reusable selection-key buffer; keeps its capacity across
     /// `compress` calls so steady-state selection allocates little.
     scratch: Vec<u64>,
@@ -137,7 +137,6 @@ impl TopK {
         assert!(k > 0, "TopK requires k > 0");
         TopK {
             k,
-            cache_masks: Vec::new(),
             scratch: Vec::new(),
         }
     }
@@ -173,7 +172,6 @@ impl Compressor for TopK {
         let data = x.as_slice();
         let order = select_top_k(data, self.k, &mut self.scratch, pool::configured_threads());
         let values: Vec<f32> = order.iter().map(|&i| data[i as usize]).collect();
-        self.cache_masks.push(order.clone());
         Compressed::new(
             Payload::Sparse {
                 values,
@@ -190,13 +188,13 @@ impl Compressor for TopK {
         }
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mask = self
-            .cache_masks
-            .pop()
-            .expect("TopK::backward called without compress");
+    fn fits(&self, msg: &Compressed) -> bool {
+        matches!(msg.payload(), Payload::Sparse { .. })
+    }
+
+    fn backward(&mut self, dy: &Tensor, _x: &Tensor, msg: &Compressed) -> Tensor {
         let mut dx = Tensor::zeros_like(dy);
-        for &i in &mask {
+        for &i in kept_indices(msg) {
             dx[i as usize] = dy[i as usize];
         }
         dx
@@ -247,23 +245,22 @@ mod tests {
     fn backward_masks_gradient() {
         let x = Tensor::from_vec(vec![5.0, 0.1, -4.0, 0.2], [4]);
         let mut c = TopK::new(2);
-        let _ = c.compress(&x);
+        let msg = c.compress(&x);
         let dy = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [4]);
-        let dx = c.backward(&dy);
+        let dx = c.backward(&dy, &x, &msg);
         assert_eq!(dx.as_slice(), &[1.0, 0.0, 3.0, 0.0]);
     }
 
     #[test]
-    fn cache_stack_pops_in_reverse_order() {
-        // Microbatched pipelines compress m times, then run backward in
-        // reverse micro-batch order: each backward must see the matching
-        // forward's mask (LIFO).
+    fn backward_pairs_each_message_with_its_own_mask() {
+        // Two compresses, then backward with message 1 and then message
+        // 0: each gradient keeps its own forward's support, in any order.
         let mut c = TopK::new(1);
-        let _ = c.compress(&Tensor::from_vec(vec![9.0, 0.1], [2]));
-        let _ = c.compress(&Tensor::from_vec(vec![0.1, 7.0], [2]));
+        let xs = [vec![9.0, 0.1], vec![0.1, 7.0]].map(|v| Tensor::from_vec(v, [2]));
+        let msgs = xs.each_ref().map(|x| c.compress(x));
         let dy = Tensor::ones([2]);
-        assert_eq!(c.backward(&dy).as_slice(), &[0.0, 1.0]);
-        assert_eq!(c.backward(&dy).as_slice(), &[1.0, 0.0]);
+        assert_eq!(c.backward(&dy, &xs[1], &msgs[1]).as_slice(), &[0.0, 1.0]);
+        assert_eq!(c.backward(&dy, &xs[0], &msgs[0]).as_slice(), &[1.0, 0.0]);
     }
 
     #[test]

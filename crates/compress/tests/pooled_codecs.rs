@@ -88,7 +88,7 @@ fn public_codec_round_trips_are_pool_size_invariant() {
     for (_, mut c) in codecs() {
         let msg = c.compress(&x);
         let dec = c.decompress(&msg);
-        let dx = c.backward(&dy);
+        let dx = c.backward(&dy, &x, &msg);
         reference.push((msg, dec, dx));
     }
 
@@ -105,7 +105,7 @@ fn public_codec_round_trips_are_pool_size_invariant() {
                 tensor_eq(&dec, ref_dec),
                 "{name}: decompress diverged at {threads} threads"
             );
-            let dx = c.backward(&dy);
+            let dx = c.backward(&dy, &x, &msg);
             assert!(
                 tensor_eq(&dx, ref_dx),
                 "{name}: backward diverged at {threads} threads"

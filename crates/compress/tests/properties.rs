@@ -1,13 +1,39 @@
 //! Property-based tests on compressor invariants.
 
 use actcomp_compress::{
-    spec::CompressorSpec, AutoEncoder, Compressor, ErrorFeedback, Identity, Quantizer, RandomK,
-    TopK,
+    spec::CompressorSpec, AutoEncoder, Compressed, Compressor, ErrorFeedback, Identity, LowRank,
+    Quantizer, RandomK, TopK,
 };
 use actcomp_tensor::Tensor;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// Every codec fits its own code and refuses the other payload kinds,
+/// dense codes of other dims and quantized codes of another width.
+/// Top-K and Random-K share the sparse kind.
+#[test]
+fn each_codec_fits_exactly_the_codes_it_can_decode() {
+    let rng = &mut ChaCha8Rng::seed_from_u64(11);
+    let x = actcomp_tensor::init::randn(rng, [4, 8], 1.0);
+    let mut codecs: Vec<Box<dyn Compressor>> = vec![
+        Box::new(Identity::new()),
+        Box::new(AutoEncoder::new(rng, 8, 3)),
+        Box::new(TopK::new(5)),
+        Box::new(RandomK::new(5, 1)),
+        Box::new(Quantizer::new(2)),
+        Box::new(LowRank::new(2, 1)),
+        Box::new(ErrorFeedback::new(Quantizer::new(4))),
+    ];
+    let msgs: Vec<Compressed> = codecs.iter_mut().map(|c| c.compress(&x)).collect();
+    for (i, c) in codecs.iter().enumerate() {
+        for (j, msg) in msgs.iter().enumerate() {
+            let want = i == j || (2..4).contains(&i) && (2..4).contains(&j);
+            let (codec, sender) = (c.name(), codecs[j].name());
+            assert_eq!(c.fits(msg), want, "{codec} given {sender}'s code");
+        }
+    }
+}
 
 fn tensor_strategy(m: usize, n: usize) -> impl Strategy<Value = Tensor> {
     proptest::collection::vec(-100.0f32..100.0, m * n)

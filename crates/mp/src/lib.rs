@@ -75,4 +75,4 @@ pub use reduce::{rank_order_sum, wire_round, wire_sum, CommBytes, InProcess, Rin
 pub use ring::{Endpoint, Link, RingTuning};
 pub use shard::{ColumnShard, RowShard};
 pub use timers::{timed, PhaseTimers};
-pub use tp::{Block, Reduce, SumPoint};
+pub use tp::{Block, Reduce, Sent, SumPoint};

@@ -1,6 +1,7 @@
 //! Pipeline-parallel stage boundaries with activation compression (§3.3).
 
 use crate::reduce::CommBytes;
+use crate::tp::Sent;
 use actcomp_compress::Compressor;
 use actcomp_nn::Parameter;
 use actcomp_tensor::Tensor;
@@ -12,10 +13,13 @@ use actcomp_tensor::Tensor;
 /// activation; for sparsifiers it reuses the forward support and for the
 /// auto-encoder it is the code-space gradient, so no *additional* loss is
 /// introduced on the way back (the compressor's `backward` is the exact
-/// adjoint of its lossy forward).
+/// adjoint of its lossy forward). The boundary keeps the last forward's
+/// input and message for that backward, as [`crate::MpBert`] keeps one
+/// micro-batch.
 pub struct PipelineBoundary {
     compressor: Box<dyn Compressor>,
     bytes: CommBytes,
+    sent: Option<Sent>,
 }
 
 impl std::fmt::Debug for PipelineBoundary {
@@ -30,6 +34,7 @@ impl PipelineBoundary {
         PipelineBoundary {
             compressor,
             bytes: CommBytes::default(),
+            sent: None,
         }
     }
 
@@ -41,12 +46,20 @@ impl PipelineBoundary {
             wire: msg.wire_bytes(2),
             dense: x.len() * 2,
         });
-        self.compressor.decompress(&msg)
+        let y = self.compressor.decompress(&msg);
+        self.sent = Some((x.clone(), msg));
+        y
     }
 
-    /// Sends the gradient back across the boundary.
+    /// Sends the gradient back across the boundary, through the last
+    /// forward's compression.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a forward came since the last backward.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.compressor.backward(dy)
+        let (x, msg) = self.sent.take().expect("boundary backward without forward");
+        self.compressor.backward(dy, &x, &msg)
     }
 
     /// Cumulative traffic accounting.

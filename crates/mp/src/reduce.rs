@@ -21,7 +21,7 @@
 
 use crate::ring::{self, Endpoint, Link, Queue};
 use crate::timers::{timed, PhaseTimers};
-use crate::tp::{Reduce, SumPoint};
+use crate::tp::{Reduce, Sent, SumPoint};
 use actcomp_compress::Compressor;
 use actcomp_nn::Parameter;
 use actcomp_tensor::{Tensor, Workspace};
@@ -159,7 +159,12 @@ impl<L: Link> Reduce for Ring<'_, L> {
         timed(&mut self.timers.compute_s, f)
     }
 
-    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
+    fn sum(
+        &mut self,
+        at: SumPoint,
+        partials: Vec<Tensor>,
+        ws: &mut Workspace,
+    ) -> (Tensor, Vec<Sent>) {
         assert_eq!(
             partials.len(),
             self.endpoints.len(),
@@ -171,19 +176,22 @@ impl<L: Link> Reduce for Ring<'_, L> {
             for ep in self.endpoints.iter_mut() {
                 ep.bytes.add(CommBytes::all_reduce(p, n, n));
             }
-            return self.dense_sum(partials, ws);
+            return (self.dense_sum(partials, ws), Vec::new());
         }
         let comps = codecs(self.comps, at);
         let outs = ring::compressed_all_reduce(self.endpoints, comps, &partials, self.timers, ws);
-        partials.into_iter().for_each(|t| ws.recycle_tensor(t));
-        first(outs, ws)
+        let (sums, codes): (Vec<_>, Vec<_>) = outs.into_iter().unzip();
+        (first(sums, ws), partials.into_iter().zip(codes).collect())
     }
 
-    fn sum_backward(&mut self, at: SumPoint, dy: &Tensor) -> Vec<Tensor> {
-        let timers = &mut *self.timers;
+    fn sum_backward(&mut self, at: SumPoint, dy: &Tensor, sent: &[Sent]) -> Vec<Tensor> {
+        let (timers, mut sent) = (&mut *self.timers, sent.iter());
         (self.comps.iter_mut())
             .map(|c| match c[at as usize].as_deref_mut() {
-                Some(comp) => timed(&mut timers.encode_s, || comp.backward(dy)),
+                Some(comp) => {
+                    let (x, msg) = sent.next().expect("one code per codec");
+                    timed(&mut timers.encode_s, || comp.backward(dy, x, msg))
+                }
                 None => dy.clone(),
             })
             .collect()
@@ -408,10 +416,12 @@ mod tests {
         InProcess::with(comps.into_iter().map(|c| [Some(c), None]).collect())
     }
 
-    /// The attention sum of `ps` and the bytes the ring has moved.
-    fn reduce(sums: &mut InProcess, ps: &[Tensor]) -> (Tensor, CommBytes) {
-        let out = (sums.ring()).sum(SumPoint::Attention, ps.to_vec(), &mut Workspace::new());
-        (out, sums.bytes())
+    /// The attention sum of `ps`, the bytes the ring has moved and what
+    /// the sum's backward needs.
+    fn reduce(sums: &mut InProcess, ps: &[Tensor]) -> (Tensor, CommBytes, Vec<Sent>) {
+        let (out, sent) =
+            (sums.ring()).sum(SumPoint::Attention, ps.to_vec(), &mut Workspace::new());
+        (out, sums.bytes(), sent)
     }
 
     #[test]
@@ -422,7 +432,7 @@ mod tests {
                 .map(|_| Box::new(Identity::new()) as Box<dyn Compressor>)
                 .collect(),
         );
-        let (out, bytes) = reduce(&mut sums, &ps);
+        let (out, bytes, _) = reduce(&mut sums, &ps);
         assert_eq!(out, rank_order_sum(ps.into_iter()));
         assert_eq!(bytes.wire, bytes.dense);
     }
@@ -436,7 +446,7 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             Box::new(AutoEncoder::new(&mut rng, 16, 4)) as Box<dyn Compressor>
         };
-        let (out, bytes) = reduce(&mut ring_of(vec![mk(7), mk(7)]), &ps);
+        let (out, bytes, _) = reduce(&mut ring_of(vec![mk(7), mk(7)]), &ps);
 
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut single = AutoEncoder::new(&mut rng, 16, 4);
@@ -449,7 +459,7 @@ mod tests {
     fn topk_reduce_sums_decoded_messages() {
         let ps = partials(2, 2, 2, 8);
         let mut sums = ring_of(vec![Box::new(TopK::new(4)), Box::new(TopK::new(4))]);
-        let (out, bytes) = reduce(&mut sums, &ps);
+        let (out, bytes, _) = reduce(&mut sums, &ps);
         let mut t0 = TopK::new(4);
         let mut t1 = TopK::new(4);
         let expect = t0.round_trip(&ps[0]).add(&t1.round_trip(&ps[1]));
@@ -461,9 +471,9 @@ mod tests {
     fn backward_fans_out_per_worker() {
         let ps = partials(3, 2, 2, 8);
         let mut sums = ring_of(vec![Box::new(TopK::new(4)), Box::new(TopK::new(4))]);
-        let _ = reduce(&mut sums, &ps);
+        let (_, _, sent) = reduce(&mut sums, &ps);
         let dy = Tensor::ones([2, 8]);
-        let dxs = sums.ring().sum_backward(SumPoint::Attention, &dy);
+        let dxs = sums.ring().sum_backward(SumPoint::Attention, &dy, &sent);
         assert_eq!(dxs.len(), 2);
         // Each worker's gradient is masked to its own kept support.
         for (dx, p) in dxs.iter().zip(&ps) {
@@ -487,10 +497,10 @@ mod tests {
         let mut rng2 = ChaCha8Rng::seed_from_u64(9);
         let w1 = spec.build(&mut rng2, n, 16);
         let mut sums = ring_of(vec![w0, w1]);
-        let _ = reduce(&mut sums, &ps);
+        let (_, _, sent) = reduce(&mut sums, &ps);
         let _ = sums
             .ring()
-            .sum_backward(SumPoint::Attention, &Tensor::ones([4, 16]));
+            .sum_backward(SumPoint::Attention, &Tensor::ones([4, 16]), &sent);
         sums.sync_param_grads();
         // After sync, every worker's grads are identical.
         let mut all: Vec<Tensor> = Vec::new();

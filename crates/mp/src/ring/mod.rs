@@ -68,7 +68,7 @@
 mod msg;
 mod steps;
 
-pub use msg::{code_fits, ChunkData, GatherPayload, RingMsg};
+pub use msg::{ChunkData, GatherPayload, RingMsg};
 pub use steps::{
     chunk_ring_steps, gather_ring_steps, ring_chunk_plan, Dir, GatherHop, MsgId, RingStep,
     RingTuning, DEFAULT_CHUNKS, DEFAULT_PIPELINE_DEPTH,
@@ -201,9 +201,13 @@ impl<L: Link> Endpoint<L> {
     /// partials its peers are concurrently contributing: a summable
     /// code is chain-reduced in rank order as one chunk and decoded
     /// once; non-summable messages are all-gathered, decoded as they
-    /// arrive, and summed in rank order. Traffic accumulates into
+    /// arrive, and summed in rank order. A received code is decoded
+    /// only if it has the shape of this rank's own and `comp`
+    /// [fits](Compressor::fits) it. Traffic accumulates into
     /// [`Endpoint::bytes`] and [`Endpoint::ring_bytes`]; the whole call
-    /// is also timed into `collective_s`.
+    /// is also timed into `collective_s`. The own code is dropped: a
+    /// caller that runs the codec's backward sums through
+    /// [`crate::Ring`], which keeps it.
     pub fn compressed_all_reduce(
         &mut self,
         comp: &mut dyn Compressor,
@@ -214,7 +218,7 @@ impl<L: Link> Endpoint<L> {
         let ring = std::slice::from_mut(self);
         let mut out =
             compressed_all_reduce(ring, vec![comp], std::slice::from_ref(partial), timers, ws);
-        out.pop().expect("one endpoint")
+        out.pop().expect("one endpoint").0
     }
 
     /// Dense (uncompressed) ring all-reduce over row chunks:
@@ -446,8 +450,8 @@ impl<'a> RingPayload for DenseRows<'a> {
 struct WholeCode<'a> {
     comp: &'a mut dyn Compressor,
     partial: &'a Tensor,
-    /// A copy of the code this rank made, which every received code
-    /// must fit.
+    /// The code this rank made: every received code must have its
+    /// shape, and the caller keeps it for the codec's backward.
     own: Option<Compressed>,
     /// The decoded total, once consumed.
     out: Option<Tensor>,
@@ -472,7 +476,7 @@ impl RingPayload for WholeCode<'_> {
             RingMsg::Chunk {
                 data: ChunkData::Code(code),
                 ..
-            } if code_fits(&code, own) => Ok(code),
+            } if code.shape() == own.shape() && self.comp.fits(&code) => Ok(code),
             other => Err(other),
         }
     }
@@ -662,32 +666,35 @@ impl<P: RingPayload> Program for ChunkRing<P> {
 /// further forwarding, so the callback's work (a decode, say) overlaps
 /// the remaining wire hops. A gather is its own baseline: what it sends
 /// counts equally into both sides of [`Endpoint::ring_bytes`].
-struct GatherWalk<F> {
+struct GatherWalk<'c, F> {
     hops: Vec<GatherHop>,
     at: usize,
     /// The payload last received (the own one first) and its origin,
     /// handed to `arrive` at the next receive or at the end.
     held: Option<(usize, GatherPayload)>,
-    /// A copy of the own payload, which every received one must fit.
+    /// A copy of the own payload, which every received one must
+    /// [fit](GatherPayload::fits) under `codec`.
     own: GatherPayload,
+    codec: &'c dyn Compressor,
     sent_before: usize,
     arrive: F,
 }
 
-impl<F> GatherWalk<F> {
-    fn new<L>(ep: &Endpoint<L>, own: GatherPayload, arrive: F) -> Self {
+impl<'c, F> GatherWalk<'c, F> {
+    fn new<L>(ep: &Endpoint<L>, own: GatherPayload, codec: &'c dyn Compressor, arrive: F) -> Self {
         GatherWalk {
             hops: gather_ring_steps(ep.rank, ep.world),
             at: 0,
             held: Some((ep.rank, own.clone())),
             own,
+            codec,
             sent_before: ep.ring_bytes.wire,
             arrive,
         }
     }
 }
 
-impl<F: FnMut(usize, GatherPayload, &mut PhaseTimers)> Program for GatherWalk<F> {
+impl<F: FnMut(usize, GatherPayload, &mut PhaseTimers)> Program for GatherWalk<'_, F> {
     fn advance<L: Link>(
         &mut self,
         ep: &mut Endpoint<L>,
@@ -706,15 +713,16 @@ impl<F: FnMut(usize, GatherPayload, &mut PhaseTimers)> Program for GatherWalk<F>
                     if let Some((from, item)) = self.held.take() {
                         (self.arrive)(from, item, timers);
                     }
-                    let (want, own) = (
+                    let (want, own, codec) = (
                         MsgId::Gather {
                             coll: ep.active_coll,
                             origin,
                         },
                         &self.own,
+                        self.codec,
                     );
                     let open = |msg| match msg {
-                        RingMsg::Gather(_, item) if item.fits(own) => Ok(item),
+                        RingMsg::Gather(_, item) if item.fits(own, codec) => Ok(item),
                         other => Err(other),
                     };
                     let Some(item) = ep.recv(want, open, timers) else {
@@ -735,14 +743,15 @@ impl<F: FnMut(usize, GatherPayload, &mut PhaseTimers)> Program for GatherWalk<F>
 }
 
 /// [`Endpoint::compressed_all_reduce`] on every endpoint of `eps`, each
-/// with its own compressor and partial; returns each one's sum.
+/// with its own compressor and partial; returns each one's sum and the
+/// code it sent, which the codec's backward reads.
 pub(crate) fn compressed_all_reduce<'a, L: Link>(
     eps: &mut [Endpoint<L>],
     comps: Vec<&'a mut dyn Compressor>,
     partials: &'a [Tensor],
     timers: &mut PhaseTimers,
     ws: &mut Workspace,
-) -> Vec<Tensor> {
+) -> Vec<(Tensor, Compressed)> {
     let t0 = Instant::now();
     let p = eps[0].world;
     // A solo ring gathers its own code: compressed and decoded locally.
@@ -766,11 +775,12 @@ pub(crate) fn compressed_all_reduce<'a, L: Link>(
                 let WholeCode {
                     own, out, partial, ..
                 } = prog.payload;
-                let own_wire = own.expect("every rank made its code").wire_bytes(2);
+                let own = own.expect("every rank made its code");
+                let own_wire = own.wire_bytes(2);
                 ep.bytes
                     .add(CommBytes::all_reduce(p, own_wire, partial.len() * 2));
                 ep.ring_bytes.dense += (p - 1) * own_wire;
-                out.expect("every chunk was consumed")
+                (out.expect("every chunk was consumed"), own)
             })
             .collect()
     } else {
@@ -782,14 +792,15 @@ pub(crate) fn compressed_all_reduce<'a, L: Link>(
 
 /// All-gather reduce for non-summable codecs, decoding each message as
 /// it arrives so decode overlaps the remaining wire hops (the own
-/// decode runs while peers encode and ship).
+/// decode runs while peers encode and ship). Returns each endpoint's
+/// sum and own code.
 fn gathered_reduce<L: Link>(
     eps: &mut [Endpoint<L>],
     comps: Vec<&mut dyn Compressor>,
     partials: &[Tensor],
     timers: &mut PhaseTimers,
     ws: &mut Workspace,
-) -> Vec<Tensor> {
+) -> Vec<(Tensor, Compressed)> {
     let p = eps[0].world;
     let mut decoded: Vec<(Vec<Option<Tensor>>, usize)> = (eps.iter())
         .map(|_| ((0..p).map(|_| None).collect(), 0))
@@ -800,7 +811,8 @@ fn gathered_reduce<L: Link>(
         inputs,
         |ep, ((comp, partial), (decs, gathered)), t, _| {
             let own = GatherPayload::Code(timed(&mut t.encode_s, || comp.compress(partial)));
-            GatherWalk::new(ep, own, move |origin, item, t: &mut PhaseTimers| {
+            let comp: &dyn Compressor = comp;
+            GatherWalk::new(ep, own, comp, move |origin, item, t: &mut PhaseTimers| {
                 let GatherPayload::Code(code) = item else {
                     unreachable!("a gathered payload fits the own code")
                 };
@@ -811,9 +823,13 @@ fn gathered_reduce<L: Link>(
         timers,
         ws,
     );
-    drop(progs);
-    (eps.iter_mut().zip(decoded).zip(partials))
-        .map(|((ep, (decs, gathered)), partial)| {
+    let owns = progs.into_iter().map(|prog| match prog.own {
+        GatherPayload::Code(code) => code,
+        GatherPayload::Grads(_) => unreachable!("a reduce gathers codes"),
+    });
+    let owns: Vec<Compressed> = owns.collect();
+    (eps.iter_mut().zip(decoded).zip(partials).zip(owns))
+        .map(|(((ep, (decs, gathered)), partial), own)| {
             ep.bytes.add(CommBytes {
                 wire: gathered * (p - 1) / p,
                 dense: 2 * (p - 1) * (partial.len() * 2) / p,
@@ -821,7 +837,7 @@ fn gathered_reduce<L: Link>(
             let decs = decs
                 .into_iter()
                 .map(|d| d.expect("gather visited every rank"));
-            timed(&mut timers.decode_s, || rank_order_sum(decs))
+            (timed(&mut timers.decode_s, || rank_order_sum(decs)), own)
         })
         .collect()
 }
@@ -892,13 +908,14 @@ pub(crate) fn sync_param_grads<L: Link>(
     let mut slots: Vec<Vec<Option<Vec<Tensor>>>> = (eps.iter())
         .map(|_| (0..p).map(|_| None).collect())
         .collect();
-    let inputs = owns.into_iter().zip(slots.iter_mut());
+    let inputs = owns.into_iter().zip(slots.iter_mut()).zip(comps.iter());
     // A gather leases nothing.
     let progs = run(
         eps,
         inputs,
-        |ep, (own, slots), _, _| {
-            GatherWalk::new(ep, GatherPayload::Grads(own), |origin, item, _: &mut _| {
+        |ep, ((own, slots), comp), _, _| {
+            let own = GatherPayload::Grads(own);
+            GatherWalk::new(ep, own, &**comp, |origin, item, _: &mut _| {
                 if let GatherPayload::Grads(grads) = item {
                     slots[origin] = Some(grads);
                 }

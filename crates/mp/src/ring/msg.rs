@@ -2,7 +2,7 @@
 //! anything uses it.
 
 use super::steps::MsgId;
-use actcomp_compress::{Compressed, Payload};
+use actcomp_compress::{Compressed, Compressor};
 use actcomp_tensor::Tensor;
 
 /// An item travelling a whole-message all-gather.
@@ -26,10 +26,16 @@ impl GatherPayload {
     }
 
     /// Whether a peer's payload may be used where this rank's is `own`:
-    /// a code that [fits](code_fits), or gradients of the same shapes.
-    pub(super) fn fits(&self, own: &GatherPayload) -> bool {
+    /// a code of the own code's shape that this rank's `codec`
+    /// [fits](Compressor::fits), or gradients of the same shapes. A ring
+    /// receive checks this before anything decodes the code, which
+    /// bounds every allocation a decode makes by a tensor the rank
+    /// already holds.
+    pub(super) fn fits(&self, own: &GatherPayload, codec: &dyn Compressor) -> bool {
         match (self, own) {
-            (GatherPayload::Code(code), GatherPayload::Code(own)) => code_fits(code, own),
+            (GatherPayload::Code(code), GatherPayload::Code(own)) => {
+                code.shape() == own.shape() && codec.fits(code)
+            }
             (GatherPayload::Grads(a), GatherPayload::Grads(b)) => {
                 a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.dims() == b.dims())
             }
@@ -87,20 +93,4 @@ impl RingMsg {
             RingMsg::Gather(_, GatherPayload::Grads(_)) => "parameter gradients",
         }
     }
-}
-
-/// Whether a peer's `code` may be decoded where this rank's own code is
-/// `own`: the same dense shape, the same payload kind and, for a dense
-/// payload, the same dims. A ring receive checks this before anything
-/// decodes the code, which bounds every allocation a decode makes by a
-/// tensor the rank already holds; a wire decoder has already checked
-/// the payload against the code's own shape.
-pub fn code_fits(code: &Compressed, own: &Compressed) -> bool {
-    code.shape() == own.shape()
-        && match (code.payload(), own.payload()) {
-            (Payload::Dense(a), Payload::Dense(b)) => a.dims() == b.dims(),
-            (Payload::Sparse { .. }, Payload::Sparse { .. }) => true,
-            (Payload::Quantized { bits: a, .. }, Payload::Quantized { bits: b, .. }) => a == b,
-            _ => false,
-        }
 }

@@ -18,7 +18,9 @@
 //!
 //! The two forward sums are where the paper inserts compression (its
 //! Figure 3's `C`/`DC` pairs); [`Reduce::sum_backward`] runs the
-//! compressors' backward. Every sum left dense is
+//! compressors' backward on what their forward saw and sent ([`Sent`]),
+//! which the block keeps in its micro-batch cache with its other
+//! activations. Every sum left dense is
 //! [`wire_sum`](crate::wire_sum), the bfloat16 fold both executors
 //! share. Everything between the sums is the block's own arithmetic, so
 //! the executors agree bit for bit by construction, and the serial one
@@ -28,6 +30,7 @@
 
 use crate::error::ShardError;
 use crate::shard::{qkv_backward, qkv_forward, ColumnShard, RowShard};
+use actcomp_compress::Compressed;
 use actcomp_nn::graphs::{self, LnInput};
 use actcomp_nn::{
     EncoderLayer, FeedForward, Layer, LayerNorm, Linear, LnCache, MultiHeadAttention, Parameter,
@@ -50,6 +53,12 @@ impl SumPoint {
     pub const ALL: [SumPoint; 2] = [SumPoint::Attention, SumPoint::Mlp];
 }
 
+/// What one shard's codec saw and sent at a compressed sum: the partial
+/// it compressed and its code, which the codec's backward reads. A
+/// compressed sum returns one per shard the block holds, a dense sum
+/// none.
+pub type Sent = (Tensor, Compressed);
+
 /// How an executor sums a [`Block`]'s partials across the layer's
 /// workers — the one thing the serial executor and a rank do
 /// differently. Tensors handed in or out per shard are one per shard the
@@ -59,11 +68,18 @@ pub trait Reduce {
     /// executor's compute time.
     fn compute<T>(&mut self, f: impl FnOnce() -> T) -> T;
     /// `g`: the (compressed) sum over every worker of the partials at
-    /// `at`, this block's given per shard.
-    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>, ws: &mut Workspace) -> Tensor;
-    /// `g`'s backward: from the gradient of the sum at `at`, the
-    /// gradient of each of this block's partials.
-    fn sum_backward(&mut self, at: SumPoint, dy: &Tensor) -> Vec<Tensor>;
+    /// `at`, this block's given per shard, and what the sum's backward
+    /// will need.
+    fn sum(
+        &mut self,
+        at: SumPoint,
+        partials: Vec<Tensor>,
+        ws: &mut Workspace,
+    ) -> (Tensor, Vec<Sent>);
+    /// `g`'s backward: from the gradient of the sum at `at` and what
+    /// its forward [sent](Sent), the gradient of each of this block's
+    /// partials.
+    fn sum_backward(&mut self, at: SumPoint, dy: &Tensor, sent: &[Sent]) -> Vec<Tensor>;
     /// `f`'s backward: the dense sum over every worker of its input
     /// gradient, this block's given per shard.
     fn dense_sum(&mut self, parts: Vec<Tensor>, ws: &mut Workspace) -> Tensor;
@@ -151,6 +167,8 @@ struct Cache {
     attn: Vec<([Tensor; 3], Tensor, Tensor)>,
     /// Per shard: the MLP pre-activation and activation.
     mlp: Vec<(Tensor, Tensor)>,
+    /// What the attention and the MLP sum sent.
+    sent: [Vec<Sent>; 2],
 }
 
 /// A contiguous range of one encoder layer's tensor-parallel shards,
@@ -243,7 +261,7 @@ impl Block {
                 })
                 .unzip()
         });
-        let s = r.sum(SumPoint::Attention, partials, ws);
+        let (s, attn_sent) = r.sum(SumPoint::Attention, partials, ws);
         let (h1, ln1, mlp, partials) = r.compute(|| {
             let (h1, ln1) =
                 self.ln1
@@ -260,7 +278,7 @@ impl Block {
             ws.recycle_tensor(s);
             (h1, ln1, mlp, partials)
         });
-        let s = r.sum(SumPoint::Mlp, partials, ws);
+        let (s, mlp_sent) = r.sum(SumPoint::Mlp, partials, ws);
         r.compute(|| {
             let (y, ln2) = self.ln2.forward_cached(
                 LnInput::BiasResidual,
@@ -275,6 +293,7 @@ impl Block {
                 at,
                 attn,
                 mlp,
+                sent: [attn_sent, mlp_sent],
             });
             y
         })
@@ -294,12 +313,13 @@ impl Block {
             at,
             attn,
             mlp,
+            sent: [attn_sent, mlp_sent],
         } = self.caches.pop().expect("Block::backward without forward");
         let d2 = r.compute(|| {
             self.ln2
                 .backward_cached(dy, None, ln2, Some(&mut self.fc2_bias), ws)
         });
-        let dps = r.sum_backward(SumPoint::Mlp, &d2);
+        let dps = r.sum_backward(SumPoint::Mlp, &d2, &mlp_sent);
         let parts = r.compute(|| {
             let parts = (self.shards.iter_mut().zip(mlp).zip(&dps))
                 .map(|((s, (h, act)), dp)| {
@@ -311,7 +331,8 @@ impl Block {
                     part
                 })
                 .collect();
-            ws.recycle_tensor(h1);
+            let sent = mlp_sent.into_iter().map(|(partial, _)| partial);
+            sent.chain([h1]).for_each(|t| ws.recycle_tensor(t));
             parts
         });
         let df = r.dense_sum(parts, ws);
@@ -323,7 +344,7 @@ impl Block {
             ws.recycle_tensor(df);
             d1
         });
-        let dps = r.sum_backward(SumPoint::Attention, &d1);
+        let dps = r.sum_backward(SumPoint::Attention, &d1, &attn_sent);
         let parts = r.compute(|| {
             let parts = (self.shards.iter_mut().zip(attn).zip(&dps))
                 .map(|((s, (qkv, probs, ctx)), dp)| {
@@ -337,7 +358,8 @@ impl Block {
                     part
                 })
                 .collect();
-            ws.recycle_tensor(x);
+            let sent = attn_sent.into_iter().map(|(partial, _)| partial);
+            sent.chain([x]).for_each(|t| ws.recycle_tensor(t));
             parts
         });
         // The residual branch's gradient lands on the sum in place.
@@ -351,14 +373,17 @@ impl Block {
 
     /// Drops every cached forward without running backward — the
     /// forward-only serving path's per-batch cleanup — recycling the
-    /// buffers into `ws`.
+    /// buffers into `ws`. The codecs' saved partials and codes go with
+    /// it: a codec keeps nothing per call.
     pub fn clear_caches(&mut self, ws: &mut Workspace) {
         for c in self.caches.drain(..) {
             let attn =
                 (c.attn.into_iter()).flat_map(|(qkv, p, ctx)| qkv.into_iter().chain([p, ctx]));
             let mlp = c.mlp.into_iter().flat_map(|(h, act)| [h, act]);
             let ln = (c.ln.into_iter()).flat_map(|ln| <[Tensor; 2]>::from(ln.into_parts()));
-            for t in [c.x, c.h1].into_iter().chain(attn).chain(mlp).chain(ln) {
+            let sent = c.sent.into_iter().flatten().map(|(partial, _)| partial);
+            let acts = [c.x, c.h1].into_iter().chain(attn).chain(mlp).chain(ln);
+            for t in acts.chain(sent) {
                 ws.recycle_tensor(t);
             }
         }

@@ -19,7 +19,7 @@ fn reduce_of(comps: impl Iterator<Item = Box<dyn Compressor>> + Clone) -> InProc
 
 /// One forward sum of `partials` through the ring, and its bytes.
 fn forward(sums: &mut InProcess, partials: &[Tensor]) -> (Tensor, CommBytes) {
-    let out = (sums.ring()).sum(
+    let (out, _) = (sums.ring()).sum(
         SumPoint::Attention,
         partials.to_vec(),
         &mut Workspace::new(),
@@ -99,8 +99,8 @@ proptest! {
         let partials: Vec<Tensor> =
             (0..2).map(|_| init::randn(&mut rng, [2, 8], 1.0)).collect();
         let mut reduce = reduce_of((0..2).map(|_| Box::new(TopK::new(k)) as Box<dyn Compressor>));
-        let _ = forward(&mut reduce, &partials);
-        let dxs = reduce.ring().sum_backward(SumPoint::Attention, &Tensor::ones([2, 8]));
+        let (_, sent) = reduce.ring().sum(SumPoint::Attention, partials, &mut Workspace::new());
+        let dxs = reduce.ring().sum_backward(SumPoint::Attention, &Tensor::ones([2, 8]), &sent);
         for dx in &dxs {
             let nz = dx.as_slice().iter().filter(|v| **v != 0.0).count();
             prop_assert!(nz <= k.min(16));

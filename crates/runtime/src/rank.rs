@@ -12,11 +12,13 @@ use crate::config::RuntimeError;
 use crate::link::{MsgRx, MsgTx};
 use crate::report::{timed, PhaseTimers, RankReport};
 use crate::trace::TraceHandle;
-use crate::wire::{put_f32, put_string, put_u8, put_usize, Reader, WireError, WireMsg};
+use crate::wire::{
+    put_f32, put_string, put_u8, put_usize, put_usize_slice, Reader, WireError, WireMsg,
+};
 use actcomp_check::steps::{rank_steps, Op, Step, Sweep};
 use actcomp_check::{Phase, TraceEvent};
 use actcomp_compress::{Compressed, Compressor};
-use actcomp_mp::{Block, CommBytes, Ring};
+use actcomp_mp::{Block, CommBytes, Ring, Sent};
 use actcomp_net::TransportError;
 use actcomp_nn::graphs::LnInput;
 use actcomp_nn::{Embedding, Layer, LayerNorm, LnCache, Parameter};
@@ -97,10 +99,7 @@ impl WireMsg for Command {
         match self {
             Command::Forward { ids, batch, seq } => {
                 put_u8(out, 0);
-                put_usize(out, ids.len());
-                for &id in ids {
-                    put_usize(out, id);
-                }
+                put_usize_slice(out, ids);
                 put_usize(out, *batch);
                 put_usize(out, *seq);
             }
@@ -136,10 +135,7 @@ impl WireMsg for Command {
                 micro,
             } => {
                 put_u8(out, 10);
-                put_usize(out, ids.len());
-                for &id in ids {
-                    put_usize(out, id);
-                }
+                put_usize_slice(out, ids);
                 put_usize(out, *batch);
                 put_usize(out, *seq);
                 put_usize(out, *micro);
@@ -149,23 +145,11 @@ impl WireMsg for Command {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(match r.read_u8("command tag")? {
-            0 => {
-                let n = r.read_usize("forward id count")?;
-                if n > 1 << 28 {
-                    return Err(WireError {
-                        what: "forward id count",
-                    });
-                }
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(r.read_usize("forward id")?);
-                }
-                Command::Forward {
-                    ids,
-                    batch: r.read_usize("forward batch")?,
-                    seq: r.read_usize("forward seq")?,
-                }
-            }
+            0 => Command::Forward {
+                ids: r.read_usize_vec("forward ids")?,
+                batch: r.read_usize("forward batch")?,
+                seq: r.read_usize("forward seq")?,
+            },
             1 => Command::Backward {
                 dhidden: Tensor::decode(r)?,
             },
@@ -187,24 +171,12 @@ impl WireMsg for Command {
                 step: r.read_usize("restore step")?,
                 tag: r.read_u64("restore tag")?,
             },
-            10 => {
-                let n = r.read_usize("infer id count")?;
-                if n > 1 << 28 {
-                    return Err(WireError {
-                        what: "infer id count",
-                    });
-                }
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(r.read_usize("infer id")?);
-                }
-                Command::Infer {
-                    ids,
-                    batch: r.read_usize("infer batch")?,
-                    seq: r.read_usize("infer seq")?,
-                    micro: r.read_usize("infer micro")?,
-                }
-            }
+            10 => Command::Infer {
+                ids: r.read_usize_vec("infer ids")?,
+                batch: r.read_usize("infer batch")?,
+                seq: r.read_usize("infer seq")?,
+                micro: r.read_usize("infer micro")?,
+            },
             _ => {
                 return Err(WireError {
                     what: "command tag",
@@ -346,6 +318,10 @@ pub(crate) struct BoundarySender {
     pub bytes: CommBytes,
     pub tx: MsgTx<FwdMsg>,
     pub grad_rx: MsgRx<Tensor>,
+    /// Per micro-batch sent and not yet backwarded, in send order: the
+    /// activation and its code, which the codec's backward reads (the
+    /// drain pops them in GPipe order). `release_caches` frees them.
+    pub sent: Vec<Sent>,
 }
 
 /// Receiving half of a pipeline boundary (owned by `tp_index == 0` of
@@ -364,11 +340,13 @@ pub(crate) struct BoundaryReceiver {
 impl BoundaryReceiver {
     /// The next upstream message, checked against the step before
     /// anything decodes or installs it. In a forward, an activation code
-    /// shaped like the micro-batch, `[mb_tokens, hidden]`, decoded by the
-    /// replica; at sync, one gradient per replica parameter and of its
-    /// shape, loaded into the replica. A message of the wrong kind, a
-    /// code of another shape or a gradient list that does not match is
-    /// a [`TransportError::BadFrame`], and no parameter changes.
+    /// shaped like the micro-batch, `[mb_tokens, hidden]`, that the
+    /// replica [fits](Compressor::fits), decoded by the replica; at
+    /// sync, one gradient per replica parameter and of its shape, loaded
+    /// into the replica. A message of the wrong kind, a code of another
+    /// shape or one the replica does not fit, or a gradient list that
+    /// does not match is a [`TransportError::BadFrame`], and no
+    /// parameter changes.
     fn recv(
         &mut self,
         phase: Phase,
@@ -380,10 +358,11 @@ impl BoundaryReceiver {
         match (msg, phase) {
             (FwdMsg::Activation(code), Phase::Forward { .. }) => {
                 let want = [mb_tokens, self.hidden];
-                if code.shape().dims() != want {
-                    let got = code.shape();
+                if code.shape().dims() != want || !self.replica.fits(&code) {
+                    let (got, codec) = (code.shape(), self.replica.name());
                     return Err(bad(format!(
-                        "boundary code of shape {got}, the micro-batch is {want:?}"
+                        "boundary code of shape {got} for a {codec} replica, the micro-batch \
+                         is {want:?}"
                     )));
                 }
                 Ok(Some(timed(&mut t.decode_s, || {
@@ -681,8 +660,10 @@ impl RankWorker {
     /// from step to step. An inference runs the forward list over one
     /// micro-batch per request and releases each one's activation
     /// caches when it is done — no backward follows, so serving does
-    /// not grow memory per request. Replies the last stage's output, or
-    /// `Done`; a failed boundary or broadcast link is the error.
+    /// not grow memory per request. A forward or an inference first
+    /// drops whatever an earlier forward left for a backward that never
+    /// came. Replies the last stage's output, or `Done`; a failed
+    /// boundary or broadcast link is the error.
     fn execute(&mut self, cmd: &Command) -> Result<Response, TransportError> {
         let (sweep, m) = match *cmd {
             Command::Backward { .. } => (Sweep::Backward, self.micro_batches),
@@ -696,8 +677,11 @@ impl RankWorker {
         let keep_caches = !matches!(cmd, Command::Infer { .. });
         if sweep == Sweep::Forward {
             // A forward starts a new step: collective ordinals restart so
-            // traces match the per-step static graph.
+            // traces match the per-step static graph, and the caches of a
+            // forward no backward consumed go (the next backward is this
+            // forward's).
             self.tp.reset_step();
+            self.release_caches();
         }
         let mb_tokens = ids.len() / m;
         let mut cur: Option<Tensor> = None;
@@ -815,15 +799,19 @@ impl RankWorker {
         if let Phase::Backward { .. } = phase {
             let b = self.send_b.as_mut().expect("non-final stage sender");
             let dy = timed(&mut t.wire_s, || b.grad_rx.recv())?;
-            return Ok(Some(timed(&mut t.encode_s, || b.comp.backward(&dy))));
+            let (x, code) = b.sent.pop().expect("a boundary backward follows its send");
+            let dx = timed(&mut t.encode_s, || b.comp.backward(&dy, &x, &code));
+            self.ws.recycle_tensor(x);
+            return Ok(Some(dx));
         }
         let b = self.recv_b.as_mut().expect("non-first stage receiver");
         b.recv(phase, mb_tokens, t)
     }
 
     /// A boundary send: the activation compressed downstream (its wire
-    /// bytes returned, as metered), the gradient dense upstream, or — at
-    /// sync — the codec's parameter grads to the downstream replica.
+    /// bytes returned, as metered, and the activation and code kept for
+    /// the codec's backward), the gradient dense upstream, or — at sync
+    /// — the codec's parameter grads to the downstream replica.
     fn send(&mut self, phase: Phase, x: Option<Tensor>) -> Result<Option<usize>, TransportError> {
         let t = &mut self.timers;
         if let Phase::Backward { .. } = phase {
@@ -835,8 +823,8 @@ impl RankWorker {
         let b = self.send_b.as_mut().expect("non-final stage sender");
         let (msg, wire) = match phase {
             Phase::Forward { .. } => {
-                let x = x.expect("the blocks' output");
-                let msg = timed(&mut t.encode_s, || b.comp.compress(&x));
+                let x = x.as_ref().expect("the blocks' output");
+                let msg = timed(&mut t.encode_s, || b.comp.compress(x));
                 let wire = msg.wire_bytes(2);
                 b.bytes.add(CommBytes {
                     wire,
@@ -847,13 +835,21 @@ impl RankWorker {
             _ => (FwdMsg::GradSync(grads_of(|f| b.comp.visit_params(f))), None),
         };
         timed(&mut t.wire_s, || b.tx.send(&msg))?;
+        if let (FwdMsg::Activation(code), Some(x)) = (msg, x) {
+            b.sent.push((x, code));
+        }
         Ok(wire)
     }
 
-    /// Recycles every cached forward activation into the arena.
+    /// Recycles every cached forward activation into the arena: the
+    /// blocks' and the embedding's caches, and what the boundary codec
+    /// sent.
     fn release_caches(&mut self) {
         for (block, _) in &mut self.layers {
             block.clear_caches(&mut self.ws);
+        }
+        for (x, _) in self.send_b.iter_mut().flat_map(|b| b.sent.drain(..)) {
+            self.ws.recycle_tensor(x);
         }
         if let Some(emb) = self.embedding.as_mut() {
             emb.clear_caches(&mut self.ws);
@@ -909,8 +905,11 @@ impl RankWorker {
 mod tests {
     use super::*;
     use crate::link::{CHAN_FWD, CHAN_GRAD};
+    use crate::wire::{decode_msg, encode_msg};
     use actcomp_compress::spec::CompressorSpec;
+    use actcomp_compress::Payload;
     use actcomp_net::{mpsc_world, Transport};
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::sync::mpsc::channel;
@@ -919,10 +918,10 @@ mod tests {
     const HIDDEN: usize = 8;
     const MB_TOKENS: usize = 4;
 
-    /// An auto-encoder boundary codec; sender and replica share the seed.
-    fn codec() -> Box<dyn Compressor> {
+    /// A boundary codec; sender and replica share the seed.
+    fn codec(spec: CompressorSpec) -> Box<dyn Compressor> {
         let rng = &mut ChaCha8Rng::seed_from_u64(5);
-        CompressorSpec::A2.build(rng, MB_TOKENS * HIDDEN, HIDDEN)
+        spec.build(rng, MB_TOKENS * HIDDEN, HIDDEN)
     }
 
     /// Whether one receive returned a tensor (or its error), and whether
@@ -930,14 +929,14 @@ mod tests {
     type Outcome = (Result<bool, TransportError>, bool);
 
     /// Feeds `msgs` over an mpsc pair to a stage-1 boundary receiver
-    /// running the receive of each message's paired phase on its own
-    /// thread; returns each receive's outcome, or `None` if the receiver
-    /// panicked or missed a 10 s deadline.
-    fn receive(msgs: Vec<(FwdMsg, Phase)>) -> Vec<Option<Outcome>> {
+    /// with a `spec` replica, running the receive of each message's
+    /// paired phase on its own thread; returns each receive's outcome,
+    /// or `None` if the receiver panicked or missed a 10 s deadline.
+    fn receive(spec: CompressorSpec, msgs: Vec<(FwdMsg, Phase)>) -> Vec<Option<Outcome>> {
         let mut world = mpsc_world(2);
         let mut up = MsgTx::new(world[0].open_send(1, CHAN_FWD).unwrap());
         let mut b = BoundaryReceiver {
-            replica: codec(),
+            replica: codec(spec),
             rx: MsgRx::new(world[1].open_recv(0, CHAN_FWD).unwrap()),
             grad_tx: MsgTx::new(world[1].open_send(0, CHAN_GRAD).unwrap()),
             hidden: HIDDEN,
@@ -970,7 +969,7 @@ mod tests {
 
     #[test]
     fn a_bad_boundary_message_is_a_typed_error_not_a_panic() {
-        let sender = &mut codec();
+        let sender = &mut codec(CompressorSpec::A2);
         let rng = &mut ChaCha8Rng::seed_from_u64(6);
         let x = actcomp_tensor::init::randn(rng, [MB_TOKENS, HIDDEN], 1.0);
         let long = actcomp_tensor::init::randn(rng, [MB_TOKENS + 1, HIDDEN], 1.0);
@@ -978,13 +977,16 @@ mod tests {
             .visit_params(&mut |p| p.grad = actcomp_tensor::init::randn(rng, p.value.dims(), 1.0));
         let grads = grads_of(|f| sender.visit_params(f));
         let fwd = Phase::Forward { mb: 0 };
-        let outcomes = receive(vec![
-            (FwdMsg::Activation(sender.compress(&long)), fwd),
-            (FwdMsg::GradSync(grads[1..].to_vec()), Phase::Sync),
-            (FwdMsg::GradSync(grads.clone()), fwd),
-            (FwdMsg::Activation(sender.compress(&x)), fwd),
-            (FwdMsg::GradSync(grads), Phase::Sync),
-        ]);
+        let outcomes = receive(
+            CompressorSpec::A2,
+            vec![
+                (FwdMsg::Activation(sender.compress(&long)), fwd),
+                (FwdMsg::GradSync(grads[1..].to_vec()), Phase::Sync),
+                (FwdMsg::GradSync(grads.clone()), fwd),
+                (FwdMsg::Activation(sender.compress(&x)), fwd),
+                (FwdMsg::GradSync(grads), Phase::Sync),
+            ],
+        );
         let what = [
             "one extra row",
             "a short grad sync",
@@ -1004,5 +1006,132 @@ mod tests {
             matches!(outcomes[4], Some((Ok(false), true))),
             "a matching grad sync installs"
         );
+
+        // A code of the micro-batch's shape that the replica does not
+        // fit: every other payload kind, and dense code of other dims.
+        use CompressorSpec::{Baseline, A2, Q2, R2, T2};
+        let specs = [Baseline, A2, T2, R2, Q2];
+        let kind = |c: &Compressed| std::mem::discriminant(c.payload());
+        let wide = Payload::Dense(Tensor::ones([MB_TOKENS, 5]));
+        let wide = Compressed::new(wide, [MB_TOKENS, HIDDEN].into());
+        for spec in specs {
+            let own = codec(spec).compress(&x);
+            let mut codes: Vec<_> = (specs.map(|s| codec(s).compress(&x)).into_iter())
+                .filter(|c| kind(c) != kind(&own))
+                .collect();
+            codes.extend([wide.clone(), own]);
+            let n = codes.len() - 1;
+            let msgs = codes.into_iter().map(|c| (FwdMsg::Activation(c), fwd));
+            let outcomes = receive(spec, msgs.collect());
+            for outcome in &outcomes[..n] {
+                assert!(
+                    matches!(outcome, Some((Err(TransportError::BadFrame { .. }), false))),
+                    "{spec}: {outcome:?}, not a BadFrame leaving the replica as it was"
+                );
+            }
+            let decoded = matches!(outcomes[n], Some((Ok(true), false)));
+            assert!(decoded, "{spec}: its own code decodes");
+        }
+    }
+
+    /// One frame of every command.
+    fn command_frames() -> Vec<Vec<u8>> {
+        let (ids, dir) = (vec![3, 1, 4, 1, 5, 9], "ckpt".to_string());
+        let commands = [
+            Command::Forward {
+                ids: ids.clone(),
+                batch: 2,
+                seq: 3,
+            },
+            Command::Backward {
+                dhidden: Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.0], [2, 2]),
+            },
+            Command::ZeroGrad,
+            Command::SgdStep { lr: 0.1 },
+            Command::CollectGrads,
+            Command::Report,
+            Command::TakeTrace,
+            Command::Shutdown,
+            Command::Checkpoint {
+                dir: dir.clone(),
+                step: 3,
+                tag: 7,
+            },
+            Command::Restore {
+                dir,
+                step: 3,
+                tag: 7,
+            },
+            Command::Infer {
+                ids,
+                batch: 2,
+                seq: 3,
+                micro: 2,
+            },
+        ];
+        commands.iter().map(encode_msg).collect()
+    }
+
+    /// Decodes `bytes` as a command: a command that encodes back to the
+    /// same bytes (`true`), or a typed error (`false`).
+    fn open_command(bytes: &[u8]) -> bool {
+        let decoded = decode_msg::<Command>(bytes);
+        if let Ok(cmd) = &decoded {
+            assert_eq!(encode_msg(cmd), bytes, "{cmd:?} re-encodes");
+        }
+        decoded.is_ok()
+    }
+
+    #[test]
+    fn an_id_count_the_frame_cannot_hold_is_a_wire_error() {
+        for (tag, what) in [(0, "forward ids"), (10, "infer ids")] {
+            let mut frame = vec![tag];
+            put_usize(&mut frame, 1 << 28);
+            assert_eq!(
+                decode_msg::<Command>(&frame).err(),
+                Some(WireError { what })
+            );
+        }
+    }
+
+    #[test]
+    fn every_truncation_or_single_byte_corruption_of_a_command_is_handled() {
+        for frame in command_frames() {
+            assert!(open_command(&frame), "a valid frame decodes");
+            for n in 0..frame.len() {
+                assert!(!open_command(&frame[..n]), "a truncated frame decodes");
+            }
+            for at in 0..frame.len() {
+                for byte in [0x00, 0xff, frame[at] ^ 0x01, frame[at] ^ 0x80] {
+                    let mut bad = frame.clone();
+                    bad[at] = byte;
+                    open_command(&bad);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A command frame off the control link decodes or fails; it
+        /// never panics.
+        #[test]
+        fn hostile_command_frames_decode_or_fail_but_never_panic(
+            noise in collection::vec(0u8..=255, 0..160),
+            which in 0usize..11,
+            at in 0usize..1 << 16,
+            byte in 0u8..=255,
+        ) {
+            let frames = command_frames();
+            let frame = &frames[which];
+            open_command(&noise);
+            let mut spliced = frame[..at % frame.len()].to_vec();
+            spliced.extend_from_slice(&noise);
+            open_command(&spliced);
+            let mut bad = frame.clone();
+            bad[at % frame.len()] = byte;
+            open_command(&bad);
+        }
     }
 }

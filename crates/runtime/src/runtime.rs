@@ -127,6 +127,7 @@ impl<'a> WorkerBuilder<'a> {
             bytes: actcomp_mp::CommBytes::default(),
             tx: fwd_tx,
             grad_rx: links.grad_rx.expect("sender links come in pairs"),
+            sent: Vec::new(),
         });
         let recv_b = links.fwd_rx.map(|fwd_rx| BoundaryReceiver {
             replica: self.boundary(stage - 1),

@@ -113,15 +113,19 @@ pub fn write_shard(
 }
 
 /// Loads and verifies one rank's shard: CRC first, then the stamped
-/// rank / step / config hash against what this run expects.
+/// rank / step / config hash against what this run expects, then the
+/// tensor list, which must end the file.
 pub fn read_shard(
     dir: &Path,
     rank: usize,
     step: usize,
     tag: u64,
 ) -> Result<Vec<Tensor>, ShardError> {
-    let path = shard_path(dir, rank);
-    let buf = std::fs::read(&path)?;
+    parse_shard(&std::fs::read(shard_path(dir, rank))?, rank, step, tag)
+}
+
+/// [`read_shard`]'s checks on a shard file's bytes.
+fn parse_shard(buf: &[u8], rank: usize, step: usize, tag: u64) -> Result<Vec<Tensor>, ShardError> {
     if buf.len() < 4 + 2 + 4 {
         return Err(ShardError::Corrupt {
             what: format!("{} bytes is too short for a shard", buf.len()),
@@ -166,15 +170,9 @@ pub fn read_shard(
             });
         }
     }
-    let count = r
-        .read_usize("shard tensor count")
-        .map_err(|_| corrupt("tensor count"))?;
-    if count > 1 << 24 {
-        return Err(corrupt("tensor count"));
-    }
-    let mut tensors = Vec::with_capacity(count);
-    for _ in 0..count {
-        tensors.push(Tensor::decode(&mut r).map_err(|_| corrupt("tensor payload"))?);
+    let tensors = Vec::<Tensor>::decode(&mut r).map_err(|_| corrupt("tensor payload"))?;
+    if !r.done() {
+        return Err(corrupt("bytes after the last tensor"));
     }
     Ok(tensors)
 }
@@ -182,6 +180,7 @@ pub fn read_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tensors() -> Vec<Tensor> {
         vec![
@@ -289,5 +288,56 @@ mod tests {
             PINNED_SHARD
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `body` as a shard file: the bytes, then their CRC trailer.
+    fn stamped(body: &[u8]) -> Vec<u8> {
+        let mut file = body.to_vec();
+        file.extend_from_slice(&crc32(0, body).to_le_bytes());
+        file
+    }
+
+    #[test]
+    fn bytes_after_the_last_tensor_are_refused_under_a_good_crc() {
+        let dir = std::env::temp_dir().join(format!("actcomp-shard-tail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("dir");
+        let mut body = PINNED_SHARD[..142].to_vec();
+        body.push(0);
+        std::fs::write(shard_path(&dir, 1), stamped(&body)).expect("fixture");
+        let read = read_shard(&dir, 1, 7, 0xDEAD_BEEF);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            matches!(read, Err(ShardError::Corrupt { .. })),
+            "a trailing byte loads: {read:?}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Shard bytes load or fail with a typed error; they never
+        /// panic. Truncations and corruptions of a valid shard carry a
+        /// recomputed CRC, so the parser behind the CRC check sees them.
+        #[test]
+        fn hostile_shard_bytes_load_or_fail_but_never_panic(
+            noise in collection::vec(0u8..=255, 0..200),
+            at in 0usize..1 << 16,
+            byte in 0u8..=255,
+        ) {
+            let parse = |file: &[u8]| parse_shard(file, 1, 7, 0xDEAD_BEEF);
+            let body = &PINNED_SHARD[..142];
+            prop_assert!(parse(&stamped(body)).is_ok(), "the valid shard loads");
+            let _ = parse(&noise);
+            let _ = parse(&stamped(&noise));
+            for n in 0..body.len() {
+                prop_assert!(parse(&stamped(&body[..n])).is_err(), "a truncated shard loads");
+            }
+            let mut spliced = body[..at % body.len()].to_vec();
+            spliced.extend_from_slice(&noise);
+            let _ = parse(&stamped(&spliced));
+            let mut bad = body.to_vec();
+            bad[at % body.len()] = byte;
+            let _ = parse(&stamped(&bad));
+        }
     }
 }

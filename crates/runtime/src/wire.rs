@@ -168,6 +168,12 @@ pub(crate) fn put_u32_slice(out: &mut Vec<u8>, v: &[u32]) {
     out.extend(v.iter().flat_map(|x| x.to_le_bytes()));
 }
 
+/// Each value as the `u64` [`put_usize`] writes.
+pub(crate) fn put_usize_slice(out: &mut Vec<u8>, v: &[usize]) {
+    put_usize(out, v.len());
+    out.extend(v.iter().flat_map(|&x| (x as u64).to_le_bytes()));
+}
+
 /// Values already rounded to bfloat16 ([`actcomp_mp::wire_round`]), two
 /// bytes each: the top half of every `f32`, whose dropped low half is
 /// zero, so the round trip is exact.
@@ -297,7 +303,9 @@ impl WireMsg for Compressed {
     /// 2, 4 or 8 bits or not exactly `ceil(n·bits/8)` bytes long, and
     /// sparse values and indices of different counts or an index past
     /// the shape. A receive still checks the shape against what the
-    /// rank holds before decoding ([`actcomp_mp::ring::code_fits`]).
+    /// rank holds, and asks its codec whether it
+    /// [fits](actcomp_compress::Compressor::fits) the code, before
+    /// decoding.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let rank = r.usize("compressed shape rank")?;
         if rank > 8 {
@@ -468,6 +476,13 @@ impl Reader<'_> {
     /// Reads a little-endian `f32`.
     pub fn read_f32(&mut self, what: &'static str) -> Result<f32, WireError> {
         self.f32(what)
+    }
+
+    /// Reads a length-prefixed list of `u64`s as `usize`s. Like the
+    /// float lists, it takes the list's bytes before it allocates, so a
+    /// count the frame cannot hold fails without a reservation.
+    pub(crate) fn read_usize_vec(&mut self, what: &'static str) -> Result<Vec<usize>, WireError> {
+        self.words(what, |b| u64::from_le_bytes(b) as usize)
     }
 }
 
@@ -768,10 +783,11 @@ mod tests {
         frames
     }
 
-    /// Decodes `bytes` as a ring frame; a code that fits `check`'s own
-    /// code, as a receive demands, must then decode under its codec.
+    /// Decodes `bytes` as a ring frame; a code of `check`'s own code's
+    /// shape that its codec fits, as a receive demands, must then decode
+    /// under that codec.
     fn open_ring_frame(bytes: &[u8], check: &Check) -> bool {
-        use actcomp_mp::ring::{code_fits, ChunkData, GatherPayload, RingMsg};
+        use actcomp_mp::ring::{ChunkData, GatherPayload, RingMsg};
         let Ok(msg) = decode_msg::<RingMsg>(bytes) else {
             return false;
         };
@@ -784,7 +800,7 @@ mod tests {
             Some((codec, own)),
         ) = (msg, check)
         {
-            if code_fits(&code, own) {
+            if code.shape() == own.shape() && codec.fits(&code) {
                 assert_eq!(codec.decompress(&code).dims(), own.shape().dims());
             }
         }
@@ -835,16 +851,16 @@ mod tests {
         frames
     }
 
-    /// Decodes `bytes` as a boundary frame; an activation that fits
-    /// `check`'s own code (shape, payload kind and dense dims) must then
-    /// decode under its codec.
+    /// Decodes `bytes` as a boundary frame; an activation of `check`'s
+    /// own code's shape that its codec fits must then decode under that
+    /// codec.
     fn open_boundary_frame(bytes: &[u8], check: &Check) -> bool {
         use crate::rank::FwdMsg;
         let Ok(msg) = decode_msg::<FwdMsg>(bytes) else {
             return false;
         };
         if let (FwdMsg::Activation(code), Some((codec, own))) = (msg, check) {
-            if actcomp_mp::ring::code_fits(&code, own) {
+            if code.shape() == own.shape() && codec.fits(&code) {
                 assert_eq!(codec.decompress(&code).dims(), own.shape().dims());
             }
         }
@@ -906,8 +922,8 @@ mod tests {
         }
 
         /// A boundary frame off the wire decodes or fails; it never
-        /// panics, and no code that fits its codec's own code panics the
-        /// codec.
+        /// panics, and no code its codec fits at the own code's shape
+        /// panics the codec.
         #[test]
         fn hostile_boundary_frames_decode_or_fail_but_never_panic(
             noise in collection::vec(0u8..=255, 0..160),

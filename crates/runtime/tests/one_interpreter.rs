@@ -68,9 +68,9 @@ fn serial(world: usize, tuning: RingTuning, c: Codec) -> Vec<Seen> {
         let [fwd, bwd, dy]: [Vec<Tensor>; 3] =
             [0, 1, 2].map(|i| (0..world).map(|r| inputs(r, step)[i].clone()).collect());
         let mut ring = sums.ring();
-        let y = ring.sum(SumPoint::Attention, fwd, ws);
+        let (y, sent) = ring.sum(SumPoint::Attention, fwd, ws);
         let d = ring.dense_sum(bwd, ws);
-        let dx = ring.sum_backward(SumPoint::Attention, &dy[0]);
+        let dx = ring.sum_backward(SumPoint::Attention, &dy[0], &sent);
         steps.push((bits(&y), bits(&d), dx.iter().map(bits).collect::<Vec<_>>()));
     }
     sums.sync_param_grads();
@@ -110,9 +110,9 @@ fn threaded(world: usize, tuning: RingTuning, c: Codec) -> Vec<Seen> {
                         comps: std::slice::from_mut(&mut comps),
                         timers,
                     };
-                    let y = ring.sum(SumPoint::Attention, vec![fwd], ws);
+                    let (y, sent) = ring.sum(SumPoint::Attention, vec![fwd], ws);
                     let d = ring.dense_sum(vec![bwd], ws);
-                    let dx = ring.sum_backward(SumPoint::Attention, &dy);
+                    let dx = ring.sum_backward(SumPoint::Attention, &dy, &sent);
                     sums.push([bits(&y), bits(&d), bits(&dx[0])]);
                 }
                 let mut grads = Vec::new();

@@ -19,7 +19,7 @@ use actcomp_compress::{Compressor, Identity};
 use actcomp_mp::shard::{qkv_backward, qkv_forward};
 use actcomp_mp::tp::interleave;
 use actcomp_mp::{
-    stage_offsets, Block, ColumnShard, InProcess, MpConfig, Reduce, RowShard, SumPoint,
+    stage_offsets, Block, ColumnShard, InProcess, MpConfig, Reduce, RowShard, Sent, SumPoint,
 };
 use actcomp_nn::{graphs, BertConfig, EncoderLayer, MultiHeadAttention};
 use actcomp_runtime::{RuntimeConfig, ThreadedRuntime};
@@ -165,14 +165,19 @@ impl Reduce for Logged {
         f()
     }
 
-    fn sum(&mut self, at: SumPoint, partials: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
-        let s = self.sums.ring().sum(at, partials.clone(), ws);
+    fn sum(
+        &mut self,
+        at: SumPoint,
+        partials: Vec<Tensor>,
+        ws: &mut Workspace,
+    ) -> (Tensor, Vec<Sent>) {
+        let (s, sent) = self.sums.ring().sum(at, partials.clone(), ws);
         self.calls.push((partials, vec![s.clone()]));
-        s
+        (s, sent)
     }
 
-    fn sum_backward(&mut self, at: SumPoint, dy: &Tensor) -> Vec<Tensor> {
-        let ds = self.sums.ring().sum_backward(at, dy);
+    fn sum_backward(&mut self, at: SumPoint, dy: &Tensor, sent: &[Sent]) -> Vec<Tensor> {
+        let ds = self.sums.ring().sum_backward(at, dy, sent);
         self.calls.push((Vec::new(), ds.clone()));
         ds
     }
@@ -208,11 +213,16 @@ impl Reduce for Replay<'_> {
         f()
     }
 
-    fn sum(&mut self, _: SumPoint, partials: Vec<Tensor>, _: &mut Workspace) -> Tensor {
-        self.check(&partials)[0].clone()
+    fn sum(
+        &mut self,
+        _: SumPoint,
+        partials: Vec<Tensor>,
+        _: &mut Workspace,
+    ) -> (Tensor, Vec<Sent>) {
+        (self.check(&partials)[0].clone(), Vec::new())
     }
 
-    fn sum_backward(&mut self, _: SumPoint, _: &Tensor) -> Vec<Tensor> {
+    fn sum_backward(&mut self, _: SumPoint, _: &Tensor, _: &[Sent]) -> Vec<Tensor> {
         let shard = self.shard;
         vec![self.check(&[])[shard].clone()]
     }

@@ -96,7 +96,7 @@ fn grad_sync_converges_across_ranks() {
                 let x = init::randn(&mut rng, [4, 16], 1.0);
                 let msg = ae.compress(&x);
                 let _ = ae.decompress(&msg);
-                let _ = ae.backward(&Tensor::ones([4, 16]));
+                let _ = ae.backward(&Tensor::ones([4, 16]), &x, &msg);
                 g.sync_param_grads(ae.as_mut(), &mut timers);
                 let mut grads = Vec::new();
                 ae.visit_params(&mut |p| grads.push(p.grad.clone()));
