@@ -146,10 +146,10 @@ fn codecs(
 }
 
 /// The one sum a block takes from its endpoints' equal results: the
-/// first, the others recycled into `ws`.
-fn first(outs: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
-    let mut outs = outs.into_iter();
-    let sum = outs.next().expect("at least one endpoint");
+/// first read one, any others recycled into `ws`.
+fn first(outs: impl IntoIterator<Item = Option<Tensor>>, ws: &mut Workspace) -> Tensor {
+    let mut outs = outs.into_iter().flatten();
+    let sum = outs.next().expect("an endpoint reads the sum");
     outs.for_each(|t| ws.recycle_tensor(t));
     sum
 }
@@ -162,7 +162,7 @@ impl<L: Link> Reduce for Ring<'_, L> {
     fn sum(
         &mut self,
         at: SumPoint,
-        partials: Vec<Tensor>,
+        partials: &mut Vec<Tensor>,
         ws: &mut Workspace,
     ) -> (Tensor, Vec<Sent>) {
         assert_eq!(
@@ -176,12 +176,12 @@ impl<L: Link> Reduce for Ring<'_, L> {
             for ep in self.endpoints.iter_mut() {
                 ep.bytes.add(CommBytes::all_reduce(p, n, n));
             }
-            return (self.dense_sum(partials, ws), Vec::new());
+            return (self.dense_sum_of(partials, ws), Vec::new());
         }
         let comps = codecs(self.comps, at);
-        let outs = ring::compressed_all_reduce(self.endpoints, comps, &partials, self.timers, ws);
+        let outs = ring::compressed_all_reduce(self.endpoints, comps, partials, self.timers, ws);
         let (sums, codes): (Vec<_>, Vec<_>) = outs.into_iter().unzip();
-        (first(sums, ws), partials.into_iter().zip(codes).collect())
+        (first(sums, ws), partials.drain(..).zip(codes).collect())
     }
 
     fn sum_backward(&mut self, at: SumPoint, dy: &Tensor, sent: &[Sent]) -> Vec<Tensor> {
@@ -198,13 +198,20 @@ impl<L: Link> Reduce for Ring<'_, L> {
     }
 
     fn dense_sum(&mut self, mut parts: Vec<Tensor>, ws: &mut Workspace) -> Tensor {
+        self.dense_sum_of(&mut parts, ws)
+    }
+}
+
+impl<L: Link> Ring<'_, L> {
+    /// The dense sum of `parts`, drained.
+    fn dense_sum_of(&mut self, parts: &mut Vec<Tensor>, ws: &mut Workspace) -> Tensor {
         assert_eq!(parts.len(), self.endpoints.len(), "one part per endpoint");
         if self.endpoints[0].world == 1 {
             // A lone worker's part is the sum: nothing crosses a wire.
             return parts.pop().expect("one part");
         }
-        let outs = ring::dense_all_reduce(self.endpoints, &parts, self.timers, ws);
-        parts.into_iter().for_each(|t| ws.recycle_tensor(t));
+        let outs = ring::dense_all_reduce(self.endpoints, parts, self.timers, ws);
+        parts.drain(..).for_each(|t| ws.recycle_tensor(t));
         first(outs, ws)
     }
 }
@@ -258,8 +265,12 @@ impl InProcess {
     /// Panics if `comps` is empty.
     pub(crate) fn with(comps: Vec<[Option<Box<dyn Compressor>>; 2]>) -> Self {
         assert!(!comps.is_empty(), "a ring needs at least one worker");
+        let mut endpoints = Endpoint::serial_ring(comps.len());
+        // A block takes endpoint 0's sum (`first`): the others only
+        // forward.
+        endpoints[1..].iter_mut().for_each(|ep| ep.output = false);
         InProcess {
-            endpoints: Endpoint::serial_ring(comps.len()),
+            endpoints,
             comps,
             timers: PhaseTimers::default(),
         }
@@ -420,7 +431,7 @@ mod tests {
     /// the sum's backward needs.
     fn reduce(sums: &mut InProcess, ps: &[Tensor]) -> (Tensor, CommBytes, Vec<Sent>) {
         let (out, sent) =
-            (sums.ring()).sum(SumPoint::Attention, ps.to_vec(), &mut Workspace::new());
+            (sums.ring()).sum(SumPoint::Attention, &mut ps.to_vec(), &mut Workspace::new());
         (out, sums.bytes(), sent)
     }
 

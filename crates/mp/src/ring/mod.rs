@@ -144,6 +144,10 @@ pub struct Endpoint<L> {
     pub tuning: RingTuning,
     /// The endpoint's links to its ring neighbours.
     pub link: L,
+    /// Whether this endpoint's caller reads a collective's result. The
+    /// serial executor reads only endpoint 0's, so its others forward
+    /// and keep their own codes but skip the copy-out and the decodes.
+    pub(crate) output: bool,
     /// Ordinal of the next collective on this ring, reset per step —
     /// the `coll` component of traced chunk/gather message identities.
     coll: usize,
@@ -185,6 +189,7 @@ impl<L: Link> Endpoint<L> {
             ring_bytes: CommBytes::default(),
             tuning: RingTuning::default(),
             link,
+            output: true,
             coll: 0,
             active_coll: 0,
             stash: Vec::new(),
@@ -218,7 +223,8 @@ impl<L: Link> Endpoint<L> {
         let ring = std::slice::from_mut(self);
         let mut out =
             compressed_all_reduce(ring, vec![comp], std::slice::from_ref(partial), timers, ws);
-        out.pop().expect("one endpoint").0
+        let sum = out.pop().expect("one endpoint").0;
+        sum.expect("a standalone endpoint reads its sum")
     }
 
     /// Dense (uncompressed) ring all-reduce over row chunks:
@@ -235,7 +241,8 @@ impl<L: Link> Endpoint<L> {
     ) -> Tensor {
         let ring = std::slice::from_mut(self);
         let mut out = dense_all_reduce(ring, std::slice::from_ref(partial), timers, ws);
-        out.pop().expect("one endpoint")
+        let sum = out.pop().expect("one endpoint");
+        sum.expect("a standalone endpoint reads its sum")
     }
 
     /// All-reduces `comp`'s parameter gradients across the group and
@@ -388,7 +395,9 @@ impl RowChunks {
 struct DenseRows<'a> {
     data: &'a [f32],
     chunks: RowChunks,
-    out: Tensor,
+    /// The total, copied out chunk by chunk; `None` on an endpoint whose
+    /// result nobody reads.
+    out: Option<Tensor>,
 }
 
 impl<'a> RingPayload for DenseRows<'a> {
@@ -435,9 +444,11 @@ impl<'a> RingPayload for DenseRows<'a> {
 
     fn consume(&mut self, idx: usize, total: &Vec<f32>, timers: &mut PhaseTimers) {
         let range = self.chunks.elems(idx);
-        timed(&mut timers.decode_s, || {
-            self.out.as_mut_slice()[range].copy_from_slice(total);
-        });
+        if let Some(out) = self.out.as_mut() {
+            timed(&mut timers.decode_s, || {
+                out.as_mut_slice()[range].copy_from_slice(total);
+            });
+        }
     }
 
     fn retire(&mut self, chunk: Vec<f32>, ws: &mut Workspace) {
@@ -453,6 +464,8 @@ struct WholeCode<'a> {
     /// The code this rank made: every received code must have its
     /// shape, and the caller keeps it for the codec's backward.
     own: Option<Compressed>,
+    /// Whether the total is decoded ([`Endpoint::output`]).
+    decode: bool,
     /// The decoded total, once consumed.
     out: Option<Tensor>,
 }
@@ -496,7 +509,9 @@ impl RingPayload for WholeCode<'_> {
     }
 
     fn consume(&mut self, _idx: usize, total: &Compressed, timers: &mut PhaseTimers) {
-        self.out = Some(timed(&mut timers.decode_s, || self.comp.decompress(total)));
+        if self.decode {
+            self.out = Some(timed(&mut timers.decode_s, || self.comp.decompress(total)));
+        }
     }
 }
 
@@ -743,27 +758,29 @@ impl<F: FnMut(usize, GatherPayload, &mut PhaseTimers)> Program for GatherWalk<'_
 }
 
 /// [`Endpoint::compressed_all_reduce`] on every endpoint of `eps`, each
-/// with its own compressor and partial; returns each one's sum and the
-/// code it sent, which the codec's backward reads.
+/// with its own compressor and partial; returns each one's sum (`None`
+/// where no one reads it, [`Endpoint::output`]) and the code it sent,
+/// which the codec's backward reads.
 pub(crate) fn compressed_all_reduce<'a, L: Link>(
     eps: &mut [Endpoint<L>],
     comps: Vec<&'a mut dyn Compressor>,
     partials: &'a [Tensor],
     timers: &mut PhaseTimers,
     ws: &mut Workspace,
-) -> Vec<(Tensor, Compressed)> {
+) -> Vec<(Option<Tensor>, Compressed)> {
     let t0 = Instant::now();
     let p = eps[0].world;
     // A solo ring gathers its own code: compressed and decoded locally.
     let outs = if p > 1 && comps[0].summable() {
-        let code = |ep: &_, (comp, partial), _: &mut _, _: &mut _| {
-            let (own, out) = (None, None);
+        let code = |ep: &Endpoint<L>, (comp, partial), _: &mut _, _: &mut _| {
+            let (own, out, decode) = (None, None, ep.output);
             ChunkRing::new(
                 ep,
                 WholeCode {
                     comp,
                     partial,
                     own,
+                    decode,
                     out,
                 },
                 1,
@@ -780,7 +797,7 @@ pub(crate) fn compressed_all_reduce<'a, L: Link>(
                 ep.bytes
                     .add(CommBytes::all_reduce(p, own_wire, partial.len() * 2));
                 ep.ring_bytes.dense += (p - 1) * own_wire;
-                (out.expect("every chunk was consumed"), own)
+                (out, own)
             })
             .collect()
     } else {
@@ -793,14 +810,15 @@ pub(crate) fn compressed_all_reduce<'a, L: Link>(
 /// All-gather reduce for non-summable codecs, decoding each message as
 /// it arrives so decode overlaps the remaining wire hops (the own
 /// decode runs while peers encode and ship). Returns each endpoint's
-/// sum and own code.
+/// sum (`None`, and nothing decoded, where no one reads it) and own
+/// code.
 fn gathered_reduce<L: Link>(
     eps: &mut [Endpoint<L>],
     comps: Vec<&mut dyn Compressor>,
     partials: &[Tensor],
     timers: &mut PhaseTimers,
     ws: &mut Workspace,
-) -> Vec<(Tensor, Compressed)> {
+) -> Vec<(Option<Tensor>, Compressed)> {
     let p = eps[0].world;
     let mut decoded: Vec<(Vec<Option<Tensor>>, usize)> = (eps.iter())
         .map(|_| ((0..p).map(|_| None).collect(), 0))
@@ -811,13 +829,15 @@ fn gathered_reduce<L: Link>(
         inputs,
         |ep, ((comp, partial), (decs, gathered)), t, _| {
             let own = GatherPayload::Code(timed(&mut t.encode_s, || comp.compress(partial)));
-            let comp: &dyn Compressor = comp;
+            let (comp, decode): (&dyn Compressor, _) = (comp, ep.output);
             GatherWalk::new(ep, own, comp, move |origin, item, t: &mut PhaseTimers| {
                 let GatherPayload::Code(code) = item else {
                     unreachable!("a gathered payload fits the own code")
                 };
                 *gathered += code.wire_bytes(2);
-                decs[origin] = Some(timed(&mut t.decode_s, || comp.decompress(&code)));
+                if decode {
+                    decs[origin] = Some(timed(&mut t.decode_s, || comp.decompress(&code)));
+                }
             })
         },
         timers,
@@ -834,26 +854,33 @@ fn gathered_reduce<L: Link>(
                 wire: gathered * (p - 1) / p,
                 dense: 2 * (p - 1) * (partial.len() * 2) / p,
             });
-            let decs = decs
-                .into_iter()
-                .map(|d| d.expect("gather visited every rank"));
-            (timed(&mut timers.decode_s, || rank_order_sum(decs)), own)
+            let sum = ep.output.then(|| {
+                let decs = decs
+                    .into_iter()
+                    .map(|d| d.expect("gather visited every rank"));
+                timed(&mut timers.decode_s, || rank_order_sum(decs))
+            });
+            (sum, own)
         })
         .collect()
 }
 
 /// [`Endpoint::dense_all_reduce`] on every endpoint of `eps`, each with
-/// its own partial; returns each one's sum.
+/// its own partial; returns each one's sum (`None` where no one reads
+/// it, [`Endpoint::output`]).
 pub(crate) fn dense_all_reduce<'a, L: Link>(
     eps: &mut [Endpoint<L>],
     partials: &'a [Tensor],
     timers: &mut PhaseTimers,
     ws: &mut Workspace,
-) -> Vec<Tensor> {
+) -> Vec<Option<Tensor>> {
     let (p, len) = (eps[0].world, partials[0].len());
     if p == 1 || len == 0 {
         // Callers recycle the result into `ws`: hand out its buffer.
-        return partials.iter().map(|t| ws.lease_copy(t)).collect();
+        let copies = eps.iter().zip(partials);
+        return copies
+            .map(|(ep, t)| ep.output.then(|| ws.lease_copy(t)))
+            .collect();
     }
     let t0 = Instant::now();
     // Every endpoint derives its chunk plan from its own partial and
@@ -863,7 +890,7 @@ pub(crate) fn dense_all_reduce<'a, L: Link>(
         let plan = ep.tuning.plan(rows);
         let (chunks, out) = (
             RowChunks::new(&plan, width),
-            ws.lease_tensor(t.shape().clone()),
+            ep.output.then(|| ws.lease_tensor(t.shape().clone())),
         );
         ChunkRing::new(
             ep,

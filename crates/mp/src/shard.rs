@@ -65,16 +65,15 @@ impl ColumnShard {
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = dout.dims()[1];
         let plan = graphs::linear_backward(ws, m, kin, n);
-        let mut res = plan.run(
-            &[x.as_slice(), dout.as_slice(), self.weight.value.as_slice()],
-            vec![
-                OutBind::Acc(self.weight.grad.as_mut_slice()),
-                OutBind::Acc(self.bias.grad.as_mut_slice()),
-                OutBind::Lease,
-            ],
-            ws,
-        );
-        Tensor::from_vec(res[2].take().expect("leased dx"), [m, kin])
+        let mut res = [
+            OutBind::Acc(self.weight.grad.as_mut_slice()),
+            OutBind::Acc(self.bias.grad.as_mut_slice()),
+            OutBind::Lease,
+        ];
+        let inputs = [x.as_slice(), dout.as_slice(), self.weight.value.as_slice()];
+        plan.run(&inputs, &mut res, ws);
+        let [_, _, dx] = res;
+        Tensor::from_vec(dx.leased(), [m, kin])
     }
 
     /// The MLP expansion with the activation fused into the GEMM
@@ -85,19 +84,11 @@ impl ColumnShard {
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = self.bias.value.len();
         let plan = graphs::mlp_up(ws, m, kin, n);
-        let mut res = plan.run(
-            &[
-                x.as_slice(),
-                self.weight.value.as_slice(),
-                self.bias.value.as_slice(),
-            ],
-            vec![OutBind::Lease, OutBind::Lease],
-            ws,
-        );
-        (
-            Tensor::from_vec(res[0].take().expect("leased act"), [m, n]),
-            Tensor::from_vec(res[1].take().expect("leased h"), [m, n]),
-        )
+        let mut res = [OutBind::Lease, OutBind::Lease];
+        let (w, b) = (&self.weight.value, &self.bias.value);
+        plan.run(&[x.as_slice(), w.as_slice(), b.as_slice()], &mut res, ws);
+        let [act, h] = res.map(|o| Tensor::from_vec(o.leased(), [m, n]));
+        (act, h)
     }
 
     /// Visits the weight then the bias.
@@ -115,16 +106,11 @@ pub fn qkv_forward(shards: [&ColumnShard; 3], x: &Tensor, ws: &mut Workspace) ->
     let (m, kin) = (x.dims()[0], x.dims()[1]);
     let n = shards[0].bias.value.len();
     let plan = graphs::qkv_forward(ws, m, kin, n);
-    let mut inputs = vec![x.as_slice()];
-    for ColumnShard { weight, bias } in shards {
-        inputs.extend([weight.value.as_slice(), bias.value.as_slice()]);
-    }
-    let mut res = plan.run(
-        &inputs,
-        vec![OutBind::Lease, OutBind::Lease, OutBind::Lease],
-        ws,
-    );
-    [0, 1, 2].map(|i| Tensor::from_vec(res[i].take().expect("leased projection"), [m, n]))
+    let [q, k, v] = shards.map(|s| [s.weight.value.as_slice(), s.bias.value.as_slice()]);
+    let inputs = [x.as_slice(), q[0], q[1], k[0], k[1], v[0], v[1]];
+    let mut res = [OutBind::Lease, OutBind::Lease, OutBind::Lease];
+    plan.run(&inputs, &mut res, ws);
+    res.map(|o| Tensor::from_vec(o.leased(), [m, n]))
 }
 
 /// Backward of one worker's column-parallel Q/K/V projections —
@@ -144,17 +130,27 @@ pub fn qkv_backward(
     let (m, kin) = (x.dims()[0], x.dims()[1]);
     let n = douts[0].dims()[1];
     let plan = graphs::qkv_backward(ws, m, kin, n);
-    let mut inputs = vec![x.as_slice()];
-    inputs.extend(douts.map(Tensor::as_slice));
-    let mut outs = Vec::with_capacity(7);
-    for ColumnShard { weight, bias } in shards {
-        inputs.push(weight.value.as_slice());
-        outs.push(OutBind::Acc(weight.grad.as_mut_slice()));
-        outs.push(OutBind::Acc(bias.grad.as_mut_slice()));
-    }
-    outs.push(OutBind::Lease);
-    let mut res = plan.run(&inputs, outs, ws);
-    Tensor::from_vec(res[6].take().expect("leased dx"), [m, kin])
+    let [dq, dk, dv] = douts.map(Tensor::as_slice);
+    let [sq, sk, sv] = shards.map(|s| {
+        (
+            s.weight.value.as_slice(),
+            &mut s.weight.grad,
+            &mut s.bias.grad,
+        )
+    });
+    let inputs = [x.as_slice(), dq, dk, dv, sq.0, sk.0, sv.0];
+    let mut res = [
+        OutBind::Acc(sq.1.as_mut_slice()),
+        OutBind::Acc(sq.2.as_mut_slice()),
+        OutBind::Acc(sk.1.as_mut_slice()),
+        OutBind::Acc(sk.2.as_mut_slice()),
+        OutBind::Acc(sv.1.as_mut_slice()),
+        OutBind::Acc(sv.2.as_mut_slice()),
+        OutBind::Lease,
+    ];
+    plan.run(&inputs, &mut res, ws);
+    let [.., dx] = res;
+    Tensor::from_vec(dx.leased(), [m, kin])
 }
 
 /// One worker's shard of a row-parallel linear: a `[in/world, out]`
@@ -192,12 +188,10 @@ impl RowShard {
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = self.weight.value.dims()[1];
         let plan = graphs::matmul(ws, m, kin, n);
-        let mut res = plan.run(
-            &[x.as_slice(), self.weight.value.as_slice()],
-            vec![OutBind::Lease],
-            ws,
-        );
-        Tensor::from_vec(res[0].take().expect("leased partial"), [m, n])
+        let mut res = [OutBind::Lease];
+        plan.run(&[x.as_slice(), self.weight.value.as_slice()], &mut res, ws);
+        let [y] = res.map(OutBind::leased);
+        Tensor::from_vec(y, [m, n])
     }
 
     /// Accumulates the weight gradient from the (post-reduce) partial
@@ -208,19 +202,18 @@ impl RowShard {
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = dpartial.dims()[1];
         let plan = graphs::matmul_backward(ws, m, kin, n);
-        let mut res = plan.run(
-            &[
-                x.as_slice(),
-                dpartial.as_slice(),
-                self.weight.value.as_slice(),
-            ],
-            vec![
-                OutBind::Acc(self.weight.grad.as_mut_slice()),
-                OutBind::Lease,
-            ],
-            ws,
-        );
-        Tensor::from_vec(res[1].take().expect("leased dx"), [m, kin])
+        let mut res = [
+            OutBind::Acc(self.weight.grad.as_mut_slice()),
+            OutBind::Lease,
+        ];
+        let inputs = [
+            x.as_slice(),
+            dpartial.as_slice(),
+            self.weight.value.as_slice(),
+        ];
+        plan.run(&inputs, &mut res, ws);
+        let [_, dx] = res;
+        Tensor::from_vec(dx.leased(), [m, kin])
     }
 
     /// The MLP contraction's backward with the GELU derivative fused
@@ -237,20 +230,18 @@ impl RowShard {
         let (m, kin) = (act.dims()[0], act.dims()[1]);
         let n = dp.dims()[1];
         let plan = graphs::mlp_down_backward(ws, m, kin, n);
-        let mut res = plan.run(
-            &[
-                act.as_slice(),
-                dp.as_slice(),
-                self.weight.value.as_slice(),
-                h.as_slice(),
-            ],
-            vec![
-                OutBind::Acc(self.weight.grad.as_mut_slice()),
-                OutBind::Lease,
-            ],
+        let mut res = [
+            OutBind::Acc(self.weight.grad.as_mut_slice()),
+            OutBind::Lease,
+        ];
+        let w = self.weight.value.as_slice();
+        plan.run(
+            &[act.as_slice(), dp.as_slice(), w, h.as_slice()],
+            &mut res,
             ws,
         );
-        Tensor::from_vec(res[1].take().expect("leased dh"), [m, kin])
+        let [_, dh] = res;
+        Tensor::from_vec(dh.leased(), [m, kin])
     }
 
     /// Visits the weight.

@@ -68,12 +68,12 @@ pub trait Reduce {
     /// executor's compute time.
     fn compute<T>(&mut self, f: impl FnOnce() -> T) -> T;
     /// `g`: the (compressed) sum over every worker of the partials at
-    /// `at`, this block's given per shard, and what the sum's backward
-    /// will need.
+    /// `at`, this block's given per shard (drained, so the block reuses
+    /// the list), and what the sum's backward will need.
     fn sum(
         &mut self,
         at: SumPoint,
-        partials: Vec<Tensor>,
+        partials: &mut Vec<Tensor>,
         ws: &mut Workspace,
     ) -> (Tensor, Vec<Sent>);
     /// `g`'s backward: from the gradient of the sum at `at` and what
@@ -133,13 +133,20 @@ pub fn interleave<'a>(lists: &[&'a [Tensor]]) -> Vec<&'a Tensor> {
     out
 }
 
-/// One worker's slice of every sharded projection of a layer.
+/// One worker's slice of every sharded projection of a layer, and its
+/// part of each cached micro-batch: stacks in step with the block's, kept
+/// here so a warm forward pushes onto lists that already have room.
 #[derive(Debug)]
 struct Shard {
     qkv: [ColumnShard; 3],
     wo: RowShard,
     fc1: ColumnShard,
     fc2: RowShard,
+    /// Per micro-batch: Q, K and V, the softmax probabilities, the
+    /// context.
+    attn: Vec<([Tensor; 3], Tensor, Tensor)>,
+    /// Per micro-batch: the MLP pre-activation and activation.
+    mlp: Vec<(Tensor, Tensor)>,
 }
 
 impl Shard {
@@ -156,17 +163,13 @@ impl Shard {
     }
 }
 
-/// What a micro-batch's backward needs.
+/// What a micro-batch's backward needs beyond its shards' own caches.
 #[derive(Debug)]
 struct Cache {
     x: Tensor,
     h1: Tensor,
     ln: [LnCache; 2],
     at: Heads,
-    /// Per shard: Q, K and V, the softmax probabilities, the context.
-    attn: Vec<([Tensor; 3], Tensor, Tensor)>,
-    /// Per shard: the MLP pre-activation and activation.
-    mlp: Vec<(Tensor, Tensor)>,
     /// What the attention and the MLP sum sent.
     sent: [Vec<Sent>; 2],
 }
@@ -185,6 +188,9 @@ pub struct Block {
     local_heads: usize,
     head_dim: usize,
     caches: Vec<Cache>,
+    /// The partials of the sum in flight, one per shard; empty between
+    /// sums.
+    partials: Vec<Tensor>,
 }
 
 impl Block {
@@ -220,6 +226,8 @@ impl Block {
                 wo: RowShard::of(&attn.wo.weight.value, world, i),
                 fc1: ColumnShard::of(&ff.fc1, world, i),
                 fc2: RowShard::of(&ff.fc2.weight.value, world, i),
+                attn: Vec::new(),
+                mlp: Vec::new(),
             })
             .collect();
         Ok(Block {
@@ -232,10 +240,14 @@ impl Block {
             local_heads: heads / world,
             head_dim: attn.head_dim(),
             caches: Vec::new(),
+            partials: Vec::new(),
         })
     }
 
-    /// Forward for one micro-batch over `[batch·seq, hidden]`.
+    /// Forward for one micro-batch over `[batch·seq, hidden]`. Once the
+    /// block has run a micro-batch of this shape and its caches have been
+    /// consumed or cleared, a forward allocates nothing of its own: every
+    /// buffer comes from `ws` and every list it pushes has room.
     pub fn forward(
         &mut self,
         x: &Tensor,
@@ -250,35 +262,28 @@ impl Block {
             seq,
             d: self.head_dim,
         };
-        let (attn, partials): (Vec<_>, Vec<_>) = r.compute(|| {
-            self.shards
-                .iter()
-                .map(|s| {
-                    let qkv = qkv_forward(s.qkv.each_ref(), x, ws);
-                    let (ctx, probs) = graphs::attention_forward(ws, qkv.each_ref(), at);
-                    let partial = s.wo.partial(&ctx, ws);
-                    ((qkv, probs, ctx), partial)
-                })
-                .unzip()
+        r.compute(|| {
+            for s in &mut self.shards {
+                let qkv = qkv_forward(s.qkv.each_ref(), x, ws);
+                let (ctx, probs) = graphs::attention_forward(ws, qkv.each_ref(), at);
+                self.partials.push(s.wo.partial(&ctx, ws));
+                s.attn.push((qkv, probs, ctx));
+            }
         });
-        let (s, attn_sent) = r.sum(SumPoint::Attention, partials, ws);
-        let (h1, ln1, mlp, partials) = r.compute(|| {
+        let (s, attn_sent) = r.sum(SumPoint::Attention, &mut self.partials, ws);
+        let (h1, ln1) = r.compute(|| {
             let (h1, ln1) =
                 self.ln1
                     .forward_cached(LnInput::BiasResidual, &[&s, &self.wo_bias.value, x], ws);
-            let (mlp, partials): (Vec<_>, Vec<_>) = self
-                .shards
-                .iter()
-                .map(|s| {
-                    let (act, h) = s.fc1.mlp_up(&h1, ws);
-                    let partial = s.fc2.partial(&act, ws);
-                    ((h, act), partial)
-                })
-                .unzip();
+            for s in &mut self.shards {
+                let (act, h) = s.fc1.mlp_up(&h1, ws);
+                self.partials.push(s.fc2.partial(&act, ws));
+                s.mlp.push((h, act));
+            }
             ws.recycle_tensor(s);
-            (h1, ln1, mlp, partials)
+            (h1, ln1)
         });
-        let (s, mlp_sent) = r.sum(SumPoint::Mlp, partials, ws);
+        let (s, mlp_sent) = r.sum(SumPoint::Mlp, &mut self.partials, ws);
         r.compute(|| {
             let (y, ln2) = self.ln2.forward_cached(
                 LnInput::BiasResidual,
@@ -291,8 +296,6 @@ impl Block {
                 h1,
                 ln: [ln1, ln2],
                 at,
-                attn,
-                mlp,
                 sent: [attn_sent, mlp_sent],
             });
             y
@@ -311,8 +314,6 @@ impl Block {
             h1,
             ln: [ln1, ln2],
             at,
-            attn,
-            mlp,
             sent: [attn_sent, mlp_sent],
         } = self.caches.pop().expect("Block::backward without forward");
         let d2 = r.compute(|| {
@@ -321,8 +322,9 @@ impl Block {
         });
         let dps = r.sum_backward(SumPoint::Mlp, &d2, &mlp_sent);
         let parts = r.compute(|| {
-            let parts = (self.shards.iter_mut().zip(mlp).zip(&dps))
-                .map(|((s, (h, act)), dp)| {
+            let parts = (self.shards.iter_mut().zip(&dps))
+                .map(|(s, dp)| {
+                    let (h, act) = s.mlp.pop().expect("the shard cached this micro-batch");
                     let dh = s.fc2.backward_gelu(&act, dp, &h, ws);
                     let part = s.fc1.backward(&h1, &dh, ws);
                     for t in [dh, act, h] {
@@ -346,8 +348,10 @@ impl Block {
         });
         let dps = r.sum_backward(SumPoint::Attention, &d1, &attn_sent);
         let parts = r.compute(|| {
-            let parts = (self.shards.iter_mut().zip(attn).zip(&dps))
-                .map(|((s, (qkv, probs, ctx)), dp)| {
+            let parts = (self.shards.iter_mut().zip(&dps))
+                .map(|(s, dp)| {
+                    let (qkv, probs, ctx) =
+                        s.attn.pop().expect("the shard cached this micro-batch");
                     let dctx = s.wo.backward(&ctx, dp, ws);
                     let grads = graphs::attention_backward(ws, qkv.each_ref(), &probs, &dctx, at);
                     let part = qkv_backward(s.qkv.each_mut(), &x, grads.each_ref(), ws);
@@ -377,13 +381,16 @@ impl Block {
     /// it: a codec keeps nothing per call.
     pub fn clear_caches(&mut self, ws: &mut Workspace) {
         for c in self.caches.drain(..) {
-            let attn =
-                (c.attn.into_iter()).flat_map(|(qkv, p, ctx)| qkv.into_iter().chain([p, ctx]));
-            let mlp = c.mlp.into_iter().flat_map(|(h, act)| [h, act]);
             let ln = (c.ln.into_iter()).flat_map(|ln| <[Tensor; 2]>::from(ln.into_parts()));
             let sent = c.sent.into_iter().flatten().map(|(partial, _)| partial);
-            let acts = [c.x, c.h1].into_iter().chain(attn).chain(mlp).chain(ln);
-            for t in acts.chain(sent) {
+            for t in [c.x, c.h1].into_iter().chain(ln).chain(sent) {
+                ws.recycle_tensor(t);
+            }
+        }
+        for s in &mut self.shards {
+            let attn = (s.attn.drain(..)).flat_map(|(qkv, p, ctx)| qkv.into_iter().chain([p, ctx]));
+            let mlp = s.mlp.drain(..).flat_map(|(h, act)| [h, act]);
+            for t in attn.chain(mlp) {
                 ws.recycle_tensor(t);
             }
         }

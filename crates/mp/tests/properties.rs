@@ -21,7 +21,7 @@ fn reduce_of(comps: impl Iterator<Item = Box<dyn Compressor>> + Clone) -> InProc
 fn forward(sums: &mut InProcess, partials: &[Tensor]) -> (Tensor, CommBytes) {
     let (out, _) = (sums.ring()).sum(
         SumPoint::Attention,
-        partials.to_vec(),
+        &mut partials.to_vec(),
         &mut Workspace::new(),
     );
     (out, sums.bytes())
@@ -96,10 +96,10 @@ proptest! {
     #[test]
     fn topk_reduce_backward_support(seed in 0u64..500, k in 1usize..16) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let partials: Vec<Tensor> =
+        let mut partials: Vec<Tensor> =
             (0..2).map(|_| init::randn(&mut rng, [2, 8], 1.0)).collect();
         let mut reduce = reduce_of((0..2).map(|_| Box::new(TopK::new(k)) as Box<dyn Compressor>));
-        let (_, sent) = reduce.ring().sum(SumPoint::Attention, partials, &mut Workspace::new());
+        let (_, sent) = reduce.ring().sum(SumPoint::Attention, &mut partials, &mut Workspace::new());
         let dxs = reduce.ring().sum_backward(SumPoint::Attention, &Tensor::ones([2, 8]), &sent);
         for dx in &dxs {
             let nz = dx.as_slice().iter().filter(|v| **v != 0.0).count();

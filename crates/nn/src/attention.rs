@@ -146,7 +146,8 @@ impl MultiHeadAttention {
         // One plan for all three projections; each GEMM fuses its bias
         // add into the epilogue.
         let plan = graphs::qkv_forward(ws, m, h, h);
-        let mut res = plan.run(
+        let mut res = [OutBind::Lease, OutBind::Lease, OutBind::Lease];
+        plan.run(
             &[
                 x.as_slice(),
                 self.wq.weight.value.as_slice(),
@@ -156,10 +157,10 @@ impl MultiHeadAttention {
                 self.wv.weight.value.as_slice(),
                 self.wv.bias.value.as_slice(),
             ],
-            vec![OutBind::Lease, OutBind::Lease, OutBind::Lease],
+            &mut res,
             ws,
         );
-        let qkv = [0, 1, 2].map(|i| Tensor::from_vec(res[i].take().expect("leased qkv"), [m, h]));
+        let qkv = res.map(|o| Tensor::from_vec(o.leased(), [m, h]));
         let at = self.head_layout(batch, seq);
         let (ctx, probs) = graphs::attention_forward(ws, qkv.each_ref(), at);
         let out = self.wo.forward(&ctx, ws);
@@ -202,7 +203,16 @@ impl MultiHeadAttention {
         // One plan for all three projection backwards; the `dx` partial
         // sums fold into the final `nt` GEMM's epilogue.
         let plan = graphs::qkv_backward(ws, m, h, h);
-        let mut res = plan.run(
+        let mut res = [
+            OutBind::Acc(self.wq.weight.grad.as_mut_slice()),
+            OutBind::Acc(self.wq.bias.grad.as_mut_slice()),
+            OutBind::Acc(self.wk.weight.grad.as_mut_slice()),
+            OutBind::Acc(self.wk.bias.grad.as_mut_slice()),
+            OutBind::Acc(self.wv.weight.grad.as_mut_slice()),
+            OutBind::Acc(self.wv.bias.grad.as_mut_slice()),
+            OutBind::Lease,
+        ];
+        plan.run(
             &[
                 x.as_slice(),
                 grads[0].as_slice(),
@@ -212,18 +222,11 @@ impl MultiHeadAttention {
                 self.wk.weight.value.as_slice(),
                 self.wv.weight.value.as_slice(),
             ],
-            vec![
-                OutBind::Acc(self.wq.weight.grad.as_mut_slice()),
-                OutBind::Acc(self.wq.bias.grad.as_mut_slice()),
-                OutBind::Acc(self.wk.weight.grad.as_mut_slice()),
-                OutBind::Acc(self.wk.bias.grad.as_mut_slice()),
-                OutBind::Acc(self.wv.weight.grad.as_mut_slice()),
-                OutBind::Acc(self.wv.bias.grad.as_mut_slice()),
-                OutBind::Lease,
-            ],
+            &mut res,
             ws,
         );
-        let dx = Tensor::from_vec(res[6].take().expect("leased dx"), [m, h]);
+        let [.., dx] = res;
+        let dx = Tensor::from_vec(dx.leased(), [m, h]);
         for tmp in [x].into_iter().chain(qkv).chain(grads) {
             ws.recycle_tensor(tmp);
         }

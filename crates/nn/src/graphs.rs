@@ -2,98 +2,113 @@
 //!
 //! Every op-graph segment a layer of this crate, a tensor-parallel shard
 //! (`actcomp-mp`) or a runtime rank (`actcomp-runtime`) executes is built
-//! by exactly one function here, from its dimensions alone, and compiled
-//! through the caller's [`Workspace::plan`] — so it compiles once per
-//! distinct shape per rank, and the serial layer, the simulated shard and
-//! the threaded rank run the same graph because there is only one, not
-//! because copies are kept in step. A function documents its graph's
-//! input and output binding order; call sites bind, run and take outputs.
+//! by exactly one function here, from its arguments alone, and cached in
+//! the caller's [`Workspace::plan`] under a [`PlanKey`]: the function's
+//! name and those arguments. The graph is built and compiled only the
+//! first time a rank sees a key, so a warm call is a key lookup, and the
+//! serial layer, the simulated shard and the threaded rank run the same
+//! graph because there is only one, not because copies are kept in step.
+//! A function documents its graph's input and output binding order; call
+//! sites bind arrays, run and take the leased outputs back.
 //! Attention is the one segment that is an op rather than a graph
 //! ([`attention_forward`] / [`attention_backward`]): its heads are
 //! windows of the projections, which a graph value cannot name.
 
 use actcomp_tensor::attention::{self, Heads};
 use actcomp_tensor::graph::Graph;
-use actcomp_tensor::plan::{CompiledPlan, FusePolicy};
+use actcomp_tensor::plan::{CompiledPlan, FusePolicy, PlanKey};
 use actcomp_tensor::{Tensor, Workspace};
 use std::sync::Arc;
 
 /// A compiled layer graph, shared with the workspace that cached it.
 pub type Plan = Arc<CompiledPlan>;
 
-fn auto(ws: &mut Workspace, g: &Graph, what: &str) -> Plan {
-    ws.plan(g, FusePolicy::Auto).expect(what)
+/// The plan `builder(args)` names: cached in `ws`, else `graph` built and
+/// compiled with every legal fusion. `args` holds every argument the
+/// graph depends on, zero-padded.
+fn auto(
+    ws: &mut Workspace,
+    builder: &'static str,
+    args: [usize; 4],
+    graph: impl FnOnce(&mut Graph),
+) -> Plan {
+    let compile = || {
+        let mut g = Graph::new();
+        graph(&mut g);
+        g.compile(FusePolicy::Auto)
+    };
+    ws.plan(PlanKey { builder, args }, compile).expect(builder)
 }
 
 /// `x·W + b`, the bias add in the GEMM's epilogue.
 /// Inputs `x [m,k]`, `W [k,n]`, `b [n]`; output `y [m,n]`.
 pub fn linear_forward(ws: &mut Workspace, m: usize, k: usize, n: usize) -> Plan {
-    let mut g = Graph::new();
-    let x = g.input(m, k);
-    let w = g.input(k, n);
-    let b = g.input_vec(n);
-    let y = g.matmul(x, w);
-    let h = g.bias_add(y, b);
-    g.mark_output(h);
-    auto(ws, &g, "linear forward graph")
+    auto(ws, "linear_forward", [m, k, n, 0], |g| {
+        let x = g.input(m, k);
+        let w = g.input(k, n);
+        let b = g.input_vec(n);
+        let y = g.matmul(x, w);
+        let h = g.bias_add(y, b);
+        g.mark_output(h);
+    })
 }
 
 /// Backward of [`linear_forward`].
 /// Inputs `x [m,k]`, `dy [m,n]`, `W [k,n]`; outputs `dW = xᵀ dy`,
 /// `db = Σ_rows dy`, `dx = dy Wᵀ`.
 pub fn linear_backward(ws: &mut Workspace, m: usize, k: usize, n: usize) -> Plan {
-    let mut g = Graph::new();
-    let x = g.input(m, k);
-    let dy = g.input(m, n);
-    let w = g.input(k, n);
-    let dw = g.matmul_tn(x, dy);
-    let db = g.sum_axis0(dy);
-    let dx = g.matmul_nt(dy, w);
-    g.mark_output(dw);
-    g.mark_output(db);
-    g.mark_output(dx);
-    auto(ws, &g, "linear backward graph")
+    auto(ws, "linear_backward", [m, k, n, 0], |g| {
+        let x = g.input(m, k);
+        let dy = g.input(m, n);
+        let w = g.input(k, n);
+        let dw = g.matmul_tn(x, dy);
+        let db = g.sum_axis0(dy);
+        let dx = g.matmul_nt(dy, w);
+        g.mark_output(dw);
+        g.mark_output(db);
+        g.mark_output(dx);
+    })
 }
 
 /// A bias-free product `x·W` (a row shard's pre-reduce partial).
 /// Inputs `x [m,k]`, `W [k,n]`; output `y [m,n]`.
 pub fn matmul(ws: &mut Workspace, m: usize, k: usize, n: usize) -> Plan {
-    let mut g = Graph::new();
-    let x = g.input(m, k);
-    let w = g.input(k, n);
-    let y = g.matmul(x, w);
-    g.mark_output(y);
-    auto(ws, &g, "matmul graph")
+    auto(ws, "matmul", [m, k, n, 0], |g| {
+        let x = g.input(m, k);
+        let w = g.input(k, n);
+        let y = g.matmul(x, w);
+        g.mark_output(y);
+    })
 }
 
 /// Backward of [`matmul`].
 /// Inputs `x [m,k]`, `dy [m,n]`, `W [k,n]`; outputs `dW`, `dx`.
 pub fn matmul_backward(ws: &mut Workspace, m: usize, k: usize, n: usize) -> Plan {
-    let mut g = Graph::new();
-    let x = g.input(m, k);
-    let dy = g.input(m, n);
-    let w = g.input(k, n);
-    let dw = g.matmul_tn(x, dy);
-    let dx = g.matmul_nt(dy, w);
-    g.mark_output(dw);
-    g.mark_output(dx);
-    auto(ws, &g, "matmul backward graph")
+    auto(ws, "matmul_backward", [m, k, n, 0], |g| {
+        let x = g.input(m, k);
+        let dy = g.input(m, n);
+        let w = g.input(k, n);
+        let dw = g.matmul_tn(x, dy);
+        let dx = g.matmul_nt(dy, w);
+        g.mark_output(dw);
+        g.mark_output(dx);
+    })
 }
 
 /// The three attention projections of one input, each bias add fused.
 /// Inputs `x [m,k]`, then `(W [k,n], b [n])` for q, k, v; outputs
 /// `q`, `k`, `v`.
 pub fn qkv_forward(ws: &mut Workspace, m: usize, k: usize, n: usize) -> Plan {
-    let mut g = Graph::new();
-    let x = g.input(m, k);
-    for _ in 0..3 {
-        let w = g.input(k, n);
-        let b = g.input_vec(n);
-        let y = g.matmul(x, w);
-        let h = g.bias_add(y, b);
-        g.mark_output(h);
-    }
-    auto(ws, &g, "qkv graph")
+    auto(ws, "qkv_forward", [m, k, n, 0], |g| {
+        let x = g.input(m, k);
+        for _ in 0..3 {
+            let w = g.input(k, n);
+            let b = g.input_vec(n);
+            let y = g.matmul(x, w);
+            let h = g.bias_add(y, b);
+            g.mark_output(h);
+        }
+    })
 }
 
 /// Backward of the three projections — Megatron's `f` operator on one
@@ -102,23 +117,23 @@ pub fn qkv_forward(ws: &mut Workspace, m: usize, k: usize, n: usize) -> Plan {
 /// `dx = (dq·Wqᵀ + dk·Wkᵀ) + dv·Wvᵀ`, both adds folded in the last GEMM's
 /// epilogue.
 pub fn qkv_backward(ws: &mut Workspace, m: usize, k: usize, n: usize) -> Plan {
-    let mut g = Graph::new();
-    let x = g.input(m, k);
-    let [dq, dk, dv] = [(); 3].map(|()| g.input(m, n));
-    let [wq, wk, wv] = [(); 3].map(|()| g.input(k, n));
-    for d in [dq, dk, dv] {
-        let dw = g.matmul_tn(x, d);
-        let db = g.sum_axis0(d);
-        g.mark_output(dw);
-        g.mark_output(db);
-    }
-    let dxk = g.matmul_nt(dk, wk);
-    let dxv = g.matmul_nt(dv, wv);
-    let dxq = g.matmul_nt(dq, wq);
-    let t = g.residual_add(dxq, dxk);
-    let dx = g.residual_add(t, dxv);
-    g.mark_output(dx);
-    auto(ws, &g, "qkv backward graph")
+    auto(ws, "qkv_backward", [m, k, n, 0], |g| {
+        let x = g.input(m, k);
+        let [dq, dk, dv] = [(); 3].map(|()| g.input(m, n));
+        let [wq, wk, wv] = [(); 3].map(|()| g.input(k, n));
+        for d in [dq, dk, dv] {
+            let dw = g.matmul_tn(x, d);
+            let db = g.sum_axis0(d);
+            g.mark_output(dw);
+            g.mark_output(db);
+        }
+        let dxk = g.matmul_nt(dk, wk);
+        let dxv = g.matmul_nt(dv, wv);
+        let dxq = g.matmul_nt(dq, wq);
+        let t = g.residual_add(dxq, dxk);
+        let dx = g.residual_add(t, dxv);
+        g.mark_output(dx);
+    })
 }
 
 /// Multi-head attention of the `[batch·seq, heads·d]` projections
@@ -169,28 +184,29 @@ pub enum LnInput {
 /// Outputs `y [m,n]`, `x̂ [m,n]`, `1/σ [m,1]` — the latter two are the
 /// cache [`layernorm_backward`] consumes.
 pub fn layernorm(ws: &mut Workspace, m: usize, n: usize, eps: f32, input: LnInput) -> Plan {
-    let mut g = Graph::new();
-    let mut x = g.input(m, n);
-    match input {
-        LnInput::Plain => {}
-        LnInput::Residual => {
-            let r = g.input(m, n);
-            x = g.residual_add(x, r);
+    let args = [m, n, eps.to_bits() as usize, input as usize];
+    auto(ws, "layernorm", args, |g| {
+        let mut x = g.input(m, n);
+        match input {
+            LnInput::Plain => {}
+            LnInput::Residual => {
+                let r = g.input(m, n);
+                x = g.residual_add(x, r);
+            }
+            LnInput::BiasResidual => {
+                let b = g.input_vec(n);
+                let r = g.input(m, n);
+                let a = g.bias_add(x, b);
+                x = g.residual_add(a, r);
+            }
         }
-        LnInput::BiasResidual => {
-            let b = g.input_vec(n);
-            let r = g.input(m, n);
-            let a = g.bias_add(x, b);
-            x = g.residual_add(a, r);
-        }
-    }
-    let gamma = g.input_vec(n);
-    let beta = g.input_vec(n);
-    let (y, xhat, inv_std) = g.layernorm(x, gamma, beta, eps);
-    g.mark_output(y);
-    g.mark_output(xhat);
-    g.mark_output(inv_std);
-    auto(ws, &g, "layernorm graph")
+        let gamma = g.input_vec(n);
+        let beta = g.input_vec(n);
+        let (y, xhat, inv_std) = g.layernorm(x, gamma, beta, eps);
+        g.mark_output(y);
+        g.mark_output(xhat);
+        g.mark_output(inv_std);
+    })
 }
 
 /// Layer normalization backward. Inputs `dy [m,n]`, then a second
@@ -205,40 +221,41 @@ pub fn layernorm_backward(
     extra: bool,
     row_bias: bool,
 ) -> Plan {
-    let mut g = Graph::new();
-    let mut dy = g.input(m, n);
-    if extra {
-        let e = g.input(m, n);
-        dy = g.residual_add(dy, e);
-    }
-    let xhat = g.input(m, n);
-    let inv_std = g.input(m, 1);
-    let gamma = g.input_vec(n);
-    let (dx, dgamma, dbeta) = g.layernorm_backward(dy, xhat, inv_std, gamma);
-    g.mark_output(dx);
-    g.mark_output(dgamma);
-    g.mark_output(dbeta);
-    if row_bias {
-        let db = g.sum_axis0(dx);
-        g.mark_output(db);
-    }
-    auto(ws, &g, "layernorm backward graph")
+    let args = [m, n, usize::from(extra), usize::from(row_bias)];
+    auto(ws, "layernorm_backward", args, |g| {
+        let mut dy = g.input(m, n);
+        if extra {
+            let e = g.input(m, n);
+            dy = g.residual_add(dy, e);
+        }
+        let xhat = g.input(m, n);
+        let inv_std = g.input(m, 1);
+        let gamma = g.input_vec(n);
+        let (dx, dgamma, dbeta) = g.layernorm_backward(dy, xhat, inv_std, gamma);
+        g.mark_output(dx);
+        g.mark_output(dgamma);
+        g.mark_output(dbeta);
+        if row_bias {
+            let db = g.sum_axis0(dx);
+            g.mark_output(db);
+        }
+    })
 }
 
 /// MLP expansion with the activation in the GEMM's epilogue and the
 /// pre-activation stashed out of the register tile for backward.
 /// Inputs `x [m,k]`, `W [k,n]`, `b [n]`; outputs `gelu(h)`, `h = x·W + b`.
 pub fn mlp_up(ws: &mut Workspace, m: usize, k: usize, n: usize) -> Plan {
-    let mut g = Graph::new();
-    let x = g.input(m, k);
-    let w = g.input(k, n);
-    let b = g.input_vec(n);
-    let y = g.matmul(x, w);
-    let h = g.bias_add(y, b);
-    let act = g.gelu(h);
-    g.mark_output(act);
-    g.mark_output(h);
-    auto(ws, &g, "mlp up graph")
+    auto(ws, "mlp_up", [m, k, n, 0], |g| {
+        let x = g.input(m, k);
+        let w = g.input(k, n);
+        let b = g.input_vec(n);
+        let y = g.matmul(x, w);
+        let h = g.bias_add(y, b);
+        let act = g.gelu(h);
+        g.mark_output(act);
+        g.mark_output(h);
+    })
 }
 
 /// MLP contraction backward with the GELU derivative fused into the
@@ -246,62 +263,62 @@ pub fn mlp_up(ws: &mut Workspace, m: usize, k: usize, n: usize) -> Plan {
 /// Inputs `act [m,k]`, `dp [m,n]`, `W [k,n]`, `h [m,k]`; outputs
 /// `dW = actᵀ·dp`, `dh = (dp·Wᵀ) ⊙ gelu'(h)`.
 pub fn mlp_down_backward(ws: &mut Workspace, m: usize, k: usize, n: usize) -> Plan {
-    let mut g = Graph::new();
-    let act = g.input(m, k);
-    let dp = g.input(m, n);
-    let w = g.input(k, n);
-    let h = g.input(m, k);
-    let dw = g.matmul_tn(act, dp);
-    let da = g.matmul_nt(dp, w);
-    let dh = g.gelu_grad_mul(da, h);
-    g.mark_output(dw);
-    g.mark_output(dh);
-    auto(ws, &g, "mlp down backward graph")
+    auto(ws, "mlp_down_backward", [m, k, n, 0], |g| {
+        let act = g.input(m, k);
+        let dp = g.input(m, n);
+        let w = g.input(k, n);
+        let h = g.input(m, k);
+        let dw = g.matmul_tn(act, dp);
+        let da = g.matmul_nt(dp, w);
+        let dh = g.gelu_grad_mul(da, h);
+        g.mark_output(dw);
+        g.mark_output(dh);
+    })
 }
 
 /// The whole serial feed-forward block: `gelu(x·W₁ + b₁)·W₂ + b₂`.
 /// Inputs `x [m,h]`, `W₁ [h,ff]`, `b₁`, `W₂ [ff,h]`, `b₂`; outputs
 /// `out`, the stashed pre-activation `h₁`, the activation `a`.
 pub fn ffn_forward(ws: &mut Workspace, m: usize, h: usize, ff: usize) -> Plan {
-    let mut g = Graph::new();
-    let x = g.input(m, h);
-    let w1 = g.input(h, ff);
-    let b1 = g.input_vec(ff);
-    let w2 = g.input(ff, h);
-    let b2 = g.input_vec(h);
-    let y1 = g.matmul(x, w1);
-    let h1 = g.bias_add(y1, b1);
-    let a = g.gelu(h1);
-    let y2 = g.matmul(a, w2);
-    let out = g.bias_add(y2, b2);
-    g.mark_output(out);
-    g.mark_output(h1);
-    g.mark_output(a);
-    auto(ws, &g, "ffn forward graph")
+    auto(ws, "ffn_forward", [m, h, ff, 0], |g| {
+        let x = g.input(m, h);
+        let w1 = g.input(h, ff);
+        let b1 = g.input_vec(ff);
+        let w2 = g.input(ff, h);
+        let b2 = g.input_vec(h);
+        let y1 = g.matmul(x, w1);
+        let h1 = g.bias_add(y1, b1);
+        let a = g.gelu(h1);
+        let y2 = g.matmul(a, w2);
+        let out = g.bias_add(y2, b2);
+        g.mark_output(out);
+        g.mark_output(h1);
+        g.mark_output(a);
+    })
 }
 
 /// Backward of [`ffn_forward`]. Inputs `dy [m,h]`, `a`, `h₁ [m,ff]`,
 /// `x [m,h]`, `W₂ [ff,h]`, `W₁ [h,ff]`; outputs `dW₂`, `db₂`, `dW₁`,
 /// `db₁`, `dx`.
 pub fn ffn_backward(ws: &mut Workspace, m: usize, h: usize, ff: usize) -> Plan {
-    let mut g = Graph::new();
-    let dy = g.input(m, h);
-    let a = g.input(m, ff);
-    let h1 = g.input(m, ff);
-    let x = g.input(m, h);
-    let w2 = g.input(ff, h);
-    let w1 = g.input(h, ff);
-    let dw2 = g.matmul_tn(a, dy);
-    let db2 = g.sum_axis0(dy);
-    let da = g.matmul_nt(dy, w2);
-    let dh = g.gelu_grad_mul(da, h1);
-    let dw1 = g.matmul_tn(x, dh);
-    let db1 = g.sum_axis0(dh);
-    let dx = g.matmul_nt(dh, w1);
-    g.mark_output(dw2);
-    g.mark_output(db2);
-    g.mark_output(dw1);
-    g.mark_output(db1);
-    g.mark_output(dx);
-    auto(ws, &g, "ffn backward graph")
+    auto(ws, "ffn_backward", [m, h, ff, 0], |g| {
+        let dy = g.input(m, h);
+        let a = g.input(m, ff);
+        let h1 = g.input(m, ff);
+        let x = g.input(m, h);
+        let w2 = g.input(ff, h);
+        let w1 = g.input(h, ff);
+        let dw2 = g.matmul_tn(a, dy);
+        let db2 = g.sum_axis0(dy);
+        let da = g.matmul_nt(dy, w2);
+        let dh = g.gelu_grad_mul(da, h1);
+        let dw1 = g.matmul_tn(x, dh);
+        let db1 = g.sum_axis0(dh);
+        let dx = g.matmul_nt(dh, w1);
+        g.mark_output(dw2);
+        g.mark_output(db2);
+        g.mark_output(dw1);
+        g.mark_output(db1);
+        g.mark_output(dx);
+    })
 }

@@ -109,19 +109,22 @@ impl LayerNorm {
         }
         let m = x.dims()[0];
         let plan = graphs::layernorm(ws, m, n, self.eps, input);
-        let mut inputs: Vec<&[f32]> = operands.iter().map(|t| t.as_slice()).collect();
-        inputs.push(self.gamma.value.as_slice());
-        inputs.push(self.beta.value.as_slice());
-        let mut res = plan.run(
-            &inputs,
-            vec![OutBind::Lease, OutBind::Lease, OutBind::Lease],
-            ws,
-        );
+        // At most `[s, b, x]`, then γ and β.
+        let mut inputs: [&[f32]; 5] = [&[]; 5];
+        let k = operands.len();
+        for (slot, t) in inputs.iter_mut().zip(operands) {
+            *slot = t.as_slice();
+        }
+        inputs[k] = self.gamma.value.as_slice();
+        inputs[k + 1] = self.beta.value.as_slice();
+        let mut res = [OutBind::Lease, OutBind::Lease, OutBind::Lease];
+        plan.run(&inputs[..k + 2], &mut res, ws);
+        let [y, xhat, inv_std] = res.map(OutBind::leased);
         (
-            Tensor::from_vec(res[0].take().expect("leased y"), [m, n]),
+            Tensor::from_vec(y, [m, n]),
             LnCache {
-                xhat: Tensor::from_vec(res[1].take().expect("leased xhat"), [m, n]),
-                inv_std: Tensor::from_vec(res[2].take().expect("leased inv_std"), [m]),
+                xhat: Tensor::from_vec(xhat, [m, n]),
+                inv_std: Tensor::from_vec(inv_std, [m]),
             },
         )
     }
@@ -152,23 +155,27 @@ impl LayerNorm {
             "LayerNorm dy shape mismatch"
         );
         let plan = graphs::layernorm_backward(ws, m, n, extra.is_some(), row_bias.is_some());
-        let mut inputs = vec![dy.as_slice()];
-        inputs.extend(extra.map(Tensor::as_slice));
-        inputs.extend([
+        let (x, r, g) = (
             xhat.as_slice(),
             inv_std.as_slice(),
             self.gamma.value.as_slice(),
-        ]);
-        let mut outs = vec![
+        );
+        let (inputs, k) = match extra {
+            Some(e) => ([dy.as_slice(), e.as_slice(), x, r, g], 5),
+            None => ([dy.as_slice(), x, r, g, &[]], 4),
+        };
+        let outs = if row_bias.is_some() { 4 } else { 3 };
+        let mut res = [
             OutBind::Lease,
             OutBind::Acc(self.gamma.grad.as_mut_slice()),
             OutBind::Acc(self.beta.grad.as_mut_slice()),
+            row_bias.map_or(OutBind::Lease, |b| OutBind::Acc(b.grad.as_mut_slice())),
         ];
-        outs.extend(row_bias.map(|b| OutBind::Acc(b.grad.as_mut_slice())));
-        let mut res = plan.run(&inputs, outs, ws);
+        plan.run(&inputs[..k], &mut res[..outs], ws);
         ws.recycle_tensor(xhat);
         ws.recycle_tensor(inv_std);
-        Tensor::from_vec(res[0].take().expect("leased dx"), [m, n])
+        let [dx, ..] = res;
+        Tensor::from_vec(dx.leased(), [m, n])
     }
 }
 

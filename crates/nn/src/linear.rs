@@ -80,16 +80,11 @@ impl Linear {
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = self.fan_out();
         let plan = graphs::linear_forward(ws, m, kin, n);
-        let mut out = plan.run(
-            &[
-                x.as_slice(),
-                self.weight.value.as_slice(),
-                self.bias.value.as_slice(),
-            ],
-            vec![OutBind::Lease],
-            ws,
-        );
-        Tensor::from_vec(out[0].take().expect("leased output"), [m, n])
+        let mut out = [OutBind::Lease];
+        let (w, b) = (&self.weight.value, &self.bias.value);
+        plan.run(&[x.as_slice(), w.as_slice(), b.as_slice()], &mut out, ws);
+        let [y] = out.map(OutBind::leased);
+        Tensor::from_vec(y, [m, n])
     }
 }
 
@@ -112,17 +107,16 @@ impl Layer for Linear {
         let (m, kin) = (x.dims()[0], x.dims()[1]);
         let n = self.fan_out();
         let plan = graphs::linear_backward(ws, m, kin, n);
-        let mut res = plan.run(
-            &[x.as_slice(), dy.as_slice(), self.weight.value.as_slice()],
-            vec![
-                OutBind::Acc(self.weight.grad.as_mut_slice()),
-                OutBind::Acc(self.bias.grad.as_mut_slice()),
-                OutBind::Lease,
-            ],
-            ws,
-        );
+        let mut res = [
+            OutBind::Acc(self.weight.grad.as_mut_slice()),
+            OutBind::Acc(self.bias.grad.as_mut_slice()),
+            OutBind::Lease,
+        ];
+        let inputs = [x.as_slice(), dy.as_slice(), self.weight.value.as_slice()];
+        plan.run(&inputs, &mut res, ws);
         ws.recycle_tensor(x);
-        Tensor::from_vec(res[2].take().expect("leased dx"), [m, kin])
+        let [_, _, dx] = res;
+        Tensor::from_vec(dx.leased(), [m, kin])
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {

@@ -186,7 +186,8 @@ impl Layer for FeedForward {
         let (m, h) = (x.dims()[0], x.dims()[1]);
         let ff = self.fc1.fan_out();
         let plan = graphs::ffn_forward(ws, m, h, ff);
-        let mut res = plan.run(
+        let mut res = [OutBind::Lease, OutBind::Lease, OutBind::Lease];
+        plan.run(
             &[
                 x.as_slice(),
                 self.fc1.weight.value.as_slice(),
@@ -194,12 +195,13 @@ impl Layer for FeedForward {
                 self.fc2.weight.value.as_slice(),
                 self.fc2.bias.value.as_slice(),
             ],
-            vec![OutBind::Lease, OutBind::Lease, OutBind::Lease],
+            &mut res,
             ws,
         );
-        let out = Tensor::from_vec(res[0].take().expect("leased out"), [m, h]);
-        let h1 = Tensor::from_vec(res[1].take().expect("leased h1"), [m, ff]);
-        let a = Tensor::from_vec(res[2].take().expect("leased a"), [m, ff]);
+        let [out, h1, a] = res.map(OutBind::leased);
+        let out = Tensor::from_vec(out, [m, h]);
+        let h1 = Tensor::from_vec(h1, [m, ff]);
+        let a = Tensor::from_vec(a, [m, ff]);
         self.cache = Some((x.clone(), h1, a));
         out
     }
@@ -214,7 +216,14 @@ impl Layer for FeedForward {
         let (m, h) = (dy.dims()[0], dy.dims()[1]);
         let ff = self.fc1.fan_out();
         let plan = graphs::ffn_backward(ws, m, h, ff);
-        let mut res = plan.run(
+        let mut res = [
+            OutBind::Acc(self.fc2.weight.grad.as_mut_slice()),
+            OutBind::Acc(self.fc2.bias.grad.as_mut_slice()),
+            OutBind::Acc(self.fc1.weight.grad.as_mut_slice()),
+            OutBind::Acc(self.fc1.bias.grad.as_mut_slice()),
+            OutBind::Lease,
+        ];
+        plan.run(
             &[
                 dy.as_slice(),
                 a.as_slice(),
@@ -223,16 +232,11 @@ impl Layer for FeedForward {
                 self.fc2.weight.value.as_slice(),
                 self.fc1.weight.value.as_slice(),
             ],
-            vec![
-                OutBind::Acc(self.fc2.weight.grad.as_mut_slice()),
-                OutBind::Acc(self.fc2.bias.grad.as_mut_slice()),
-                OutBind::Acc(self.fc1.weight.grad.as_mut_slice()),
-                OutBind::Acc(self.fc1.bias.grad.as_mut_slice()),
-                OutBind::Lease,
-            ],
+            &mut res,
             ws,
         );
-        let dx = Tensor::from_vec(res[4].take().expect("leased dx"), [m, h]);
+        let [.., dx] = res;
+        let dx = Tensor::from_vec(dx.leased(), [m, h]);
         for tmp in [x, h1, a] {
             ws.recycle_tensor(tmp);
         }

@@ -276,15 +276,22 @@ impl ProcsOptions {
     }
 }
 
-/// Worker processes spawned but not yet handed to the driver: killed
-/// and reaped if the launch fails.
-struct Spawned(Vec<Child>);
+/// Worker processes spawned but not yet handed to the driver, in rank
+/// order, with each one's data-plane address once its hello has named
+/// it: killed, reaped and their sockets unlinked if the launch fails.
+struct Spawned {
+    children: Vec<Child>,
+    addrs: Vec<String>,
+}
 
 impl Drop for Spawned {
     fn drop(&mut self) {
-        for c in &mut self.0 {
+        for (rank, c) in self.children.iter_mut().enumerate() {
             let _ = c.kill();
             let _ = c.wait();
+            if let Some(addr) = self.addrs.get(rank) {
+                actcomp_net::remove_worker_socket(addr, c.id(), rank);
+            }
         }
     }
 }
@@ -349,8 +356,12 @@ impl ProcsRuntime {
         let listener = CtrlListener::bind(kind)?;
 
         // Spawn all workers, then rendezvous. `spawned` kills the
-        // children started so far on any error path.
-        let mut spawned = Spawned(Vec::with_capacity(world));
+        // children started so far on any error path, and unlinks the
+        // sockets their hellos named.
+        let mut spawned = Spawned {
+            children: Vec::with_capacity(world),
+            addrs: vec![String::new(); world],
+        };
         for rank in 0..world {
             let child = std::process::Command::new(&exe)
                 .arg("worker")
@@ -365,22 +376,21 @@ impl ProcsRuntime {
                     rank,
                     detail: e.to_string(),
                 })?;
-            spawned.0.push(child);
+            spawned.children.push(child);
         }
         let rdv = secs_or(spec.rendezvous_timeout_s, DEFAULT_RENDEZVOUS_TIMEOUT);
-        let (conns, addrs) = Self::rendezvous(&listener, world, rdv, &launch)?;
+        let conns = Self::rendezvous(&listener, rdv, &launch, &mut spawned.addrs)?;
         let step_timeout = secs_or(spec.step_timeout_s, DEFAULT_STEP_TIMEOUT);
-        let ports = (std::mem::take(&mut spawned.0)
-            .into_iter()
+        let ports = (std::mem::take(&mut spawned.children).into_iter())
             .zip(conns)
-            .zip(addrs))
-        .map(|((child, ctrl), data_addr)| Port::Process {
-            child,
-            ctrl,
-            step_timeout,
-            data_addr,
-        })
-        .collect();
+            .zip(std::mem::take(&mut spawned.addrs))
+            .map(|((child, ctrl), data_addr)| Port::Process {
+                child,
+                ctrl,
+                step_timeout,
+                data_addr,
+            })
+            .collect();
         Ok(ProcsRuntime {
             driver: Driver::new(cfg, ports, Vec::new()),
             tag,
@@ -389,16 +399,17 @@ impl ProcsRuntime {
 
     /// Accepts every worker's dial-in and hands it the launch frame,
     /// distributes the peer table, and waits for all ranks to report
-    /// ready. Returns the control connections and the data-plane
-    /// addresses, in rank order.
+    /// ready. Returns the control connections in rank order; each
+    /// rank's data-plane address lands in `addrs` as its hello arrives,
+    /// so a failed launch can unlink the sockets already bound.
     fn rendezvous(
         listener: &CtrlListener,
-        world: usize,
         rdv: Duration,
         launch: &CtrlMsg,
-    ) -> Result<(Vec<CtrlConn>, Vec<String>), RuntimeError> {
+        addrs: &mut [String],
+    ) -> Result<Vec<CtrlConn>, RuntimeError> {
+        let world = addrs.len();
         let mut conns: Vec<Option<CtrlConn>> = (0..world).map(|_| None).collect();
-        let mut addrs: Vec<String> = vec![String::new(); world];
         for _ in 0..world {
             let mut conn = listener.accept(rdv)?;
             send_ctrl(&mut conn, launch)?;
@@ -423,7 +434,7 @@ impl ProcsRuntime {
             .map(|c| c.expect("all ranks said hello"))
             .collect();
         let table = CtrlMsg::PeerTable {
-            addrs: addrs.clone(),
+            addrs: addrs.to_vec(),
         };
         for (rank, conn) in conns.iter_mut().enumerate() {
             send_ctrl(conn, &table).map_err(|error| RuntimeError::RankLost { rank, error })?;
@@ -442,7 +453,7 @@ impl ProcsRuntime {
                 Err(e) => return Err(e),
             }
         }
-        Ok((conns, addrs))
+        Ok(conns)
     }
 
     /// The run configuration.

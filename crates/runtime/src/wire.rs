@@ -235,7 +235,7 @@ impl WireMsg for Tensor {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let rank = r.usize("tensor rank")?;
-        if rank > 8 {
+        if rank > Shape::MAX_RANK {
             return fail("tensor rank");
         }
         let mut dims = Vec::with_capacity(rank);
@@ -308,7 +308,7 @@ impl WireMsg for Compressed {
     /// decoding.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let rank = r.usize("compressed shape rank")?;
-        if rank > 8 {
+        if rank > Shape::MAX_RANK {
             return fail("compressed shape rank");
         }
         let mut dims = Vec::with_capacity(rank);

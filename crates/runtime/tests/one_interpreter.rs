@@ -65,10 +65,10 @@ fn serial(world: usize, tuning: RingTuning, c: Codec) -> Vec<Seen> {
     let ws = &mut Workspace::new();
     let mut steps = Vec::new();
     for step in 0..STEPS {
-        let [fwd, bwd, dy]: [Vec<Tensor>; 3] =
+        let [mut fwd, bwd, dy]: [Vec<Tensor>; 3] =
             [0, 1, 2].map(|i| (0..world).map(|r| inputs(r, step)[i].clone()).collect());
         let mut ring = sums.ring();
-        let (y, sent) = ring.sum(SumPoint::Attention, fwd, ws);
+        let (y, sent) = ring.sum(SumPoint::Attention, &mut fwd, ws);
         let d = ring.dense_sum(bwd, ws);
         let dx = ring.sum_backward(SumPoint::Attention, &dy[0], &sent);
         steps.push((bits(&y), bits(&d), dx.iter().map(bits).collect::<Vec<_>>()));
@@ -110,7 +110,7 @@ fn threaded(world: usize, tuning: RingTuning, c: Codec) -> Vec<Seen> {
                         comps: std::slice::from_mut(&mut comps),
                         timers,
                     };
-                    let (y, sent) = ring.sum(SumPoint::Attention, vec![fwd], ws);
+                    let (y, sent) = ring.sum(SumPoint::Attention, &mut vec![fwd], ws);
                     let d = ring.dense_sum(vec![bwd], ws);
                     let dx = ring.sum_backward(SumPoint::Attention, &dy, &sent);
                     sums.push([bits(&y), bits(&d), bits(&dx[0])]);

@@ -168,11 +168,12 @@ impl Reduce for Logged {
     fn sum(
         &mut self,
         at: SumPoint,
-        partials: Vec<Tensor>,
+        partials: &mut Vec<Tensor>,
         ws: &mut Workspace,
     ) -> (Tensor, Vec<Sent>) {
-        let (s, sent) = self.sums.ring().sum(at, partials.clone(), ws);
-        self.calls.push((partials, vec![s.clone()]));
+        let logged = partials.clone();
+        let (s, sent) = self.sums.ring().sum(at, partials, ws);
+        self.calls.push((logged, vec![s.clone()]));
         (s, sent)
     }
 
@@ -216,10 +217,12 @@ impl Reduce for Replay<'_> {
     fn sum(
         &mut self,
         _: SumPoint,
-        partials: Vec<Tensor>,
+        partials: &mut Vec<Tensor>,
         _: &mut Workspace,
     ) -> (Tensor, Vec<Sent>) {
-        (self.check(&partials)[0].clone(), Vec::new())
+        let s = self.check(partials)[0].clone();
+        partials.clear();
+        (s, Vec::new())
     }
 
     fn sum_backward(&mut self, _: SumPoint, _: &Tensor, _: &[Sent]) -> Vec<Tensor> {

@@ -505,52 +505,6 @@ impl Graph {
         (self.nodes, self.outputs)
     }
 
-    /// Appends the graph's structure to `out` as a word string: one
-    /// seven-word record per node (kind tag, up to four operand ids or
-    /// constants by bit pattern, shape), then the input and the output
-    /// ids, each list behind its length. Two graphs write the same words
-    /// exactly when [`Graph::compile`] cannot tell them apart, which
-    /// makes the string the key of [`crate::Workspace::plan`]'s cache.
-    pub(crate) fn key_words(&self, out: &mut Vec<u64>) {
-        out.push(self.nodes.len() as u64);
-        for nd in &self.nodes {
-            let [tag, a, b, c, d] = match nd.kind {
-                NodeKind::Input => [0, 0, 0, 0, 0],
-                NodeKind::Aux { node, slot } => [1, node, slot, 0, 0],
-                NodeKind::Gemm { kind, a, b } => [2 + kind as usize, a, b, 0, 0],
-                NodeKind::Ew { x, op } => match op {
-                    EwOp::BiasAdd(v) => [5, x, v, 0, 0],
-                    EwOp::ResidualAdd(v) => [6, x, v, 0, 0],
-                    EwOp::MaskMul(v) => [7, x, v, 0, 0],
-                    EwOp::Scale(s) => [8, x, s.to_bits() as usize, 0, 0],
-                    EwOp::Gelu => [9, x, 0, 0, 0],
-                    EwOp::Tanh => [10, x, 0, 0, 0],
-                    EwOp::Relu => [11, x, 0, 0, 0],
-                    EwOp::GeluGradMul(v) => [12, x, v, 0, 0],
-                },
-                NodeKind::LnForward {
-                    x,
-                    gamma,
-                    beta,
-                    eps,
-                } => [13, x, gamma, beta, eps.to_bits() as usize],
-                NodeKind::LnBackward {
-                    dy,
-                    xhat,
-                    inv_std,
-                    gamma,
-                } => [14, dy, xhat, inv_std, gamma],
-                NodeKind::SumAxis0 { x } => [15, x, 0, 0, 0],
-            };
-            let (rows, cols) = nd.shape;
-            out.extend([tag, a, b, c, d, rows, cols].map(|w| w as u64));
-        }
-        for ids in [&self.inputs, &self.outputs] {
-            out.push(ids.len() as u64);
-            out.extend(ids.iter().map(|&v| v as u64));
-        }
-    }
-
     /// Every value id read by node `v` (operands, not aux parents).
     pub(crate) fn operands_of(&self, v: ValueId) -> Vec<ValueId> {
         match self.nodes[v].kind {
@@ -799,19 +753,17 @@ impl Graph {
         counts
     }
 
-    /// Aux value ids of node `v`, indexed by slot.
-    pub(crate) fn aux_of(&self, v: ValueId) -> Vec<ValueId> {
-        let mut aux: Vec<(usize, ValueId)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(id, nd)| match nd.kind {
-                NodeKind::Aux { node, slot } if node == v => Some((slot, id)),
-                _ => None,
-            })
-            .collect();
-        aux.sort_unstable();
-        aux.into_iter().map(|(_, id)| id).collect()
+    /// Aux value ids of node `v` by slot (validation allows slots 0
+    /// and 1 only).
+    pub(crate) fn aux_of(&self, v: ValueId) -> [Option<ValueId>; 2] {
+        let mut aux = [None; 2];
+        for (id, nd) in self.nodes.iter().enumerate() {
+            match nd.kind {
+                NodeKind::Aux { node, slot } if node == v && slot < 2 => aux[slot] = Some(id),
+                _ => {}
+            }
+        }
+        aux
     }
 }
 
@@ -907,7 +859,7 @@ mod tests {
         assert_eq!(g.shape(y), (5, 7));
         assert_eq!(g.shape(xhat), (5, 7));
         assert_eq!(g.shape(inv_std), (5, 1));
-        assert_eq!(g.aux_of(y), vec![xhat, inv_std]);
+        assert_eq!(g.aux_of(y), [Some(xhat), Some(inv_std)]);
         assert_eq!(g.validate(), Ok(()));
     }
 }

@@ -20,13 +20,18 @@
 //! the uncached primitive — `actcomp check`, the benches and the tests
 //! compile against it and own what it returns. The layers instead ask
 //! their rank's arena, [`Workspace::plan`], which keeps the compiled
-//! plans in a `PlanCache` keyed by the graph's own structure plus the
-//! [`FusePolicy`] (`Graph::key_words`: node kinds, operand ids, shapes,
-//! `Scale`/`eps` constants by bit pattern, input and output order), so a
-//! hit is the plan this very graph would compile to and a layer's
-//! forward and backward compile once per distinct shape, not per call.
-//! The cache holds at most [`PLAN_CACHE_CAP`] plans and drops the least
-//! recently used beyond that, so variable-shape serving cannot grow it.
+//! plans in a `PlanCache` keyed by a [`PlanKey`]: the name of the
+//! builder that makes the graph (`actcomp-nn`'s `graphs` module) and its
+//! arguments. The graph is built and compiled only on a miss, so a
+//! layer's forward and backward compile once per distinct shape, and a
+//! hit costs a key compare, not a graph. The cache holds at most
+//! [`PLAN_CACHE_CAP`] plans and drops the least recently used beyond
+//! that, so variable-shape serving cannot grow it.
+//!
+//! A warm [`CompiledPlan::run`] allocates nothing: the per-value table
+//! and each fused epilogue live on the stack, every buffer is leased
+//! from the [`Workspace`] (unzeroed, since every step writes each element
+//! of what it produces), and outputs come back in the caller's bindings.
 //!
 //! # Bit-identity
 //!
@@ -89,12 +94,16 @@ impl Step {
 }
 
 /// How the caller binds one graph output at [`CompiledPlan::run`] time.
+/// `run` hands every binding back: a [`OutBind::Lease`] comes back as
+/// [`OutBind::Leased`], the others as they went in.
 #[derive(Debug, Default)]
 pub enum OutBind<'a> {
-    /// Lease a buffer from the workspace and return it (the caller
-    /// recycles it, typically via [`Workspace::recycle`]).
+    /// Lease a buffer from the workspace for the value.
     #[default]
     Lease,
+    /// The buffer a [`OutBind::Lease`] got, holding the value (the
+    /// caller recycles it, typically via [`Workspace::recycle`]).
+    Leased(Vec<f32>),
     /// Write the value into this caller-owned slice.
     Write(&'a mut [f32]),
     /// Accumulate the value into this caller-owned slice (`buf += v`) —
@@ -103,6 +112,21 @@ pub enum OutBind<'a> {
     /// [`SumAxis0`](crate::graph::NodeKind::SumAxis0) reduction, or a
     /// layernorm-backward `dγ`/`dβ` aux.
     Acc(&'a mut [f32]),
+}
+
+impl OutBind<'_> {
+    /// The leased buffer of an output bound with [`OutBind::Lease`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the output was bound to a caller buffer.
+    #[must_use]
+    pub fn leased(self) -> Vec<f32> {
+        match self {
+            OutBind::Leased(buf) => buf,
+            _ => panic!("output was not leased"),
+        }
+    }
 }
 
 /// A compiled, reusable execution plan for a [`Graph`].
@@ -282,36 +306,45 @@ impl CompiledPlan {
     }
 
     /// Executes the plan. `inputs` bind positionally to the graph's
-    /// declared inputs, `outs` to its marked outputs; the returned vector
-    /// holds the leased buffer for every [`OutBind::Lease`] output (in
-    /// output order, `None` for externally-bound ones). Intermediates are
-    /// leased from `ws` and recycled at their planned last use.
+    /// declared inputs, `outs` to its marked outputs; every
+    /// [`OutBind::Lease`] comes back as [`OutBind::Leased`] with the
+    /// value. Intermediates are leased from `ws` and recycled at their
+    /// planned last use. A warm run allocates nothing: its per-value
+    /// table and each GEMM's epilogue live on the stack (up to
+    /// `INLINE_VALUES` values and `INLINE_EPILOGUE` fused ops; a larger
+    /// plan takes one heap table per run), and every buffer comes from
+    /// `ws`.
     ///
     /// # Panics
     ///
-    /// Panics on binding-count or length mismatches, on [`OutBind::Acc`]
-    /// for a value whose producer cannot accumulate (see [`OutBind`]),
-    /// and if the plan reads a buffer outside its planned lifetime (a
-    /// planner bug, not a caller error).
-    pub fn run(
-        &self,
-        inputs: &[&[f32]],
-        outs: Vec<OutBind<'_>>,
-        ws: &mut Workspace,
-    ) -> Vec<Option<Vec<f32>>> {
+    /// Panics on binding-count or length mismatches, on
+    /// [`OutBind::Leased`] as a binding, on [`OutBind::Acc`] for a value
+    /// whose producer cannot accumulate (see [`OutBind`]), and if the plan
+    /// reads a buffer outside its planned lifetime (a planner bug, not a
+    /// caller error).
+    pub fn run(&self, inputs: &[&[f32]], outs: &mut [OutBind<'_>], ws: &mut Workspace) {
         let g = &self.graph;
+        let mut inline: [Slot<'_, '_>; INLINE_VALUES] = std::array::from_fn(|_| Slot::Empty);
+        let mut heap = Vec::new();
+        let slots = match inline.get_mut(..g.len()) {
+            Some(slots) => slots,
+            None => {
+                heap.resize_with(g.len(), || Slot::Empty);
+                &mut heap[..]
+            }
+        };
         assert_eq!(inputs.len(), g.input_ids().len(), "input binding count");
         assert_eq!(outs.len(), g.output_ids().len(), "output binding count");
-        let mut slots: Vec<Slot<'_>> = (0..g.len()).map(|_| Slot::Empty).collect();
         for (&id, &src) in g.input_ids().iter().zip(inputs) {
             let (r, c) = g.shape(id);
             assert_eq!(src.len(), r * c, "input {id} length");
             slots[id] = Slot::In(src);
         }
-        for (&id, bind) in g.output_ids().iter().zip(outs) {
+        for (&id, bind) in g.output_ids().iter().zip(outs.iter_mut()) {
             let (r, c) = g.shape(id);
-            match bind {
+            match std::mem::take(bind) {
                 OutBind::Lease => {}
+                OutBind::Leased(_) => panic!("output {id} bound as Leased: bind Lease"),
                 OutBind::Write(buf) => {
                     assert_eq!(buf.len(), r * c, "output {id} length");
                     slots[id] = Slot::Ext { buf, acc: false };
@@ -327,21 +360,21 @@ impl CompiledPlan {
             }
         }
         for (idx, (&step, dying)) in self.steps.iter().zip(&self.release).enumerate() {
-            self.exec_step(step, idx, &mut slots, ws);
+            self.exec_step(step, idx, slots, ws);
             for &v in dying {
                 if let Slot::Owned(buf) = std::mem::replace(&mut slots[v], Slot::Empty) {
                     ws.recycle(buf);
                 }
             }
         }
-        g.output_ids()
-            .iter()
-            .map(|&id| match std::mem::replace(&mut slots[id], Slot::Empty) {
-                Slot::Owned(buf) => Some(buf),
-                Slot::Ext { .. } => None,
+        for (&id, bind) in g.output_ids().iter().zip(outs) {
+            *bind = match std::mem::replace(&mut slots[id], Slot::Empty) {
+                Slot::Owned(buf) => OutBind::Leased(buf),
+                Slot::Ext { buf, acc: false } => OutBind::Write(buf),
+                Slot::Ext { buf, acc: true } => OutBind::Acc(buf),
                 _ => panic!("output {id} was never produced"),
-            })
-            .collect()
+            };
+        }
     }
 
     /// True when `OutBind::Acc` is legal for output `v`.
@@ -364,7 +397,7 @@ impl CompiledPlan {
         }
     }
 
-    fn exec_step(&self, step: Step, idx: usize, slots: &mut [Slot<'_>], ws: &mut Workspace) {
+    fn exec_step(&self, step: Step, idx: usize, slots: &mut [Slot<'_, '_>], ws: &mut Workspace) {
         let g = &self.graph;
         let node = step.node();
         match step {
@@ -380,19 +413,28 @@ impl CompiledPlan {
                     GemmKind::NN | GemmKind::NT => g.shape(a).1,
                     GemmKind::TN => g.shape(a).0,
                 };
-                let mut out = take_written(slots, out_id, m * n, ws);
+                let mut out = take_target(slots, out_id, m * n, ws);
                 let mut stash = stash_id.map(|s| {
                     let (sr, sc) = g.shape(s);
-                    take_written(slots, s, sr * sc, ws)
+                    take_target(slots, s, sr * sc, ws)
                 });
                 {
                     let asl = slot_slice(slots, a);
                     let bsl = slot_slice(slots, b);
-                    let ep_ops: Vec<EpOp<'_>> = fused
-                        .map(|f| f.ops.iter().map(|op| lower_ep(*op, slots)).collect())
-                        .unwrap_or_default();
+                    let ops = fused.map_or(&[][..], |f| &f.ops[..]);
+                    let (mut inline, mut heap) = ([EpOp::Relu; INLINE_EPILOGUE], Vec::new());
+                    let ep_ops = match inline.get_mut(..ops.len()) {
+                        Some(ep_ops) => ep_ops,
+                        None => {
+                            heap.resize(ops.len(), EpOp::Relu);
+                            &mut heap[..]
+                        }
+                    };
+                    for (d, op) in ep_ops.iter_mut().zip(ops) {
+                        *d = lower_ep(*op, slots);
+                    }
                     let ep = Epilogue {
-                        ops: &ep_ops,
+                        ops: ep_ops,
                         stash_after: fused.and_then(|f| f.stash_after),
                     };
                     let accumulate = out.acc();
@@ -458,8 +500,8 @@ impl CompiledPlan {
                 let (m, n) = g.shape(node);
                 let aux = g.aux_of(node);
                 let mut y = take_target(slots, node, m * n, ws);
-                let mut xhat = take_aux(slots, &aux, 0, m * n, ws);
-                let mut inv_std = take_aux(slots, &aux, 1, m, ws);
+                let mut xhat = take_aux(slots, aux, 0, m * n, ws);
+                let mut inv_std = take_aux(slots, aux, 1, m, ws);
                 {
                     let xs = slot_slice(slots, x);
                     let gsl = slot_slice(slots, gamma);
@@ -477,8 +519,8 @@ impl CompiledPlan {
                     );
                 }
                 restore(slots, node, y);
-                restore_aux(slots, &aux, 0, xhat, ws);
-                restore_aux(slots, &aux, 1, inv_std, ws);
+                restore_aux(slots, aux, 0, xhat, ws);
+                restore_aux(slots, aux, 1, inv_std, ws);
             }
             Step::LnBackward(_) => {
                 let NodeKind::LnBackward {
@@ -493,8 +535,8 @@ impl CompiledPlan {
                 let (m, n) = g.shape(node);
                 let aux = g.aux_of(node);
                 let mut dx = take_target(slots, node, m * n, ws);
-                let mut dgamma = take_aux(slots, &aux, 0, n, ws);
-                let mut dbeta = take_aux(slots, &aux, 1, n, ws);
+                let mut dgamma = take_aux(slots, aux, 0, n, ws);
+                let mut dbeta = take_aux(slots, aux, 1, n, ws);
                 {
                     let dgamma_acc = dgamma.acc();
                     let dbeta_acc = dbeta.acc();
@@ -517,8 +559,8 @@ impl CompiledPlan {
                     );
                 }
                 restore(slots, node, dx);
-                restore_aux(slots, &aux, 0, dgamma, ws);
-                restore_aux(slots, &aux, 1, dbeta, ws);
+                restore_aux(slots, aux, 0, dgamma, ws);
+                restore_aux(slots, aux, 1, dbeta, ws);
             }
             Step::SumAxis0(_) => {
                 let NodeKind::SumAxis0 { x } = g.node_kind(node) else {
@@ -546,23 +588,32 @@ impl CompiledPlan {
     }
 }
 
-/// Value storage during a run.
-enum Slot<'a> {
+/// Values a plan runs with its slot table on the stack; a larger plan
+/// takes one heap table per run. The layer graphs have at most 18.
+const INLINE_VALUES: usize = 32;
+
+/// Fused ops a GEMM's epilogue is lowered into on the stack; a longer
+/// chain takes one heap list per call. The layer graphs fuse at most 2.
+const INLINE_EPILOGUE: usize = 8;
+
+/// Value storage during a run: inputs borrowed for `'i`, caller output
+/// buffers for `'o`.
+enum Slot<'i, 'o> {
     /// Not yet produced, already recycled, or moved into a target.
     Empty,
     /// Leased from the workspace.
     Owned(Vec<f32>),
     /// Caller input.
-    In(&'a [f32]),
+    In(&'i [f32]),
     /// Caller output buffer (`acc`: accumulate instead of overwrite).
-    Ext { buf: &'a mut [f32], acc: bool },
+    Ext { buf: &'o mut [f32], acc: bool },
 }
 
 /// A buffer a step writes: leased or external.
-enum Target<'a> {
+enum Target<'o> {
     Owned(Vec<f32>),
     Ext {
-        buf: &'a mut [f32],
+        buf: &'o mut [f32],
         acc: bool,
     },
     /// Scratch for an aux value the graph never declared: computed, then
@@ -583,36 +634,24 @@ impl Target<'_> {
     }
 }
 
-fn take_target<'a>(
-    slots: &mut [Slot<'a>],
+/// The buffer step output `v` is written into. Every step writes each
+/// element of its outputs before anything reads them (an accumulating
+/// output is always bound externally), so a leased buffer skips the
+/// zero fill.
+fn take_target<'o>(
+    slots: &mut [Slot<'_, 'o>],
     v: ValueId,
     len: usize,
     ws: &mut Workspace,
-) -> Target<'a> {
+) -> Target<'o> {
     match std::mem::replace(&mut slots[v], Slot::Empty) {
-        Slot::Empty => Target::Owned(ws.lease(len)),
+        Slot::Empty => Target::Owned(ws.lease_scratch(len)),
         Slot::Ext { buf, acc } => Target::Ext { buf, acc },
         Slot::Owned(_) | Slot::In(_) => panic!("value {v} produced twice"),
     }
 }
 
-/// [`take_target`] for a GEMM's output or stash, which the kernel writes
-/// in full before anything reads it (an accumulating output is always
-/// bound externally): a fresh buffer skips the zero fill.
-fn take_written<'a>(
-    slots: &mut [Slot<'a>],
-    v: ValueId,
-    len: usize,
-    ws: &mut Workspace,
-) -> Target<'a> {
-    if matches!(slots[v], Slot::Empty) {
-        Target::Owned(ws.lease_scratch(len))
-    } else {
-        take_target(slots, v, len, ws)
-    }
-}
-
-fn restore<'a>(slots: &mut [Slot<'a>], v: ValueId, t: Target<'a>) {
+fn restore<'o>(slots: &mut [Slot<'_, 'o>], v: ValueId, t: Target<'o>) {
     match t {
         Target::Owned(b) => slots[v] = Slot::Owned(b),
         Target::Ext { buf, acc } => slots[v] = Slot::Ext { buf, acc },
@@ -620,35 +659,35 @@ fn restore<'a>(slots: &mut [Slot<'a>], v: ValueId, t: Target<'a>) {
     }
 }
 
-fn take_aux<'a>(
-    slots: &mut [Slot<'a>],
-    aux: &[ValueId],
+fn take_aux<'o>(
+    slots: &mut [Slot<'_, 'o>],
+    aux: [Option<ValueId>; 2],
     slot: usize,
     len: usize,
     ws: &mut Workspace,
-) -> Target<'a> {
-    match aux.get(slot) {
-        Some(&v) => take_target(slots, v, len, ws),
-        None => Target::Temp(ws.lease(len)),
+) -> Target<'o> {
+    match aux[slot] {
+        Some(v) => take_target(slots, v, len, ws),
+        None => Target::Temp(ws.lease_scratch(len)),
     }
 }
 
-fn restore_aux<'a>(
-    slots: &mut [Slot<'a>],
-    aux: &[ValueId],
+fn restore_aux<'o>(
+    slots: &mut [Slot<'_, 'o>],
+    aux: [Option<ValueId>; 2],
     slot: usize,
-    t: Target<'a>,
+    t: Target<'o>,
     ws: &mut Workspace,
 ) {
-    match (aux.get(slot), t) {
+    match (aux[slot], t) {
         (_, Target::Temp(b)) => ws.recycle(b),
-        (Some(&v), t) => restore(slots, v, t),
+        (Some(v), t) => restore(slots, v, t),
         (None, Target::Owned(b)) => ws.recycle(b),
         (None, Target::Ext { .. }) => unreachable!("ext target without an aux value"),
     }
 }
 
-fn slot_slice<'s>(slots: &'s [Slot<'_>], v: ValueId) -> &'s [f32] {
+fn slot_slice<'s>(slots: &'s [Slot<'_, '_>], v: ValueId) -> &'s [f32] {
     match &slots[v] {
         Slot::Owned(b) => b,
         Slot::In(s) => s,
@@ -659,7 +698,7 @@ fn slot_slice<'s>(slots: &'s [Slot<'_>], v: ValueId) -> &'s [f32] {
 
 /// Lowers a graph elementwise op to a kernel epilogue op by resolving its
 /// operand to a slice.
-fn lower_ep<'s>(op: EwOp, slots: &'s [Slot<'_>]) -> EpOp<'s> {
+fn lower_ep<'s>(op: EwOp, slots: &'s [Slot<'_, '_>]) -> EpOp<'s> {
     match op {
         EwOp::BiasAdd(v) => EpOp::BiasAdd(slot_slice(slots, v)),
         EwOp::ResidualAdd(v) => EpOp::ResidualAdd(slot_slice(slots, v)),
@@ -682,7 +721,14 @@ fn lower_ep<'s>(op: EwOp, slots: &'s [Slot<'_>]) -> EpOp<'s> {
 /// arm computes exactly the same scalar as the GEMM epilogue's
 /// `EpOp::apply`, in the same element order, so unfused execution stays
 /// bit-identical to fused.
-fn apply_ew(op: EwOp, src: &[f32], dst: &mut [f32], acc: bool, cols: usize, slots: &[Slot<'_>]) {
+fn apply_ew(
+    op: EwOp,
+    src: &[f32],
+    dst: &mut [f32],
+    acc: bool,
+    cols: usize,
+    slots: &[Slot<'_, '_>],
+) {
     assert!(!acc, "OutBind::Acc is not legal for elementwise outputs");
     let operand = op.operand().map(|v| slot_slice(slots, v));
     match op {
@@ -736,7 +782,7 @@ fn apply_ew(op: EwOp, src: &[f32], dst: &mut [f32], acc: bool, cols: usize, slot
 }
 
 /// In-place variant of [`apply_ew`], same per-arm loops.
-fn apply_ew_inplace(op: EwOp, buf: &mut [f32], cols: usize, slots: &[Slot<'_>]) {
+fn apply_ew_inplace(op: EwOp, buf: &mut [f32], cols: usize, slots: &[Slot<'_, '_>]) {
     let operand = op.operand().map(|v| slot_slice(slots, v));
     match op {
         EwOp::BiasAdd(_) => {
@@ -880,7 +926,7 @@ fn produced_values(g: &Graph, fusion: &Fusion, step: Step) -> Vec<ValueId> {
         Step::Ew(_) | Step::SumAxis0(_) => vec![node],
         Step::LnForward(_) | Step::LnBackward(_) => {
             let mut v = vec![node];
-            v.extend(g.aux_of(node));
+            v.extend(g.aux_of(node).into_iter().flatten());
             v
         }
     }
@@ -907,24 +953,33 @@ fn read_values(g: &Graph, fusion: &Fusion, step: Step) -> Vec<ValueId> {
 /// micro-batch), so steady state sits well inside it.
 pub const PLAN_CACHE_CAP: usize = 128;
 
-/// One cached plan: the words it was compiled from, their hash, and the
-/// lookup tick it last served.
+/// What [`Workspace::plan`] caches a plan under: the name of the builder
+/// that makes its graph and the builder's arguments (unused words zero).
+/// The builder owns the key's meaning: two equal keys must compile to the
+/// same plan, so every argument its graph depends on — a dimension, a
+/// constant's bit pattern, a variant — goes into `args`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PlanKey {
+    /// The graph builder, e.g. `"mlp_up"`.
+    pub builder: &'static str,
+    /// The builder's arguments.
+    pub args: [usize; 4],
+}
+
+/// One cached plan and the lookup tick it last served.
 #[derive(Debug)]
 struct CacheEntry {
-    hash: u64,
-    key: Box<[u64]>,
+    key: PlanKey,
     plan: Arc<CompiledPlan>,
     used: u64,
 }
 
-/// The compiled plans one [`Workspace`] owns — see the module doc. A
-/// lookup compares the whole key, so a hash collision costs a compare,
-/// never a wrong plan.
+/// The compiled plans one [`Workspace`] owns — see the module doc. A hit
+/// is a scan of at most [`PLAN_CACHE_CAP`] keys and an `Arc` clone: no
+/// graph is built and nothing is allocated.
 #[derive(Debug, Default)]
 pub(crate) struct PlanCache {
     entries: Vec<CacheEntry>,
-    /// Scratch the probe's key is written into, kept for its capacity.
-    probe: Vec<u64>,
     tick: u64,
     compiles: u64,
 }
@@ -932,32 +987,15 @@ pub(crate) struct PlanCache {
 impl PlanCache {
     pub(crate) fn get(
         &mut self,
-        g: &Graph,
-        policy: FusePolicy,
+        key: PlanKey,
+        compile: impl FnOnce() -> Result<CompiledPlan, GraphError>,
     ) -> Result<Arc<CompiledPlan>, GraphError> {
-        self.probe.clear();
-        g.key_words(&mut self.probe);
-        match &policy {
-            FusePolicy::Auto => self.probe.push(0),
-            FusePolicy::None => self.probe.push(1),
-            FusePolicy::Forced(gemms) => {
-                self.probe.push(2);
-                self.probe.extend(gemms.iter().map(|&v| v as u64));
-            }
-        }
-        let hash = self.probe.iter().fold(0u64, |h, &w| {
-            (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
-        });
         self.tick += 1;
-        let hit = self
-            .entries
-            .iter_mut()
-            .find(|e| e.hash == hash && *e.key == *self.probe);
-        if let Some(e) = hit {
+        if let Some(e) = self.entries.iter_mut().find(|e| e.key == key) {
             e.used = self.tick;
             return Ok(Arc::clone(&e.plan));
         }
-        let plan = Arc::new(g.compile(policy)?);
+        let plan = Arc::new(compile()?);
         self.compiles += 1;
         if self.entries.len() == PLAN_CACHE_CAP {
             let oldest = (0..PLAN_CACHE_CAP)
@@ -966,8 +1004,7 @@ impl PlanCache {
             self.entries.swap_remove(oldest);
         }
         self.entries.push(CacheEntry {
-            hash,
-            key: self.probe.as_slice().into(),
+            key,
             plan: Arc::clone(&plan),
             used: self.tick,
         });
@@ -1021,10 +1058,12 @@ mod tests {
         assert_eq!(fused.fused_gemm_count(), 1);
         let unfused = g.compile(FusePolicy::None).unwrap();
         assert_eq!(unfused.fused_gemm_count(), 0);
-        let rf = fused.run(&[&x, &w, &b], vec![OutBind::Lease, OutBind::Lease], &mut ws);
-        let ru = unfused.run(&[&x, &w, &b], vec![OutBind::Lease, OutBind::Lease], &mut ws);
-        for (a, b) in rf.iter().zip(&ru) {
-            assert_eq!(a.as_deref(), b.as_deref());
+        let mut rf = [OutBind::Lease, OutBind::Lease];
+        let mut ru = [OutBind::Lease, OutBind::Lease];
+        fused.run(&[&x, &w, &b], &mut rf, &mut ws);
+        unfused.run(&[&x, &w, &b], &mut ru, &mut ws);
+        for (a, b) in rf.into_iter().zip(ru) {
+            assert_eq!(a.leased(), b.leased());
         }
     }
 
@@ -1056,10 +1095,15 @@ mod tests {
         let plan = g.compile(FusePolicy::Auto).unwrap();
         let mut grad = seq(m * n, 1.0);
         let base = grad.clone();
-        let r = plan.run(&[&xs, &dys], vec![OutBind::Acc(&mut grad)], &mut ws);
-        assert!(r[0].is_none());
-        let fresh = plan.run(&[&xs, &dys], vec![OutBind::Lease], &mut ws);
-        let fresh = fresh[0].as_ref().unwrap();
+        let mut r = [OutBind::Acc(&mut grad)];
+        plan.run(&[&xs, &dys], &mut r, &mut ws);
+        assert!(
+            matches!(r[0], OutBind::Acc(_)),
+            "a caller binding comes back"
+        );
+        let mut fresh = [OutBind::Lease];
+        plan.run(&[&xs, &dys], &mut fresh, &mut ws);
+        let [fresh] = fresh.map(OutBind::leased);
         for i in 0..m * n {
             assert_eq!(grad[i], base[i] + fresh[i], "accumulate semantics");
         }
@@ -1081,12 +1125,9 @@ mod tests {
         let bs = seq(n, 0.05);
         let mut ws = Workspace::new();
         let plan = g.compile(FusePolicy::Auto).unwrap();
-        let r = plan.run(
-            &[&xs, &gs, &bs],
-            vec![OutBind::Lease, OutBind::Lease, OutBind::Lease],
-            &mut ws,
-        );
-        let ys = r[0].as_ref().unwrap();
+        let mut r = [OutBind::Lease, OutBind::Lease, OutBind::Lease];
+        plan.run(&[&xs, &gs, &bs], &mut r, &mut ws);
+        let [ys, _, inv] = r.map(OutBind::leased);
         // Row 0 by hand.
         let row = &xs[..n];
         let mean = row.iter().sum::<f32>() / n as f32;
@@ -1096,7 +1137,7 @@ mod tests {
             let want = (row[j] - mean) * is * gs[j] + bs[j];
             assert_eq!(ys[j], want, "j={j}");
         }
-        assert_eq!(r[2].as_ref().unwrap()[0], is);
+        assert_eq!(inv[0], is);
         let _ = (y, xhat, inv_std);
     }
 
@@ -1113,8 +1154,12 @@ mod tests {
         let bv = seq(k * n, 0.5);
         let mut ws = Workspace::new();
         let mut ext = vec![9.0f32; m * n];
-        let r = plan.run(&[&av, &bv], vec![OutBind::Write(&mut ext)], &mut ws);
-        assert!(r[0].is_none());
+        let mut r = [OutBind::Write(&mut ext)];
+        plan.run(&[&av, &bv], &mut r, &mut ws);
+        assert!(
+            matches!(r[0], OutBind::Write(_)),
+            "a caller binding comes back"
+        );
         let want = kernels::reference::matmul(&av, &bv, m, k, n);
         for i in 0..m * n {
             assert!((ext[i] - want[i]).abs() < 1e-4);

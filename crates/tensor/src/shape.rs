@@ -4,9 +4,11 @@ use std::fmt;
 
 /// The dimensions of a [`crate::Tensor`], stored outermost-first.
 ///
-/// A `Shape` is an immutable list of dimension sizes. Tensors in this crate
-/// are always contiguous and row-major, so strides are derived rather than
-/// stored.
+/// A `Shape` is an immutable list of at most [`Shape::MAX_RANK`]
+/// dimension sizes, held inline, so making or cloning one never
+/// allocates. Tensors in this
+/// crate are always contiguous and row-major, so strides are derived
+/// rather than stored.
 ///
 /// # Examples
 ///
@@ -18,35 +20,38 @@ use std::fmt;
 /// assert_eq!(s.rank(), 3);
 /// assert_eq!(s.dim(1), 3);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
-    dims: Vec<usize>,
+    /// The dimensions, then zeros.
+    dims: [usize; Shape::MAX_RANK],
+    rank: usize,
 }
 
 impl Shape {
+    /// Most dimensions a shape holds: the workspace's tensors have at
+    /// most two, and four keeps a `Tensor` at 64 bytes.
+    pub const MAX_RANK: usize = 4;
+
     /// Creates a shape from a list of dimension sizes.
     ///
     /// A zero-rank shape (`vec![]`) denotes a scalar with one element.
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero.
+    /// Panics if any dimension is zero, or there are more than
+    /// [`Shape::MAX_RANK`].
     pub fn new(dims: Vec<usize>) -> Self {
-        assert!(
-            dims.iter().all(|&d| d > 0),
-            "zero-sized dimension in shape {dims:?}"
-        );
-        Shape { dims }
+        Shape::from(&dims[..])
     }
 
     /// The dimension sizes, outermost first.
     pub fn dims(&self) -> &[usize] {
-        &self.dims
+        &self.dims[..self.rank]
     }
 
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
-        self.dims.len()
+        self.rank
     }
 
     /// Size of dimension `axis`.
@@ -55,12 +60,12 @@ impl Shape {
     ///
     /// Panics if `axis >= self.rank()`.
     pub fn dim(&self, axis: usize) -> usize {
-        self.dims[axis]
+        self.dims()[axis]
     }
 
     /// Total number of elements.
     pub fn len(&self) -> usize {
-        self.dims.iter().product()
+        self.dims().iter().product()
     }
 
     /// Whether the shape holds zero elements. Always false: zero-sized
@@ -76,8 +81,8 @@ impl Shape {
     /// assert_eq!(Shape::new(vec![2, 3, 4]).strides(), vec![12, 4, 1]);
     /// ```
     pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1; self.dims.len()];
-        for i in (0..self.dims.len().saturating_sub(1)).rev() {
+        let mut strides = vec![1; self.rank];
+        for i in (0..self.rank.saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.dims[i + 1];
         }
         strides
@@ -90,43 +95,43 @@ impl Shape {
     /// Panics if the index rank differs from the shape rank or any
     /// coordinate is out of bounds.
     pub fn offset(&self, index: &[usize]) -> usize {
+        let dims = self.dims();
         assert_eq!(
             index.len(),
-            self.dims.len(),
+            dims.len(),
             "index rank {} != shape rank {}",
             index.len(),
-            self.dims.len()
+            dims.len()
         );
         let mut off = 0;
         let mut stride = 1;
-        for axis in (0..self.dims.len()).rev() {
+        for axis in (0..dims.len()).rev() {
             assert!(
-                index[axis] < self.dims[axis],
-                "index {index:?} out of bounds for shape {:?}",
-                self.dims
+                index[axis] < dims[axis],
+                "index {index:?} out of bounds for shape {dims:?}"
             );
             off += index[axis] * stride;
-            stride *= self.dims[axis];
+            stride *= dims[axis];
         }
         off
     }
 
     /// Whether two shapes have identical dimensions.
     pub fn same_as(&self, other: &Shape) -> bool {
-        self.dims == other.dims
+        self == other
     }
 }
 
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Shape{:?}", self.dims)
+        write!(f, "Shape{:?}", self.dims())
     }
 }
 
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, d) in self.dims.iter().enumerate() {
+        for (i, d) in self.dims().iter().enumerate() {
             if i > 0 {
                 write!(f, "x")?;
             }
@@ -144,13 +149,21 @@ impl From<Vec<usize>> for Shape {
 
 impl From<&[usize]> for Shape {
     fn from(dims: &[usize]) -> Self {
-        Shape::new(dims.to_vec())
+        assert!(
+            dims.len() <= Shape::MAX_RANK && !dims.contains(&0),
+            "zero-sized dimension, or more than {}, in shape {dims:?}",
+            Shape::MAX_RANK
+        );
+        let mut inline = [0; Shape::MAX_RANK];
+        inline[..dims.len()].copy_from_slice(dims);
+        let rank = dims.len();
+        Shape { dims: inline, rank }
     }
 }
 
 impl<const N: usize> From<[usize; N]> for Shape {
     fn from(dims: [usize; N]) -> Self {
-        Shape::new(dims.to_vec())
+        Shape::from(&dims[..])
     }
 }
 

@@ -25,7 +25,7 @@ use std::ops::{Index, IndexMut};
 /// let c = a.matmul(&b);
 /// assert_eq!(c.as_slice(), a.as_slice());
 /// ```
-#[derive(Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,

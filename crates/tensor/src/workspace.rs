@@ -19,8 +19,9 @@
 //!   form without copying.
 //!
 //! - The arena also owns its rank's compiled plans ([`Workspace::plan`],
-//!   see [`crate::plan`]): a layer's graphs are compiled the first time a
-//!   shape is seen and looked up afterwards. Plans are handed out as
+//!   see [`crate::plan`]): a layer's graphs are built and compiled the
+//!   first time their builder sees a shape and looked up by key
+//!   afterwards. Plans are handed out as
 //!   `Arc`s because a rank's workspace is built by the launcher and moved
 //!   into the rank's thread; [`Workspace::plan_compiles`] counts the
 //!   misses.
@@ -30,8 +31,8 @@
 //! "workspace-oblivious" code stops allocating — and compiling — per call
 //! after warm-up.
 
-use crate::graph::{Graph, GraphError};
-use crate::plan::{CompiledPlan, FusePolicy, PlanCache};
+use crate::graph::GraphError;
+use crate::plan::{CompiledPlan, PlanCache, PlanKey};
 use crate::{Shape, Tensor};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -150,18 +151,23 @@ impl Workspace {
         self.free.len()
     }
 
-    /// The compiled plan of `g` under `policy`: this workspace's cached
-    /// one when it has compiled a structurally identical graph under the
-    /// same policy before, else a fresh [`Graph::compile`] that it keeps
-    /// (up to [`crate::plan::PLAN_CACHE_CAP`], least recently used out
-    /// first).
+    /// The plan cached under `key`, else the one `compile` returns, which
+    /// this workspace then keeps (up to [`crate::plan::PLAN_CACHE_CAP`],
+    /// least recently used out first). `compile` builds and compiles the
+    /// graph (typically [`crate::graph::Graph::compile`]) and runs only
+    /// on a miss, so a hit builds nothing and allocates nothing. The key
+    /// is the caller's promise: equal keys must compile to the same plan
+    /// ([`PlanKey`]).
     ///
     /// # Errors
     ///
-    /// Whatever [`Graph::compile`] returns; a failed compile caches
-    /// nothing.
-    pub fn plan(&mut self, g: &Graph, policy: FusePolicy) -> Result<Arc<CompiledPlan>, GraphError> {
-        self.plans.get(g, policy)
+    /// Whatever `compile` returns; a failed compile caches nothing.
+    pub fn plan(
+        &mut self,
+        key: PlanKey,
+        compile: impl FnOnce() -> Result<CompiledPlan, GraphError>,
+    ) -> Result<Arc<CompiledPlan>, GraphError> {
+        self.plans.get(key, compile)
     }
 
     /// How many times [`Workspace::plan`] had to compile: flat once every

@@ -136,24 +136,24 @@ fn oracle(c: &Case) -> (Vec<f32>, Vec<f32>, [Vec<f32>; 3]) {
             let p = &mut probs[(t * at.heads + hd) * seq * seq..][..seq * seq];
             plans
                 .scores
-                .run(&[&qb, &kb], vec![OutBind::Write(p)], &mut ws);
+                .run(&[&qb, &kb], &mut [OutBind::Write(p)], &mut ws);
             ops::softmax_rows_in_place(p, seq);
-            let res = plans.context.run(&[p, &vb], vec![OutBind::Lease], &mut ws);
-            copy_head_in(&mut ctx, res[0].as_ref().expect("ctx"), at, t, hd);
+            let mut res = [OutBind::Lease];
+            plans.context.run(&[p, &vb], &mut res, &mut ws);
+            let [res] = res.map(OutBind::leased);
+            copy_head_in(&mut ctx, &res, at, t, hd);
 
-            let leases = || vec![OutBind::Lease, OutBind::Lease];
-            let mut res = plans
-                .context_backward
-                .run(&[&dc, &vb, p], leases(), &mut ws);
-            let mut ds = res[0].take().expect("dp");
-            let dvb = res[1].take().expect("dv");
+            let lease2 = |plan: &CompiledPlan, inputs: &[&[f32]], ws: &mut Workspace| {
+                let mut res = [OutBind::Lease, OutBind::Lease];
+                plan.run(inputs, &mut res, ws);
+                res.map(OutBind::leased)
+            };
+            let [mut ds, dvb] = lease2(&plans.context_backward, &[&dc, &vb, p], &mut ws);
             ops::softmax_rows_backward_in_place(p, &mut ds, seq);
-            let res = plans
-                .scores_backward
-                .run(&[&ds, &kb, &qb], leases(), &mut ws);
+            let [dqb, dkb] = lease2(&plans.scores_backward, &[&ds, &kb, &qb], &mut ws);
             let [dq, dk, dv] = &mut grads;
-            copy_head_in(dq, res[0].as_ref().expect("dq"), at, t, hd);
-            copy_head_in(dk, res[1].as_ref().expect("dk"), at, t, hd);
+            copy_head_in(dq, &dqb, at, t, hd);
+            copy_head_in(dk, &dkb, at, t, hd);
             copy_head_in(dv, &dvb, at, t, hd);
         }
     }

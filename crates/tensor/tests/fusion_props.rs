@@ -27,7 +27,7 @@
 //! pool reconfiguration within this test binary.
 
 use actcomp_tensor::graph::Graph;
-use actcomp_tensor::plan::{CompiledPlan, FusePolicy, OutBind};
+use actcomp_tensor::plan::{CompiledPlan, FusePolicy, OutBind, PlanKey};
 use actcomp_tensor::{pool, Workspace};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -147,11 +147,9 @@ fn build_chain_graph(
 fn run_plan(plan: &CompiledPlan, bufs: &[Vec<f32>], ws: &mut Workspace) -> Vec<Vec<f32>> {
     let inputs: Vec<&[f32]> = bufs.iter().map(Vec::as_slice).collect();
     let n_outs = plan.graph().output_ids().len();
-    let outs = (0..n_outs).map(|_| OutBind::Lease).collect();
-    plan.run(&inputs, outs, ws)
-        .into_iter()
-        .map(|o| o.expect("leased output"))
-        .collect()
+    let mut outs: Vec<OutBind<'_>> = (0..n_outs).map(|_| OutBind::Lease).collect();
+    plan.run(&inputs, &mut outs, ws);
+    outs.into_iter().map(OutBind::leased).collect()
 }
 
 fn assert_bits_eq(want: &[Vec<f32>], got: &[Vec<f32>], what: &str) {
@@ -280,8 +278,8 @@ proptest! {
     }
 
     /// A plan from the workspace's cache is the plan a fresh compile of
-    /// the same graph yields: one compile however often the structure
-    /// comes back, and the same bits out through every kind of binding.
+    /// the same graph yields: one compile however often its key comes
+    /// back, and the same bits out through every kind of binding.
     #[test]
     fn cached_plan_runs_like_a_fresh_compile(
         m in dim(), k in dim(), n in dim(),
@@ -299,10 +297,12 @@ proptest! {
             [policy_sel].clone();
         let fresh = g.compile(policy.clone()).unwrap();
         let mut ws = Workspace::new();
-        let cached = ws.plan(&g, policy.clone()).unwrap();
-        // The same structure, built again from scratch, is a hit.
-        let (again, _, _) = build_chain_graph(m, k, n, &ops, stash_at, seed);
-        prop_assert!(Arc::ptr_eq(&cached, &ws.plan(&again, policy.clone()).unwrap()));
+        // The chain, stash and seed are fixed for this workspace.
+        let key = PlanKey { builder: "chain", args: [m, k, n, policy_sel] };
+        let cached = ws.plan(key, || g.compile(policy.clone())).unwrap();
+        // The same key is a hit: nothing is built or compiled again.
+        let again = ws.plan(key, || unreachable!("a hit compiles nothing")).unwrap();
+        prop_assert!(Arc::ptr_eq(&cached, &again));
         prop_assert_eq!(ws.plan_compiles(), 1);
 
         // The chain's final value is the last output; an unfused
@@ -319,7 +319,9 @@ proptest! {
                 2 if can_acc => OutBind::Acc(&mut ext),
                 _ => OutBind::Write(&mut ext),
             });
-            let mut got: Vec<Vec<f32>> = plan.run(&inputs, outs, ws).into_iter().flatten().collect();
+            plan.run(&inputs, &mut outs, ws);
+            let leased = outs.into_iter().filter(|o| matches!(o, OutBind::Leased(_)));
+            let mut got: Vec<Vec<f32>> = leased.map(OutBind::leased).collect();
             got.push(ext);
             got
         };

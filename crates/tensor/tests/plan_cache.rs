@@ -1,10 +1,12 @@
-//! The workspace's plan cache: keyed so two different graphs never share
-//! a plan, bounded however many shapes come by, and `Send` with its owner.
+//! The workspace's plan cache: keyed by builder and arguments so two keys
+//! never share a plan, compiling only on a miss, bounded however many
+//! shapes come by, and `Send` with its owner.
 
-use actcomp_tensor::graph::Graph;
-use actcomp_tensor::plan::{FusePolicy, OutBind, PLAN_CACHE_CAP};
+use actcomp_tensor::graph::{Graph, GraphError};
+use actcomp_tensor::plan::{CompiledPlan, FusePolicy, OutBind, PlanKey, PLAN_CACHE_CAP};
 use actcomp_tensor::Workspace;
 use std::sync::Arc;
+use FusePolicy::{Auto, Forced};
 
 /// `x[m,4] · w[4,4]` through `tail`, which marks the outputs.
 fn product(m: usize, tail: impl FnOnce(&mut Graph, usize, usize)) -> Graph {
@@ -55,59 +57,65 @@ fn second_product(nt: bool) -> Graph {
     })
 }
 
+fn key(builder: &'static str, arg: usize) -> PlanKey {
+    PlanKey {
+        builder,
+        args: [arg, 0, 0, 0],
+    }
+}
+
+/// This file's graph builders, as `actcomp-nn`'s are: each key names
+/// the graph and policy its one argument selects.
+fn compile(k: PlanKey) -> Result<CompiledPlan, GraphError> {
+    let (a, f) = (k.args[0], f32::from_bits(k.args[0] as u32));
+    let (g, policy) = match k.builder {
+        "scaled" => (scaled(f), Auto),
+        "forced" => (scaled(0.5), Forced(vec![2; a.min(1)])),
+        "normed" => (normed(f), Auto),
+        "outputs" => (outputs([None, Some([0, 1]), Some([1, 0])][a]), Auto),
+        "plain" => (product(a, |g, y, _| g.mark_output(y)), Auto),
+        "product" => (second_product(a == 1), Auto),
+        _ => unreachable!("no builder {}", k.builder),
+    };
+    g.compile(policy)
+}
+
 #[test]
 fn graphs_that_differ_in_one_respect_never_share_a_plan() {
-    use FusePolicy::{Auto, Forced};
-    let plain = |m| product(m, |g, y, _| g.mark_output(y));
-    // In `scaled`, value 2 is the GEMM and 3 its scale.
-    type Keyed = (Graph, FusePolicy);
-    let table: Vec<(&str, Keyed, Keyed)> = vec![
-        ("scale constant", (scaled(0.5), Auto), (scaled(0.25), Auto)),
+    let bits = |s: f32| s.to_bits() as usize;
+    // Keys that differ in the one argument that tells their graphs
+    // apart. In `scaled`, value 2 is the GEMM and 3 its scale.
+    let table = [
+        (
+            "scale constant",
+            key("scaled", bits(0.5)),
+            key("scaled", bits(0.25)),
+        ),
         (
             "scale sign of zero",
-            (scaled(0.0), Auto),
-            (scaled(-0.0), Auto),
+            key("scaled", bits(0.0)),
+            key("scaled", bits(-0.0)),
         ),
-        ("eps", (normed(1e-5), Auto), (normed(1e-6), Auto)),
-        (
-            "which outputs",
-            (outputs(None), Auto),
-            (outputs(Some([0, 1])), Auto),
-        ),
-        (
-            "output order",
-            (outputs(Some([0, 1])), Auto),
-            (outputs(Some([1, 0])), Auto),
-        ),
-        (
-            "policy",
-            (scaled(0.5), Auto),
-            (scaled(0.5), Forced(vec![2])),
-        ),
-        (
-            "forced list",
-            (scaled(0.5), Forced(vec![])),
-            (scaled(0.5), Forced(vec![2])),
-        ),
-        ("one dimension", (plain(4), Auto), (plain(5), Auto)),
-        (
-            "tn vs nt",
-            (second_product(false), Auto),
-            (second_product(true), Auto),
-        ),
+        ("eps", key("normed", bits(1e-5)), key("normed", bits(1e-6))),
+        ("which outputs", key("outputs", 0), key("outputs", 1)),
+        ("output order", key("outputs", 1), key("outputs", 2)),
+        ("policy", key("scaled", bits(0.5)), key("forced", 1)),
+        ("forced list", key("forced", 0), key("forced", 1)),
+        ("one dimension", key("plain", 4), key("plain", 5)),
+        ("tn vs nt", key("product", 0), key("product", 1)),
     ];
-    for (what, (ga, pa), (gb, pb)) in table {
+    for (what, ka, kb) in table {
         let mut ws = Workspace::new();
-        let a = ws.plan(&ga, pa.clone()).unwrap();
-        let b = ws.plan(&gb, pb).unwrap();
+        let a = ws.plan(ka, || compile(ka)).unwrap();
+        let b = ws.plan(kb, || compile(kb)).unwrap();
         assert_eq!(
             ws.plan_compiles(),
             2,
-            "{what}: second graph hit the first's plan"
+            "{what}: second key hit the first's plan"
         );
         assert!(!Arc::ptr_eq(&a, &b), "{what}");
         assert!(
-            Arc::ptr_eq(&a, &ws.plan(&ga, pa).unwrap()),
+            Arc::ptr_eq(&a, &ws.plan(ka, || unreachable!("{what}: a hit")).unwrap()),
             "{what}: lost its own plan"
         );
         assert_eq!(ws.plan_compiles(), 2, "{what}");
@@ -123,12 +131,15 @@ fn the_cap_holds_and_evicted_plans_come_back_right() {
     let graph = |m| product(m, |g, y, _| g.mark_output(y));
     let mut ws = Workspace::new();
     let check = |ws: &mut Workspace, m: usize| {
-        let run = |plan: &actcomp_tensor::plan::CompiledPlan, ws: &mut Workspace| {
-            plan.run(&[&x[..m * 4], &w], vec![OutBind::Lease], ws)
-                .remove(0)
-                .unwrap()
+        let run = |plan: &CompiledPlan, ws: &mut Workspace| {
+            let mut out = [OutBind::Lease];
+            plan.run(&[&x[..m * 4], &w], &mut out, ws);
+            let [y] = out.map(OutBind::leased);
+            y
         };
-        let cached = ws.plan(&graph(m), FusePolicy::Auto).unwrap();
+        let cached = ws
+            .plan(key("plain", m), || compile(key("plain", m)))
+            .unwrap();
         let fresh = graph(m).compile(FusePolicy::Auto).unwrap();
         let (got, want) = (run(&cached, ws), run(&fresh, &mut Workspace::new()));
         assert!(
@@ -169,7 +180,11 @@ fn a_failed_compile_caches_nothing() {
         g.mark_output(extra);
     });
     let mut ws = Workspace::new();
-    assert!(ws.plan(&g, FusePolicy::Forced(vec![2])).is_err());
+    let forced = || g.compile(FusePolicy::Forced(vec![2]));
+    assert!(ws.plan(key("forced", 2), forced).is_err());
+    assert_eq!((ws.plan_compiles(), ws.cached_plans()), (0, 0));
+    // The key stays free: the next lookup compiles again.
+    assert!(ws.plan(key("forced", 2), forced).is_err());
     assert_eq!((ws.plan_compiles(), ws.cached_plans()), (0, 0));
 }
 
